@@ -487,6 +487,29 @@ def ratfunc_normalize(num: Poly, den: Poly) -> RationalFunction:
     return RationalFunction(num, den)
 
 
+def _newton_interpolate(xs, ys):
+    """Coefficients (ascending) of the unique degree < len(xs) polynomial
+    through the given points, exact over Fraction.
+
+    The interpolation half of evaluate-and-interpolate: polynomial-valued
+    determinants are computed as integer determinants at integer points
+    and recovered here (graphs.ver_polynomial, toeplitz.gf_transfer)."""
+    n = len(xs)
+    divided = [Fraction(y) for y in ys]
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
+    # expand the Newton form product-by-product
+    coeffs = [Fraction(0)] * n
+    coeffs[0] = divided[n - 1]
+    for i in range(n - 2, -1, -1):
+        # multiply by (x - xs[i]) then add divided[i]
+        for j in range(n - 1, 0, -1):
+            coeffs[j] = coeffs[j - 1] - xs[i] * coeffs[j]
+        coeffs[0] = divided[i] - xs[i] * coeffs[0]
+    return coeffs
+
+
 def taylor_coeffs(rf: RationalFunction, n: int):
     """First n power-series coefficients of a rational function.
 

@@ -74,9 +74,5 @@ class SchemeExplosion(ExactGFError):
     """The minor-state closure exceeded its safety cap."""
 
 
-class SingularTransferSystem(ExactGFError):
-    """The transfer linear system was singular (indicates a scheme bug)."""
-
-
 class BudgetExceeded(ExactGFError):
     """An exponential-time oracle was asked for more than its cap."""

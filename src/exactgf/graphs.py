@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Matrix, Poly, det_bareiss
+from .core import Matrix, Poly, _newton_interpolate, det_bareiss
 from .errors import BadVertexPair
 
 VERTICAL = "vertical"
@@ -199,25 +199,6 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
             raise ArithmeticError("interpolation produced a non-integer")
         out.append(int(f))
     return Poly(out)
-
-
-def _newton_interpolate(xs, ys):
-    """Coefficients (ascending) of the unique degree < len(xs) polynomial
-    through the given points, exact over Fraction."""
-    n = len(xs)
-    divided = [Fraction(y) for y in ys]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    # expand the Newton form product-by-product
-    coeffs = [Fraction(0)] * n
-    coeffs[0] = divided[n - 1]
-    for i in range(n - 2, -1, -1):
-        # multiply by (x - xs[i]) then add divided[i]
-        for j in range(n - 1, 0, -1):
-            coeffs[j] = coeffs[j - 1] - xs[i] * coeffs[j]
-        coeffs[0] = divided[i] - xs[i] * coeffs[0]
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

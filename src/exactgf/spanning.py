@@ -15,11 +15,12 @@ additionally re-expanded and compared against every generated term.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .cfinite import CFiniteSpec, c_to_r, guess_rec, guess_sym_rec
+from .cfinite import CFiniteSpec, _recurrence_holds, c_to_r, guess_rec, guess_sym_rec
 from .core import Poly, RationalFunction, poly_gcd, taylor_coeffs
 from .errors import (
     BadVertexPair,
@@ -77,17 +78,6 @@ def grid_expected_order(k: int) -> int:
     """Observed denominator degree for k-row grids (used as a data-budget
     hint only; the pipeline still validates whatever it finds)."""
     return 2 ** (k - 1)
-
-
-def _recurrence_holds(data, rec) -> bool:
-    d = len(rec)
-    for n in range(d, len(data)):
-        acc = rec[0] * data[n - 1]
-        for i in range(2, d + 1):
-            acc = acc + rec[i - 1] * data[n - i]
-        if acc != data[n]:
-            return False
-    return True
 
 
 def _fit_pipeline(term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
@@ -299,7 +289,7 @@ def _clear_bivariate(num_t: Poly, den_t: Poly):
     for p in num_vs + den_vs:
         for x in p.coeffs:
             f = Fraction(x)
-            denom_lcm = denom_lcm * f.denominator // _gcd(denom_lcm, f.denominator)
+            denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
     content = 0
     scaled_num, scaled_den = [], []
     for target, source in ((scaled_num, num_vs), (scaled_den, den_vs)):
@@ -307,7 +297,7 @@ def _clear_bivariate(num_t: Poly, den_t: Poly):
             ints = [int(Fraction(x) * denom_lcm) for x in p.coeffs]
             target.append(ints)
             for x in ints:
-                content = _gcd(content, x)
+                content = math.gcd(content, x)
     if content == 0:
         content = 1
     sign = 1
@@ -320,13 +310,6 @@ def _clear_bivariate(num_t: Poly, den_t: Poly):
     num_poly = Poly([Poly([x // scale for x in ints]) for ints in scaled_num])
     den_poly = Poly([Poly([x // scale for x in ints]) for ints in scaled_den])
     return num_poly, den_poly
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def substitute_v(rf: RationalFunction, value) -> RationalFunction:

@@ -16,10 +16,13 @@ minor that can ever appear is described, dimension-independently, by the
 set of diagonal offsets of its surviving columns inside the window
 (-k2, k1): exactly k2 - 1 columns are missing from that window, all other
 columns are intact.  Cofactor expansion acts on those offset patterns by
-delete-shift-refill, the pattern space is finite, and the resulting linear
-system over rational functions in t yields the generating function without
-guessing.  States are keyed by offset pattern (not by entry values), so
-families with repeated values are handled correctly.
+delete-shift-refill, and the pattern space is finite.  The resulting
+linear system X = e_root + tTX over rational functions in t is solved by
+Cramer's rule: its two determinants are polynomials in t, computed as
+exact scalar determinants at integer points of t and interpolated, which
+yields the generating function without guessing.  States are keyed by
+offset pattern (not by entry values), so families with repeated values
+are handled correctly.
 """
 from __future__ import annotations
 
@@ -27,12 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    LinearSolution,
     Matrix,
     Poly,
     RationalFunction,
+    _newton_interpolate,
     det_bareiss,
-    solve_linear,
+    solve_linear,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
     taylor_coeffs,
 )
 from .errors import (
@@ -41,7 +44,6 @@ from .errors import (
     InconsistentSpec,
     NoFitWithinBudget,
     SchemeExplosion,
-    SingularTransferSystem,
 )
 from .cfinite import guess_rec
 
@@ -325,26 +327,36 @@ def children_scheme(row, col, mode: str = "det") -> TransferScheme:
 
 
 def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
-    """Generating function 1 + sum(f(A_n) t^n) from the transfer scheme,
-    by solving the linear system over rational functions in t:
+    """Generating function 1 + sum(f(A_n) t^n) from the transfer scheme.
+
+    The state generating functions satisfy
 
         X_root = 1 + sum(c * t * X_child),   X_i = sum(c * t * X_child)
 
-    (only the root gets the constant, which is the empty matrix's value)."""
+    (only the root gets the constant, which is the empty matrix's value),
+    that is (I - tT) X = e_root with T the scheme's transition matrix.  By
+    Cramer's rule X_root = det(M') / det(M), where M = I - tT and M' is M
+    without the root's row and column.  With m states these determinants
+    are polynomials of degree at most m and m - 1; both are evaluated at
+    t = 0..m as scalar determinants (fraction-free, so integer families
+    stay in the integers) and interpolated.  det(M) has constant term 1,
+    so the quotient always exists, and its canonical form costs the only
+    polynomial gcd of the computation."""
     scheme = children_scheme(row, col, mode)
-    m = len(scheme.states)
-    one = RationalFunction(Poly((1,)))
-    zero = RationalFunction(Poly())
-    rows = [[zero] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = one
-        for coeff, j in scheme.transitions[i]:
-            rows[i][j] = rows[i][j] - RationalFunction(Poly((0, Fraction(coeff))))
-    rhs = [one] + [zero] * (m - 1)
-    sol = solve_linear(Matrix(rows), rhs)
-    if sol.status != LinearSolution.UNIQUE:
-        raise SingularTransferSystem(f"transfer system was {sol.status}")
-    return sol.solution[0]
+    m = len(scheme)
+    trans = [[0] * m for _ in range(m)]
+    for i, transitions in enumerate(scheme.transitions):
+        for coeff, j in transitions:
+            trans[i][j] += coeff
+    points = range(m + 1)
+    dets, minors = [], []
+    for x in points:
+        rows = [[(1 if i == j else 0) - x * trans[i][j] for j in range(m)]
+                for i in range(m)]
+        dets.append(det_bareiss(Matrix(rows)))
+        minors.append(det_bareiss(Matrix([r[1:] for r in rows[1:]])))
+    return RationalFunction(Poly(_newton_interpolate(points, minors)),
+                            Poly(_newton_interpolate(points, dets)))
 
 
 def family_to_json_dict(row, col, mode: str) -> dict:

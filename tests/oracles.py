@@ -4,13 +4,24 @@ These deliberately avoid the package's own algorithms: determinants by
 recursive cofactor expansion, permanents by summing over permutations,
 tree/forest counts by edge-subset enumeration (the graph module ships its
 own subset oracles, which these tests cross-check against the fast path).
+The one exception is gf_transfer_field, the slow path the transfer route
+replaced, kept here as that route's reference.
 """
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
-from exactgf import LabeledGraph, Matrix
+from exactgf import (
+    LabeledGraph,
+    LinearSolution,
+    Matrix,
+    Poly,
+    RationalFunction,
+    children_scheme,
+    solve_linear,
+)
 
 
 def naive_det(m: Matrix):
@@ -77,3 +88,21 @@ def random_toeplitz_prefixes(rng: random.Random, max_band=3, lo=-4, hi=4):
     row = [corner] + [rng.randint(lo, hi) for _ in range(k1 - 1)]
     col = [corner] + [rng.randint(lo, hi) for _ in range(k2 - 1)]
     return row, col
+
+
+def gf_transfer_field(row, col, mode="det"):
+    """The transfer generating function by Gauss-Jordan elimination over
+    rational functions in t: X_root = 1 + sum(c * t * X_child) and
+    X_i = sum(c * t * X_child) for every other scheme state."""
+    scheme = children_scheme(row, col, mode)
+    m = len(scheme.states)
+    one = RationalFunction(Poly((1,)))
+    zero = RationalFunction(Poly())
+    rows = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = one
+        for coeff, j in scheme.transitions[i]:
+            rows[i][j] = rows[i][j] - RationalFunction(Poly((0, Fraction(coeff))))
+    sol = solve_linear(Matrix(rows), [one] + [zero] * (m - 1))
+    assert sol.status == LinearSolution.UNIQUE, sol.status
+    return sol.solution[0]

@@ -61,6 +61,18 @@ def test_toeplitz_guess_and_transfer_agree(capsys):
     assert a["num"] == b["num"] and a["den"] == b["den"]
 
 
+def test_toeplitz_fraction_entries(capsys):
+    # a/b entries; det A_1 = 1/2 and det A_2 = 1/4 - 15/7 = -53/28
+    family = ("--row", "1/2,3,-2/3", "--col", "1/2,5/7", "--mode", "det")
+    code, out, _ = invoke(capsys, "toeplitz-gf", *family, "--method", "transfer", "--pretty")
+    assert code == 0
+    assert out.strip() == "294/(100*t^3+630*t^2-147*t+294)"
+    _, out_guess, _ = invoke(capsys, "toeplitz-gf", *family, "--method", "guess", "--n", "30")
+    _, out_transfer, _ = invoke(capsys, "toeplitz-gf", *family, "--method", "transfer")
+    a, b = json.loads(out_guess), json.loads(out_transfer)
+    assert a["num"] == b["num"] and a["den"] == b["den"]
+
+
 def test_emit_data_round_trip(capsys):
     code, out, _ = invoke(capsys, "gf-grid", "--k", "3", "--emit-data")
     assert code == 0

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactgf import (
     Matrix,
@@ -20,9 +21,14 @@ from exactgf import (
     taylor_coeffs,
     value_sequence,
 )
-from exactgf.errors import BadState, BudgetExceeded, InconsistentSpec
+from exactgf.errors import BadState, BudgetExceeded, InconsistentSpec, NoFitWithinBudget
 
-from oracles import naive_det, permutation_permanent, random_toeplitz_prefixes
+from oracles import (
+    gf_transfer_field,
+    naive_det,
+    permutation_permanent,
+    random_toeplitz_prefixes,
+)
 
 
 def rf(num, den):
@@ -226,6 +232,38 @@ def test_gf_transfer_perm_fibonacci():
     assert gf_transfer([1, 1], [1, 1], "perm") == rf([1], [1, -1, -1])
 
 
+_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def _bands(draw):
+    """Row and column prefixes of a band up to 3/3 sharing their corner."""
+    corner = draw(_ENTRIES)
+    row = [corner] + draw(st.lists(_ENTRIES, max_size=2))
+    col = [corner] + draw(st.lists(_ENTRIES, max_size=2))
+    return row, col
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bands(), st.sampled_from(("det", "perm")))
+def test_transfer_matches_field_solve(band, mode):
+    row, col = band
+    assert gf_transfer(row, col, mode) == gf_transfer_field(row, col, mode)
+
+
+def test_transfer_four_four_band_matches_guess():
+    # order 20, beyond gf_family_guess's default window 10..50; the field
+    # solve oracle takes 15-17 s on it (2.1 GHz Xeon), so the guess
+    # route is the reference
+    row, col = [2, 1, 1, 1], [2, 3, 3, 3]
+    got = gf_transfer(row, col, "det")
+    assert got.den.degree == 20
+    assert got == gf_family_guess(row, col, "det", 10, 70)
+
+
 def test_transfer_series_matches_determinants():
     rng = random.Random(83)
     for _ in range(12):
@@ -267,7 +305,7 @@ def test_cross_method_agreement_random():
         row, col = random_toeplitz_prefixes(rng)
         try:
             guessed = gf_family_guess(row, col, "det", 8, 40)
-        except Exception:
+        except NoFitWithinBudget:
             continue  # degenerate window; the transfer route is the oracle
         assert guessed == gf_transfer(row, col, "det")
         done += 1
