@@ -11,9 +11,7 @@ from .core import (
     Rational,
     RationalFunction,
     det_bareiss,
-    poly_arith,
     poly_gcd,
-    ratfunc_normalize,
     solve_linear,
     taylor_coeffs,
 )

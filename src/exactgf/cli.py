@@ -2,7 +2,8 @@
 stdout by default, pretty algebraic text behind --pretty.
 
 Exit codes: 0 success, 1 when a fit/budget/structure check fails (with a
-JSON diagnostic), 2 for usage errors such as malformed input.
+JSON diagnostic), 2 for usage errors such as malformed input, 3 when an
+internal self-check fails (InternalInconsistency: a bug, not bad input).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .errors import (
     DataTooShort,
     ExactGFError,
     InconsistentSpec,
+    InternalInconsistency,
     NoFitWithinBudget,
     NotConnected,
 )
@@ -374,6 +376,9 @@ def run(argv) -> int:
     except BudgetExceeded as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
+    except InternalInconsistency as exc:
+        print(json.dumps({"error": f"internal inconsistency: {exc}"}))
+        return 3
     except ExactGFError as exc:
         print(json.dumps({"error": str(exc)}))
         return 1

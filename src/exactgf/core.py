@@ -196,19 +196,6 @@ class Poly:
         return Poly(self.coeffs[:n])
 
 
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Dispatch table over {add, sub, mul, exact_div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "exact_div":
-        return a.exact_div(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _coeff_div(a, b):
     """Divide coefficients exactly, staying in int when the quotient is."""
     if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
@@ -482,32 +469,37 @@ def _scale_den(den: Poly):
     return Poly(new), scale
 
 
-def ratfunc_normalize(num: Poly, den: Poly) -> RationalFunction:
-    """Canonical representative of num/den; ZeroDenominator if den = 0."""
-    return RationalFunction(num, den)
+def _newton_interpolate(ys):
+    """Coefficients (ascending) of the unique polynomial of degree
+    < len(ys) that takes the value ys[x] at x = 0, 1, ..., len(ys) - 1.
 
-
-def _newton_interpolate(xs, ys):
-    """Coefficients (ascending) of the unique degree < len(xs) polynomial
-    through the given points, exact over Fraction.
-
-    The interpolation half of evaluate-and-interpolate: polynomial-valued
-    determinants are computed as integer determinants at integer points
-    and recovered here (graphs.ver_polynomial, toeplitz.gf_transfer)."""
-    n = len(xs)
-    divided = [Fraction(y) for y in ys]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    # expand the Newton form product-by-product
-    coeffs = [Fraction(0)] * n
-    coeffs[0] = divided[n - 1]
-    for i in range(n - 2, -1, -1):
-        # multiply by (x - xs[i]) then add divided[i]
-        for j in range(n - 1, 0, -1):
-            coeffs[j] = coeffs[j - 1] - xs[i] * coeffs[j]
-        coeffs[0] = divided[i] - xs[i] * coeffs[0]
-    return coeffs
+    Newton's forward-difference form, sum_j (D^j y_0 / j!) x(x-1)...(x-j+1),
+    expanded with every term scaled by (n-1)! so the work stays in the
+    values' own ring: integer values give int coefficients where the
+    polynomial has them and Fractions only where it does not, Fraction
+    values give Fractions.  The interpolation half of
+    evaluate-and-interpolate: polynomial-valued determinants are computed
+    as scalar determinants at 0..n-1 and recovered here
+    (graphs.ver_polynomial, toeplitz.gf_transfer)."""
+    n = len(ys)
+    if not n:
+        return []
+    leading = []  # D^j y_0 for j = 0..n-1
+    row = list(ys)
+    while row:
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    scale = 1  # (n-1)! / j!, from j = n-1 down
+    coeffs = [leading[n - 1]]
+    for j in range(n - 2, -1, -1):
+        scale *= j + 1
+        # multiply by (x - j), then add the scaled j-th Newton coefficient
+        out = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            out[i] -= j * c
+        out[0] += leading[j] * scale
+        coeffs = out
+    return [_coeff_div(c, scale) for c in coeffs]
 
 
 def taylor_coeffs(rf: RationalFunction, n: int):

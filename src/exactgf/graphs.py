@@ -1,11 +1,19 @@
 """Grid graphs, graph-times-path products, and exact tree/forest counting
-through Laplacian determinants.
+through Laplacian minors.
 
 Vertices of a k x n grid are numbered column-major: (i, j) with 1 <= i <= k,
 1 <= j <= n maps to (j-1)*k + (i-1), so each layer of the product occupies a
-contiguous index block and the Laplacian is banded with half-bandwidth k.
-That banding is what keeps the determinants cheap even for 200x200 matrices
-of huge integers.
+contiguous index block and every edge joins vertices at most k apart.
+
+Every count is a Laplacian minor (matrix-tree theorem), and every minor is
+computed by _laplacian_minor straight from the edge list: rows are built
+one at a time holding only their band, streamed through fraction-free
+(Bareiss) elimination in a window of half-bandwidth w, and the last w x w
+block goes to det_bareiss.  No dense Laplacian is built, so a minor of a
+graph with N vertices and E edges costs O(N + E + N*w^2) time and
+O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
+laplacian() builds the dense (optionally v-weighted) matrix, which the
+tests use as the reference for these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -15,11 +23,10 @@ spanning trees by their number of vertical edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .core import Matrix, Poly, _newton_interpolate, det_bareiss
-from .errors import BadVertexPair
+from .errors import BadVertexPair, InternalInconsistency
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -154,12 +161,84 @@ def laplacian(g: LabeledGraph, vertical_weight=1) -> Matrix:
     return Matrix(rows)
 
 
+def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1) -> int:
+    """det of the Laplacian of g, with vertical edges weighted by the
+    non-negative integer vertical_weight, after deleting the rows and
+    columns in drop (vertices outside the graph are ignored).
+
+    The kept vertices keep their order, and w is the largest index gap
+    along an edge of nonzero weight, so the minor is banded with
+    half-bandwidth w.  Rows enter a window of w + 1 rows as the
+    elimination reaches them, holding only their entries from the
+    diagonal rightwards (the matrix and every Bareiss stage are
+    symmetric).  An entry entering after pivot p is scaled by p, the
+    factor Bareiss would have given it had it been inside the window all
+    along.  The last m = max(w, 1) rows form the bordered block B whose
+    determinant, by Sylvester's identity, is prev^(m-1) times the minor,
+    with prev the last pivot taken; det_bareiss computes det B.
+
+    A reduced Laplacian with non-negative weights is positive
+    semidefinite, and a PSD matrix with a singular leading principal
+    submatrix is singular, so a zero pivot before the last block means
+    the minor is 0.
+    """
+    if not isinstance(vertical_weight, int) or vertical_weight < 0:
+        raise ValueError("vertical_weight must be a non-negative integer")
+    pos = [None] * g.n_vertices
+    n = 0
+    for v in range(g.n_vertices):
+        if v not in drop:
+            pos[v] = n
+            n += 1
+    if not n:
+        return 1
+    diag = [0] * n
+    off = {}  # (i, j) with i < j -> total weight joining kept vertices i, j
+    w = 0
+    for u, v, label, mult in g.edges:
+        weight = vertical_weight * mult if label == VERTICAL else mult
+        if not weight:
+            continue
+        i, j = pos[u], pos[v]
+        if i is not None:
+            diag[i] += weight
+        if j is not None:
+            diag[j] += weight
+        if i is not None and j is not None:
+            if i > j:
+                i, j = j, i
+            off[i, j] = off.get((i, j), 0) + weight
+            if j - i > w:
+                w = j - i
+    m = max(w, 1)
+    # upper[a] is row r + a of the window, from its diagonal to column r + w
+    upper = [[diag[i]] + [-off.get((i, j), 0) for j in range(i + 1, w + 1)]
+             for i in range(w + 1)]
+    prev = 1
+    for r in range(n - m):
+        top = upper[0]
+        p = top[0]
+        if not p:
+            return 0
+        upper = [[(p * x - f * y) // prev for x, y in zip(row, top[a:])]
+                 for a, (row, f) in enumerate(zip(upper[1:], top[1:]), 1)]
+        e = r + w + 1
+        if e < n:
+            for t, row in enumerate(upper, r + 1):
+                row.append(-off.get((t, e), 0) * p)
+            upper.append([diag[e] * p])
+        prev = p
+    block = [[0] * m for _ in range(m)]
+    for a, row in enumerate(upper):
+        for c, x in enumerate(row, a):
+            block[a][c] = block[c][a] = x
+    return det_bareiss(Matrix(block)) // prev ** (m - 1)
+
+
 def spanning_tree_count(g: LabeledGraph) -> int:
-    """Number of spanning trees: determinant of the Laplacian with the
-    last row and column deleted (0 when g is disconnected)."""
-    lap = laplacian(g)
-    reduced = lap.delete_rows_cols({g.n_vertices - 1})
-    return det_bareiss(reduced)
+    """Number of spanning trees: the Laplacian minor without the last
+    vertex (0 when g is disconnected)."""
+    return _laplacian_minor(g, {g.n_vertices - 1})
 
 
 def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
@@ -168,37 +247,28 @@ def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
     {a, b} deleted (all-minors matrix-tree)."""
     if a == b:
         raise BadVertexPair("the two marked vertices must differ")
-    lap = laplacian(g)
-    reduced = lap.delete_rows_cols({a, b})
-    return det_bareiss(reduced)
+    return _laplacian_minor(g, {a, b})
 
 
 def ver_polynomial(g: LabeledGraph) -> Poly:
     """Spanning-tree polynomial in v, weighting each tree by v^(number of
     vertical edges).
 
-    Computed by evaluating the v-weighted Laplacian cofactor at the
-    integer points 0..D (D = total vertical multiplicity, an upper bound
-    for the degree) and interpolating, so each evaluation is a fast
-    integer determinant.  Evaluating the result at 1 gives the plain
+    The v-weighted Laplacian minor without the last vertex has degree at
+    most D, the total vertical multiplicity.  It is evaluated at
+    v = 0..D as D + 1 integer minors and recovered by forward-difference
+    interpolation; a non-integer coefficient would be a bug and raises
+    InternalInconsistency.  Evaluating the result at 1 gives the plain
     spanning-tree count.
     """
     d_bound = sum(m for _u, _v, label, m in g.edges if label == VERTICAL)
     if d_bound == 0:
         return Poly((spanning_tree_count(g),))
-    points = list(range(d_bound + 1))
-    values = []
-    for x in points:
-        lap = laplacian(g, vertical_weight=x)
-        values.append(det_bareiss(lap.delete_rows_cols({g.n_vertices - 1})))
-    coeffs = _newton_interpolate(points, values)
-    out = []
-    for c in coeffs:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer")
-        out.append(int(f))
-    return Poly(out)
+    drop = {g.n_vertices - 1}
+    coeffs = _newton_interpolate([_laplacian_minor(g, drop, x) for x in range(d_bound + 1)])
+    if not all(isinstance(c, int) for c in coeffs):
+        raise InternalInconsistency("interpolation produced a non-integer")
+    return Poly(coeffs)
 
 
 # ---------------------------------------------------------------------------

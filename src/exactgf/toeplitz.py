@@ -348,15 +348,14 @@ def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
     for i, transitions in enumerate(scheme.transitions):
         for coeff, j in transitions:
             trans[i][j] += coeff
-    points = range(m + 1)
     dets, minors = [], []
-    for x in points:
+    for x in range(m + 1):
         rows = [[(1 if i == j else 0) - x * trans[i][j] for j in range(m)]
                 for i in range(m)]
         dets.append(det_bareiss(Matrix(rows)))
         minors.append(det_bareiss(Matrix([r[1:] for r in rows[1:]])))
-    return RationalFunction(Poly(_newton_interpolate(points, minors)),
-                            Poly(_newton_interpolate(points, dets)))
+    return RationalFunction(Poly(_newton_interpolate(minors)),
+                            Poly(_newton_interpolate(dets)))
 
 
 def family_to_json_dict(row, col, mode: str) -> dict:

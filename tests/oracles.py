@@ -4,8 +4,9 @@ These deliberately avoid the package's own algorithms: determinants by
 recursive cofactor expansion, permanents by summing over permutations,
 tree/forest counts by edge-subset enumeration (the graph module ships its
 own subset oracles, which these tests cross-check against the fast path).
-The one exception is gf_transfer_field, the slow path the transfer route
-replaced, kept here as that route's reference.
+The exceptions are slow paths that a fast route replaced, kept here as
+that route's reference: gf_transfer_field for the transfer route and
+laplacian_minor_dense for the streamed Laplacian minors.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ from exactgf import (
     Poly,
     RationalFunction,
     children_scheme,
+    det_bareiss,
+    laplacian,
     solve_linear,
 )
 
@@ -106,3 +109,11 @@ def gf_transfer_field(row, col, mode="det"):
     sol = solve_linear(Matrix(rows), [one] + [zero] * (m - 1))
     assert sol.status == LinearSolution.UNIQUE, sol.status
     return sol.solution[0]
+
+
+def laplacian_minor_dense(g: LabeledGraph, drop, x=1):
+    """The Laplacian minor by the dense path the graph counts used to
+    take: build the whole (optionally x-weighted) Laplacian, delete the
+    rows and columns in drop, and take det_bareiss of the rest.  x may be
+    any scalar or VAR_V."""
+    return det_bareiss(laplacian(g, x).delete_rows_cols(drop))

@@ -1,7 +1,9 @@
 """CLI surface: JSON/pretty output, exit codes, and round trips."""
 import json
 
+from exactgf import spanning
 from exactgf.cli import run
+from exactgf.errors import InternalInconsistency
 
 
 def invoke(capsys, *argv):
@@ -156,3 +158,13 @@ def test_unknown_flag_rejected(capsys):
 def test_bad_vertex_pair_is_usage_error(capsys):
     code, _out, _err = invoke(capsys, "resistance", "--k", "1", "--n", "1")
     assert code == 2
+
+
+def test_internal_inconsistency_exit_three(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("series does not reproduce the data")
+
+    monkeypatch.setattr(spanning, "gf_grid", broken)
+    code, out, _err = invoke(capsys, "gf-grid", "--k", "2")
+    assert code == 3
+    assert "internal inconsistency" in json.loads(out)["error"]

@@ -11,12 +11,10 @@ from exactgf import (
     Poly,
     RationalFunction,
     det_bareiss,
-    poly_arith,
-    ratfunc_normalize,
     solve_linear,
     taylor_coeffs,
 )
-from exactgf.core import solve_fraction_free
+from exactgf.core import _newton_interpolate, solve_fraction_free
 from exactgf.errors import InexactDivision, ShapeError, ZeroDenominator
 from exactgf.toeplitz import ToeplitzSpec, matrix_from_spec
 
@@ -33,15 +31,15 @@ def test_poly_canonical_form():
 
 
 def test_poly_add_cancellation():
-    assert poly_arith(Poly([1, 1]), Poly([0, -1]), "add") == Poly([1])
+    assert Poly([1, 1]) + Poly([0, -1]) == Poly([1])
 
 
 def test_poly_mul_difference_of_squares():
-    assert poly_arith(Poly([1, 1]), Poly([1, -1]), "mul") == Poly([1, 0, -1])
+    assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
 
 
 def test_poly_exact_div_inverts_mul():
-    assert poly_arith(Poly([1, 0, -1]), Poly([1, 1]), "exact_div") == Poly([1, -1])
+    assert Poly([1, 0, -1]).exact_div(Poly([1, 1])) == Poly([1, -1])
 
 
 def test_poly_exact_div_rejects_remainder():
@@ -70,23 +68,23 @@ def test_poly_eval_and_derivative():
 # --- rational functions ------------------------------------------------------
 
 def test_ratfunc_counting_shape():
-    f = ratfunc_normalize(Poly([0, 1]), Poly([1, -1]))
+    f = RationalFunction(Poly([0, 1]), Poly([1, -1]))
     assert f.num == Poly([0, 1]) and f.den == Poly([1, -1])
 
 
 def test_ratfunc_common_factor_removed():
-    f = ratfunc_normalize(Poly([0, 2]), Poly([2, -2]))
-    assert f == ratfunc_normalize(Poly([0, 1]), Poly([1, -1]))
+    f = RationalFunction(Poly([0, 2]), Poly([2, -2]))
+    assert f == RationalFunction(Poly([0, 1]), Poly([1, -1]))
 
 
 def test_ratfunc_polynomial_result():
-    f = ratfunc_normalize(Poly([0, -1, 1]), Poly([-1, 1]))  # (t^2-t)/(t-1)
+    f = RationalFunction(Poly([0, -1, 1]), Poly([-1, 1]))  # (t^2-t)/(t-1)
     assert f.num == Poly([0, 1]) and f.den == Poly([1])
 
 
 def test_ratfunc_zero_denominator():
     with pytest.raises(ZeroDenominator):
-        ratfunc_normalize(Poly([1]), Poly())
+        RationalFunction(Poly([1]), Poly())
 
 
 def test_ratfunc_idempotent_and_scale_invariant():
@@ -98,9 +96,9 @@ def test_ratfunc_idempotent_and_scale_invariant():
         num, den, g = rp(), rp(1), rp(1)
         if not den or not g:
             continue
-        base = ratfunc_normalize(num, den)
-        again = ratfunc_normalize(base.num, base.den)
-        scaled = ratfunc_normalize(num * g, den * g)
+        base = RationalFunction(num, den)
+        again = RationalFunction(base.num, base.den)
+        scaled = RationalFunction(num * g, den * g)
         assert base == again == scaled
 
 
@@ -120,6 +118,33 @@ def test_ratfunc_field_ops():
 def test_taylor_geometric():
     f = RationalFunction(Poly([1]), Poly([1, -1]))
     assert taylor_coeffs(f, 5) == [1, 1, 1, 1, 1]
+
+
+# --- interpolation ------------------------------------------------------------
+
+def test_interpolation_recovers_random_polynomials():
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        ints = [rng.randint(-50, 50) for _ in range(rng.randint(0, n))]
+        fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(rng.randint(0, n))]
+        for coeffs in (ints, fracs):
+            p = Poly(coeffs)
+            got = _newton_interpolate([p.eval(x) for x in range(n)])
+            assert len(got) == n
+            assert Poly(got) == p
+        assert all(type(c) is int for c in
+                   _newton_interpolate([Poly(ints).eval(x) for x in range(n)]))
+        assert all(type(c) is Fraction for c in
+                   _newton_interpolate([Fraction(Poly(ints).eval(x)) for x in range(n)]))
+
+
+def test_interpolation_integer_values_rational_coefficients():
+    # x(x-1)/2 takes integer values at integers but has half-integer coefficients
+    assert _newton_interpolate([0, 0, 1, 3]) == [0, Fraction(-1, 2), Fraction(1, 2), 0]
+    assert _newton_interpolate([]) == []
+    assert _newton_interpolate([7]) == [7]
 
 
 # --- determinants -------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Grid graphs, products with paths, Laplacians, and exact counting."""
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactgf import (
     LabeledGraph,
@@ -16,15 +18,17 @@ from exactgf import (
     two_forest_count,
     ver_polynomial,
 )
-from exactgf.errors import BadVertexPair
+from exactgf import graphs
+from exactgf.errors import BadVertexPair, InternalInconsistency
 from exactgf.graphs import (
+    _laplacian_minor,
     graph_from_json_dict,
     spanning_tree_count_bruteforce,
     two_forest_count_bruteforce,
     ver_polynomial_bruteforce,
 )
 
-from oracles import random_labeled_graph
+from oracles import laplacian_minor_dense, random_labeled_graph
 
 
 # --- construction -------------------------------------------------------------
@@ -214,3 +218,86 @@ def test_graph_json_round_trip():
     assert g.edges == ((0, 1, "vertical", 2), (1, 2, "horizontal", 1))
     with pytest.raises(ValueError):
         graph_from_json_dict({"edges": []})
+
+
+# --- streamed Laplacian minors against the dense path ------------------------------
+
+@st.composite
+def _multigraphs(draw, max_vertices=8):
+    """Random labeled multigraphs, often disconnected; half of them are
+    relabeled by a random permutation, which widens the band."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda uv: uv[0] != uv[1])
+    edges = draw(st.lists(
+        st.tuples(pairs, st.sampled_from(("vertical", "horizontal", "other")),
+                  st.integers(1, 3)),
+        max_size=12 if n > 1 else 0))
+    perm = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        perm = list(range(n))
+    return LabeledGraph(n, tuple((perm[u], perm[v], label, mult)
+                                 for (u, v), label, mult in edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_laplacian_minor_matches_dense(data):
+    g = data.draw(_multigraphs())
+    x = data.draw(st.sampled_from((0, 1, 2, 5)))
+    drop = data.draw(st.sets(st.integers(0, g.n_vertices - 1),
+                             max_size=min(3, g.n_vertices)))
+    assert _laplacian_minor(g, drop, x) == laplacian_minor_dense(g, drop, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_public_counts_on_products_match_dense(data):
+    h = product_with_path(data.draw(_multigraphs(max_vertices=4)),
+                          data.draw(st.integers(1, 3)))
+    last = h.n_vertices - 1
+    assert spanning_tree_count(h) == laplacian_minor_dense(h, {last})
+    assert ver_polynomial(h) == laplacian_minor_dense(h, {last}, VAR_V)
+    if h.n_vertices > 1:
+        a, b = data.draw(st.lists(st.integers(0, last), min_size=2, max_size=2,
+                                  unique=True))
+        assert two_forest_count(h, a, b) == laplacian_minor_dense(h, {a, b})
+
+
+def test_laplacian_minor_rejects_negative_weight():
+    with pytest.raises(ValueError):
+        _laplacian_minor(grid_graph(2, 2), {3}, -1)
+
+
+def test_laplacian_minor_hands_a_band_sized_block_to_det_bareiss(monkeypatch):
+    sizes = []
+    original = graphs.det_bareiss
+
+    def recording(m):
+        sizes.append(m.nrows)
+        return original(m)
+
+    monkeypatch.setattr(graphs, "det_bareiss", recording)
+    g = grid_graph(4, 30)
+    assert spanning_tree_count(g) == laplacian_minor_dense(g, {119})
+    assert two_forest_count(g, 0, 119) == laplacian_minor_dense(g, {0, 119})
+    assert sizes == [4, 4]
+
+
+def test_resistance_memory_stays_small():
+    from exactgf import resistance
+
+    tracemalloc.start()
+    try:
+        resistance(2, 1000)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_ver_polynomial_non_integer_coefficient_is_internal(monkeypatch):
+    # values x(x-1)/2 interpolate to x^2/2 - x/2: not an integer polynomial
+    monkeypatch.setattr(graphs, "_laplacian_minor", lambda g, drop, x=1: x * (x - 1) // 2)
+    with pytest.raises(InternalInconsistency):
+        ver_polynomial(grid_graph(2, 2))
