@@ -3,10 +3,13 @@ replaying them, and converting them to rational generating functions.
 
 A recurrence of order d is stored as a pair of lists: d initial values and
 d coefficients r with the meaning  L[n] = sum(r[i] * L[n-i], i=1..d).
-Guessing is plain undetermined-coefficients linear algebra over an exact
-field: the rationals for numeric sequences, or rational functions in v for
-sequences of polynomials (the weighted spanning-tree data).  No floating
-point is involved anywhere.
+Guessing is plain undetermined-coefficients linear algebra, solved by the
+fraction-free kernel core.solve_fraction_free: numeric sequences are first
+scaled to primitive integers (a recurrence is homogeneous, so scaling the
+data leaves it unchanged) and sequences of polynomials in v (the weighted
+spanning-tree data) stay polynomials, so elimination never leaves the
+integers or Z[v].  The coefficients come out as rationals, or as rational
+functions in v.  No floating point is involved anywhere.
 """
 from __future__ import annotations
 
@@ -15,11 +18,11 @@ from fractions import Fraction
 
 from .core import (
     LinearSolution,
-    Matrix,
     Poly,
     RationalFunction,
+    _primitive_ints,
     solve_fraction_free,
-    solve_linear,
+    solve_linear,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
     taylor_coeffs,
 )
 from .errors import DataTooShort, InexactDivision, InternalInconsistency
@@ -85,38 +88,35 @@ def guess_rec1(data, d: int) -> CFiniteSpec | None:
     data = list(data)
     if len(data) <= 2 * d + 2:
         raise DataTooShort(f"need at least {2 * d + 3} terms for order {d}")
-    if _is_poly_data(data):
-        rec = _solve_poly_rec(data, d)
-    else:
-        rec = _solve_scalar_rec(data, d)
+    rec = _solve_rec(data, d)
     if rec is None or not _recurrence_holds(data, rec):
         return None
     return CFiniteSpec(tuple(data[:d]), tuple(rec))
 
 
-def _solve_scalar_rec(data, d: int):
-    exact = [Fraction(x) for x in data]
-    rows = [[exact[n - i] for i in range(1, d + 1)] for n in range(d, len(exact))]
-    rhs = [exact[n] for n in range(d, len(exact))]
-    sol = solve_linear(Matrix(rows), rhs)
-    if sol.status == LinearSolution.INCONSISTENT:
-        return None
-    return sol.solution
+def _as_poly(x) -> Poly:
+    return x if isinstance(x, Poly) else Poly((x,))
 
 
-def _solve_poly_rec(data, d: int):
-    """Recurrence over the field of rational functions in v, solved
-    fraction-free so no large polynomial gcds happen mid-elimination."""
-    data = [x if isinstance(x, Poly) else Poly((x,)) if x else Poly() for x in data]
+def _solve_rec(data, d: int):
+    """Coefficients of an order-d recurrence through the data by one
+    fraction-free solve, or None when there is none.
+
+    Scalar data are scaled to primitive integers first and give Fraction
+    coefficients.  Polynomial data stay polynomials, so no large
+    polynomial gcds happen mid-elimination; a coefficient is a Poly when
+    it divides out exactly and a RationalFunction in v otherwise."""
+    poly = _is_poly_data(data)
+    data = [_as_poly(x) for x in data] if poly else _primitive_ints(data)[0]
     rows = [[data[n - i] for i in range(1, d + 1)] for n in range(d, len(data))]
-    rhs = [data[n] for n in range(d, len(data))]
-    sol = solve_fraction_free(rows, rhs)
+    sol = solve_fraction_free(rows, data[d:])
     if sol.status == LinearSolution.INCONSISTENT:
         return None
+    if not poly:
+        return [Fraction(num, den) for num, den in sol.solution]
     rec = []
     for num, den in sol.solution:
-        num = num if isinstance(num, Poly) else Poly((num,)) if num else Poly()
-        den = den if isinstance(den, Poly) else Poly((den,))
+        num, den = _as_poly(num), _as_poly(den)
         try:
             rec.append(num.exact_div(den))
         except InexactDivision:
@@ -172,11 +172,12 @@ def guess_sym_rec(data) -> CFiniteSpec | None:
     accepted already when len(data) >= d + ceil(d/2) + 3.
     """
     data = [Fraction(x) for x in data]
+    ints = _primitive_ints(data)[0]
     n_terms = len(data)
     d = 1
     while n_terms >= d + (d + 1) // 2 + 3:
         for eps in (1, -1):
-            rec = _solve_sym_rec(data, d, eps)
+            rec = _solve_sym_rec(ints, d, eps)
             if rec is not None and _recurrence_holds(data, rec):
                 return CFiniteSpec(tuple(data[:d]), tuple(rec))
         d += 1
@@ -184,7 +185,8 @@ def guess_sym_rec(data) -> CFiniteSpec | None:
 
 
 def _solve_sym_rec(data, d: int, eps: int):
-    # Denominator coefficients are c_0 = 1, c_i = -a_i; the symmetry
+    # data are primitive integers (see _solve_rec).  Denominator
+    # coefficients are c_0 = 1, c_i = -a_i; the symmetry
     # c_i = eps * c_(d-i) forces a_d = -eps, pairs a_i with a_(d-i), and
     # for even d pins the middle coefficient to 0 when eps = -1.
     free = list(range(1, (d - 1) // 2 + 1))
@@ -203,10 +205,10 @@ def _solve_sym_rec(data, d: int, eps: int):
         rows.append(row)
         rhs.append(data[n] + eps * data[n - d])
     if free:
-        sol = solve_linear(Matrix(rows), rhs)
+        sol = solve_fraction_free(rows, rhs)
         if sol.status == LinearSolution.INCONSISTENT:
             return None
-        values = dict(zip(free, sol.solution))
+        values = {j: Fraction(num, den) for j, (num, den) in zip(free, sol.solution)}
     else:
         if any(r for r in rhs):
             return None

@@ -30,6 +30,10 @@ from .graphs import graph_from_json_dict, path_graph
 #: Grids this tall are stretch targets; refuse them unless asked nicely.
 LONG_RUN_K = 6
 
+#: guess_rec tries orders up to len(data) // 2 - 2, so fewer terms can
+#: never fit.
+MIN_GUESS_TERMS = 6
+
 
 class UsageError(Exception):
     pass
@@ -220,6 +224,8 @@ def _gf_payload(result: spanning.GFResult, emit_data=None) -> dict:
 
 def _cmd_guess(args) -> int:
     data = _parse_csv(args.data)
+    if len(data) < MIN_GUESS_TERMS:
+        raise UsageError(f"--data needs at least {MIN_GUESS_TERMS} terms, got {len(data)}")
     spec = guess_rec(data)
     if spec is None:
         print(json.dumps({"error": "no recurrence found"}))

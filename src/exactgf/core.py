@@ -229,30 +229,29 @@ def _dom_exact_div(a, b):
         if r:
             raise InexactDivision(f"{a} not divisible by {b}")
         return q
-    return Fraction(a) / Fraction(b)
+    return a / b
 
 
 # ---------------------------------------------------------------------------
 # polynomial gcd
 # ---------------------------------------------------------------------------
 
-def _to_int_primitive(p: Poly):
-    """Return the primitive integer coefficient list of a Fraction/int poly."""
-    if not p:
-        return []
-    denls = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            denls = denls * c.denominator // math.gcd(denls, c.denominator)
-    ints = [int(c * denls) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
+def _primitive_ints(values):
+    """Clear denominators and content from a list of ints and Fractions.
+
+    Returns (ints, scale) with ints[i] == values[i] * scale, the ints
+    sharing no common factor (all zeros stay zeros) and scale a positive
+    Fraction.  Callers that need a canonical sign negate both."""
+    lcm = math.lcm(*(c.denominator for c in values))
+    ints = [c.numerator * (lcm // c.denominator) for c in values]
+    g = math.gcd(*ints) or 1
     if g > 1:
         ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    return ints, Fraction(lcm, g)
+
+
+def _positive_lead(ints):
+    return [-c for c in ints] if ints[-1] < 0 else ints
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -268,8 +267,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not b:
         return _make_positive(a)
     if all(_is_scalar(c) for c in a.coeffs) and all(_is_scalar(c) for c in b.coeffs):
-        u = _to_int_primitive(a)
-        v = _to_int_primitive(b)
+        u = _positive_lead(_primitive_ints(a.coeffs)[0])
+        v = _positive_lead(_primitive_ints(b.coeffs)[0])
         if len(u) < len(v):
             u, v = v, u
         while v:
@@ -294,9 +293,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             if g > 1:
                 r = [c // g for c in r]
             u, v = v, r
-        if u[-1] < 0:
-            u = [-c for c in u]
-        return Poly(u)
+        return Poly(_positive_lead(u))
     return _euclid_gcd(a, b)
 
 
@@ -443,30 +440,12 @@ def _ratfunc_canonicalize(num: Poly, den: Poly):
     if g.degree > 0 or (g.coeffs and g.coeffs[0] != 1):
         num = num.exact_div(g)
         den = den.exact_div(g)
-    den, scale = _scale_den(den)
-    num = num * scale
-    return num, den
-
-
-def _scale_den(den: Poly):
-    """Scale so den has primitive integer coefficients and a positive
-    lowest-degree nonzero coefficient.  Returns (den, applied scale)."""
-    if not all(_is_scalar(c) for c in den.coeffs):
-        # nested coefficients: only sign-normalize by the lowest scalar seen
-        return den, 1
-    denls = 1
-    for c in den.coeffs:
-        if isinstance(c, Fraction):
-            denls = denls * c.denominator // math.gcd(denls, c.denominator)
-    ints = [int(c * denls) for c in den.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    low = next(c for c in ints if c)
-    sign = -1 if low < 0 else 1
-    scale = Fraction(denls, sign * g)
-    new = [c * sign // g for c in ints]
-    return Poly(new), scale
+    # primitive integer den, lowest-degree nonzero coefficient positive
+    ints, scale = _primitive_ints(den.coeffs)
+    if next(c for c in ints if c) < 0:
+        ints = [-c for c in ints]
+        scale = -scale
+    return num * scale, Poly(ints)
 
 
 def _newton_interpolate(ys):
@@ -694,58 +673,39 @@ class LinearSolution:
 
 
 def solve_linear(a: Matrix, b) -> LinearSolution:
-    """Exact Gaussian elimination over a field.
+    """Exact linear solve over a field.
 
-    Field elements can be Fractions or RationalFunctions (the one-variable
-    rational function field used by the transfer method).  Returns a
-    unique solution, one witness of an underdetermined family (free
-    variables set to zero), or inconsistency.
+    Field elements can be Fractions or RationalFunctions (rational
+    functions in one variable).  Returns a unique solution, one witness of
+    an underdetermined family (free variables set to zero), or
+    inconsistency.  The elimination is solve_fraction_free's; the only
+    field divisions are the final one per unknown.
     """
     if not isinstance(a, Matrix):
         a = Matrix(a)
     b = list(b)
     if len(b) != a.nrows:
         raise ShapeError(f"{a.nrows} rows but {len(b)} right-hand sides")
-    nrows, ncols = a.nrows, a.ncols
-    aug = [list(r) + [b[i]] for i, r in enumerate(a.rows)]
-    piv_cols = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        prow = aug[rank]
-        pval = prow[col]
-        for i in range(nrows):
-            if i == rank or not aug[i][col]:
-                continue
-            factor = aug[i][col] / pval
-            row = aug[i]
-            for j in range(col, ncols + 1):
-                row[j] = row[j] - factor * prow[j]
-        piv_cols.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    for i in range(rank, nrows):
-        if aug[i][ncols]:
-            return LinearSolution(LinearSolution.INCONSISTENT)
+    sol = solve_fraction_free(a.rows, b)
+    if sol.status == LinearSolution.INCONSISTENT:
+        return sol
     zero = b[0] - b[0] if b else 0
-    x = [zero] * ncols
-    for r, col in enumerate(piv_cols):
-        x[col] = aug[r][ncols] / aug[r][col]
-    status = LinearSolution.UNIQUE if rank == ncols else LinearSolution.UNDERDETERMINED
-    return LinearSolution(status, x)
+    x = [_coeff_div(num, den) if num else zero for num, den in sol.solution]
+    return LinearSolution(sol.status, x)
 
 
 def solve_fraction_free(rows, rhs) -> LinearSolution:
     """Fraction-free Gauss-Jordan solve over an integral domain.
 
-    Same contract as solve_linear but entries may be ints or Polys and no
-    field division ever happens during elimination; the witness comes back
-    as (numerator, denominator) pairs per unknown.  Used for recurrence
-    guessing over polynomial data, where field gcds would be ruinous.
+    Same contract as solve_linear, but entries may be ints or Polys (or
+    field elements), and every division during elimination is an exact
+    one by the previous pivot (Bareiss), so integer and polynomial
+    entries never leave their ring; the witness comes back as
+    (numerator, denominator) pairs per unknown, with (0, 1) for a free
+    one.  The pivot in each column is the first nonzero entry at or below
+    the current rank.  This is the package's one elimination loop:
+    recurrence guessing calls it on primitive integer or polynomial data,
+    and solve_linear on field data.
     """
     rows = [list(r) for r in rows]
     rhs = list(rhs)

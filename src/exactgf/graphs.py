@@ -164,7 +164,9 @@ def laplacian(g: LabeledGraph, vertical_weight=1) -> Matrix:
 def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1) -> int:
     """det of the Laplacian of g, with vertical edges weighted by the
     non-negative integer vertical_weight, after deleting the rows and
-    columns in drop (vertices outside the graph are ignored).
+    columns in drop (vertices outside the graph are ignored:
+    spanning_tree_count of the 0-vertex graph drops vertex -1 and gets 1;
+    two_forest_count checks its vertices before calling).
 
     The kept vertices keep their order, and w is the largest index gap
     along an edge of nonzero weight, so the minor is banded with
@@ -247,6 +249,8 @@ def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
     {a, b} deleted (all-minors matrix-tree)."""
     if a == b:
         raise BadVertexPair("the two marked vertices must differ")
+    if not (0 <= a < g.n_vertices and 0 <= b < g.n_vertices):
+        raise BadVertexPair(f"marked vertices {a}, {b} are not both in 0..{g.n_vertices - 1}")
     return _laplacian_minor(g, {a, b})
 
 

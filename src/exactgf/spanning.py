@@ -15,13 +15,12 @@ additionally re-expanded and compared against every generated term.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .cfinite import CFiniteSpec, _recurrence_holds, c_to_r, guess_rec, guess_sym_rec
-from .core import Poly, RationalFunction, poly_gcd, taylor_coeffs
+from .core import Poly, RationalFunction, _primitive_ints, poly_gcd, taylor_coeffs
 from .errors import (
     BadVertexPair,
     InexactDivision,
@@ -284,31 +283,15 @@ def _clear_bivariate(num_t: Poly, den_t: Poly):
 
     num_vs = [cleared(c) for c in num_cs]
     den_vs = [cleared(c) for c in den_cs]
-    # joint integer scaling: clear Fraction denominators, remove content
-    denom_lcm = 1
-    for p in num_vs + den_vs:
-        for x in p.coeffs:
-            f = Fraction(x)
-            denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
-    content = 0
-    scaled_num, scaled_den = [], []
-    for target, source in ((scaled_num, num_vs), (scaled_den, den_vs)):
-        for p in source:
-            ints = [int(Fraction(x) * denom_lcm) for x in p.coeffs]
-            target.append(ints)
-            for x in ints:
-                content = math.gcd(content, x)
-    if content == 0:
-        content = 1
-    sign = 1
-    for ints in scaled_den:
-        if ints:
-            low = next(x for x in ints if x)
-            sign = -1 if low < 0 else 1
-            break
-    scale = sign * content
-    num_poly = Poly([Poly([x // scale for x in ints]) for ints in scaled_num])
-    den_poly = Poly([Poly([x // scale for x in ints]) for ints in scaled_den])
+    # joint integer scaling, then the sign that makes the first nonzero
+    # denominator coefficient (lowest in t, then in v) positive
+    ints, _ = _primitive_ints([x for p in num_vs + den_vs for x in p.coeffs])
+    split = sum(len(p) for p in num_vs)
+    if next((x for x in ints[split:] if x), 1) < 0:
+        ints = [-x for x in ints]
+    it = iter(ints)
+    num_poly = Poly([Poly([next(it) for _ in p.coeffs]) for p in num_vs])
+    den_poly = Poly([Poly([next(it) for _ in p.coeffs]) for p in den_vs])
     return num_poly, den_poly
 
 

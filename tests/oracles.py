@@ -5,7 +5,8 @@ recursive cofactor expansion, permanents by summing over permutations,
 tree/forest counts by edge-subset enumeration (the graph module ships its
 own subset oracles, which these tests cross-check against the fast path).
 The exceptions are slow paths that a fast route replaced, kept here as
-that route's reference: gf_transfer_field for the transfer route and
+that route's reference: solve_linear_field for the fraction-free
+solve_linear, gf_transfer_field for the transfer route and
 laplacian_minor_dense for the streamed Laplacian minors.
 """
 from __future__ import annotations
@@ -23,8 +24,8 @@ from exactgf import (
     children_scheme,
     det_bareiss,
     laplacian,
-    solve_linear,
 )
+from exactgf.errors import ShapeError
 
 
 def naive_det(m: Matrix):
@@ -93,6 +94,48 @@ def random_toeplitz_prefixes(rng: random.Random, max_band=3, lo=-4, hi=4):
     return row, col
 
 
+def solve_linear_field(a: Matrix, b) -> LinearSolution:
+    """Gauss-Jordan elimination over a field (Fractions or
+    RationalFunctions), dividing by the pivot at every step: the body
+    solve_linear had before it went through solve_fraction_free."""
+    if not isinstance(a, Matrix):
+        a = Matrix(a)
+    b = list(b)
+    if len(b) != a.nrows:
+        raise ShapeError(f"{a.nrows} rows but {len(b)} right-hand sides")
+    nrows, ncols = a.nrows, a.ncols
+    aug = [list(r) + [b[i]] for i, r in enumerate(a.rows)]
+    piv_cols = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        prow = aug[rank]
+        pval = prow[col]
+        for i in range(nrows):
+            if i == rank or not aug[i][col]:
+                continue
+            factor = aug[i][col] / pval
+            row = aug[i]
+            for j in range(col, ncols + 1):
+                row[j] = row[j] - factor * prow[j]
+        piv_cols.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    for i in range(rank, nrows):
+        if aug[i][ncols]:
+            return LinearSolution(LinearSolution.INCONSISTENT)
+    zero = b[0] - b[0] if b else 0
+    x = [zero] * ncols
+    for r, col in enumerate(piv_cols):
+        x[col] = aug[r][ncols] / aug[r][col]
+    status = LinearSolution.UNIQUE if rank == ncols else LinearSolution.UNDERDETERMINED
+    return LinearSolution(status, x)
+
+
 def gf_transfer_field(row, col, mode="det"):
     """The transfer generating function by Gauss-Jordan elimination over
     rational functions in t: X_root = 1 + sum(c * t * X_child) and
@@ -106,7 +149,7 @@ def gf_transfer_field(row, col, mode="det"):
         rows[i][i] = one
         for coeff, j in scheme.transitions[i]:
             rows[i][j] = rows[i][j] - RationalFunction(Poly((0, Fraction(coeff))))
-    sol = solve_linear(Matrix(rows), [one] + [zero] * (m - 1))
+    sol = solve_linear_field(Matrix(rows), [one] + [zero] * (m - 1))
     assert sol.status == LinearSolution.UNIQUE, sol.status
     return sol.solution[0]
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactgf import (
     CFiniteSpec,
@@ -85,6 +86,55 @@ def test_guess_sym_and_plain_agree_as_sequences():
         if sym is not None:
             n = 4 * len(data)
             assert seq_from_rec(plain, n) == seq_from_rec(sym, n)
+
+
+_NON_INTEGER_SCALES = st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(
+    lambda c: c.denominator > 1)
+
+
+@st.composite
+def _random_specs(draw):
+    d = draw(st.integers(1, 4))
+    return CFiniteSpec(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)),
+                       draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+
+
+@st.composite
+def _palindromic_specs(draw):
+    """Denominator 1 - sum(r[i] t^i) with c_i = eps * c_(d-i), c_0 = 1."""
+    d = draw(st.integers(1, 5))
+    eps = draw(st.sampled_from((1, -1)))
+    c = [1] + [0] * d
+    for i in range(1, d // 2 + 1):
+        ci = draw(st.integers(-4, 4)) if 2 * i != d or eps == 1 else 0
+        c[i], c[d - i] = ci, eps * ci
+    c[d] = eps
+    return CFiniteSpec(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)),
+                       [-x for x in c[1:]])
+
+
+def _same_fit_after_scaling(guesser, data, scale):
+    plain = guesser(data)
+    scaled = guesser([scale * x for x in data])
+    assert (plain is None) == (scaled is None)
+    if plain is not None:
+        assert scaled.rec == plain.rec
+        assert all(isinstance(r, Fraction) for r in scaled.rec)
+        assert scaled.initial == tuple(scale * x for x in plain.initial)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_specs(), _NON_INTEGER_SCALES)
+def test_guess_rec_is_scale_invariant(spec, scale):
+    _same_fit_after_scaling(guess_rec, seq_from_rec(spec, 2 * spec.order + 6), scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_palindromic_specs(), _NON_INTEGER_SCALES)
+def test_guess_sym_rec_is_scale_invariant(spec, scale):
+    data = seq_from_rec(spec, spec.order + (spec.order + 1) // 2 + 5)
+    assert guess_sym_rec(data) is not None
+    _same_fit_after_scaling(guess_sym_rec, data, scale)
 
 
 def test_seq_from_rec_examples():

@@ -26,6 +26,14 @@ def test_guess_no_fit_exit_one(capsys):
     assert "error" in json.loads(out)
 
 
+def test_guess_too_few_terms_is_usage_error(capsys):
+    for data in ("", "1,1,2,3,5"):
+        code, out, err = invoke(capsys, "guess", "--data", data)
+        assert code == 2
+        assert out == ""
+        assert "at least 6 terms" in err
+
+
 def test_gf_grid_pretty_two_rows(capsys):
     code, out, _ = invoke(capsys, "gf-grid", "--k", "2", "--pretty")
     assert code == 0

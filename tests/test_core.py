@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactgf import (
     LinearSolution,
@@ -14,11 +15,11 @@ from exactgf import (
     solve_linear,
     taylor_coeffs,
 )
-from exactgf.core import _newton_interpolate, solve_fraction_free
+from exactgf.core import _newton_interpolate
 from exactgf.errors import InexactDivision, ShapeError, ZeroDenominator
 from exactgf.toeplitz import ToeplitzSpec, matrix_from_spec
 
-from oracles import naive_det
+from oracles import naive_det, solve_linear_field
 
 
 # --- polynomials ------------------------------------------------------------
@@ -285,23 +286,76 @@ def test_solve_over_rational_function_field():
     assert out.solution[0] == RationalFunction(Poly([1]), Poly([1, 0, -1]))
 
 
-def test_fraction_free_agrees_with_field_solver():
-    rng = random.Random(11)
-    for _ in range(200):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
-        if rng.random() < 0.5:
-            x = [rng.randint(-3, 3) for _ in range(nc)]
-            rhs = [sum(rows[i][j] * x[j] for j in range(nc)) for i in range(nr)]
-        else:
-            rhs = [rng.randint(-5, 5) for _ in range(nr)]
-        field = solve_linear(
-            Matrix([[Fraction(c) for c in r] for r in rows]),
-            [Fraction(c) for c in rhs],
-        )
-        ring = solve_fraction_free(rows, rhs)
-        assert field.status == ring.status
-        if ring.status != LinearSolution.INCONSISTENT:
-            got = [Fraction(n, d) for n, d in ring.solution]
-            for i in range(nr):
-                assert sum(rows[i][j] * got[j] for j in range(nc)) == rhs[i]
+_SMALL_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _field_systems(draw):
+    """A Fraction system A x = b with a chosen status.  A = L R has rank
+    exactly r: L holds I_r in r of its rows and R holds I_r in r of its
+    columns.  Every A y = L (R y) agrees with R y on those r rows of L,
+    so an inconsistent b is zero there and nonzero elsewhere."""
+    status = draw(st.sampled_from((LinearSolution.UNIQUE, LinearSolution.UNDERDETERMINED,
+                                   LinearSolution.INCONSISTENT)))
+    nc = draw(st.integers(1, 4))
+    if status == LinearSolution.UNIQUE:
+        r = nc
+        nr = draw(st.integers(nc, 5))
+    elif status == LinearSolution.UNDERDETERMINED:
+        r = draw(st.integers(0, nc - 1))
+        nr = draw(st.integers(max(r, 1), 5))
+    else:
+        r = draw(st.integers(0, nc))
+        nr = draw(st.integers(r + 1, 5))
+    one, zero = Fraction(1), Fraction(0)
+    rows_of_l = [[one if i == k else zero for k in range(r)] for i in range(r)]
+    rows_of_l += [[draw(_SMALL_FRACTIONS) for _ in range(r)] for _ in range(nr - r)]
+    row_perm = draw(st.permutations(range(nr)))
+    lmat = [rows_of_l[i] for i in row_perm]
+    cols_of_r = [[one if i == k else zero for i in range(r)] for k in range(r)]
+    cols_of_r += [[draw(_SMALL_FRACTIONS) for _ in range(r)] for _ in range(nc - r)]
+    col_perm = draw(st.permutations(range(nc)))
+    rmat_cols = [cols_of_r[j] for j in col_perm]
+    a = [[sum((lmat[i][k] * rmat_cols[j][k] for k in range(r)), zero) for j in range(nc)]
+         for i in range(nr)]
+    if status == LinearSolution.INCONSISTENT:
+        tail = [draw(_SMALL_FRACTIONS) for _ in range(nr - r)]
+        if not any(tail):
+            tail[0] = one
+        b_unpermuted = [zero] * r + tail
+        b = [b_unpermuted[i] for i in row_perm]
+    else:
+        x = [draw(_SMALL_FRACTIONS) for _ in range(nc)]
+        b = [sum((a[i][j] * x[j] for j in range(nc)), zero) for i in range(nr)]
+    return Matrix(a), b, status
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_systems())
+def test_solve_linear_matches_field_gauss_jordan(system):
+    a, b, status = system
+    got = solve_linear(a, b)
+    want = solve_linear_field(a, b)
+    assert got.status == want.status == status
+    assert repr(got.solution) == repr(want.solution)
+    if status != LinearSolution.INCONSISTENT:
+        for i in range(a.nrows):
+            assert sum(a[i, j] * got.solution[j] for j in range(a.ncols)) == b[i]
+
+
+_T_POLYS = st.lists(st.integers(-2, 2), max_size=3).map(Poly)
+_T_RATFUNCS = st.builds(RationalFunction, _T_POLYS,
+                        st.sampled_from((Poly([1]), Poly([1, -1]), Poly([2, 0, 1]))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_T_RATFUNCS, min_size=n, max_size=n), min_size=1, max_size=3),
+    st.lists(_T_RATFUNCS, min_size=3, max_size=3))))
+def test_solve_linear_over_rational_functions_matches_field(system):
+    rows, rhs = system
+    a, b = Matrix(rows), rhs[:len(rows)]
+    got = solve_linear(a, b)
+    want = solve_linear_field(a, b)
+    assert got.status == want.status
+    assert repr(got.solution) == repr(want.solution)

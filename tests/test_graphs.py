@@ -150,6 +150,12 @@ def test_two_forest_same_vertex_rejected():
         two_forest_count(grid_graph(2, 2), 1, 1)
 
 
+def test_two_forest_vertex_outside_graph_rejected():
+    for a, b in ((0, 99), (-1, 99), (-1, 0), (0, -1), (4, 0)):
+        with pytest.raises(BadVertexPair):
+            two_forest_count(grid_graph(2, 2), a, b)
+
+
 def test_ver_polynomial_examples():
     assert ver_polynomial(grid_graph(2, 1)) == Poly([0, 1])           # v
     assert ver_polynomial(grid_graph(2, 2)) == Poly([0, 2, 2])        # 2v + 2v^2
