@@ -44,6 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _max_terms(text: str) -> int:
+    """--max-terms: an int that leaves the guesser MIN_GUESS_TERMS terms."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < MIN_GUESS_TERMS:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_GUESS_TERMS}, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="exactgf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -64,19 +75,19 @@ def _build_parser() -> _Parser:
         q.add_argument("--pretty", action="store_true")
         q.add_argument("--emit-data", action="store_true")
         q.add_argument("--allow-long", action="store_true")
-        q.add_argument("--max-terms", type=int, default=spanning.MAX_TERMS)
+        q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("gf-ver", help="bivariate vertical-edge generating function")
     q.add_argument("--k", type=int)
     q.add_argument("--graph")
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--allow-long", action="store_true")
-    q.add_argument("--max-terms", type=int, default=spanning.MAX_TERMS)
+    q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("c-poly", help="two-forest cofactor polynomial C_k")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--pretty", action="store_true")
-    q.add_argument("--max-terms", type=int, default=spanning.MAX_TERMS)
+    q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("resistance", help="corner-to-corner grid resistance")
     q.add_argument("--k", type=int, required=True)
@@ -326,6 +337,10 @@ def _cmd_toeplitz_gf(args) -> int:
         terms_used = None
     else:
         fit_start = min(10, max(1, args.n // 2))
+        window = args.n - fit_start + 1
+        if window < MIN_GUESS_TERMS:
+            raise UsageError(f"--n {args.n} leaves a guess window of {window} terms, "
+                             f"fewer than {MIN_GUESS_TERMS}")
         rf = toeplitz.gf_family_guess(row, col, args.mode,
                                       fit_start=fit_start, fit_end=args.n)
         terms_used = args.n

@@ -255,67 +255,39 @@ def _positive_lead(ints):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd of two polynomials.
+    """Gcd of two polynomials with int/Fraction coefficients.
 
-    Scalar (int/Fraction) coefficients use the primitive pseudo-remainder
-    sequence over the integers, which keeps coefficient growth tame.  The
-    result is primitive with positive leading coefficient.  Field-valued
-    coefficients (RationalFunction) fall back to the Euclidean algorithm.
+    Uses the primitive pseudo-remainder sequence over the integers, which
+    keeps coefficient growth tame.  The result is primitive with positive
+    leading coefficient (the zero polynomial when both are zero); other
+    coefficient types raise TypeError.
     """
-    if not a:
-        return _make_positive(b)
-    if not b:
-        return _make_positive(a)
-    if all(_is_scalar(c) for c in a.coeffs) and all(_is_scalar(c) for c in b.coeffs):
-        u = _positive_lead(_primitive_ints(a.coeffs)[0])
-        v = _positive_lead(_primitive_ints(b.coeffs)[0])
-        if len(u) < len(v):
-            u, v = v, u
-        while v:
-            # primitive pseudo-remainder step
-            r = u[:]
-            dv = len(v) - 1
-            lead = v[-1]
-            while len(r) - 1 >= dv and r:
-                if r[-1] == 0:
-                    r.pop()
-                    continue
-                shift_amt = len(r) - 1 - dv
-                top = r[-1]
-                r = [c * lead for c in r]
-                for j, vc in enumerate(v):
-                    r[shift_amt + j] -= top * vc
-                while r and r[-1] == 0:
-                    r.pop()
-            g = 0
-            for c in r:
-                g = math.gcd(g, c)
-            if g > 1:
-                r = [c // g for c in r]
-            u, v = v, r
-        return Poly(_positive_lead(u))
-    return _euclid_gcd(a, b)
-
-
-def _euclid_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        _, r = a.divmod(b)
-        a, b = b, r
-    # normalize monic so the result is canonical for field coefficients
-    lead = a.coeffs[-1]
-    if lead != 1:
-        inv = _coeff_div(1, lead)
-        a = a * inv
-    return a
-
-
-def _make_positive(p: Poly) -> Poly:
-    if not p:
-        return p
-    lead = p.coeffs[-1]
-    if _is_scalar(lead) and lead < 0:
-        return -p
-    return p
+    if not all(_is_scalar(c) for c in a.coeffs + b.coeffs):
+        raise TypeError("poly_gcd needs int or Fraction coefficients")
+    u, v = (_positive_lead(_primitive_ints(p.coeffs)[0]) if p else [] for p in (a, b))
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        # primitive pseudo-remainder step
+        r = u[:]
+        dv = len(v) - 1
+        lead = v[-1]
+        while len(r) - 1 >= dv and r:
+            if r[-1] == 0:
+                r.pop()
+                continue
+            shift_amt = len(r) - 1 - dv
+            top = r[-1]
+            r = [c * lead for c in r]
+            for j, vc in enumerate(v):
+                r[shift_amt + j] -= top * vc
+            while r and r[-1] == 0:
+                r.pop()
+        g = math.gcd(*r)
+        if g > 1:
+            r = [c // g for c in r]
+        u, v = v, r
+    return Poly(_positive_lead(u) if u else ())
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +387,6 @@ class RationalFunction:
         o = self._coerce(other)
         return o / self
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        """The numerator scaled by the (constant) denominator."""
-        if not self.is_polynomial():
-            raise InexactDivision("rational function is not a polynomial")
-        c = self.den.coeffs[0]
-        return self.num * _coeff_div(1, c)
-
 
 def _ratfunc_canonicalize(num: Poly, den: Poly):
     if not num:
@@ -437,7 +399,7 @@ def _ratfunc_canonicalize(num: Poly, den: Poly):
         # constructing pipeline; canonical form is guaranteed for scalars
         return num, den
     g = poly_gcd(num, den)
-    if g.degree > 0 or (g.coeffs and g.coeffs[0] != 1):
+    if g.degree > 0:
         num = num.exact_div(g)
         den = den.exact_div(g)
     # primitive integer den, lowest-degree nonzero coefficient positive
@@ -562,9 +524,15 @@ def det_bareiss(m: Matrix):
 
     Works over any integral domain whose elements support *, -, and exact
     division (ints, Fractions, Polys).  The empty 0x0 matrix has
-    determinant 1.  Banded matrices are detected and eliminated inside a
-    sliding window, which reduces the work from n^3 to n*w^2 and is what
-    makes large grid Laplacians cheap.
+    determinant 1.  Stage r eliminates only inside a window of half-width
+    w = max(bandwidth, 1) below and right of the pivot, n*w^2 work instead
+    of n^3, so banded matrices (Toeplitz families) stay cheap; a dense
+    matrix is the window w = n - 1.  An entry entering the window is
+    scaled by the previous pivot, the factor Bareiss would have given it
+    had it been inside all along.  A zero pivot widens the window to the
+    whole remaining matrix in place (every entry not yet inside takes the
+    same factor) and swaps in the first later row with a nonzero entry in
+    the pivot column; if there is none, the determinant is that zero.
     """
     if not isinstance(m, Matrix):
         m = Matrix(m)
@@ -573,42 +541,33 @@ def det_bareiss(m: Matrix):
     n = m.nrows
     if n == 0:
         return 1
-    w = bandwidth(m)
-    if w == 0:
-        prod = m.rows[0][0]
-        for i in range(1, n):
-            prod = prod * m.rows[i][i]
-        return prod
-    if w + 1 < n and n >= 3 * (w + 1):
-        try:
-            return _det_banded(m.rows, n, w)
-        except _ZeroPivot:
-            pass
-    return _det_dense(m.rows, n)
-
-
-class _ZeroPivot(Exception):
-    pass
-
-
-def _det_banded(rows, n: int, w: int):
-    """Windowed Bareiss for half-bandwidth w; raises _ZeroPivot when a
-    diagonal pivot vanishes (caller falls back to the dense path)."""
-    b = [list(r) for r in rows]
+    w = max(bandwidth(m), 1)
+    b = [list(r) for r in m.rows]
     prev = 1
+    sign = 1
     for r in range(n - 1):
         new = r + w
-        if new < n:
-            # entries entering the window carry the previous pivot factor
+        if r and new < n:  # at r = 0 the factor is 1
             for i in range(r, new + 1):
                 if b[i][new]:
                     b[i][new] = prev * b[i][new]
             for j in range(r, new):
                 if b[new][j]:
                     b[new][j] = prev * b[new][j]
+        if not b[r][r]:
+            if new < n - 1:  # entries beyond index new are still outside
+                for i in range(r, n):
+                    row = b[i]
+                    for j in range(r if i > new else new + 1, n):
+                        if row[j]:
+                            row[j] = prev * row[j]
+                w = n - 1
+            swap = next((i for i in range(r + 1, n) if b[i][r]), None)
+            if swap is None:
+                return b[r][r]
+            b[r], b[swap] = b[swap], b[r]
+            sign = -sign
         p = b[r][r]
-        if not p:
-            raise _ZeroPivot
         hi = min(n - 1, r + w)
         row_r = b[r]
         for i in range(r + 1, hi + 1):
@@ -618,36 +577,8 @@ def _det_banded(rows, n: int, w: int):
                 num = p * row_i[j] - bir * row_r[j]
                 row_i[j] = _dom_exact_div(num, prev) if prev != 1 else num
         prev = p
-    return b[n - 1][n - 1]
-
-
-def _det_dense(rows, n: int):
-    b = [list(r) for r in rows]
-    prev = 1
-    sign = 1
-    for r in range(n - 1):
-        if not b[r][r]:
-            swap = next((i for i in range(r + 1, n) if b[i][r]), None)
-            if swap is None:
-                return 0 * _one_like(prev)
-            b[r], b[swap] = b[swap], b[r]
-            sign = -sign
-        p = b[r][r]
-        row_r = b[r]
-        for i in range(r + 1, n):
-            row_i = b[i]
-            bir = row_i[r]
-            for j in range(r + 1, n):
-                num = p * row_i[j] - bir * row_r[j]
-                row_i[j] = _dom_exact_div(num, prev) if prev != 1 else num
-            row_i[r] = 0
-        prev = p
     d = b[n - 1][n - 1]
     return d if sign > 0 else -d
-
-
-def _one_like(x):
-    return Poly((1,)) if isinstance(x, Poly) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -103,23 +103,25 @@ def _fit_pipeline(term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
         budget = min(2 * budget, max_terms)
 
 
-def _shift_t(rf: RationalFunction, offset: int) -> RationalFunction:
-    if offset == 0:
-        return rf
-    return RationalFunction(rf.num.shift(offset), rf.den)
-
-
-def _finalize(spec, data, rf, offset) -> GFResult:
-    gf = _shift_t(rf, offset)
+def _certified(term_fn, guesser, expected_order, max_terms) -> GFResult:
+    """Fit, emit and certify: run _fit_pipeline on term_fn, turn the
+    recurrence into its generating function with the t^1 prefactor
+    (polynomial data in v is then cleared to integer v-polynomial
+    coefficients), and check that the denominator degree equals the
+    order and that the series reproduces every generated term."""
+    spec, data = _fit_pipeline(term_fn, guesser, expected_order, max_terms)
+    raw = c_to_r(spec)
+    if isinstance(data[0], Poly):
+        gf = RationalFunction(*_clear_bivariate(raw.num.shift(1), raw.den), _canonical=True)
+    else:
+        gf = RationalFunction(raw.num.shift(1), raw.den)
     if gf.den.degree != spec.order:
         raise InternalInconsistency(
             "denominator degree does not match the recurrence order"
         )
-    series = taylor_coeffs(gf, len(data) + offset)
-    for i, term in enumerate(data):
-        if series[i + offset] != term:
-            raise InternalInconsistency("series does not reproduce the data")
-    return GFResult(gf=gf, spec=spec, data_used=len(data), offset=offset)
+    if taylor_coeffs(gf, len(data) + 1)[1:] != data:
+        raise InternalInconsistency("series does not reproduce the data")
+    return GFResult(gf=gf, spec=spec, data_used=len(data), offset=1)
 
 
 def gf_spanning(
@@ -141,8 +143,7 @@ def gf_spanning(
     def term(n):
         return spanning_tree_count(product_with_path(g_base, n))
 
-    spec, data = _fit_pipeline(term, guess, expected_order, max_terms)
-    return _finalize(spec, data, c_to_r(spec), offset=1)
+    return _certified(term, guess, expected_order, max_terms)
 
 
 def gf_grid(k: int, guesser: str = "plain", max_terms: int = MAX_TERMS) -> GFResult:
@@ -166,8 +167,7 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
         g = grid_graph(k, n)
         return two_forest_count(g, 0, k * n - 1)
 
-    spec, data = _fit_pipeline(term, guess_rec, None, max_terms)
-    return _finalize(spec, data, c_to_r(spec), offset=1)
+    return _certified(term, guess_rec, None, max_terms)
 
 
 def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:
@@ -230,32 +230,12 @@ def gf_ver(
     def term(n):
         return ver_polynomial(product_with_path(g_base, n))
 
-    spec, data = _fit_pipeline(term, guess_rec, expected_order, max_terms)
-    raw = c_to_r(spec)
-    num, den = _clear_bivariate(raw.num.shift(1), raw.den)
-    gf = RationalFunction(num, den, _canonical=True)
-    if den.degree != spec.order:
-        raise InternalInconsistency(
-            "denominator degree does not match the recurrence order"
-        )
-    series = taylor_coeffs(gf, len(data) + 1)
-    for i, term_poly in enumerate(data):
-        if not _poly_equal(series[i + 1], term_poly):
-            raise InternalInconsistency("bivariate series does not match data")
-    return GFResult(gf=gf, spec=spec, data_used=len(data), offset=1)
+    return _certified(term, guess_rec, expected_order, max_terms)
 
 
 def gf_ver_grid(k: int, max_terms: int = MAX_TERMS) -> GFResult:
     return gf_ver(path_graph(k), expected_order=grid_expected_order(k),
                   max_terms=max_terms)
-
-
-def _poly_equal(a, b) -> bool:
-    if not isinstance(a, Poly):
-        a = Poly((a,)) if a else Poly()
-    if not isinstance(b, Poly):
-        b = Poly((b,)) if b else Poly()
-    return a.coeffs == b.coeffs
 
 
 def _as_v_ratfunc(c) -> RationalFunction:

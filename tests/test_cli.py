@@ -34,6 +34,36 @@ def test_guess_too_few_terms_is_usage_error(capsys):
         assert "at least 6 terms" in err
 
 
+def test_max_terms_below_guess_minimum_is_usage_error(capsys):
+    # the graph file is never read: --max-terms fails while parsing
+    for argv in (("gf-grid", "--k", "2"), ("gf-product", "--graph", "missing.json"),
+                 ("gf-ver", "--k", "2"), ("c-poly", "--k", "2")):
+        for bad in ("-3", "0", "5"):
+            code, out, err = invoke(capsys, *argv, "--max-terms", bad)
+            assert code == 2
+            assert out == ""
+            assert "at least 6" in err
+    code, out, _ = invoke(capsys, "gf-grid", "--k", "1", "--max-terms", "6")
+    assert code == 0
+    assert json.loads(out)["den"] == ["1", "-1"]
+
+
+def test_toeplitz_guess_window_below_minimum_is_usage_error(capsys):
+    # --n n fits on terms fit_start..n with fit_start = min(10, max(1, n // 2))
+    family = ("toeplitz-gf", "--row", "2,3", "--col", "2,4,5", "--mode", "det")
+    for n in ("-1", "3", "8"):
+        code, out, err = invoke(capsys, *family, "--method", "guess", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "fewer than 6" in err
+    code, _out, _ = invoke(capsys, *family, "--method", "transfer", "--n", "3")
+    assert code == 0
+    code, out, _ = invoke(capsys, "toeplitz-gf", "--row", "1", "--col", "1",
+                          "--method", "guess", "--n", "9")
+    assert code == 0
+    assert json.loads(out)["den"] == ["1", "-1"]
+
+
 def test_gf_grid_pretty_two_rows(capsys):
     code, out, _ = invoke(capsys, "gf-grid", "--k", "2", "--pretty")
     assert code == 0

@@ -12,6 +12,7 @@ from exactgf import (
     Poly,
     RationalFunction,
     det_bareiss,
+    poly_gcd,
     solve_linear,
     taylor_coeffs,
 )
@@ -64,6 +65,25 @@ def test_poly_eval_and_derivative():
     assert p.eval(2) == 17
     assert p.derivative() == Poly([2, 6])
     assert Poly([7]).derivative() == Poly()
+
+
+# --- gcd -----------------------------------------------------------------------
+
+def test_poly_gcd_is_primitive_with_positive_lead():
+    assert poly_gcd(Poly([1, 0, -1]), Poly([-2, -2])) == Poly([1, 1])
+    assert poly_gcd(Poly([Fraction(1, 2), Fraction(1, 3)]), Poly([3, 2])) == Poly([3, 2])
+    # one zero argument: the other one, made primitive
+    assert poly_gcd(Poly(), Poly([2, 4])) == Poly([1, 2])
+    assert poly_gcd(Poly([2, 4]), Poly()) == Poly([1, 2])
+    assert poly_gcd(Poly(), Poly([-3])) == Poly([1])
+    assert poly_gcd(Poly(), Poly()) == Poly()
+
+
+def test_poly_gcd_rejects_non_scalar_coefficients():
+    with pytest.raises(TypeError):
+        poly_gcd(Poly([Poly([0, 1]), 1]), Poly([1, 1]))
+    with pytest.raises(TypeError):
+        poly_gcd(Poly([1]), Poly([RationalFunction(Poly([1]), Poly([1, 1]))]))
 
 
 # --- rational functions ------------------------------------------------------
@@ -178,7 +198,7 @@ def test_det_matches_cofactor_on_randoms():
 
 
 def test_det_banded_with_zero_pivots_falls_back():
-    # singular-leading-minor banded matrices exercise the dense fallback
+    # singular leading minors: the window widens at the first zero pivot
     rows = [
         [0, 1, 0, 0, 0, 0],
         [1, 0, 1, 0, 0, 0],
@@ -217,19 +237,49 @@ def test_det_banded_large_tridiagonal():
     assert det_bareiss(Matrix(rows)) == n + 1
 
 
-def test_det_banded_random_vs_cofactor():
-    # exercises the windowed path (n >= 3(w+1)) including zero pivots
-    rng = random.Random(303)
-    for _ in range(150):
-        w = rng.randint(1, 2)
-        n = rng.randint(3 * (w + 1), 9)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) <= w:
-                    rows[i][j] = rng.choice((0, 0, 1, -1, 2, -3, 5))
-        m = Matrix(rows)
-        assert det_bareiss(m) == naive_det(m)
+_ZERO_HEAVY = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+_DET_ENTRIES = st.sampled_from((
+    _ZERO_HEAVY,
+    st.builds(Fraction, _ZERO_HEAVY, st.sampled_from((1, 2, 3))),
+    st.one_of(st.just(Poly()), st.lists(_ZERO_HEAVY, max_size=3).map(Poly)),
+))
+
+
+@st.composite
+def _banded_matrices(draw):
+    """n x n, n in 0..8, with zero-heavy int, Fraction or Poly entries
+    inside a band of any half-width w in 0..n-1 and zeros outside it."""
+    n = draw(st.integers(0, 8))
+    w = draw(st.integers(0, max(n - 1, 0)))
+    entry = draw(_DET_ENTRIES)
+    return Matrix([[draw(entry) if abs(i - j) <= w else 0 for j in range(n)]
+                   for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_banded_matrices())
+def test_det_bareiss_matches_cofactor_on_random_bands(m):
+    assert det_bareiss(m) == naive_det(m)
+
+
+def test_det_zero_pivot_mid_elimination_widens_window():
+    # half-width 1; the stage-1 pivot 2*1 - 2*1 vanishes after the previous
+    # pivot 2 has scaled the entering column 2, so the window widens at r = 1
+    # and every entry beyond column 2 must take that factor too
+    rows = [
+        [2, 1, 0, 0, 0, 0, 0],
+        [2, 1, 3, 0, 0, 0, 0],
+        [0, 1, 2, 1, 0, 0, 0],
+        [0, 0, 1, 3, 1, 0, 0],
+        [0, 0, 0, 1, 2, 1, 0],
+        [0, 0, 0, 0, 1, 2, 1],
+        [0, 0, 0, 0, 0, 1, 3],
+    ]
+    m = Matrix(rows)
+    assert det_bareiss(m) == naive_det(m) == -96
+    v = Poly([0, 1])
+    poly_rows = [[x * v + 1 if x else 0 for x in row] for row in rows]
+    assert det_bareiss(Matrix(poly_rows)) == naive_det(Matrix(poly_rows))
 
 
 # --- linear solving -----------------------------------------------------------

@@ -1,0 +1,47 @@
+"""sympy as an independent, test-only oracle for determinants with
+polynomial entries (the package itself never imports sympy)."""
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from exactgf import Matrix, Poly, det_bareiss
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+
+
+def _to_sympy(m: Matrix):
+    return sympy.Matrix(m.nrows, m.ncols, [e.eval(X) for row in m.rows for e in row])
+
+
+def _coeffs(expr):
+    """Ascending coefficients of a polynomial in x, trailing zeros dropped."""
+    return Poly(int(c) for c in reversed(sympy.Poly(sympy.expand(expr), X).all_coeffs()))
+
+
+_POLYS = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(st.just(Poly()), _POLYS), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_det_polynomial_entries_match_sympy(rows):
+    m = Matrix(rows)
+    assert det_bareiss(m) == _coeffs(_to_sympy(m).det(method="berkowitz"))
+
+
+def test_characteristic_polynomials_match_sympy():
+    # det(x I - A) over Z[x], for banded and dense integer matrices A
+    rng = random.Random(29)
+    x = Poly([0, 1])
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        w = rng.randint(0, n - 1)
+        a = [[rng.choice((0, 0, 1, -1, 2)) if abs(i - j) <= w else 0 for j in range(n)]
+             for i in range(n)]
+        char = Matrix([[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)])
+        want = _coeffs(sympy.Matrix(a).charpoly(X).as_expr())
+        assert det_bareiss(char) == want
