@@ -1,15 +1,21 @@
 """Guessing linear recurrences with constant coefficients from data,
 replaying them, and converting them to rational generating functions.
 
-A recurrence of order d is stored as a pair of lists: d initial values and
-d coefficients r with the meaning  L[n] = sum(r[i] * L[n-i], i=1..d).
-Guessing is plain undetermined-coefficients linear algebra, solved by the
-fraction-free kernel core.solve_fraction_free: numeric sequences are first
-scaled to primitive integers (a recurrence is homogeneous, so scaling the
-data leaves it unchanged) and sequences of polynomials in v (the weighted
-spanning-tree data) stay polynomials, so elimination never leaves the
-integers or Z[v].  The coefficients come out as rationals, or as rational
-functions in v.  No floating point is involved anywhere.
+A recurrence of order d is stored as d initial values and its denominator
+D = (D_0, ..., D_d), D_0 != 0, with the meaning
+sum(D[i] * a[n-i], i=0..d) = 0 for n >= d; D_0 + D_1 t + ... + D_d t^d is
+then the denominator of the generating function.  The D[i] are ring
+elements: ints, or integer polynomials in v (the weighted spanning-tree
+data), normalized to no common content and D_0's first nonzero
+coefficient positive.  Guessing is plain undetermined-coefficients linear
+algebra, solved by the fraction-free kernel core.solve_fraction_free:
+numeric sequences are first scaled to primitive integers (a recurrence is
+homogeneous, so scaling the data leaves it unchanged) and sequences of
+polynomials in v stay polynomials.  Every pivot unknown of a fraction-free
+Gauss-Jordan solve comes out over the same last pivot delta, so a fit
+delta * a[n] = sum(c[i] * a[n-i]) is read off as D = (delta, -c_1, ...,
+-c_d) without a division.  Replay is ring arithmetic as well; no field and
+no floating point is involved anywhere.
 """
 from __future__ import annotations
 
@@ -20,54 +26,80 @@ from .core import (
     LinearSolution,
     Poly,
     RationalFunction,
+    _coeff_div,
     _primitive_ints,
+    _primitive_nested,
     solve_fraction_free,
     solve_linear,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
     taylor_coeffs,
 )
-from .errors import DataTooShort, InexactDivision, InternalInconsistency
+from .errors import DataTooShort, InternalInconsistency
 
 
 @dataclass(frozen=True)
 class CFiniteSpec:
-    """Initial values plus recurrence coefficients, both of length d."""
+    """d initial values plus the d + 1 denominator coefficients D_0..D_d.
+
+    den may be given as any nonzero multiple (Fractions included); it is
+    stored content-free with D_0's first nonzero coefficient positive, so
+    equal recurrences give equal specs."""
 
     initial: tuple
-    rec: tuple
+    den: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "initial", tuple(self.initial))
-        object.__setattr__(self, "rec", tuple(self.rec))
-        if len(self.initial) != len(self.rec) or not self.rec:
-            raise ValueError("initial and rec must have equal positive length")
+        initial, den = tuple(self.initial), tuple(self.den)
+        if not initial or len(den) != len(initial) + 1:
+            raise ValueError("need d >= 1 initial values and d + 1 denominator coefficients")
+        if not den[0]:
+            raise ValueError("D_0 must be nonzero")
+        if any(isinstance(c, Poly) for c in den):
+            den = _primitive_nested((), den)[1]
+        else:
+            den = _primitive_ints(den)[0]
+            if den[0] < 0:
+                den = [-c for c in den]
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "den", tuple(den))
 
     @property
     def order(self) -> int:
-        return len(self.rec)
+        return len(self.initial)
+
+    @property
+    def rec(self) -> tuple:
+        """The r of a[n] = sum(r[i] * a[n-i], i=1..d), that is -D_i / D_0,
+        as Fractions; scalar specs only."""
+        return tuple(Fraction(-c, self.den[0]) for c in self.den[1:])
 
 
 def seq_from_rec(spec: CFiniteSpec, n: int) -> list:
-    """First n terms generated by the recurrence (initial values verbatim)."""
+    """First n terms generated by the recurrence (initial values verbatim).
+
+    Each later term is -sum(D[i] * a[m-i], i=1..d) / D_0; the division is
+    exact over Z[v] and leaves the integers only where the sequence does."""
     if n < 1:
         raise ValueError("need n >= 1")
     out = list(spec.initial[:n])
-    rec = spec.rec
-    d = len(rec)
+    den = spec.den
+    d0 = den[0]
     while len(out) < n:
-        acc = rec[0] * out[-1]
-        for i in range(2, d + 1):
-            acc = acc + rec[i - 1] * out[-i]
-        out.append(acc)
+        acc = den[1] * out[-1]
+        for i in range(2, len(den)):
+            acc = acc + den[i] * out[-i]
+        out.append(-acc if d0 == 1 else _coeff_div(-acc, d0))
     return out
 
 
-def _recurrence_holds(data, rec) -> bool:
-    d = len(rec)
+def _recurrence_holds(data, den) -> bool:
+    """Whether sum(D[i] * data[n-i]) vanishes for every n >= d; ring
+    arithmetic only."""
+    d = len(den) - 1
     for n in range(d, len(data)):
-        acc = rec[0] * data[n - 1]
-        for i in range(2, d + 1):
-            acc = acc + rec[i - 1] * data[n - i]
-        if acc != data[n]:
+        acc = den[0] * data[n]
+        for i in range(1, d + 1):
+            acc = acc + den[i] * data[n - i]
+        if acc:
             return False
     return True
 
@@ -88,10 +120,10 @@ def guess_rec1(data, d: int) -> CFiniteSpec | None:
     data = list(data)
     if len(data) <= 2 * d + 2:
         raise DataTooShort(f"need at least {2 * d + 3} terms for order {d}")
-    rec = _solve_rec(data, d)
-    if rec is None or not _recurrence_holds(data, rec):
+    den = _solve_rec(data, d)
+    if den is None or not _recurrence_holds(data, den):
         return None
-    return CFiniteSpec(tuple(data[:d]), tuple(rec))
+    return CFiniteSpec(tuple(data[:d]), den)
 
 
 def _as_poly(x) -> Poly:
@@ -99,29 +131,25 @@ def _as_poly(x) -> Poly:
 
 
 def _solve_rec(data, d: int):
-    """Coefficients of an order-d recurrence through the data by one
-    fraction-free solve, or None when there is none.
+    """Denominator (D_0, ..., D_d) of an order-d recurrence through the
+    data by one fraction-free solve, or None when there is none.
 
-    Scalar data are scaled to primitive integers first and give Fraction
-    coefficients.  Polynomial data stay polynomials, so no large
-    polynomial gcds happen mid-elimination; a coefficient is a Poly when
-    it divides out exactly and a RationalFunction in v otherwise."""
+    Scalar data are scaled to primitive integers first and polynomial data
+    stay polynomials, so the entries of D are ints or Polys."""
     poly = _is_poly_data(data)
     data = [_as_poly(x) for x in data] if poly else _primitive_ints(data)[0]
     rows = [[data[n - i] for i in range(1, d + 1)] for n in range(d, len(data))]
     sol = solve_fraction_free(rows, data[d:])
     if sol.status == LinearSolution.INCONSISTENT:
         return None
-    if not poly:
-        return [Fraction(num, den) for num, den in sol.solution]
-    rec = []
-    for num, den in sol.solution:
-        num, den = _as_poly(num), _as_poly(den)
-        try:
-            rec.append(num.exact_div(den))
-        except InexactDivision:
-            rec.append(RationalFunction(num, den))
-    return rec
+    return [_last_pivot(sol.solution)] + [-num for num, _ in sol.solution]
+
+
+def _last_pivot(pairs):
+    """The denominator every pivot unknown of a solve_fraction_free
+    witness shares (a free unknown comes back as (0, 1) and contributes
+    0 whatever the denominator)."""
+    return next((den for _, den in pairs if den != 1), 1)
 
 
 def guess_rec(data) -> CFiniteSpec | None:
@@ -143,8 +171,8 @@ def guess_rec(data) -> CFiniteSpec | None:
 
 
 def _guess_rec_poly(data, max_d: int) -> CFiniteSpec | None:
-    # Cheap prefilter: a recurrence over Q(v) specializes to one over Q at
-    # any rational point where its coefficients have no pole, so the
+    # Cheap prefilter: a recurrence over Z[v] specializes to one over Z at
+    # any integer point where D_0 does not vanish, so the
     # minimal symbolic order is (for all but degenerate sample points) the
     # max of the minimal orders at two samples.  The symbolic fit is then
     # attempted from that order upward and fully validated.
@@ -165,30 +193,30 @@ def _guess_rec_poly(data, max_d: int) -> CFiniteSpec | None:
 
 
 def guess_sym_rec(data) -> CFiniteSpec | None:
-    """Like guess_rec, but only recurrences whose characteristic
-    denominator 1 - sum(r[i] t^i) is palindromic up to an overall sign.
+    """Like guess_rec, but only recurrences whose denominator is
+    palindromic up to an overall sign, D_i = eps * D_(d-i).
 
     The symmetry halves the number of unknowns, so an order-d fit is
     accepted already when len(data) >= d + ceil(d/2) + 3.
     """
-    data = [Fraction(x) for x in data]
+    data = list(data)
     ints = _primitive_ints(data)[0]
     n_terms = len(data)
     d = 1
     while n_terms >= d + (d + 1) // 2 + 3:
         for eps in (1, -1):
-            rec = _solve_sym_rec(ints, d, eps)
-            if rec is not None and _recurrence_holds(data, rec):
-                return CFiniteSpec(tuple(data[:d]), tuple(rec))
+            den = _solve_sym_rec(ints, d, eps)
+            if den is not None and _recurrence_holds(ints, den):
+                return CFiniteSpec(tuple(data[:d]), den)
         d += 1
     return None
 
 
 def _solve_sym_rec(data, d: int, eps: int):
-    # data are primitive integers (see _solve_rec).  Denominator
-    # coefficients are c_0 = 1, c_i = -a_i; the symmetry
-    # c_i = eps * c_(d-i) forces a_d = -eps, pairs a_i with a_(d-i), and
-    # for even d pins the middle coefficient to 0 when eps = -1.
+    # data are primitive integers (see _solve_rec).  The unknowns are the
+    # c_j of a[n] = sum(c_j a[n-j]) with D_j = -delta * c_j; the symmetry
+    # fixes D_d = eps * D_0, pairs c_j with c_(d-j), and for even d pins
+    # the middle coefficient to 0 when eps = -1.
     free = list(range(1, (d - 1) // 2 + 1))
     middle = d // 2 if d % 2 == 0 and d >= 2 else None
     if middle is not None and eps == 1:
@@ -208,34 +236,28 @@ def _solve_sym_rec(data, d: int, eps: int):
         sol = solve_fraction_free(rows, rhs)
         if sol.status == LinearSolution.INCONSISTENT:
             return None
-        values = {j: Fraction(num, den) for j, (num, den) in zip(free, sol.solution)}
+        pairs = sol.solution
+    elif any(rhs):
+        return None
     else:
-        if any(r for r in rhs):
-            return None
-        values = {}
-    rec = [Fraction(0)] * (d + 1)
-    for j in free:
-        rec[j] = values[j]
-        if j != middle:
-            rec[d - j] = eps * values[j]
-    if middle is not None and eps == -1:
-        rec[middle] = Fraction(0)
-    rec[d] = Fraction(-eps)
-    return rec[1:]
+        pairs = []
+    delta = _last_pivot(pairs)
+    den = [delta] + [0] * (d - 1) + [eps * delta]
+    for j, (num, _) in zip(free, pairs):
+        den[j], den[d - j] = -num, -eps * num
+    return den
 
 
 def c_to_r(spec: CFiniteSpec) -> RationalFunction:
     """Rational generating function of the recurrence.
 
-    Denominator 1 - sum(r[i] t^i); numerator is the product of the
-    denominator with the initial-value polynomial, truncated below degree
-    d.  The result is re-expanded as a power series and compared with the
-    replayed sequence; a mismatch raises InternalInconsistency.
+    Denominator D_0 + D_1 t + ... + D_d t^d; numerator is the product of
+    the denominator with the initial-value polynomial, truncated below
+    degree d.  The result is re-expanded as a power series and compared
+    with the replayed sequence; a mismatch raises InternalInconsistency.
     """
-    d = spec.order
-    den = Poly([1] + [-r for r in spec.rec])
-    init_poly = Poly(spec.initial)
-    num = (den * init_poly).truncate(d)
+    den = Poly(spec.den)
+    num = (den * Poly(spec.initial)).truncate(spec.order)
     rf = RationalFunction(num, den)
     check_len = int(den.degree) + 11
     series = taylor_coeffs(rf, check_len)

@@ -2,8 +2,9 @@
 stdout by default, pretty algebraic text behind --pretty.
 
 Exit codes: 0 success, 1 when a fit/budget/structure check fails (with a
-JSON diagnostic), 2 for usage errors such as malformed input, 3 when an
-internal self-check fails (InternalInconsistency: a bug, not bad input).
+JSON diagnostic), 2 for usage errors such as malformed input or an
+out-of-range size, 3 when an internal self-check fails or a pipeline
+raises ValueError on validated arguments (a bug, not bad input).
 """
 from __future__ import annotations
 
@@ -44,15 +45,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _max_terms(text: str) -> int:
-    """--max-terms: an int that leaves the guesser MIN_GUESS_TERMS terms."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < MIN_GUESS_TERMS:
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_GUESS_TERMS}, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for an int that is at least low, so out-of-range
+    sizes are usage errors before any pipeline runs."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+#: --max-terms must leave the guesser MIN_GUESS_TERMS terms.
+_max_terms = _int_at_least(MIN_GUESS_TERMS)
+_positive = _int_at_least(1)
 
 
 def _build_parser() -> _Parser:
@@ -69,7 +80,7 @@ def _build_parser() -> _Parser:
     ):
         q = sub.add_parser(name, help=help_text)
         if name == "gf-grid":
-            q.add_argument("--k", type=int, required=True)
+            q.add_argument("--k", type=_positive, required=True)
         else:
             q.add_argument("--graph", required=True, help="graph JSON file")
         q.add_argument("--pretty", action="store_true")
@@ -78,26 +89,26 @@ def _build_parser() -> _Parser:
         q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("gf-ver", help="bivariate vertical-edge generating function")
-    q.add_argument("--k", type=int)
+    q.add_argument("--k", type=_positive)
     q.add_argument("--graph")
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--allow-long", action="store_true")
     q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("c-poly", help="two-forest cofactor polynomial C_k")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_int_at_least(2), required=True)
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("resistance", help="corner-to-corner grid resistance")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--k", type=_positive, required=True)
+    q.add_argument("--n", type=_positive, required=True)
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("moments", help="vertical-edge statistic moments")
-    q.add_argument("--k", type=int)
+    q.add_argument("--k", type=_positive)
     q.add_argument("--graph")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_positive, required=True)
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("toeplitz-gf", help="banded Toeplitz det/perm GF")
@@ -126,7 +137,7 @@ def _parse_scalar(text: str):
 def _parse_csv(text: str):
     try:
         return [_parse_scalar(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad numeric list {text!r}: {exc}") from exc
 
 
@@ -329,9 +340,15 @@ def _cmd_moments(args) -> int:
     return 0
 
 
+def _prefixes(args):
+    row, col = _parse_csv(args.row), _parse_csv(args.col)
+    if not row or not col:
+        raise UsageError("--row and --col each need at least one entry")
+    return row, col
+
+
 def _cmd_toeplitz_gf(args) -> int:
-    row = _parse_csv(args.row)
-    col = _parse_csv(args.col)
+    row, col = _prefixes(args)
     if args.method == "transfer":
         rf = toeplitz.gf_transfer(row, col, args.mode)
         terms_used = None
@@ -352,8 +369,7 @@ def _cmd_toeplitz_gf(args) -> int:
 
 
 def _cmd_toeplitz_scheme(args) -> int:
-    row = _parse_csv(args.row)
-    col = _parse_csv(args.col)
+    row, col = _prefixes(args)
     scheme = toeplitz.children_scheme(row, col, args.mode)
     print(json.dumps(toeplitz.scheme_to_json(scheme)))
     return 0
@@ -377,7 +393,6 @@ _USAGE_ERRORS = (
     DataTooShort,
     InconsistentSpec,
     NotConnected,
-    ValueError,
 )
 
 
@@ -397,7 +412,8 @@ def run(argv) -> int:
     except BudgetExceeded as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
-    except InternalInconsistency as exc:
+    except (InternalInconsistency, ValueError) as exc:
+        # arguments were validated above, so a ValueError is a bug too
         print(json.dumps({"error": f"internal inconsistency: {exc}"}))
         return 3
     except ExactGFError as exc:

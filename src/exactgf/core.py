@@ -1,5 +1,5 @@
-"""Exact scalar, polynomial and rational-function arithmetic, plus
-fraction-free linear algebra.
+"""Exact scalar and polynomial arithmetic, canonical rational functions,
+plus fraction-free linear algebra.
 
 Everything in this module is exact: scalars are Python ints or
 ``fractions.Fraction``, polynomials are dense ascending coefficient lists,
@@ -198,10 +198,6 @@ class Poly:
 
 def _coeff_div(a, b):
     """Divide coefficients exactly, staying in int when the quotient is."""
-    if isinstance(a, RationalFunction) or isinstance(b, RationalFunction):
-        a = a if isinstance(a, RationalFunction) else RationalFunction._coerce(a)
-        b = b if isinstance(b, RationalFunction) else RationalFunction._coerce(b)
-        return a / b
     if isinstance(a, Poly) or isinstance(b, Poly):
         if not isinstance(a, Poly):
             a = Poly((a,))
@@ -295,39 +291,38 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class RationalFunction:
-    """Canonical ratio of two polynomials over the rationals.
+    """Canonical ratio of two polynomials in t: a value type, not a field.
 
-    Invariants: den != 0, gcd(num, den) = 1, and den is a primitive integer
-    polynomial whose lowest-degree nonzero coefficient is positive.  That
-    scaling makes the representative unique, and it reproduces the usual
-    "denominator with constant term +1" shape of counting generating
-    functions.  Instances are immutable and support field arithmetic, so
-    they double as exact field elements (rational functions in one
-    variable) for the linear solver.
+    Invariants: den != 0, and the lowest nonzero coefficient of den (by
+    t, then by v) is positive.  Scalar coefficients (ints, Fractions) also
+    have gcd(num, den) = 1 and den a primitive integer polynomial, which
+    reproduces the usual "denominator with constant term +1" shape of
+    counting generating functions.  Coefficients that are polynomials in v
+    (bivariate functions) are scaled instead so that num and den share no
+    content in Z[v]; every coefficient is then a Poly.  Either way, scaling
+    num and den by a common nonzero constant (of Z[v] when bivariate)
+    gives the same representative.  Instances are immutable; there is no
+    arithmetic on them.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=Poly((1,)), _canonical=False):
+    def __init__(self, num, den=Poly((1,))):
         if not isinstance(num, Poly):
             num = Poly((num,)) if num else Poly()
         if not isinstance(den, Poly):
             den = Poly((den,)) if den else Poly()
         if not den:
             raise ZeroDenominator("denominator is the zero polynomial")
-        if not _canonical:
-            num, den = _ratfunc_canonicalize(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _ratfunc_canonicalize(num, den)
 
     def __bool__(self):
         return bool(self.num)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
@@ -335,69 +330,13 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
 
-    # -- field arithmetic ------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RationalFunction):
-            return x
-        if isinstance(x, Poly):
-            return RationalFunction(x)
-        if _is_scalar(x):
-            return RationalFunction(Poly((x,)) if x else Poly())
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
 
 def _ratfunc_canonicalize(num: Poly, den: Poly):
     if not num:
         return Poly(), Poly((1,))
-    scalar = all(_is_scalar(c) for c in num.coeffs) and all(
-        _is_scalar(c) for c in den.coeffs
-    )
-    if not scalar:
-        # nested coefficients (bivariate results) are normalized by their
-        # constructing pipeline; canonical form is guaranteed for scalars
-        return num, den
+    if not all(_is_scalar(c) for c in num.coeffs + den.coeffs):
+        num_vs, den_vs = _primitive_nested(num.coeffs, den.coeffs)
+        return Poly(num_vs), Poly(den_vs)
     g = poly_gcd(num, den)
     if g.degree > 0:
         num = num.exact_div(g)
@@ -408,6 +347,30 @@ def _ratfunc_canonicalize(num: Poly, den: Poly):
         ints = [-c for c in ints]
         scale = -scale
     return num * scale, Poly(ints)
+
+
+def _primitive_nested(num_cs, den_cs):
+    """Divide two lists of polynomials in v (scalars count as constants)
+    by their joint content in Z[v], then negate both if the first nonzero
+    coefficient of den_cs (by list position, then by power of v) is
+    negative.  Returns the two lists as integer Polys in v; the shared
+    normal form of bivariate rational functions and of recurrence
+    denominators over Z[v]."""
+    polys = [c if isinstance(c, Poly) else Poly((c,)) for c in (*num_cs, *den_cs)]
+    g = Poly()
+    for p in polys:
+        g = poly_gcd(g, p)
+        if g.degree == 0:
+            break
+    if g.degree > 0:
+        polys = [p.exact_div(g) for p in polys]
+    ints, _ = _primitive_ints([x for p in polys for x in p.coeffs])
+    split = sum(len(p) for p in polys[:len(num_cs)])
+    if next((x for x in ints[split:] if x), 1) < 0:
+        ints = [-x for x in ints]
+    it = iter(ints)
+    out = [Poly([next(it) for _ in p.coeffs]) for p in polys]
+    return out[:len(num_cs)], out[len(num_cs):]
 
 
 def _newton_interpolate(ys):
@@ -447,7 +410,8 @@ def taylor_coeffs(rf: RationalFunction, n: int):
     """First n power-series coefficients of a rational function.
 
     Requires the denominator to have a nonzero constant term.  Works for
-    Fraction coefficients and for RationalFunction-valued ones.
+    int and Fraction coefficients and for polynomials in v (where each
+    division by the constant term must be exact).
     """
     den = rf.den.coeffs
     num = rf.num.coeffs
@@ -604,13 +568,14 @@ class LinearSolution:
 
 
 def solve_linear(a: Matrix, b) -> LinearSolution:
-    """Exact linear solve over a field.
+    """Exact linear solve over the rationals.
 
-    Field elements can be Fractions or RationalFunctions (rational
-    functions in one variable).  Returns a unique solution, one witness of
-    an underdetermined family (free variables set to zero), or
-    inconsistency.  The elimination is solve_fraction_free's; the only
-    field divisions are the final one per unknown.
+    Entries are ints or Fractions.  Returns a unique solution, one witness
+    of an underdetermined family (free variables set to zero), or
+    inconsistency, as Fractions.  The elimination is
+    solve_fraction_free's; the only divisions are the final one per
+    unknown.  Nothing in the package calls it: recurrence fits read their
+    integer denominators straight off solve_fraction_free.
     """
     if not isinstance(a, Matrix):
         a = Matrix(a)
@@ -620,23 +585,23 @@ def solve_linear(a: Matrix, b) -> LinearSolution:
     sol = solve_fraction_free(a.rows, b)
     if sol.status == LinearSolution.INCONSISTENT:
         return sol
-    zero = b[0] - b[0] if b else 0
-    x = [_coeff_div(num, den) if num else zero for num, den in sol.solution]
-    return LinearSolution(sol.status, x)
+    return LinearSolution(sol.status, [Fraction(num, den) for num, den in sol.solution])
 
 
 def solve_fraction_free(rows, rhs) -> LinearSolution:
     """Fraction-free Gauss-Jordan solve over an integral domain.
 
-    Same contract as solve_linear, but entries may be ints or Polys (or
-    field elements), and every division during elimination is an exact
-    one by the previous pivot (Bareiss), so integer and polynomial
-    entries never leave their ring; the witness comes back as
-    (numerator, denominator) pairs per unknown, with (0, 1) for a free
-    one.  The pivot in each column is the first nonzero entry at or below
-    the current rank.  This is the package's one elimination loop:
-    recurrence guessing calls it on primitive integer or polynomial data,
-    and solve_linear on field data.
+    Same contract as solve_linear, but entries may be ints, Fractions or
+    Polys, and every division during elimination is an exact one by the
+    previous pivot (Bareiss), so integer and polynomial entries never
+    leave their ring; the witness comes back as (numerator, denominator)
+    pairs per unknown, with (0, 1) for a free one.  Every pivot
+    unknown's denominator is the same: the last pivot, since each
+    elimination step scales all earlier pivot rows alike.  The pivot in
+    each column is the first nonzero entry at or below the current rank.
+    This is the package's one elimination loop: recurrence guessing calls
+    it on primitive integer or polynomial data, and solve_linear on
+    rational data.
     """
     rows = [list(r) for r in rows]
     rhs = list(rhs)

@@ -20,7 +20,12 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .cfinite import CFiniteSpec, _recurrence_holds, c_to_r, guess_rec, guess_sym_rec
-from .core import Poly, RationalFunction, _primitive_ints, poly_gcd, taylor_coeffs
+from .core import (
+    Poly,
+    RationalFunction,
+    poly_gcd,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
+    taylor_coeffs,
+)
 from .errors import (
     BadVertexPair,
     InexactDivision,
@@ -94,7 +99,7 @@ def _fit_pipeline(term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
         while len(data) < budget + HELD_OUT:
             data.append(term_fn(len(data) + 1))
         spec = guesser(data[:budget])
-        if spec is not None and _recurrence_holds(data, spec.rec):
+        if spec is not None and _recurrence_holds(data, spec.den):
             return spec, data
         if budget >= max_terms:
             raise NoFitWithinBudget(
@@ -105,16 +110,12 @@ def _fit_pipeline(term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
 
 def _certified(term_fn, guesser, expected_order, max_terms) -> GFResult:
     """Fit, emit and certify: run _fit_pipeline on term_fn, turn the
-    recurrence into its generating function with the t^1 prefactor
-    (polynomial data in v is then cleared to integer v-polynomial
-    coefficients), and check that the denominator degree equals the
-    order and that the series reproduces every generated term."""
+    recurrence into its generating function with the t^1 prefactor, and
+    check that the denominator degree equals the order and that the
+    series reproduces every generated term."""
     spec, data = _fit_pipeline(term_fn, guesser, expected_order, max_terms)
     raw = c_to_r(spec)
-    if isinstance(data[0], Poly):
-        gf = RationalFunction(*_clear_bivariate(raw.num.shift(1), raw.den), _canonical=True)
-    else:
-        gf = RationalFunction(raw.num.shift(1), raw.den)
+    gf = RationalFunction(raw.num.shift(1), raw.den)
     if gf.den.degree != spec.order:
         raise InternalInconsistency(
             "denominator degree does not match the recurrence order"
@@ -220,10 +221,11 @@ def gf_ver(
     """Bivariate generating function (offset t^1) of the vertical-edge
     weight polynomials of g_base x P_n.
 
-    Data terms are polynomials in v; guessing runs over the exact field of
-    rational functions in v.  The output is cleared of denominators so
-    both numerator and denominator are polynomials in v and t with integer
-    coefficients (denominator constant term normalized positive)."""
+    Data terms are polynomials in v, and so are the recurrence's
+    denominator coefficients: guessing stays in Z[v].  Numerator and
+    denominator are polynomials in t whose coefficients are integer
+    polynomials in v with no common content (lowest denominator
+    coefficient positive)."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
 
@@ -236,43 +238,6 @@ def gf_ver(
 def gf_ver_grid(k: int, max_terms: int = MAX_TERMS) -> GFResult:
     return gf_ver(path_graph(k), expected_order=grid_expected_order(k),
                   max_terms=max_terms)
-
-
-def _as_v_ratfunc(c) -> RationalFunction:
-    if isinstance(c, RationalFunction):
-        return c
-    if isinstance(c, Poly):
-        return RationalFunction(c)
-    return RationalFunction(Poly((c,)) if c else Poly())
-
-
-def _clear_bivariate(num_t: Poly, den_t: Poly):
-    """Rewrite a t-polynomial pair with coefficients in Q(v) as a pair of
-    t-polynomials whose coefficients are primitive integer v-polynomials,
-    scaled jointly (so the ratio is unchanged) and sign-normalized."""
-    num_cs = [_as_v_ratfunc(c) for c in num_t.coeffs]
-    den_cs = [_as_v_ratfunc(c) for c in den_t.coeffs]
-    common = Poly((1,))
-    for c in num_cs + den_cs:
-        if c.den.degree > 0 or c.den.coeffs != (1,):
-            g = poly_gcd(common, c.den)
-            common = common * c.den.exact_div(g)
-
-    def cleared(c: RationalFunction) -> Poly:
-        return c.num * common.exact_div(c.den)
-
-    num_vs = [cleared(c) for c in num_cs]
-    den_vs = [cleared(c) for c in den_cs]
-    # joint integer scaling, then the sign that makes the first nonzero
-    # denominator coefficient (lowest in t, then in v) positive
-    ints, _ = _primitive_ints([x for p in num_vs + den_vs for x in p.coeffs])
-    split = sum(len(p) for p in num_vs)
-    if next((x for x in ints[split:] if x), 1) < 0:
-        ints = [-x for x in ints]
-    it = iter(ints)
-    num_poly = Poly([Poly([next(it) for _ in p.coeffs]) for p in num_vs])
-    den_poly = Poly([Poly([next(it) for _ in p.coeffs]) for p in den_vs])
-    return num_poly, den_poly
 
 
 def substitute_v(rf: RationalFunction, value) -> RationalFunction:

@@ -27,7 +27,6 @@ are handled correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Matrix,
@@ -178,13 +177,11 @@ def gf_family_guess(row, col, mode: str, fit_start: int = 10,
         raise NoFitWithinBudget(
             f"no recurrence found on window {fit_start}..{fit_end}", data
         )
-    den = Poly([1] + [-Fraction(r) for r in spec.rec])
-    full = Poly([1] + list(data))
-    num = (den * full).truncate(int(den.degree) + 1)
-    rf = RationalFunction(num, den)
-    series = taylor_coeffs(rf, fit_end + 1)
     expected = [1] + list(data)
-    if series != [Fraction(x) for x in expected]:
+    den = Poly(spec.den)
+    num = (den * Poly(expected)).truncate(int(den.degree) + 1)
+    rf = RationalFunction(num, den)
+    if taylor_coeffs(rf, fit_end + 1) != expected:
         raise NoFitWithinBudget(
             "window recurrence does not extend to the whole sequence", data
         )

@@ -7,7 +7,9 @@ own subset oracles, which these tests cross-check against the fast path).
 The exceptions are slow paths that a fast route replaced, kept here as
 that route's reference: solve_linear_field for the fraction-free
 solve_linear, gf_transfer_field for the transfer route and
-laplacian_minor_dense for the streamed Laplacian minors.
+laplacian_minor_dense for the streamed Laplacian minors.  FieldRF is the
+field of rational functions in t over Q that the Q(t) solves need; the
+package's RationalFunction is a value type without arithmetic.
 """
 from __future__ import annotations
 
@@ -94,10 +96,42 @@ def random_toeplitz_prefixes(rng: random.Random, max_band=3, lo=-4, hi=4):
     return row, col
 
 
+class FieldRF(RationalFunction):
+    """A canonical RationalFunction with scalar coefficients plus field
+    arithmetic; the other operand may be any RationalFunction, Poly in t
+    or scalar."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        o = _field(other)
+        return FieldRF(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    def __neg__(self):
+        return FieldRF(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -_field(other)
+
+    def __mul__(self, other):
+        o = _field(other)
+        return FieldRF(self.num * o.num, self.den * o.den)
+
+    def __truediv__(self, other):
+        o = _field(other)
+        if not o:
+            raise ZeroDivisionError("division by zero rational function")
+        return FieldRF(self.num * o.den, self.den * o.num)
+
+
+def _field(x) -> FieldRF:
+    return FieldRF(x.num, x.den) if isinstance(x, RationalFunction) else FieldRF(x)
+
+
 def solve_linear_field(a: Matrix, b) -> LinearSolution:
-    """Gauss-Jordan elimination over a field (Fractions or
-    RationalFunctions), dividing by the pivot at every step: the body
-    solve_linear had before it went through solve_fraction_free."""
+    """Gauss-Jordan elimination over a field (Fractions or FieldRFs),
+    dividing by the pivot at every step: the body solve_linear had before
+    it went through solve_fraction_free."""
     if not isinstance(a, Matrix):
         a = Matrix(a)
     b = list(b)
@@ -142,13 +176,13 @@ def gf_transfer_field(row, col, mode="det"):
     X_i = sum(c * t * X_child) for every other scheme state."""
     scheme = children_scheme(row, col, mode)
     m = len(scheme.states)
-    one = RationalFunction(Poly((1,)))
-    zero = RationalFunction(Poly())
+    one = FieldRF(1)
+    zero = FieldRF(0)
     rows = [[zero] * m for _ in range(m)]
     for i in range(m):
         rows[i][i] = one
         for coeff, j in scheme.transitions[i]:
-            rows[i][j] = rows[i][j] - RationalFunction(Poly((0, Fraction(coeff))))
+            rows[i][j] = rows[i][j] - Poly((0, Fraction(coeff)))
     sol = solve_linear_field(Matrix(rows), [one] + [zero] * (m - 1))
     assert sol.status == LinearSolution.UNIQUE, sol.status
     return sol.solution[0]

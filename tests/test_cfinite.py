@@ -1,4 +1,5 @@
 """Recurrence guessing, replay, and conversion to generating functions."""
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from exactgf import (
     Poly,
     RationalFunction,
     c_to_r,
+    poly_gcd,
     guess_rec,
     guess_rec1,
     guess_sym_rec,
@@ -23,13 +25,14 @@ A001353 = [1, 4, 15, 56, 209, 780, 2911, 10864, 40545, 151316]
 
 def test_guess_rec1_constant():
     spec = guess_rec1([1, 1, 1, 1, 1, 1, 1], 1)
-    assert spec.initial == (1,) and list(spec.rec) == [1]
+    assert spec.initial == (1,) and spec.den == (1, -1)
 
 
 def test_guess_rec1_grid_two_rows():
     spec = guess_rec1(A001353, 2)
     assert list(spec.initial) == [1, 4]
-    assert list(spec.rec) == [4, -1]
+    assert spec.den == (1, -4, 1)
+    assert spec.rec == (4, -1)
 
 
 def test_guess_rec1_rejects_broken_geometric():
@@ -43,8 +46,8 @@ def test_guess_rec1_data_too_short():
 
 def test_guess_rec_minimal_order():
     spec = guess_rec(A001353)
-    assert list(spec.rec) == [4, -1]
-    assert guess_rec([1, 2, 4, 8, 16, 32, 64, 128, 256, 512]).rec == (2,)
+    assert spec.den == (1, -4, 1)
+    assert guess_rec([1, 2, 4, 8, 16, 32, 64, 128, 256, 512]).den == (1, -2)
 
 
 def test_guess_rec_too_short_returns_none():
@@ -63,12 +66,12 @@ def test_guess_sym_rec_matches_plain_when_palindromic():
     # needs only 7 terms where the plain guesser would need 7 as well for
     # order 2, but the symmetric system has a single unknown
     spec = guess_sym_rec([1, 4, 15, 56, 209, 780, 2911])
-    assert list(spec.rec) == [4, -1]
+    assert spec.den == (1, -4, 1)
 
 
 def test_guess_sym_rec_all_ones():
     spec = guess_sym_rec([1, 1, 1, 1, 1, 1])
-    assert list(spec.rec) == [1]
+    assert spec.den == (1, -1)
 
 
 def test_guess_sym_and_plain_agree_as_sequences():
@@ -77,7 +80,7 @@ def test_guess_sym_and_plain_agree_as_sequences():
         d = rng.randint(1, 4)
         spec = CFiniteSpec(
             [Fraction(rng.randint(-4, 4)) for _ in range(d)],
-            [Fraction(rng.randint(-3, 3)) for _ in range(d)],
+            [1] + [rng.randint(-3, 3) for _ in range(d)],
         )
         data = seq_from_rec(spec, 4 * d + 8)
         plain = guess_rec(data)
@@ -96,12 +99,12 @@ _NON_INTEGER_SCALES = st.fractions(min_value=-7, max_value=7, max_denominator=9)
 def _random_specs(draw):
     d = draw(st.integers(1, 4))
     return CFiniteSpec(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)),
-                       draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+                       [1] + draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
 
 
 @st.composite
 def _palindromic_specs(draw):
-    """Denominator 1 - sum(r[i] t^i) with c_i = eps * c_(d-i), c_0 = 1."""
+    """Denominator c with c_i = eps * c_(d-i), c_0 = 1."""
     d = draw(st.integers(1, 5))
     eps = draw(st.sampled_from((1, -1)))
     c = [1] + [0] * d
@@ -109,8 +112,7 @@ def _palindromic_specs(draw):
         ci = draw(st.integers(-4, 4)) if 2 * i != d or eps == 1 else 0
         c[i], c[d - i] = ci, eps * ci
     c[d] = eps
-    return CFiniteSpec(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)),
-                       [-x for x in c[1:]])
+    return CFiniteSpec(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)), c)
 
 
 def _same_fit_after_scaling(guesser, data, scale):
@@ -118,8 +120,8 @@ def _same_fit_after_scaling(guesser, data, scale):
     scaled = guesser([scale * x for x in data])
     assert (plain is None) == (scaled is None)
     if plain is not None:
-        assert scaled.rec == plain.rec
-        assert all(isinstance(r, Fraction) for r in scaled.rec)
+        assert scaled.den == plain.den
+        assert all(isinstance(c, int) for c in scaled.den)
         assert scaled.initial == tuple(scale * x for x in plain.initial)
 
 
@@ -138,10 +140,27 @@ def test_guess_sym_rec_is_scale_invariant(spec, scale):
 
 
 def test_seq_from_rec_examples():
-    assert seq_from_rec(CFiniteSpec([1, 4], [4, -1]), 6) == [1, 4, 15, 56, 209, 780]
-    assert seq_from_rec(CFiniteSpec([1], [1]), 4) == [1, 1, 1, 1]
-    fib = seq_from_rec(CFiniteSpec([0, 1], [1, 1]), 8)
+    assert seq_from_rec(CFiniteSpec([1, 4], [1, -4, 1]), 6) == [1, 4, 15, 56, 209, 780]
+    assert seq_from_rec(CFiniteSpec([1], [1, -1]), 4) == [1, 1, 1, 1]
+    fib = seq_from_rec(CFiniteSpec([0, 1], [1, -1, -1]), 8)
     assert fib == [0, 1, 1, 2, 3, 5, 8, 13]
+    # D_0 = 2: 2 a_n = a_(n-1), a Fraction only where the sequence has one
+    assert seq_from_rec(CFiniteSpec([4], [2, -1]), 4) == [4, 2, 1, Fraction(1, 2)]
+
+
+def test_spec_den_is_normalized():
+    # content removed, D_0's first nonzero coefficient positive
+    assert CFiniteSpec([1, 4], [-2, 8, -2]).den == (1, -4, 1)
+    assert CFiniteSpec([1], [Fraction(-1, 2), Fraction(1, 3)]).den == (3, -2)
+    v = Poly([0, 1])
+    spec = CFiniteSpec([v, 1], [-(v * v + v), v + 1, 2 * v + 2])
+    assert spec.den == (Poly([0, 1]), Poly([-1]), Poly([-2]))
+    assert spec.order == 2
+    assert CFiniteSpec([1, 4], [1, -4, 1]).rec == (4, -1)
+    with pytest.raises(ValueError):
+        CFiniteSpec([1], [0, 1])
+    with pytest.raises(ValueError):
+        CFiniteSpec([1, 2], [1, 1])
 
 
 def test_round_trip_random_specs():
@@ -150,7 +169,7 @@ def test_round_trip_random_specs():
         d = rng.randint(1, 4)
         spec = CFiniteSpec(
             [Fraction(rng.randint(-5, 5)) for _ in range(d)],
-            [Fraction(rng.randint(-3, 3)) for _ in range(d)],
+            [1] + [rng.randint(-3, 3) for _ in range(d)],
         )
         data = seq_from_rec(spec, 2 * d + 6)
         guessed = guess_rec(data)
@@ -162,17 +181,17 @@ def test_round_trip_random_specs():
 
 
 def test_c_to_r_fibonacci_style():
-    f = c_to_r(CFiniteSpec([1, 1], [1, 1]))
+    f = c_to_r(CFiniteSpec([1, 1], [1, -1, -1]))
     assert f == RationalFunction(Poly([1]), Poly([1, -1, -1]))
 
 
 def test_c_to_r_grid_two_rows():
-    f = c_to_r(CFiniteSpec([1, 4], [4, -1]))
+    f = c_to_r(CFiniteSpec([1, 4], [1, -4, 1]))
     assert f == RationalFunction(Poly([1]), Poly([1, -4, 1]))
 
 
 def test_c_to_r_geometric():
-    f = c_to_r(CFiniteSpec([1], [1]))
+    f = c_to_r(CFiniteSpec([1], [1, -1]))
     assert f == RationalFunction(Poly([1]), Poly([1, -1]))
 
 
@@ -182,7 +201,7 @@ def test_c_to_r_series_matches_replay():
         d = rng.randint(1, 4)
         spec = CFiniteSpec(
             [Fraction(rng.randint(-5, 5)) for _ in range(d)],
-            [Fraction(rng.randint(-3, 3)) for _ in range(d)],
+            [rng.choice((1, 2, -3))] + [rng.randint(-3, 3) for _ in range(d)],
         )
         f = c_to_r(spec)
         n = 2 * d + 12
@@ -190,7 +209,7 @@ def test_c_to_r_series_matches_replay():
 
 
 def test_guess_rec_polynomial_data():
-    # terms are polynomials in v; the recurrence lives over Q(v)
+    # terms are polynomials in v; so is the recurrence's denominator
     v = Poly([0, 1])
     a = Poly([1])
     data = [a, v]
@@ -199,8 +218,42 @@ def test_guess_rec_polynomial_data():
     spec = guess_rec(data)
     assert spec is not None
     assert spec.order == 2
-    assert spec.rec[0] == v + 1
-    assert spec.rec[1] == Poly([-1])
+    assert spec.den == (Poly([1]), -(v + 1), Poly([1]))
+
+
+_V_POLYS = st.lists(st.integers(-2, 2), max_size=3).map(Poly)
+
+
+@st.composite
+def _v_polynomial_specs(draw):
+    """Specs over Z[v] with D_0 = 1, so every term stays in Z[v]."""
+    d = draw(st.integers(1, 3))
+    tail = draw(st.lists(_V_POLYS, min_size=d, max_size=d))
+    return CFiniteSpec(draw(st.lists(_V_POLYS, min_size=d, max_size=d)), [Poly([1])] + tail)
+
+
+def _content(polys):
+    g = Poly()
+    for p in polys:
+        g = poly_gcd(g, p)
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(_v_polynomial_specs())
+def test_guess_rec_round_trip_over_z_v(spec):
+    data = seq_from_rec(spec, 2 * spec.order + 6)
+    guessed = guess_rec(data)
+    assert guessed is not None and guessed.order <= spec.order
+    rf = c_to_r(guessed)
+    assert taylor_coeffs(rf, len(data)) == data
+    # an all-zero sequence fits D = (1, 0) with int entries
+    den = [c if isinstance(c, Poly) else Poly([c]) for c in guessed.den]
+    assert _content(den) == Poly([1])
+    assert math.gcd(*(x for c in den for x in c.coeffs)) == 1
+    coeffs = [x for p in (*den, *rf.num.coeffs, *rf.den.coeffs)
+              for x in (p.coeffs if isinstance(p, Poly) else [p])]
+    assert not any(isinstance(x, Fraction) for x in coeffs)
 
 
 def test_grid_three_rows_order_four():
@@ -210,7 +263,7 @@ def test_grid_three_rows_order_four():
     data = [spanning_tree_count(grid_graph(3, n)) for n in range(1, 21)]
     spec = guess_rec(data)
     assert spec.order == 4
-    assert [Fraction(r) for r in spec.rec] == [15, -32, 15, -1]
+    assert spec.den == (1, -15, 32, -15, 1)
 
 
 def test_grid_four_rows_symmetric_order_eight():
@@ -221,5 +274,4 @@ def test_grid_four_rows_symmetric_order_eight():
     data = [spanning_tree_count(grid_graph(4, n)) for n in range(1, 29)]
     spec = guess_sym_rec(data)
     assert spec.order == 8
-    den = [1] + [-r for r in spec.rec]
-    assert den == [1, -56, 672, -2632, 4094, -2632, 672, -56, 1]
+    assert spec.den == (1, -56, 672, -2632, 4094, -2632, 672, -56, 1)

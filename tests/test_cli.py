@@ -206,3 +206,46 @@ def test_internal_inconsistency_exit_three(monkeypatch, capsys):
     code, out, _err = invoke(capsys, "gf-grid", "--k", "2")
     assert code == 3
     assert "internal inconsistency" in json.loads(out)["error"]
+
+
+def test_zero_denominator_in_numeric_list_is_usage_error(capsys):
+    for argv in (("guess", "--data", "1/0,1,2,3,4,5"),
+                 ("toeplitz-gf", "--row", "1/0", "--col", "1"),
+                 ("toeplitz-scheme", "--row", "1", "--col", "1,2/0")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "bad numeric list" in err
+
+
+def test_empty_toeplitz_prefix_is_usage_error(capsys):
+    for argv in (("toeplitz-gf", "--row", ",", "--col", "1"),
+                 ("toeplitz-scheme", "--row", "1", "--col", "")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "at least one entry" in err
+
+
+def test_out_of_range_sizes_are_parser_usage_errors(capsys):
+    for argv, flag in ((("gf-grid", "--k", "0"), "--k"),
+                       (("gf-ver", "--k", "-1"), "--k"),
+                       (("c-poly", "--k", "1"), "--k"),
+                       (("moments", "--k", "2", "--n", "0"), "--n"),
+                       (("resistance", "--k", "-2", "--n", "-3"), "--k"),
+                       (("resistance", "--k", "2", "--n", "0"), "--n")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be at least" in err
+
+
+def test_value_error_from_a_pipeline_exits_three(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("validated arguments reached a failing check")
+
+    monkeypatch.setattr(spanning, "gf_grid", broken)
+    code, out, err = invoke(capsys, "gf-grid", "--k", "2")
+    assert code == 3
+    assert err == ""
+    assert "internal inconsistency" in json.loads(out)["error"]

@@ -1,15 +1,17 @@
 """sympy as an independent, test-only oracle for determinants with
-polynomial entries (the package itself never imports sympy)."""
+polynomial entries and for the canonical form of bivariate rational
+functions (the package itself never imports sympy)."""
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactgf import Matrix, Poly, det_bareiss
+from exactgf import Matrix, Poly, RationalFunction, det_bareiss
 
 sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
+T, V = sympy.symbols("t v")
 
 
 def _to_sympy(m: Matrix):
@@ -45,3 +47,30 @@ def test_characteristic_polynomials_match_sympy():
         char = Matrix([[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)])
         want = _coeffs(sympy.Matrix(a).charpoly(X).as_expr())
         assert det_bareiss(char) == want
+
+
+def _bivariate(p: Poly):
+    """A polynomial in t with coefficients in Z[v] (or Z) as a sympy expression."""
+    return sum(((c.eval(V) if isinstance(c, Poly) else c) * T**i
+                for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+_V_POLYS = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_V_POLYS, min_size=1, max_size=3).filter(any),
+       st.lists(_V_POLYS, min_size=1, max_size=3).filter(any),
+       _V_POLYS.filter(bool))
+def test_bivariate_canonical_form_matches_sympy(num_cs, den_cs, u):
+    # build with a common factor u(v), then check against sympy: the same
+    # function (cancel), no content left in Z[v], lowest den coefficient
+    # (by t, then v) positive
+    rf = RationalFunction(Poly([c * u for c in num_cs]), Poly([c * u for c in den_cs]))
+    num, den = _bivariate(rf.num), _bivariate(rf.den)
+    assert sympy.cancel(num / den - _bivariate(Poly(num_cs)) / _bivariate(Poly(den_cs))) == 0
+    coeffs = sympy.Poly(num, T).all_coeffs() + sympy.Poly(den, T).all_coeffs()
+    assert sympy.gcd_list([sympy.expand(c) for c in coeffs]) in (1, -1)
+    first_t = next(c for c in reversed(sympy.Poly(den, T).all_coeffs()) if c != 0)
+    assert next(x for x in reversed(sympy.Poly(first_t, V).all_coeffs()) if x != 0) > 0
+
