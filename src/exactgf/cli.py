@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import spanning, toeplitz
-from .cfinite import guess_rec
+from .cfinite import guess_rec, seq_from_rec
 from .core import Poly, RationalFunction
 from .errors import (
     BadVertexPair,
@@ -35,6 +35,13 @@ LONG_RUN_K = 6
 #: never fit.
 MIN_GUESS_TERMS = 6
 
+#: Upper limits on the sizes that set a run's length, so a huge value is a
+#: usage error, not hours of work: each accepts about a minute of work at
+#: k = 4 (CPython 3.11, one core of a shared 2-core x86-64 host).
+MAX_FIT_TERMS = 160
+MAX_RESISTANCE_N = 2500
+MAX_MOMENTS_N = 1300
+
 
 class UsageError(Exception):
     pass
@@ -45,9 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(low: int):
-    """An argparse type for an int that is at least low, so out-of-range
-    sizes are usage errors before any pipeline runs."""
+def _int_in_range(low: int, high: int | None = None):
+    """An argparse type for an int in low..high (high None: no limit), so
+    out-of-range sizes are usage errors before any pipeline runs."""
 
     def parse(text: str) -> int:
         try:
@@ -56,14 +63,16 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
 
 
 #: --max-terms must leave the guesser MIN_GUESS_TERMS terms.
-_max_terms = _int_at_least(MIN_GUESS_TERMS)
-_positive = _int_at_least(1)
+_max_terms = _int_in_range(MIN_GUESS_TERMS, MAX_FIT_TERMS)
+_positive = _int_in_range(1)
 
 
 def _build_parser() -> _Parser:
@@ -96,19 +105,19 @@ def _build_parser() -> _Parser:
     q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("c-poly", help="two-forest cofactor polynomial C_k")
-    q.add_argument("--k", type=_int_at_least(2), required=True)
+    q.add_argument("--k", type=_int_in_range(2), required=True)
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("resistance", help="corner-to-corner grid resistance")
     q.add_argument("--k", type=_positive, required=True)
-    q.add_argument("--n", type=_positive, required=True)
+    q.add_argument("--n", type=_int_in_range(1, MAX_RESISTANCE_N), required=True)
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("moments", help="vertical-edge statistic moments")
     q.add_argument("--k", type=_positive)
     q.add_argument("--graph")
-    q.add_argument("--n", type=_positive, required=True)
+    q.add_argument("--n", type=_int_in_range(1, MAX_MOMENTS_N), required=True)
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("toeplitz-gf", help="banded Toeplitz det/perm GF")
@@ -235,12 +244,12 @@ def _emit(args, payload: dict, pretty_text: str | None):
         print(json.dumps(payload))
 
 
-def _gf_payload(result: spanning.GFResult, emit_data=None) -> dict:
+def _gf_payload(result: spanning.GFResult, emit_data=False) -> dict:
     payload = spanning.gf_to_json(
         result.gf, result.offset, result.spec.order, result.data_used
     )
-    if emit_data is not None:
-        payload["data"] = [str(x) for x in emit_data]
+    if emit_data:
+        payload["data"] = [str(x) for x in seq_from_rec(result.spec, result.data_used)]
     return payload
 
 
@@ -270,24 +279,14 @@ def _check_long(args, k: int):
 def _cmd_gf_grid(args) -> int:
     _check_long(args, args.k)
     result = spanning.gf_grid(args.k, max_terms=args.max_terms)
-    data = None
-    if args.emit_data:
-        from .cfinite import seq_from_rec
-
-        data = seq_from_rec(result.spec, result.data_used)
-    _emit(args, _gf_payload(result, data), _fmt_ratfunc(result.gf))
+    _emit(args, _gf_payload(result, args.emit_data), _fmt_ratfunc(result.gf))
     return 0
 
 
 def _cmd_gf_product(args) -> int:
     g = _load_graph(args.graph)
     result = spanning.gf_spanning(g, max_terms=args.max_terms)
-    data = None
-    if args.emit_data:
-        from .cfinite import seq_from_rec
-
-        data = seq_from_rec(result.spec, result.data_used)
-    _emit(args, _gf_payload(result, data), _fmt_ratfunc(result.gf))
+    _emit(args, _gf_payload(result, args.emit_data), _fmt_ratfunc(result.gf))
     return 0
 
 

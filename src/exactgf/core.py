@@ -225,7 +225,100 @@ def _dom_exact_div(a, b):
         if r:
             raise InexactDivision(f"{a} not divisible by {b}")
         return q
+    if isinstance(a, Jet) or isinstance(b, Jet):
+        return a // b
     return a / b
+
+
+# ---------------------------------------------------------------------------
+# truncated power series
+# ---------------------------------------------------------------------------
+
+class Jet:
+    """An immutable element c_0 + c_1 e + ... + c_(K-1) e^(K-1) of
+    Z[e]/(e^K).  A polynomial evaluated at a + e gives its Taylor
+    coefficients at a, so a determinant over jets reads K - 1 derivatives
+    off one elimination.  Ints act as constant jets.  // is exact division
+    by a jet (or int) with nonzero constant term, a unit of Q[e]/(e^K); it
+    raises InexactDivision when the quotient is not an integer jet.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+        if not self.coeffs:
+            raise ValueError("a jet needs at least one coefficient")
+
+    def _lift(self, other):
+        if isinstance(other, int):
+            return (other,) + (0,) * (len(self.coeffs) - 1)
+        if not isinstance(other, Jet) or len(other.coeffs) != len(self.coeffs):
+            raise TypeError(f"{other!r} is not a jet of length {len(self.coeffs)}")
+        return other.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = Jet(self._lift(other))
+        return isinstance(other, Jet) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"Jet({self.coeffs!r})"
+
+    def __neg__(self):
+        return Jet(-c for c in self.coeffs)
+
+    def __add__(self, other):
+        return Jet(x + y for x, y in zip(self.coeffs, self._lift(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Jet(x - y for x, y in zip(self.coeffs, self._lift(other)))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Jet(c * other for c in self.coeffs)
+        b = self._lift(other)
+        out = [0] * len(b)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j in range(len(b) - i):
+                    out[i + j] += x * b[j]
+        return Jet(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("a jet power needs a non-negative exponent")
+        out = Jet(self._lift(1))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __floordiv__(self, other):
+        b = self._lift(other)
+        if not b[0]:
+            raise InexactDivision(f"{other!r} has a zero constant term")
+        q = []
+        for j, c in enumerate(self.coeffs):
+            for i in range(1, j + 1):
+                c -= b[i] * q[j - i]
+            c, r = divmod(c, b[0])
+            if r:
+                raise InexactDivision(f"{self!r} is not divisible by {other!r}")
+            q.append(c)
+        return Jet(q)
+
+    def __rfloordiv__(self, other):
+        return Jet(self._lift(other)) // self
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +580,8 @@ def det_bareiss(m: Matrix):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Works over any integral domain whose elements support *, -, and exact
-    division (ints, Fractions, Polys).  The empty 0x0 matrix has
+    division (ints, Fractions, Polys), and over Jets while every pivot it
+    divides by has a nonzero constant term.  The empty 0x0 matrix has
     determinant 1.  Stage r eliminates only inside a window of half-width
     w = max(bandwidth, 1) below and right of the pivot, n*w^2 work instead
     of n^3, so banded matrices (Toeplitz families) stay cheap; a dense

@@ -12,6 +12,7 @@ one at a time holding only their band, streamed through fraction-free
 block goes to det_bareiss.  No dense Laplacian is built, so a minor of a
 graph with N vertices and E edges costs O(N + E + N*w^2) time and
 O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
+Vertical weights may be core.Jet series (spanning.moments uses 1 + e).
 laplacian() builds the dense (optionally v-weighted) matrix, which the
 tests use as the reference for these minors.
 
@@ -23,9 +24,8 @@ spanning trees by their number of vertical edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import Matrix, Poly, _newton_interpolate, det_bareiss
+from .core import Jet, Matrix, Poly, _newton_interpolate, det_bareiss
 from .errors import BadVertexPair, InternalInconsistency
 
 VERTICAL = "vertical"
@@ -67,13 +67,6 @@ class LabeledGraph:
                 raise ValueError("multiplicity must be positive")
             norm.append((u, v, label, mult))
         object.__setattr__(self, "edges", tuple(norm))
-
-    def expanded_edges(self):
-        """Edges with multiplicities unrolled (parallel edges distinct)."""
-        out = []
-        for u, v, label, mult in self.edges:
-            out.extend([(u, v, label)] * mult)
-        return out
 
     def is_connected(self) -> bool:
         if self.n_vertices <= 1:
@@ -161,10 +154,10 @@ def laplacian(g: LabeledGraph, vertical_weight=1) -> Matrix:
     return Matrix(rows)
 
 
-def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1) -> int:
-    """det of the Laplacian of g, with vertical edges weighted by the
-    non-negative integer vertical_weight, after deleting the rows and
-    columns in drop (vertices outside the graph are ignored:
+def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
+    """det of the Laplacian of g, with vertical edges weighted by
+    vertical_weight, after deleting the rows and columns in drop
+    (vertices outside the graph are ignored:
     spanning_tree_count of the 0-vertex graph drops vertex -1 and gets 1;
     two_forest_count checks its vertices before calling).
 
@@ -179,13 +172,18 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1) -> int:
     determinant, by Sylvester's identity, is prev^(m-1) times the minor,
     with prev the last pivot taken; det_bareiss computes det B.
 
-    A reduced Laplacian with non-negative weights is positive
-    semidefinite, and a PSD matrix with a singular leading principal
-    submatrix is singular, so a zero pivot before the last block means
-    the minor is 0.
+    The weight is a non-negative int or a Jet with constant term >= 1.
+    Each pivot is a leading principal minor, a polynomial in the edge
+    weights with non-negative coefficients (it counts rooted spanning
+    forests), so a jet pivot's constant term, its value at positive
+    weights, is 0 only when the pivot is.  At positive weights the matrix
+    is positive semidefinite, and a PSD matrix with a singular leading
+    principal submatrix is singular: a zero pivot before the last block
+    means the minor is 0, and every divisor is nonzero at e = 0.
     """
-    if not isinstance(vertical_weight, int) or vertical_weight < 0:
-        raise ValueError("vertical_weight must be a non-negative integer")
+    low = vertical_weight.coeffs[0] - 1 if isinstance(vertical_weight, Jet) else vertical_weight
+    if not isinstance(low, int) or low < 0:
+        raise ValueError("vertical_weight must be an int >= 0 or a Jet with constant term >= 1")
     pos = [None] * g.n_vertices
     n = 0
     for v in range(g.n_vertices):
@@ -273,99 +271,6 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     if not all(isinstance(c, int) for c in coeffs):
         raise InternalInconsistency("interpolation produced a non-integer")
     return Poly(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles (subset enumeration, small graphs only)
-# ---------------------------------------------------------------------------
-
-def spanning_tree_count_bruteforce(g: LabeledGraph) -> int:
-    """Count spanning trees by enumerating edge subsets; parallel edges
-    count as distinguishable.  Intended for graphs with <= ~12 edges."""
-    edges = g.expanded_edges()
-    n = g.n_vertices
-    if n == 1:
-        return 1
-    count = 0
-    for subset in combinations(range(len(edges)), n - 1):
-        comp, acyclic = _forest_shape(n, [edges[i] for i in subset])
-        if acyclic and comp == 1:
-            count += 1
-    return count
-
-
-def two_forest_count_bruteforce(g: LabeledGraph, a: int, b: int) -> int:
-    """Count two-component spanning forests separating a from b by
-    enumerating edge subsets of size n - 2."""
-    if a == b:
-        raise BadVertexPair("the two marked vertices must differ")
-    edges = g.expanded_edges()
-    n = g.n_vertices
-    count = 0
-    for subset in combinations(range(len(edges)), n - 2):
-        chosen = [edges[i] for i in subset]
-        comp, acyclic = _forest_shape(n, chosen)
-        if acyclic and comp == 2 and not _same_component(n, chosen, a, b):
-            count += 1
-    return count
-
-
-def ver_polynomial_bruteforce(g: LabeledGraph) -> Poly:
-    """Spanning-tree v-polynomial by direct tree enumeration."""
-    edges = g.expanded_edges()
-    n = g.n_vertices
-    if n == 1:
-        return Poly((1,))
-    counts = {}
-    for subset in combinations(range(len(edges)), n - 1):
-        chosen = [edges[i] for i in subset]
-        comp, acyclic = _forest_shape(n, chosen)
-        if acyclic and comp == 1:
-            verts = sum(1 for e in chosen if e[2] == VERTICAL)
-            counts[verts] = counts.get(verts, 0) + 1
-    if not counts:
-        return Poly()
-    out = [0] * (max(counts) + 1)
-    for k, c in counts.items():
-        out[k] = c
-    return Poly(out)
-
-
-def _forest_shape(n, edges):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comp = n
-    acyclic = True
-    for u, v, *_ in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            acyclic = False
-            break
-        parent[ru] = rv
-        comp -= 1
-    return comp, acyclic
-
-
-def _same_component(n, edges, a, b):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, *_ in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return find(a) == find(b)
 
 
 def graph_from_json_dict(obj) -> LabeledGraph:

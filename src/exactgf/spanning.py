@@ -15,12 +15,14 @@ additionally re-expanded and compared against every generated term.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .cfinite import CFiniteSpec, _recurrence_holds, c_to_r, guess_rec, guess_sym_rec
 from .core import (
+    Jet,
     Poly,
     RationalFunction,
     poly_gcd,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
@@ -36,6 +38,7 @@ from .errors import (
 )
 from .graphs import (
     LabeledGraph,
+    _laplacian_minor,
     grid_graph,
     path_graph,
     product_with_path,
@@ -258,22 +261,20 @@ def moments(g_base: LabeledGraph, n: int, upto: int = 4) -> MomentsReport:
     """Exact moments of the vertical-edge count over uniformly random
     spanning trees of g_base x P_n.
 
-    Mean and variance are exact rationals derived from the weight
-    polynomial's derivatives at v = 1; skewness and kurtosis (plain, not
+    One streamed Laplacian minor at vertical weight v = 1 + e over jets
+    mod e^K, K = max(2, upto) + 1, gives c_j = P^(j)(1) / j! for the weight
+    polynomial P, and the j-th factorial moment is j! c_j / c_0.  Mean and
+    variance are exact rationals; skewness and kurtosis (plain, not
     excess) are emitted as 30-significant-digit decimals."""
     if not 1 <= upto <= 4:
         raise ValueError("upto must be between 1 and 4")
+    if not g_base.is_connected():
+        raise NotConnected("base graph must be connected")
     g = product_with_path(g_base, n)
-    p = ver_polynomial(g)
-    total = Fraction(p.eval(1))
-    if total == 0:
-        raise NotConnected("product graph has no spanning trees")
-    derivs = []
-    q = p
-    for _ in range(max(2, upto)):
-        q = q.derivative()
-        derivs.append(Fraction(q.eval(1)))
-    fact = [f / total for f in derivs]  # factorial moments
+    size = max(2, upto) + 1
+    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1) + (0,) * (size - 2)))
+    c = c.coeffs if isinstance(c, Jet) else (c,) + (0,) * (size - 1)  # int: no vertical edge
+    fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, size)]
     mean = fact[0]
     skewness = kurtosis = None
     ex2 = fact[1] + fact[0]

@@ -2,32 +2,37 @@
 
 These deliberately avoid the package's own algorithms: determinants by
 recursive cofactor expansion, permanents by summing over permutations,
-tree/forest counts by edge-subset enumeration (the graph module ships its
-own subset oracles, which these tests cross-check against the fast path).
-The exceptions are slow paths that a fast route replaced, kept here as
-that route's reference: solve_linear_field for the fraction-free
-solve_linear, gf_transfer_field for the transfer route and
-laplacian_minor_dense for the streamed Laplacian minors.  FieldRF is the
-field of rational functions in t over Q that the Q(t) solves need; the
-package's RationalFunction is a value type without arithmetic.
+tree/forest counts and the vertical-edge polynomial by edge-subset
+enumeration.  The exceptions are slow paths that a fast route replaced,
+kept here as that route's reference: solve_linear_field for the
+fraction-free solve_linear, gf_transfer_field for the transfer route,
+laplacian_minor_dense for the streamed Laplacian minors and
+moments_by_interpolation for the jet route of spanning.moments.  FieldRF
+is the field of rational functions in t over Q that the Q(t) solves need;
+the package's RationalFunction is a value type without arithmetic.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from exactgf import (
     LabeledGraph,
     LinearSolution,
     Matrix,
+    MomentsReport,
     Poly,
     RationalFunction,
     children_scheme,
     det_bareiss,
     laplacian,
+    product_with_path,
+    ver_polynomial,
 )
-from exactgf.errors import ShapeError
+from exactgf.errors import BadVertexPair, NotConnected, ShapeError
+from exactgf.graphs import VERTICAL
+from exactgf.spanning import _decimal_ratio
 
 
 def naive_det(m: Matrix):
@@ -194,3 +199,142 @@ def laplacian_minor_dense(g: LabeledGraph, drop, x=1):
     rows and columns in drop, and take det_bareiss of the rest.  x may be
     any scalar or VAR_V."""
     return det_bareiss(laplacian(g, x).delete_rows_cols(drop))
+
+
+# ---------------------------------------------------------------------------
+# subset enumeration over spanning trees and forests (small graphs only)
+# ---------------------------------------------------------------------------
+
+def expanded_edges(g: LabeledGraph):
+    """Edges with multiplicities unrolled (parallel edges distinct)."""
+    out = []
+    for u, v, label, mult in g.edges:
+        out.extend([(u, v, label)] * mult)
+    return out
+
+
+def spanning_tree_count_bruteforce(g: LabeledGraph) -> int:
+    """Count spanning trees by enumerating edge subsets; parallel edges
+    count as distinguishable.  Intended for graphs with <= ~12 edges."""
+    edges = expanded_edges(g)
+    n = g.n_vertices
+    if n == 1:
+        return 1
+    count = 0
+    for subset in combinations(range(len(edges)), n - 1):
+        comp, acyclic = _forest_shape(n, [edges[i] for i in subset])
+        if acyclic and comp == 1:
+            count += 1
+    return count
+
+
+def two_forest_count_bruteforce(g: LabeledGraph, a: int, b: int) -> int:
+    """Count two-component spanning forests separating a from b by
+    enumerating edge subsets of size n - 2."""
+    if a == b:
+        raise BadVertexPair("the two marked vertices must differ")
+    edges = expanded_edges(g)
+    n = g.n_vertices
+    count = 0
+    for subset in combinations(range(len(edges)), n - 2):
+        chosen = [edges[i] for i in subset]
+        comp, acyclic = _forest_shape(n, chosen)
+        if acyclic and comp == 2 and not _same_component(n, chosen, a, b):
+            count += 1
+    return count
+
+
+def ver_polynomial_bruteforce(g: LabeledGraph) -> Poly:
+    """Spanning-tree v-polynomial by direct tree enumeration."""
+    edges = expanded_edges(g)
+    n = g.n_vertices
+    if n == 1:
+        return Poly((1,))
+    counts = {}
+    for subset in combinations(range(len(edges)), n - 1):
+        chosen = [edges[i] for i in subset]
+        comp, acyclic = _forest_shape(n, chosen)
+        if acyclic and comp == 1:
+            verts = sum(1 for e in chosen if e[2] == VERTICAL)
+            counts[verts] = counts.get(verts, 0) + 1
+    if not counts:
+        return Poly()
+    out = [0] * (max(counts) + 1)
+    for k, c in counts.items():
+        out[k] = c
+    return Poly(out)
+
+
+def _forest_shape(n, edges):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comp = n
+    acyclic = True
+    for u, v, *_ in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            acyclic = False
+            break
+        parent[ru] = rv
+        comp -= 1
+    return comp, acyclic
+
+
+def _same_component(n, edges, a, b):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, *_ in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return find(a) == find(b)
+
+
+# ---------------------------------------------------------------------------
+# moments through the whole v-polynomial
+# ---------------------------------------------------------------------------
+
+def moments_by_interpolation(g_base: LabeledGraph, n: int, upto: int = 4) -> MomentsReport:
+    """spanning.moments by the route it used to take: build the whole
+    vertical-edge polynomial with ver_polynomial (D + 1 integer minors,
+    interpolated) and differentiate it at v = 1."""
+    if not 1 <= upto <= 4:
+        raise ValueError("upto must be between 1 and 4")
+    g = product_with_path(g_base, n)
+    p = ver_polynomial(g)
+    total = Fraction(p.eval(1))
+    if total == 0:
+        raise NotConnected("product graph has no spanning trees")
+    derivs = []
+    q = p
+    for _ in range(max(2, upto)):
+        q = q.derivative()
+        derivs.append(Fraction(q.eval(1)))
+    fact = [f / total for f in derivs]  # factorial moments
+    mean = fact[0]
+    skewness = kurtosis = None
+    ex2 = fact[1] + fact[0]
+    variance = ex2 - mean * mean
+    if upto >= 3 and variance > 0:
+        ex3 = fact[2] + 3 * fact[1] + fact[0]
+        mu3 = ex3 - 3 * mean * ex2 + 2 * mean**3
+        skewness = _decimal_ratio(mu3, variance, power=Fraction(3, 2))
+    if upto >= 4 and variance > 0:
+        ex4 = fact[3] + 6 * fact[2] + 7 * fact[1] + fact[0]
+        mu4 = ex4 - 4 * mean * ex3 + 6 * mean**2 * ex2 - 3 * mean**4
+        kurtosis = _decimal_ratio(mu4, variance, power=Fraction(2))
+    return MomentsReport(
+        n=n, mean=mean, variance=variance, skewness=skewness, kurtosis=kurtosis
+    )

@@ -34,10 +34,6 @@ from exactgf import (
     value_sequence,
 )
 from exactgf.errors import NoFitWithinBudget
-from exactgf.graphs import (
-    spanning_tree_count_bruteforce,
-    two_forest_count_bruteforce,
-)
 from exactgf.toeplitz import ToeplitzSpec, matrix_from_spec
 
 from oracles import (
@@ -45,6 +41,8 @@ from oracles import (
     permutation_permanent,
     random_labeled_graph,
     random_toeplitz_prefixes,
+    spanning_tree_count_bruteforce,
+    two_forest_count_bruteforce,
 )
 
 

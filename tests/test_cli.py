@@ -2,7 +2,7 @@
 import json
 
 from exactgf import spanning
-from exactgf.cli import run
+from exactgf.cli import MAX_FIT_TERMS, MAX_MOMENTS_N, MAX_RESISTANCE_N, run
 from exactgf.errors import InternalInconsistency
 
 
@@ -249,3 +249,43 @@ def test_value_error_from_a_pipeline_exits_three(monkeypatch, capsys):
     assert code == 3
     assert err == ""
     assert "internal inconsistency" in json.loads(out)["error"]
+
+
+def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a pipeline ran on an out-of-range size")
+
+    for name in ("gf_grid", "gf_spanning", "gf_ver_grid", "c_poly", "resistance", "moments"):
+        monkeypatch.setattr(spanning, name, never)
+    too_many = str(MAX_FIT_TERMS + 1)
+    for argv, flag, limit in (
+            (("gf-grid", "--k", "2", "--max-terms", too_many), "--max-terms", MAX_FIT_TERMS),
+            (("gf-product", "--graph", "missing.json", "--max-terms", too_many),
+             "--max-terms", MAX_FIT_TERMS),
+            (("gf-ver", "--k", "2", "--max-terms", too_many), "--max-terms", MAX_FIT_TERMS),
+            (("c-poly", "--k", "2", "--max-terms", "10" * 40), "--max-terms", MAX_FIT_TERMS),
+            (("resistance", "--k", "2", "--n", str(MAX_RESISTANCE_N + 1)), "--n",
+             MAX_RESISTANCE_N),
+            (("moments", "--k", "2", "--n", str(10**12)), "--n", MAX_MOMENTS_N)):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be at most {limit}" in err
+
+
+def test_sizes_at_their_limit_are_accepted(capsys):
+    code, out, _ = invoke(capsys, "gf-grid", "--k", "2", "--max-terms", str(MAX_FIT_TERMS))
+    assert code == 0 and json.loads(out)["den"] == ["1", "-4", "1"]
+    code, out, _ = invoke(capsys, "resistance", "--k", "1", "--n", str(MAX_RESISTANCE_N))
+    assert code == 0 and json.loads(out)["resistance"] == str(MAX_RESISTANCE_N - 1)
+    code, out, _ = invoke(capsys, "moments", "--k", "1", "--n", str(MAX_MOMENTS_N))
+    assert code == 0 and json.loads(out)["mean"] == "0"
+
+
+def test_moments_on_a_disconnected_graph_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "two_points.json"
+    path.write_text(json.dumps({"n": 2, "edges": []}))
+    code, out, err = invoke(capsys, "moments", "--graph", str(path), "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "connected" in err

@@ -17,7 +17,7 @@ from exactgf import (
     solve_linear,
     taylor_coeffs,
 )
-from exactgf.core import _newton_interpolate
+from exactgf.core import Jet, _newton_interpolate
 from exactgf.errors import InexactDivision, ShapeError, ZeroDenominator
 from exactgf.toeplitz import ToeplitzSpec, matrix_from_spec
 
@@ -208,6 +208,93 @@ def test_interpolation_integer_values_rational_coefficients():
     assert _newton_interpolate([0, 0, 1, 3]) == [0, Fraction(-1, 2), Fraction(1, 2), 0]
     assert _newton_interpolate([]) == []
     assert _newton_interpolate([7]) == [7]
+
+
+# --- jets ---------------------------------------------------------------------
+
+_JET_COEFFS = st.integers(-30, 30)
+
+
+@st.composite
+def _jet_pairs(draw):
+    k = draw(st.integers(1, 6))
+    a, b = (draw(st.lists(_JET_COEFFS, min_size=k, max_size=k)) for _ in range(2))
+    return Jet(a), Jet(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jet_pairs())
+def test_jet_ring_operations_are_truncated_poly_operations(pair):
+    a, b = pair
+    k = len(a.coeffs)
+
+    def trunc(p):
+        return list(p.coeffs[:k]) + [0] * (k - len(p.coeffs[:k]))
+
+    pa, pb = Poly(a.coeffs), Poly(b.coeffs)
+    assert list((a * b).coeffs) == trunc(pa * pb)
+    assert list((a + b).coeffs) == trunc(pa + pb)
+    assert list((a - b).coeffs) == trunc(pa - pb)
+    assert list((a ** 3).coeffs) == trunc(pa ** 3)
+    assert list((3 - a).coeffs) == trunc(3 - pa)
+    assert list((a * -2).coeffs) == list((-2 * a).coeffs) == trunc(pa * -2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jet_pairs())
+def test_jet_exact_division_round_trip(pair):
+    a, b = pair
+    if b.coeffs[0]:
+        assert (a * b) // b == a
+    if any(b.coeffs):
+        assert (a * 7) // 7 == a
+
+
+def test_jet_inexact_division_raises():
+    with pytest.raises(InexactDivision):
+        Jet((1, 1)) // Jet((2, 0))  # 1/2 + ...
+    with pytest.raises(InexactDivision):
+        Jet((2, 1)) // Jet((2, 0))  # 1 + e/2
+    with pytest.raises(InexactDivision):
+        Jet((1, 1)) // 3
+    with pytest.raises(InexactDivision):
+        Jet((0, 1)) // Jet((0, 1))  # no unique quotient by a non-unit
+    assert Jet((2, 3, 1)) // Jet((1, 1, 0)) == Jet((2, 1, 0))  # (1 + e)(2 + e)
+    assert 4 // Jet((2, 0)) == Jet((2, 0)) == 2
+
+
+def test_jet_equality_and_truth():
+    assert Jet((5, 0, 0)) == 5 and 5 == Jet((5, 0, 0))
+    assert Jet((5, 1)) != 5 and Jet((5, 1)) != Jet((5, 2))
+    assert not Jet((0, 0, 0)) and Jet((0, 0, 1)) and Jet((3,))
+    assert Jet((1, 1)) ** 0 == 1
+    with pytest.raises(ValueError):
+        Jet((2, 0)) ** -1
+    with pytest.raises(ValueError):
+        Jet(())
+    with pytest.raises(TypeError):
+        Jet((1, 2)) + Jet((1, 2, 3))
+    with pytest.raises(TypeError):
+        Jet((1, 2)) * Fraction(1, 2)
+
+
+@st.composite
+def _jet_matrices(draw):
+    """n x n jet matrices whose constant terms are strictly diagonally
+    dominant, so every Bareiss pivot has a nonzero constant term."""
+    n = draw(st.integers(0, 5))
+    k = draw(st.integers(1, 4))
+    rows = [[draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+             for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i][0] = sum(abs(x[0]) for x in row) + draw(st.integers(1, 3))
+    return Matrix([[Jet(x) for x in row] for row in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_jet_matrices())
+def test_det_bareiss_over_jets_matches_cofactor(m):
+    assert det_bareiss(m) == naive_det(m)
 
 
 # --- determinants -------------------------------------------------------------

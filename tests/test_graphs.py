@@ -1,6 +1,7 @@
 """Grid graphs, products with paths, Laplacians, and exact counting."""
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,16 +20,17 @@ from exactgf import (
     ver_polynomial,
 )
 from exactgf import graphs
+from exactgf.core import Jet, _newton_interpolate
 from exactgf.errors import BadVertexPair, InternalInconsistency
-from exactgf.graphs import (
-    _laplacian_minor,
-    graph_from_json_dict,
+from exactgf.graphs import _laplacian_minor, graph_from_json_dict
+
+from oracles import (
+    laplacian_minor_dense,
+    random_labeled_graph,
     spanning_tree_count_bruteforce,
     two_forest_count_bruteforce,
     ver_polynomial_bruteforce,
 )
-
-from oracles import laplacian_minor_dense, random_labeled_graph
 
 
 # --- construction -------------------------------------------------------------
@@ -270,9 +272,28 @@ def test_public_counts_on_products_match_dense(data):
         assert two_forest_count(h, a, b) == laplacian_minor_dense(h, {a, b})
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_jet_laplacian_minor_is_the_taylor_expansion_at_one(data):
+    g = data.draw(_multigraphs(max_vertices=6))
+    drop = data.draw(st.sets(st.integers(0, g.n_vertices - 1), min_size=1,
+                             max_size=min(2, g.n_vertices)))
+    k = data.draw(st.integers(1, 5))
+    got = _laplacian_minor(g, drop, Jet(((1, 1) + (0,) * (k - 2))[:k]))  # 1 + e
+    # the integer minors at v = 0..D, interpolated, then expanded at v = 1
+    d_bound = sum(m for _u, _v, label, m in g.edges if label == "vertical")
+    p = Poly(_newton_interpolate([laplacian_minor_dense(g, drop, x)
+                                  for x in range(d_bound + 1)]))
+    want = [sum(c * comb(i, j) for i, c in enumerate(p.coeffs)) for j in range(k)]
+    got = got.coeffs if isinstance(got, Jet) else (got,) + (0,) * (k - 1)
+    assert list(got) == want
+
+
 def test_laplacian_minor_rejects_negative_weight():
     with pytest.raises(ValueError):
         _laplacian_minor(grid_graph(2, 2), {3}, -1)
+    with pytest.raises(ValueError):
+        _laplacian_minor(grid_graph(2, 2), {3}, Jet((0, 1)))
 
 
 def test_laplacian_minor_hands_a_band_sized_block_to_det_bareiss(monkeypatch):

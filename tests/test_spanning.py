@@ -4,6 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactgf import (
     LabeledGraph,
@@ -26,6 +27,8 @@ from exactgf import (
 )
 from exactgf.errors import NoFitWithinBudget, NotConnected
 from exactgf.spanning import gf_to_json
+
+from oracles import moments_by_interpolation
 
 
 def rf(num, den):
@@ -192,6 +195,33 @@ def test_moments_one_row_degenerate():
     assert rep.mean == 0
     assert rep.variance == 0
     assert rep.skewness is None and rep.kurtosis is None
+
+
+def test_moments_single_vertex():
+    # the reduced Laplacian of one vertex has no rows: the minor is 1
+    assert moments(path_graph(1), 1) == moments_by_interpolation(path_graph(1), 1)
+    rep = moments(path_graph(1), 1)
+    assert (rep.n, rep.mean, rep.variance, rep.skewness) == (1, 0, 0, None)
+
+
+@st.composite
+def _connected_multigraphs(draw):
+    """Connected multigraphs on 2..4 vertices with multiplicities 1..2: a
+    random spanning tree plus random extra edges."""
+    n = draw(st.integers(2, 4))
+    edges = [(draw(st.integers(0, v - 1)), v, "other", draw(st.integers(1, 2)))
+             for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda uv: uv[0] != uv[1])
+    edges += [(u, v, "other", m) for (u, v), m in
+              draw(st.lists(st.tuples(pairs, st.integers(1, 2)), max_size=3))]
+    return LabeledGraph(n, tuple(edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_connected_multigraphs(), st.integers(1, 6), st.integers(1, 4))
+def test_moments_match_interpolation_oracle(g, n, upto):
+    assert moments(g, n, upto) == moments_by_interpolation(g, n, upto)
 
 
 def test_moments_disconnected_raises():
