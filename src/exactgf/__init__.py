@@ -51,6 +51,7 @@ from .toeplitz import (
     initial_state,
     matrix_from_spec,
     ryser_permanent,
+    transfer_sequence,
     value_sequence,
 )
 

@@ -38,6 +38,7 @@ MIN_GUESS_TERMS = 6
 #: Upper limits on the sizes that set a run's length, so a huge value is a
 #: usage error, not hours of work: each accepts about a minute of work at
 #: k = 4 (CPython 3.11, one core of a shared 2-core x86-64 host).
+#: MAX_FIT_TERMS also caps guess --data and toeplitz-gf --n.
 MAX_FIT_TERMS = 160
 MAX_RESISTANCE_N = 2500
 MAX_MOMENTS_N = 1300
@@ -125,7 +126,8 @@ def _build_parser() -> _Parser:
     q.add_argument("--col", required=True, help="comma-separated first-column prefix")
     q.add_argument("--mode", choices=("det", "perm"), default="det")
     q.add_argument("--method", choices=("guess", "transfer"), default="transfer")
-    q.add_argument("--n", type=int, default=50, help="data end for --method guess")
+    q.add_argument("--n", type=_int_in_range(1, MAX_FIT_TERMS), default=50,
+                   help="data end for --method guess")
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("toeplitz-scheme", help="dump the minor-state scheme")
@@ -257,6 +259,8 @@ def _cmd_guess(args) -> int:
     data = _parse_csv(args.data)
     if len(data) < MIN_GUESS_TERMS:
         raise UsageError(f"--data needs at least {MIN_GUESS_TERMS} terms, got {len(data)}")
+    if len(data) > MAX_FIT_TERMS:
+        raise UsageError(f"--data takes at most {MAX_FIT_TERMS} terms, got {len(data)}")
     spec = guess_rec(data)
     if spec is None:
         print(json.dumps({"error": "no recurrence found"}))

@@ -439,7 +439,8 @@ def _ratfunc_canonicalize(num: Poly, den: Poly):
     if next(c for c in ints if c) < 0:
         ints = [-c for c in ints]
         scale = -scale
-    return num * scale, Poly(ints)
+    # integral coefficients as ints, so later series expansions stay in int arithmetic
+    return Poly(int(c) if c.denominator == 1 else c for c in num * scale), Poly(ints)
 
 
 def _primitive_nested(num_cs, den_cs):
@@ -474,10 +475,8 @@ def _newton_interpolate(ys):
     expanded with every term scaled by (n-1)! so the work stays in the
     values' own ring: integer values give int coefficients where the
     polynomial has them and Fractions only where it does not, Fraction
-    values give Fractions.  The interpolation half of
-    evaluate-and-interpolate: polynomial-valued determinants are computed
-    as scalar determinants at 0..n-1 and recovered here
-    (graphs.ver_polynomial, toeplitz.gf_transfer)."""
+    values give Fractions.  graphs.ver_polynomial recovers its
+    polynomial-valued minors here from scalar ones at 0..n-1."""
     n = len(ys)
     if not n:
         return []

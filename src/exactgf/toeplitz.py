@@ -16,13 +16,12 @@ minor that can ever appear is described, dimension-independently, by the
 set of diagonal offsets of its surviving columns inside the window
 (-k2, k1): exactly k2 - 1 columns are missing from that window, all other
 columns are intact.  Cofactor expansion acts on those offset patterns by
-delete-shift-refill, and the pattern space is finite.  The resulting
-linear system X = e_root + tTX over rational functions in t is solved by
-Cramer's rule: its two determinants are polynomials in t, computed as
-exact scalar determinants at integer points of t and interpolated, which
-yields the generating function without guessing.  States are keyed by
-offset pattern (not by entry values), so families with repeated values
-are handled correctly.
+delete-shift-refill, and the pattern space is finite.  With T the
+transition matrix of the m patterns, f(A_n) = (T^n)_(root,root): sparse
+integer products give the values, and by Cayley-Hamilton one order-m fit
+through 2m + 3 of them is a proof, not a guess (Wiedemann's scheme).
+States are keyed by offset pattern (not by entry values), so families with
+repeated values are handled correctly.
 """
 from __future__ import annotations
 
@@ -32,7 +31,6 @@ from .core import (
     Matrix,
     Poly,
     RationalFunction,
-    _newton_interpolate,
     det_bareiss,
     solve_linear,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
     taylor_coeffs,
@@ -41,10 +39,11 @@ from .errors import (
     BadState,
     BudgetExceeded,
     InconsistentSpec,
+    InternalInconsistency,
     NoFitWithinBudget,
     SchemeExplosion,
 )
-from .cfinite import guess_rec
+from .cfinite import c_to_r, guess_rec, guess_rec1
 
 #: Largest dimension the exponential permanent oracle will accept.
 PERMANENT_ORACLE_CAP = 20
@@ -132,26 +131,20 @@ def ryser_permanent(m: Matrix):
 # value sequences and the guessing route
 # ---------------------------------------------------------------------------
 
-def value_sequence(row, col, mode: str, count: int, method: str = "oracle"):
+def value_sequence(row, col, mode: str, count: int):
     """[f(A_1), ..., f(A_count)] where f is det or perm.
 
-    Determinants always go through exact elimination.  Permanents use the
+    Determinants go through exact elimination.  Permanents use the
     inclusion-exclusion oracle up to dimension 20 (BudgetExceeded beyond
-    that, pointing at method="transfer", which expands the transfer
-    generating function instead)."""
+    that, pointing at transfer_sequence, which has no such cap)."""
     if mode not in ("det", "perm"):
         raise ValueError("mode must be 'det' or 'perm'")
     if count < 1:
         raise ValueError("count must be positive")
-    if method == "transfer":
-        gf = gf_transfer(row, col, mode)
-        return taylor_coeffs(gf, count + 1)[1:]
-    if method != "oracle":
-        raise ValueError("method must be 'oracle' or 'transfer'")
     if mode == "perm" and count > PERMANENT_ORACLE_CAP:
         raise BudgetExceeded(
             f"permanent oracle is capped at n={PERMANENT_ORACLE_CAP}; "
-            f"use method='transfer'"
+            f"use transfer_sequence(children_scheme(row, col, 'perm'), count)"
         )
     out = []
     for n in range(1, count + 1):
@@ -323,36 +316,33 @@ def children_scheme(row, col, mode: str = "det") -> TransferScheme:
     return TransferScheme(row, col, mode, states, raw_transitions)
 
 
+def transfer_sequence(scheme: TransferScheme, count: int) -> list:
+    """[c_0, ..., c_count] with c_n = (T^n)_(root,root) = f(A_n) (c_0 = 1,
+    the empty matrix), T the scheme's transition matrix, by sparse
+    products x <- Tx from the root's unit vector: there is no cap on n,
+    and integer families stay in the integers."""
+    x = [1] + [0] * (len(scheme) - 1)
+    out = [1]
+    for _ in range(count):
+        x = [sum(c * x[j] for c, j in transitions) for transitions in scheme.transitions]
+        out.append(x[0])
+    return out
+
+
 def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
     """Generating function 1 + sum(f(A_n) t^n) from the transfer scheme.
 
-    The state generating functions satisfy
-
-        X_root = 1 + sum(c * t * X_child),   X_i = sum(c * t * X_child)
-
-    (only the root gets the constant, which is the empty matrix's value),
-    that is (I - tT) X = e_root with T the scheme's transition matrix.  By
-    Cramer's rule X_root = det(M') / det(M), where M = I - tT and M' is M
-    without the root's row and column.  With m states these determinants
-    are polynomials of degree at most m and m - 1; both are evaluated at
-    t = 0..m as scalar determinants (fraction-free, so integer families
-    stay in the integers) and interpolated.  det(M) has constant term 1,
-    so the quotient always exists, and its canonical form costs the only
-    polynomial gcd of the computation."""
+    With m states, Cayley-Hamilton gives transfer_sequence a recurrence of
+    order at most m, and any order-m recurrence through 2m of its terms
+    matches it forever, so one order-m fit through 2m + 3 terms is proved,
+    not guessed.  c_to_r emits the fit in lowest terms and re-expands it;
+    a failed fit is a bug and raises InternalInconsistency."""
     scheme = children_scheme(row, col, mode)
     m = len(scheme)
-    trans = [[0] * m for _ in range(m)]
-    for i, transitions in enumerate(scheme.transitions):
-        for coeff, j in transitions:
-            trans[i][j] += coeff
-    dets, minors = [], []
-    for x in range(m + 1):
-        rows = [[(1 if i == j else 0) - x * trans[i][j] for j in range(m)]
-                for i in range(m)]
-        dets.append(det_bareiss(Matrix(rows)))
-        minors.append(det_bareiss(Matrix([r[1:] for r in rows[1:]])))
-    return RationalFunction(Poly(_newton_interpolate(minors)),
-                            Poly(_newton_interpolate(dets)))
+    spec = guess_rec1(transfer_sequence(scheme, 2 * m + 2), m)
+    if spec is None:
+        raise InternalInconsistency(f"{m} transfer states but no order-{m} recurrence")
+    return c_to_r(spec)
 
 
 def family_to_json_dict(row, col, mode: str) -> dict:

@@ -1,7 +1,9 @@
 """CLI surface: JSON/pretty output, exit codes, and round trips."""
 import json
 
-from exactgf import spanning
+import pytest
+
+from exactgf import cli, spanning, toeplitz
 from exactgf.cli import MAX_FIT_TERMS, MAX_MOMENTS_N, MAX_RESISTANCE_N, run
 from exactgf.errors import InternalInconsistency
 
@@ -51,7 +53,7 @@ def test_max_terms_below_guess_minimum_is_usage_error(capsys):
 def test_toeplitz_guess_window_below_minimum_is_usage_error(capsys):
     # --n n fits on terms fit_start..n with fit_start = min(10, max(1, n // 2))
     family = ("toeplitz-gf", "--row", "2,3", "--col", "2,4,5", "--mode", "det")
-    for n in ("-1", "3", "8"):
+    for n in ("3", "8"):
         code, out, err = invoke(capsys, *family, "--method", "guess", "--n", n)
         assert code == 2
         assert out == ""
@@ -198,6 +200,17 @@ def test_bad_vertex_pair_is_usage_error(capsys):
     assert code == 2
 
 
+def test_failed_transfer_fit_is_an_internal_inconsistency(monkeypatch, capsys):
+    # an order-m fit through 2m + 3 powers of an m-state matrix cannot fail
+    # (Cayley-Hamilton), so a failure is a bug, not an honest "no fit"
+    monkeypatch.setattr(toeplitz, "guess_rec1", lambda data, d: None)
+    with pytest.raises(InternalInconsistency):
+        toeplitz.gf_transfer([2, 3], [2, 4, 5], "det")
+    code, out, _err = invoke(capsys, "toeplitz-gf", "--row", "2,3", "--col", "2,4,5")
+    assert code == 3
+    assert "internal inconsistency" in json.loads(out)["error"]
+
+
 def test_internal_inconsistency_exit_three(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InternalInconsistency("series does not reproduce the data")
@@ -233,7 +246,9 @@ def test_out_of_range_sizes_are_parser_usage_errors(capsys):
                        (("c-poly", "--k", "1"), "--k"),
                        (("moments", "--k", "2", "--n", "0"), "--n"),
                        (("resistance", "--k", "-2", "--n", "-3"), "--k"),
-                       (("resistance", "--k", "2", "--n", "0"), "--n")):
+                       (("resistance", "--k", "2", "--n", "0"), "--n"),
+                       (("toeplitz-gf", "--row", "1", "--col", "1", "--method", "guess",
+                         "--n", "-1"), "--n")):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -257,20 +272,33 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
 
     for name in ("gf_grid", "gf_spanning", "gf_ver_grid", "c_poly", "resistance", "moments"):
         monkeypatch.setattr(spanning, name, never)
+    for name in ("gf_transfer", "gf_family_guess"):
+        monkeypatch.setattr(toeplitz, name, never)
+    monkeypatch.setattr(cli, "guess_rec", never)
     too_many = str(MAX_FIT_TERMS + 1)
-    for argv, flag, limit in (
-            (("gf-grid", "--k", "2", "--max-terms", too_many), "--max-terms", MAX_FIT_TERMS),
+    family = ("toeplitz-gf", "--row", "1,1", "--col", "1,1")
+    for argv, message in (
+            (("gf-grid", "--k", "2", "--max-terms", too_many),
+             f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
             (("gf-product", "--graph", "missing.json", "--max-terms", too_many),
-             "--max-terms", MAX_FIT_TERMS),
-            (("gf-ver", "--k", "2", "--max-terms", too_many), "--max-terms", MAX_FIT_TERMS),
-            (("c-poly", "--k", "2", "--max-terms", "10" * 40), "--max-terms", MAX_FIT_TERMS),
-            (("resistance", "--k", "2", "--n", str(MAX_RESISTANCE_N + 1)), "--n",
-             MAX_RESISTANCE_N),
-            (("moments", "--k", "2", "--n", str(10**12)), "--n", MAX_MOMENTS_N)):
+             f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
+            (("gf-ver", "--k", "2", "--max-terms", too_many),
+             f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
+            (("c-poly", "--k", "2", "--max-terms", "10" * 40),
+             f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
+            (("resistance", "--k", "2", "--n", str(MAX_RESISTANCE_N + 1)),
+             f"argument --n: must be at most {MAX_RESISTANCE_N}"),
+            (("moments", "--k", "2", "--n", str(10**12)),
+             f"argument --n: must be at most {MAX_MOMENTS_N}"),
+            ((*family, "--method", "guess", "--n", too_many),
+             f"argument --n: must be at most {MAX_FIT_TERMS}"),
+            ((*family, "--n", "10" * 40), f"argument --n: must be at most {MAX_FIT_TERMS}"),
+            (("guess", "--data", ",".join(["1"] * (MAX_FIT_TERMS + 1))),
+             f"--data takes at most {MAX_FIT_TERMS} terms")):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert f"argument {flag}: must be at most {limit}" in err
+        assert message in err
 
 
 def test_sizes_at_their_limit_are_accepted(capsys):

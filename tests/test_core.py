@@ -99,6 +99,17 @@ def test_ratfunc_common_factor_removed():
     assert f == RationalFunction(Poly([0, 1]), Poly([1, -1]))
 
 
+def test_ratfunc_integer_numerators_stay_ints():
+    # an integral scale must not turn int coefficients into Fraction(k, 1)
+    from exactgf import gf_grid, gf_transfer
+
+    f = RationalFunction(Poly([0, 2]), Poly([-2, 4]))
+    assert f.num.coeffs == (0, -1)
+    for gf in (f, gf_grid(2).gf, gf_transfer([2, 3], [2, 4, 5], "det"),
+               gf_transfer([2, -1, 3], [2, 3, -1], "perm")):
+        assert all(type(c) is int for c in gf.num.coeffs + gf.den.coeffs), gf
+
+
 def test_ratfunc_polynomial_result():
     f = RationalFunction(Poly([0, -1, 1]), Poly([-1, 1]))  # (t^2-t)/(t-1)
     assert f.num == Poly([0, 1]) and f.den == Poly([1])

@@ -19,6 +19,7 @@ from exactgf import (
     matrix_from_spec,
     ryser_permanent,
     taylor_coeffs,
+    transfer_sequence,
     value_sequence,
 )
 from exactgf.errors import BadState, BudgetExceeded, InconsistentSpec, NoFitWithinBudget
@@ -95,7 +96,7 @@ def test_perm_oracle_cap():
 
 
 def test_perm_transfer_mode_beyond_cap():
-    got = value_sequence([1, 1], [1, 1], "perm", 25, method="transfer")
+    got = transfer_sequence(children_scheme([1, 1], [1, 1], "perm"), 25)[1:]
     fib = [1, 2]
     while len(fib) < 25:
         fib.append(fib[-1] + fib[-2])
@@ -239,11 +240,12 @@ _ENTRIES = st.one_of(
 
 
 @st.composite
-def _bands(draw):
-    """Row and column prefixes of a band up to 3/3 sharing their corner."""
+def _bands(draw, width=3):
+    """Row and column prefixes of a band up to width/width sharing their
+    corner, with int and Fraction entries."""
     corner = draw(_ENTRIES)
-    row = [corner] + draw(st.lists(_ENTRIES, max_size=2))
-    col = [corner] + draw(st.lists(_ENTRIES, max_size=2))
+    row = [corner] + draw(st.lists(_ENTRIES, max_size=width - 1))
+    col = [corner] + draw(st.lists(_ENTRIES, max_size=width - 1))
     return row, col
 
 
@@ -252,6 +254,18 @@ def _bands(draw):
 def test_transfer_matches_field_solve(band, mode):
     row, col = band
     assert gf_transfer(row, col, mode) == gf_transfer_field(row, col, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bands(width=4), st.sampled_from(("det", "perm")), st.integers(1, 20))
+def test_transfer_sequence_matches_oracle(band, mode, n):
+    row, col = band
+    if mode == "perm":
+        n = min(n, 12)
+    scheme = children_scheme(row, col, mode)
+    assert transfer_sequence(scheme, n)[1:] == value_sequence(row, col, mode, n)
+    # Cayley-Hamilton: the order is at most the number of states
+    assert gf_transfer(row, col, mode).den.degree <= len(scheme)
 
 
 def test_transfer_four_four_band_matches_guess():
