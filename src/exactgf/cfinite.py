@@ -7,20 +7,29 @@ sum(D[i] * a[n-i], i=0..d) = 0 for n >= d; D_0 + D_1 t + ... + D_d t^d is
 then the denominator of the generating function.  The D[i] are ring
 elements: ints, or integer polynomials in v (the weighted spanning-tree
 data), normalized to no common content and D_0's first nonzero
-coefficient positive.  Guessing is plain undetermined-coefficients linear
-algebra, solved by the fraction-free kernel core.solve_fraction_free:
-numeric sequences are first scaled to primitive integers (a recurrence is
-homogeneous, so scaling the data leaves it unchanged) and sequences of
-polynomials in v stay polynomials.  Every pivot unknown of a fraction-free
+coefficient positive.
+
+Numeric sequences are first scaled to primitive integers (a recurrence is
+homogeneous, so scaling the data leaves it unchanged).  Their minimal
+order and denominator come from one order finder, _minimal_den:
+Berlekamp-Massey modulo word-size primes, a CRT lift (integral, or with a
+common denominator by rational reconstruction) and an exact replay on all
+the data; only a claim that no fit exists is confirmed by one
+fraction-free solve (core.solve_fraction_free).  Sequences of polynomials
+in v take their order from two integer samples and are then fitted by
+fraction-free solves over Z[v]: every pivot unknown of a fraction-free
 Gauss-Jordan solve comes out over the same last pivot delta, so a fit
 delta * a[n] = sum(c[i] * a[n-i]) is read off as D = (delta, -c_1, ...,
--c_d) without a division.  Replay is ring arithmetic as well; no field and
-no floating point is involved anywhere.
+-c_d) without a division.  Replay is ring arithmetic as well; every
+accepted denominator has been replayed exactly, and no floating point is
+involved anywhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import (
     LinearSolution,
@@ -109,21 +118,38 @@ def _is_poly_data(data) -> bool:
 
 
 def guess_rec1(data, d: int) -> CFiniteSpec | None:
-    """Try to fit an order-d recurrence to the whole list.
+    """The minimal recurrence of order <= d through the whole list, or None.
 
-    Needs len(data) >= 2d+3 (raises DataTooShort otherwise, mirroring the
-    minimum that keeps the system comfortably overdetermined).  Returns
-    None when no consistent recurrence of order d exists.  Underdetermined
-    systems yield one witness, which is then validated against every data
-    point before being accepted.
+    Needs len(data) >= 2d+3 (raises DataTooShort otherwise), which keeps
+    every fit overdetermined: with N >= 2L terms the minimal recurrence of
+    order L is unique (Massey), so the result is the one an upward scan
+    of orders 1..d would report.  Numeric data go through the modular
+    order finder _minimal_den; data with polynomial terms through
+    _guess_rec_poly.  All-zero data give order 1, D = (1, 0).
     """
     data = list(data)
+    if d < 1:
+        raise ValueError("need d >= 1")
     if len(data) <= 2 * d + 2:
         raise DataTooShort(f"need at least {2 * d + 3} terms for order {d}")
-    den = _solve_rec(data, d)
-    if den is None or not _recurrence_holds(data, den):
+    if _is_poly_data(data):
+        return _guess_rec_poly(data, d)
+    den = _minimal_den(_primitive_ints(data)[0], d)
+    if den is None:
         return None
-    return CFiniteSpec(tuple(data[:d]), den)
+    return CFiniteSpec(tuple(data[:len(den) - 1]), den)
+
+
+def guess_rec(data) -> CFiniteSpec | None:
+    """Smallest-order recurrence fitting the list, or None.
+
+    The order can be at most floor(len/2) - 2, which is what keeps every
+    accepted fit overdetermined; this is one guess_rec1 call at that
+    bound.
+    """
+    data = list(data)
+    max_d = len(data) // 2 - 2
+    return guess_rec1(data, max_d) if max_d >= 1 else None
 
 
 def _as_poly(x) -> Poly:
@@ -152,22 +178,12 @@ def _last_pivot(pairs):
     return next((den for _, den in pairs if den != 1), 1)
 
 
-def guess_rec(data) -> CFiniteSpec | None:
-    """Smallest-order recurrence fitting the list, or None.
-
-    Scans d upward, so the reported order is minimal among fittable
-    orders; the order can be at most floor(len/2) - 2, which is what keeps
-    every accepted fit overdetermined.
-    """
-    data = list(data)
-    max_d = len(data) // 2 - 2
-    if _is_poly_data(data):
-        return _guess_rec_poly(data, max_d)
-    for d in range(1, max_d + 1):
-        spec = guess_rec1(data, d)
-        if spec is not None:
-            return spec
-    return None
+def _fit_exact(data, d: int) -> CFiniteSpec | None:
+    """One order-d fit by _solve_rec, replayed on all the data."""
+    den = _solve_rec(data, d)
+    if den is None or not _recurrence_holds(data, den):
+        return None
+    return CFiniteSpec(tuple(data[:d]), den)
 
 
 def _guess_rec_poly(data, max_d: int) -> CFiniteSpec | None:
@@ -179,17 +195,174 @@ def _guess_rec_poly(data, max_d: int) -> CFiniteSpec | None:
     start = 1
     for point in (2, 3):
         sampled = [p.eval(point) if isinstance(p, Poly) else p for p in data]
-        for d in range(1, max_d + 1):
-            if guess_rec1(sampled, d) is not None:
-                start = max(start, d)
-                break
-        else:
+        spec = guess_rec1(sampled, max_d)
+        if spec is None:
             return None
+        start = max(start, spec.order)
     for d in range(start, max_d + 1):
-        spec = guess_rec1(data, d)
+        spec = _fit_exact(data, d)
         if spec is not None:
             return spec
     return None
+
+
+# ---------------------------------------------------------------------------
+# the modular order finder
+# ---------------------------------------------------------------------------
+
+_PRIMES: list = []
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, deterministic for
+    n < 3.3 * 10**24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    r, s = n - 1, 0
+    while r % 2 == 0:
+        r //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, r, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2**61 from the top down, found on first use and
+    cached in _PRIMES."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            n = (_PRIMES[-1] if _PRIMES else 2 ** 61 + 1) - 2
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+        i += 1
+
+
+def _bm_mod(ints, p: int):
+    """Berlekamp-Massey modulo p: (L, C) with L the length of the shortest
+    recurrence sum(C[i] * a[n-i], i=0..L) = 0 (n >= L) through the data
+    mod p, C[0] = 1 and len(C) = L + 1."""
+    s = [x % p for x in ints]
+    c, b = [1], [1]
+    length, shift, b_inv = 0, 1, 1
+    for n, sn in enumerate(s):
+        delta = (sn + sum(map(mul, c[1:length + 1], s[n - length:n][::-1]))) % p
+        if not delta:
+            shift += 1
+            continue
+        coef = delta * b_inv % p
+        old = c[:]
+        if len(c) < len(b) + shift:
+            c += [0] * (len(b) + shift - len(c))
+        c[shift:shift + len(b)] = [(x - coef * y) % p for x, y in zip(c[shift:], b)]
+        if 2 * length <= n:
+            length, b, b_inv, shift = n + 1 - length, old, pow(delta, -1, p), 1
+        else:
+            shift += 1
+    return length, (c + [0] * length)[:length + 1]
+
+
+def _crt(residues, modulus: int, image, p: int):
+    """Combine residues mod modulus with image mod p (coprime moduli)."""
+    m_inv = pow(modulus, -1, p)
+    return [r + modulus * ((x - r) * m_inv % p) for r, x in zip(residues, image)]
+
+
+def _rational_reconstruct(u: int, modulus: int, bound: int):
+    """Wang's rational reconstruction: (a, b) with a = b * u mod modulus,
+    |a| <= bound, 0 < b <= bound and gcd(a, b) = 1, or None."""
+    r0, r1, s0, s1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not s1 or abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lifts(residues, modulus: int):
+    """Integer candidates for D from C = D / D_0 mod modulus: first the
+    integral lift (D_0 = 1) into the symmetric range, then the one with
+    a common denominator built up coefficient by coefficient by rational
+    reconstruction."""
+    half = modulus // 2
+    yield [r - modulus if r > half else r for r in residues]
+    bound = math.isqrt(modulus // 2)
+    nums, den = [], 1
+    for r in residues:
+        ab = _rational_reconstruct(r * den % modulus, modulus, bound)
+        if ab is None:
+            return
+        a, b = ab
+        if b != 1:
+            nums = [x * b for x in nums]
+            den *= b
+        nums.append(a)
+    yield nums
+
+
+def _minimal_den(ints, d: int):
+    """The content-free denominator of the minimal recurrence of order
+    <= d through the primitive integers ints, or None.
+
+    Berlekamp-Massey runs modulo word-size primes (_primes), the images
+    of the largest length L <= d seen so far are combined by CRT, and
+    after each prime the lifts (_lifts) are replayed exactly on all the
+    data.  A lift D that replays, with D_0 not divisible by all the
+    primes used, is the minimal recurrence: a smaller one D' (order
+    L' < L) would agree with D on the N >= L + L' terms, so P/D = P'/D'
+    with P'/D' in lowest terms, D = D' * g with g integral by Gauss's
+    lemma, and a prime p used with p not dividing D_0 = D'_0 * g_0 would
+    have seen D' mod p, of length L' < L, in its BM run.
+
+    Let L be the true minimal order.  A prime not dividing its D_0
+    reports at most L (fewer when it divides a minor the recurrence
+    needs: such an image is discarded, and a larger L restarts the CRT).
+    A prime dividing D_0 sees a recurrence of length L - j through all
+    but the last j terms, so with N >= 2d + 3 it reports either less than
+    L or more than d.  So a report above d is either the truth or such a
+    prime: one exact order-d solve decides, returning None when it is
+    inconsistent and skipping all such primes otherwise.
+    """
+    if not any(ints):
+        return [1, 0]
+    length, modulus, residues = 0, 1, []
+    fit_exists = False
+    for p in _primes():
+        found, image = _bm_mod(ints, p)
+        if found > d:
+            if not fit_exists:
+                if _solve_rec(ints, d) is None:
+                    return None
+                fit_exists = True
+            continue
+        if found < length:
+            continue
+        if found > length:
+            length, modulus, residues = found, p, image
+        else:
+            residues = _crt(residues, modulus, image, p)
+            modulus *= p
+        for den in _lifts(residues, modulus):
+            den = _primitive_ints(den)[0]
+            if den[0] % modulus and _recurrence_holds(ints, den):
+                return den
+    raise InternalInconsistency("the prime supply ran out")
 
 
 def guess_sym_rec(data) -> CFiniteSpec | None:
@@ -256,9 +429,15 @@ def c_to_r(spec: CFiniteSpec) -> RationalFunction:
     degree d.  The result is re-expanded as a power series and compared
     with the replayed sequence; a mismatch raises InternalInconsistency.
     """
+    return _emit(spec, coprime=False)
+
+
+def _emit(spec: CFiniteSpec, coprime: bool) -> RationalFunction:
+    """c_to_r; with coprime=True, for a spec known to be minimal, it skips
+    the gcd (num and den are then coprime, or a lower order would fit)."""
     den = Poly(spec.den)
     num = (den * Poly(spec.initial)).truncate(spec.order)
-    rf = RationalFunction(num, den)
+    rf = RationalFunction._from_coprime(num, den) if coprime else RationalFunction(num, den)
     check_len = int(den.degree) + 11
     series = taylor_coeffs(rf, check_len)
     replay = seq_from_rec(spec, check_len)

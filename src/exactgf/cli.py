@@ -38,7 +38,10 @@ MIN_GUESS_TERMS = 6
 #: Upper limits on the sizes that set a run's length, so a huge value is a
 #: usage error, not hours of work: each accepts about a minute of work at
 #: k = 4 (CPython 3.11, one core of a shared 2-core x86-64 host).
-#: MAX_FIT_TERMS also caps guess --data and toeplitz-gf --n.
+#: MAX_FIT_TERMS also caps guess --data and toeplitz-gf --n; the costliest
+#: guess is a list that nothing fits, where the modular order finder's
+#: claim is confirmed by one exact solve at order len // 2 - 2: about 1.4 s
+#: for 160 terms of noise (the per-order scan it replaced took 61 s).
 MAX_FIT_TERMS = 160
 MAX_RESISTANCE_N = 2500
 MAX_MOMENTS_N = 1300

@@ -394,7 +394,10 @@ class RationalFunction:
     (bivariate functions) are scaled instead so that num and den share no
     content in Z[v]; every coefficient is then a Poly.  Either way, scaling
     num and den by a common nonzero constant (of Z[v] when bivariate)
-    gives the same representative.  Instances are immutable; there is no
+    gives the same representative.  Bivariate equality is canonical only
+    for coprime num and den in Q(v)[t], since common factors involving t
+    are not removed; every pipeline emits a minimal-order fit, whose num
+    and den are coprime.  Instances are immutable; there is no
     arithmetic on them.
     """
 
@@ -408,6 +411,15 @@ class RationalFunction:
         if not den:
             raise ZeroDenominator("denominator is the zero polynomial")
         self.num, self.den = _ratfunc_canonicalize(num, den)
+
+    @classmethod
+    def _from_coprime(cls, num: Poly, den: Poly) -> RationalFunction:
+        """The canonical form of num/den for scalar polynomials already
+        known to be coprime, such as the emitted form of a minimal
+        recurrence: the same value as the constructor, without its gcd."""
+        rf = cls.__new__(cls)
+        rf.num, rf.den = _ratfunc_canonicalize(num, den, coprime=True)
+        return rf
 
     def __bool__(self):
         return bool(self.num)
@@ -424,16 +436,17 @@ class RationalFunction:
         return f"RationalFunction({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
 
 
-def _ratfunc_canonicalize(num: Poly, den: Poly):
+def _ratfunc_canonicalize(num: Poly, den: Poly, coprime: bool = False):
     if not num:
         return Poly(), Poly((1,))
     if not all(_is_scalar(c) for c in num.coeffs + den.coeffs):
         num_vs, den_vs = _primitive_nested(num.coeffs, den.coeffs)
         return Poly(num_vs), Poly(den_vs)
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
+    if not coprime:
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num = num.exact_div(g)
+            den = den.exact_div(g)
     # primitive integer den, lowest-degree nonzero coefficient positive
     ints, scale = _primitive_ints(den.coeffs)
     if next(c for c in ints if c) < 0:

@@ -43,7 +43,7 @@ from .errors import (
     NoFitWithinBudget,
     SchemeExplosion,
 )
-from .cfinite import c_to_r, guess_rec, guess_rec1
+from .cfinite import _emit, guess_rec, guess_rec1
 
 #: Largest dimension the exponential permanent oracle will accept.
 PERMANENT_ORACLE_CAP = 20
@@ -335,14 +335,16 @@ def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
     With m states, Cayley-Hamilton gives transfer_sequence a recurrence of
     order at most m, and any order-m recurrence through 2m of its terms
     matches it forever, so one order-m fit through 2m + 3 terms is proved,
-    not guessed.  c_to_r emits the fit in lowest terms and re-expands it;
-    a failed fit is a bug and raises InternalInconsistency."""
+    not guessed.  guess_rec1 returns the minimal recurrence of order <= m,
+    whose generating function is already in lowest terms, so it is
+    emitted without a gcd and re-expanded (cfinite._emit); a failed fit
+    is a bug and raises InternalInconsistency."""
     scheme = children_scheme(row, col, mode)
     m = len(scheme)
     spec = guess_rec1(transfer_sequence(scheme, 2 * m + 2), m)
     if spec is None:
         raise InternalInconsistency(f"{m} transfer states but no order-{m} recurrence")
-    return c_to_r(spec)
+    return _emit(spec, coprime=True)
 
 
 def family_to_json_dict(row, col, mode: str) -> dict:

@@ -6,8 +6,9 @@ tree/forest counts and the vertical-edge polynomial by edge-subset
 enumeration.  The exceptions are slow paths that a fast route replaced,
 kept here as that route's reference: solve_linear_field for the
 fraction-free solve_linear, gf_transfer_field for the transfer route,
-laplacian_minor_dense for the streamed Laplacian minors and
-moments_by_interpolation for the jet route of spanning.moments.  FieldRF
+laplacian_minor_dense for the streamed Laplacian minors,
+moments_by_interpolation for the jet route of spanning.moments and
+guess_rec_scan for the modular order finder behind cfinite.guess_rec.  FieldRF
 is the field of rational functions in t over Q that the Q(t) solves need;
 the package's RationalFunction is a value type without arithmetic.
 """
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from exactgf import (
+    CFiniteSpec,
     LabeledGraph,
     LinearSolution,
     Matrix,
@@ -30,6 +32,7 @@ from exactgf import (
     product_with_path,
     ver_polynomial,
 )
+from exactgf.cfinite import _fit_exact, _is_poly_data
 from exactgf.errors import BadVertexPair, NotConnected, ShapeError
 from exactgf.graphs import VERTICAL
 from exactgf.spanning import _decimal_ratio
@@ -338,3 +341,39 @@ def moments_by_interpolation(g_base: LabeledGraph, n: int, upto: int = 4) -> Mom
     return MomentsReport(
         n=n, mean=mean, variance=variance, skewness=skewness, kurtosis=kurtosis
     )
+
+
+# ---------------------------------------------------------------------------
+# recurrence guessing by an upward order scan
+# ---------------------------------------------------------------------------
+
+def guess_rec_scan(data) -> CFiniteSpec | None:
+    """cfinite.guess_rec by the route it used to take: one fraction-free
+    solve per order, scanning d = 1, 2, ... up to len // 2 - 2, with the
+    same two-sample prefilter for data in Z[v]."""
+    data = list(data)
+    max_d = len(data) // 2 - 2
+    if _is_poly_data(data):
+        return _guess_rec_poly_scan(data, max_d)
+    for d in range(1, max_d + 1):
+        spec = _fit_exact(data, d)
+        if spec is not None:
+            return spec
+    return None
+
+
+def _guess_rec_poly_scan(data, max_d: int) -> CFiniteSpec | None:
+    start = 1
+    for point in (2, 3):
+        sampled = [p.eval(point) if isinstance(p, Poly) else p for p in data]
+        for d in range(1, max_d + 1):
+            if _fit_exact(sampled, d) is not None:
+                start = max(start, d)
+                break
+        else:
+            return None
+    for d in range(start, max_d + 1):
+        spec = _fit_exact(data, d)
+        if spec is not None:
+            return spec
+    return None

@@ -1,6 +1,7 @@
 """Recurrence guessing, replay, and conversion to generating functions."""
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from exactgf import (
     seq_from_rec,
     taylor_coeffs,
 )
+from exactgf import cfinite
 from exactgf.errors import DataTooShort
+from oracles import guess_rec_scan
 
 A001353 = [1, 4, 15, 56, 209, 780, 2911, 10864, 40545, 151316]
 
@@ -42,6 +45,22 @@ def test_guess_rec1_rejects_broken_geometric():
 def test_guess_rec1_data_too_short():
     with pytest.raises(DataTooShort):
         guess_rec1([1, 2, 3, 4], 1)
+
+
+def test_guess_rec1_above_minimal_order_returns_minimal_spec():
+    # the contract is "minimal order <= d": d only bounds the search
+    assert guess_rec1(A001353, 3) == guess_rec1(A001353, 2) == CFiniteSpec([1, 4], [1, -4, 1])
+    trib = [0, 1, 1]
+    while len(trib) < 20:
+        trib.append(trib[-1] + trib[-2] + trib[-3])
+    assert guess_rec1(trib, 8) == CFiniteSpec([0, 1, 1], [1, -1, -1, -1])
+    v = Poly([0, 1])
+    data = [Poly([1]), v]
+    for _ in range(12):
+        data.append((v + 1) * data[-1] - data[-2])
+    assert guess_rec1(data, 5).den == (Poly([1]), -(v + 1), Poly([1]))
+    with pytest.raises(ValueError):
+        guess_rec1(A001353, 0)
 
 
 def test_guess_rec_minimal_order():
@@ -275,3 +294,153 @@ def test_grid_four_rows_symmetric_order_eight():
     spec = guess_sym_rec(data)
     assert spec.order == 8
     assert spec.den == (1, -56, 672, -2632, 4094, -2632, 672, -56, 1)
+
+
+# --- the modular order finder against the order scan ----------------------------------
+
+
+def _small_primes():
+    """Primes from 101 upward: a prime supply under which unlucky primes,
+    restarts and rational reconstruction happen on small data."""
+    n = 101
+    while True:
+        if cfinite._is_prime(n):
+            yield n
+        n += 2
+
+
+@contextmanager
+def _prime_supply(primes):
+    saved = cfinite._primes
+    cfinite._primes = primes
+    try:
+        yield
+    finally:
+        cfinite._primes = saved
+
+
+_SUPPLIES = {"word-size": cfinite._primes, "small": _small_primes}
+
+
+def _agrees_with_scan(data, supply):
+    with _prime_supply(_SUPPLIES[supply]):
+        got = guess_rec(data)
+    assert got == guess_rec_scan(data)
+    return got
+
+
+@st.composite
+def _guess_inputs(draw):
+    """Terms of a random int or Fraction spec of order 1..8 (2d + 4 to
+    3d + 12 of them), or a list of noise."""
+    kind = draw(st.sampled_from(("int", "fraction", "noise")))
+    if kind == "noise":
+        return draw(st.lists(st.integers(-50, 50), max_size=30))
+    d = draw(st.integers(1, 8))
+    if kind == "int":
+        coeff = st.integers(-4, 4)
+    else:
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    initial = draw(st.lists(coeff, min_size=d, max_size=d))
+    den = [draw(coeff.filter(bool))] + draw(st.lists(coeff, min_size=d, max_size=d))
+    return seq_from_rec(CFiniteSpec(initial, den), draw(st.integers(2 * d + 4, 3 * d + 12)))
+
+
+@pytest.mark.parametrize("supply", sorted(_SUPPLIES))
+@settings(max_examples=150, deadline=None)
+@given(data=_guess_inputs())
+def test_guess_rec_matches_order_scan(supply, data):
+    _agrees_with_scan(data, supply)
+
+
+_PINNED = {
+    "all zeros": ([0] * 12, CFiniteSpec([0], [1, 0])),
+    "leading zeros": ([0, 0, 0, 1] + [2 ** n for n in range(1, 10)],
+                      CFiniteSpec([0, 0, 0, 1], [1, -2, 0, 0, 0])),
+    "one nonzero term": ([5] + [0] * 11, CFiniteSpec([5], [1, 0])),
+    # the window is too short to see 2^(20-n) turn fractional: the
+    # window-minimal recurrence 2 a_n = 3 a_(n-1) is not integral
+    "non-integral": ([2 ** 20 * 3 ** n // 2 ** n for n in range(20)],
+                     CFiniteSpec([2 ** 20], [2, -3])),
+    "fraction powers": ([Fraction(1, 3) ** n for n in range(14)], CFiniteSpec([1], [3, -1])),
+    "noise": ([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8], None),
+}
+
+
+@pytest.mark.parametrize("supply", sorted(_SUPPLIES))
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_guess_rec_pinned_cases(case, supply):
+    data, want = _PINNED[case]
+    assert _agrees_with_scan(data, supply) == want
+
+
+@pytest.mark.parametrize("supply", sorted(_SUPPLIES))
+def test_guess_rec_over_z_v_matches_order_scan(supply):
+    v = Poly([0, 1])
+    data = [Poly([1]), v, v * v + 1]
+    while len(data) < 16:
+        data.append(v * data[-1] - (v + 1) * data[-2] + 2 * data[-3])
+    got = _agrees_with_scan(data, supply)
+    assert got.order == 3
+    assert _agrees_with_scan(data[:9], supply) is None
+
+
+def _guess_recording(data, supply, name):
+    """guess_rec(data) under a prime supply, checked against the scan,
+    with the (args, result) pairs of every call of cfinite.<name>."""
+    original = getattr(cfinite, name)
+    log = []
+
+    def wrapper(*args):
+        result = original(*args)
+        log.append((args, result))
+        return result
+
+    setattr(cfinite, name, wrapper)
+    try:
+        with _prime_supply(_SUPPLIES[supply]):
+            got = guess_rec(data)
+    finally:
+        setattr(cfinite, name, original)
+    assert got == guess_rec_scan(data)
+    return got, log
+
+
+def test_small_primes_exercise_every_branch():
+    # 101 is unlucky here (order 2 mod 101, 3 over Q): its image is
+    # discarded and the CRT restarts at the larger order
+    data = [-4, -2, 4, -32, 106, -434, 1630, -6308, 24142, -92768]
+    got, bm = _guess_recording(data, "small", "_bm_mod")
+    assert got.den == (1, 3, -4, -3)
+    assert [length for _, (length, _) in bm][:2] == [2, 3]
+    # 103 is unlucky after 101 has seen the true order 2: discarded
+    data = seq_from_rec(CFiniteSpec([8, -1], [859078, -97131, 811906]), 8)
+    got, bm = _guess_recording(data, "small", "_bm_mod")
+    assert got.den == (859078, -97131, 811906)
+    assert [length for _, (length, _) in bm][:3] == [2, 1, 2]
+    # D_0 = 3 needs rational reconstruction of the common denominator
+    got, recon = _guess_recording(_PINNED["fraction powers"][0], "small",
+                                  "_rational_reconstruct")
+    assert got.den == (3, -1)
+    assert any(result and result[1] > 1 for _, result in recon)
+    # no fit: BM's claim is confirmed by one exact solve
+    got, solves = _guess_recording(_PINNED["noise"][0], "small", "_solve_rec")
+    assert got is None
+    assert [result for _, result in solves] == [None]
+    # 101 divides the minimal D_0 and reports an order above d; the exact
+    # solve finds a fit, so the prime is skipped
+    got, solves = _guess_recording([101 ** (20 - n) * 3 ** n for n in range(21)], "small",
+                                   "_solve_rec")
+    assert got.den == (101, -3)
+    assert len(solves) == 1 and solves[0][1] is not None
+
+
+def test_word_size_prime_dividing_d0_is_skipped():
+    # the first word-size prime is 2^61 - 1, which divides D_0 here and
+    # reports order 21 > 8 modulo itself
+    q = 2 ** 61 - 1
+    assert next(cfinite._primes()) == q
+    got, solves = _guess_recording([q ** (20 - n) * 3 ** n for n in range(21)], "word-size",
+                                   "_solve_rec")
+    assert got.den == (q, -3)
+    assert len(solves) == 1

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactgf import Matrix, Poly, RationalFunction, det_bareiss
+from exactgf import Matrix, Poly, RationalFunction, det_bareiss, gf_ver_grid
 
 sympy = pytest.importorskip("sympy")
 
@@ -74,3 +74,11 @@ def test_bivariate_canonical_form_matches_sympy(num_cs, den_cs, u):
     first_t = next(c for c in reversed(sympy.Poly(den, T).all_coeffs()) if c != 0)
     assert next(x for x in reversed(sympy.Poly(first_t, V).all_coeffs()) if x != 0) > 0
 
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_ver_grid_functions_are_in_lowest_terms(k):
+    # the pipelines emit minimal-order fits, so num and den are coprime in
+    # Q(v)[t] and bivariate equality is canonical on them
+    gf = gf_ver_grid(k).gf
+    assert sympy.gcd(_bivariate(gf.num), _bivariate(gf.den)) == 1

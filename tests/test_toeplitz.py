@@ -11,10 +11,12 @@ from exactgf import (
     Poly,
     RationalFunction,
     ToeplitzSpec,
+    c_to_r,
     children_scheme,
     expand_minor,
     gf_family_guess,
     gf_transfer,
+    guess_rec1,
     initial_state,
     matrix_from_spec,
     ryser_permanent,
@@ -276,6 +278,31 @@ def test_transfer_four_four_band_matches_guess():
     got = gf_transfer(row, col, "det")
     assert got.den.degree == 20
     assert got == gf_family_guess(row, col, "det", 10, 70)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bands(width=4), st.sampled_from(("det", "perm")))
+def test_transfer_gcd_free_emission_matches_canonical(band, mode):
+    # gf_transfer emits its minimal fit without a gcd; the canonical
+    # constructor, gcd included, must give the same value
+    row, col = band
+    scheme = children_scheme(row, col, mode)
+    m = len(scheme)
+    spec = guess_rec1(transfer_sequence(scheme, 2 * m + 2), m)
+    got = gf_transfer(row, col, mode)
+    assert got == c_to_r(spec)
+    assert repr(got) == repr(c_to_r(spec))
+
+
+@pytest.mark.parametrize("mode, n", (("det", 30), ("perm", 12)))
+def test_transfer_five_five_band(mode, n):
+    # 70 states and order 70; the series is checked against determinants
+    # (Bareiss) and permanents (Ryser)
+    row, col = [2, 1, 1, 1, 1], [2, 3, 3, 3, 3]
+    assert len(children_scheme(row, col, mode)) == 70
+    gf = gf_transfer(row, col, mode)
+    assert gf.den.degree == 70
+    assert taylor_coeffs(gf, n + 1) == [1] + value_sequence(row, col, mode, n)
 
 
 def test_transfer_series_matches_determinants():
