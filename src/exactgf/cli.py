@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import spanning, toeplitz
-from .cfinite import guess_rec, seq_from_rec
+from .cfinite import guess_rec
 from .core import Poly, RationalFunction
 from .errors import (
     BadVertexPair,
@@ -28,16 +28,30 @@ from .errors import (
 )
 from .graphs import graph_from_json_dict, path_graph
 
-#: Grids this tall are stretch targets; refuse them unless asked nicely.
-LONG_RUN_K = 6
+#: Sizes from which a run is a stretch target, refused unless asked nicely
+#: with --allow-long.  gf-grid --k: with the layer sweep, k = 6 and 7 take
+#: under a second, and k = 8 reaches the default 120-term cap without a fit
+#: after about 40 s.
+LONG_RUN_K = 8
+#: c-poly --k: k = 4 takes 0.1 s; from k = 5 the two-forest fit reaches
+#: the 120-term cap, after 12 s, 31 s and 65 s for k = 5, 6 and 7.
+LONG_RUN_C_POLY_K = 7
+#: gf-ver --k and a gf-ver --graph's vertex count: the cost is the Z[v]
+#: recurrence solve, about 1.3 s for 4 rows and 2.5 minutes for 5.
+LONG_RUN_VER_K = 5
+#: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
+#: the complete graph, six random ones) fit in under a second, and a random
+#: 7-vertex one reaches the 120-term cap without a fit after about 40 s.
+LONG_RUN_GRAPH_VERTICES = 7
 
 #: guess_rec tries orders up to len(data) // 2 - 2, so fewer terms can
 #: never fit.
 MIN_GUESS_TERMS = 6
 
 #: Upper limits on the sizes that set a run's length, so a huge value is a
-#: usage error, not hours of work: each accepts about a minute of work at
-#: k = 4 (CPython 3.11, one core of a shared 2-core x86-64 host).
+#: usage error, not hours of work: each accepts about a minute of work
+#: (CPython 3.11, one core of a shared 2-core x86-64 host), at k = 4 for
+#: MAX_FIT_TERMS and at the k that MAX_STREAM_WORK leaves for the n limits.
 #: MAX_FIT_TERMS also caps guess --data and toeplitz-gf --n; the costliest
 #: guess is a list that nothing fits, where the modular order finder's
 #: claim is confirmed by one exact solve at order len // 2 - 2: about 1.4 s
@@ -45,6 +59,17 @@ MIN_GUESS_TERMS = 6
 MAX_FIT_TERMS = 160
 MAX_RESISTANCE_N = 2500
 MAX_MOMENTS_N = 1300
+#: resistance and moments stream k * n rows through a window of k, k the
+#: grid's rows or a --graph's vertices, so together k and n are capped at
+#: k^2 * n <= MAX_STREAM_WORK: under a minute from k = 4 (n = 1250) to the
+#: --k limits (k = 70, n = 4 and k = 30, n = 22), where most of it is the
+#: last k x k block's determinant.  A --graph file has at most
+#: MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
+MAX_STREAM_WORK = 20000
+MAX_RESISTANCE_K = 70
+MAX_MOMENTS_K = 30
+MAX_GRAPH_VERTICES = MAX_MOMENTS_K
+MAX_GRAPH_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -111,15 +136,16 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("c-poly", help="two-forest cofactor polynomial C_k")
     q.add_argument("--k", type=_int_in_range(2), required=True)
     q.add_argument("--pretty", action="store_true")
+    q.add_argument("--allow-long", action="store_true")
     q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("resistance", help="corner-to-corner grid resistance")
-    q.add_argument("--k", type=_positive, required=True)
+    q.add_argument("--k", type=_int_in_range(1, MAX_RESISTANCE_K), required=True)
     q.add_argument("--n", type=_int_in_range(1, MAX_RESISTANCE_N), required=True)
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("moments", help="vertical-edge statistic moments")
-    q.add_argument("--k", type=_positive)
+    q.add_argument("--k", type=_int_in_range(1, MAX_MOMENTS_K))
     q.add_argument("--graph")
     q.add_argument("--n", type=_int_in_range(1, MAX_MOMENTS_N), required=True)
     q.add_argument("--pretty", action="store_true")
@@ -162,11 +188,17 @@ def _scalar_json(x):
 
 def _load_graph(path: str):
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        return graph_from_json_dict(obj)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_GRAPH_BYTES + 1)
+        if len(raw) > MAX_GRAPH_BYTES:
+            raise UsageError(f"graph JSON {path!r} is over {MAX_GRAPH_BYTES} bytes")
+        g = graph_from_json_dict(json.loads(raw))
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read graph JSON {path!r}: {exc}") from exc
+    if g.n_vertices > MAX_GRAPH_VERTICES:
+        raise UsageError(f"graph JSON {path!r} has {g.n_vertices} vertices, "
+                         f"more than {MAX_GRAPH_VERTICES}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +286,7 @@ def _gf_payload(result: spanning.GFResult, emit_data=False) -> dict:
         result.gf, result.offset, result.spec.order, result.data_used
     )
     if emit_data:
-        payload["data"] = [str(x) for x in seq_from_rec(result.spec, result.data_used)]
+        payload["data"] = [str(x) for x in result.data]
     return payload
 
 
@@ -276,15 +308,21 @@ def _cmd_guess(args) -> int:
     return 0
 
 
-def _check_long(args, k: int):
-    if k >= LONG_RUN_K and not args.allow_long:
+def _check_long(args, size: int, limit: int, what: str):
+    if size >= limit and not args.allow_long:
         raise UsageError(
-            f"k={k} is a long-running stretch target; pass --allow-long to proceed"
+            f"{what} is a long-running stretch target; pass --allow-long to proceed"
         )
 
 
+def _check_stream_work(k: int, n: int):
+    if k * k * n > MAX_STREAM_WORK:
+        raise UsageError(f"k^2 * n is {k * k * n} for k={k} (rows or --graph vertices) "
+                         f"and n={n}, more than {MAX_STREAM_WORK}")
+
+
 def _cmd_gf_grid(args) -> int:
-    _check_long(args, args.k)
+    _check_long(args, args.k, LONG_RUN_K, f"k={args.k}")
     result = spanning.gf_grid(args.k, max_terms=args.max_terms)
     _emit(args, _gf_payload(result, args.emit_data), _fmt_ratfunc(result.gf))
     return 0
@@ -292,6 +330,7 @@ def _cmd_gf_grid(args) -> int:
 
 def _cmd_gf_product(args) -> int:
     g = _load_graph(args.graph)
+    _check_long(args, g.n_vertices, LONG_RUN_GRAPH_VERTICES, f"a {g.n_vertices}-vertex graph")
     result = spanning.gf_spanning(g, max_terms=args.max_terms)
     _emit(args, _gf_payload(result, args.emit_data), _fmt_ratfunc(result.gf))
     return 0
@@ -307,15 +346,18 @@ def _base_graph(args):
 
 def _cmd_gf_ver(args) -> int:
     if args.k is not None:
-        _check_long(args, args.k)
+        _check_long(args, args.k, LONG_RUN_VER_K, f"k={args.k}")
         result = spanning.gf_ver_grid(args.k, max_terms=args.max_terms)
     else:
-        result = spanning.gf_ver(_base_graph(args), max_terms=args.max_terms)
+        g = _base_graph(args)
+        _check_long(args, g.n_vertices, LONG_RUN_VER_K, f"a {g.n_vertices}-vertex graph")
+        result = spanning.gf_ver(g, max_terms=args.max_terms)
     _emit(args, _gf_payload(result), _fmt_ratfunc(result.gf))
     return 0
 
 
 def _cmd_c_poly(args) -> int:
+    _check_long(args, args.k, LONG_RUN_C_POLY_K, f"k={args.k}")
     poly = spanning.c_poly(args.k, max_terms=args.max_terms)
     payload = {"k": args.k, "c_poly": [str(c) for c in poly.coeffs]}
     _emit(args, payload, _fmt_poly(poly))
@@ -323,6 +365,7 @@ def _cmd_c_poly(args) -> int:
 
 
 def _cmd_resistance(args) -> int:
+    _check_stream_work(args.k, args.n)
     value = spanning.resistance(args.k, args.n)
     payload = {"k": args.k, "n": args.n, "resistance": str(value)}
     _emit(args, payload, str(value))
@@ -330,7 +373,9 @@ def _cmd_resistance(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    report = spanning.moments(_base_graph(args), args.n)
+    g = _base_graph(args)
+    _check_stream_work(g.n_vertices, args.n)
+    report = spanning.moments(g, args.n)
     payload = {
         "n": report.n,
         "mean": str(report.mean),

@@ -608,14 +608,23 @@ def det_bareiss(m: Matrix):
         m = Matrix(m)
     if not m.is_square():
         raise ShapeError(f"determinant of a {m.nrows}x{m.ncols} matrix")
+    d = 1
+    for d in _bareiss_pivots(m):
+        pass
+    return d
+
+
+def _bareiss_pivots(m: Matrix):
+    """det_bareiss's elimination of the square matrix m, yielding each
+    stage's pivot (sign-corrected): up to and including the first zero
+    one, the r-th is the determinant of m's leading (r+1) x (r+1) block
+    (Sylvester's identity), and the last one yielded is det m."""
     n = m.nrows
-    if n == 0:
-        return 1
     w = max(bandwidth(m), 1)
     b = [list(r) for r in m.rows]
     prev = 1
     sign = 1
-    for r in range(n - 1):
+    for r in range(n):
         new = r + w
         if r and new < n:  # at r = 0 the factor is 1
             for i in range(r, new + 1):
@@ -624,7 +633,9 @@ def det_bareiss(m: Matrix):
             for j in range(r, new):
                 if b[new][j]:
                     b[new][j] = prev * b[new][j]
-        if not b[r][r]:
+        p = b[r][r]
+        yield p if sign > 0 else -p
+        if not p:
             if new < n - 1:  # entries beyond index new are still outside
                 for i in range(r, n):
                     row = b[i]
@@ -634,10 +645,10 @@ def det_bareiss(m: Matrix):
                 w = n - 1
             swap = next((i for i in range(r + 1, n) if b[i][r]), None)
             if swap is None:
-                return b[r][r]
+                return
             b[r], b[swap] = b[swap], b[r]
             sign = -sign
-        p = b[r][r]
+            p = b[r][r]
         hi = min(n - 1, r + w)
         row_r = b[r]
         for i in range(r + 1, hi + 1):
@@ -647,8 +658,6 @@ def det_bareiss(m: Matrix):
                 num = p * row_i[j] - bir * row_r[j]
                 row_i[j] = _dom_exact_div(num, prev) if prev != 1 else num
         prev = p
-    d = b[n - 1][n - 1]
-    return d if sign > 0 else -d
 
 
 # ---------------------------------------------------------------------------

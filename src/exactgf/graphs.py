@@ -8,13 +8,17 @@ contiguous index block and every edge joins vertices at most k apart.
 Every count is a Laplacian minor (matrix-tree theorem), and every minor is
 computed by _laplacian_minor straight from the edge list: rows are built
 one at a time holding only their band, streamed through fraction-free
-(Bareiss) elimination in a window of half-bandwidth w, and the last w x w
-block goes to det_bareiss.  No dense Laplacian is built, so a minor of a
-graph with N vertices and E edges costs O(N + E + N*w^2) time and
-O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
+(Bareiss) elimination in a window of half-bandwidth w (_eliminated), and
+the last w x w block goes to det_bareiss.  No dense Laplacian is built, so
+a minor of a graph with N vertices and E edges costs O(N + E + N*w^2) time
+and O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
 Vertical weights may be core.Jet series (spanning.moments uses 1 + e).
-laplacian() builds the dense (optionally v-weighted) matrix, which the
-tests use as the reference for these minors.
+The pipelines need the minors of G x P_n for every n = 1..N: _layer_sweep
+streams one elimination over G x P_inf, built layer by layer from G's edge
+list, and reads each minor off the window at its layer boundary, O(N)
+layers instead of O(N^2); _ver_sweep runs one sweep per evaluation point
+of the v-polynomial.  laplacian() builds the dense (optionally v-weighted)
+matrix, which the tests use as the reference for these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -24,6 +28,7 @@ spanning trees by their number of vertical edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
 
 from .core import Jet, Matrix, Poly, _newton_interpolate, det_bareiss
 from .errors import BadVertexPair, InternalInconsistency
@@ -211,28 +216,108 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
             if j - i > w:
                 w = j - i
     m = max(w, 1)
-    # upper[a] is row r + a of the window, from its diagonal to column r + w
-    upper = [[diag[i]] + [-off.get((i, j), 0) for j in range(i + 1, w + 1)]
-             for i in range(w + 1)]
-    prev = 1
-    for r in range(n - m):
-        top = upper[0]
-        p = top[0]
-        if not p:
-            return 0
-        upper = [[(p * x - f * y) // prev for x, y in zip(row, top[a:])]
-                 for a, (row, f) in enumerate(zip(upper[1:], top[1:]), 1)]
-        e = r + w + 1
+
+    def column(e):
         if e < n:
-            for t, row in enumerate(upper, r + 1):
-                row.append(-off.get((t, e), 0) * p)
-            upper.append([diag[e] * p])
-        prev = p
+            return [-off.get((t, e), 0) for t in range(max(0, e - w), e)] + [diag[e]]
+
+    windows = _eliminated(column, w)
+    for _r in range(n - m):
+        upper, prev = next(windows)
+        if not upper[0][0]:
+            return 0
+    upper, prev = next(windows)
+    return det_bareiss(_block(upper, m)) // prev ** (m - 1)
+
+
+def _eliminated(column, w):
+    """Stream a symmetric matrix of half-bandwidth w, row by row, through
+    fraction-free (Bareiss) elimination in a window of w + 1 rows.
+
+    column(e) lists row e's entries in columns max(0, e - w)..e - 1 and
+    then its diagonal (None past the last row).  Before pivot r = 0, 1, ...
+    this yields (upper, prev): upper[a] is row r + a from its diagonal to
+    column r + w at Bareiss stage r, and prev is pivot r - 1 (1 at r = 0),
+    so upper is prev times the Schur complement of the leading r x r block
+    (Sylvester's identity).  An entry entering after pivot p is scaled by
+    p, the factor Bareiss would have given it had it been inside the window
+    all along.  The caller stops at a zero pivot."""
+    upper, p = [], 1
+    for e in count():
+        col = column(e)
+        if col is not None:
+            for row, x in zip(upper, col):
+                row.append(x * p)
+            upper.append([col[-1] * p])
+        if e >= w:  # the window is full
+            yield upper, p
+            top = upper[0]
+            prev, p = p, top[0]
+            upper = [[(p * x - f * y) // prev for x, y in zip(row, top[a:])]
+                     for a, (row, f) in enumerate(zip(upper[1:], top[1:]), 1)]
+
+
+def _block(upper, m, shift=0):
+    """The leading m x m block of the symmetric window upper, less shift
+    on its diagonal."""
     block = [[0] * m for _ in range(m)]
-    for a, row in enumerate(upper):
-        for c, x in enumerate(row, a):
-            block[a][c] = block[c][a] = x
-    return det_bareiss(Matrix(block)) // prev ** (m - 1)
+    for a in range(m):
+        for c in range(a, m):
+            block[a][c] = block[c][a] = upper[a][c - a]
+        block[a][a] -= shift
+    return Matrix(block)
+
+
+def _layer_sweep(g: LabeledGraph, vertical_weight: int = 1, forests: bool = False):
+    """Yield the Laplacian minors of g x P_n for n = 1, 2, ... from one
+    streamed elimination, with g's edges weighted by vertical_weight (an
+    int >= 0): spanning_tree_count(product_with_path(g, n)), or with
+    forests two_forest_count of it between vertex 0 and the last vertex
+    (0 when they coincide).
+
+    The rows are those of g x P_inf, built layer by layer from g's edge
+    list (vertex 0 left out for forests), so layer n's rows follow the r
+    rows of layers 1..n-1 and its leading block is the Laplacian of
+    g x P_n plus I on layer n (its edges to layer n + 1).  Before pivot r
+    the window holds that layer as prev * S, S the Schur complement, so
+    the minor is prev * det(S - I) without the last vertex, that is
+    det(block - prev * I) * prev / prev^m over the m remaining rows.
+    Every leading block of this matrix is positive definite (each
+    component of a prefix of layers has an edge to the next layer), so a
+    zero pivot is a bug and raises InternalInconsistency.  Layers cost
+    O(k^3) each, k = |V(g)|, in O(|g| + k^2) memory."""
+    k = g.n_vertices
+    if not k:  # every g x P_n is empty, and so is its minor
+        yield from repeat(1)
+    adj = [[0] * k for _ in range(k)]
+    for u, v, _label, mult in g.edges:
+        adj[u][v] += mult
+        adj[v][u] += mult
+
+    # vertex u's row in the k columns before it, then its diagonal, in
+    # layer 1 and in later layers
+    first, rest = ([[-later] + [0] * (k - 1 - u) + [-vertical_weight * adj[a][u] for a in range(u)]
+                    + [vertical_weight * sum(adj[u]) + 1 + later] for u in range(k)]
+                   for later in (0, 1))
+    skip = 1 if forests else 0
+
+    def column(e):
+        layer, u = divmod(e + skip, k)
+        col = (rest if layer else first)[u]
+        return col if e >= k else col[k - e:]
+
+    windows = _eliminated(column, k)
+    upper, prev = next(windows)
+    r = 0
+    for n in count(1):
+        end = n * k - skip  # rows of layers 1..n
+        while r < end - k:
+            if not upper[0][0]:
+                raise InternalInconsistency("zero pivot in a layer sweep")
+            upper, prev = next(windows)
+            r += 1
+        m = min(end, k) - 1
+        yield 0 if m < 0 else det_bareiss(_block(upper, m, prev)) * prev // prev ** m
 
 
 def spanning_tree_count(g: LabeledGraph) -> int:
@@ -257,17 +342,42 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     vertical edges).
 
     The v-weighted Laplacian minor without the last vertex has degree at
-    most D, the total vertical multiplicity.  It is evaluated at
+    most D, the total vertical multiplicity or the |V| - 1 edges of a
+    spanning tree, whichever is smaller.  It is evaluated at
     v = 0..D as D + 1 integer minors and recovered by forward-difference
     interpolation; a non-integer coefficient would be a bug and raises
     InternalInconsistency.  Evaluating the result at 1 gives the plain
     spanning-tree count.
     """
-    d_bound = sum(m for _u, _v, label, m in g.edges if label == VERTICAL)
-    if d_bound == 0:
-        return Poly((spanning_tree_count(g),))
+    d_bound = min(sum(m for _u, _v, label, m in g.edges if label == VERTICAL),
+                  max(g.n_vertices - 1, 0))
     drop = {g.n_vertices - 1}
-    coeffs = _newton_interpolate([_laplacian_minor(g, drop, x) for x in range(d_bound + 1)])
+    return _interpolated([_laplacian_minor(g, drop, x) for x in range(d_bound + 1)])
+
+
+def _ver_sweep(g: LabeledGraph):
+    """Yield ver_polynomial(product_with_path(g, n)) for n = 1, 2, ...
+
+    Every edge of g is vertical in the product, and a spanning tree has at
+    most |V(g)| - 1 of them in each layer, so term n has degree at most
+    D_n = n * min(total multiplicity of g's edges, |V(g)| - 1).  It is
+    interpolated from one _layer_sweep per point v = 0..D_n, each started
+    (and run up to layer n - 1) when first needed."""
+    per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
+    sweeps = []
+    for n in count(1):
+        while len(sweeps) <= n * per_layer:
+            sweep = _layer_sweep(g, len(sweeps))
+            for _ in range(n - 1):
+                next(sweep)
+            sweeps.append(sweep)
+        yield _interpolated([next(sweep) for sweep in sweeps])
+
+
+def _interpolated(values) -> Poly:
+    """The polynomial taking values[x] at x = 0, 1, ...; a non-integer
+    coefficient would be a bug and raises InternalInconsistency."""
+    coeffs = _newton_interpolate(values)
     if not all(isinstance(c, int) for c in coeffs):
         raise InternalInconsistency("interpolation produced a non-integer")
     return Poly(coeffs)

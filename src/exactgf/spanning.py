@@ -9,8 +9,10 @@ Covered families, all over layers n of a product graph G x P_n:
   * joint resistance between corners (ratio of the two counts),
   * the bivariate vertical-edge weight polynomial and its moments.
 
-A fit is only accepted when at least HELD_OUT extra terms, never shown to
-the guesser, are reproduced by the recurrence; the emitted function is
+The data of each pipeline come from one layer sweep (graphs._layer_sweep,
+graphs._ver_sweep).  A fit is only accepted when at least HELD_OUT extra
+terms, never shown to the guesser, are reproduced by the recurrence and
+the last term agrees with its per-term minor; the emitted function is
 additionally re-expanded and compared against every generated term.
 """
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
 from .cfinite import CFiniteSpec, _recurrence_holds, c_to_r, guess_rec, guess_sym_rec
 from .core import (
@@ -39,6 +42,8 @@ from .errors import (
 from .graphs import (
     LabeledGraph,
     _laplacian_minor,
+    _layer_sweep,
+    _ver_sweep,
     grid_graph,
     path_graph,
     product_with_path,
@@ -60,13 +65,18 @@ class GFResult:
 
     gf includes the t^offset prefactor, so its power series matches the
     generated data with no index shifting; spec is the recurrence that
-    produced it and data_used how many terms were generated in total.
+    produced it and data the generated terms it was certified against.
     """
 
     gf: RationalFunction
     spec: CFiniteSpec
-    data_used: int
+    data: tuple
     offset: int
+
+    @property
+    def data_used(self) -> int:
+        """How many terms were generated in total."""
+        return len(self.data)
 
 
 @dataclass(frozen=True)
@@ -87,22 +97,29 @@ def grid_expected_order(k: int) -> int:
     return 2 ** (k - 1)
 
 
-def _fit_pipeline(term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
+def _fit_pipeline(terms, term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
     """Adaptive guess-and-certify loop shared by all pipelines.
 
-    term_fn(n) produces the n-th data term (n >= 1).  The guesser sees a
-    growing window; HELD_OUT extra terms are always generated and must be
-    replayed exactly before a fit is accepted.  Doubles the window until
-    the cap, then raises NoFitWithinBudget carrying the data.
+    terms is an iterator over the data terms 1, 2, ... (a layer sweep),
+    resumed each time the window grows; term_fn(n) recomputes term n by
+    the per-term path.  The guesser sees a growing window; HELD_OUT extra
+    terms are always generated and must be replayed exactly before a fit
+    is accepted, and so must the last term recomputed by term_fn
+    (InternalInconsistency otherwise), which ties the sweep to the
+    per-term minors on every run.  Doubles the window until the cap, then
+    raises NoFitWithinBudget carrying the data.
     """
     budget = max(12, 2 * expected_order + 8) if expected_order else 12
     budget = min(budget, max_terms)
     data = []
     while True:
-        while len(data) < budget + HELD_OUT:
-            data.append(term_fn(len(data) + 1))
+        data.extend(islice(terms, budget + HELD_OUT - len(data)))
         spec = guesser(data[:budget])
         if spec is not None and _recurrence_holds(data, spec.den):
+            if term_fn(len(data)) != data[-1]:
+                raise InternalInconsistency(
+                    f"term {len(data)} of the sweep differs from its per-term minor"
+                )
             return spec, data
         if budget >= max_terms:
             raise NoFitWithinBudget(
@@ -111,12 +128,12 @@ def _fit_pipeline(term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
         budget = min(2 * budget, max_terms)
 
 
-def _certified(term_fn, guesser, expected_order, max_terms) -> GFResult:
-    """Fit, emit and certify: run _fit_pipeline on term_fn, turn the
+def _certified(terms, term_fn, guesser, expected_order, max_terms) -> GFResult:
+    """Fit, emit and certify: run _fit_pipeline on terms, turn the
     recurrence into its generating function with the t^1 prefactor, and
     check that the denominator degree equals the order and that the
     series reproduces every generated term."""
-    spec, data = _fit_pipeline(term_fn, guesser, expected_order, max_terms)
+    spec, data = _fit_pipeline(terms, term_fn, guesser, expected_order, max_terms)
     raw = c_to_r(spec)
     gf = RationalFunction(raw.num.shift(1), raw.den)
     if gf.den.degree != spec.order:
@@ -125,7 +142,7 @@ def _certified(term_fn, guesser, expected_order, max_terms) -> GFResult:
         )
     if taylor_coeffs(gf, len(data) + 1)[1:] != data:
         raise InternalInconsistency("series does not reproduce the data")
-    return GFResult(gf=gf, spec=spec, data_used=len(data), offset=1)
+    return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
 
 
 def gf_spanning(
@@ -147,7 +164,7 @@ def gf_spanning(
     def term(n):
         return spanning_tree_count(product_with_path(g_base, n))
 
-    return _certified(term, guess, expected_order, max_terms)
+    return _certified(_layer_sweep(g_base), term, guess, expected_order, max_terms)
 
 
 def gf_grid(k: int, guesser: str = "plain", max_terms: int = MAX_TERMS) -> GFResult:
@@ -166,12 +183,10 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
         raise ValueError("k must be positive")
 
     def term(n):
-        if k == 1 and n == 1:
-            return 0  # a single vertex cannot be separated from itself
-        g = grid_graph(k, n)
-        return two_forest_count(g, 0, k * n - 1)
+        return two_forest_count(grid_graph(k, n), 0, k * n - 1)
 
-    return _certified(term, guess_rec, None, max_terms)
+    # for k = 1, n = 1 the sweep gives 0: a single vertex cannot be separated from itself
+    return _certified(_layer_sweep(path_graph(k), forests=True), term, guess_rec, None, max_terms)
 
 
 def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:
@@ -235,7 +250,7 @@ def gf_ver(
     def term(n):
         return ver_polynomial(product_with_path(g_base, n))
 
-    return _certified(term, guess_rec, expected_order, max_terms)
+    return _certified(_ver_sweep(g_base), term, guess_rec, expected_order, max_terms)
 
 
 def gf_ver_grid(k: int, max_terms: int = MAX_TERMS) -> GFResult:

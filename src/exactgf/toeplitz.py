@@ -31,6 +31,7 @@ from .core import (
     Matrix,
     Poly,
     RationalFunction,
+    _bareiss_pivots,
     det_bareiss,
     solve_linear,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
     taylor_coeffs,
@@ -134,9 +135,12 @@ def ryser_permanent(m: Matrix):
 def value_sequence(row, col, mode: str, count: int):
     """[f(A_1), ..., f(A_count)] where f is det or perm.
 
-    Determinants go through exact elimination.  Permanents use the
-    inclusion-exclusion oracle up to dimension 20 (BudgetExceeded beyond
-    that, pointing at transfer_sequence, which has no such cap)."""
+    Every A_n is the leading block of A_count, so one exact elimination of
+    A_count yields all the determinants as its pivots; from its first zero
+    pivot on, where the elimination swaps rows, each further one is its
+    own det_bareiss.  Permanents use the inclusion-exclusion oracle up to
+    dimension 20 (BudgetExceeded beyond that, pointing at
+    transfer_sequence, which has no such cap)."""
     if mode not in ("det", "perm"):
         raise ValueError("mode must be 'det' or 'perm'")
     if count < 1:
@@ -147,7 +151,12 @@ def value_sequence(row, col, mode: str, count: int):
             f"use transfer_sequence(children_scheme(row, col, 'perm'), count)"
         )
     out = []
-    for n in range(1, count + 1):
+    if mode == "det":
+        for d in _bareiss_pivots(matrix_from_spec(ToeplitzSpec(count, row, col))):
+            out.append(d)
+            if not d:
+                break
+    for n in range(len(out) + 1, count + 1):
         m = matrix_from_spec(ToeplitzSpec(n, row, col))
         out.append(det_bareiss(m) if mode == "det" else ryser_permanent(m))
     return out

@@ -1,11 +1,25 @@
 """CLI surface: JSON/pretty output, exit codes, and round trips."""
+import dataclasses
 import json
 
 import pytest
 
 from exactgf import cli, spanning, toeplitz
-from exactgf.cli import MAX_FIT_TERMS, MAX_MOMENTS_N, MAX_RESISTANCE_N, run
+from exactgf.cfinite import seq_from_rec
+from exactgf.cli import (
+    MAX_FIT_TERMS,
+    MAX_GRAPH_BYTES,
+    MAX_GRAPH_VERTICES,
+    MAX_MOMENTS_K,
+    MAX_MOMENTS_N,
+    MAX_RESISTANCE_K,
+    MAX_RESISTANCE_N,
+    MAX_STREAM_WORK,
+    run,
+)
+from exactgf.core import Poly
 from exactgf.errors import InternalInconsistency
+from exactgf.graphs import path_graph
 
 
 def invoke(capsys, *argv):
@@ -127,6 +141,22 @@ def test_emit_data_round_trip(capsys):
     assert [str(c) for c in den] == payload["den"]
 
 
+def test_emit_data_prints_the_generated_terms(monkeypatch, capsys):
+    result = spanning.gf_grid(3)
+    code, out, _ = invoke(capsys, "gf-grid", "--k", "3", "--emit-data")
+    assert code == 0
+    # certification makes the generated terms equal to the recurrence's
+    # replay, which the flag printed before, so stdout is byte-identical
+    replayed = [str(x) for x in seq_from_rec(result.spec, result.data_used)]
+    payload = spanning.gf_to_json(result.gf, 1, result.spec.order, result.data_used)
+    assert out == json.dumps({**payload, "data": replayed}) + "\n"
+    # and the terms printed are the ones the result carries
+    marked = dataclasses.replace(result, data=tuple(f"term{i}" for i in range(result.data_used)))
+    monkeypatch.setattr(spanning, "gf_grid", lambda k, max_terms: marked)
+    code, out, _ = invoke(capsys, "gf-grid", "--k", "3", "--emit-data")
+    assert code == 0 and json.loads(out)["data"] == list(marked.data)
+
+
 def test_resistance_json(capsys):
     code, out, _ = invoke(capsys, "resistance", "--k", "1", "--n", "5")
     assert code == 0
@@ -165,9 +195,50 @@ def test_toeplitz_scheme_dump(capsys):
 
 
 def test_long_run_gate(capsys):
-    code, _out, err = invoke(capsys, "gf-grid", "--k", "6")
+    assert cli.LONG_RUN_K == 8
+    code, _out, err = invoke(capsys, "gf-grid", "--k", "8")
     assert code == 2
     assert "--allow-long" in err
+    code, out, _ = invoke(capsys, "gf-grid", "--k", "6")
+    assert code == 0 and json.loads(out)["order"] == 32
+
+
+def _path_file(tmp_path, k):
+    path = tmp_path / f"path{k}.json"
+    edges = [[i, i + 1, "other", 1] for i in range(k - 1)]
+    path.write_text(json.dumps({"n": k, "edges": edges}))
+    return str(path)
+
+
+def test_long_run_gates_of_the_other_pipelines(monkeypatch, tmp_path, capsys):
+    assert (cli.LONG_RUN_C_POLY_K, cli.LONG_RUN_VER_K, cli.LONG_RUN_GRAPH_VERTICES) == (7, 5, 7)
+    ran = []
+
+    def stub(result):
+        def call(*args, **kwargs):
+            ran.append(args[0])
+            return result
+        return call
+
+    ver, grid = spanning.gf_ver_grid(2), spanning.gf_grid(2)
+    monkeypatch.setattr(spanning, "gf_ver_grid", stub(ver))
+    monkeypatch.setattr(spanning, "gf_ver", stub(ver))
+    monkeypatch.setattr(spanning, "gf_spanning", stub(grid))
+    monkeypatch.setattr(spanning, "c_poly", stub(Poly((1,))))
+    for command, size_flag, limit in (("gf-ver", "--k", cli.LONG_RUN_VER_K),
+                                      ("gf-ver", "--graph", cli.LONG_RUN_VER_K),
+                                      ("gf-product", "--graph", cli.LONG_RUN_GRAPH_VERTICES),
+                                      ("c-poly", "--k", cli.LONG_RUN_C_POLY_K)):
+        for size, extra, gated in ((limit - 1, (), False), (limit, (), True),
+                                   (limit, ("--allow-long",), False)):
+            value = _path_file(tmp_path, size) if size_flag == "--graph" else str(size)
+            del ran[:]
+            code, out, err = invoke(capsys, command, size_flag, value, *extra)
+            if gated:
+                assert code == 2 and out == "" and "--allow-long" in err
+                assert ran == []
+            else:
+                assert code == 0 and len(ran) == 1
 
 
 def test_malformed_graph_json(tmp_path, capsys):
@@ -270,7 +341,8 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("a pipeline ran on an out-of-range size")
 
-    for name in ("gf_grid", "gf_spanning", "gf_ver_grid", "c_poly", "resistance", "moments"):
+    for name in ("gf_grid", "gf_spanning", "gf_ver", "gf_ver_grid", "c_poly", "resistance",
+                 "moments"):
         monkeypatch.setattr(spanning, name, never)
     for name in ("gf_transfer", "gf_family_guess"):
         monkeypatch.setattr(toeplitz, name, never)
@@ -288,6 +360,10 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
              f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
             (("resistance", "--k", "2", "--n", str(MAX_RESISTANCE_N + 1)),
              f"argument --n: must be at most {MAX_RESISTANCE_N}"),
+            (("resistance", "--k", str(MAX_RESISTANCE_K + 1), "--n", "2"),
+             f"argument --k: must be at most {MAX_RESISTANCE_K}"),
+            (("moments", "--k", str(MAX_MOMENTS_K + 1), "--n", "2"),
+             f"argument --k: must be at most {MAX_MOMENTS_K}"),
             (("moments", "--k", "2", "--n", str(10**12)),
              f"argument --n: must be at most {MAX_MOMENTS_N}"),
             ((*family, "--method", "guess", "--n", too_many),
@@ -301,13 +377,71 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
         assert message in err
 
 
-def test_sizes_at_their_limit_are_accepted(capsys):
+def test_graph_files_above_their_limits_are_usage_errors(monkeypatch, tmp_path, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a pipeline ran on an oversized graph")
+
+    for name in ("gf_spanning", "gf_ver", "moments"):
+        monkeypatch.setattr(spanning, name, never)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 2, "edges": [[0, 1, "other", 1]]}).ljust(MAX_GRAPH_BYTES + 1))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": MAX_GRAPH_VERTICES + 1, "edges": []}))
+    for path, message in ((big, f"is over {MAX_GRAPH_BYTES} bytes"),
+                          (wide, f"has {MAX_GRAPH_VERTICES + 1} vertices, "
+                                 f"more than {MAX_GRAPH_VERTICES}")):
+        for argv in (("gf-product", "--graph", str(path)), ("gf-ver", "--graph", str(path)),
+                     ("moments", "--graph", str(path), "--n", "2")):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert message in err
+
+
+def test_sizes_at_their_limit_are_accepted(tmp_path, capsys):
     code, out, _ = invoke(capsys, "gf-grid", "--k", "2", "--max-terms", str(MAX_FIT_TERMS))
     assert code == 0 and json.loads(out)["den"] == ["1", "-4", "1"]
     code, out, _ = invoke(capsys, "resistance", "--k", "1", "--n", str(MAX_RESISTANCE_N))
     assert code == 0 and json.loads(out)["resistance"] == str(MAX_RESISTANCE_N - 1)
     code, out, _ = invoke(capsys, "moments", "--k", "1", "--n", str(MAX_MOMENTS_N))
     assert code == 0 and json.loads(out)["mean"] == "0"
+    code, out, _ = invoke(capsys, "resistance", "--k", str(MAX_RESISTANCE_K), "--n", "1")
+    assert code == 0 and json.loads(out)["resistance"] == str(MAX_RESISTANCE_K - 1)
+    code, out, _ = invoke(capsys, "moments", "--k", str(MAX_MOMENTS_K), "--n", "1")
+    assert code == 0 and json.loads(out)["mean"] == str(MAX_MOMENTS_K - 1)
+    # a path on MAX_GRAPH_VERTICES vertices, padded to exactly MAX_GRAPH_BYTES bytes
+    path = tmp_path / "path.json"
+    edges = [[i, i + 1, "other", 1] for i in range(MAX_GRAPH_VERTICES - 1)]
+    path.write_text(json.dumps({"n": MAX_GRAPH_VERTICES, "edges": edges}).ljust(MAX_GRAPH_BYTES))
+    code, out, _ = invoke(capsys, "moments", "--graph", str(path), "--n", "1")
+    assert code == 0 and json.loads(out)["mean"] == str(MAX_GRAPH_VERTICES - 1)
+
+
+def test_k_squared_n_is_capped_for_resistance_and_moments(monkeypatch, tmp_path, capsys):
+    ran = []
+    report = spanning.moments(path_graph(2), 2)
+    monkeypatch.setattr(spanning, "resistance", lambda k, n: ran.append((k, n)) or 1)
+    monkeypatch.setattr(spanning, "moments", lambda g, n: ran.append((g.n_vertices, n)) or report)
+    # each size within its own limit, but together over the cap
+    k = MAX_MOMENTS_K
+    n = MAX_STREAM_WORK // (k * k) + 1
+    wide = _path_file(tmp_path, k)
+    for argv in (("resistance", "--k", str(MAX_RESISTANCE_K),
+                  "--n", str(MAX_STREAM_WORK // MAX_RESISTANCE_K**2 + 1)),
+                 ("moments", "--k", str(k), "--n", str(n)),
+                 ("moments", "--graph", wide, "--n", str(n))):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"more than {MAX_STREAM_WORK}" in err
+    assert ran == []
+    # at the cap (20000 = 10^2 * 200 = 20^2 * 50)
+    assert MAX_STREAM_WORK == 20000
+    for argv in (("resistance", "--k", "10", "--n", "200"),
+                 ("moments", "--k", "20", "--n", "50"),
+                 ("moments", "--graph", _path_file(tmp_path, 20), "--n", "50")):
+        code, _out, _err = invoke(capsys, *argv)
+        assert code == 0
+    assert ran == [(10, 200), (20, 50), (20, 50)]
 
 
 def test_moments_on_a_disconnected_graph_is_usage_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Grid graphs, products with paths, Laplacians, and exact counting."""
 import random
 import tracemalloc
+from itertools import islice
 from math import comb
 
 import pytest
@@ -22,7 +23,7 @@ from exactgf import (
 from exactgf import graphs
 from exactgf.core import Jet, _newton_interpolate
 from exactgf.errors import BadVertexPair, InternalInconsistency
-from exactgf.graphs import _laplacian_minor, graph_from_json_dict
+from exactgf.graphs import _laplacian_minor, _layer_sweep, _ver_sweep, graph_from_json_dict
 
 from oracles import (
     laplacian_minor_dense,
@@ -270,6 +271,55 @@ def test_public_counts_on_products_match_dense(data):
         a, b = data.draw(st.lists(st.integers(0, last), min_size=2, max_size=2,
                                   unique=True))
         assert two_forest_count(h, a, b) == laplacian_minor_dense(h, {a, b})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_layer_sweep_matches_per_term_minors(data):
+    # labels of g do not matter: product_with_path makes every edge of g vertical
+    g = data.draw(_multigraphs(max_vertices=5))
+    x = data.draw(st.sampled_from((0, 1, 2, 3)))
+    layers = data.draw(st.integers(1, 5))
+    k = g.n_vertices
+    trees = list(islice(_layer_sweep(g, x), layers))
+    forests = list(islice(_layer_sweep(g, x, forests=True), layers))
+    for n in range(1, layers + 1):
+        h = product_with_path(g, n)
+        last = k * n - 1
+        assert trees[n - 1] == _laplacian_minor(h, {last}, x)
+        assert forests[n - 1] == (_laplacian_minor(h, {0, last}, x) if last else 0)
+        if x == 1:
+            assert trees[n - 1] == spanning_tree_count(h)
+            assert forests[n - 1] == (two_forest_count(h, 0, last) if last else 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_multigraphs(max_vertices=4), st.integers(1, 4))
+def test_ver_sweep_matches_ver_polynomial(g, layers):
+    # one sweep per point v = 0..D_n, so v = 0 is always among the samples
+    assert list(islice(_ver_sweep(g), layers)) == [
+        ver_polynomial(product_with_path(g, n)) for n in range(1, layers + 1)]
+
+
+def test_ver_polynomial_degree_bound_counts_tree_edges(monkeypatch):
+    # 300 parallel vertical edges, but a spanning tree of 2 vertices has one
+    # edge: the polynomial is interpolated from v = 0, 1 only
+    calls = []
+    real = graphs._laplacian_minor
+    monkeypatch.setattr(graphs, "_laplacian_minor", lambda *a: calls.append(a) or real(*a))
+    assert ver_polynomial(LabeledGraph(2, ((0, 1, "vertical", 300),))) == Poly([0, 300])
+    assert len(calls) == 2
+
+
+def test_layer_sweep_two_forests_of_a_path():
+    # k = 1: at n = 1 both marked vertices are the single vertex, so 0
+    assert list(islice(_layer_sweep(path_graph(1), forests=True), 5)) == [0, 1, 2, 3, 4]
+
+
+def test_layer_sweep_zero_pivot_is_internal(monkeypatch):
+    monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[0]], 1)] * 3))
+    with pytest.raises(InternalInconsistency):
+        list(islice(_layer_sweep(path_graph(2)), 3))
 
 
 @settings(max_examples=80, deadline=None)

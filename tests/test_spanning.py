@@ -25,7 +25,8 @@ from exactgf import (
     two_forest_count,
     grid_graph,
 )
-from exactgf.errors import NoFitWithinBudget, NotConnected
+from exactgf import spanning
+from exactgf.errors import InternalInconsistency, NoFitWithinBudget, NotConnected
 from exactgf.spanning import gf_to_json
 
 from oracles import moments_by_interpolation
@@ -71,6 +72,14 @@ def test_gf_spanning_series_matches_data_with_held_out():
     assert out.data_used >= out.spec.order * 2 + 6
 
 
+def test_empty_base_graph_gives_the_empty_products():
+    # every G x P_n is the empty graph, whose one spanning "tree" is empty
+    empty = LabeledGraph(0, ())
+    assert gf_spanning(empty).gf == rf([0, 1], [1, -1])
+    assert gf_ver(empty).gf == RationalFunction(Poly([Poly([]), Poly([1])]),
+                                                Poly([Poly([1]), Poly([-1])]))
+
+
 def test_gf_spanning_disconnected_base_rejected():
     with pytest.raises(NotConnected):
         gf_spanning(LabeledGraph(2, ()))
@@ -97,6 +106,20 @@ def test_denominator_palindromic_k_le_4():
 def test_gf_two_forest_path_row():
     out = gf_two_forest(1)
     assert out.gf == rf([0, 0, 1], [1, -2, 1])  # t^2/(1-t)^2
+    assert out.data[:4] == (0, 1, 2, 3)  # n = 1: one vertex cannot be separated
+
+
+def test_corrupted_sweep_fails_the_spot_check(monkeypatch):
+    # doubled data satisfy the same recurrence, so only the comparison of
+    # the last term with its per-term minor can catch them
+    for name, run in (("_layer_sweep", lambda: gf_grid(3)),
+                      ("_layer_sweep", lambda: gf_two_forest(2)),
+                      ("_ver_sweep", lambda: gf_ver_grid(2))):
+        real = getattr(spanning, name)
+        with monkeypatch.context() as m:
+            m.setattr(spanning, name, lambda *a, real=real, **kw: (2 * t for t in real(*a, **kw)))
+            with pytest.raises(InternalInconsistency, match="per-term minor"):
+                run()
 
 
 def test_gf_two_forest_two_rows_structure():

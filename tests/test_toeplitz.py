@@ -13,6 +13,7 @@ from exactgf import (
     ToeplitzSpec,
     c_to_r,
     children_scheme,
+    det_bareiss,
     expand_minor,
     gf_family_guess,
     gf_transfer,
@@ -90,6 +91,11 @@ def test_det_sequence_diagonal_powers():
 def test_perm_sequence_fibonacci():
     assert value_sequence([1, 1], [1, 1], "perm", 3) == [1, 2, 3]
     assert value_sequence([1, 1], [1, 1], "perm", 8) == [1, 2, 3, 5, 8, 13, 21, 34]
+
+
+def test_det_sequence_past_a_zero_pivot():
+    assert value_sequence([0, 1], [0, 1], "det", 6) == [0, -1, 0, 1, 0, -1]
+    assert value_sequence([0], [0, 1], "det", 3) == [0, 0, 0]
 
 
 def test_perm_oracle_cap():
@@ -249,6 +255,16 @@ def _bands(draw, width=3):
     row = [corner] + draw(st.lists(_ENTRIES, max_size=width - 1))
     col = [corner] + draw(st.lists(_ENTRIES, max_size=width - 1))
     return row, col
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bands(width=4), st.integers(1, 20))
+def test_det_sequence_from_one_elimination_matches_per_term(band, count):
+    # small entries make zero leading minors common, which exercises the
+    # per-term fallback after the first zero pivot
+    row, col = band
+    assert value_sequence(row, col, "det", count) == [
+        det_bareiss(matrix_from_spec(ToeplitzSpec(n, row, col))) for n in range(1, count + 1)]
 
 
 @settings(max_examples=60, deadline=None)
