@@ -15,14 +15,12 @@ order and denominator come from one order finder, _minimal_den:
 Berlekamp-Massey modulo word-size primes, a CRT lift (integral, or with a
 common denominator by rational reconstruction) and an exact replay on all
 the data; only a claim that no fit exists is confirmed by one
-fraction-free solve (core.solve_fraction_free).  Sequences of polynomials
-in v take their order from two integer samples and are then fitted by
-fraction-free solves over Z[v]: every pivot unknown of a fraction-free
-Gauss-Jordan solve comes out over the same last pivot delta, so a fit
-delta * a[n] = sum(c[i] * a[n-i]) is read off as D = (delta, -c_1, ...,
--c_d) without a division.  Replay is ring arithmetic as well; every
-accepted denominator has been replayed exactly, and no floating point is
-involved anywhere.
+fraction-free solve over Z (core.solve_fraction_free).  Sequences of
+polynomials in v run it at the integer points x = 1, 2, ... in place of
+primes and interpolate each D_i / D_0 in v through a run of points of
+the same order (_guess_rec_poly; contract and proof at guess_rec1).
+Every accepted denominator has been replayed exactly, by ring
+arithmetic, and no floating point is involved anywhere.
 """
 from __future__ import annotations
 
@@ -36,6 +34,7 @@ from .core import (
     Poly,
     RationalFunction,
     _coeff_div,
+    _newton_interpolate,
     _primitive_ints,
     _primitive_nested,
     solve_fraction_free,
@@ -113,10 +112,6 @@ def _recurrence_holds(data, den) -> bool:
     return True
 
 
-def _is_poly_data(data) -> bool:
-    return any(isinstance(x, Poly) for x in data)
-
-
 def guess_rec1(data, d: int) -> CFiniteSpec | None:
     """The minimal recurrence of order <= d through the whole list, or None.
 
@@ -124,15 +119,27 @@ def guess_rec1(data, d: int) -> CFiniteSpec | None:
     every fit overdetermined: with N >= 2L terms the minimal recurrence of
     order L is unique (Massey), so the result is the one an upward scan
     of orders 1..d would report.  Numeric data go through the modular
-    order finder _minimal_den; data with polynomial terms through
-    _guess_rec_poly.  All-zero data give order 1, D = (1, 0).
+    order finder _minimal_den.  All-zero data give order 1, D = (1, 0).
+
+    Data with polynomial terms go through _guess_rec_poly: the result is
+    the minimal recurrence if its D_0 is a constant, as for every G x P_n
+    (D divides prod(1 - t prod r_i^(+-1))), and None otherwise.  Proof:
+    let e <= d be its order and m the largest v-degree in the data.  At
+    each x = 1, 2, ... D(x) fits the integers a_n(x), so a point that
+    reports order e reports D(x) / D_0, and one that reports less is a
+    root of the e x e Hankel minor det(a_(i+j)), nonzero as e is minimal
+    and of v-degree <= e*m: at most d*m points do.  By Cramer's rule
+    deg_v(D_i / D_0) <= e*m.  A smaller fit would divide the result
+    (Gauss's lemma), have a constant D_0 and make every point report less.
+    None follows a point without a fit of order <= d, or a run of d*m + 1
+    points (so all reporting D / D_0) whose interpolant does not replay.
     """
     data = list(data)
     if d < 1:
         raise ValueError("need d >= 1")
     if len(data) <= 2 * d + 2:
         raise DataTooShort(f"need at least {2 * d + 3} terms for order {d}")
-    if _is_poly_data(data):
+    if any(isinstance(x, Poly) for x in data):
         return _guess_rec_poly(data, d)
     den = _minimal_den(_primitive_ints(data)[0], d)
     if den is None:
@@ -152,20 +159,11 @@ def guess_rec(data) -> CFiniteSpec | None:
     return guess_rec1(data, max_d) if max_d >= 1 else None
 
 
-def _as_poly(x) -> Poly:
-    return x if isinstance(x, Poly) else Poly((x,))
-
-
-def _solve_rec(data, d: int):
-    """Denominator (D_0, ..., D_d) of an order-d recurrence through the
-    data by one fraction-free solve, or None when there is none.
-
-    Scalar data are scaled to primitive integers first and polynomial data
-    stay polynomials, so the entries of D are ints or Polys."""
-    poly = _is_poly_data(data)
-    data = [_as_poly(x) for x in data] if poly else _primitive_ints(data)[0]
-    rows = [[data[n - i] for i in range(1, d + 1)] for n in range(d, len(data))]
-    sol = solve_fraction_free(rows, data[d:])
+def _solve_rec(ints, d: int):
+    """Denominator of an order-d recurrence through the primitive integers
+    ints by one fraction-free solve, or None when there is none."""
+    rows = [[ints[n - i] for i in range(1, d + 1)] for n in range(d, len(ints))]
+    sol = solve_fraction_free(rows, ints[d:])
     if sol.status == LinearSolution.INCONSISTENT:
         return None
     return [_last_pivot(sol.solution)] + [-num for num, _ in sol.solution]
@@ -178,31 +176,31 @@ def _last_pivot(pairs):
     return next((den for _, den in pairs if den != 1), 1)
 
 
-def _fit_exact(data, d: int) -> CFiniteSpec | None:
-    """One order-d fit by _solve_rec, replayed on all the data."""
-    den = _solve_rec(data, d)
-    if den is None or not _recurrence_holds(data, den):
-        return None
-    return CFiniteSpec(tuple(data[:d]), den)
-
-
-def _guess_rec_poly(data, max_d: int) -> CFiniteSpec | None:
-    # Cheap prefilter: a recurrence over Z[v] specializes to one over Z at
-    # any integer point where D_0 does not vanish, so the
-    # minimal symbolic order is (for all but degenerate sample points) the
-    # max of the minimal orders at two samples.  The symbolic fit is then
-    # attempted from that order upward and fully validated.
-    start = 1
-    for point in (2, 3):
-        sampled = [p.eval(point) if isinstance(p, Poly) else p for p in data]
-        spec = guess_rec1(sampled, max_d)
+def _guess_rec_poly(data, d: int) -> CFiniteSpec | None:
+    # guess_rec1 at x = 1, 2, ..., which proves both None exits: run holds
+    # D(x) / D_0(x) at the points start, start + 1, ... of the largest order.
+    cap = d * max(0, *(p.degree for p in data if isinstance(p, Poly))) + 1
+    x, order, start, run = 0, 0, 0, []
+    while len(run) < cap:
+        x += 1
+        values = [p.eval(x) if isinstance(p, Poly) else p for p in data]
+        spec = guess_rec1(values, d)
         if spec is None:
             return None
-        start = max(start, spec.order)
-    for d in range(start, max_d + 1):
-        spec = _fit_exact(data, d)
-        if spec is not None:
-            return spec
+        found = spec.order if any(values) else 0  # BM's length
+        if found < order:
+            start, run = x + 1, []
+            continue
+        if found > order:
+            order, start, run = found, x, []
+        run.append([_coeff_div(c, spec.den[0]) for c in spec.den])
+        n = len(run)
+        # try once the newest point raised no interpolant's degree: D^(n-1) y_0 = 0
+        if n == cap or not any(sum((-1) ** j * math.comb(n - 1, j) * y
+                                   for j, y in enumerate(ys)) for ys in zip(*run)):
+            den = [Poly(_newton_interpolate(ys, start)) for ys in zip(*run)]
+            if _recurrence_holds(data, den):
+                return CFiniteSpec(tuple(data[:len(den) - 1]), den)
     return None
 
 

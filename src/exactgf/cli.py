@@ -36,9 +36,10 @@ LONG_RUN_K = 8
 #: c-poly --k: k = 4 takes 0.1 s; from k = 5 the two-forest fit reaches
 #: the 120-term cap, after 12 s, 31 s and 65 s for k = 5, 6 and 7.
 LONG_RUN_C_POLY_K = 7
-#: gf-ver --k and a gf-ver --graph's vertex count: the cost is the Z[v]
-#: recurrence solve, about 1.3 s for 4 rows and 2.5 minutes for 5.
-LONG_RUN_VER_K = 5
+#: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
+#: 9 s for 5 rows and 3.3 minutes for 6 (2.1 in the layer sweeps, 1.2 in
+#: the per-term spot check).
+LONG_RUN_VER_K = 6
 #: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
 #: the complete graph, six random ones) fit in under a second, and a random
 #: 7-vertex one reaches the 120-term cap without a fit after about 40 s.

@@ -480,16 +480,16 @@ def _primitive_nested(num_cs, den_cs):
     return out[:len(num_cs)], out[len(num_cs):]
 
 
-def _newton_interpolate(ys):
+def _newton_interpolate(ys, start=0):
     """Coefficients (ascending) of the unique polynomial of degree
-    < len(ys) that takes the value ys[x] at x = 0, 1, ..., len(ys) - 1.
+    < len(ys) that takes the value ys[i] at x = start + i.
 
-    Newton's forward-difference form, sum_j (D^j y_0 / j!) x(x-1)...(x-j+1),
+    Newton's form, sum_j (D^j y_0 / j!) (x-s)(x-s-1)...(x-s-j+1), s = start,
     expanded with every term scaled by (n-1)! so the work stays in the
     values' own ring: integer values give int coefficients where the
     polynomial has them and Fractions only where it does not, Fraction
-    values give Fractions.  graphs.ver_polynomial recovers its
-    polynomial-valued minors here from scalar ones at 0..n-1."""
+    values give Fractions.  graphs.ver_polynomial recovers its minors
+    here from values at 0..n-1, cfinite._guess_rec_poly its D_i/D_0."""
     n = len(ys)
     if not n:
         return []
@@ -502,10 +502,10 @@ def _newton_interpolate(ys):
     coeffs = [leading[n - 1]]
     for j in range(n - 2, -1, -1):
         scale *= j + 1
-        # multiply by (x - j), then add the scaled j-th Newton coefficient
+        # multiply by (x - start - j), then add the scaled j-th Newton coefficient
         out = [0] + coeffs
         for i, c in enumerate(coeffs):
-            out[i] -= j * c
+            out[i] -= (start + j) * c
         out[0] += leading[j] * scale
         coeffs = out
     return [_coeff_div(c, scale) for c in coeffs]
@@ -715,8 +715,7 @@ def solve_fraction_free(rows, rhs) -> LinearSolution:
     elimination step scales all earlier pivot rows alike.  The pivot in
     each column is the first nonzero entry at or below the current rank.
     This is the package's one elimination loop: recurrence guessing calls
-    it on primitive integer or polynomial data, and solve_linear on
-    rational data.
+    it on primitive integer data, and solve_linear on rational data.
     """
     rows = [list(r) for r in rows]
     rhs = list(rhs)

@@ -92,8 +92,8 @@ class MomentsReport:
 
 
 def grid_expected_order(k: int) -> int:
-    """Observed denominator degree for k-row grids (used as a data-budget
-    hint only; the pipeline still validates whatever it finds)."""
+    """An upper bound on the denominator degree for k-row grids, used only
+    to size the data budget (k = 7 has order 48 at v = 1)."""
     return 2 ** (k - 1)
 
 
@@ -240,7 +240,7 @@ def gf_ver(
     weight polynomials of g_base x P_n.
 
     Data terms are polynomials in v, and so are the recurrence's
-    denominator coefficients: guessing stays in Z[v].  Numerator and
+    denominator coefficients, fitted at integer points of v.  Numerator and
     denominator are polynomials in t whose coefficients are integer
     polynomials in v with no common content (lowest denominator
     coefficient positive)."""

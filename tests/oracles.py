@@ -8,7 +8,8 @@ kept here as that route's reference: solve_linear_field for the
 fraction-free solve_linear, gf_transfer_field for the transfer route,
 laplacian_minor_dense for the streamed Laplacian minors,
 moments_by_interpolation for the jet route of spanning.moments and
-guess_rec_scan for the modular order finder behind cfinite.guess_rec.  FieldRF
+guess_rec_scan, with its Z[v] solve _fit_exact, for the modular and
+evaluation order finders behind cfinite.guess_rec.  FieldRF
 is the field of rational functions in t over Q that the Q(t) solves need;
 the package's RationalFunction is a value type without arithmetic.
 """
@@ -32,7 +33,8 @@ from exactgf import (
     product_with_path,
     ver_polynomial,
 )
-from exactgf.cfinite import _fit_exact, _is_poly_data
+from exactgf.cfinite import _last_pivot, _recurrence_holds, _solve_rec
+from exactgf.core import _primitive_ints, solve_fraction_free
 from exactgf.errors import BadVertexPair, NotConnected, ShapeError
 from exactgf.graphs import VERTICAL
 from exactgf.spanning import _decimal_ratio
@@ -360,6 +362,34 @@ def guess_rec_scan(data) -> CFiniteSpec | None:
         if spec is not None:
             return spec
     return None
+
+
+def _is_poly_data(data) -> bool:
+    return any(isinstance(x, Poly) for x in data)
+
+
+def _as_poly(x) -> Poly:
+    return x if isinstance(x, Poly) else Poly((x,))
+
+
+def _fit_exact(data, d: int) -> CFiniteSpec | None:
+    """One order-d fit by one fraction-free solve, replayed on all the
+    data: scalar data scaled to primitive integers go through
+    cfinite._solve_rec, data in Z[v] are solved over Z[v].  Every pivot
+    unknown of the solve comes out over the same last pivot delta, so a
+    fit delta * a[n] = sum(c[i] * a[n-i]) is read off as
+    D = (delta, -c_1, ..., -c_d) without a division."""
+    if _is_poly_data(data):
+        polys = [_as_poly(x) for x in data]
+        rows = [[polys[n - i] for i in range(1, d + 1)] for n in range(d, len(polys))]
+        sol = solve_fraction_free(rows, polys[d:])
+        den = None if sol.status == LinearSolution.INCONSISTENT else (
+            [_last_pivot(sol.solution)] + [-num for num, _ in sol.solution])
+    else:
+        den = _solve_rec(_primitive_ints(data)[0], d)
+    if den is None or not _recurrence_holds(data, den):
+        return None
+    return CFiniteSpec(tuple(data[:d]), den)
 
 
 def _guess_rec_poly_scan(data, max_d: int) -> CFiniteSpec | None:

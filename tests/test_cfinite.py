@@ -3,6 +3,7 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,9 @@ from exactgf import (
 )
 from exactgf import cfinite
 from exactgf.errors import DataTooShort
+from exactgf.graphs import _ver_sweep
 from oracles import guess_rec_scan
+from test_spanning import _connected_multigraphs
 
 A001353 = [1, 4, 15, 56, 209, 780, 2911, 10864, 40545, 151316]
 
@@ -275,6 +278,24 @@ def test_guess_rec_round_trip_over_z_v(spec):
     assert not any(isinstance(x, Fraction) for x in coeffs)
 
 
+@st.composite
+def _z_v_data(draw):
+    """Terms of a random spec over Z[v], or the _ver_sweep polynomials of a
+    random connected multigraph on k <= 4 vertices, 2^k + 4 of them: enough
+    for the fit, of order at most 2^(k-1)."""
+    if draw(st.booleans()):
+        spec = draw(_v_polynomial_specs())
+        return seq_from_rec(spec, 2 * spec.order + 6)
+    g = draw(_connected_multigraphs())
+    return list(islice(_ver_sweep(g), 2 ** g.n_vertices + 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_z_v_data())
+def test_guess_rec_over_z_v_matches_z_v_solve(data):
+    assert guess_rec(data) == guess_rec_scan(data)
+
+
 def test_grid_three_rows_order_four():
     # first 20 spanning-tree counts of the 3-row grid family
     from exactgf import grid_graph, spanning_tree_count
@@ -383,6 +404,32 @@ def test_guess_rec_over_z_v_matches_order_scan(supply):
     got = _agrees_with_scan(data, supply)
     assert got.order == 3
     assert _agrees_with_scan(data[:9], supply) is None
+
+
+def test_guess_rec_over_z_v_restarts_after_an_unlucky_point():
+    # a_n = (v - 1)^n + 1: at x = 2 the data are constant, of order 1, so
+    # the run of points reporting order 2 restarts at x = 3
+    v = Poly([0, 1])
+    got, points = _guess_recording([(v - 1) ** n + 1 for n in range(12)], "word-size",
+                                   "guess_rec1")
+    assert got.den == (1, -v, v - 1)
+    assert [spec.order for _, spec in points] == [2, 1, 2, 2, 2, 2]
+    # a_n = (1 - v)(-1)^n is all zero at x = 1, where BM's length is 0 and
+    # guess_rec1 reports (1, 0): the run of order 1 starts at x = 2
+    got, points = _guess_recording([(1 - v) * (-1) ** n for n in range(8)], "word-size",
+                                   "guess_rec1")
+    assert got.den == (1, 1)
+    assert [spec.den for _, spec in points] == [(1, 0), (1, 1), (1, 1), (1, 1)]
+
+
+def test_guess_rec_over_z_v_needs_constant_d0():
+    # v a_n = a_(n-1) has D_0 = v: every point fits, but D(x) / D_0(x) has
+    # 1/x in it, so no run of points interpolates to a recurrence over Z[v]
+    v = Poly([0, 1])
+    data = [v ** (20 - n) for n in range(21)]
+    assert guess_rec(data) is None
+    assert guess_rec_scan(data).den == (v, -1)
+    assert guess_rec([Poly()] * 12) == CFiniteSpec([0], [1, 0])
 
 
 def _guess_recording(data, supply, name):

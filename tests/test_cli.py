@@ -211,7 +211,7 @@ def _path_file(tmp_path, k):
 
 
 def test_long_run_gates_of_the_other_pipelines(monkeypatch, tmp_path, capsys):
-    assert (cli.LONG_RUN_C_POLY_K, cli.LONG_RUN_VER_K, cli.LONG_RUN_GRAPH_VERTICES) == (7, 5, 7)
+    assert (cli.LONG_RUN_C_POLY_K, cli.LONG_RUN_VER_K, cli.LONG_RUN_GRAPH_VERTICES) == (7, 6, 7)
     ran = []
 
     def stub(result):

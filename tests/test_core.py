@@ -203,11 +203,13 @@ def test_interpolation_recovers_random_polynomials():
         ints = [rng.randint(-50, 50) for _ in range(rng.randint(0, n))]
         fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                  for _ in range(rng.randint(0, n))]
+        start = rng.randint(-5, 40)
         for coeffs in (ints, fracs):
             p = Poly(coeffs)
             got = _newton_interpolate([p.eval(x) for x in range(n)])
             assert len(got) == n
             assert Poly(got) == p
+            assert Poly(_newton_interpolate([p.eval(start + x) for x in range(n)], start)) == p
         assert all(type(c) is int for c in
                    _newton_interpolate([Poly(ints).eval(x) for x in range(n)]))
         assert all(type(c) is Fraction for c in

@@ -178,6 +178,43 @@ def test_gf_ver_specializes_to_spanning():
         assert substitute_v(bi.gf, 1) == gf_grid(k).gf
 
 
+# The 5-row denominator, pinned from one run of the Z[v]-solve route
+# (oracles._fit_exact at order 16), which takes minutes.
+G5_DEN = (
+    [1],
+    [-16, -64, -84, -40, -5],
+    [120, 896, 2632, 3872, 3026, 1200, 190],
+    [-560, -5824, -25116, -58488, -80039, -65392, -30734, -7400, -655],
+    [1820, 23296, 126672, 384192, 715572, 847104, 635896, 291824, 75506, 9600, 550],
+    [-4368, -64064, -404404, -1448360, -3260653, -4822192, -4746678, -3077832, -1269923,
+     -312560, -41860, -3000, -125],
+    [8008, 128128, 888888, 3532000, 8937678, 15134672, 17518258, 13887552, 7423128, 2580000,
+     546320, 63200, 3275],
+    [-11440, -192192, -1405404, -5915064, -15961703, -29101024, -36765756, -32436304,
+     -19832526, -8191760, -2165340, -326600, -20775],
+    [12870, 219648, 1633632, 7003776, 19292248, 36011264, 46777648, 42684320, 27215340,
+     11855040, 3359060, 558400, 41650],
+    [-11440, -192192, -1405404, -5915064, -15961703, -29101024, -36765756, -32436304,
+     -19832526, -8191760, -2165340, -326600, -20775],
+    [8008, 128128, 888888, 3532000, 8937678, 15134672, 17518258, 13887552, 7423128, 2580000,
+     546320, 63200, 3275],
+    [-4368, -64064, -404404, -1448360, -3260653, -4822192, -4746678, -3077832, -1269923,
+     -312560, -41860, -3000, -125],
+    [1820, 23296, 126672, 384192, 715572, 847104, 635896, 291824, 75506, 9600, 550],
+    [-560, -5824, -25116, -58488, -80039, -65392, -30734, -7400, -655],
+    [120, 896, 2632, 3872, 3026, 1200, 190],
+    [-16, -64, -84, -40, -5],
+    [1],
+)
+
+
+def test_gf_ver_five_rows_pinned():
+    bi = gf_ver_grid(5)
+    assert bi.spec.order == 16
+    assert bi.gf.den == Poly([Poly(c) for c in G5_DEN])
+    assert substitute_v(bi.gf, 1) == gf_grid(5).gf
+
+
 def test_gf_ver_at_zero_counts_vertical_free_trees():
     # v = 0 keeps only spanning trees with no vertical edge; for two rows
     # only n = 1 has one (the single rung)
