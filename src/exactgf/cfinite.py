@@ -14,11 +14,14 @@ homogeneous, so scaling the data leaves it unchanged).  Their minimal
 order and denominator come from one order finder, _minimal_den:
 Berlekamp-Massey modulo word-size primes, a CRT lift (integral, or with a
 common denominator by rational reconstruction) and an exact replay on all
-the data; only a claim that no fit exists is confirmed by one
-fraction-free solve over Z (core.solve_fraction_free).  Sequences of
-polynomials in v run it at the integer points x = 1, 2, ... in place of
-primes and interpolate each D_i / D_0 in v through a run of points of
-the same order (_guess_rec_poly; contract and proof at guess_rec1).
+the data.  A claim that no fit exists is proved by primes as well: a
+prime whose BM run reports an order above d divides D_0 of any fit, D_0
+divides a Hankel determinant, and enough such primes exceed Hadamard's
+bound on it.  No linear system is solved.  guess_sym_rec is guess_rec
+followed by a palindrome check.  Sequences of polynomials in v run the
+order finder at the integer points x = 1, 2, ... in place of primes and
+interpolate each D_i / D_0 in v through a run of points of the same
+order (_guess_rec_poly; contract and proof at guess_rec1).
 Every accepted denominator has been replayed exactly, by ring
 arithmetic, and no floating point is involved anywhere.
 """
@@ -30,15 +33,15 @@ from fractions import Fraction
 from operator import mul
 
 from .core import (
-    LinearSolution,
     Poly,
     RationalFunction,
     _coeff_div,
     _newton_interpolate,
     _primitive_ints,
     _primitive_nested,
-    solve_fraction_free,
-    solve_linear,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
+    # neither is called here; perfbench/tracing.py wraps these bindings
+    solve_fraction_free,  # noqa: F401
+    solve_linear,  # noqa: F401
     taylor_coeffs,
 )
 from .errors import DataTooShort, InternalInconsistency
@@ -157,23 +160,6 @@ def guess_rec(data) -> CFiniteSpec | None:
     data = list(data)
     max_d = len(data) // 2 - 2
     return guess_rec1(data, max_d) if max_d >= 1 else None
-
-
-def _solve_rec(ints, d: int):
-    """Denominator of an order-d recurrence through the primitive integers
-    ints by one fraction-free solve, or None when there is none."""
-    rows = [[ints[n - i] for i in range(1, d + 1)] for n in range(d, len(ints))]
-    sol = solve_fraction_free(rows, ints[d:])
-    if sol.status == LinearSolution.INCONSISTENT:
-        return None
-    return [_last_pivot(sol.solution)] + [-num for num, _ in sol.solution]
-
-
-def _last_pivot(pairs):
-    """The denominator every pivot unknown of a solve_fraction_free
-    witness shares (a free unknown comes back as (0, 1) and contributes
-    0 whatever the denominator)."""
-    return next((den for _, den in pairs if den != 1), 1)
 
 
 def _guess_rec_poly(data, d: int) -> CFiniteSpec | None:
@@ -314,9 +300,16 @@ def _lifts(residues, modulus: int):
     yield nums
 
 
+def _hadamard_bound_sq(ints, d: int) -> int:
+    """B^2 for _minimal_den's no-fit proof: the product over i < d of
+    max(1, |(a_i, ..., a_(i+d-1))|^2), so that |D_0| <= B."""
+    return math.prod(max(1, sum(x * x for x in ints[i:i + d])) for i in range(d))
+
+
 def _minimal_den(ints, d: int):
     """The content-free denominator of the minimal recurrence of order
-    <= d through the primitive integers ints, or None.
+    <= d through the primitive integers ints (N >= 2d + 3 of them), or
+    None.
 
     Berlekamp-Massey runs modulo word-size primes (_primes), the images
     of the largest length L <= d seen so far are combined by CRT, and
@@ -326,28 +319,44 @@ def _minimal_den(ints, d: int):
     L' < L) would agree with D on the N >= L + L' terms, so P/D = P'/D'
     with P'/D' in lowest terms, D = D' * g with g integral by Gauss's
     lemma, and a prime p used with p not dividing D_0 = D'_0 * g_0 would
-    have seen D' mod p, of length L' < L, in its BM run.
+    have seen D' mod p, of length L' < L, in its BM run.  A prime that
+    reports less than the largest L is unlucky (it divides a minor the
+    recurrence needs): its image is discarded, and a larger L restarts
+    the CRT.
 
-    Let L be the true minimal order.  A prime not dividing its D_0
-    reports at most L (fewer when it divides a minor the recurrence
-    needs: such an image is discarded, and a larger L restarts the CRT).
-    A prime dividing D_0 sees a recurrence of length L - j through all
-    but the last j terms, so with N >= 2d + 3 it reports either less than
-    L or more than d.  So a report above d is either the truth or such a
-    prime: one exact order-d solve decides, returning None when it is
-    inconsistent and skipping all such primes otherwise.
+    A prime that reports a length above d is a witness, and witnesses
+    whose product exceeds B (_hadamard_bound_sq) prove that no fit
+    exists.  Suppose the content-free minimal D, of order e <= d, exists.
+    (1) The e x e Hankel matrix H = (a_(i+j)) is nonsingular.  Extend the
+    data by D to a sequence s.  The polynomials f with f(S) s = 0, S the
+    shift, form an ideal; its monic generator has degree e, since a
+    monic annihilator of degree L is a recurrence of length L through s
+    and so a fit on the data.  If H c = 0 with c != 0, then u = q(S) s,
+    q = sum(c_j x^j), has u_0 = ... = u_(e-1) = 0 and satisfies D's
+    recurrence, so u = 0: q annihilates s with deg q < e, which is absurd.
+    (2) D / D_0 solves the system a_n = -sum(D_i / D_0 * a_(n-i), i=1..e)
+    for n = e..2e-1, whose matrix is H with its columns reversed; by
+    Cramer's rule det(H) * D / D_0 is integral, so D_0 divides det(H).
+    (3) By Hadamard's inequality |det H| is at most the product of its
+    rows' norms, and row i < e is a prefix of the i-th length-d row in B,
+    whose factors are >= 1: |D_0| <= B for every e <= d.
+    (4) A prime not dividing D_0 sees D mod p, a recurrence of length e,
+    so BM reports at most e <= d: every witness divides D_0.
+    So distinct witnesses multiply to at most |D_0| <= B.  While that
+    bound is not exceeded they are only skipped.
     """
     if not any(ints):
         return [1, 0]
     length, modulus, residues = 0, 1, []
-    fit_exists = False
+    witnesses, bound_sq = 1, None
     for p in _primes():
         found, image = _bm_mod(ints, p)
         if found > d:
-            if not fit_exists:
-                if _solve_rec(ints, d) is None:
-                    return None
-                fit_exists = True
+            if bound_sq is None:
+                bound_sq = _hadamard_bound_sq(ints, d)
+            witnesses *= p
+            if witnesses * witnesses > bound_sq:
+                return None
             continue
         if found < length:
             continue
@@ -364,60 +373,17 @@ def _minimal_den(ints, d: int):
 
 
 def guess_sym_rec(data) -> CFiniteSpec | None:
-    """Like guess_rec, but only recurrences whose denominator is
-    palindromic up to an overall sign, D_i = eps * D_(d-i).
+    """guess_rec's fit when its denominator is palindromic up to an
+    overall sign, D_i = eps * D_(d-i), and None otherwise.
 
-    The symmetry halves the number of unknowns, so an order-d fit is
-    accepted already when len(data) >= d + ceil(d/2) + 3.
-    """
-    data = list(data)
-    ints = _primitive_ints(data)[0]
-    n_terms = len(data)
-    d = 1
-    while n_terms >= d + (d + 1) // 2 + 3:
-        for eps in (1, -1):
-            den = _solve_sym_rec(ints, d, eps)
-            if den is not None and _recurrence_holds(ints, den):
-                return CFiniteSpec(tuple(data[:d]), den)
-        d += 1
+    The minimal recurrence is unique, so a palindromic multiple of a
+    minimal denominator that is not palindromic is never reported, and
+    the data needed are guess_rec's.  All-zero data give None, as
+    guess_rec reports D = (1, 0) for them."""
+    spec = guess_rec(data)
+    if spec is not None and spec.den[::-1] in (spec.den, tuple(-c for c in spec.den)):
+        return spec
     return None
-
-
-def _solve_sym_rec(data, d: int, eps: int):
-    # data are primitive integers (see _solve_rec).  The unknowns are the
-    # c_j of a[n] = sum(c_j a[n-j]) with D_j = -delta * c_j; the symmetry
-    # fixes D_d = eps * D_0, pairs c_j with c_(d-j), and for even d pins
-    # the middle coefficient to 0 when eps = -1.
-    free = list(range(1, (d - 1) // 2 + 1))
-    middle = d // 2 if d % 2 == 0 and d >= 2 else None
-    if middle is not None and eps == 1:
-        free.append(middle)
-    rows = []
-    rhs = []
-    for n in range(d, len(data)):
-        row = []
-        for j in free:
-            if j == middle:
-                row.append(data[n - j])
-            else:
-                row.append(data[n - j] + eps * data[n - (d - j)])
-        rows.append(row)
-        rhs.append(data[n] + eps * data[n - d])
-    if free:
-        sol = solve_fraction_free(rows, rhs)
-        if sol.status == LinearSolution.INCONSISTENT:
-            return None
-        pairs = sol.solution
-    elif any(rhs):
-        return None
-    else:
-        pairs = []
-    delta = _last_pivot(pairs)
-    den = [delta] + [0] * (d - 1) + [eps * delta]
-    for j, (num, _) in zip(free, pairs):
-        den[j], den[d - j] = -num, -eps * num
-    return den
-
 
 def c_to_r(spec: CFiniteSpec) -> RationalFunction:
     """Rational generating function of the recurrence.

@@ -31,10 +31,10 @@ from .graphs import graph_from_json_dict, path_graph
 #: Sizes from which a run is a stretch target, refused unless asked nicely
 #: with --allow-long.  gf-grid --k: with the layer sweep, k = 6 and 7 take
 #: under a second, and k = 8 reaches the default 120-term cap without a fit
-#: after about 40 s.
+#: after about 5 s.
 LONG_RUN_K = 8
 #: c-poly --k: k = 4 takes 0.1 s; from k = 5 the two-forest fit reaches
-#: the 120-term cap, after 12 s, 31 s and 65 s for k = 5, 6 and 7.
+#: the 120-term cap, after 2.6 s, 3.6 s and 4.8 s for k = 5, 6 and 7.
 LONG_RUN_C_POLY_K = 7
 #: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
 #: 9 s for 5 rows and 3.3 minutes for 6 (2.1 in the layer sweeps, 1.2 in
@@ -42,7 +42,7 @@ LONG_RUN_C_POLY_K = 7
 LONG_RUN_VER_K = 6
 #: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
 #: the complete graph, six random ones) fit in under a second, and a random
-#: 7-vertex one reaches the 120-term cap without a fit after about 40 s.
+#: 7-vertex one reaches the 120-term cap without a fit after about 6 s.
 LONG_RUN_GRAPH_VERTICES = 7
 
 #: guess_rec tries orders up to len(data) // 2 - 2, so fewer terms can
@@ -54,9 +54,9 @@ MIN_GUESS_TERMS = 6
 #: (CPython 3.11, one core of a shared 2-core x86-64 host), at k = 4 for
 #: MAX_FIT_TERMS and at the k that MAX_STREAM_WORK leaves for the n limits.
 #: MAX_FIT_TERMS also caps guess --data and toeplitz-gf --n; the costliest
-#: guess is a list that nothing fits, where the modular order finder's
-#: claim is confirmed by one exact solve at order len // 2 - 2: about 1.4 s
-#: for 160 terms of noise (the per-order scan it replaced took 61 s).
+#: guess is a list that nothing fits, where the order finder runs modulo
+#: primes until their product passes a Hadamard bound that grows with the
+#: terms' size: 0.08 s for 160 terms of 2-digit noise, 0.5 s for 20-digit.
 MAX_FIT_TERMS = 160
 MAX_RESISTANCE_N = 2500
 MAX_MOMENTS_N = 1300

@@ -689,8 +689,8 @@ def solve_linear(a: Matrix, b) -> LinearSolution:
     of an underdetermined family (free variables set to zero), or
     inconsistency, as Fractions.  The elimination is
     solve_fraction_free's; the only divisions are the final one per
-    unknown.  Nothing in the package calls it: recurrence fits read their
-    integer denominators straight off solve_fraction_free.
+    unknown.  Nothing in the package calls it: recurrence fits come from
+    the modular order finder in cfinite.
     """
     if not isinstance(a, Matrix):
         a = Matrix(a)
@@ -714,8 +714,8 @@ def solve_fraction_free(rows, rhs) -> LinearSolution:
     unknown's denominator is the same: the last pivot, since each
     elimination step scales all earlier pivot rows alike.  The pivot in
     each column is the first nonzero entry at or below the current rank.
-    This is the package's one elimination loop: recurrence guessing calls
-    it on primitive integer data, and solve_linear on rational data.
+    This is the package's one elimination loop, behind solve_linear;
+    recurrence guessing solves no linear system.
     """
     rows = [list(r) for r in rows]
     rhs = list(rhs)

@@ -153,7 +153,8 @@ def gf_spanning(
 ) -> GFResult:
     """Generating function (offset t^1) of spanning-tree counts of
     g_base x P_n.  guesser is "plain" or "symmetric"; the symmetric
-    variant exploits palindromic denominators and needs less data."""
+    variant accepts the plain fit only if its denominator is palindromic
+    up to sign, on the same window."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
     try:

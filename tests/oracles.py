@@ -8,8 +8,9 @@ kept here as that route's reference: solve_linear_field for the
 fraction-free solve_linear, gf_transfer_field for the transfer route,
 laplacian_minor_dense for the streamed Laplacian minors,
 moments_by_interpolation for the jet route of spanning.moments and
-guess_rec_scan, with its Z[v] solve _fit_exact, for the modular and
-evaluation order finders behind cfinite.guess_rec.  FieldRF
+guess_rec_scan, with its exact solves _fit_exact and _solve_rec, for the
+modular and evaluation order finders behind cfinite.guess_rec, and
+guess_sym_rec_scan for cfinite.guess_sym_rec.  FieldRF
 is the field of rational functions in t over Q that the Q(t) solves need;
 the package's RationalFunction is a value type without arithmetic.
 """
@@ -33,7 +34,7 @@ from exactgf import (
     product_with_path,
     ver_polynomial,
 )
-from exactgf.cfinite import _last_pivot, _recurrence_holds, _solve_rec
+from exactgf.cfinite import _recurrence_holds
 from exactgf.core import _primitive_ints, solve_fraction_free
 from exactgf.errors import BadVertexPair, NotConnected, ShapeError
 from exactgf.graphs import VERTICAL
@@ -372,10 +373,27 @@ def _as_poly(x) -> Poly:
     return x if isinstance(x, Poly) else Poly((x,))
 
 
+def _solve_rec(ints, d: int):
+    """Denominator of an order-d recurrence through the primitive integers
+    ints by one fraction-free solve, or None when there is none."""
+    rows = [[ints[n - i] for i in range(1, d + 1)] for n in range(d, len(ints))]
+    sol = solve_fraction_free(rows, ints[d:])
+    if sol.status == LinearSolution.INCONSISTENT:
+        return None
+    return [_last_pivot(sol.solution)] + [-num for num, _ in sol.solution]
+
+
+def _last_pivot(pairs):
+    """The denominator every pivot unknown of a solve_fraction_free
+    witness shares (a free unknown comes back as (0, 1) and contributes
+    0 whatever the denominator)."""
+    return next((den for _, den in pairs if den != 1), 1)
+
+
 def _fit_exact(data, d: int) -> CFiniteSpec | None:
     """One order-d fit by one fraction-free solve, replayed on all the
     data: scalar data scaled to primitive integers go through
-    cfinite._solve_rec, data in Z[v] are solved over Z[v].  Every pivot
+    _solve_rec, data in Z[v] are solved over Z[v].  Every pivot
     unknown of the solve comes out over the same last pivot delta, so a
     fit delta * a[n] = sum(c[i] * a[n-i]) is read off as
     D = (delta, -c_1, ..., -c_d) without a division."""
@@ -407,3 +425,57 @@ def _guess_rec_poly_scan(data, max_d: int) -> CFiniteSpec | None:
         if spec is not None:
             return spec
     return None
+
+
+def guess_sym_rec_scan(data) -> CFiniteSpec | None:
+    """cfinite.guess_sym_rec by the route it used to take: an upward scan
+    of orders d with d + ceil(d/2) + 3 <= len(data), one fraction-free
+    solve per order and sign for a denominator with D_i = eps * D_(d-i),
+    the first that replays on all the data.  It may return a palindromic
+    multiple of a minimal denominator that is not palindromic."""
+    data = list(data)
+    ints = _primitive_ints(data)[0]
+    d = 1
+    while len(data) >= d + (d + 1) // 2 + 3:
+        for eps in (1, -1):
+            den = _solve_sym_rec(ints, d, eps)
+            if den is not None and _recurrence_holds(ints, den):
+                return CFiniteSpec(tuple(data[:d]), den)
+        d += 1
+    return None
+
+
+def _solve_sym_rec(data, d: int, eps: int):
+    # data are primitive integers (see _solve_rec).  The unknowns are the
+    # c_j of a[n] = sum(c_j a[n-j]) with D_j = -delta * c_j; the symmetry
+    # fixes D_d = eps * D_0, pairs c_j with c_(d-j), and for even d pins
+    # the middle coefficient to 0 when eps = -1.
+    free = list(range(1, (d - 1) // 2 + 1))
+    middle = d // 2 if d % 2 == 0 and d >= 2 else None
+    if middle is not None and eps == 1:
+        free.append(middle)
+    rows = []
+    rhs = []
+    for n in range(d, len(data)):
+        row = []
+        for j in free:
+            if j == middle:
+                row.append(data[n - j])
+            else:
+                row.append(data[n - j] + eps * data[n - (d - j)])
+        rows.append(row)
+        rhs.append(data[n] + eps * data[n - d])
+    if free:
+        sol = solve_fraction_free(rows, rhs)
+        if sol.status == LinearSolution.INCONSISTENT:
+            return None
+        pairs = sol.solution
+    elif any(rhs):
+        return None
+    else:
+        pairs = []
+    delta = _last_pivot(pairs)
+    den = [delta] + [0] * (d - 1) + [eps * delta]
+    for j, (num, _) in zip(free, pairs):
+        den[j], den[d - j] = -num, -eps * num
+    return den

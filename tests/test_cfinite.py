@@ -20,10 +20,11 @@ from exactgf import (
     seq_from_rec,
     taylor_coeffs,
 )
-from exactgf import cfinite
+from exactgf import cfinite, gf_grid, gf_two_forest
+from exactgf.core import _primitive_ints
 from exactgf.errors import DataTooShort
 from exactgf.graphs import _ver_sweep
-from oracles import guess_rec_scan
+from oracles import _solve_rec, guess_rec_scan, guess_sym_rec_scan
 from test_spanning import _connected_multigraphs
 
 A001353 = [1, 4, 15, 56, 209, 780, 2911, 10864, 40545, 151316]
@@ -85,10 +86,12 @@ def test_guess_rec_order_exact_when_no_lower_fit():
 
 
 def test_guess_sym_rec_matches_plain_when_palindromic():
-    # needs only 7 terms where the plain guesser would need 7 as well for
-    # order 2, but the symmetric system has a single unknown
-    spec = guess_sym_rec([1, 4, 15, 56, 209, 780, 2911])
+    # the symmetric guesser is guess_rec plus a palindrome check, so it
+    # needs guess_rec's 2d + 3 terms: 7 are too few for order 2
+    spec = guess_sym_rec(A001353)
+    assert spec == guess_rec(A001353)
     assert spec.den == (1, -4, 1)
+    assert guess_sym_rec(A001353[:7]) is None
 
 
 def test_guess_sym_rec_all_ones():
@@ -156,9 +159,36 @@ def test_guess_rec_is_scale_invariant(spec, scale):
 @settings(max_examples=80, deadline=None)
 @given(_palindromic_specs(), _NON_INTEGER_SCALES)
 def test_guess_sym_rec_is_scale_invariant(spec, scale):
-    data = seq_from_rec(spec, spec.order + (spec.order + 1) // 2 + 5)
-    assert guess_sym_rec(data) is not None
+    data = seq_from_rec(spec, 2 * spec.order + 6)
+    # the minimal fit is the spec's palindrome unless the initial values
+    # pick out a factor of it (all zeros, say), which may not be one
+    if guess_rec(data).den == spec.den:
+        assert guess_sym_rec(data) is not None
     _same_fit_after_scaling(guess_sym_rec, data, scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_palindromic_specs(), _random_specs()), st.integers(0, 6))
+def test_guess_sym_rec_matches_scan_at_minimal_order(spec, extra):
+    # the old scan also accepts a palindromic fit above the minimal order;
+    # the palindrome check on guess_rec's fit reports None there.  All-zero
+    # data fit anything: guess_rec reports D = (1, 0), the scan (1, 1)
+    data = seq_from_rec(spec, 2 * spec.order + 6 + extra)
+    plain, scan = guess_rec(data), guess_sym_rec_scan(data)
+    if scan is not None and scan.order == plain.order and any(data):
+        assert guess_sym_rec(data) == scan
+    else:
+        assert guess_sym_rec(data) is None
+
+
+def test_guess_sym_rec_drops_palindromic_multiples():
+    # Fibonacci's minimal D = 1 - t - t^2 is not palindromic; the scan
+    # finds its palindromic multiple (1 - t - t^2)(1 + t - t^2)
+    fib = [0, 1]
+    while len(fib) < 14:
+        fib.append(fib[-1] + fib[-2])
+    assert guess_sym_rec(fib) is None
+    assert guess_sym_rec_scan(fib).den == (1, 0, -3, 0, 1)
 
 
 def test_seq_from_rec_examples():
@@ -470,16 +500,21 @@ def test_small_primes_exercise_every_branch():
                                   "_rational_reconstruct")
     assert got.den == (3, -1)
     assert any(result and result[1] > 1 for _, result in recon)
-    # no fit: BM's claim is confirmed by one exact solve
-    got, solves = _guess_recording(_PINNED["noise"][0], "small", "_solve_rec")
+    # no fit: the primes reporting an order above d = 4 are witnesses, and
+    # the first that takes their product past the Hadamard bound proves it
+    noise = _PINNED["noise"][0]
+    got, bm = _guess_recording(noise, "small", "_bm_mod")
     assert got is None
-    assert [result for _, result in solves] == [None]
-    # 101 divides the minimal D_0 and reports an order above d; the exact
-    # solve finds a fit, so the prime is skipped
-    got, solves = _guess_recording([101 ** (20 - n) * 3 ** n for n in range(21)], "small",
-                                   "_solve_rec")
+    witnesses = [p for (_, p), (length, _) in bm if length > 4]
+    bound_sq = cfinite._hadamard_bound_sq(noise, 4)
+    assert math.prod(witnesses[:-1]) ** 2 <= bound_sq < math.prod(witnesses) ** 2
+    # 101 divides the minimal D_0 and reports an order above d; the fit is
+    # found at the later primes, so the witness is skipped
+    got, bm = _guess_recording([101 ** (20 - n) * 3 ** n for n in range(21)], "small",
+                               "_bm_mod")
     assert got.den == (101, -3)
-    assert len(solves) == 1 and solves[0][1] is not None
+    assert bm[0][0][1] == 101 and bm[0][1][0] > 8
+    assert all(length == 1 for _, (length, _) in bm[1:])
 
 
 def test_word_size_prime_dividing_d0_is_skipped():
@@ -487,7 +522,74 @@ def test_word_size_prime_dividing_d0_is_skipped():
     # reports order 21 > 8 modulo itself
     q = 2 ** 61 - 1
     assert next(cfinite._primes()) == q
-    got, solves = _guess_recording([q ** (20 - n) * 3 ** n for n in range(21)], "word-size",
-                                   "_solve_rec")
+    got, bm = _guess_recording([q ** (20 - n) * 3 ** n for n in range(21)], "word-size",
+                               "_bm_mod")
     assert got.den == (q, -3)
-    assert len(solves) == 1
+    assert [length for _, (length, _) in bm][0] == 21
+    assert all(length == 1 for _, (length, _) in bm[1:])
+
+
+# --- the no-fit proof ---------------------------------------------------------
+
+
+_D0 = st.sampled_from((2, -3, 101, 103 * 107, 2 ** 61 - 1)) | st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def _no_fit_inputs(draw):
+    """(primitive ints, d): 2d + 3 to 3d + 6 terms of noise, or of a random
+    spec of order d + 1 (often no fit of order <= d) or d (a fit), D_0
+    drawn to be divisible by the small primes or by 2^61 - 1 at times."""
+    d = draw(st.integers(1, 8))
+    n_terms = draw(st.integers(2 * d + 3, 3 * d + 6))
+    kind = draw(st.sampled_from(("noise", "order d + 1", "order d")))
+    if kind == "noise":
+        data = draw(st.lists(st.integers(-50, 50), min_size=n_terms, max_size=n_terms))
+    else:
+        order = d + 1 if kind == "order d + 1" else d
+        coeff = st.integers(-4, 4)
+        spec = CFiniteSpec(draw(st.lists(coeff, min_size=order, max_size=order)),
+                           [draw(_D0)] + draw(st.lists(coeff, min_size=order, max_size=order)))
+        data = seq_from_rec(spec, n_terms)
+    return _primitive_ints(data)[0], d
+
+
+@pytest.mark.parametrize("supply", sorted(_SUPPLIES))
+@settings(max_examples=150, deadline=None)
+@given(_no_fit_inputs())
+def test_no_fit_proof_matches_exact_solve(supply, case):
+    ints, d = case
+    with _prime_supply(_SUPPLIES[supply]):
+        got = cfinite._minimal_den(ints, d)
+    assert (got is None) == (_solve_rec(ints, d) is None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_specs(), _D0, st.integers(0, 3), st.integers(0, 5))
+def test_hadamard_bound_dominates_d0(spec, d0, zeros, extra):
+    # leading zeros raise the order and keep D_0; the bound at any
+    # d >= the minimal order covers |D_0|
+    spec = CFiniteSpec(spec.initial, (d0,) + spec.den[1:])
+    order = zeros + spec.order
+    ints = _primitive_ints([0] * zeros + seq_from_rec(spec, 2 * order + 4 + extra))[0]
+    max_d = len(ints) // 2 - 2
+    den = cfinite._minimal_den(ints, max_d)
+    assert den is not None
+    for d in range(len(den) - 1, max_d + 1):
+        assert den[0] ** 2 <= cfinite._hadamard_bound_sq(ints, d)
+
+
+def test_no_exact_solve_is_left_in_cfinite(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cfinite solved a linear system")
+
+    monkeypatch.setattr(cfinite, "solve_fraction_free", refuse)
+    assert guess_rec(_PINNED["noise"][0]) is None
+    assert gf_grid(4, "symmetric").spec.order == 8
+    v = Poly([0, 1])
+    data = [Poly([1]), v]
+    while len(data) < 12:
+        data.append((v + 1) * data[-1] - data[-2])
+    assert guess_rec(data).den == (Poly([1]), -(v + 1), Poly([1]))
+    # the budget doublings before the fit end in no fit
+    assert gf_two_forest(3).spec.order == 12
