@@ -385,6 +385,7 @@ def guess_sym_rec(data) -> CFiniteSpec | None:
         return spec
     return None
 
+
 def c_to_r(spec: CFiniteSpec) -> RationalFunction:
     """Rational generating function of the recurrence.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -37,8 +38,8 @@ LONG_RUN_K = 8
 #: the 120-term cap, after 2.6 s, 3.6 s and 4.8 s for k = 5, 6 and 7.
 LONG_RUN_C_POLY_K = 7
 #: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
-#: 9 s for 5 rows and 3.3 minutes for 6 (2.1 in the layer sweeps, 1.2 in
-#: the per-term spot check).
+#: 7 s for 5 rows (2.8 of it the per-term spot check) and 2.6 minutes for
+#: 6 (1.7 in the layer sweeps, 0.9 in the spot check).
 LONG_RUN_VER_K = 6
 #: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
 #: the complete graph, six random ones) fit in under a second, and a random
@@ -53,24 +54,34 @@ MIN_GUESS_TERMS = 6
 #: usage error, not hours of work: each accepts about a minute of work
 #: (CPython 3.11, one core of a shared 2-core x86-64 host), at k = 4 for
 #: MAX_FIT_TERMS and at the k that MAX_STREAM_WORK leaves for the n limits.
-#: MAX_FIT_TERMS also caps guess --data and toeplitz-gf --n; the costliest
-#: guess is a list that nothing fits, where the order finder runs modulo
-#: primes until their product passes a Hadamard bound that grows with the
-#: terms' size: 0.08 s for 160 terms of 2-digit noise, 0.5 s for 20-digit.
+#: MAX_FIT_TERMS also caps guess --data's terms and toeplitz-gf --n.
 MAX_FIT_TERMS = 160
 MAX_RESISTANCE_N = 2500
 MAX_MOMENTS_N = 1300
 #: resistance and moments stream k * n rows through a window of k, k the
-#: grid's rows or a --graph's vertices, so together k and n are capped at
-#: k^2 * n <= MAX_STREAM_WORK: under a minute from k = 4 (n = 1250) to the
-#: --k limits (k = 70, n = 4 and k = 30, n = 22), where most of it is the
-#: last k x k block's determinant.  A --graph file has at most
+#: grid's rows or a --graph's vertices, so k^2 * n <= MAX_STREAM_WORK caps
+#: k and n together and is the only bound on k.  Along it resistance takes
+#: 6.5 s at k = 4 (n = 1250) and under 1.5 s from k = 40, moments 41 s at
+#: k = 4 and 13 to 18 s from k = 25 to k = 100.  A --graph file has at most
 #: MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
 MAX_STREAM_WORK = 20000
-MAX_RESISTANCE_K = 70
-MAX_MOMENTS_K = 30
-MAX_GRAPH_VERTICES = MAX_MOMENTS_K
+MAX_GRAPH_VERTICES = 30
 MAX_GRAPH_BYTES = 1 << 20
+#: guess --data's length in bytes, checked before parsing.  The costliest
+#: guess is a list that nothing fits, where the order finder runs modulo
+#: primes until their product passes a Hadamard bound that grows with the
+#: terms' size: 160 terms of noise took 0.04 s at 2 digits, 4.2 s at 200
+#: (32 KB), 16 s at 600, 27 s at 800 (128 KB) and 41 s at 1000 (160 KB);
+#: 40 terms of 3200 digits (128 KB) took 13 s.
+MAX_GUESS_BYTES = 1 << 17
+#: toeplitz-gf --method transfer and toeplitz-scheme: the transfer scheme
+#: of a row prefix of k1 entries and a column prefix of k2 closed on
+#: C(k1 + k2 - 2, k1 - 1) states on every all-ones and mixed-sign band
+#: tried, so k1 + k2 is capped; at 14 entries 7/7 is the largest split.
+#: The slowest transfer (permanent) took 0.23 s at 6/6 (252 states), 8.9 s
+#: at 7/7 (924), 5.6 s at 8/6 and 6.0 s at 6/8 (792), then 43 s at 8/7
+#: (1716); the scheme alone takes 1.2 s at 9/9 (12870 states).
+MAX_TOEPLITZ_PREFIXES = 14
 
 
 class UsageError(Exception):
@@ -141,12 +152,12 @@ def _build_parser() -> _Parser:
     q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("resistance", help="corner-to-corner grid resistance")
-    q.add_argument("--k", type=_int_in_range(1, MAX_RESISTANCE_K), required=True)
+    q.add_argument("--k", type=_positive, required=True)
     q.add_argument("--n", type=_int_in_range(1, MAX_RESISTANCE_N), required=True)
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("moments", help="vertical-edge statistic moments")
-    q.add_argument("--k", type=_int_in_range(1, MAX_MOMENTS_K))
+    q.add_argument("--k", type=_positive)
     q.add_argument("--graph")
     q.add_argument("--n", type=_int_in_range(1, MAX_MOMENTS_N), required=True)
     q.add_argument("--pretty", action="store_true")
@@ -292,6 +303,9 @@ def _gf_payload(result: spanning.GFResult, emit_data=False) -> dict:
 
 
 def _cmd_guess(args) -> int:
+    size = len(os.fsencode(args.data))
+    if size > MAX_GUESS_BYTES:
+        raise UsageError(f"--data is {size} bytes, more than {MAX_GUESS_BYTES}")
     data = _parse_csv(args.data)
     if len(data) < MIN_GUESS_TERMS:
         raise UsageError(f"--data needs at least {MIN_GUESS_TERMS} terms, got {len(data)}")
@@ -374,6 +388,8 @@ def _cmd_resistance(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.k:
+        _check_stream_work(args.k, args.n)  # before path_graph builds k - 1 edges
     g = _base_graph(args)
     _check_stream_work(g.n_vertices, args.n)
     report = spanning.moments(g, args.n)
@@ -399,9 +415,16 @@ def _prefixes(args):
     return row, col
 
 
+def _check_scheme_size(row, col):
+    if len(row) + len(col) > MAX_TOEPLITZ_PREFIXES:
+        raise UsageError(f"--row and --col have {len(row) + len(col)} entries together, "
+                         f"more than {MAX_TOEPLITZ_PREFIXES} for a transfer scheme")
+
+
 def _cmd_toeplitz_gf(args) -> int:
     row, col = _prefixes(args)
     if args.method == "transfer":
+        _check_scheme_size(row, col)
         rf = toeplitz.gf_transfer(row, col, args.mode)
         terms_used = None
     else:
@@ -422,6 +445,7 @@ def _cmd_toeplitz_gf(args) -> int:
 
 def _cmd_toeplitz_scheme(args) -> int:
     row, col = _prefixes(args)
+    _check_scheme_size(row, col)
     scheme = toeplitz.children_scheme(row, col, args.mode)
     print(json.dumps(toeplitz.scheme_to_json(scheme)))
     return 0

@@ -9,7 +9,7 @@ Every count is a Laplacian minor (matrix-tree theorem), and every minor is
 computed by _laplacian_minor straight from the edge list: rows are built
 one at a time holding only their band, streamed through fraction-free
 (Bareiss) elimination in a window of half-bandwidth w (_eliminated), and
-the last w x w block goes to det_bareiss.  No dense Laplacian is built, so
+the last pivot is the minor.  No dense Laplacian is built, so
 a minor of a graph with N vertices and E edges costs O(N + E + N*w^2) time
 and O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
 Vertical weights may be core.Jet series (spanning.moments uses 1 + e).
@@ -173,9 +173,8 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
     diagonal rightwards (the matrix and every Bareiss stage are
     symmetric).  An entry entering after pivot p is scaled by p, the
     factor Bareiss would have given it had it been inside the window all
-    along.  The last m = max(w, 1) rows form the bordered block B whose
-    determinant, by Sylvester's identity, is prev^(m-1) times the minor,
-    with prev the last pivot taken; det_bareiss computes det B.
+    along.  Pivot r is the leading (r+1) x (r+1) principal minor
+    (Sylvester's identity), so the last pivot is the minor itself.
 
     The weight is a non-negative int or a Jet with constant term >= 1.
     Each pivot is a leading principal minor, a polynomial in the edge
@@ -183,8 +182,9 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
     forests), so a jet pivot's constant term, its value at positive
     weights, is 0 only when the pivot is.  At positive weights the matrix
     is positive semidefinite, and a PSD matrix with a singular leading
-    principal submatrix is singular: a zero pivot before the last block
-    means the minor is 0, and every divisor is nonzero at e = 0.
+    principal submatrix is singular (x^T A x = 0 implies A x = 0): any
+    zero pivot, the last one included, means the minor is 0, and every
+    divisor is nonzero at e = 0.
     """
     low = vertical_weight.coeffs[0] - 1 if isinstance(vertical_weight, Jet) else vertical_weight
     if not isinstance(low, int) or low < 0:
@@ -215,19 +215,17 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
             off[i, j] = off.get((i, j), 0) + weight
             if j - i > w:
                 w = j - i
-    m = max(w, 1)
 
     def column(e):
         if e < n:
             return [-off.get((t, e), 0) for t in range(max(0, e - w), e)] + [diag[e]]
 
     windows = _eliminated(column, w)
-    for _r in range(n - m):
-        upper, prev = next(windows)
+    for _r in range(n):
+        upper, _prev = next(windows)
         if not upper[0][0]:
             return 0
-    upper, prev = next(windows)
-    return det_bareiss(_block(upper, m)) // prev ** (m - 1)
+    return upper[0][0]
 
 
 def _eliminated(column, w):
@@ -257,7 +255,7 @@ def _eliminated(column, w):
                      for a, (row, f) in enumerate(zip(upper[1:], top[1:]), 1)]
 
 
-def _block(upper, m, shift=0):
+def _block(upper, m, shift):
     """The leading m x m block of the symmetric window upper, less shift
     on its diagonal."""
     block = [[0] * m for _ in range(m)]

@@ -10,11 +10,11 @@ from exactgf.cli import (
     MAX_FIT_TERMS,
     MAX_GRAPH_BYTES,
     MAX_GRAPH_VERTICES,
-    MAX_MOMENTS_K,
+    MAX_GUESS_BYTES,
     MAX_MOMENTS_N,
-    MAX_RESISTANCE_K,
     MAX_RESISTANCE_N,
     MAX_STREAM_WORK,
+    MAX_TOEPLITZ_PREFIXES,
     run,
 )
 from exactgf.core import Poly
@@ -360,10 +360,6 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
              f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
             (("resistance", "--k", "2", "--n", str(MAX_RESISTANCE_N + 1)),
              f"argument --n: must be at most {MAX_RESISTANCE_N}"),
-            (("resistance", "--k", str(MAX_RESISTANCE_K + 1), "--n", "2"),
-             f"argument --k: must be at most {MAX_RESISTANCE_K}"),
-            (("moments", "--k", str(MAX_MOMENTS_K + 1), "--n", "2"),
-             f"argument --k: must be at most {MAX_MOMENTS_K}"),
             (("moments", "--k", "2", "--n", str(10**12)),
              f"argument --n: must be at most {MAX_MOMENTS_N}"),
             ((*family, "--method", "guess", "--n", too_many),
@@ -405,10 +401,13 @@ def test_sizes_at_their_limit_are_accepted(tmp_path, capsys):
     assert code == 0 and json.loads(out)["resistance"] == str(MAX_RESISTANCE_N - 1)
     code, out, _ = invoke(capsys, "moments", "--k", "1", "--n", str(MAX_MOMENTS_N))
     assert code == 0 and json.loads(out)["mean"] == "0"
-    code, out, _ = invoke(capsys, "resistance", "--k", str(MAX_RESISTANCE_K), "--n", "1")
-    assert code == 0 and json.loads(out)["resistance"] == str(MAX_RESISTANCE_K - 1)
-    code, out, _ = invoke(capsys, "moments", "--k", str(MAX_MOMENTS_K), "--n", "1")
-    assert code == 0 and json.loads(out)["mean"] == str(MAX_MOMENTS_K - 1)
+    # k^2 * n = 141^2 <= MAX_STREAM_WORK, the only bound on k; a --graph has
+    # at most 30 vertices
+    assert MAX_GRAPH_VERTICES == 30
+    code, out, _ = invoke(capsys, "resistance", "--k", "141", "--n", "1")
+    assert code == 0 and json.loads(out)["resistance"] == "140"
+    code, out, _ = invoke(capsys, "moments", "--k", "141", "--n", "1")
+    assert code == 0 and json.loads(out)["mean"] == "140"
     # a path on MAX_GRAPH_VERTICES vertices, padded to exactly MAX_GRAPH_BYTES bytes
     path = tmp_path / "path.json"
     edges = [[i, i + 1, "other", 1] for i in range(MAX_GRAPH_VERTICES - 1)]
@@ -422,26 +421,81 @@ def test_k_squared_n_is_capped_for_resistance_and_moments(monkeypatch, tmp_path,
     report = spanning.moments(path_graph(2), 2)
     monkeypatch.setattr(spanning, "resistance", lambda k, n: ran.append((k, n)) or 1)
     monkeypatch.setattr(spanning, "moments", lambda g, n: ran.append((g.n_vertices, n)) or report)
-    # each size within its own limit, but together over the cap
-    k = MAX_MOMENTS_K
+    # n within its limit, but k^2 * n over the cap, which alone bounds k
+    k = MAX_GRAPH_VERTICES
     n = MAX_STREAM_WORK // (k * k) + 1
     wide = _path_file(tmp_path, k)
-    for argv in (("resistance", "--k", str(MAX_RESISTANCE_K),
-                  "--n", str(MAX_STREAM_WORK // MAX_RESISTANCE_K**2 + 1)),
+    for argv in (("resistance", "--k", str(k), "--n", str(n)),
+                 ("resistance", "--k", "142", "--n", "1"),
                  ("moments", "--k", str(k), "--n", str(n)),
+                 ("moments", "--k", "142", "--n", "1"),
                  ("moments", "--graph", wide, "--n", str(n))):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert f"more than {MAX_STREAM_WORK}" in err
     assert ran == []
-    # at the cap (20000 = 10^2 * 200 = 20^2 * 50)
+    # at the cap (20000 = 10^2 * 200 = 20^2 * 50) and just under it (141^2)
     assert MAX_STREAM_WORK == 20000
     for argv in (("resistance", "--k", "10", "--n", "200"),
+                 ("resistance", "--k", "141", "--n", "1"),
                  ("moments", "--k", "20", "--n", "50"),
+                 ("moments", "--k", "141", "--n", "1"),
                  ("moments", "--graph", _path_file(tmp_path, 20), "--n", "50")):
         code, _out, _err = invoke(capsys, *argv)
         assert code == 0
-    assert ran == [(10, 200), (20, 50), (20, 50)]
+    assert ran == [(10, 200), (141, 1), (20, 50), (141, 1), (20, 50)]
+
+
+def test_moments_checks_k_before_building_the_path(monkeypatch, capsys):
+    # the stub builds nothing: path_graph(10**9) would take 10^9 edge tuples
+    built = []
+    monkeypatch.setattr(cli, "path_graph", lambda k: built.append(k))
+    code, out, err = invoke(capsys, "moments", "--k", str(10**9), "--n", "1")
+    assert code == 2 and out == ""
+    assert f"more than {MAX_STREAM_WORK}" in err
+    assert built == []
+
+
+def test_guess_data_above_its_byte_limit_is_usage_error(monkeypatch, capsys):
+    # the Fibonacci numbers, padded with spaces (which the parser strips)
+    fib = "1,1,2,3,5,8,13,21,34,55".ljust(MAX_GUESS_BYTES)
+    code, out, _ = invoke(capsys, "guess", "--data", fib)
+    assert code == 0 and json.loads(out) == {"initial": [1, 1], "rec": [1, 1]}
+    ran = []
+    monkeypatch.setattr(cli, "guess_rec", lambda data: ran.append(data))
+    code, out, err = invoke(capsys, "guess", "--data", fib + " ")
+    assert code == 2 and out == ""
+    assert f"--data is {MAX_GUESS_BYTES + 1} bytes, more than {MAX_GUESS_BYTES}" in err
+    assert ran == []
+
+
+def test_toeplitz_prefixes_above_the_scheme_limit_are_usage_errors(monkeypatch, capsys):
+    assert MAX_TOEPLITZ_PREFIXES == 14
+    ran = []
+    rf, scheme = toeplitz.gf_transfer([1], [1]), toeplitz.children_scheme([1], [1])
+    monkeypatch.setattr(toeplitz, "gf_transfer", lambda row, col, mode: ran.append(row) or rf)
+    monkeypatch.setattr(toeplitz, "children_scheme",
+                        lambda row, col, mode: ran.append(row) or scheme)
+    monkeypatch.setattr(toeplitz, "gf_family_guess",
+                        lambda row, col, mode, **window: ran.append(row) or rf)
+    for k1 in (1, 7, 13):
+        for k2, gated in ((MAX_TOEPLITZ_PREFIXES - k1, False),
+                          (MAX_TOEPLITZ_PREFIXES + 1 - k1, True)):
+            prefixes = ("--row", ",".join(["1"] * k1), "--col", ",".join(["1"] * k2))
+            for command in ("toeplitz-gf", "toeplitz-scheme"):
+                del ran[:]
+                code, out, err = invoke(capsys, command, *prefixes)
+                if gated:
+                    assert code == 2 and out == ""
+                    assert f"more than {MAX_TOEPLITZ_PREFIXES}" in err
+                    assert ran == []
+                else:
+                    assert code == 0 and len(ran) == 1
+    # --method guess is bounded by --n, not by the prefixes
+    del ran[:]
+    code, _out, _err = invoke(capsys, "toeplitz-gf", "--row", ",".join(["1"] * 15), "--col", "1",
+                              "--method", "guess", "--n", "12")
+    assert code == 0 and len(ran) == 1
 
 
 def test_moments_on_a_disconnected_graph_is_usage_error(tmp_path, capsys):

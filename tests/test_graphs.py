@@ -5,7 +5,7 @@ from itertools import islice
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactgf import (
     LabeledGraph,
@@ -249,13 +249,28 @@ def _multigraphs(draw, max_vertices=8):
                                  for (u, v), label, mult in edges))
 
 
+@st.composite
+def _minors(draw, max_vertices=8, min_drop=0, max_drop=3):
+    """A graph from _multigraphs and a set of its vertices to delete."""
+    g = draw(_multigraphs(max_vertices))
+    drop = draw(st.sets(st.integers(0, g.n_vertices - 1), min_size=min_drop,
+                        max_size=min(max_drop, g.n_vertices)))
+    return g, drop
+
+
+# minors whose only zero pivot is the last one (at positive weights): the
+# whole Laplacian of a connected graph, and a path 1-2 followed by the
+# isolated vertex 3
+_LAST_PIVOT_ZERO = ((grid_graph(2, 3), set()),
+                    (LabeledGraph(4, ((0, 1, "vertical", 1), (1, 2, "other", 2))), {0}))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_laplacian_minor_matches_dense(data):
-    g = data.draw(_multigraphs())
-    x = data.draw(st.sampled_from((0, 1, 2, 5)))
-    drop = data.draw(st.sets(st.integers(0, g.n_vertices - 1),
-                             max_size=min(3, g.n_vertices)))
+@given(_minors(), st.sampled_from((0, 1, 2, 5)))
+@example(_LAST_PIVOT_ZERO[0], 1)
+@example(_LAST_PIVOT_ZERO[1], 2)
+def test_laplacian_minor_matches_dense(case, x):
+    g, drop = case
     assert _laplacian_minor(g, drop, x) == laplacian_minor_dense(g, drop, x)
 
 
@@ -322,21 +337,28 @@ def test_layer_sweep_zero_pivot_is_internal(monkeypatch):
         list(islice(_layer_sweep(path_graph(2)), 3))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_jet_laplacian_minor_is_the_taylor_expansion_at_one(data):
-    g = data.draw(_multigraphs(max_vertices=6))
-    drop = data.draw(st.sets(st.integers(0, g.n_vertices - 1), min_size=1,
-                             max_size=min(2, g.n_vertices)))
-    k = data.draw(st.integers(1, 5))
-    got = _laplacian_minor(g, drop, Jet(((1, 1) + (0,) * (k - 2))[:k]))  # 1 + e
-    # the integer minors at v = 0..D, interpolated, then expanded at v = 1
+def _taylor_at_one(g, drop, k):
+    """The first k Taylor coefficients at v = 1 of the minor: the dense
+    integer minors at v = 0..D, interpolated, then expanded at v = 1."""
     d_bound = sum(m for _u, _v, label, m in g.edges if label == "vertical")
     p = Poly(_newton_interpolate([laplacian_minor_dense(g, drop, x)
                                   for x in range(d_bound + 1)]))
-    want = [sum(c * comb(i, j) for i, c in enumerate(p.coeffs)) for j in range(k)]
-    got = got.coeffs if isinstance(got, Jet) else (got,) + (0,) * (k - 1)
-    assert list(got) == want
+    return [sum(c * comb(i, j) for i, c in enumerate(p.coeffs)) for j in range(k)]
+
+
+def _jet_minor(g, drop, k):
+    """_laplacian_minor at v = 1 + e over Z[e]/(e^k), as k coefficients."""
+    got = _laplacian_minor(g, drop, Jet(((1, 1) + (0,) * (k - 2))[:k]))
+    return list(got.coeffs if isinstance(got, Jet) else (got,) + (0,) * (k - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_minors(max_vertices=6, min_drop=1, max_drop=2), st.integers(1, 5))
+@example(_LAST_PIVOT_ZERO[0], 3)
+@example(_LAST_PIVOT_ZERO[1], 3)
+def test_jet_laplacian_minor_is_the_taylor_expansion_at_one(case, k):
+    g, drop = case
+    assert _jet_minor(g, drop, k) == _taylor_at_one(g, drop, k)
 
 
 def test_laplacian_minor_rejects_negative_weight():
@@ -346,19 +368,16 @@ def test_laplacian_minor_rejects_negative_weight():
         _laplacian_minor(grid_graph(2, 2), {3}, Jet((0, 1)))
 
 
-def test_laplacian_minor_hands_a_band_sized_block_to_det_bareiss(monkeypatch):
-    sizes = []
-    original = graphs.det_bareiss
+def test_laplacian_minor_is_the_last_pivot_without_det_bareiss(monkeypatch):
+    def never(m):
+        raise AssertionError("_laplacian_minor called det_bareiss")
 
-    def recording(m):
-        sizes.append(m.nrows)
-        return original(m)
-
-    monkeypatch.setattr(graphs, "det_bareiss", recording)
+    monkeypatch.setattr(graphs, "det_bareiss", never)
     g = grid_graph(4, 30)
     assert spanning_tree_count(g) == laplacian_minor_dense(g, {119})
     assert two_forest_count(g, 0, 119) == laplacian_minor_dense(g, {0, 119})
-    assert sizes == [4, 4]
+    h = grid_graph(3, 4)
+    assert _jet_minor(h, {11}, 4) == _taylor_at_one(h, {11}, 4)
 
 
 def test_resistance_memory_stays_small():
