@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from . import spanning, toeplitz
 from .cfinite import guess_rec
-from .core import Poly, RationalFunction
+from .core import Poly, RationalFunction, _primitive_ints
 from .errors import (
     BadVertexPair,
     BudgetExceeded,
@@ -61,7 +62,7 @@ MAX_MOMENTS_N = 1300
 #: resistance and moments stream k * n rows through a window of k, k the
 #: grid's rows or a --graph's vertices, so k^2 * n <= MAX_STREAM_WORK caps
 #: k and n together and is the only bound on k.  Along it resistance takes
-#: 6.5 s at k = 4 (n = 1250) and under 1.5 s from k = 40, moments 41 s at
+#: 3.4 s at k = 4 (n = 1250) and about 1 s from k = 40, moments 41 s at
 #: k = 4 and 13 to 18 s from k = 25 to k = 100.  A --graph file has at most
 #: MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
 MAX_STREAM_WORK = 20000
@@ -72,7 +73,14 @@ MAX_GRAPH_BYTES = 1 << 20
 #: primes until their product passes a Hadamard bound that grows with the
 #: terms' size: 160 terms of noise took 0.04 s at 2 digits, 4.2 s at 200
 #: (32 KB), 16 s at 600, 27 s at 800 (128 KB) and 41 s at 1000 (160 KB);
-#: 40 terms of 3200 digits (128 KB) took 13 s.
+#: 40 terms of 3200 digits (128 KB) took 13 s.  The order finder works on
+#: the terms with their denominators cleared by the lcm of all of them
+#: (core._primitive_ints), so fraction data are also refused, after
+#: parsing, when those integers have more bits in all than integers
+#: written in MAX_GUESS_BYTES decimal digits can, MAX_GUESS_BYTES * log2(10):
+#: 160 terms 1/d with random 6-digit d (1.4 KB) clear to about 330000 bits,
+#: under that bound, and took 20 s; with 8-digit d (1.8 KB), refused, to
+#: about 500000 bits, and took 45 s.
 MAX_GUESS_BYTES = 1 << 17
 #: toeplitz-gf --method transfer and toeplitz-scheme: the transfer scheme
 #: of a row prefix of k1 entries and a column prefix of k2 closed on
@@ -311,6 +319,10 @@ def _cmd_guess(args) -> int:
         raise UsageError(f"--data needs at least {MIN_GUESS_TERMS} terms, got {len(data)}")
     if len(data) > MAX_FIT_TERMS:
         raise UsageError(f"--data takes at most {MAX_FIT_TERMS} terms, got {len(data)}")
+    bits = sum(x.bit_length() for x in _primitive_ints(data)[0])
+    if bits > MAX_GUESS_BYTES * math.log2(10):
+        raise UsageError(f"--data clears to integers of {bits} bits in all, more than "
+                         f"{MAX_GUESS_BYTES} decimal digits can write")
     spec = guess_rec(data)
     if spec is None:
         print(json.dumps({"error": "no recurrence found"}))

@@ -160,21 +160,23 @@ def laplacian(g: LabeledGraph, vertical_weight=1) -> Matrix:
 
 
 def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
-    """det of the Laplacian of g, with vertical edges weighted by
-    vertical_weight, after deleting the rows and columns in drop
-    (vertices outside the graph are ignored:
+    """The Laplacian minor of g without drop: the last of _last_pivots."""
+    return _last_pivots(g, drop, vertical_weight)[1]
+
+
+def _last_pivots(g: LabeledGraph, drop, vertical_weight=1):
+    """The last two pivots of one streamed elimination of the Laplacian of
+    g, with vertical edges weighted by vertical_weight, after deleting the
+    rows and columns in drop (vertices outside the graph are ignored:
     spanning_tree_count of the 0-vertex graph drops vertex -1 and gets 1;
     two_forest_count checks its vertices before calling).
 
     The kept vertices keep their order, and w is the largest index gap
     along an edge of nonzero weight, so the minor is banded with
-    half-bandwidth w.  Rows enter a window of w + 1 rows as the
-    elimination reaches them, holding only their entries from the
-    diagonal rightwards (the matrix and every Bareiss stage are
-    symmetric).  An entry entering after pivot p is scaled by p, the
-    factor Bareiss would have given it had it been inside the window all
-    along.  Pivot r is the leading (r+1) x (r+1) principal minor
-    (Sylvester's identity), so the last pivot is the minor itself.
+    half-bandwidth w and its rows stream through _eliminated.  Pivot r is
+    the leading (r+1) x (r+1) principal minor (Sylvester's identity), so
+    the last pivot is the minor itself and the one before it the minor
+    that also deletes the last kept vertex (1 if only one is kept).
 
     The weight is a non-negative int or a Jet with constant term >= 1.
     Each pivot is a leading principal minor, a polynomial in the edge
@@ -182,22 +184,18 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
     forests), so a jet pivot's constant term, its value at positive
     weights, is 0 only when the pivot is.  At positive weights the matrix
     is positive semidefinite, and a PSD matrix with a singular leading
-    principal submatrix is singular (x^T A x = 0 implies A x = 0): any
-    zero pivot, the last one included, means the minor is 0, and every
-    divisor is nonzero at e = 0.
+    principal submatrix is singular (x^T A x = 0 implies A x = 0): after
+    the first zero pivot every later leading minor, the last one
+    included, is 0, and every divisor is nonzero at e = 0.
     """
     low = vertical_weight.coeffs[0] - 1 if isinstance(vertical_weight, Jet) else vertical_weight
     if not isinstance(low, int) or low < 0:
         raise ValueError("vertical_weight must be an int >= 0 or a Jet with constant term >= 1")
-    pos = [None] * g.n_vertices
-    n = 0
-    for v in range(g.n_vertices):
-        if v not in drop:
-            pos[v] = n
-            n += 1
-    if not n:
-        return 1
-    diag = [0] * n
+    kept = [v for v in range(g.n_vertices) if v not in drop]
+    n, pos = len(kept), [-1] * g.n_vertices
+    for i, v in enumerate(kept):
+        pos[v] = i
+    diag = [0] * (n + 1)  # diag[-1] takes the deleted ends' weights
     off = {}  # (i, j) with i < j -> total weight joining kept vertices i, j
     w = 0
     for u, v, label, mult in g.edges:
@@ -205,13 +203,11 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
         if not weight:
             continue
         i, j = pos[u], pos[v]
-        if i is not None:
-            diag[i] += weight
-        if j is not None:
-            diag[j] += weight
-        if i is not None and j is not None:
-            if i > j:
-                i, j = j, i
+        if i > j:
+            i, j = j, i
+        diag[i] += weight
+        diag[j] += weight
+        if i >= 0:
             off[i, j] = off.get((i, j), 0) + weight
             if j - i > w:
                 w = j - i
@@ -220,12 +216,12 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
         if e < n:
             return [-off.get((t, e), 0) for t in range(max(0, e - w), e)] + [diag[e]]
 
-    windows = _eliminated(column, w)
-    for _r in range(n):
-        upper, _prev = next(windows)
-        if not upper[0][0]:
-            return 0
-    return upper[0][0]
+    prev = last = 1
+    for r, (upper, prev) in zip(range(n), _eliminated(column, w)):
+        last = upper[0][0]
+        if not last:
+            return (prev if r == n - 1 else 0), 0
+    return prev, last
 
 
 def _eliminated(column, w):
@@ -239,7 +235,8 @@ def _eliminated(column, w):
     so upper is prev times the Schur complement of the leading r x r block
     (Sylvester's identity).  An entry entering after pivot p is scaled by
     p, the factor Bareiss would have given it had it been inside the window
-    all along.  The caller stops at a zero pivot."""
+    all along.  Before the last pivot, prev is the leading minor without
+    the last row.  The caller stops at a zero pivot."""
     upper, p = [], 1
     for e in count():
         col = column(e)

@@ -6,7 +6,7 @@ Covered families, all over layers n of a product graph G x P_n:
   * spanning-tree counts (univariate in t),
   * two-component spanning forests separating two corners, and the
     companion polynomial that divides their denominator structure,
-  * joint resistance between corners (ratio of the two counts),
+  * joint resistance between corners (two pivots of one elimination),
   * the bivariate vertical-edge weight polynomial and its moments.
 
 The data of each pipeline come from one layer sweep (graphs._layer_sweep,
@@ -42,6 +42,7 @@ from .errors import (
 from .graphs import (
     LabeledGraph,
     _laplacian_minor,
+    _last_pivots,
     _layer_sweep,
     _ver_sweep,
     grid_graph,
@@ -215,11 +216,13 @@ def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:
 
 def resistance(k: int, n: int) -> Fraction:
     """Joint resistance between corners (1,1) and (k,n) of the k x n grid
-    with 1-Ohm edges: two-forest count over spanning-tree count."""
+    with 1-Ohm edges: two-forest count over spanning-tree count, the last
+    two pivots of one elimination of the Laplacian without corner (1,1).
+    The last is that minor; the one before it also deletes corner (k,n),
+    the last vertex (all-minors matrix-tree theorem)."""
     if k * n < 2:
         raise BadVertexPair("need at least two vertices")
-    g = grid_graph(k, n)
-    return Fraction(two_forest_count(g, 0, k * n - 1), spanning_tree_count(g))
+    return Fraction(*_last_pivots(grid_graph(k, n), {0}))
 
 
 def resistance_bound_constant(k: int) -> Fraction:

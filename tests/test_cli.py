@@ -1,6 +1,7 @@
 """CLI surface: JSON/pretty output, exit codes, and round trips."""
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -454,6 +455,36 @@ def test_moments_checks_k_before_building_the_path(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert f"more than {MAX_STREAM_WORK}" in err
     assert built == []
+
+
+def test_guess_fraction_data_that_clear_to_huge_integers_are_usage_errors(monkeypatch, capsys):
+    # 160 terms 1/d, d of 8 random digits: 1.8 KB, but the lcm of the
+    # denominators makes every cleared term about 3000 bits long
+    ran = []
+    monkeypatch.setattr(cli, "guess_rec", lambda data: ran.append(data))
+    rng = random.Random(0)
+    data = ",".join(f"1/{rng.randrange(10**7, 10**8)}" for _ in range(MAX_FIT_TERMS))
+    assert len(data) < 2000
+    code, out, err = invoke(capsys, "guess", "--data", data)
+    assert code == 2 and out == ""
+    assert f"more than {MAX_GUESS_BYTES} decimal digits can write" in err
+    assert ran == []
+
+
+def test_guess_integer_noise_at_the_byte_limit_passes_the_bit_check(monkeypatch, capsys):
+    # 160 terms in as many digits as the commas leave: random noise, and
+    # all 9s, the most bits such terms can have
+    digits = (MAX_GUESS_BYTES - (MAX_FIT_TERMS - 1)) // MAX_FIT_TERMS
+    rng = random.Random(0)
+    for values in ([rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(MAX_FIT_TERMS)],
+                   [10 ** digits - 1] * MAX_FIT_TERMS):
+        data = ",".join(map(str, values))
+        assert MAX_GUESS_BYTES - MAX_FIT_TERMS < len(data) <= MAX_GUESS_BYTES
+        ran = []
+        monkeypatch.setattr(cli, "guess_rec", lambda data: ran.append(data))
+        code, out, _ = invoke(capsys, "guess", "--data", data)
+        assert code == 1 and json.loads(out) == {"error": "no recurrence found"}
+        assert ran == [values]
 
 
 def test_guess_data_above_its_byte_limit_is_usage_error(monkeypatch, capsys):

@@ -23,7 +23,13 @@ from exactgf import (
 from exactgf import graphs
 from exactgf.core import Jet, _newton_interpolate
 from exactgf.errors import BadVertexPair, InternalInconsistency
-from exactgf.graphs import _laplacian_minor, _layer_sweep, _ver_sweep, graph_from_json_dict
+from exactgf.graphs import (
+    _laplacian_minor,
+    _last_pivots,
+    _layer_sweep,
+    _ver_sweep,
+    graph_from_json_dict,
+)
 
 from oracles import (
     laplacian_minor_dense,
@@ -269,9 +275,15 @@ _LAST_PIVOT_ZERO = ((grid_graph(2, 3), set()),
 @given(_minors(), st.sampled_from((0, 1, 2, 5)))
 @example(_LAST_PIVOT_ZERO[0], 1)
 @example(_LAST_PIVOT_ZERO[1], 2)
+@example((LabeledGraph(3, ((1, 2, "other", 1),)), set()), 1)  # first pivot 0
 def test_laplacian_minor_matches_dense(case, x):
     g, drop = case
-    assert _laplacian_minor(g, drop, x) == laplacian_minor_dense(g, drop, x)
+    minor = laplacian_minor_dense(g, drop, x)
+    assert _laplacian_minor(g, drop, x) == minor
+    # the pivot before the last is the minor without the last kept vertex
+    kept = [v for v in range(g.n_vertices) if v not in drop]
+    before = laplacian_minor_dense(g, drop | set(kept[-1:]), x) if kept else 1
+    assert _last_pivots(g, drop, x) == (before, minor)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from exactgf import (
     LabeledGraph,
@@ -25,11 +25,11 @@ from exactgf import (
     two_forest_count,
     grid_graph,
 )
-from exactgf import spanning
+from exactgf import graphs, spanning
 from exactgf.errors import InternalInconsistency, NoFitWithinBudget, NotConnected
 from exactgf.spanning import gf_to_json
 
-from oracles import moments_by_interpolation
+from oracles import laplacian_minor_dense, moments_by_interpolation
 
 
 def rf(num, den):
@@ -141,7 +141,11 @@ def test_c_poly_needs_k_at_least_two():
 
 
 def test_resistance_examples():
-    assert resistance(1, 7) == 6
+    # k * n = 2: one edge, and the pivot before the last is the empty minor
+    assert resistance(1, 2) == resistance(2, 1) == 1
+    for n in range(2, 30):
+        assert resistance(1, n) == n - 1
+    assert resistance(141, 1) == 140
     assert resistance(2, 2) == 1
     r = resistance(2, 40)
     assert Fraction(39, 2) <= r <= Fraction(39, 2) + Fraction(1, 2)
@@ -155,6 +159,24 @@ def test_resistance_matches_counts():
         want = Fraction(two_forest_count(g, 0, k * n - 1),
                         spanning_tree_count(g))
         assert resistance(k, n) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 10))
+def test_resistance_is_the_ratio_of_dense_minors(k, n):
+    assume(k * n >= 2)
+    g = grid_graph(k, n)
+    last = k * n - 1
+    assert resistance(k, n) == Fraction(laplacian_minor_dense(g, {0, last}),
+                                        laplacian_minor_dense(g, {last}))
+
+
+def test_resistance_is_one_stream(monkeypatch):
+    streams = []
+    real = graphs._eliminated
+    monkeypatch.setattr(graphs, "_eliminated", lambda *a: streams.append(a) or real(*a))
+    resistance(3, 7)
+    assert len(streams) == 1
 
 
 def test_resistance_bound_constant_values():
