@@ -39,8 +39,9 @@ LONG_RUN_K = 8
 #: the 120-term cap, after 2.6 s, 3.6 s and 4.8 s for k = 5, 6 and 7.
 LONG_RUN_C_POLY_K = 7
 #: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
-#: 7 s for 5 rows (2.8 of it the per-term spot check) and 2.6 minutes for
-#: 6 (1.7 in the layer sweeps, 0.9 in the spot check).
+#: 6.7 s for 5 rows (2.6 of it the per-term spot check) and 2.9 minutes for
+#: 6 (1.8 in the layer sweeps, 1.0 in the spot check), nearly all of it
+#: big-integer products and quotients at up to 391 points of v.
 LONG_RUN_VER_K = 6
 #: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
 #: the complete graph, six random ones) fit in under a second, and a random

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, eq, floordiv, mul, neg, sub
 
 from .errors import InexactDivision, ShapeError, ZeroDenominator
 
@@ -213,18 +215,21 @@ def _coeff_div(a, b):
 
 
 def _dom_exact_div(a, b):
-    """Exact ring division for Bareiss; raises InexactDivision otherwise."""
+    """Exact ring division for Bareiss; raises InexactDivision otherwise
+    (for Evals, when the division is inexact at any point)."""
     if isinstance(a, Poly) or isinstance(b, Poly):
-        if not isinstance(a, Poly):
-            a = Poly((a,))
-        if not isinstance(b, Poly):
-            b = Poly((b,))
-        return a.exact_div(b)
+        return _coeff_div(a, b)
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         if r:
             raise InexactDivision(f"{a} not divisible by {b}")
         return q
+    if isinstance(a, Evals) or isinstance(b, Evals):
+        x, y = (a.values, a._lift(b)) if isinstance(a, Evals) else (b._lift(a), b.values)
+        qr = [*map(divmod, x, y)]
+        if any(r for _q, r in qr):
+            raise InexactDivision(f"{a!r} not divisible by {b!r}")
+        return Evals([q for q, _r in qr])
     if isinstance(a, Jet) or isinstance(b, Jet):
         return a // b
     return a / b
@@ -319,6 +324,74 @@ class Jet:
 
     def __rfloordiv__(self, other):
         return Jet(self._lift(other)) // self
+
+
+# ---------------------------------------------------------------------------
+# polynomials in evaluation form
+# ---------------------------------------------------------------------------
+
+class Evals:
+    """An integer polynomial in v in evaluation form: its values at fixed
+    points v = s, s + 1, ....  Ints act as constants, and + - * // ** act
+    pointwise through map with operator functions, so the per-point
+    arithmetic runs in C and one elimination over Evals is one elimination
+    per point.  // floors unchecked, like int //, for the divisions Bareiss
+    knows to be exact; _dom_exact_div checks every point.  A value is true
+    when it is nonzero at some point, so `if x:` skips only entries that
+    are 0 at every point.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        # the operations pass lists: a tuple built from a map is resized to
+        # its length, so one of fewer than 20 points is never taken from
+        # CPython's free list of short tuples, yet freed into it, which
+        # then fills up
+        self.values = tuple(values)
+
+    def _lift(self, other):
+        if isinstance(other, Evals):
+            if len(other.values) != len(self.values):
+                raise TypeError(f"{other!r} is not at the {len(self.values)} points of {self!r}")
+            return other.values
+        return repeat(other)
+
+    def __bool__(self):
+        return any(self.values)
+
+    def __eq__(self, other):
+        if isinstance(other, Evals):
+            return self.values == other.values
+        return all(map(eq, self.values, repeat(other)))
+
+    def __repr__(self):
+        return f"Evals({self.values!r})"
+
+    def __neg__(self):
+        return Evals([*map(neg, self.values)])
+
+    def __add__(self, other):
+        return Evals([*map(add, self.values, self._lift(other))])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Evals([*map(sub, self.values, self._lift(other))])
+
+    def __rsub__(self, other):
+        return Evals([*map(sub, self._lift(other), self.values)])
+
+    def __mul__(self, other):
+        return Evals([*map(mul, self.values, self._lift(other))])
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        return Evals([*map(floordiv, self.values, self._lift(other))])
+
+    def __pow__(self, n: int):
+        return Evals([*map(pow, self.values, repeat(n))])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +562,7 @@ def _newton_interpolate(ys, start=0):
     values' own ring: integer values give int coefficients where the
     polynomial has them and Fractions only where it does not, Fraction
     values give Fractions.  graphs.ver_polynomial recovers its minors
-    here from values at 0..n-1, cfinite._guess_rec_poly its D_i/D_0."""
+    here from values at 1..n, cfinite._guess_rec_poly its D_i/D_0."""
     n = len(ys)
     if not n:
         return []
@@ -593,7 +666,8 @@ def det_bareiss(m: Matrix):
 
     Works over any integral domain whose elements support *, -, and exact
     division (ints, Fractions, Polys), and over Jets while every pivot it
-    divides by has a nonzero constant term.  The empty 0x0 matrix has
+    divides by has a nonzero constant term, and over Evals while every
+    pivot is zero at all points or at none.  The empty 0x0 matrix has
     determinant 1.  Stage r eliminates only inside a window of half-width
     w = max(bandwidth, 1) below and right of the pivot, n*w^2 work instead
     of n^3, so banded matrices (Toeplitz families) stay cheap; a dense

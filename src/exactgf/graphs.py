@@ -12,13 +12,16 @@ one at a time holding only their band, streamed through fraction-free
 the last pivot is the minor.  No dense Laplacian is built, so
 a minor of a graph with N vertices and E edges costs O(N + E + N*w^2) time
 and O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
-Vertical weights may be core.Jet series (spanning.moments uses 1 + e).
+Vertical weights may be core.Jet series (spanning.moments uses 1 + e) or
+core.Evals, the points v = 1, 2, ... of a polynomial in evaluation form:
+one elimination over Evals gives a v-polynomial's values at every point.
 The pipelines need the minors of G x P_n for every n = 1..N: _layer_sweep
 streams one elimination over G x P_inf, built layer by layer from G's edge
 list, and reads each minor off the window at its layer boundary, O(N)
-layers instead of O(N^2); _ver_sweep runs one sweep per evaluation point
-of the v-polynomial.  laplacian() builds the dense (optionally v-weighted)
-matrix, which the tests use as the reference for these minors.
+layers instead of O(N^2); _ver_batches runs one such sweep over Evals per
+request of the v-polynomials, at the points its terms need.  laplacian()
+builds the dense (optionally v-weighted) matrix, which the tests use as
+the reference for these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, repeat
 
-from .core import Jet, Matrix, Poly, _newton_interpolate, det_bareiss
+from .core import Evals, Jet, Matrix, Poly, _newton_interpolate, det_bareiss
 from .errors import BadVertexPair, InternalInconsistency
 
 VERTICAL = "vertical"
@@ -178,19 +181,23 @@ def _last_pivots(g: LabeledGraph, drop, vertical_weight=1):
     the last pivot is the minor itself and the one before it the minor
     that also deletes the last kept vertex (1 if only one is kept).
 
-    The weight is a non-negative int or a Jet with constant term >= 1.
-    Each pivot is a leading principal minor, a polynomial in the edge
-    weights with non-negative coefficients (it counts rooted spanning
-    forests), so a jet pivot's constant term, its value at positive
-    weights, is 0 only when the pivot is.  At positive weights the matrix
-    is positive semidefinite, and a PSD matrix with a singular leading
-    principal submatrix is singular (x^T A x = 0 implies A x = 0): after
-    the first zero pivot every later leading minor, the last one
-    included, is 0, and every divisor is nonzero at e = 0.
+    The weight is a non-negative int, a Jet with constant term >= 1 or
+    Evals at points v >= 1 (_check_weight).  Each pivot is a leading
+    principal minor, a polynomial in the edge weights with non-negative
+    coefficients (it counts rooted spanning forests), so a jet pivot's
+    constant term, its value at positive weights, is 0 only when the pivot
+    is, and an Evals pivot is 0 at one positive point exactly when it is 0
+    at all of them.  At positive weights the matrix is positive
+    semidefinite, and a PSD matrix with a singular leading principal
+    submatrix is singular (x^T A x = 0 implies A x = 0): after the first
+    zero pivot every later leading minor, the last one included, is 0, and
+    every divisor is nonzero at e = 0 and at every point.  The argument
+    holds pointwise, so an Evals pivot that is 0 at some points only is a
+    bug and raises InternalInconsistency.  The points start at v = 1, not
+    0: at v = 0 G x P_n falls apart, and its pivots could vanish at v = 0
+    alone.
     """
-    low = vertical_weight.coeffs[0] - 1 if isinstance(vertical_weight, Jet) else vertical_weight
-    if not isinstance(low, int) or low < 0:
-        raise ValueError("vertical_weight must be an int >= 0 or a Jet with constant term >= 1")
+    _check_weight(vertical_weight)
     kept = [v for v in range(g.n_vertices) if v not in drop]
     n, pos = len(kept), [-1] * g.n_vertices
     for i, v in enumerate(kept):
@@ -219,9 +226,29 @@ def _last_pivots(g: LabeledGraph, drop, vertical_weight=1):
     prev = last = 1
     for r, (upper, prev) in zip(range(n), _eliminated(column, w)):
         last = upper[0][0]
-        if not last:
+        if _zero_pivot(last):
             return (prev if r == n - 1 else 0), 0
     return prev, last
+
+
+def _check_weight(vertical_weight):
+    """Raise ValueError unless vertical_weight is an int >= 0, a Jet with
+    constant term >= 1 or Evals at points >= 1."""
+    low = (vertical_weight.coeffs[0] - 1 if isinstance(vertical_weight, Jet)
+           else min(vertical_weight.values) - 1 if isinstance(vertical_weight, Evals)
+           else vertical_weight)
+    if not isinstance(low, int) or low < 0:
+        raise ValueError("vertical_weight must be an int >= 0, a Jet with constant term >= 1 "
+                         "or Evals at points >= 1")
+
+
+def _zero_pivot(p) -> bool:
+    """Whether the pivot p is 0.  An Evals pivot must be 0 at all of its
+    points or at none (see _last_pivots); one that is 0 at some points only
+    raises InternalInconsistency."""
+    if isinstance(p, Evals) and p and not all(p.values):
+        raise InternalInconsistency("a pivot is 0 at some points of v but not at all")
+    return not p
 
 
 def _eliminated(column, w):
@@ -263,12 +290,13 @@ def _block(upper, m, shift):
     return Matrix(block)
 
 
-def _layer_sweep(g: LabeledGraph, vertical_weight: int = 1, forests: bool = False):
+def _layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
     """Yield the Laplacian minors of g x P_n for n = 1, 2, ... from one
     streamed elimination, with g's edges weighted by vertical_weight (an
-    int >= 0): spanning_tree_count(product_with_path(g, n)), or with
-    forests two_forest_count of it between vertex 0 and the last vertex
-    (0 when they coincide).
+    int >= 0, or Evals at points >= 1):
+    spanning_tree_count(product_with_path(g, n)), or with forests
+    two_forest_count of it between vertex 0 and the last vertex (0 when
+    they coincide).
 
     The rows are those of g x P_inf, built layer by layer from g's edge
     list (vertex 0 left out for forests), so layer n's rows follow the r
@@ -279,8 +307,10 @@ def _layer_sweep(g: LabeledGraph, vertical_weight: int = 1, forests: bool = Fals
     det(block - prev * I) * prev / prev^m over the m remaining rows.
     Every leading block of this matrix is positive definite (each
     component of a prefix of layers has an edge to the next layer), so a
-    zero pivot is a bug and raises InternalInconsistency.  Layers cost
-    O(k^3) each, k = |V(g)|, in O(|g| + k^2) memory."""
+    zero pivot, at any point of an Evals, is a bug and raises
+    InternalInconsistency.  Layers cost O(k^3) each, k = |V(g)|, in
+    O(|g| + k^2) memory."""
+    _check_weight(vertical_weight)
     k = g.n_vertices
     if not k:  # every g x P_n is empty, and so is its minor
         yield from repeat(1)
@@ -307,7 +337,7 @@ def _layer_sweep(g: LabeledGraph, vertical_weight: int = 1, forests: bool = Fals
     for n in count(1):
         end = n * k - skip  # rows of layers 1..n
         while r < end - k:
-            if not upper[0][0]:
+            if _zero_pivot(upper[0][0]):
                 raise InternalInconsistency("zero pivot in a layer sweep")
             upper, prev = next(windows)
             r += 1
@@ -338,41 +368,61 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
 
     The v-weighted Laplacian minor without the last vertex has degree at
     most D, the total vertical multiplicity or the |V| - 1 edges of a
-    spanning tree, whichever is smaller.  It is evaluated at
-    v = 0..D as D + 1 integer minors and recovered by forward-difference
-    interpolation; a non-integer coefficient would be a bug and raises
+    spanning tree, whichever is smaller.  One streamed minor over Evals
+    gives its values at v = 1..D + 1, and forward-difference interpolation
+    recovers it; a non-integer coefficient would be a bug and raises
     InternalInconsistency.  Evaluating the result at 1 gives the plain
     spanning-tree count.
     """
     d_bound = min(sum(m for _u, _v, label, m in g.edges if label == VERTICAL),
                   max(g.n_vertices - 1, 0))
-    drop = {g.n_vertices - 1}
-    return _interpolated([_laplacian_minor(g, drop, x) for x in range(d_bound + 1)])
+    minor = _laplacian_minor(g, {g.n_vertices - 1}, Evals(range(1, d_bound + 2)))
+    return _interpolated(_point_values(minor, d_bound + 1))
 
 
-def _ver_sweep(g: LabeledGraph):
-    """Yield ver_polynomial(product_with_path(g, n)) for n = 1, 2, ...
+def _ver_batches(g: LabeledGraph):
+    """The data of gf_ver: returns next_terms, and next_terms(c) lists the
+    next c polynomials ver_polynomial(product_with_path(g, n)), n = 1, 2, ...
 
     Every edge of g is vertical in the product, and a spanning tree has at
     most |V(g)| - 1 of them in each layer, so term n has degree at most
-    D_n = n * min(total multiplicity of g's edges, |V(g)| - 1).  It is
-    interpolated from one _layer_sweep per point v = 0..D_n, each started
-    (and run up to layer n - 1) when first needed."""
+    D_n = n * min(total multiplicity of g's edges, |V(g)| - 1) and is
+    interpolated from its values at v = 1..D_n + 1.  A request whose terms
+    need points beyond those of the earlier ones starts one batch: a
+    _layer_sweep over Evals at just the new points, run up to the current
+    layer.  Then every batch advances one layer per term."""
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    sweeps = []
-    for n in count(1):
-        while len(sweeps) <= n * per_layer:
-            sweep = _layer_sweep(g, len(sweeps))
-            for _ in range(n - 1):
+    batches = []  # (sweep, number of points), in the order of their points
+    done = points = 0  # terms returned, points covered
+
+    def next_terms(c):
+        nonlocal done, points
+        need = (done + c) * per_layer + 1
+        if need > points:
+            sweep = _layer_sweep(g, Evals(range(points + 1, need + 1)))
+            for _ in range(done):
                 next(sweep)
-            sweeps.append(sweep)
-        yield _interpolated([next(sweep) for sweep in sweeps])
+            batches.append((sweep, need - points))
+            points = need
+        out = []
+        for n in range(done + 1, done + c + 1):
+            values = [x for sweep, size in batches for x in _point_values(next(sweep), size)]
+            out.append(_interpolated(values[:n * per_layer + 1]))
+        done += c
+        return out
+
+    return next_terms
+
+
+def _point_values(x, size):
+    """The values of x, Evals or an int constant, at size points."""
+    return x.values if isinstance(x, Evals) else (x,) * size
 
 
 def _interpolated(values) -> Poly:
-    """The polynomial taking values[x] at x = 0, 1, ...; a non-integer
+    """The polynomial taking values[i] at v = 1 + i; a non-integer
     coefficient would be a bug and raises InternalInconsistency."""
-    coeffs = _newton_interpolate(values)
+    coeffs = _newton_interpolate(values, 1)
     if not all(isinstance(c, int) for c in coeffs):
         raise InternalInconsistency("interpolation produced a non-integer")
     return Poly(coeffs)

@@ -9,8 +9,10 @@ Covered families, all over layers n of a product graph G x P_n:
   * joint resistance between corners (two pivots of one elimination),
   * the bivariate vertical-edge weight polynomial and its moments.
 
-The data of each pipeline come from one layer sweep (graphs._layer_sweep,
-graphs._ver_sweep).  A fit is only accepted when at least HELD_OUT extra
+The data of each pipeline come from one layer sweep (graphs._layer_sweep),
+or for the v-polynomials from one sweep over the points of v per fit
+round (graphs._ver_batches); the fit asks its source for each round's new
+terms in one request.  A fit is only accepted when at least HELD_OUT extra
 terms, never shown to the guesser, are reproduced by the recurrence and
 the last term agrees with its per-term minor; the emitted function is
 additionally re-expanded and compared against every generated term.
@@ -44,7 +46,7 @@ from .graphs import (
     _laplacian_minor,
     _last_pivots,
     _layer_sweep,
-    _ver_sweep,
+    _ver_batches,
     grid_graph,
     path_graph,
     product_with_path,
@@ -98,23 +100,25 @@ def grid_expected_order(k: int) -> int:
     return 2 ** (k - 1)
 
 
-def _fit_pipeline(terms, term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
+def _fit_pipeline(next_terms, term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
     """Adaptive guess-and-certify loop shared by all pipelines.
 
-    terms is an iterator over the data terms 1, 2, ... (a layer sweep),
-    resumed each time the window grows; term_fn(n) recomputes term n by
-    the per-term path.  The guesser sees a growing window; HELD_OUT extra
-    terms are always generated and must be replayed exactly before a fit
-    is accepted, and so must the last term recomputed by term_fn
-    (InternalInconsistency otherwise), which ties the sweep to the
-    per-term minors on every run.  Doubles the window until the cap, then
-    raises NoFitWithinBudget carrying the data.
+    next_terms(c) returns the c data terms after those it returned before,
+    starting at term 1; each round asks it once for all the terms it adds,
+    so a source can size its work to the round (_ver_batches starts one
+    sweep per round).  term_fn(n) recomputes term n by the per-term path.
+    The guesser sees a growing window; HELD_OUT extra terms are always
+    generated and must be replayed exactly before a fit is accepted, and
+    so must the last term recomputed by term_fn (InternalInconsistency
+    otherwise), which ties the sweep to the per-term minors on every run.
+    Doubles the window until the cap, then raises NoFitWithinBudget
+    carrying the data.
     """
     budget = max(12, 2 * expected_order + 8) if expected_order else 12
     budget = min(budget, max_terms)
     data = []
     while True:
-        data.extend(islice(terms, budget + HELD_OUT - len(data)))
+        data += next_terms(budget + HELD_OUT - len(data))
         spec = guesser(data[:budget])
         if spec is not None and _recurrence_holds(data, spec.den):
             if term_fn(len(data)) != data[-1]:
@@ -129,12 +133,12 @@ def _fit_pipeline(terms, term_fn, guesser, expected_order=None, max_terms=MAX_TE
         budget = min(2 * budget, max_terms)
 
 
-def _certified(terms, term_fn, guesser, expected_order, max_terms) -> GFResult:
-    """Fit, emit and certify: run _fit_pipeline on terms, turn the
+def _certified(next_terms, term_fn, guesser, expected_order, max_terms) -> GFResult:
+    """Fit, emit and certify: run _fit_pipeline on next_terms, turn the
     recurrence into its generating function with the t^1 prefactor, and
     check that the denominator degree equals the order and that the
     series reproduces every generated term."""
-    spec, data = _fit_pipeline(terms, term_fn, guesser, expected_order, max_terms)
+    spec, data = _fit_pipeline(next_terms, term_fn, guesser, expected_order, max_terms)
     raw = c_to_r(spec)
     gf = RationalFunction(raw.num.shift(1), raw.den)
     if gf.den.degree != spec.order:
@@ -144,6 +148,11 @@ def _certified(terms, term_fn, guesser, expected_order, max_terms) -> GFResult:
     if taylor_coeffs(gf, len(data) + 1)[1:] != data:
         raise InternalInconsistency("series does not reproduce the data")
     return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
+
+
+def _terms_of(sweep):
+    """The data source of _fit_pipeline over the iterator sweep."""
+    return lambda c: list(islice(sweep, c))
 
 
 def gf_spanning(
@@ -166,7 +175,7 @@ def gf_spanning(
     def term(n):
         return spanning_tree_count(product_with_path(g_base, n))
 
-    return _certified(_layer_sweep(g_base), term, guess, expected_order, max_terms)
+    return _certified(_terms_of(_layer_sweep(g_base)), term, guess, expected_order, max_terms)
 
 
 def gf_grid(k: int, guesser: str = "plain", max_terms: int = MAX_TERMS) -> GFResult:
@@ -188,7 +197,8 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
         return two_forest_count(grid_graph(k, n), 0, k * n - 1)
 
     # for k = 1, n = 1 the sweep gives 0: a single vertex cannot be separated from itself
-    return _certified(_layer_sweep(path_graph(k), forests=True), term, guess_rec, None, max_terms)
+    return _certified(_terms_of(_layer_sweep(path_graph(k), forests=True)), term, guess_rec,
+                      None, max_terms)
 
 
 def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:
@@ -243,10 +253,11 @@ def gf_ver(
     """Bivariate generating function (offset t^1) of the vertical-edge
     weight polynomials of g_base x P_n.
 
-    Data terms are polynomials in v, and so are the recurrence's
-    denominator coefficients, fitted at integer points of v.  Numerator and
-    denominator are polynomials in t whose coefficients are integer
-    polynomials in v with no common content (lowest denominator
+    Data terms are polynomials in v, generated from their values at the
+    points v = 1, 2, ... by one layer sweep per fit round, and so are the
+    recurrence's denominator coefficients, fitted at integer points of v.
+    Numerator and denominator are polynomials in t whose coefficients are
+    integer polynomials in v with no common content (lowest denominator
     coefficient positive)."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
@@ -254,7 +265,7 @@ def gf_ver(
     def term(n):
         return ver_polynomial(product_with_path(g_base, n))
 
-    return _certified(_ver_sweep(g_base), term, guess_rec, expected_order, max_terms)
+    return _certified(_ver_batches(g_base), term, guess_rec, expected_order, max_terms)
 
 
 def gf_ver_grid(k: int, max_terms: int = MAX_TERMS) -> GFResult:

@@ -7,7 +7,9 @@ enumeration.  The exceptions are slow paths that a fast route replaced,
 kept here as that route's reference: solve_linear_field for the
 fraction-free solve_linear, gf_transfer_field for the transfer route,
 laplacian_minor_dense for the streamed Laplacian minors,
-moments_by_interpolation for the jet route of spanning.moments and
+ver_polynomial_per_point and ver_sweep_per_point, one integer elimination
+per point of v, for the elimination over core.Evals behind
+graphs.ver_polynomial and graphs._ver_batches, moments_by_interpolation for the jet route of spanning.moments and
 guess_rec_scan, with its exact solves _fit_exact and _solve_rec, for the
 modular and evaluation order finders behind cfinite.guess_rec, and
 guess_sym_rec_scan for cfinite.guess_sym_rec.  FieldRF
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 
 from exactgf import (
     CFiniteSpec,
@@ -35,9 +37,9 @@ from exactgf import (
     ver_polynomial,
 )
 from exactgf.cfinite import _recurrence_holds
-from exactgf.core import _primitive_ints, solve_fraction_free
+from exactgf.core import _newton_interpolate, _primitive_ints, solve_fraction_free
 from exactgf.errors import BadVertexPair, NotConnected, ShapeError
-from exactgf.graphs import VERTICAL
+from exactgf.graphs import VERTICAL, _laplacian_minor, _layer_sweep
 from exactgf.spanning import _decimal_ratio
 
 
@@ -205,6 +207,31 @@ def laplacian_minor_dense(g: LabeledGraph, drop, x=1):
     rows and columns in drop, and take det_bareiss of the rest.  x may be
     any scalar or VAR_V."""
     return det_bareiss(laplacian(g, x).delete_rows_cols(drop))
+
+
+def ver_polynomial_per_point(g: LabeledGraph) -> Poly:
+    """graphs.ver_polynomial by the route it used to take: D + 1 integer
+    streamed minors, one per point v = 0..D, interpolated."""
+    d_bound = min(sum(m for _u, _v, label, m in g.edges if label == VERTICAL),
+                  max(g.n_vertices - 1, 0))
+    drop = {g.n_vertices - 1}
+    return Poly(_newton_interpolate([_laplacian_minor(g, drop, x) for x in range(d_bound + 1)]))
+
+
+def ver_sweep_per_point(g: LabeledGraph):
+    """Yield ver_polynomial(product_with_path(g, n)) for n = 1, 2, ... by
+    the route graphs._ver_batches replaced: one integer layer sweep per
+    point v = 0..D_n, each started (and run up to layer n - 1) when first
+    needed, D_n = n * min(total multiplicity of g's edges, |V(g)| - 1)."""
+    per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
+    sweeps = []
+    for n in count(1):
+        while len(sweeps) <= n * per_layer:
+            sweep = _layer_sweep(g, len(sweeps))
+            for _ in range(n - 1):
+                next(sweep)
+            sweeps.append(sweep)
+        yield Poly(_newton_interpolate([next(sweep) for sweep in sweeps]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +22,7 @@ from exactgf import (
 from exactgf import cfinite, gf_grid, gf_two_forest
 from exactgf.core import _primitive_ints
 from exactgf.errors import DataTooShort
-from exactgf.graphs import _ver_sweep
+from exactgf.graphs import _ver_batches
 from oracles import _solve_rec, guess_rec_scan, guess_sym_rec_scan
 from test_spanning import _connected_multigraphs
 
@@ -310,14 +309,14 @@ def test_guess_rec_round_trip_over_z_v(spec):
 
 @st.composite
 def _z_v_data(draw):
-    """Terms of a random spec over Z[v], or the _ver_sweep polynomials of a
+    """Terms of a random spec over Z[v], or the _ver_batches polynomials of a
     random connected multigraph on k <= 4 vertices, 2^k + 4 of them: enough
     for the fit, of order at most 2^(k-1)."""
     if draw(st.booleans()):
         spec = draw(_v_polynomial_specs())
         return seq_from_rec(spec, 2 * spec.order + 6)
     g = draw(_connected_multigraphs())
-    return list(islice(_ver_sweep(g), 2 ** g.n_vertices + 4))
+    return _ver_batches(g)(2 ** g.n_vertices + 4)
 
 
 @settings(max_examples=20, deadline=None)

@@ -17,7 +17,7 @@ from exactgf import (
     solve_linear,
     taylor_coeffs,
 )
-from exactgf.core import Jet, _newton_interpolate
+from exactgf.core import Evals, Jet, _dom_exact_div, _newton_interpolate
 from exactgf.errors import InexactDivision, ShapeError, ZeroDenominator
 from exactgf.toeplitz import ToeplitzSpec, matrix_from_spec
 
@@ -308,6 +308,67 @@ def _jet_matrices(draw):
 @given(_jet_matrices())
 def test_det_bareiss_over_jets_matches_cofactor(m):
     assert det_bareiss(m) == naive_det(m)
+
+
+# --- polynomials in evaluation form ---------------------------------------------
+
+@st.composite
+def _evals_pairs(draw):
+    k = draw(st.integers(1, 6))
+    return tuple(draw(st.lists(st.integers(-10**9, 10**9), min_size=k, max_size=k))
+                 for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evals_pairs(), st.integers(-50, 50))
+def test_evals_ring_operations_are_pointwise_int_operations(pair, c):
+    xs, ys = pair
+    a, b = Evals(xs), Evals(ys)
+
+    def each(f, *args):
+        return tuple(map(f, *args))
+
+    assert (a + b).values == each(lambda x, y: x + y, xs, ys)
+    assert (a - b).values == each(lambda x, y: x - y, xs, ys)
+    assert (a * b).values == each(lambda x, y: x * y, xs, ys)
+    assert (a + c).values == (c + a).values == each(lambda x: x + c, xs)
+    assert (a - c).values == each(lambda x: x - c, xs)
+    assert (c - a).values == each(lambda x: c - x, xs)
+    assert (a * c).values == (c * a).values == each(lambda x: x * c, xs)
+    assert (-a).values == each(lambda x: -x, xs)
+    assert (a ** 3).values == each(lambda x: x ** 3, xs)
+    if all(ys):
+        assert (a // b).values == each(lambda x, y: x // y, xs, ys)
+    if c:
+        assert (a // c).values == each(lambda x: x // c, xs)
+    assert bool(a) == any(xs)
+    assert (a == b) == (xs == ys) and (a != b) == (xs != ys)
+    assert (a == c) == all(x == c for x in xs) == (c == a)
+
+
+def test_evals_floor_division_is_unchecked_and_exact_division_checks_every_point():
+    # inside an elimination the divisions are exact, and // does not check
+    # them, like int //; det_bareiss's _dom_exact_div checks every point
+    assert Evals((7, 9)) // 2 == Evals((3, 4))
+    assert _dom_exact_div(Evals((6, 8)), 2) == Evals((3, 4))
+    assert _dom_exact_div(12, Evals((3, 4))) == Evals((4, 3))
+    assert _dom_exact_div(Evals((6, 8)), Evals((3, 4))) == 2
+    for a, b in ((Evals((6, 7)), 2), (Evals((6, 8)), Evals((3, 3))), (7, Evals((7, 2)))):
+        with pytest.raises(InexactDivision):
+            _dom_exact_div(a, b)
+    with pytest.raises(TypeError):
+        Evals((1, 2)) + Evals((1, 2, 3))
+
+
+def test_evals_truth_is_any_point_so_zero_skips_stay_exact():
+    # the corner is 0 at the first point only: bandwidth and det_bareiss's
+    # scaling must still treat it as an entry
+    assert Evals((0, 3)) and not Evals((0, 0))
+
+    def m(c):
+        return Matrix([[2, 1, c], [1, 2, 1], [c, 1, 2]])
+
+    assert det_bareiss(m(Evals((0, 3)))) == Evals((det_bareiss(m(0)), det_bareiss(m(3))))
 
 
 # --- determinants -------------------------------------------------------------

@@ -21,13 +21,13 @@ from exactgf import (
     ver_polynomial,
 )
 from exactgf import graphs
-from exactgf.core import Jet, _newton_interpolate
+from exactgf.core import Evals, Jet, _newton_interpolate
 from exactgf.errors import BadVertexPair, InternalInconsistency
 from exactgf.graphs import (
     _laplacian_minor,
     _last_pivots,
     _layer_sweep,
-    _ver_sweep,
+    _ver_batches,
     graph_from_json_dict,
 )
 
@@ -37,6 +37,8 @@ from oracles import (
     spanning_tree_count_bruteforce,
     two_forest_count_bruteforce,
     ver_polynomial_bruteforce,
+    ver_polynomial_per_point,
+    ver_sweep_per_point,
 )
 
 
@@ -320,22 +322,39 @@ def test_layer_sweep_matches_per_term_minors(data):
             assert forests[n - 1] == (two_forest_count(h, 0, last) if last else 0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(_multigraphs(max_vertices=4), st.integers(1, 4))
-def test_ver_sweep_matches_ver_polynomial(g, layers):
-    # one sweep per point v = 0..D_n, so v = 0 is always among the samples
-    assert list(islice(_ver_sweep(g), layers)) == [
-        ver_polynomial(product_with_path(g, n)) for n in range(1, layers + 1)]
+@settings(max_examples=40, deadline=None)
+@given(_multigraphs(max_vertices=4), st.lists(st.integers(1, 3), min_size=1, max_size=3))
+@example(path_graph(1), [2, 1])  # no vertical edge: one point, and int minors at n = 1
+def test_ver_sweep_matches_ver_polynomial(g, requests):
+    # each request may start a batch over new points, run up to the layers before it
+    next_terms = _ver_batches(g)
+    got = [p for c in requests for p in next_terms(c)]
+    assert got == list(islice(ver_sweep_per_point(g), sum(requests)))
+    assert got == [ver_polynomial(product_with_path(g, n)) for n in range(1, len(got) + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_multigraphs())
+def test_ver_polynomial_matches_the_per_point_oracle(g):
+    assert ver_polynomial(g) == ver_polynomial_per_point(g)
 
 
 def test_ver_polynomial_degree_bound_counts_tree_edges(monkeypatch):
     # 300 parallel vertical edges, but a spanning tree of 2 vertices has one
-    # edge: the polynomial is interpolated from v = 0, 1 only
+    # edge: the polynomial is interpolated from v = 1, 2 only, in one minor
     calls = []
     real = graphs._laplacian_minor
     monkeypatch.setattr(graphs, "_laplacian_minor", lambda *a: calls.append(a) or real(*a))
     assert ver_polynomial(LabeledGraph(2, ((0, 1, "vertical", 300),))) == Poly([0, 300])
-    assert len(calls) == 2
+    assert len(calls) == 1 and calls[0][2] == Evals((1, 2))
+
+
+def test_ver_polynomial_is_one_stream(monkeypatch):
+    streams = []
+    real = graphs._eliminated
+    monkeypatch.setattr(graphs, "_eliminated", lambda *a: streams.append(a) or real(*a))
+    assert ver_polynomial(grid_graph(3, 4)) == laplacian_minor_dense(grid_graph(3, 4), {11}, VAR_V)
+    assert len(streams) == 1
 
 
 def test_layer_sweep_two_forests_of_a_path():
@@ -347,6 +366,24 @@ def test_layer_sweep_zero_pivot_is_internal(monkeypatch):
     monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[0]], 1)] * 3))
     with pytest.raises(InternalInconsistency):
         list(islice(_layer_sweep(path_graph(2)), 3))
+
+
+def test_pivot_zero_at_some_points_only_is_internal(monkeypatch):
+    # pointwise at positive weights a pivot vanishes at every point or at none
+    mixed = Evals((0, 5))
+    monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[mixed]], 1)] * 3))
+    with pytest.raises(InternalInconsistency, match="some points"):
+        _last_pivots(grid_graph(2, 2), {3}, Evals((1, 2)))
+    with pytest.raises(InternalInconsistency, match="some points"):
+        list(islice(_layer_sweep(path_graph(2), Evals((1, 2))), 3))
+
+
+def test_points_below_one_are_rejected():
+    # at v = 0 a product falls apart, and a pivot could vanish there alone
+    with pytest.raises(ValueError):
+        _laplacian_minor(grid_graph(2, 2), {3}, Evals((0, 1)))
+    with pytest.raises(ValueError):
+        next(_layer_sweep(path_graph(2), Evals((0, 1))))
 
 
 def _taylor_at_one(g, drop, k):

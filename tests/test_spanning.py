@@ -112,12 +112,18 @@ def test_gf_two_forest_path_row():
 def test_corrupted_sweep_fails_the_spot_check(monkeypatch):
     # doubled data satisfy the same recurrence, so only the comparison of
     # the last term with its per-term minor can catch them
-    for name, run in (("_layer_sweep", lambda: gf_grid(3)),
-                      ("_layer_sweep", lambda: gf_two_forest(2)),
-                      ("_ver_sweep", lambda: gf_ver_grid(2))):
-        real = getattr(spanning, name)
+    def doubled_sweep(*a, real=graphs._layer_sweep, **kw):
+        return (2 * t for t in real(*a, **kw))
+
+    def doubled_batches(g, real=graphs._ver_batches):
+        next_terms = real(g)
+        return lambda c: [2 * t for t in next_terms(c)]
+
+    for name, fake, run in (("_layer_sweep", doubled_sweep, lambda: gf_grid(3)),
+                            ("_layer_sweep", doubled_sweep, lambda: gf_two_forest(2)),
+                            ("_ver_batches", doubled_batches, lambda: gf_ver_grid(2))):
         with monkeypatch.context() as m:
-            m.setattr(spanning, name, lambda *a, real=real, **kw: (2 * t for t in real(*a, **kw)))
+            m.setattr(spanning, name, fake)
             with pytest.raises(InternalInconsistency, match="per-term minor"):
                 run()
 
@@ -192,6 +198,22 @@ def test_gf_ver_two_rows_closed_form():
     den = [list(c.coeffs) if isinstance(c, Poly) else c for c in out.gf.den.coeffs]
     assert num == [[], [0, 1]]
     assert den == [[1], [-2, -2], [1]]
+
+
+def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
+    sweeps, rounds = [], []
+    real_sweep, real_guess = graphs._layer_sweep, spanning.guess_rec
+    monkeypatch.setattr(graphs, "_layer_sweep", lambda *a: sweeps.append(a[1]) or real_sweep(*a))
+    monkeypatch.setattr(spanning, "guess_rec", lambda d: rounds.append(len(d)) or real_guess(d))
+    out = gf_ver_grid(3)
+    # one round of 16 + 6 terms: term 22 has degree <= 44, so v = 1..45
+    assert rounds == [16] and [w.values for w in sweeps] == [tuple(range(1, 46))]
+    assert out.data_used == 22
+    sweeps.clear()
+    rounds.clear()
+    gf_ver(path_graph(4))  # no order hint: the window doubles from 12
+    assert rounds == [12, 24]
+    assert [w.values for w in sweeps] == [tuple(range(1, 56)), tuple(range(56, 92))]
 
 
 def test_gf_ver_specializes_to_spanning():
