@@ -9,6 +9,7 @@ raises ValueError on validated arguments (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -125,6 +126,7 @@ _max_terms = _int_in_range(MIN_GUESS_TERMS, MAX_FIT_TERMS)
 _positive = _int_in_range(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="exactgf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -295,9 +297,10 @@ def _fmt_ratfunc(rf: RationalFunction) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _emit(args, payload: dict, pretty_text: str | None):
-    if getattr(args, "pretty", False) and pretty_text is not None:
-        print(pretty_text)
+def _emit(args, payload: dict, pretty_text):
+    """Print pretty_text() under --pretty, else the payload as JSON."""
+    if args.pretty:
+        print(pretty_text())
     else:
         print(json.dumps(payload))
 
@@ -332,7 +335,7 @@ def _cmd_guess(args) -> int:
         "initial": [_scalar_json(x) for x in spec.initial],
         "rec": [_scalar_json(x) for x in spec.rec],
     }
-    _emit(args, payload, f"[{payload['initial']}, {payload['rec']}]")
+    _emit(args, payload, lambda: f"[{payload['initial']}, {payload['rec']}]")
     return 0
 
 
@@ -352,7 +355,7 @@ def _check_stream_work(k: int, n: int):
 def _cmd_gf_grid(args) -> int:
     _check_long(args, args.k, LONG_RUN_K, f"k={args.k}")
     result = spanning.gf_grid(args.k, max_terms=args.max_terms)
-    _emit(args, _gf_payload(result, args.emit_data), _fmt_ratfunc(result.gf))
+    _emit(args, _gf_payload(result, args.emit_data), lambda: _fmt_ratfunc(result.gf))
     return 0
 
 
@@ -360,7 +363,7 @@ def _cmd_gf_product(args) -> int:
     g = _load_graph(args.graph)
     _check_long(args, g.n_vertices, LONG_RUN_GRAPH_VERTICES, f"a {g.n_vertices}-vertex graph")
     result = spanning.gf_spanning(g, max_terms=args.max_terms)
-    _emit(args, _gf_payload(result, args.emit_data), _fmt_ratfunc(result.gf))
+    _emit(args, _gf_payload(result, args.emit_data), lambda: _fmt_ratfunc(result.gf))
     return 0
 
 
@@ -380,7 +383,7 @@ def _cmd_gf_ver(args) -> int:
         g = _base_graph(args)
         _check_long(args, g.n_vertices, LONG_RUN_VER_K, f"a {g.n_vertices}-vertex graph")
         result = spanning.gf_ver(g, max_terms=args.max_terms)
-    _emit(args, _gf_payload(result), _fmt_ratfunc(result.gf))
+    _emit(args, _gf_payload(result), lambda: _fmt_ratfunc(result.gf))
     return 0
 
 
@@ -388,7 +391,7 @@ def _cmd_c_poly(args) -> int:
     _check_long(args, args.k, LONG_RUN_C_POLY_K, f"k={args.k}")
     poly = spanning.c_poly(args.k, max_terms=args.max_terms)
     payload = {"k": args.k, "c_poly": [str(c) for c in poly.coeffs]}
-    _emit(args, payload, _fmt_poly(poly))
+    _emit(args, payload, lambda: _fmt_poly(poly))
     return 0
 
 
@@ -396,7 +399,7 @@ def _cmd_resistance(args) -> int:
     _check_stream_work(args.k, args.n)
     value = spanning.resistance(args.k, args.n)
     payload = {"k": args.k, "n": args.n, "resistance": str(value)}
-    _emit(args, payload, str(value))
+    _emit(args, payload, lambda: str(value))
     return 0
 
 
@@ -413,11 +416,8 @@ def _cmd_moments(args) -> int:
         "skewness": str(report.skewness) if report.skewness is not None else None,
         "kurtosis": str(report.kurtosis) if report.kurtosis is not None else None,
     }
-    pretty = (
-        f"n={report.n} mean={report.mean} variance={report.variance} "
-        f"skewness={report.skewness} kurtosis={report.kurtosis}"
-    )
-    _emit(args, payload, pretty)
+    _emit(args, payload, lambda: f"n={report.n} mean={report.mean} variance={report.variance} "
+                                 f"skewness={report.skewness} kurtosis={report.kurtosis}")
     return 0
 
 
@@ -452,7 +452,7 @@ def _cmd_toeplitz_gf(args) -> int:
     payload = spanning.gf_to_json(rf, 0, int(rf.den.degree), terms_used)
     payload["mode"] = args.mode
     payload["method"] = args.method
-    _emit(args, payload, _fmt_ratfunc(rf))
+    _emit(args, payload, lambda: _fmt_ratfunc(rf))
     return 0
 
 
@@ -486,10 +486,10 @@ _USAGE_ERRORS = (
 
 
 def run(argv) -> int:
-    """Parse and execute; returns the exit code instead of exiting."""
-    parser = _build_parser()
+    """Parse and execute; returns the exit code instead of exiting.  Every
+    call in a process parses with the one parser the first call built."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -217,13 +217,13 @@ def _coeff_div(a, b):
 def _dom_exact_div(a, b):
     """Exact ring division for Bareiss; raises InexactDivision otherwise
     (for Evals, when the division is inexact at any point)."""
-    if isinstance(a, Poly) or isinstance(b, Poly):
-        return _coeff_div(a, b)
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         if r:
             raise InexactDivision(f"{a} not divisible by {b}")
         return q
+    if isinstance(a, Poly) or isinstance(b, Poly):
+        return _coeff_div(a, b)
     if isinstance(a, Evals) or isinstance(b, Evals):
         x, y = (a.values, a._lift(b)) if isinstance(a, Evals) else (b._lift(a), b.values)
         qr = [*map(divmod, x, y)]
@@ -653,11 +653,12 @@ class Matrix:
 
 
 def bandwidth(m: Matrix) -> int:
+    """The largest |i - j| over nonzero entries (i, j); each row tests, with
+    C-level any(), only the entries outside the band found so far."""
     w = 0
     for i, row in enumerate(m.rows):
-        for j, x in enumerate(row):
-            if x and abs(i - j) > w:
-                w = abs(i - j)
+        while any(row[:max(i - w, 0)]) or any(row[i + w + 1:]):
+            w += 1
     return w
 
 

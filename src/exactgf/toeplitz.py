@@ -70,22 +70,12 @@ class ToeplitzSpec:
 
 
 def matrix_from_spec(spec: ToeplitzSpec) -> Matrix:
-    """The n x n matrix with the given diagonal stencil."""
-    n, row, col = spec.n, spec.row, spec.col
-    k1, k2 = len(row), len(col)
-    rows = []
-    for i in range(n):
-        r = []
-        for j in range(n):
-            o = j - i
-            if 0 <= o < k1:
-                r.append(row[o])
-            elif 0 < -o < k2:
-                r.append(col[-o])
-            else:
-                r.append(0)
-        rows.append(r)
-    return Matrix(rows)
+    """The n x n matrix with the given diagonal stencil: row i is the slice
+    of d(-(n-1)), ..., d(n-1) that starts at d(-i)."""
+    n = spec.n
+    row, col = spec.row[:n], spec.col[1:n]
+    stencil = (0,) * (n - 1 - len(col)) + col[::-1] + row + (0,) * (n - len(row))
+    return Matrix(stencil[n - 1 - i:2 * n - 1 - i] for i in range(n))
 
 
 # ---------------------------------------------------------------------------

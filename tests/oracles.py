@@ -4,7 +4,9 @@ These deliberately avoid the package's own algorithms: determinants by
 recursive cofactor expansion, permanents by summing over permutations,
 tree/forest counts and the vertical-edge polynomial by edge-subset
 enumeration.  The exceptions are slow paths that a fast route replaced,
-kept here as that route's reference: solve_linear_field for the
+kept here as that route's reference: matrix_from_spec_entrywise and
+bandwidth_all_entries for the sliced toeplitz.matrix_from_spec and the
+outside-the-band scan of core.bandwidth, solve_linear_field for the
 fraction-free solve_linear, gf_transfer_field for the transfer route,
 laplacian_minor_dense for the streamed Laplacian minors,
 ver_polynomial_per_point and ver_sweep_per_point, one integer elimination
@@ -30,6 +32,7 @@ from exactgf import (
     MomentsReport,
     Poly,
     RationalFunction,
+    ToeplitzSpec,
     children_scheme,
     det_bareiss,
     laplacian,
@@ -107,6 +110,34 @@ def random_toeplitz_prefixes(rng: random.Random, max_band=3, lo=-4, hi=4):
     row = [corner] + [rng.randint(lo, hi) for _ in range(k1 - 1)]
     col = [corner] + [rng.randint(lo, hi) for _ in range(k2 - 1)]
     return row, col
+
+
+def matrix_from_spec_entrywise(spec: ToeplitzSpec) -> Matrix:
+    """The Toeplitz matrix of spec, entry by entry from d(j - i)."""
+    n, row, col = spec.n, spec.row, spec.col
+    rows = []
+    for i in range(n):
+        r = []
+        for j in range(n):
+            o = j - i
+            if 0 <= o < len(row):
+                r.append(row[o])
+            elif 0 < -o < len(col):
+                r.append(col[-o])
+            else:
+                r.append(0)
+        rows.append(r)
+    return Matrix(rows)
+
+
+def bandwidth_all_entries(m: Matrix) -> int:
+    """The largest |i - j| over nonzero entries, testing every entry."""
+    w = 0
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if x and abs(i - j) > w:
+                w = abs(i - j)
+    return w
 
 
 class FieldRF(RationalFunction):

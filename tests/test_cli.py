@@ -1,7 +1,11 @@
 """CLI surface: JSON/pretty output, exit codes, and round trips."""
 import dataclasses
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -536,3 +540,57 @@ def test_moments_on_a_disconnected_graph_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "connected" in err
+
+
+# --- one parser per process ---------------------------------------------------
+
+_SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+
+def test_the_parser_is_built_once_and_not_at_import():
+    assert cli._build_parser() is cli._build_parser()
+    probe = ("import exactgf.cli as c; n = c._build_parser.cache_info().currsize; "
+             "c.run(['resistance', '--k', '1', '--n', '2']); "
+             "print(n, c._build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_SRC_ENV, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 1"
+
+
+def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
+    # a usage error first, so the later parses reuse a parser that failed one
+    for argv, expected_code in (
+            (("gf-grid", "--k", "0"), 2),
+            (("toeplitz-gf", "--row", "2,3", "--col", "2,4,5", "--mode", "perm"), 0),
+            (("resistance", "--k", "2", "--n", "5"), 0),
+            (("guess", "--data", "1,1,2,3,5,8,13,21", "--pretty"), 0)):
+        fresh = subprocess.run([sys.executable, "-m", "exactgf.cli", *argv], env=_SRC_ENV,
+                               capture_output=True)
+        code, out, err = invoke(capsys, *argv)
+        assert code == fresh.returncode == expected_code
+        assert (out.encode(), err.encode()) == (fresh.stdout, fresh.stderr)
+
+
+def test_help_twice_prints_the_same_text(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["toeplitz-gf", "--help"])
+        assert exit_info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "--method {guess,transfer}" in texts[0]
+
+
+def test_json_runs_render_no_pretty_text(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("pretty text rendered for a JSON run")
+
+    monkeypatch.setattr(cli, "_fmt_ratfunc", never)
+    monkeypatch.setattr(cli, "_fmt_poly", never)
+    for argv in (("gf-grid", "--k", "2"), ("c-poly", "--k", "2"),
+                 ("toeplitz-gf", "--row", "2,3", "--col", "2,4,5")):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(out)
+    with pytest.raises(AssertionError, match="pretty text"):
+        run(["gf-grid", "--k", "2", "--pretty"])

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactgf import (
     LinearSolution,
@@ -17,11 +17,11 @@ from exactgf import (
     solve_linear,
     taylor_coeffs,
 )
-from exactgf.core import Evals, Jet, _dom_exact_div, _newton_interpolate
+from exactgf.core import Evals, Jet, _dom_exact_div, _newton_interpolate, bandwidth
 from exactgf.errors import InexactDivision, ShapeError, ZeroDenominator
 from exactgf.toeplitz import ToeplitzSpec, matrix_from_spec
 
-from oracles import FieldRF, naive_det, solve_linear_field
+from oracles import FieldRF, bandwidth_all_entries, naive_det, solve_linear_field
 
 
 # --- polynomials ------------------------------------------------------------
@@ -369,6 +369,51 @@ def test_evals_truth_is_any_point_so_zero_skips_stay_exact():
         return Matrix([[2, 1, c], [1, 2, 1], [c, 1, 2]])
 
     assert det_bareiss(m(Evals((0, 3)))) == Evals((det_bareiss(m(0)), det_bareiss(m(3))))
+
+
+def test_exact_division_keeps_each_operand_type_on_its_own_branch():
+    # ints (bools among them) take the int path first: an exact int quotient
+    # or InexactDivision, never a float or a Fraction
+    assert _dom_exact_div(-12, 4) == -3 and type(_dom_exact_div(-12, 4)) is int
+    assert type(_dom_exact_div(True, True)) is int and _dom_exact_div(6, True) == 6
+    for a, b in ((7, 2), (-7, 2), (1, 3), (True, 2)):
+        with pytest.raises(InexactDivision):
+            _dom_exact_div(a, b)
+    # Fractions divide in the field
+    assert _dom_exact_div(Fraction(1, 2), Fraction(1, 3)) == Fraction(3, 2)
+    assert _dom_exact_div(7, Fraction(2)) == Fraction(7, 2)
+    # Polys divide exactly, with an int on either side
+    assert _dom_exact_div(Poly((2, 4)), 2) == Poly((1, 2))
+    assert _dom_exact_div(Poly((1, 0, -1)), Poly((1, 1))) == Poly((1, -1))
+    assert _dom_exact_div(6, Poly((3,))) == Poly((2,))
+    with pytest.raises(InexactDivision):
+        _dom_exact_div(Poly((1, 0, 1)), Poly((1, 1)))
+    # Evals and Jets keep their own quotients
+    assert _dom_exact_div(True, Evals((1, 1))) == Evals((1, 1))
+    assert type(_dom_exact_div(Evals((6, 8)), 2)) is Evals
+    assert _dom_exact_div(Jet((2, 3, 1)), Jet((1, 1, 0))) == Jet((2, 1, 0))
+    assert type(_dom_exact_div(4, Jet((2, 0)))) is Jet
+    with pytest.raises(InexactDivision):
+        _dom_exact_div(Jet((1, 1)), 3)
+
+
+@st.composite
+def _sparse_matrices(draw, entries):
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return Matrix([[draw(entries) for _ in range(ncols)] for _ in range(nrows)])
+
+
+_SPARSE_INTS = st.sampled_from((0, 0, 0, 0, 1, -3))
+#: two-point Evals; four in five of the nonzero ones are 0 at one point
+_SPARSE_EVALS = st.tuples(st.sampled_from((0, 0, 2)), st.sampled_from((0, 0, -1))).map(Evals)
+
+
+@given(st.one_of(_sparse_matrices(_SPARSE_INTS), _sparse_matrices(_SPARSE_EVALS)))
+@example(Matrix([[0, 0, 0, 5], [0] * 4]))
+@example(Matrix([[0], [0], [0], [Evals((0, 1))]]))
+@example(Matrix([[Evals((0, 0))] * 3] * 3))
+def test_bandwidth_matches_the_all_entries_scan(m):
+    assert bandwidth(m) == bandwidth_all_entries(m)
 
 
 # --- determinants -------------------------------------------------------------

@@ -29,6 +29,7 @@ from exactgf.errors import BadState, BudgetExceeded, InconsistentSpec, NoFitWith
 
 from oracles import (
     gf_transfer_field,
+    matrix_from_spec_entrywise,
     naive_det,
     permutation_permanent,
     random_toeplitz_prefixes,
@@ -51,6 +52,18 @@ def test_matrix_from_spec_displayed_example():
         (0, 0, 0, 4, 1, 2),
         (0, 0, 0, 0, 4, 1),
     )
+
+
+_ENTRIES = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+
+
+@given(st.lists(_ENTRIES, min_size=1, max_size=6), st.lists(_ENTRIES, max_size=5))
+def test_matrix_from_spec_matches_the_entrywise_oracle(row, col_tail):
+    # every n from 1 up, so n < len(row) and n < len(col) are both covered
+    col = [row[0], *col_tail]
+    for n in range(1, len(row) + len(col) + 2):
+        spec = ToeplitzSpec(n, row, col)
+        assert repr(matrix_from_spec(spec)) == repr(matrix_from_spec_entrywise(spec))
 
 
 def test_matrix_from_spec_trivial():
