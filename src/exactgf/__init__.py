@@ -41,14 +41,12 @@ from .spanning import (
     substitute_v,
 )
 from .toeplitz import (
-    MinorState,
     ToeplitzSpec,
     TransferScheme,
     children_scheme,
     expand_minor,
     gf_family_guess,
     gf_transfer,
-    initial_state,
     matrix_from_spec,
     ryser_permanent,
     transfer_sequence,

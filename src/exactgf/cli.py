@@ -85,9 +85,9 @@ MAX_GRAPH_BYTES = 1 << 20
 #: about 500000 bits, and took 45 s.
 MAX_GUESS_BYTES = 1 << 17
 #: toeplitz-gf --method transfer and toeplitz-scheme: the transfer scheme
-#: of a row prefix of k1 entries and a column prefix of k2 closed on
-#: C(k1 + k2 - 2, k1 - 1) states on every all-ones and mixed-sign band
-#: tried, so k1 + k2 is capped; at 14 entries 7/7 is the largest split.
+#: of a row prefix of k1 entries and a column prefix of k2 has at most
+#: C(k1 + k2 - 2, k1 - 1) states (toeplitz.children_scheme), which all-ones
+#: bands reach, so k1 + k2 is capped; at 14 entries 7/7 is the largest split.
 #: The slowest transfer (permanent) took 0.23 s at 6/6 (252 states), 8.9 s
 #: at 7/7 (924), 5.6 s at 8/6 and 6.0 s at 6/8 (792), then 43 s at 8/7
 #: (1716); the scheme alone takes 1.2 s at 9/9 (12870 states).
@@ -124,6 +124,9 @@ def _int_in_range(low: int, high: int | None = None):
 #: --max-terms must leave the guesser MIN_GUESS_TERMS terms.
 _max_terms = _int_in_range(MIN_GUESS_TERMS, MAX_FIT_TERMS)
 _positive = _int_in_range(1)
+#: gf-grid, gf-ver and c-poly --k: at most as many rows as a --graph file
+#: has vertices, with or without --allow-long.
+_grid_rows = _int_in_range(1, MAX_GRAPH_VERTICES)
 
 
 @functools.cache
@@ -141,7 +144,7 @@ def _build_parser() -> _Parser:
     ):
         q = sub.add_parser(name, help=help_text)
         if name == "gf-grid":
-            q.add_argument("--k", type=_positive, required=True)
+            q.add_argument("--k", type=_grid_rows, required=True)
         else:
             q.add_argument("--graph", required=True, help="graph JSON file")
         q.add_argument("--pretty", action="store_true")
@@ -150,14 +153,14 @@ def _build_parser() -> _Parser:
         q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("gf-ver", help="bivariate vertical-edge generating function")
-    q.add_argument("--k", type=_positive)
+    q.add_argument("--k", type=_grid_rows)
     q.add_argument("--graph")
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--allow-long", action="store_true")
     q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
 
     q = sub.add_parser("c-poly", help="two-forest cofactor polynomial C_k")
-    q.add_argument("--k", type=_int_in_range(2), required=True)
+    q.add_argument("--k", type=_int_in_range(2, MAX_GRAPH_VERTICES), required=True)
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--allow-long", action="store_true")
     q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)

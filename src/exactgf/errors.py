@@ -70,9 +70,5 @@ class BadState(ExactGFError):
     """A minor state is not consistent with the family's diagonals."""
 
 
-class SchemeExplosion(ExactGFError):
-    """The minor-state closure exceeded its safety cap."""
-
-
 class BudgetExceeded(ExactGFError):
     """An exponential-time oracle was asked for more than its cap."""

@@ -140,7 +140,8 @@ def _certified(next_terms, term_fn, guesser, expected_order, max_terms) -> GFRes
     series reproduces every generated term."""
     spec, data = _fit_pipeline(next_terms, term_fn, guesser, expected_order, max_terms)
     raw = c_to_r(spec)
-    gf = RationalFunction(raw.num.shift(1), raw.den)
+    # raw is in lowest terms and D_0 != 0, so t * num and den stay coprime
+    gf = RationalFunction._from_coprime(raw.num.shift(1), raw.den)
     if gf.den.degree != spec.order:
         raise InternalInconsistency(
             "denominator degree does not match the recurrence order"

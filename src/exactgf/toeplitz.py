@@ -42,7 +42,6 @@ from .errors import (
     InconsistentSpec,
     InternalInconsistency,
     NoFitWithinBudget,
-    SchemeExplosion,
 )
 from .cfinite import _emit, guess_rec, guess_rec1
 
@@ -181,29 +180,17 @@ def gf_family_guess(row, col, mode: str, fit_start: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# the transfer route: minor states and their closure
+# the transfer route: minor shapes and their closure
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MinorState:
-    """A minor's identity under recursive first-row expansion.
-
-    offsets are the diagonal offsets of the window columns still present,
-    relative to the minor's first row; row and col are the entry prefixes
-    (up to the last nonzero entry) they induce, which is the human-readable
-    form.  Equality is structural (by offsets)."""
-
-    offsets: tuple
-    row: tuple
-    col: tuple
-
 
 class TransferScheme:
     """Closed set of minor states plus signed, t-weighted transitions.
 
-    states[0] is the root (the full matrix).  transitions[i] lists
-    (coefficient, target_index) pairs for state i; coefficients carry the
-    cofactor signs in det mode and are unsigned in perm mode."""
+    A state is the sorted tuple of diagonal offsets, relative to the
+    minor's first row, of the window columns still present; states[0] is
+    the root (the full matrix).  transitions[i] lists (coefficient,
+    target_index) pairs for state i; coefficients carry the cofactor
+    signs in det mode and are unsigned in perm mode."""
 
     __slots__ = ("row", "col", "mode", "states", "transitions")
 
@@ -226,91 +213,70 @@ def _diag_value(row, col, o: int):
     return 0
 
 
-def _state_from_offsets(row, col, offsets) -> MinorState:
-    offsets = tuple(sorted(offsets))
+def _prefixes(row, col, offsets):
+    """The entry prefixes, up to their last nonzero entry, of the first
+    row and first column of the minor with these sorted offsets: the
+    human-readable form of a state.  The minor contributes 0 in every
+    dimension when either is empty."""
     vals = [_diag_value(row, col, o) for o in offsets]
     while vals and not vals[-1]:
         vals.pop()
-    row_prefix = tuple(vals)
-    k2 = len(col)
-    col_vals = []
-    if offsets:
-        first = offsets[0]
-        s = 0
-        while first - s > -k2:
-            col_vals.append(_diag_value(row, col, first - s))
-            s += 1
-        while col_vals and not col_vals[-1]:
-            col_vals.pop()
-    return MinorState(offsets=offsets, row=row_prefix, col=tuple(col_vals))
+    col_vals = [_diag_value(row, col, o) for o in range(offsets[0], -len(col), -1)]
+    while col_vals and not col_vals[-1]:
+        col_vals.pop()
+    return tuple(vals), tuple(col_vals)
 
 
-def initial_state(row, col) -> MinorState:
-    """The root state: all window columns of the full matrix present."""
-    if row[0] != col[0]:
-        raise InconsistentSpec("row and column prefixes must share entry (1,1)")
-    return _state_from_offsets(row, col, range(len(row)))
+def expand_minor(row, col, offsets, mode: str = "det"):
+    """One cofactor-expansion step along the first row of the minor with
+    the given sorted offsets.
 
-
-def expand_minor(row, col, state: MinorState, mode: str = "det"):
-    """One cofactor-expansion step along the minor's first row.
-
-    Returns (coefficient, child_state) pairs for each nonzero first-row
-    entry; children whose leftmost column falls off the band come back
-    with an empty col prefix (their determinant is 0) and are pruned by
-    children_scheme.  A state with no nonzero first-row entry expands to
-    nothing."""
+    Returns (coefficient, child_offsets) pairs for each nonzero first-row
+    entry; children whose first row or first column is all zero (their
+    determinant and permanent are 0) are returned too and pruned by
+    children_scheme."""
     if mode not in ("det", "perm"):
         raise ValueError("mode must be 'det' or 'perm'")
     k1, k2 = len(row), len(col)
-    offsets = state.offsets
-    if len(offsets) != k1 or any(o < -k2 or o > k1 - 1 for o in offsets):
+    offsets = tuple(offsets)
+    if (len(offsets) != k1 or any(o < -k2 or o > k1 - 1 for o in offsets)
+            or any(a >= b for a, b in zip(offsets, offsets[1:]))):
         raise BadState(f"offsets {offsets} impossible for a {k1}/{k2} family")
-    if _state_from_offsets(row, col, offsets) != state:
-        raise BadState("state prefixes do not match the family's diagonals")
-    if not state.row or not state.col:
-        return ()
     out = []
     for pos, o in enumerate(offsets):
         value = _diag_value(row, col, o)
         if not value:
             continue
         sign = 1 if (mode == "perm" or pos % 2 == 0) else -1
-        child_offsets = sorted(x - 1 for x in offsets if x != o)
-        child_offsets.append(k1 - 1)
-        out.append((sign * value, _state_from_offsets(row, col, child_offsets)))
+        child = tuple(x - 1 for x in offsets if x != o) + (k1 - 1,)
+        out.append((sign * value, child))
     return tuple(out)
 
 
 def children_scheme(row, col, mode: str = "det") -> TransferScheme:
-    """Least fixed point of expand_minor from the root state, with
+    """Least fixed point of expand_minor from the root range(k1), with
     zero-contribution states (empty row or col prefix) pruned.
 
-    The pattern space has at most C(k1+k2-1, k1) states, but the closure
-    still guards itself with a cap and raises SchemeExplosion rather than
-    looping silently."""
+    Every kept state contains offset k1 - 1 (the column refilled by each
+    expansion, and the root's last), and a nonempty column prefix puts
+    its other k1 - 1 offsets in -k2 + 1 .. k1 - 2, so the closure has at
+    most C(k1 + k2 - 2, k1 - 1) states and needs no cap; the bound is
+    tight (252 states for the all-ones 6/6 band)."""
     row, col = tuple(row), tuple(col)
-    root = initial_state(row, col)
-    cap = 10 * 2 ** (len(row) + len(col))
-    order = {root.offsets: 0}
-    states = [root]
+    if row[0] != col[0]:
+        raise InconsistentSpec("row and column prefixes must share entry (1,1)")
+    states = [tuple(range(len(row)))]
+    index = {states[0]: 0}
     raw_transitions = []
-    queue = [root]
-    while queue:
-        state = queue.pop(0)
+    for offsets in states:  # grows while it is walked: breadth-first order
         transitions = []
-        for coeff, child in expand_minor(row, col, state, mode):
-            if not child.row or not child.col:
-                continue  # contributes 0 in every dimension
-            if child.offsets not in order:
-                order[child.offsets] = len(states)
+        for coeff, child in expand_minor(row, col, offsets, mode):
+            if child not in index:
+                if not all(_prefixes(row, col, child)):
+                    continue  # contributes 0 in every dimension
+                index[child] = len(states)
                 states.append(child)
-                queue.append(child)
-                if len(states) > cap:
-                    raise SchemeExplosion(
-                        f"minor-state closure exceeded {cap} states"
-                    )
-            transitions.append((coeff, order[child.offsets]))
+            transitions.append((coeff, index[child]))
         raw_transitions.append(transitions)
     return TransferScheme(row, col, mode, states, raw_transitions)
 
@@ -346,24 +312,13 @@ def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
     return _emit(spec, coprime=True)
 
 
-def family_to_json_dict(row, col, mode: str) -> dict:
-    """Family wire format: {"row": [..], "col": [..], "mode": "det"|"perm"}."""
-    return {"row": list(row), "col": list(col), "mode": mode}
-
-
-def family_from_json_dict(obj):
-    """Parse the family wire format; returns (row, col, mode)."""
-    try:
-        row = [x for x in obj["row"]]
-        col = [x for x in obj["col"]]
-        mode = obj.get("mode", "det")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed family JSON: {exc}") from exc
-    if mode not in ("det", "perm"):
-        raise ValueError(f"bad mode {mode!r}")
-    if not row or not col or row[0] != col[0]:
-        raise InconsistentSpec("row and column prefixes must share entry (1,1)")
-    return row, col, mode
+def _state_to_json(scheme: TransferScheme, offsets) -> dict:
+    row, col = _prefixes(scheme.row, scheme.col, offsets)
+    return {
+        "offsets": list(offsets),
+        "row": [str(x) for x in row],
+        "col": [str(x) for x in col],
+    }
 
 
 def scheme_to_json(scheme: TransferScheme) -> dict:
@@ -372,15 +327,9 @@ def scheme_to_json(scheme: TransferScheme) -> dict:
         "row": [str(x) for x in scheme.row],
         "col": [str(x) for x in scheme.col],
         "mode": scheme.mode,
-        "states": [
-            {
-                "offsets": list(s.offsets),
-                "row": [str(x) for x in s.row],
-                "col": [str(x) for x in s.col],
-            }
-            for s in scheme.states
-        ],
+        "states": [_state_to_json(scheme, s) for s in scheme.states],
         "transitions": [
             [[str(c), j] for c, j in row] for row in scheme.transitions
         ],
     }
+

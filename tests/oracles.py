@@ -8,6 +8,9 @@ kept here as that route's reference: matrix_from_spec_entrywise and
 bandwidth_all_entries for the sliced toeplitz.matrix_from_spec and the
 outside-the-band scan of core.bandwidth, solve_linear_field for the
 fraction-free solve_linear, gf_transfer_field for the transfer route,
+children_scheme_minor_states and scheme_to_json_minor_states, the
+closure over MinorState records that carry their derived prefixes, for
+the offset-tuple closure of toeplitz.children_scheme,
 laplacian_minor_dense for the streamed Laplacian minors,
 ver_polynomial_per_point and ver_sweep_per_point, one integer elimination
 per point of v, for the elimination over core.Evals behind
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations, count, permutations
 
 from exactgf import (
@@ -33,6 +37,7 @@ from exactgf import (
     Poly,
     RationalFunction,
     ToeplitzSpec,
+    TransferScheme,
     children_scheme,
     det_bareiss,
     laplacian,
@@ -41,9 +46,10 @@ from exactgf import (
 )
 from exactgf.cfinite import _recurrence_holds
 from exactgf.core import _newton_interpolate, _primitive_ints, solve_fraction_free
-from exactgf.errors import BadVertexPair, NotConnected, ShapeError
+from exactgf.errors import BadState, BadVertexPair, InconsistentSpec, NotConnected, ShapeError
 from exactgf.graphs import VERTICAL, _laplacian_minor, _layer_sweep
 from exactgf.spanning import _decimal_ratio
+from exactgf.toeplitz import _diag_value
 
 
 def naive_det(m: Matrix):
@@ -230,6 +236,129 @@ def gf_transfer_field(row, col, mode="det"):
     sol = solve_linear_field(Matrix(rows), [one] + [zero] * (m - 1))
     assert sol.status == LinearSolution.UNIQUE, sol.status
     return sol.solution[0]
+
+
+@dataclass(frozen=True)
+class MinorState:
+    """A minor's identity under recursive first-row expansion.
+
+    offsets are the diagonal offsets of the window columns still present,
+    relative to the minor's first row; row and col are the entry prefixes
+    (up to the last nonzero entry) they induce, which is the human-readable
+    form.  Equality is structural (by offsets)."""
+
+    offsets: tuple
+    row: tuple
+    col: tuple
+
+
+def _state_from_offsets(row, col, offsets) -> MinorState:
+    offsets = tuple(sorted(offsets))
+    vals = [_diag_value(row, col, o) for o in offsets]
+    while vals and not vals[-1]:
+        vals.pop()
+    row_prefix = tuple(vals)
+    k2 = len(col)
+    col_vals = []
+    if offsets:
+        first = offsets[0]
+        s = 0
+        while first - s > -k2:
+            col_vals.append(_diag_value(row, col, first - s))
+            s += 1
+        while col_vals and not col_vals[-1]:
+            col_vals.pop()
+    return MinorState(offsets=offsets, row=row_prefix, col=tuple(col_vals))
+
+
+def initial_state(row, col) -> MinorState:
+    """The root state: all window columns of the full matrix present."""
+    if row[0] != col[0]:
+        raise InconsistentSpec("row and column prefixes must share entry (1,1)")
+    return _state_from_offsets(row, col, range(len(row)))
+
+
+def expand_minor_states(row, col, state: MinorState, mode: str = "det"):
+    """One cofactor-expansion step along the minor's first row.
+
+    Returns (coefficient, child_state) pairs for each nonzero first-row
+    entry; children whose leftmost column falls off the band come back
+    with an empty col prefix (their determinant is 0) and are pruned by
+    children_scheme.  A state with no nonzero first-row entry expands to
+    nothing."""
+    if mode not in ("det", "perm"):
+        raise ValueError("mode must be 'det' or 'perm'")
+    k1, k2 = len(row), len(col)
+    offsets = state.offsets
+    if len(offsets) != k1 or any(o < -k2 or o > k1 - 1 for o in offsets):
+        raise BadState(f"offsets {offsets} impossible for a {k1}/{k2} family")
+    if _state_from_offsets(row, col, offsets) != state:
+        raise BadState("state prefixes do not match the family's diagonals")
+    if not state.row or not state.col:
+        return ()
+    out = []
+    for pos, o in enumerate(offsets):
+        value = _diag_value(row, col, o)
+        if not value:
+            continue
+        sign = 1 if (mode == "perm" or pos % 2 == 0) else -1
+        child_offsets = sorted(x - 1 for x in offsets if x != o)
+        child_offsets.append(k1 - 1)
+        out.append((sign * value, _state_from_offsets(row, col, child_offsets)))
+    return tuple(out)
+
+
+def children_scheme_minor_states(row, col, mode: str = "det") -> TransferScheme:
+    """Least fixed point of expand_minor from the root state, with
+    zero-contribution states (empty row or col prefix) pruned.
+
+    The pattern space has at most C(k1+k2-1, k1) states, but the closure
+    still guards itself with a cap and raises an error rather than
+    looping silently."""
+    row, col = tuple(row), tuple(col)
+    root = initial_state(row, col)
+    cap = 10 * 2 ** (len(row) + len(col))
+    order = {root.offsets: 0}
+    states = [root]
+    raw_transitions = []
+    queue = [root]
+    while queue:
+        state = queue.pop(0)
+        transitions = []
+        for coeff, child in expand_minor_states(row, col, state, mode):
+            if not child.row or not child.col:
+                continue  # contributes 0 in every dimension
+            if child.offsets not in order:
+                order[child.offsets] = len(states)
+                states.append(child)
+                queue.append(child)
+                if len(states) > cap:
+                    raise AssertionError(
+                        f"minor-state closure exceeded {cap} states"
+                    )
+            transitions.append((coeff, order[child.offsets]))
+        raw_transitions.append(transitions)
+    return TransferScheme(row, col, mode, states, raw_transitions)
+
+
+def scheme_to_json_minor_states(scheme: TransferScheme) -> dict:
+    """toeplitz.scheme_to_json for a scheme of MinorState states."""
+    return {
+        "row": [str(x) for x in scheme.row],
+        "col": [str(x) for x in scheme.col],
+        "mode": scheme.mode,
+        "states": [
+            {
+                "offsets": list(s.offsets),
+                "row": [str(x) for x in s.row],
+                "col": [str(x) for x in s.col],
+            }
+            for s in scheme.states
+        ],
+        "transitions": [
+            [[str(c), j] for c, j in row] for row in scheme.transitions
+        ],
+    }
 
 
 def laplacian_minor_dense(g: LabeledGraph, drop, x=1):

@@ -378,6 +378,25 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
         assert message in err
 
 
+def test_grid_rows_above_the_graph_vertex_limit_are_usage_errors(monkeypatch, capsys):
+    # refused while parsing, before any path or grid graph is built
+    ran = []
+    for name, result in (("gf_grid", spanning.gf_grid(2)), ("gf_ver_grid", spanning.gf_ver_grid(2)),
+                         ("c_poly", Poly((1,)))):
+        monkeypatch.setattr(spanning, name,
+                            lambda k, result=result, **kw: ran.append(k) or result)
+    monkeypatch.setattr(cli, "path_graph", lambda k: ran.append(k))
+    for command in ("gf-grid", "gf-ver", "c-poly"):
+        for k in (MAX_GRAPH_VERTICES + 1, 10**12):
+            code, out, err = invoke(capsys, command, "--k", str(k), "--allow-long")
+            assert code == 2 and out == ""
+            assert f"argument --k: must be at most {MAX_GRAPH_VERTICES}" in err
+        assert ran == []
+        code, _out, _err = invoke(capsys, command, "--k", str(MAX_GRAPH_VERTICES), "--allow-long")
+        assert code == 0 and ran == [MAX_GRAPH_VERTICES]
+        del ran[:]
+
+
 def test_graph_files_above_their_limits_are_usage_errors(monkeypatch, tmp_path, capsys):
     def never(*args, **kwargs):
         raise AssertionError("a pipeline ran on an oversized graph")

@@ -25,7 +25,7 @@ from exactgf import (
     two_forest_count,
     grid_graph,
 )
-from exactgf import graphs, spanning
+from exactgf import core, graphs, spanning
 from exactgf.errors import InternalInconsistency, NoFitWithinBudget, NotConnected
 from exactgf.spanning import gf_to_json
 
@@ -60,6 +60,22 @@ def test_gf_grid_guessers_agree():
         sym = gf_spanning(path_graph(k), guesser="symmetric",
                           expected_order=2 ** (k - 1))
         assert plain.gf == sym.gf
+
+
+@pytest.mark.parametrize("fit", (lambda: gf_grid(1), lambda: gf_grid(3), lambda: gf_grid(4),
+                                 lambda: gf_grid(4, "symmetric"), lambda: gf_two_forest(1),
+                                 lambda: gf_two_forest(3)),
+                         ids=("grid-1", "grid-3", "grid-4", "grid-4-symmetric", "two-forest-1",
+                              "two-forest-3"))
+def test_one_gcd_per_univariate_fit(monkeypatch, fit):
+    # c_to_r's gcd is the only one: the t-shifted function reuses its
+    # coprime pair, and is still the canonical form of that value
+    calls = []
+    real = core.poly_gcd
+    monkeypatch.setattr(core, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+    gf = fit().gf
+    assert len(calls) == 1
+    assert repr(gf) == repr(RationalFunction(gf.num, gf.den))
 
 
 def test_gf_spanning_series_matches_data_with_held_out():

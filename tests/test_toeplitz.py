@@ -1,10 +1,12 @@
 """Banded Toeplitz families: construction, value sequences, minor-state
 schemes, and the two generating-function routes."""
+import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactgf import (
     Matrix,
@@ -18,7 +20,6 @@ from exactgf import (
     gf_family_guess,
     gf_transfer,
     guess_rec1,
-    initial_state,
     matrix_from_spec,
     ryser_permanent,
     taylor_coeffs,
@@ -26,13 +27,16 @@ from exactgf import (
     value_sequence,
 )
 from exactgf.errors import BadState, BudgetExceeded, InconsistentSpec, NoFitWithinBudget
+from exactgf.toeplitz import _prefixes, scheme_to_json
 
 from oracles import (
+    children_scheme_minor_states,
     gf_transfer_field,
     matrix_from_spec_entrywise,
     naive_det,
     permutation_permanent,
     random_toeplitz_prefixes,
+    scheme_to_json_minor_states,
 )
 
 
@@ -151,18 +155,15 @@ def test_gf_family_guess_perm_fibonacci():
 # --- minor states and schemes ------------------------------------------------------
 
 def test_expand_minor_diagonal_self_loop():
-    state = initial_state([7], [7])
-    children = expand_minor([7], [7], state)
-    assert children == ((7, state),)
+    assert expand_minor([7], [7], (0,)) == ((7, (0,)),)
 
 
 def test_expand_minor_banded_example():
-    root = initial_state([2, 3], [2, 4, 5])
-    children = expand_minor([2, 3], [2, 4, 5], root)
-    assert len(children) == 2
-    (c1, s1), (c2, s2) = children
-    assert (c1, s1.row, s1.col) == (2, (2, 3), (2, 4, 5))  # the family itself
-    assert (c2, s2.row, s2.col) == (-3, (4, 3), (4, 5))    # shortened column
+    row, col = [2, 3], [2, 4, 5]
+    children = expand_minor(row, col, (0, 1))
+    assert children == ((2, (0, 1)), (-3, (-1, 1)))
+    assert _prefixes(row, col, (0, 1)) == ((2, 3), (2, 4, 5))  # the family itself
+    assert _prefixes(row, col, (-1, 1)) == ((4, 3), (4, 5))    # shortened column
 
 
 def test_expand_minor_soundness_against_minors():
@@ -172,11 +173,11 @@ def test_expand_minor_soundness_against_minors():
         scheme = children_scheme(row, col)
         dim = len(row) + len(col) + 2
         for idx, state in enumerate(scheme.states):
-            parent = _minor_matrix(row, col, state.offsets, dim)
+            parent = _minor_matrix(row, col, state, dim)
             want = naive_det(parent)
             acc = 0
             for coeff, j in scheme.transitions[idx]:
-                child = _minor_matrix(row, col, scheme.states[j].offsets, dim - 1)
+                child = _minor_matrix(row, col, scheme.states[j], dim - 1)
                 acc += coeff * naive_det(child)
             assert acc == want
 
@@ -233,10 +234,27 @@ def test_children_scheme_closure_invariant():
 
 
 def test_expand_minor_rejects_alien_state():
-    from exactgf import MinorState
+    # a 2/3 family's states are two increasing offsets in -3..1
+    for offsets in ((0,), (0, 1, 2), (0, 2), (-4, 0), (1, 0), (1, 1)):
+        with pytest.raises(BadState):
+            expand_minor([2, 3], [2, 4, 5], offsets)
+    with pytest.raises(InconsistentSpec):
+        children_scheme([2, 3], [1, 4, 5])
 
-    with pytest.raises(BadState):
-        expand_minor([2, 3], [2, 4, 5], MinorState((0,), (9,), (9,)))
+
+@pytest.mark.parametrize("row, col", (([0, 1], [0, 0]), ([0], [0, 3]), ([0, 2, 1], [0, 0, 0])))
+def test_dead_root_is_one_state_without_transitions(row, col):
+    # an all-zero first column (or first row) makes every A_n singular
+    for mode in ("det", "perm"):
+        scheme = children_scheme(row, col, mode)
+        assert scheme.states == (tuple(range(len(row))),)
+        assert scheme.transitions == ((),)
+        assert transfer_sequence(scheme, 4) == [1, 0, 0, 0, 0]
+        assert gf_transfer(row, col, mode) == rf([1], [1])
+
+
+def test_children_scheme_bound_is_tight():
+    assert len(children_scheme([1] * 6, [1] * 6)) == comb(10, 5) == 252
 
 
 # --- transfer route -----------------------------------------------------------------
@@ -268,6 +286,20 @@ def _bands(draw, width=3):
     row = [corner] + draw(st.lists(_ENTRIES, max_size=width - 1))
     col = [corner] + draw(st.lists(_ENTRIES, max_size=width - 1))
     return row, col
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bands(width=5), st.sampled_from(("det", "perm")))
+@example(([0, 1, 0], [0, 0, 2]), "det")
+@example(([0, 2, 0, 1], [0, 1]), "perm")
+@example(([0, Fraction(1, 2)], [0, 0, 0, 3]), "det")
+def test_children_scheme_matches_the_minor_state_closure(band, mode):
+    row, col = band
+    scheme = children_scheme(row, col, mode)
+    oracle = children_scheme_minor_states(row, col, mode)
+    assert json.dumps(scheme_to_json(scheme)) == json.dumps(scheme_to_json_minor_states(oracle))
+    assert transfer_sequence(scheme, 12) == transfer_sequence(oracle, 12)
+    assert len(scheme) <= comb(len(row) + len(col) - 2, len(row) - 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -353,19 +385,6 @@ def test_transfer_series_matches_permanents():
         series = taylor_coeffs(gf, 13)
         data = value_sequence(row, col, "perm", 12)
         assert series[1:] == [Fraction(x) for x in data]
-
-
-def test_family_json_round_trip():
-    from exactgf.toeplitz import family_from_json_dict, family_to_json_dict
-
-    obj = family_to_json_dict([2, 3], [2, 4, 5], "det")
-    assert obj == {"row": [2, 3], "col": [2, 4, 5], "mode": "det"}
-    row, col, mode = family_from_json_dict(obj)
-    assert gf_transfer(row, col, mode) == rf([1], [1, -2, 12, -45])
-    with pytest.raises(InconsistentSpec):
-        family_from_json_dict({"row": [1], "col": [2], "mode": "det"})
-    with pytest.raises(ValueError):
-        family_from_json_dict({"row": [1], "col": [1], "mode": "other"})
 
 
 def test_cross_method_agreement_random():
