@@ -46,6 +46,10 @@ from .core import (
 )
 from .errors import DataTooShort, InternalInconsistency
 
+#: Default hard cap on a pipeline's fit window (spanning._fit_pipeline),
+#: and the default of the CLI's --max-terms.
+MAX_TERMS = 120
+
 
 @dataclass(frozen=True)
 class CFiniteSpec:
@@ -386,20 +390,17 @@ def guess_sym_rec(data) -> CFiniteSpec | None:
     return None
 
 
-def c_to_r(spec: CFiniteSpec) -> RationalFunction:
+def c_to_r(spec: CFiniteSpec, *, coprime: bool = False) -> RationalFunction:
     """Rational generating function of the recurrence.
 
     Denominator D_0 + D_1 t + ... + D_d t^d; numerator is the product of
     the denominator with the initial-value polynomial, truncated below
-    degree d.  The result is re-expanded as a power series and compared
-    with the replayed sequence; a mismatch raises InternalInconsistency.
+    degree d.  coprime=True skips the gcd, for a spec known to be the
+    minimal recurrence of its terms: num and den are then coprime, or a
+    lower order would fit.  The result is re-expanded as a power series
+    and compared with the replayed sequence; a mismatch raises
+    InternalInconsistency.
     """
-    return _emit(spec, coprime=False)
-
-
-def _emit(spec: CFiniteSpec, coprime: bool) -> RationalFunction:
-    """c_to_r; with coprime=True, for a spec known to be minimal, it skips
-    the gcd (num and den are then coprime, or a lower order would fit)."""
     den = Poly(spec.den)
     num = (den * Poly(spec.initial)).truncate(spec.order)
     rf = RationalFunction._from_coprime(num, den) if coprime else RationalFunction(num, den)

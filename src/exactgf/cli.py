@@ -5,6 +5,19 @@ Exit codes: 0 success, 1 when a fit/budget/structure check fails (with a
 JSON diagnostic), 2 for usage errors such as malformed input or an
 out-of-range size, 3 when an internal self-check fails or a pipeline
 raises ValueError on validated arguments (a bug, not bad input).
+
+JSON wire format: a generating function prints as {"num": [...], "den":
+[...], "var": "t", "offset": p, "order": d, "terms_used": N}
+(gf_to_json).  The coefficient lists ascend in t; scalar coefficients
+are decimal strings, so arbitrary precision survives JSON, and
+coefficients that are polynomials in v are nested integer lists
+ascending in v (poly_to_json).  toeplitz-gf adds "mode" and "method",
+and gf-grid and gf-product --emit-data add the generated terms as
+"data", a list of decimal strings.
+
+Each subcommand imports only the modules it runs: this module loads
+cfinite, core and errors, the toeplitz subcommands load toeplitz, and
+the graph pipelines load spanning and graphs.
 """
 from __future__ import annotations
 
@@ -16,8 +29,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import spanning, toeplitz
-from .cfinite import guess_rec
+from .cfinite import MAX_TERMS, guess_rec
 from .core import Poly, RationalFunction, _primitive_ints
 from .errors import (
     BadVertexPair,
@@ -29,7 +41,6 @@ from .errors import (
     NoFitWithinBudget,
     NotConnected,
 )
-from .graphs import graph_from_json_dict, path_graph
 
 #: Sizes from which a run is a stretch target, refused unless asked nicely
 #: with --allow-long.  gf-grid --k: with the layer sweep, k = 6 and 7 take
@@ -131,7 +142,8 @@ _grid_rows = _int_in_range(1, MAX_GRAPH_VERTICES)
 
 @functools.cache
 def _build_parser() -> _Parser:
-    p = _Parser(prog="exactgf", description=__doc__)
+    # --help shows the summary and the exit codes, not the wire format
+    p = _Parser(prog="exactgf", description=__doc__.split("\n\nJSON wire format")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("guess", help="fit a constant-coefficient recurrence")
@@ -150,20 +162,20 @@ def _build_parser() -> _Parser:
         q.add_argument("--pretty", action="store_true")
         q.add_argument("--emit-data", action="store_true")
         q.add_argument("--allow-long", action="store_true")
-        q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
+        q.add_argument("--max-terms", type=_max_terms, default=MAX_TERMS)
 
     q = sub.add_parser("gf-ver", help="bivariate vertical-edge generating function")
     q.add_argument("--k", type=_grid_rows)
     q.add_argument("--graph")
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--allow-long", action="store_true")
-    q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
+    q.add_argument("--max-terms", type=_max_terms, default=MAX_TERMS)
 
     q = sub.add_parser("c-poly", help="two-forest cofactor polynomial C_k")
     q.add_argument("--k", type=_int_in_range(2, MAX_GRAPH_VERTICES), required=True)
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--allow-long", action="store_true")
-    q.add_argument("--max-terms", type=_max_terms, default=spanning.MAX_TERMS)
+    q.add_argument("--max-terms", type=_max_terms, default=MAX_TERMS)
 
     q = sub.add_parser("resistance", help="corner-to-corner grid resistance")
     q.add_argument("--k", type=_positive, required=True)
@@ -213,6 +225,8 @@ def _scalar_json(x):
 
 
 def _load_graph(path: str):
+    from .graphs import graph_from_json_dict
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read(MAX_GRAPH_BYTES + 1)
@@ -225,6 +239,34 @@ def _load_graph(path: str):
         raise UsageError(f"graph JSON {path!r} has {g.n_vertices} vertices, "
                          f"more than {MAX_GRAPH_VERTICES}")
     return g
+
+
+# ---------------------------------------------------------------------------
+# JSON wire format
+# ---------------------------------------------------------------------------
+
+def poly_to_json(p: Poly):
+    """Ascending coefficient list; scalars become decimal strings,
+    v-polynomial coefficients become nested ascending integer lists."""
+    out = []
+    for c in p.coeffs:
+        if isinstance(c, Poly):
+            out.append([int(x) for x in c.coeffs])
+        else:
+            out.append(str(c))
+    return out
+
+
+def gf_to_json(rf: RationalFunction, offset: int, order: int | None,
+               terms_used: int | None) -> dict:
+    return {
+        "num": poly_to_json(rf.num),
+        "den": poly_to_json(rf.den),
+        "var": "t",
+        "offset": offset,
+        "order": order,
+        "terms_used": terms_used,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +350,9 @@ def _emit(args, payload: dict, pretty_text):
         print(json.dumps(payload))
 
 
-def _gf_payload(result: spanning.GFResult, emit_data=False) -> dict:
-    payload = spanning.gf_to_json(
-        result.gf, result.offset, result.spec.order, result.data_used
-    )
+def _gf_payload(result, emit_data=False) -> dict:
+    """gf_to_json of a spanning.GFResult, with its data under emit_data."""
+    payload = gf_to_json(result.gf, result.offset, result.spec.order, result.data_used)
     if emit_data:
         payload["data"] = [str(x) for x in result.data]
     return payload
@@ -356,6 +397,8 @@ def _check_stream_work(k: int, n: int):
 
 
 def _cmd_gf_grid(args) -> int:
+    from . import spanning
+
     _check_long(args, args.k, LONG_RUN_K, f"k={args.k}")
     result = spanning.gf_grid(args.k, max_terms=args.max_terms)
     _emit(args, _gf_payload(result, args.emit_data), lambda: _fmt_ratfunc(result.gf))
@@ -363,6 +406,8 @@ def _cmd_gf_grid(args) -> int:
 
 
 def _cmd_gf_product(args) -> int:
+    from . import spanning
+
     g = _load_graph(args.graph)
     _check_long(args, g.n_vertices, LONG_RUN_GRAPH_VERTICES, f"a {g.n_vertices}-vertex graph")
     result = spanning.gf_spanning(g, max_terms=args.max_terms)
@@ -372,13 +417,17 @@ def _cmd_gf_product(args) -> int:
 
 def _base_graph(args):
     if getattr(args, "k", None):
-        return path_graph(args.k)
+        from . import graphs
+
+        return graphs.path_graph(args.k)
     if getattr(args, "graph", None):
         return _load_graph(args.graph)
     raise UsageError("need --k or --graph")
 
 
 def _cmd_gf_ver(args) -> int:
+    from . import spanning
+
     if args.k is not None:
         _check_long(args, args.k, LONG_RUN_VER_K, f"k={args.k}")
         result = spanning.gf_ver_grid(args.k, max_terms=args.max_terms)
@@ -391,6 +440,8 @@ def _cmd_gf_ver(args) -> int:
 
 
 def _cmd_c_poly(args) -> int:
+    from . import spanning
+
     _check_long(args, args.k, LONG_RUN_C_POLY_K, f"k={args.k}")
     poly = spanning.c_poly(args.k, max_terms=args.max_terms)
     payload = {"k": args.k, "c_poly": [str(c) for c in poly.coeffs]}
@@ -399,6 +450,8 @@ def _cmd_c_poly(args) -> int:
 
 
 def _cmd_resistance(args) -> int:
+    from . import spanning
+
     _check_stream_work(args.k, args.n)
     value = spanning.resistance(args.k, args.n)
     payload = {"k": args.k, "n": args.n, "resistance": str(value)}
@@ -407,6 +460,8 @@ def _cmd_resistance(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from . import spanning
+
     if args.k:
         _check_stream_work(args.k, args.n)  # before path_graph builds k - 1 edges
     g = _base_graph(args)
@@ -438,6 +493,8 @@ def _check_scheme_size(row, col):
 
 
 def _cmd_toeplitz_gf(args) -> int:
+    from . import toeplitz
+
     row, col = _prefixes(args)
     if args.method == "transfer":
         _check_scheme_size(row, col)
@@ -452,7 +509,7 @@ def _cmd_toeplitz_gf(args) -> int:
         rf = toeplitz.gf_family_guess(row, col, args.mode,
                                       fit_start=fit_start, fit_end=args.n)
         terms_used = args.n
-    payload = spanning.gf_to_json(rf, 0, int(rf.den.degree), terms_used)
+    payload = gf_to_json(rf, 0, int(rf.den.degree), terms_used)
     payload["mode"] = args.mode
     payload["method"] = args.method
     _emit(args, payload, lambda: _fmt_ratfunc(rf))
@@ -460,6 +517,8 @@ def _cmd_toeplitz_gf(args) -> int:
 
 
 def _cmd_toeplitz_scheme(args) -> int:
+    from . import toeplitz
+
     row, col = _prefixes(args)
     _check_scheme_size(row, col)
     scheme = toeplitz.children_scheme(row, col, args.mode)

@@ -25,7 +25,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
-from .cfinite import CFiniteSpec, _recurrence_holds, c_to_r, guess_rec, guess_sym_rec
+from .cfinite import (
+    MAX_TERMS,
+    CFiniteSpec,
+    _recurrence_holds,
+    c_to_r,
+    guess_rec,
+    guess_sym_rec,
+)
 from .core import (
     Jet,
     Poly,
@@ -57,9 +64,6 @@ from .graphs import (
 
 #: Terms generated beyond the fit window; all must replay correctly.
 HELD_OUT = 6
-
-#: Default hard cap on the fit-window size.
-MAX_TERMS = 120
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,10 @@ def _certified(next_terms, term_fn, guesser, expected_order, max_terms) -> GFRes
     check that the denominator degree equals the order and that the
     series reproduces every generated term."""
     spec, data = _fit_pipeline(next_terms, term_fn, guesser, expected_order, max_terms)
-    raw = c_to_r(spec)
-    # raw is in lowest terms and D_0 != 0, so t * num and den stay coprime
+    # the guessers return the minimal recurrence (cfinite._minimal_den,
+    # guess_rec1), so num and den are coprime, and D_0 != 0 keeps t * num
+    # and den coprime too: no gcd is taken
+    raw = c_to_r(spec, coprime=True)
     gf = RationalFunction._from_coprime(raw.num.shift(1), raw.den)
     if gf.den.degree != spec.order:
         raise InternalInconsistency(
@@ -335,31 +341,3 @@ def _decimal_ratio(num: Fraction, var: Fraction, power: Fraction) -> Decimal:
         out = (Decimal(num.numerator) / Decimal(num.denominator)) / scale
         ctx.prec = 30
         return +out
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-# ---------------------------------------------------------------------------
-
-def poly_to_json(p: Poly):
-    """Ascending coefficient list; scalars become decimal strings,
-    v-polynomial coefficients become nested ascending integer lists."""
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, Poly):
-            out.append([int(x) for x in c.coeffs])
-        else:
-            out.append(str(c))
-    return out
-
-
-def gf_to_json(rf: RationalFunction, offset: int, order: int | None,
-               terms_used: int | None) -> dict:
-    return {
-        "num": poly_to_json(rf.num),
-        "den": poly_to_json(rf.den),
-        "var": "t",
-        "offset": offset,
-        "order": order,
-        "terms_used": terms_used,
-    }

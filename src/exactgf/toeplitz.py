@@ -43,7 +43,7 @@ from .errors import (
     InternalInconsistency,
     NoFitWithinBudget,
 )
-from .cfinite import _emit, guess_rec, guess_rec1
+from .cfinite import c_to_r, guess_rec, guess_rec1
 
 #: Largest dimension the exponential permanent oracle will accept.
 PERMANENT_ORACLE_CAP = 20
@@ -255,7 +255,15 @@ def expand_minor(row, col, offsets, mode: str = "det"):
 
 def children_scheme(row, col, mode: str = "det") -> TransferScheme:
     """Least fixed point of expand_minor from the root range(k1), with
-    zero-contribution states (empty row or col prefix) pruned.
+    zero-contribution states (empty column prefix) pruned.
+
+    Only the column prefix can be empty.  Let K be the largest offset
+    with d(K) != 0; K >= 0 as soon as the root has a child.  Index the
+    rows and columns of A_n from 0: the minor left after expanding rows
+    0..j-1 has lost one column c per row i < j, with d(c - i) != 0, so
+    c <= i + K < j + K.  Column j + K is still there, and its entry in
+    the minor's first row, row j, is d(K) != 0: every reachable state
+    has a nonempty row prefix.
 
     Every kept state contains offset k1 - 1 (the column refilled by each
     expansion, and the root's last), and a nonempty column prefix puts
@@ -272,8 +280,8 @@ def children_scheme(row, col, mode: str = "det") -> TransferScheme:
         transitions = []
         for coeff, child in expand_minor(row, col, offsets, mode):
             if child not in index:
-                if not all(_prefixes(row, col, child)):
-                    continue  # contributes 0 in every dimension
+                if not _prefixes(row, col, child)[1]:
+                    continue  # an all-zero first column: 0 in every dimension
                 index[child] = len(states)
                 states.append(child)
             transitions.append((coeff, index[child]))
@@ -302,14 +310,14 @@ def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
     matches it forever, so one order-m fit through 2m + 3 terms is proved,
     not guessed.  guess_rec1 returns the minimal recurrence of order <= m,
     whose generating function is already in lowest terms, so it is
-    emitted without a gcd and re-expanded (cfinite._emit); a failed fit
-    is a bug and raises InternalInconsistency."""
+    emitted without a gcd and re-expanded (c_to_r with coprime=True); a
+    failed fit is a bug and raises InternalInconsistency."""
     scheme = children_scheme(row, col, mode)
     m = len(scheme)
     spec = guess_rec1(transfer_sequence(scheme, 2 * m + 2), m)
     if spec is None:
         raise InternalInconsistency(f"{m} transfer states but no order-{m} recurrence")
-    return _emit(spec, coprime=True)
+    return c_to_r(spec, coprime=True)
 
 
 def _state_to_json(scheme: TransferScheme, offsets) -> dict:

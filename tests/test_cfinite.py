@@ -19,7 +19,7 @@ from exactgf import (
     seq_from_rec,
     taylor_coeffs,
 )
-from exactgf import cfinite, gf_grid, gf_two_forest
+from exactgf import cfinite, core, gf_grid, gf_two_forest
 from exactgf.core import _primitive_ints
 from exactgf.errors import DataTooShort
 from exactgf.graphs import _ver_batches
@@ -257,6 +257,32 @@ def test_c_to_r_series_matches_replay():
         f = c_to_r(spec)
         n = 2 * d + 12
         assert taylor_coeffs(f, n) == seq_from_rec(spec, n)
+
+
+def test_c_to_r_skips_the_gcd_only_for_minimal_specs(monkeypatch):
+    # a guessed spec is the minimal recurrence of its terms, so its num and
+    # den are coprime and coprime=True gives the canonical value without a
+    # gcd; a spec of higher order (den a multiple) needs the gcd
+    calls = []
+    real = core.poly_gcd
+    monkeypatch.setattr(core, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+    rng = random.Random(29)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        spec = CFiniteSpec(
+            [Fraction(rng.randint(-5, 5)) for _ in range(d)],
+            [rng.choice((1, 2, -3))] + [rng.randint(-3, 3) for _ in range(d)],
+        )
+        minimal = guess_rec(seq_from_rec(spec, 2 * d + 6))
+        del calls[:]
+        emitted = c_to_r(minimal, coprime=True)
+        assert calls == []
+        assert repr(emitted) == repr(c_to_r(spec))
+    # 1, 2, 4, ...: (1 - t) / ((1 - t)(1 - 2t)) in lowest terms
+    want = RationalFunction(Poly([1]), Poly([1, -2]))
+    del calls[:]
+    assert c_to_r(CFiniteSpec([1, 2], [1, -3, 2])) == want
+    assert len(calls) == 1
 
 
 def test_guess_rec_polynomial_data():

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from exactgf import cli, spanning, toeplitz
+from exactgf import cli, graphs, spanning, toeplitz
 from exactgf.cfinite import seq_from_rec
 from exactgf.cli import (
     MAX_FIT_TERMS,
@@ -153,7 +153,7 @@ def test_emit_data_prints_the_generated_terms(monkeypatch, capsys):
     # certification makes the generated terms equal to the recurrence's
     # replay, which the flag printed before, so stdout is byte-identical
     replayed = [str(x) for x in seq_from_rec(result.spec, result.data_used)]
-    payload = spanning.gf_to_json(result.gf, 1, result.spec.order, result.data_used)
+    payload = cli.gf_to_json(result.gf, 1, result.spec.order, result.data_used)
     assert out == json.dumps({**payload, "data": replayed}) + "\n"
     # and the terms printed are the ones the result carries
     marked = dataclasses.replace(result, data=tuple(f"term{i}" for i in range(result.data_used)))
@@ -186,6 +186,19 @@ def test_gf_ver_json(capsys):
     code, out, _ = invoke(capsys, "gf-ver", "--k", "2")
     assert code == 0
     payload = json.loads(out)
+    assert payload["num"] == [[], [0, 1]]
+    assert payload["den"] == [[1], [-2, -2], [1]]
+
+
+def test_gf_json_shapes():
+    out = spanning.gf_grid(2)
+    payload = cli.gf_to_json(out.gf, out.offset, out.spec.order, out.data_used)
+    assert payload["num"] == ["0", "1"]
+    assert payload["den"] == ["1", "-4", "1"]
+    assert payload["offset"] == 1 and payload["order"] == 2
+
+    bi = spanning.gf_ver_grid(2)
+    payload = cli.gf_to_json(bi.gf, bi.offset, bi.spec.order, bi.data_used)
     assert payload["num"] == [[], [0, 1]]
     assert payload["den"] == [[1], [-2, -2], [1]]
 
@@ -385,7 +398,7 @@ def test_grid_rows_above_the_graph_vertex_limit_are_usage_errors(monkeypatch, ca
                          ("c_poly", Poly((1,)))):
         monkeypatch.setattr(spanning, name,
                             lambda k, result=result, **kw: ran.append(k) or result)
-    monkeypatch.setattr(cli, "path_graph", lambda k: ran.append(k))
+    monkeypatch.setattr(graphs, "path_graph", lambda k: ran.append(k))
     for command in ("gf-grid", "gf-ver", "c-poly"):
         for k in (MAX_GRAPH_VERTICES + 1, 10**12):
             code, out, err = invoke(capsys, command, "--k", str(k), "--allow-long")
@@ -473,7 +486,7 @@ def test_k_squared_n_is_capped_for_resistance_and_moments(monkeypatch, tmp_path,
 def test_moments_checks_k_before_building_the_path(monkeypatch, capsys):
     # the stub builds nothing: path_graph(10**9) would take 10^9 edge tuples
     built = []
-    monkeypatch.setattr(cli, "path_graph", lambda k: built.append(k))
+    monkeypatch.setattr(graphs, "path_graph", lambda k: built.append(k))
     code, out, err = invoke(capsys, "moments", "--k", str(10**9), "--n", "1")
     assert code == 2 and out == ""
     assert f"more than {MAX_STREAM_WORK}" in err

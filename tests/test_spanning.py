@@ -27,7 +27,6 @@ from exactgf import (
 )
 from exactgf import core, graphs, spanning
 from exactgf.errors import InternalInconsistency, NoFitWithinBudget, NotConnected
-from exactgf.spanning import gf_to_json
 
 from oracles import laplacian_minor_dense, moments_by_interpolation
 
@@ -68,13 +67,14 @@ def test_gf_grid_guessers_agree():
                          ids=("grid-1", "grid-3", "grid-4", "grid-4-symmetric", "two-forest-1",
                               "two-forest-3"))
 def test_one_gcd_per_univariate_fit(monkeypatch, fit):
-    # c_to_r's gcd is the only one: the t-shifted function reuses its
-    # coprime pair, and is still the canonical form of that value
+    # no gcd at all: a fit is the minimal recurrence, so c_to_r emits it
+    # with coprime=True, the t-shifted function reuses that coprime pair,
+    # and the result is still the canonical form of its value
     calls = []
     real = core.poly_gcd
     monkeypatch.setattr(core, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
     gf = fit().gf
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert repr(gf) == repr(RationalFunction(gf.num, gf.den))
 
 
@@ -363,18 +363,3 @@ def test_moments_match_direct_enumeration():
 def test_moments_upto_bounds():
     with pytest.raises(ValueError):
         moments(path_graph(2), 2, upto=5)
-
-
-# --- serialization ------------------------------------------------------------------
-
-def test_gf_json_shapes():
-    out = gf_grid(2)
-    payload = gf_to_json(out.gf, out.offset, out.spec.order, out.data_used)
-    assert payload["num"] == ["0", "1"]
-    assert payload["den"] == ["1", "-4", "1"]
-    assert payload["offset"] == 1 and payload["order"] == 2
-
-    bi = gf_ver_grid(2)
-    payload = gf_to_json(bi.gf, bi.offset, bi.spec.order, bi.data_used)
-    assert payload["num"] == [[], [0, 1]]
-    assert payload["den"] == [[1], [-2, -2], [1]]

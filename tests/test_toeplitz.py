@@ -302,6 +302,28 @@ def test_children_scheme_matches_the_minor_state_closure(band, mode):
     assert len(scheme) <= comb(len(row) + len(col) - 2, len(row) - 1)
 
 
+def _zero_one_bands(width):
+    """Every band up to width/width with entries 0 and 1."""
+    for k1 in range(1, width + 1):
+        for k2 in range(1, width + 1):
+            for bits in range(2 ** (k1 + k2 - 1)):
+                entries = [bits >> i & 1 for i in range(k1 + k2 - 1)]
+                yield entries[:k1], entries[:1] + entries[k1:]
+
+
+def test_liveness_is_the_column_prefix_on_every_small_zero_one_band():
+    # children_scheme tests only the column prefix, as its docstring proves
+    # every reachable row prefix nonempty; the closure that tests both agrees
+    for row, col in _zero_one_bands(4):
+        for mode in ("det", "perm"):
+            scheme = children_scheme(row, col, mode)
+            oracle = children_scheme_minor_states(row, col, mode)
+            assert len(scheme) == len(oracle)
+            assert scheme_to_json(scheme) == scheme_to_json_minor_states(oracle)
+            if scheme.transitions[0]:
+                assert all(_prefixes(row, col, s)[0] for s in scheme.states)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_bands(width=4), st.integers(1, 20))
 def test_det_sequence_from_one_elimination_matches_per_term(band, count):
