@@ -165,8 +165,9 @@ def _build_parser() -> _Parser:
         q.add_argument("--max-terms", type=_max_terms, default=MAX_TERMS)
 
     q = sub.add_parser("gf-ver", help="bivariate vertical-edge generating function")
-    q.add_argument("--k", type=_grid_rows)
-    q.add_argument("--graph")
+    which = q.add_mutually_exclusive_group(required=True)
+    which.add_argument("--k", type=_grid_rows)
+    which.add_argument("--graph")
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--allow-long", action="store_true")
     q.add_argument("--max-terms", type=_max_terms, default=MAX_TERMS)
@@ -183,8 +184,9 @@ def _build_parser() -> _Parser:
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("moments", help="vertical-edge statistic moments")
-    q.add_argument("--k", type=_positive)
-    q.add_argument("--graph")
+    which = q.add_mutually_exclusive_group(required=True)
+    which.add_argument("--k", type=_positive)
+    which.add_argument("--graph")
     q.add_argument("--n", type=_int_in_range(1, MAX_MOMENTS_N), required=True)
     q.add_argument("--pretty", action="store_true")
 
@@ -415,16 +417,6 @@ def _cmd_gf_product(args) -> int:
     return 0
 
 
-def _base_graph(args):
-    if getattr(args, "k", None):
-        from . import graphs
-
-        return graphs.path_graph(args.k)
-    if getattr(args, "graph", None):
-        return _load_graph(args.graph)
-    raise UsageError("need --k or --graph")
-
-
 def _cmd_gf_ver(args) -> int:
     from . import spanning
 
@@ -432,7 +424,7 @@ def _cmd_gf_ver(args) -> int:
         _check_long(args, args.k, LONG_RUN_VER_K, f"k={args.k}")
         result = spanning.gf_ver_grid(args.k, max_terms=args.max_terms)
     else:
-        g = _base_graph(args)
+        g = _load_graph(args.graph)
         _check_long(args, g.n_vertices, LONG_RUN_VER_K, f"a {g.n_vertices}-vertex graph")
         result = spanning.gf_ver(g, max_terms=args.max_terms)
     _emit(args, _gf_payload(result), lambda: _fmt_ratfunc(result.gf))
@@ -460,12 +452,14 @@ def _cmd_resistance(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from . import spanning
+    from . import graphs, spanning
 
-    if args.k:
+    if args.k is not None:
         _check_stream_work(args.k, args.n)  # before path_graph builds k - 1 edges
-    g = _base_graph(args)
-    _check_stream_work(g.n_vertices, args.n)
+        g = graphs.path_graph(args.k)
+    else:
+        g = _load_graph(args.graph)
+        _check_stream_work(g.n_vertices, args.n)
     report = spanning.moments(g, args.n)
     payload = {
         "n": report.n,

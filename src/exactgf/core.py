@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from operator import add, eq, floordiv, mul, neg, sub
 
 from .errors import InexactDivision, ShapeError, ZeroDenominator
 
@@ -37,7 +35,8 @@ class Poly:
 
     The zero polynomial has an empty coefficient tuple and degree -inf.
     Coefficients may be ints, Fractions, or Polys (one nesting level, used
-    for polynomials in t whose coefficients are polynomials in v).
+    for polynomials in t whose coefficients are polynomials in v).  / is
+    exact division (exact_div), as det_bareiss's protocol asks.
     """
 
     __slots__ = ("coeffs",)
@@ -176,6 +175,11 @@ class Poly:
             raise InexactDivision(f"{self!r} is not divisible by {other!r}")
         return q
 
+    __truediv__ = exact_div
+
+    def __rtruediv__(self, other):
+        return Poly((other,)).exact_div(self)
+
     # -- calculus / evaluation ----------------------------------------------
 
     def eval(self, x):
@@ -199,199 +203,24 @@ class Poly:
 
 
 def _coeff_div(a, b):
-    """Divide coefficients exactly, staying in int when the quotient is."""
-    if isinstance(a, Poly) or isinstance(b, Poly):
-        if not isinstance(a, Poly):
-            a = Poly((a,))
-        if not isinstance(b, Poly):
-            b = Poly((b,))
-        return a.exact_div(b)
+    """Divide coefficients exactly: an int quotient of ints when there is
+    one, else a Fraction; every other type by its own /."""
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
-        if r == 0:
-            return q
-        return Fraction(a, b)
-    return Fraction(a) / Fraction(b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def _dom_exact_div(a, b):
-    """Exact ring division for Bareiss; raises InexactDivision otherwise
-    (for Evals, when the division is inexact at any point)."""
+    """Exact ring division for Bareiss: an int quotient of ints, raising
+    InexactDivision on a remainder; every other type by its own /, which
+    each elimination ring defines as its checked exact division."""
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         if r:
             raise InexactDivision(f"{a} not divisible by {b}")
         return q
-    if isinstance(a, Poly) or isinstance(b, Poly):
-        return _coeff_div(a, b)
-    if isinstance(a, Evals) or isinstance(b, Evals):
-        x, y = (a.values, a._lift(b)) if isinstance(a, Evals) else (b._lift(a), b.values)
-        qr = [*map(divmod, x, y)]
-        if any(r for _q, r in qr):
-            raise InexactDivision(f"{a!r} not divisible by {b!r}")
-        return Evals([q for q, _r in qr])
-    if isinstance(a, Jet) or isinstance(b, Jet):
-        return a // b
     return a / b
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-# ---------------------------------------------------------------------------
-
-class Jet:
-    """An immutable element c_0 + c_1 e + ... + c_(K-1) e^(K-1) of
-    Z[e]/(e^K).  A polynomial evaluated at a + e gives its Taylor
-    coefficients at a, so a determinant over jets reads K - 1 derivatives
-    off one elimination.  Ints act as constant jets.  // is exact division
-    by a jet (or int) with nonzero constant term, a unit of Q[e]/(e^K); it
-    raises InexactDivision when the quotient is not an integer jet.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a jet needs at least one coefficient")
-
-    def _lift(self, other):
-        if isinstance(other, int):
-            return (other,) + (0,) * (len(self.coeffs) - 1)
-        if not isinstance(other, Jet) or len(other.coeffs) != len(self.coeffs):
-            raise TypeError(f"{other!r} is not a jet of length {len(self.coeffs)}")
-        return other.coeffs
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = Jet(self._lift(other))
-        return isinstance(other, Jet) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"Jet({self.coeffs!r})"
-
-    def __neg__(self):
-        return Jet(-c for c in self.coeffs)
-
-    def __add__(self, other):
-        return Jet(x + y for x, y in zip(self.coeffs, self._lift(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Jet(x - y for x, y in zip(self.coeffs, self._lift(other)))
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Jet(c * other for c in self.coeffs)
-        b = self._lift(other)
-        out = [0] * len(b)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j in range(len(b) - i):
-                    out[i + j] += x * b[j]
-        return Jet(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("a jet power needs a non-negative exponent")
-        out = Jet(self._lift(1))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __floordiv__(self, other):
-        b = self._lift(other)
-        if not b[0]:
-            raise InexactDivision(f"{other!r} has a zero constant term")
-        q = []
-        for j, c in enumerate(self.coeffs):
-            for i in range(1, j + 1):
-                c -= b[i] * q[j - i]
-            c, r = divmod(c, b[0])
-            if r:
-                raise InexactDivision(f"{self!r} is not divisible by {other!r}")
-            q.append(c)
-        return Jet(q)
-
-    def __rfloordiv__(self, other):
-        return Jet(self._lift(other)) // self
-
-
-# ---------------------------------------------------------------------------
-# polynomials in evaluation form
-# ---------------------------------------------------------------------------
-
-class Evals:
-    """An integer polynomial in v in evaluation form: its values at fixed
-    points v = s, s + 1, ....  Ints act as constants, and + - * // ** act
-    pointwise through map with operator functions, so the per-point
-    arithmetic runs in C and one elimination over Evals is one elimination
-    per point.  // floors unchecked, like int //, for the divisions Bareiss
-    knows to be exact; _dom_exact_div checks every point.  A value is true
-    when it is nonzero at some point, so `if x:` skips only entries that
-    are 0 at every point.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        # the operations pass lists: a tuple built from a map is resized to
-        # its length, so one of fewer than 20 points is never taken from
-        # CPython's free list of short tuples, yet freed into it, which
-        # then fills up
-        self.values = tuple(values)
-
-    def _lift(self, other):
-        if isinstance(other, Evals):
-            if len(other.values) != len(self.values):
-                raise TypeError(f"{other!r} is not at the {len(self.values)} points of {self!r}")
-            return other.values
-        return repeat(other)
-
-    def __bool__(self):
-        return any(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, Evals):
-            return self.values == other.values
-        return all(map(eq, self.values, repeat(other)))
-
-    def __repr__(self):
-        return f"Evals({self.values!r})"
-
-    def __neg__(self):
-        return Evals([*map(neg, self.values)])
-
-    def __add__(self, other):
-        return Evals([*map(add, self.values, self._lift(other))])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Evals([*map(sub, self.values, self._lift(other))])
-
-    def __rsub__(self, other):
-        return Evals([*map(sub, self._lift(other), self.values)])
-
-    def __mul__(self, other):
-        return Evals([*map(mul, self.values, self._lift(other))])
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, other):
-        return Evals([*map(floordiv, self.values, self._lift(other))])
-
-    def __pow__(self, n: int):
-        return Evals([*map(pow, self.values, repeat(n))])
 
 
 # ---------------------------------------------------------------------------
@@ -665,16 +494,18 @@ def bandwidth(m: Matrix) -> int:
 def det_bareiss(m: Matrix):
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Works over any integral domain whose elements support *, -, and exact
-    division (ints, Fractions, Polys), and over Jets while every pivot it
-    divides by has a nonzero constant term, and over Evals while every
-    pivot is zero at all points or at none.  The empty 0x0 matrix has
-    determinant 1.  Stage r eliminates only inside a window of half-width
-    w = max(bandwidth, 1) below and right of the pivot, n*w^2 work instead
-    of n^3, so banded matrices (Toeplitz families) stay cheap; a dense
-    matrix is the window w = n - 1.  An entry entering the window is
-    scaled by the previous pivot, the factor Bareiss would have given it
-    had it been inside all along.  A zero pivot widens the window to the
+    Works over any integral domain whose elements support *, - and
+    checked exact division a / b: the quotient, or InexactDivision when
+    there is none.  Ints get it from _dom_exact_div (their / is a
+    float's); Fractions, Polys and the weight rings of graphs' Laplacian
+    minors by their own /, and those weight rings also define // as the
+    unchecked quotient, for a kernel that knows its division is exact.
+    The empty 0x0 matrix has determinant 1.  Stage r eliminates only
+    inside a window of half-width w = max(bandwidth, 1) below and right of
+    the pivot, n*w^2 work instead of n^3, so banded matrices (Toeplitz
+    families) stay cheap; a dense matrix is the window w = n - 1.  An
+    entry entering the window is scaled by the previous pivot, the factor
+    Bareiss would have given it had it been inside all along.  A zero pivot widens the window to the
     whole remaining matrix in place (every entry not yet inside takes the
     same factor) and swaps in the first later row with a nonzero entry in
     the pivot column; if there is none, the determinant is that zero.

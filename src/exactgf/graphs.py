@@ -12,9 +12,11 @@ one at a time holding only their band, streamed through fraction-free
 the last pivot is the minor.  No dense Laplacian is built, so
 a minor of a graph with N vertices and E edges costs O(N + E + N*w^2) time
 and O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
-Vertical weights may be core.Jet series (spanning.moments uses 1 + e) or
-core.Evals, the points v = 1, 2, ... of a polynomial in evaluation form:
-one elimination over Evals gives a v-polynomial's values at every point.
+Vertical weights may be Jet series (spanning.moments uses 1 + e) or
+Evals, the points v = 1, 2, ... of a polynomial in evaluation form: one
+elimination over Evals gives a v-polynomial's values at every point.
+Both rings are defined here, and every minor and pivot comes back in the
+weight's ring, even when no edge carries the weight.
 The pipelines need the minors of G x P_n for every n = 1..N: _layer_sweep
 streams one elimination over G x P_inf, built layer by layer from G's edge
 list, and reads each minor off the window at its layer boundary, O(N)
@@ -32,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, repeat
+from operator import add, eq, floordiv, mul, neg, sub
 
-from .core import Evals, Jet, Matrix, Poly, _newton_interpolate, det_bareiss
-from .errors import BadVertexPair, InternalInconsistency
+from .core import Matrix, Poly, _newton_interpolate, det_bareiss
+from .errors import BadVertexPair, InexactDivision, InternalInconsistency
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -44,6 +47,173 @@ _LABELS = (VERTICAL, HORIZONTAL, OTHER)
 
 #: The weight marker for building the v-weighted Laplacian.
 VAR_V = Poly((0, 1))
+
+
+# weight rings: / is the checked exact division of det_bareiss's protocol,
+# // the unchecked quotient that _eliminated divides by
+
+class Jet:
+    """An immutable element c_0 + c_1 e + ... + c_(K-1) e^(K-1) of
+    Z[e]/(e^K).  A polynomial evaluated at a + e gives its Taylor
+    coefficients at a, so a determinant over jets reads K - 1 derivatives
+    off one elimination.  Ints act as constant jets.  / and // are both
+    exact division by a jet (or int) with nonzero constant term, a unit of
+    Q[e]/(e^K); they raise InexactDivision when the quotient is not an
+    integer jet.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+        if not self.coeffs:
+            raise ValueError("a jet needs at least one coefficient")
+
+    def _lift(self, other):
+        if isinstance(other, int):
+            return (other,) + (0,) * (len(self.coeffs) - 1)
+        if not isinstance(other, Jet) or len(other.coeffs) != len(self.coeffs):
+            raise TypeError(f"{other!r} is not a jet of length {len(self.coeffs)}")
+        return other.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = Jet(self._lift(other))
+        return isinstance(other, Jet) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"Jet({self.coeffs!r})"
+
+    def __neg__(self):
+        return Jet(-c for c in self.coeffs)
+
+    def __add__(self, other):
+        return Jet(x + y for x, y in zip(self.coeffs, self._lift(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Jet(x - y for x, y in zip(self.coeffs, self._lift(other)))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Jet(c * other for c in self.coeffs)
+        b = self._lift(other)
+        out = [0] * len(b)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j in range(len(b) - i):
+                    out[i + j] += x * b[j]
+        return Jet(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("a jet power needs a non-negative exponent")
+        out = Jet(self._lift(1))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __floordiv__(self, other):
+        b = self._lift(other)
+        if not b[0]:
+            raise InexactDivision(f"{other!r} has a zero constant term")
+        q = []
+        for j, c in enumerate(self.coeffs):
+            for i in range(1, j + 1):
+                c -= b[i] * q[j - i]
+            c, r = divmod(c, b[0])
+            if r:
+                raise InexactDivision(f"{self!r} is not divisible by {other!r}")
+            q.append(c)
+        return Jet(q)
+
+    def __rfloordiv__(self, other):
+        return Jet(self._lift(other)) // self
+
+    __truediv__ = __floordiv__
+    __rtruediv__ = __rfloordiv__
+
+
+class Evals:
+    """An integer polynomial in v in evaluation form: its values at fixed
+    points v = s, s + 1, ....  Ints act as constants, and + - * / // **
+    act pointwise through map with operator functions, so the per-point
+    arithmetic runs in C and one elimination over Evals is one elimination
+    per point.  / is exact at every point or raises InexactDivision; //
+    floors unchecked, like int //, for the divisions Bareiss knows to be
+    exact.  A value is true when it is nonzero at some point, so `if x:`
+    skips only entries that are 0 at every point.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        # the operations pass lists: a tuple built from a map is resized to
+        # its length, so one of fewer than 20 points is never taken from
+        # CPython's free list of short tuples, yet freed into it, which
+        # then fills up
+        self.values = tuple(values)
+
+    def _lift(self, other):
+        if isinstance(other, Evals):
+            if len(other.values) != len(self.values):
+                raise TypeError(f"{other!r} is not at the {len(self.values)} points of {self!r}")
+            return other.values
+        return repeat(other)
+
+    def __bool__(self):
+        return any(self.values)
+
+    def __eq__(self, other):
+        if isinstance(other, Evals):
+            return self.values == other.values
+        return all(map(eq, self.values, repeat(other)))
+
+    def __repr__(self):
+        return f"Evals({self.values!r})"
+
+    def __neg__(self):
+        return Evals([*map(neg, self.values)])
+
+    def __add__(self, other):
+        return Evals([*map(add, self.values, self._lift(other))])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Evals([*map(sub, self.values, self._lift(other))])
+
+    def __rsub__(self, other):
+        return Evals([*map(sub, self._lift(other), self.values)])
+
+    def __mul__(self, other):
+        return Evals([*map(mul, self.values, self._lift(other))])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        qr = [*map(divmod, self.values, self._lift(other))]
+        if any(r for _q, r in qr):
+            raise InexactDivision(f"{self!r} is not divisible by {other!r}")
+        return Evals([q for q, _r in qr])
+
+    def __rtruediv__(self, other):
+        return Evals([other] * len(self.values)) / self
+
+    def __floordiv__(self, other):
+        return Evals([*map(floordiv, self.values, self._lift(other))])
+
+    def __pow__(self, n: int):
+        return Evals([*map(pow, self.values, repeat(n))])
 
 
 @dataclass(frozen=True)
@@ -195,14 +365,18 @@ def _last_pivots(g: LabeledGraph, drop, vertical_weight=1):
     holds pointwise, so an Evals pivot that is 0 at some points only is a
     bug and raises InternalInconsistency.  The points start at v = 1, not
     0: at v = 0 G x P_n falls apart, and its pivots could vanish at v = 0
-    alone.
+    alone.  Both pivots are in the weight's ring, even when no kept edge
+    carries the weight.
     """
     _check_weight(vertical_weight)
+    zero = 0 * vertical_weight
     kept = [v for v in range(g.n_vertices) if v not in drop]
     n, pos = len(kept), [-1] * g.n_vertices
     for i, v in enumerate(kept):
         pos[v] = i
-    diag = [0] * (n + 1)  # diag[-1] takes the deleted ends' weights
+    # diag[-1] takes the deleted ends' weights; diag[0] starts in the weight's
+    # ring, so pivot 0 is in it and so is every entry eliminated with it
+    diag = [zero] + [0] * n
     off = {}  # (i, j) with i < j -> total weight joining kept vertices i, j
     w = 0
     for u, v, label, mult in g.edges:
@@ -223,11 +397,11 @@ def _last_pivots(g: LabeledGraph, drop, vertical_weight=1):
         if e < n:
             return [-off.get((t, e), 0) for t in range(max(0, e - w), e)] + [diag[e]]
 
-    prev = last = 1
-    for r, (upper, prev) in zip(range(n), _eliminated(column, w)):
-        last = upper[0][0]
+    prev = last = zero + 1
+    for r, (upper, _p) in zip(range(n), _eliminated(column, w)):
+        prev, last = last, upper[0][0]
         if _zero_pivot(last):
-            return (prev if r == n - 1 else 0), 0
+            return (prev if r == n - 1 else zero), zero
     return prev, last
 
 
@@ -293,7 +467,7 @@ def _block(upper, m, shift):
 def _layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
     """Yield the Laplacian minors of g x P_n for n = 1, 2, ... from one
     streamed elimination, with g's edges weighted by vertical_weight (an
-    int >= 0, or Evals at points >= 1):
+    int >= 0, or Evals at points >= 1), in the weight's ring:
     spanning_tree_count(product_with_path(g, n)), or with forests
     two_forest_count of it between vertex 0 and the last vertex (0 when
     they coincide).
@@ -311,9 +485,10 @@ def _layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
     InternalInconsistency.  Layers cost O(k^3) each, k = |V(g)|, in
     O(|g| + k^2) memory."""
     _check_weight(vertical_weight)
+    zero = 0 * vertical_weight
     k = g.n_vertices
     if not k:  # every g x P_n is empty, and so is its minor
-        yield from repeat(1)
+        yield from repeat(zero + 1)
     adj = [[0] * k for _ in range(k)]
     for u, v, _label, mult in g.edges:
         adj[u][v] += mult
@@ -332,7 +507,7 @@ def _layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
         return col if e >= k else col[k - e:]
 
     windows = _eliminated(column, k)
-    upper, prev = next(windows)
+    upper, prev = next(windows)[0], zero + 1  # pivot -1, in the weight's ring
     r = 0
     for n in count(1):
         end = n * k - skip  # rows of layers 1..n
@@ -342,7 +517,7 @@ def _layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
             upper, prev = next(windows)
             r += 1
         m = min(end, k) - 1
-        yield 0 if m < 0 else det_bareiss(_block(upper, m, prev)) * prev // prev ** m
+        yield zero if m < 0 else det_bareiss(_block(upper, m, prev)) * prev // prev ** m
 
 
 def spanning_tree_count(g: LabeledGraph) -> int:
@@ -377,7 +552,7 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     d_bound = min(sum(m for _u, _v, label, m in g.edges if label == VERTICAL),
                   max(g.n_vertices - 1, 0))
     minor = _laplacian_minor(g, {g.n_vertices - 1}, Evals(range(1, d_bound + 2)))
-    return _interpolated(_point_values(minor, d_bound + 1))
+    return _interpolated(minor.values)
 
 
 def _ver_batches(g: LabeledGraph):
@@ -392,7 +567,7 @@ def _ver_batches(g: LabeledGraph):
     _layer_sweep over Evals at just the new points, run up to the current
     layer.  Then every batch advances one layer per term."""
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    batches = []  # (sweep, number of points), in the order of their points
+    batches = []  # sweeps, in the order of their points
     done = points = 0  # terms returned, points covered
 
     def next_terms(c):
@@ -402,21 +577,16 @@ def _ver_batches(g: LabeledGraph):
             sweep = _layer_sweep(g, Evals(range(points + 1, need + 1)))
             for _ in range(done):
                 next(sweep)
-            batches.append((sweep, need - points))
+            batches.append(sweep)
             points = need
         out = []
         for n in range(done + 1, done + c + 1):
-            values = [x for sweep, size in batches for x in _point_values(next(sweep), size)]
+            values = [x for sweep in batches for x in next(sweep).values]
             out.append(_interpolated(values[:n * per_layer + 1]))
         done += c
         return out
 
     return next_terms
-
-
-def _point_values(x, size):
-    """The values of x, Evals or an int constant, at size points."""
-    return x.values if isinstance(x, Evals) else (x,) * size
 
 
 def _interpolated(values) -> Poly:

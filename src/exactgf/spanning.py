@@ -34,7 +34,6 @@ from .cfinite import (
     guess_sym_rec,
 )
 from .core import (
-    Jet,
     Poly,
     RationalFunction,
     poly_gcd,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
@@ -49,6 +48,7 @@ from .errors import (
     StructureConjectureViolated,
 )
 from .graphs import (
+    Jet,
     LabeledGraph,
     _laplacian_minor,
     _last_pivots,
@@ -309,8 +309,7 @@ def moments(g_base: LabeledGraph, n: int, upto: int = 4) -> MomentsReport:
         raise NotConnected("base graph must be connected")
     g = product_with_path(g_base, n)
     size = max(2, upto) + 1
-    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1) + (0,) * (size - 2)))
-    c = c.coeffs if isinstance(c, Jet) else (c,) + (0,) * (size - 1)  # int: no vertical edge
+    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1) + (0,) * (size - 2))).coeffs
     fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, size)]
     mean = fact[0]
     skewness = kurtosis = None

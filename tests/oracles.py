@@ -13,8 +13,12 @@ closure over MinorState records that carry their derived prefixes, for
 the offset-tuple closure of toeplitz.children_scheme,
 laplacian_minor_dense for the streamed Laplacian minors,
 ver_polynomial_per_point and ver_sweep_per_point, one integer elimination
-per point of v, for the elimination over core.Evals behind
-graphs.ver_polynomial and graphs._ver_batches, moments_by_interpolation for the jet route of spanning.moments and
+per point of v, for the elimination over graphs.Evals behind
+graphs.ver_polynomial and graphs._ver_batches, moments_by_interpolation
+for the jet route (graphs.Jet) of spanning.moments,
+dom_exact_div_ladder, one isinstance branch per ring, for the division
+protocol of core._dom_exact_div (an int branch, then each ring's own
+checked /), and
 guess_rec_scan, with its exact solves _fit_exact and _solve_rec, for the
 modular and evaluation order finders behind cfinite.guess_rec, and
 guess_sym_rec_scan for cfinite.guess_sym_rec.  FieldRF
@@ -46,8 +50,15 @@ from exactgf import (
 )
 from exactgf.cfinite import _recurrence_holds
 from exactgf.core import _newton_interpolate, _primitive_ints, solve_fraction_free
-from exactgf.errors import BadState, BadVertexPair, InconsistentSpec, NotConnected, ShapeError
-from exactgf.graphs import VERTICAL, _laplacian_minor, _layer_sweep
+from exactgf.errors import (
+    BadState,
+    BadVertexPair,
+    InconsistentSpec,
+    InexactDivision,
+    NotConnected,
+    ShapeError,
+)
+from exactgf.graphs import VERTICAL, Evals, Jet, _laplacian_minor, _layer_sweep
 from exactgf.spanning import _decimal_ratio
 from exactgf.toeplitz import _diag_value
 
@@ -86,6 +97,29 @@ def permutation_permanent(m: Matrix):
                 break
         total += prod
     return total
+
+
+def dom_exact_div_ladder(a, b):
+    """Exact ring division for Bareiss by one branch per operand type:
+    ints, then Polys (an int or Fraction lifted to a constant), Evals
+    (pointwise, checked at every point), Jets, and the rest by /."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise InexactDivision(f"{a} not divisible by {b}")
+        return q
+    if isinstance(a, Poly) or isinstance(b, Poly):
+        a, b = (x if isinstance(x, Poly) else Poly((x,)) for x in (a, b))
+        return a.exact_div(b)
+    if isinstance(a, Evals) or isinstance(b, Evals):
+        x, y = (a.values, a._lift(b)) if isinstance(a, Evals) else (b._lift(a), b.values)
+        qr = [*map(divmod, x, y)]
+        if any(r for _q, r in qr):
+            raise InexactDivision(f"{a!r} not divisible by {b!r}")
+        return Evals([q for q, _r in qr])
+    if isinstance(a, Jet) or isinstance(b, Jet):
+        return a // b
+    return a / b
 
 
 def random_labeled_graph(rng: random.Random, max_vertices=6, max_edges=10):

@@ -493,6 +493,23 @@ def test_moments_checks_k_before_building_the_path(monkeypatch, capsys):
     assert built == []
 
 
+def test_k_and_graph_are_one_required_choice(monkeypatch, tmp_path, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a pipeline ran on an ambiguous base graph")
+
+    for name in ("gf_ver", "gf_ver_grid", "moments"):
+        monkeypatch.setattr(spanning, name, never)
+    for graph in ("/nonexistent", _path_file(tmp_path, 2)):
+        for argv in (("gf-ver", "--k", "2", "--graph", graph),
+                     ("moments", "--k", "2", "--graph", graph, "--n", "3"),
+                     ("moments", "--graph", graph, "--k", "2", "--n", "3")):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2 and out == "" and "not allowed with argument" in err
+    for argv in (("gf-ver",), ("moments", "--n", "3")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and "one of the arguments --k --graph is required" in err
+
+
 def test_guess_fraction_data_that_clear_to_huge_integers_are_usage_errors(monkeypatch, capsys):
     # 160 terms 1/d, d of 8 random digits: 1.8 KB, but the lcm of the
     # denominators makes every cleared term about 3000 bits long

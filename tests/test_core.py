@@ -17,11 +17,18 @@ from exactgf import (
     solve_linear,
     taylor_coeffs,
 )
-from exactgf.core import Evals, Jet, _dom_exact_div, _newton_interpolate, bandwidth
+from exactgf.core import _dom_exact_div, _newton_interpolate, bandwidth
 from exactgf.errors import InexactDivision, ShapeError, ZeroDenominator
+from exactgf.graphs import Evals, Jet
 from exactgf.toeplitz import ToeplitzSpec, matrix_from_spec
 
-from oracles import FieldRF, bandwidth_all_entries, naive_det, solve_linear_field
+from oracles import (
+    FieldRF,
+    bandwidth_all_entries,
+    dom_exact_div_ladder,
+    naive_det,
+    solve_linear_field,
+)
 
 
 # --- polynomials ------------------------------------------------------------
@@ -395,6 +402,45 @@ def test_exact_division_keeps_each_operand_type_on_its_own_branch():
     assert type(_dom_exact_div(4, Jet((2, 0)))) is Jet
     with pytest.raises(InexactDivision):
         _dom_exact_div(Jet((1, 1)), 3)
+
+
+_INTS = st.one_of(st.booleans(), st.integers(-6, 6))
+_SCALARS = st.one_of(_INTS, st.fractions(-4, 4, max_denominator=4))
+#: each elimination ring with the constants that act in it
+_RINGS = (
+    (_SCALARS, _SCALARS),
+    (st.lists(_SCALARS, max_size=3).map(Poly), _SCALARS),
+    (st.lists(st.integers(-6, 6), min_size=3, max_size=3).map(Jet), _INTS),
+    (st.lists(st.integers(-6, 6), min_size=2, max_size=2).map(Evals), _INTS),
+)
+
+
+@st.composite
+def _division_pairs(draw):
+    """(a, b) from one ring, each an element or a constant; half the time
+    a is a multiple q * b, so exact quotients are common."""
+    elements, constants = draw(st.sampled_from(_RINGS))
+    a, b, q = (draw(st.one_of(elements, constants)) for _ in range(3))
+    return (q * b if draw(st.booleans()) else a), b
+
+
+def _outcome(divide, a, b):
+    try:
+        q = divide(a, b)
+    except (InexactDivision, ZeroDivisionError) as exc:
+        return type(exc)
+    return type(q), repr(q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_division_pairs())
+@example((Poly((6,)), Fraction(3)))
+@example((True, Evals((1, 2))))
+@example((Jet((2, 3, 1)), Jet((0, 1, 0))))
+def test_ring_division_protocol_matches_the_type_ladder(pair):
+    # the same quotient of the same type, or the same error, as one
+    # isinstance branch per ring
+    assert _outcome(_dom_exact_div, *pair) == _outcome(dom_exact_div_ladder, *pair)
 
 
 @st.composite

@@ -12,8 +12,10 @@ from exactgf import (
     Matrix,
     Poly,
     VAR_V,
+    gf_ver_grid,
     grid_graph,
     laplacian,
+    moments,
     path_graph,
     product_with_path,
     spanning_tree_count,
@@ -21,9 +23,11 @@ from exactgf import (
     ver_polynomial,
 )
 from exactgf import graphs
-from exactgf.core import Evals, Jet, _newton_interpolate
+from exactgf.core import _newton_interpolate
 from exactgf.errors import BadVertexPair, InternalInconsistency
 from exactgf.graphs import (
+    Evals,
+    Jet,
     _laplacian_minor,
     _last_pivots,
     _layer_sweep,
@@ -408,6 +412,30 @@ def _jet_minor(g, drop, k):
 def test_jet_laplacian_minor_is_the_taylor_expansion_at_one(case, k):
     g, drop = case
     assert _jet_minor(g, drop, k) == _taylor_at_one(g, drop, k)
+
+
+def test_minors_stay_in_the_weight_ring_without_a_vertical_edge():
+    # path_graph(1) has no vertical edge, so no entry carries the weight
+    g = path_graph(1)
+    for n in (1, 2, 5):
+        minor = _laplacian_minor(product_with_path(g, n), {n - 1}, Jet((1, 1, 0)))
+        assert type(minor) is Jet and minor == 1  # a path is its one spanning tree
+    h = product_with_path(g, 2)
+    for drop, pivots in (({1}, (1, 1)), ({5}, (1, 0)), ({0, 1}, (1, 1))):
+        got = _last_pivots(h, drop, Jet((2, 0, 0)))
+        assert all(type(p) is Jet for p in got) and got == pivots
+    for forests, want in ((False, [1, 1, 1, 1]), (True, [0, 1, 2, 3])):
+        got = list(islice(_layer_sweep(g, Evals((1, 2)), forests=forests), 4))
+        assert [(type(x), x.values) for x in got] == [(Evals, (x, x)) for x in want]
+    got = next(_layer_sweep(LabeledGraph(0, ()), Evals((1, 2))))
+    assert type(got) is Evals and got.values == (1, 1)
+    assert repr(gf_ver_grid(1)) == (
+        "GFResult(gf=RationalFunction([Poly([]), Poly([1])], [Poly([1]), Poly([-1])]), "
+        "spec=CFiniteSpec(initial=(Poly([1]),), den=(Poly([1]), Poly([-1]))), "
+        f"data=({', '.join(['Poly([1])'] * 18)}), offset=1)")
+    for n in (1, 5, 30):
+        assert repr(moments(g, n)) == (f"MomentsReport(n={n}, mean=Fraction(0, 1), "
+                                       "variance=Fraction(0, 1), skewness=None, kurtosis=None)")
 
 
 def test_laplacian_minor_rejects_negative_weight():
