@@ -47,13 +47,14 @@ from .errors import (
 #: under a second, and k = 8 reaches the default 120-term cap without a fit
 #: after about 5 s.
 LONG_RUN_K = 8
-#: c-poly --k: k = 4 takes 0.1 s; from k = 5 the two-forest fit reaches
-#: the 120-term cap, after 2.6 s, 3.6 s and 4.8 s for k = 5, 6 and 7.
+#: c-poly --k: k = 4 takes 0.13 s; from k = 5 the two-forest order hint
+#: exceeds the 120-term cap, so the fit reaches it in one round, after
+#: 1.9 s, 2.8 s and 3.1 s for k = 5, 6 and 7.
 LONG_RUN_C_POLY_K = 7
 #: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
-#: 6.7 s for 5 rows (2.6 of it the per-term spot check) and 2.9 minutes for
-#: 6 (1.8 in the layer sweeps, 1.0 in the spot check), nearly all of it
-#: big-integer products and quotients at up to 391 points of v.
+#: 5.2 s for 5 rows (2.0 of it the per-term spot check) and 2.2 minutes for
+#: 6 (1.4 in the layer sweeps, 0.9 in the spot check), nearly all of it
+#: big-integer products and quotients at up to 371 points of v.
 LONG_RUN_VER_K = 6
 #: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
 #: the complete graph, six random ones) fit in under a second, and a random

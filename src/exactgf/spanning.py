@@ -99,8 +99,17 @@ class MomentsReport:
 
 
 def grid_expected_order(k: int) -> int:
-    """An upper bound on the denominator degree for k-row grids, used only
-    to size the data budget (k = 7 has order 48 at v = 1)."""
+    """A proved bound B = 2^(k-1) on the tree order of any connected k-vertex
+    base graph G, so of the k-row grids (k = 7 has order 48 at v = 1).
+
+    L(G x P_n) = L(G) (+) L(P_n) is a Kronecker sum, so its eigenvalues are
+    lambda_i + mu_j, and with lambda_0 = 0 and prod_{j>0} mu_j = n the
+    matrix-tree theorem gives tau = (1/k) prod_{i=1}^{k-1} det(lambda_i I +
+    L(P_n)).  Each factor a_n is a continuant: a_0 = 0, a_1 = lambda_i and
+    a_n = (lambda_i + 2) a_{n-1} - a_{n-2}, an order-2 recurrence, so tau is
+    a sum of at most 2^(k-1) geometric terms.  With weight v on G's edges
+    each lambda_i becomes v lambda_i: the same holds over Q(v) and at each
+    v >= 1."""
     return 2 ** (k - 1)
 
 
@@ -115,11 +124,14 @@ def _fit_pipeline(next_terms, term_fn, guesser, expected_order=None, max_terms=M
     generated and must be replayed exactly before a fit is accepted, and
     so must the last term recomputed by term_fn (InternalInconsistency
     otherwise), which ties the sweep to the per-term minors on every run.
-    Doubles the window until the cap, then raises NoFitWithinBudget
-    carrying the data.
+    The first window is 2B + 4 terms for an order hint B >= 1, the fewest
+    from which guess_rec (orders up to len // 2 - 2) fits any order <= B,
+    and 12 without a hint.  Doubles the window until the cap, then raises
+    NoFitWithinBudget carrying the data.
     """
-    budget = max(12, 2 * expected_order + 8) if expected_order else 12
-    budget = min(budget, max_terms)
+    if expected_order is not None and expected_order < 1:
+        raise ValueError(f"expected_order must be at least 1, not {expected_order}")
+    budget = min(2 * expected_order + 4 if expected_order else 12, max_terms)
     data = []
     while True:
         data += next_terms(budget + HELD_OUT - len(data))
@@ -204,8 +216,10 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
         return two_forest_count(grid_graph(k, n), 0, k * n - 1)
 
     # for k = 1, n = 1 the sweep gives 0: a single vertex cannot be separated from itself
+    # B_F = (k + 3) 2^(k-2) (2 at k = 1) sizes the budget only; replay certifies the fit
+    hint = (k + 3) << (k - 2) if k > 1 else 2
     return _certified(_terms_of(_layer_sweep(path_graph(k), forests=True)), term, guess_rec,
-                      None, max_terms)
+                      hint, max_terms)
 
 
 def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:

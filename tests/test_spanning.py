@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from exactgf import (
     LabeledGraph,
@@ -33,6 +33,20 @@ from oracles import laplacian_minor_dense, moments_by_interpolation
 
 def rf(num, den):
     return RationalFunction(Poly(num), Poly(den))
+
+
+@st.composite
+def _connected_multigraphs(draw, max_vertices=4):
+    """Connected multigraphs on 2..max_vertices vertices with multiplicities
+    1..2: a random spanning tree plus random extra edges."""
+    n = draw(st.integers(2, max_vertices))
+    edges = [(draw(st.integers(0, v - 1)), v, "other", draw(st.integers(1, 2)))
+             for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda uv: uv[0] != uv[1])
+    edges += [(u, v, "other", m) for (u, v), m in
+              draw(st.lists(st.tuples(pairs, st.integers(1, 2)), max_size=3))]
+    return LabeledGraph(n, tuple(edges))
 
 
 # --- spanning trees -------------------------------------------------------------
@@ -115,6 +129,67 @@ def test_denominator_palindromic_k_le_4():
     for k in (2, 3, 4):
         den = list(gf_grid(k).gf.den.coeffs)
         assert den == den[::-1]
+
+
+# --- first-round sizing from the order bound ---------------------------------------
+
+def _forest_bound(k):
+    return (k + 3) * 2 ** (k - 2) if k > 1 else 2
+
+
+def _guess_rounds(monkeypatch):
+    rounds = []
+    real = spanning.guess_rec
+    monkeypatch.setattr(spanning, "guess_rec", lambda d: rounds.append(len(d)) or real(d))
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "fit, bound",
+    [(lambda k=k: gf_grid(k), 2 ** (k - 1)) for k in range(1, 6)]
+    + [(lambda k=k: gf_two_forest(k), _forest_bound(k)) for k in range(1, 5)]
+    + [(lambda k=k: gf_ver_grid(k), 2 ** (k - 1)) for k in range(1, 4)],
+    ids=[f"grid-{k}" for k in range(1, 6)] + [f"two-forest-{k}" for k in range(1, 5)]
+    + [f"ver-{k}" for k in range(1, 4)])
+def test_the_order_bound_sizes_one_guess(monkeypatch, fit, bound):
+    rounds = _guess_rounds(monkeypatch)
+    out = fit()
+    assert rounds == [2 * bound + 4] and out.data_used == 2 * bound + 4 + spanning.HELD_OUT
+
+
+def test_a_hint_below_the_order_doubles_to_the_same_fit(monkeypatch):
+    rounds = _guess_rounds(monkeypatch)
+    out = gf_spanning(path_graph(4), expected_order=1)  # the order is 8
+    assert rounds == [6, 12, 24] and out.gf == gf_grid(4).gf
+
+
+@pytest.mark.parametrize("hint", (0, -2))
+def test_a_hint_below_one_is_rejected(hint):
+    def no_terms(c):
+        raise AssertionError("terms requested before the hint was checked")
+    with pytest.raises(ValueError, match="expected_order"):
+        spanning._fit_pipeline(no_terms, None, spanning.guess_rec, hint)
+    with pytest.raises(ValueError, match="expected_order"):
+        gf_spanning(path_graph(2), expected_order=hint)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_connected_multigraphs(max_vertices=5))
+@example(LabeledGraph(1, ()))
+def test_tree_order_is_at_most_the_kronecker_bound(g):
+    bound = 2 ** (g.n_vertices - 1)
+    out = gf_spanning(g)
+    assert out.spec.order <= bound
+    with pytest.MonkeyPatch.context() as m:
+        rounds = _guess_rounds(m)
+        hinted = gf_spanning(g, expected_order=bound)
+    assert rounds == [2 * bound + 4] and hinted.gf == out.gf
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_two_forest_order_is_the_forest_bound(k):
+    out = gf_two_forest(k, max_terms=140 if k == 5 else spanning.MAX_TERMS)
+    assert out.spec.order == out.gf.den.degree == _forest_bound(k)
 
 
 # --- two-component forests / resistance ------------------------------------------
@@ -222,9 +297,9 @@ def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
     monkeypatch.setattr(graphs, "_layer_sweep", lambda *a: sweeps.append(a[1]) or real_sweep(*a))
     monkeypatch.setattr(spanning, "guess_rec", lambda d: rounds.append(len(d)) or real_guess(d))
     out = gf_ver_grid(3)
-    # one round of 16 + 6 terms: term 22 has degree <= 44, so v = 1..45
-    assert rounds == [16] and [w.values for w in sweeps] == [tuple(range(1, 46))]
-    assert out.data_used == 22
+    # one round of 12 + 6 terms: term 18 has degree <= 36, so v = 1..37
+    assert rounds == [12] and [w.values for w in sweeps] == [tuple(range(1, 38))]
+    assert out.data_used == 18
     sweeps.clear()
     rounds.clear()
     gf_ver(path_graph(4))  # no order hint: the window doubles from 12
@@ -322,20 +397,6 @@ def test_moments_single_vertex():
     assert moments(path_graph(1), 1) == moments_by_interpolation(path_graph(1), 1)
     rep = moments(path_graph(1), 1)
     assert (rep.n, rep.mean, rep.variance, rep.skewness) == (1, 0, 0, None)
-
-
-@st.composite
-def _connected_multigraphs(draw):
-    """Connected multigraphs on 2..4 vertices with multiplicities 1..2: a
-    random spanning tree plus random extra edges."""
-    n = draw(st.integers(2, 4))
-    edges = [(draw(st.integers(0, v - 1)), v, "other", draw(st.integers(1, 2)))
-             for v in range(1, n)]
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda uv: uv[0] != uv[1])
-    edges += [(u, v, "other", m) for (u, v), m in
-              draw(st.lists(st.tuples(pairs, st.integers(1, 2)), max_size=3))]
-    return LabeledGraph(n, tuple(edges))
 
 
 @settings(max_examples=40, deadline=None)
