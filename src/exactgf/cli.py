@@ -53,12 +53,13 @@ LONG_RUN_K = 8
 LONG_RUN_C_POLY_K = 7
 #: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
 #: 5.2 s for 5 rows (2.0 of it the per-term spot check) and 2.2 minutes for
-#: 6 (1.4 in the layer sweeps, 0.9 in the spot check), nearly all of it
-#: big-integer products and quotients at up to 371 points of v.
+#: 6, nearly all of it big-integer products and quotients at up to 371
+#: points of v; K_5 takes 0.5 s, two random 5-vertex graphs 2.5 and 5.6 s
+#: and a random 6-vertex one 2.9 minutes.
 LONG_RUN_VER_K = 6
 #: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
-#: the complete graph, six random ones) fit in under a second, and a random
-#: 7-vertex one reaches the 120-term cap without a fit after about 6 s.
+#: the complete graph, six random ones) fit in under 0.06 s; of three random
+#: 7-vertex ones, one reaches the 120-term cap without a fit after 2.7 s.
 LONG_RUN_GRAPH_VERTICES = 7
 
 #: guess_rec tries orders up to len(data) // 2 - 2, so fewer terms can

@@ -20,10 +20,12 @@ weight's ring, even when no edge carries the weight.
 The pipelines need the minors of G x P_n for every n = 1..N: _layer_sweep
 streams one elimination over G x P_inf, built layer by layer from G's edge
 list, and reads each minor off the window at its layer boundary, O(N)
-layers instead of O(N^2); _ver_batches runs one such sweep over Evals per
-request of the v-polynomials, at the points its terms need.  laplacian()
-builds the dense (optionally v-weighted) matrix, which the tests use as
-the reference for these minors.
+layers instead of O(N^2); _ver_terms runs one such sweep over Evals for
+the first N v-polynomials, at the points the last of them needs, and
+_order_bound bounds the order of the recurrence of both sequences from
+the multiplicities of G's Laplacian eigenvalues.  laplacian() builds the
+dense (optionally v-weighted) matrix, which the tests use as the
+reference for these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -32,11 +34,12 @@ spanning trees by their number of vertical edges.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count, repeat
 from operator import add, eq, floordiv, mul, neg, sub
 
-from .core import Matrix, Poly, _newton_interpolate, det_bareiss
+from .core import Matrix, Poly, _newton_interpolate, det_bareiss, poly_gcd
 from .errors import BadVertexPair, InexactDivision, InternalInconsistency
 
 VERTICAL = "vertical"
@@ -267,33 +270,23 @@ class LabeledGraph:
 
 
 def grid_graph(k: int, n: int) -> LabeledGraph:
-    """The k x n grid graph with unit-step adjacency."""
-    if k < 1 or n < 1:
-        raise ValueError("grid dimensions must be positive")
-
-    def idx(i, j):
-        return (j - 1) * k + (i - 1)
-
-    edges = []
-    for j in range(1, n + 1):
-        for i in range(1, k + 1):
-            if i < k:
-                edges.append((idx(i, j), idx(i + 1, j), VERTICAL, 1))
-            if j < n:
-                edges.append((idx(i, j), idx(i, j + 1), HORIZONTAL, 1))
-    return LabeledGraph(k * n, tuple(edges))
+    """The k x n grid graph with unit-step adjacency:
+    product_with_path(path_graph(k), n)."""
+    return product_with_path(path_graph(k), n)
 
 
 def path_graph(k: int) -> LabeledGraph:
-    """Path on k vertices; edges labeled vertical (it is grid_graph(k, 1))."""
-    return grid_graph(k, 1)
+    """Path on k vertices; edges labeled vertical."""
+    if k < 1:
+        raise ValueError("a path needs at least one vertex")
+    return LabeledGraph(k, tuple((i, i + 1, VERTICAL, 1) for i in range(k - 1)))
 
 
 def product_with_path(g: LabeledGraph, n: int) -> LabeledGraph:
     """n stacked copies of g, consecutive copies joined vertex-to-vertex.
 
     All intra-copy edges are labeled vertical, the copy-to-copy edges
-    horizontal, so grid_graph(k, n) == product_with_path(path_graph(k), n).
+    horizontal.
     """
     if n < 1:
         raise ValueError("need at least one layer")
@@ -555,38 +548,58 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     return _interpolated(minor.values)
 
 
-def _ver_batches(g: LabeledGraph):
-    """The data of gf_ver: returns next_terms, and next_terms(c) lists the
-    next c polynomials ver_polynomial(product_with_path(g, n)), n = 1, 2, ...
+def _order_bound(g: LabeledGraph) -> int:
+    """A proved bound B on the order of the recurrence of the spanning-tree
+    counts of g x P_n, n = 1, 2, ..., for a connected g with k vertices,
+    and of the vertical-edge polynomials over Q(v): B = prod(m + 1) over
+    the distinct nonzero eigenvalues of L(g), m their multiplicities.
+    B is 2^(k-1) for a path, whose k - 1 nonzero eigenvalues are simple
+    (so for the k-row grids; k = 7 has order 48 at v = 1), k for K_k, and
+    1 for k <= 1 (an empty product).
+
+    L(g x P_n) = L(g) (+) L(P_n) is a Kronecker sum, so its eigenvalues are
+    lambda_i + mu_j, and with lambda_0 = 0 and prod_{j>0} mu_j = n the
+    matrix-tree theorem gives tau = (1/k) prod_{i=1}^{k-1} det(lambda_i I +
+    L(P_n)).  Each factor a_n is a continuant: a_0 = 0, a_1 = lambda_i and
+    a_n = (lambda_i + 2) a_{n-1} - a_{n-2}, whose characteristic roots r,
+    1/r differ as r + 1/r = lambda_i + 2 > 2.  So a_n = alpha r^n +
+    beta r^-n, and an eigenvalue of multiplicity m contributes a_n^m, a sum
+    of m + 1 geometric terms: tau is a sum of at most B of them.  With
+    weight v on g's edges L(g) becomes v L(g), whose eigenvalues v lambda_i
+    keep their multiplicities: the same holds over Q(v) and at each v >= 1.
+
+    The multiplicities are those of the roots of p = det(xI + L(g)) / x =
+    prod(x + lambda_i), i = 1..k-1.  xI + L(g) is the Laplacian of the cone
+    over g (an apex joined to every vertex by an edge of weight x) without
+    the apex, so x p is ver_polynomial of the cone with g's edges labeled
+    other.  In the chain p_0 = p, p_(j+1) = gcd(p_j, p_j'), p_j has degree
+    sum(max(m - j, 0)), so deg p_j - deg p_(j+1) eigenvalues have
+    multiplicity above j."""
+    k = g.n_vertices
+    cone = LabeledGraph(k + 1, tuple((u, v, OTHER, mult) for u, v, _label, mult in g.edges)
+                        + tuple((u, k, VERTICAL, 1) for u in range(k)))
+    p = Poly(ver_polynomial(cone).coeffs[1:])  # the zero polynomial for k = 0
+    degrees = [max(p.degree, 0)]
+    while degrees[-1]:
+        p = poly_gcd(p, p.derivative())
+        degrees.append(p.degree)
+    above = [a - b for a, b in zip(degrees, degrees[1:])] + [0]  # multiplicity above j
+    return math.prod((m + 1) ** (above[m - 1] - above[m]) for m in range(1, len(above)))
+
+
+def _ver_terms(g: LabeledGraph, count: int) -> list:
+    """The data of gf_ver: the polynomials ver_polynomial(product_with_path(g, n))
+    for n = 1..count.
 
     Every edge of g is vertical in the product, and a spanning tree has at
     most |V(g)| - 1 of them in each layer, so term n has degree at most
     D_n = n * min(total multiplicity of g's edges, |V(g)| - 1) and is
-    interpolated from its values at v = 1..D_n + 1.  A request whose terms
-    need points beyond those of the earlier ones starts one batch: a
-    _layer_sweep over Evals at just the new points, run up to the current
-    layer.  Then every batch advances one layer per term."""
+    interpolated from its values at v = 1..D_n + 1, all read off one
+    _layer_sweep over Evals at the points v = 1..D_count + 1."""
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    batches = []  # sweeps, in the order of their points
-    done = points = 0  # terms returned, points covered
-
-    def next_terms(c):
-        nonlocal done, points
-        need = (done + c) * per_layer + 1
-        if need > points:
-            sweep = _layer_sweep(g, Evals(range(points + 1, need + 1)))
-            for _ in range(done):
-                next(sweep)
-            batches.append(sweep)
-            points = need
-        out = []
-        for n in range(done + 1, done + c + 1):
-            values = [x for sweep in batches for x in next(sweep).values]
-            out.append(_interpolated(values[:n * per_layer + 1]))
-        done += c
-        return out
-
-    return next_terms
+    sweep = _layer_sweep(g, Evals(range(1, count * per_layer + 2)))
+    return [_interpolated(minor.values[:n * per_layer + 1])
+            for n, minor in zip(range(1, count + 1), sweep)]
 
 
 def _interpolated(values) -> Poly:

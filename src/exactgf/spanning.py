@@ -9,13 +9,16 @@ Covered families, all over layers n of a product graph G x P_n:
   * joint resistance between corners (two pivots of one elimination),
   * the bivariate vertical-edge weight polynomial and its moments.
 
-The data of each pipeline come from one layer sweep (graphs._layer_sweep),
-or for the v-polynomials from one sweep over the points of v per fit
-round (graphs._ver_batches); the fit asks its source for each round's new
-terms in one request.  A fit is only accepted when at least HELD_OUT extra
-terms, never shown to the guesser, are reproduced by the recurrence and
-the last term agrees with its per-term minor; the emitted function is
-additionally re-expanded and compared against every generated term.
+The data of each fit round come from one layer sweep (graphs._layer_sweep),
+for the v-polynomials one over the points of v the round needs
+(graphs._ver_terms).  The first round is sized from a proved bound on the
+recurrence order (graphs._order_bound, from the base graph's Laplacian
+spectrum), so trees and v-polynomials fit in one round unless the term
+cap is below it; only the two-forests' unproved hint can need more.  A
+fit is only accepted when at least HELD_OUT extra terms, never shown to
+the guesser, are reproduced by the recurrence and the last term agrees
+with its per-term minor; the emitted function is additionally
+re-expanded and compared against every generated term.
 """
 from __future__ import annotations
 
@@ -53,7 +56,8 @@ from .graphs import (
     _laplacian_minor,
     _last_pivots,
     _layer_sweep,
-    _ver_batches,
+    _order_bound,
+    _ver_terms,
     grid_graph,
     path_graph,
     product_with_path,
@@ -98,43 +102,26 @@ class MomentsReport:
     kurtosis: Decimal | None
 
 
-def grid_expected_order(k: int) -> int:
-    """A proved bound B = 2^(k-1) on the tree order of any connected k-vertex
-    base graph G, so of the k-row grids (k = 7 has order 48 at v = 1).
-
-    L(G x P_n) = L(G) (+) L(P_n) is a Kronecker sum, so its eigenvalues are
-    lambda_i + mu_j, and with lambda_0 = 0 and prod_{j>0} mu_j = n the
-    matrix-tree theorem gives tau = (1/k) prod_{i=1}^{k-1} det(lambda_i I +
-    L(P_n)).  Each factor a_n is a continuant: a_0 = 0, a_1 = lambda_i and
-    a_n = (lambda_i + 2) a_{n-1} - a_{n-2}, an order-2 recurrence, so tau is
-    a sum of at most 2^(k-1) geometric terms.  With weight v on G's edges
-    each lambda_i becomes v lambda_i: the same holds over Q(v) and at each
-    v >= 1."""
-    return 2 ** (k - 1)
-
-
-def _fit_pipeline(next_terms, term_fn, guesser, expected_order=None, max_terms=MAX_TERMS):
+def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS):
     """Adaptive guess-and-certify loop shared by all pipelines.
 
-    next_terms(c) returns the c data terms after those it returned before,
-    starting at term 1; each round asks it once for all the terms it adds,
-    so a source can size its work to the round (_ver_batches starts one
-    sweep per round).  term_fn(n) recomputes term n by the per-term path.
-    The guesser sees a growing window; HELD_OUT extra terms are always
-    generated and must be replayed exactly before a fit is accepted, and
-    so must the last term recomputed by term_fn (InternalInconsistency
-    otherwise), which ties the sweep to the per-term minors on every run.
-    The first window is 2B + 4 terms for an order hint B >= 1, the fewest
-    from which guess_rec (orders up to len // 2 - 2) fits any order <= B,
-    and 12 without a hint.  Doubles the window until the cap, then raises
-    NoFitWithinBudget carrying the data.
+    terms(c) returns data terms 1..c; each round asks it once, so a source
+    sizes its work to the round (_ver_terms sweeps just the points the
+    round needs).  term_fn(n) recomputes term n by the per-term path.
+    The guesser sees a window of the first terms; HELD_OUT extra terms are
+    always generated and must be replayed exactly before a fit is
+    accepted, and so must the last term recomputed by term_fn
+    (InternalInconsistency otherwise), which ties the sweep to the
+    per-term minors on every run.  The window is 2B + 4 terms for the
+    order bound B >= 1, the fewest from which guess_rec (orders up to
+    len // 2 - 2) fits any order <= B, or max_terms if that is fewer.  A
+    bound below the order (only the two-forest hint is unproved) doubles
+    the window, each round generating its terms afresh, until the cap,
+    which raises NoFitWithinBudget carrying the data.
     """
-    if expected_order is not None and expected_order < 1:
-        raise ValueError(f"expected_order must be at least 1, not {expected_order}")
-    budget = min(2 * expected_order + 4 if expected_order else 12, max_terms)
-    data = []
+    budget = min(2 * bound + 4, max_terms)
     while True:
-        data += next_terms(budget + HELD_OUT - len(data))
+        data = terms(budget + HELD_OUT)
         spec = guesser(data[:budget])
         if spec is not None and _recurrence_holds(data, spec.den):
             if term_fn(len(data)) != data[-1]:
@@ -149,12 +136,12 @@ def _fit_pipeline(next_terms, term_fn, guesser, expected_order=None, max_terms=M
         budget = min(2 * budget, max_terms)
 
 
-def _certified(next_terms, term_fn, guesser, expected_order, max_terms) -> GFResult:
-    """Fit, emit and certify: run _fit_pipeline on next_terms, turn the
+def _certified(terms, term_fn, guesser, bound, max_terms) -> GFResult:
+    """Fit, emit and certify: run _fit_pipeline on terms, turn the
     recurrence into its generating function with the t^1 prefactor, and
     check that the denominator degree equals the order and that the
     series reproduces every generated term."""
-    spec, data = _fit_pipeline(next_terms, term_fn, guesser, expected_order, max_terms)
+    spec, data = _fit_pipeline(terms, term_fn, guesser, bound, max_terms)
     # the guessers return the minimal recurrence (cfinite._minimal_den,
     # guess_rec1), so num and den are coprime, and D_0 != 0 keeps t * num
     # and den coprime too: no gcd is taken
@@ -169,21 +156,16 @@ def _certified(next_terms, term_fn, guesser, expected_order, max_terms) -> GFRes
     return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
 
 
-def _terms_of(sweep):
-    """The data source of _fit_pipeline over the iterator sweep."""
-    return lambda c: list(islice(sweep, c))
-
-
 def gf_spanning(
     g_base: LabeledGraph,
     guesser: str = "plain",
-    expected_order: int | None = None,
     max_terms: int = MAX_TERMS,
 ) -> GFResult:
     """Generating function (offset t^1) of spanning-tree counts of
-    g_base x P_n.  guesser is "plain" or "symmetric"; the symmetric
-    variant accepts the plain fit only if its denominator is palindromic
-    up to sign, on the same window."""
+    g_base x P_n, fitted in one round from the order bound of g_base.
+    guesser is "plain" or "symmetric"; the symmetric variant accepts the
+    plain fit only if its denominator is palindromic up to sign, on the
+    same window."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
     try:
@@ -194,15 +176,15 @@ def gf_spanning(
     def term(n):
         return spanning_tree_count(product_with_path(g_base, n))
 
-    return _certified(_terms_of(_layer_sweep(g_base)), term, guess, expected_order, max_terms)
+    def terms(c):
+        return list(islice(_layer_sweep(g_base), c))
+
+    return _certified(terms, term, guess, _order_bound(g_base), max_terms)
 
 
 def gf_grid(k: int, guesser: str = "plain", max_terms: int = MAX_TERMS) -> GFResult:
-    """gf_spanning for the k-row grid family, with the grid order hint."""
-    return gf_spanning(
-        path_graph(k), guesser=guesser, expected_order=grid_expected_order(k),
-        max_terms=max_terms,
-    )
+    """gf_spanning for the k-row grid family."""
+    return gf_spanning(path_graph(k), guesser=guesser, max_terms=max_terms)
 
 
 def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
@@ -218,8 +200,11 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
     # for k = 1, n = 1 the sweep gives 0: a single vertex cannot be separated from itself
     # B_F = (k + 3) 2^(k-2) (2 at k = 1) sizes the budget only; replay certifies the fit
     hint = (k + 3) << (k - 2) if k > 1 else 2
-    return _certified(_terms_of(_layer_sweep(path_graph(k), forests=True)), term, guess_rec,
-                      hint, max_terms)
+
+    def terms(c):
+        return list(islice(_layer_sweep(path_graph(k), forests=True), c))
+
+    return _certified(terms, term, guess_rec, hint, max_terms)
 
 
 def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:
@@ -266,17 +251,14 @@ def resistance_bound_constant(k: int) -> Fraction:
 # bivariate vertical-edge pipeline
 # ---------------------------------------------------------------------------
 
-def gf_ver(
-    g_base: LabeledGraph,
-    expected_order: int | None = None,
-    max_terms: int = MAX_TERMS,
-) -> GFResult:
+def gf_ver(g_base: LabeledGraph, max_terms: int = MAX_TERMS) -> GFResult:
     """Bivariate generating function (offset t^1) of the vertical-edge
     weight polynomials of g_base x P_n.
 
     Data terms are polynomials in v, generated from their values at the
-    points v = 1, 2, ... by one layer sweep per fit round, and so are the
-    recurrence's denominator coefficients, fitted at integer points of v.
+    points v = 1, 2, ... by one layer sweep, sized like gf_spanning's from
+    the order bound of g_base, and so are the recurrence's denominator
+    coefficients, fitted at integer points of v.
     Numerator and denominator are polynomials in t whose coefficients are
     integer polynomials in v with no common content (lowest denominator
     coefficient positive)."""
@@ -286,12 +268,14 @@ def gf_ver(
     def term(n):
         return ver_polynomial(product_with_path(g_base, n))
 
-    return _certified(_ver_batches(g_base), term, guess_rec, expected_order, max_terms)
+    def terms(c):
+        return _ver_terms(g_base, c)
+
+    return _certified(terms, term, guess_rec, _order_bound(g_base), max_terms)
 
 
 def gf_ver_grid(k: int, max_terms: int = MAX_TERMS) -> GFResult:
-    return gf_ver(path_graph(k), expected_order=grid_expected_order(k),
-                  max_terms=max_terms)
+    return gf_ver(path_graph(k), max_terms=max_terms)
 
 
 def substitute_v(rf: RationalFunction, value) -> RationalFunction:
@@ -308,32 +292,28 @@ def substitute_v(rf: RationalFunction, value) -> RationalFunction:
 # moments of the vertical-edge statistic
 # ---------------------------------------------------------------------------
 
-def moments(g_base: LabeledGraph, n: int, upto: int = 4) -> MomentsReport:
+def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
     """Exact moments of the vertical-edge count over uniformly random
     spanning trees of g_base x P_n.
 
     One streamed Laplacian minor at vertical weight v = 1 + e over jets
-    mod e^K, K = max(2, upto) + 1, gives c_j = P^(j)(1) / j! for the weight
-    polynomial P, and the j-th factorial moment is j! c_j / c_0.  Mean and
-    variance are exact rationals; skewness and kurtosis (plain, not
-    excess) are emitted as 30-significant-digit decimals."""
-    if not 1 <= upto <= 4:
-        raise ValueError("upto must be between 1 and 4")
+    mod e^5 gives c_j = P^(j)(1) / j! for the weight polynomial P, and the
+    j-th factorial moment is j! c_j / c_0.  Mean and variance are exact
+    rationals; skewness and kurtosis (plain, not excess) are emitted as
+    30-significant-digit decimals, None when the variance is 0."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
     g = product_with_path(g_base, n)
-    size = max(2, upto) + 1
-    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1) + (0,) * (size - 2))).coeffs
-    fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, size)]
+    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1, 0, 0, 0))).coeffs
+    fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, 5)]
     mean = fact[0]
     skewness = kurtosis = None
     ex2 = fact[1] + fact[0]
     variance = ex2 - mean * mean
-    if upto >= 3 and variance > 0:
+    if variance > 0:
         ex3 = fact[2] + 3 * fact[1] + fact[0]
         mu3 = ex3 - 3 * mean * ex2 + 2 * mean**3
         skewness = _decimal_ratio(mu3, variance, power=Fraction(3, 2))
-    if upto >= 4 and variance > 0:
         ex4 = fact[3] + 6 * fact[2] + 7 * fact[1] + fact[0]
         mu4 = ex4 - 4 * mean * ex3 + 6 * mean**2 * ex2 - 3 * mean**4
         kurtosis = _decimal_ratio(mu4, variance, power=Fraction(2))

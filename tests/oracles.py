@@ -14,7 +14,7 @@ the offset-tuple closure of toeplitz.children_scheme,
 laplacian_minor_dense for the streamed Laplacian minors,
 ver_polynomial_per_point and ver_sweep_per_point, one integer elimination
 per point of v, for the elimination over graphs.Evals behind
-graphs.ver_polynomial and graphs._ver_batches, moments_by_interpolation
+graphs.ver_polynomial and graphs._ver_terms, moments_by_interpolation
 for the jet route (graphs.Jet) of spanning.moments,
 dom_exact_div_ladder, one isinstance branch per ring, for the division
 protocol of core._dom_exact_div (an int branch, then each ring's own
@@ -414,7 +414,7 @@ def ver_polynomial_per_point(g: LabeledGraph) -> Poly:
 
 def ver_sweep_per_point(g: LabeledGraph):
     """Yield ver_polynomial(product_with_path(g, n)) for n = 1, 2, ... by
-    the route graphs._ver_batches replaced: one integer layer sweep per
+    the route graphs._ver_terms replaced: one integer layer sweep per
     point v = 0..D_n, each started (and run up to layer n - 1) when first
     needed, D_n = n * min(total multiplicity of g's edges, |V(g)| - 1)."""
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
@@ -533,12 +533,10 @@ def _same_component(n, edges, a, b):
 # moments through the whole v-polynomial
 # ---------------------------------------------------------------------------
 
-def moments_by_interpolation(g_base: LabeledGraph, n: int, upto: int = 4) -> MomentsReport:
+def moments_by_interpolation(g_base: LabeledGraph, n: int) -> MomentsReport:
     """spanning.moments by the route it used to take: build the whole
     vertical-edge polynomial with ver_polynomial (D + 1 integer minors,
     interpolated) and differentiate it at v = 1."""
-    if not 1 <= upto <= 4:
-        raise ValueError("upto must be between 1 and 4")
     g = product_with_path(g_base, n)
     p = ver_polynomial(g)
     total = Fraction(p.eval(1))
@@ -546,7 +544,7 @@ def moments_by_interpolation(g_base: LabeledGraph, n: int, upto: int = 4) -> Mom
         raise NotConnected("product graph has no spanning trees")
     derivs = []
     q = p
-    for _ in range(max(2, upto)):
+    for _ in range(4):
         q = q.derivative()
         derivs.append(Fraction(q.eval(1)))
     fact = [f / total for f in derivs]  # factorial moments
@@ -554,11 +552,10 @@ def moments_by_interpolation(g_base: LabeledGraph, n: int, upto: int = 4) -> Mom
     skewness = kurtosis = None
     ex2 = fact[1] + fact[0]
     variance = ex2 - mean * mean
-    if upto >= 3 and variance > 0:
+    if variance > 0:
         ex3 = fact[2] + 3 * fact[1] + fact[0]
         mu3 = ex3 - 3 * mean * ex2 + 2 * mean**3
         skewness = _decimal_ratio(mu3, variance, power=Fraction(3, 2))
-    if upto >= 4 and variance > 0:
         ex4 = fact[3] + 6 * fact[2] + 7 * fact[1] + fact[0]
         mu4 = ex4 - 4 * mean * ex3 + 6 * mean**2 * ex2 - 3 * mean**4
         kurtosis = _decimal_ratio(mu4, variance, power=Fraction(2))

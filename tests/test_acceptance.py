@@ -199,7 +199,7 @@ def test_criterion_06_bivariate_rows_2_to_4():
 
 def test_criterion_07_moment_asymptotics():
     with criterion(7, "2-row moments at n=60 match the asymptotics", 10):
-        rep = moments(path_graph(2), 60, upto=4)
+        rep = moments(path_graph(2), 60)
         with localcontext() as ctx:
             ctx.prec = 50
             b = 2 + Decimal(3).sqrt()

@@ -22,7 +22,7 @@ from exactgf import (
 from exactgf import cfinite, core, gf_grid, gf_two_forest
 from exactgf.core import _primitive_ints
 from exactgf.errors import DataTooShort
-from exactgf.graphs import _ver_batches
+from exactgf.graphs import _ver_terms
 from oracles import _solve_rec, guess_rec_scan, guess_sym_rec_scan
 from test_spanning import _connected_multigraphs
 
@@ -86,7 +86,7 @@ def test_guess_rec_order_exact_when_no_lower_fit():
 
 def test_guess_sym_rec_matches_plain_when_palindromic():
     # the symmetric guesser is guess_rec plus a palindrome check, so it
-    # needs guess_rec's 2d + 3 terms: 7 are too few for order 2
+    # needs guess_rec's 2d + 4 terms: 7 are too few for order 2
     spec = guess_sym_rec(A001353)
     assert spec == guess_rec(A001353)
     assert spec.den == (1, -4, 1)
@@ -335,14 +335,14 @@ def test_guess_rec_round_trip_over_z_v(spec):
 
 @st.composite
 def _z_v_data(draw):
-    """Terms of a random spec over Z[v], or the _ver_batches polynomials of a
+    """Terms of a random spec over Z[v], or the _ver_terms polynomials of a
     random connected multigraph on k <= 4 vertices, 2^k + 4 of them: enough
     for the fit, of order at most 2^(k-1)."""
     if draw(st.booleans()):
         spec = draw(_v_polynomial_specs())
         return seq_from_rec(spec, 2 * spec.order + 6)
     g = draw(_connected_multigraphs())
-    return _ver_batches(g)(2 ** g.n_vertices + 4)
+    return _ver_terms(g, 2 ** g.n_vertices + 4)
 
 
 @settings(max_examples=20, deadline=None)

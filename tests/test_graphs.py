@@ -31,7 +31,7 @@ from exactgf.graphs import (
     _laplacian_minor,
     _last_pivots,
     _layer_sweep,
-    _ver_batches,
+    _ver_terms,
     graph_from_json_dict,
 )
 
@@ -83,6 +83,11 @@ def test_product_path2_equals_grid2():
     want = grid_graph(2, 5)
     assert got.n_vertices == want.n_vertices
     assert sorted(got.edges) == sorted(want.edges)
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (3, 4), (4, 2)])
+def test_grid_graph_is_the_product_of_a_path(k, n):
+    assert grid_graph(k, n) == product_with_path(path_graph(k), n)
 
 
 def test_product_triangle_prism():
@@ -327,13 +332,11 @@ def test_layer_sweep_matches_per_term_minors(data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_multigraphs(max_vertices=4), st.lists(st.integers(1, 3), min_size=1, max_size=3))
-@example(path_graph(1), [2, 1])  # no vertical edge: one point, and int minors at n = 1
-def test_ver_sweep_matches_ver_polynomial(g, requests):
-    # each request may start a batch over new points, run up to the layers before it
-    next_terms = _ver_batches(g)
-    got = [p for c in requests for p in next_terms(c)]
-    assert got == list(islice(ver_sweep_per_point(g), sum(requests)))
+@given(_multigraphs(max_vertices=4), st.integers(1, 9))
+@example(path_graph(1), 3)  # no vertical edge: one point, and int minors at n = 1
+def test_ver_sweep_matches_ver_polynomial(g, count):
+    got = _ver_terms(g, count)
+    assert got == list(islice(ver_sweep_per_point(g), count))
     assert got == [ver_polynomial(product_with_path(g, n)) for n in range(1, len(got) + 1)]
 
 

@@ -8,15 +8,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from exactgf import (
     LabeledGraph,
+    Matrix,
     Poly,
     RationalFunction,
     c_poly,
+    det_bareiss,
     resistance_bound_constant,
     gf_grid,
     gf_spanning,
     gf_two_forest,
     gf_ver,
     gf_ver_grid,
+    laplacian,
     moments,
     path_graph,
     resistance,
@@ -70,8 +73,7 @@ def test_gf_spanning_three_rows():
 def test_gf_grid_guessers_agree():
     for k in (1, 2, 3, 4):
         plain = gf_grid(k)
-        sym = gf_spanning(path_graph(k), guesser="symmetric",
-                          expected_order=2 ** (k - 1))
+        sym = gf_spanning(path_graph(k), guesser="symmetric")
         assert plain.gf == sym.gf
 
 
@@ -117,7 +119,7 @@ def test_gf_spanning_disconnected_base_rejected():
 
 def test_gf_spanning_budget_exhaustion_carries_data():
     with pytest.raises(NoFitWithinBudget) as info:
-        gf_grid(4, max_terms=14)  # order 8 needs 19 fit terms
+        gf_grid(4, max_terms=14)  # order 8 needs 20 fit terms
     data = info.value.data
     from exactgf import spanning_tree_count
 
@@ -137,6 +139,14 @@ def _forest_bound(k):
     return (k + 3) * 2 ** (k - 2) if k > 1 else 2
 
 
+def _complete_graph(k):
+    return LabeledGraph(k, tuple((i, j, "other") for i in range(k) for j in range(i + 1, k)))
+
+
+_STAR = LabeledGraph(4, ((0, 1, "other"), (0, 2, "other"), (0, 3, "other")))
+_CYCLE = LabeledGraph(4, ((0, 1, "other"), (1, 2, "other"), (2, 3, "other"), (3, 0, "other")))
+
+
 def _guess_rounds(monkeypatch):
     rounds = []
     real = spanning.guess_rec
@@ -148,42 +158,56 @@ def _guess_rounds(monkeypatch):
     "fit, bound",
     [(lambda k=k: gf_grid(k), 2 ** (k - 1)) for k in range(1, 6)]
     + [(lambda k=k: gf_two_forest(k), _forest_bound(k)) for k in range(1, 5)]
-    + [(lambda k=k: gf_ver_grid(k), 2 ** (k - 1)) for k in range(1, 4)],
+    + [(lambda k=k: gf_ver_grid(k), 2 ** (k - 1)) for k in range(1, 4)]
+    # user graphs: eigenvalues 6 (x5); 4 (x3); 1 (x2), 4; 2 (x2), 4
+    + [(lambda: gf_spanning(_complete_graph(6)), 6), (lambda: gf_ver(_complete_graph(4)), 4),
+       (lambda: gf_ver(_STAR), 6), (lambda: gf_ver(_CYCLE), 6)],
     ids=[f"grid-{k}" for k in range(1, 6)] + [f"two-forest-{k}" for k in range(1, 5)]
-    + [f"ver-{k}" for k in range(1, 4)])
+    + [f"ver-{k}" for k in range(1, 4)] + ["tree-K6", "ver-K4", "ver-star", "ver-C4"])
 def test_the_order_bound_sizes_one_guess(monkeypatch, fit, bound):
     rounds = _guess_rounds(monkeypatch)
     out = fit()
     assert rounds == [2 * bound + 4] and out.data_used == 2 * bound + 4 + spanning.HELD_OUT
 
 
-def test_a_hint_below_the_order_doubles_to_the_same_fit(monkeypatch):
+def test_a_bound_below_the_order_doubles_to_the_same_fit(monkeypatch):
+    # orders 8 and 2: each failed round restarts its sweep on twice the window
+    want = gf_grid(4).gf, gf_ver_grid(2).gf
+    monkeypatch.setattr(spanning, "_order_bound", lambda g: 1)
     rounds = _guess_rounds(monkeypatch)
-    out = gf_spanning(path_graph(4), expected_order=1)  # the order is 8
-    assert rounds == [6, 12, 24] and out.gf == gf_grid(4).gf
+    assert gf_grid(4).gf == want[0] and rounds == [6, 12, 24]
+    rounds.clear()
+    assert gf_ver_grid(2).gf == want[1] and rounds == [6, 12]
 
 
-@pytest.mark.parametrize("hint", (0, -2))
-def test_a_hint_below_one_is_rejected(hint):
-    def no_terms(c):
-        raise AssertionError("terms requested before the hint was checked")
-    with pytest.raises(ValueError, match="expected_order"):
-        spanning._fit_pipeline(no_terms, None, spanning.guess_rec, hint)
-    with pytest.raises(ValueError, match="expected_order"):
-        gf_spanning(path_graph(2), expected_order=hint)
+@pytest.mark.parametrize("k", range(1, 9))
+def test_order_bound_of_paths_and_complete_graphs(k):
+    # simple nonzero eigenvalues for a path, one eigenvalue k of multiplicity k - 1 for K_k
+    assert graphs._order_bound(path_graph(k)) == 2 ** (k - 1)
+    assert graphs._order_bound(_complete_graph(k)) == k
 
 
 @settings(max_examples=30, deadline=None)
 @given(_connected_multigraphs(max_vertices=5))
 @example(LabeledGraph(1, ()))
 def test_tree_order_is_at_most_the_kronecker_bound(g):
-    bound = 2 ** (g.n_vertices - 1)
-    out = gf_spanning(g)
-    assert out.spec.order <= bound
+    cones = []
+    real = graphs.ver_polynomial
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graphs, "ver_polynomial", lambda h: cones.append(real(h)) or cones[-1])
+        bound = graphs._order_bound(g)
+    # the cone's ver_polynomial is x p = det(xI + L(g))
+    k, x = g.n_vertices, Poly((0, 1))
+    lap = laplacian(g)
+    assert cones == [det_bareiss(Matrix([[x * (i == j) + lap[i, j] for j in range(k)]
+                                         for i in range(k)]))]
     with pytest.MonkeyPatch.context() as m:
         rounds = _guess_rounds(m)
-        hinted = gf_spanning(g, expected_order=bound)
-    assert rounds == [2 * bound + 4] and hinted.gf == out.gf
+        out = gf_spanning(g)
+    assert out.spec.order <= bound and rounds == [2 * bound + 4]
+    with pytest.MonkeyPatch.context() as m:  # the doubling fit from 12 terms
+        m.setattr(spanning, "_order_bound", lambda g: 4)
+        assert gf_spanning(g).gf == out.gf
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -206,13 +230,12 @@ def test_corrupted_sweep_fails_the_spot_check(monkeypatch):
     def doubled_sweep(*a, real=graphs._layer_sweep, **kw):
         return (2 * t for t in real(*a, **kw))
 
-    def doubled_batches(g, real=graphs._ver_batches):
-        next_terms = real(g)
-        return lambda c: [2 * t for t in next_terms(c)]
+    def doubled_terms(g, c, real=graphs._ver_terms):
+        return [2 * t for t in real(g, c)]
 
     for name, fake, run in (("_layer_sweep", doubled_sweep, lambda: gf_grid(3)),
                             ("_layer_sweep", doubled_sweep, lambda: gf_two_forest(2)),
-                            ("_ver_batches", doubled_batches, lambda: gf_ver_grid(2))):
+                            ("_ver_terms", doubled_terms, lambda: gf_ver_grid(2))):
         with monkeypatch.context() as m:
             m.setattr(spanning, name, fake)
             with pytest.raises(InternalInconsistency, match="per-term minor"):
@@ -302,9 +325,12 @@ def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
     assert out.data_used == 18
     sweeps.clear()
     rounds.clear()
-    gf_ver(path_graph(4))  # no order hint: the window doubles from 12
+    # a bound of 4 below the order 8: the window doubles from 12, and the
+    # second round sweeps all of its points afresh
+    monkeypatch.setattr(spanning, "_order_bound", lambda g: 4)
+    gf_ver(path_graph(4))
     assert rounds == [12, 24]
-    assert [w.values for w in sweeps] == [tuple(range(1, 56)), tuple(range(56, 92))]
+    assert [w.values for w in sweeps] == [tuple(range(1, 56)), tuple(range(1, 92))]
 
 
 def test_gf_ver_specializes_to_spanning():
@@ -400,9 +426,9 @@ def test_moments_single_vertex():
 
 
 @settings(max_examples=40, deadline=None)
-@given(_connected_multigraphs(), st.integers(1, 6), st.integers(1, 4))
-def test_moments_match_interpolation_oracle(g, n, upto):
-    assert moments(g, n, upto) == moments_by_interpolation(g, n, upto)
+@given(_connected_multigraphs(), st.integers(1, 6))
+def test_moments_match_interpolation_oracle(g, n):
+    assert moments(g, n) == moments_by_interpolation(g, n)
 
 
 def test_moments_disconnected_raises():
@@ -412,7 +438,7 @@ def test_moments_disconnected_raises():
 
 def test_moments_match_direct_enumeration():
     # exact distribution over the 4-cycle's 4 spanning trees
-    rep = moments(path_graph(2), 2, upto=4)
+    rep = moments(path_graph(2), 2)
     xs = [1, 1, 2, 2]
     mean = Fraction(sum(xs), 4)
     var = Fraction(sum(x * x for x in xs), 4) - mean**2
@@ -420,7 +446,3 @@ def test_moments_match_direct_enumeration():
     mu4 = sum((Fraction(x) - mean) ** 4 for x in xs) / 4
     assert rep.kurtosis == Decimal(str(float(mu4 / var**2)))
 
-
-def test_moments_upto_bounds():
-    with pytest.raises(ValueError):
-        moments(path_graph(2), 2, upto=5)
