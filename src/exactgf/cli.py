@@ -74,12 +74,12 @@ MIN_GUESS_TERMS = 6
 MAX_FIT_TERMS = 160
 MAX_RESISTANCE_N = 2500
 MAX_MOMENTS_N = 1300
-#: resistance and moments stream k * n rows through a window of k, k the
-#: grid's rows or a --graph's vertices, so k^2 * n <= MAX_STREAM_WORK caps
-#: k and n together and is the only bound on k.  Along it resistance takes
-#: 3.4 s at k = 4 (n = 1250) and about 1 s from k = 40, moments 41 s at
-#: k = 4 and 13 to 18 s from k = 25 to k = 100.  A --graph file has at most
-#: MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
+#: resistance streams k * n rows through a window of k, moments takes n
+#: steps on (k-1)-square matrices (k the rows or a --graph's vertices), and
+#: k^2 * n <= MAX_STREAM_WORK caps both and is the only bound on k.  Along
+#: it resistance takes 3.4 s at k = 4 (n = 1250), about 1 s from k = 40,
+#: and moments at most 3.3 s (k = 100, n = 2; 0.9 s for a doubled K_30, n = 22).
+#: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
 MAX_STREAM_WORK = 20000
 MAX_GRAPH_VERTICES = 30
 MAX_GRAPH_BYTES = 1 << 20

@@ -12,20 +12,21 @@ one at a time holding only their band, streamed through fraction-free
 the last pivot is the minor.  No dense Laplacian is built, so
 a minor of a graph with N vertices and E edges costs O(N + E + N*w^2) time
 and O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
-Vertical weights may be Jet series (spanning.moments uses 1 + e) or
-Evals, the points v = 1, 2, ... of a polynomial in evaluation form: one
-elimination over Evals gives a v-polynomial's values at every point.
-Both rings are defined here, and every minor and pivot comes back in the
-weight's ring, even when no edge carries the weight.
+Vertical weights may be Jet series or Evals, the points v = 1, 2, ... of
+a polynomial in evaluation form: one elimination over Evals gives a
+v-polynomial's values at every point.  Both rings are defined here, and
+every minor and pivot comes back in the weight's ring, even when no edge
+carries the weight.
 The pipelines need the minors of G x P_n for every n = 1..N: _layer_sweep
 streams one elimination over G x P_inf, built layer by layer from G's edge
 list, and reads each minor off the window at its layer boundary, O(N)
 layers instead of O(N^2); _ver_terms runs one such sweep over Evals for
-the first N v-polynomials, at the points the last of them needs, and
-_order_bound bounds the order of the recurrence of both sequences from
-the multiplicities of G's Laplacian eigenvalues.  laplacian() builds the
-dense (optionally v-weighted) matrix, which the tests use as the
-reference for these minors.
+the first N v-polynomials, at the points the last of them needs.  The
+Laplacian Kronecker sum gives _order_bound, a bound on their recurrence
+order from G's Laplacian spectrum, and _kronecker_minor, one n's minor
+(spanning.moments') from n steps on (|V(G)| - 1)-square matrices.
+laplacian() builds the dense (optionally v-weighted) matrix, G's for
+_kronecker_minor and the tests' reference for these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -36,10 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, repeat
 from operator import add, eq, floordiv, mul, neg, sub
 
-from .core import Matrix, Poly, _newton_interpolate, det_bareiss, poly_gcd
+from .core import Matrix, Poly, _dom_exact_div, _newton_interpolate, det_bareiss, poly_gcd
 from .errors import BadVertexPair, InexactDivision, InternalInconsistency
 
 VERTICAL = "vertical"
@@ -548,6 +550,7 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     return _interpolated(minor.values)
 
 
+@lru_cache(maxsize=64)
 def _order_bound(g: LabeledGraph) -> int:
     """A proved bound B on the order of the recurrence of the spanning-tree
     counts of g x P_n, n = 1, 2, ..., for a connected g with k vertices,
@@ -585,6 +588,43 @@ def _order_bound(g: LabeledGraph) -> int:
         degrees.append(p.degree)
     above = [a - b for a, b in zip(degrees, degrees[1:])] + [0]  # multiplicity above j
     return math.prod((m + 1) ** (above[m - 1] - above[m]) for m in range(1, len(above)))
+
+
+def _kronecker_minor(g: LabeledGraph, n: int, vertical_weight):
+    """_laplacian_minor(product_with_path(g, n), {k n - 1}, w), in w's ring,
+    for g with k >= 1 vertices, from n steps on (k-1)-square matrices.
+
+    It is P_n = (1/k) prod a_n(w lambda_i) (_order_bound).  On R^k/<1>, in
+    the images of e_1..e_(k-1), L(g) is L^ = C L_red (L_red: L(g) less its
+    last row and column; C = I + J, det C = k), so its eigenvalues are the
+    lambda_i, prod f(lambda_i) = det f(L^) and P_n = det a_n(w L^) / k.
+    B_j = a_j(w L^) C has B_0 = 0, B_1 = w L^ C, B_j = (w L^ + 2I) B_(j-1)
+    - B_(j-2), and B_n = C^(1/2) a_n(w S) C^(1/2), S = C^(1/2) L_red C^(1/2),
+    is symmetric: P_n = det B_n / k^2.  S is PSD and a_n(y) = det(yI +
+    L(P_n)) is 0 at 0 and > 0 for y > 0, so B_n is PSD at w >= 0 with the
+    kernel C^(-1/2) ker S at every w > 0.  As in _last_pivots, a zero pivot
+    makes B_n singular, its leading block holding a kernel vector, so a
+    pivot 0 at w = 1 is 0 at all w > 0: jet pivots are 0 or units, Evals
+    pivots 0 at all points or none."""
+    _check_weight(vertical_weight)
+    zero, lap, m = 0 * vertical_weight, laplacian(g).rows, g.n_vertices - 1
+    hat = [[*map(sub, row[:m], lap[m])] for row in lap[:m]]  # C L_red
+    prev, cur = [[0] * m] * m, [[vertical_weight * (h + sum(row)) for h in row] for row in hat]
+    for _ in range(n - 1):
+        new = [*map(list, cur)]
+        for i, row in enumerate(hat):  # B_j is symmetric: fill j >= i and mirror
+            for j in range(i, m):
+                hb = sum(h * b[j] for h, b in zip(row, cur) if h)  # (L^ B_(j-1))_ij
+                new[i][j] = new[j][i] = vertical_weight * hb + 2 * cur[i][j] - prev[i][j]
+        prev, cur = cur, new
+    det, pivots = zero + 1, _eliminated(lambda e: cur[e][:e + 1] if e < m else None, m - 1)
+    for _r, (upper, _p) in zip(range(m), pivots):
+        if _zero_pivot(det := upper[0][0]):
+            return zero
+    try:
+        return _dom_exact_div(det, (m + 1) ** 2)
+    except InexactDivision as exc:
+        raise InternalInconsistency("det B_n is not divisible by k^2") from exc
 
 
 def _ver_terms(g: LabeledGraph, count: int) -> list:

@@ -7,7 +7,8 @@ Covered families, all over layers n of a product graph G x P_n:
   * two-component spanning forests separating two corners, and the
     companion polynomial that divides their denominator structure,
   * joint resistance between corners (two pivots of one elimination),
-  * the bivariate vertical-edge weight polynomial and its moments.
+  * the bivariate vertical-edge weight polynomial and its moments (at one
+    n, from graphs._kronecker_minor: no product graph).
 
 The data of each fit round come from one layer sweep (graphs._layer_sweep),
 for the v-polynomials one over the points of v the round needs
@@ -53,7 +54,7 @@ from .errors import (
 from .graphs import (
     Jet,
     LabeledGraph,
-    _laplacian_minor,
+    _kronecker_minor,
     _last_pivots,
     _layer_sweep,
     _order_bound,
@@ -294,17 +295,20 @@ def substitute_v(rf: RationalFunction, value) -> RationalFunction:
 
 def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
     """Exact moments of the vertical-edge count over uniformly random
-    spanning trees of g_base x P_n.
+    spanning trees of g_base x P_n, n >= 1.
 
-    One streamed Laplacian minor at vertical weight v = 1 + e over jets
-    mod e^5 gives c_j = P^(j)(1) / j! for the weight polynomial P, and the
-    j-th factorial moment is j! c_j / c_0.  Mean and variance are exact
-    rationals; skewness and kurtosis (plain, not excess) are emitted as
-    30-significant-digit decimals, None when the variance is 0."""
+    The weight polynomial P at v = 1 + e over jets mod e^5 gives c_j =
+    P^(j)(1) / j! and the factorial moments j! c_j / c_0: P is one
+    graphs._kronecker_minor, tau(g_base) v^(k-1) at n = 1 and 1 at k <= 1.
+    Mean and variance are exact; skewness and kurtosis (plain, not excess)
+    are 30-significant-digit decimals, None when the variance is 0."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
-    g = product_with_path(g_base, n)
-    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1, 0, 0, 0))).coeffs
+    if n < 1:
+        raise ValueError("need at least one layer")
+    k = g_base.n_vertices
+    c = ([math.comb(max(k - 1, 0), j) for j in range(5)] if n == 1 or k <= 1
+         else _kronecker_minor(g_base, n, Jet((1, 1, 0, 0, 0))).coeffs)
     fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, 5)]
     mean = fact[0]
     skewness = kurtosis = None
@@ -317,9 +321,7 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
         ex4 = fact[3] + 6 * fact[2] + 7 * fact[1] + fact[0]
         mu4 = ex4 - 4 * mean * ex3 + 6 * mean**2 * ex2 - 3 * mean**4
         kurtosis = _decimal_ratio(mu4, variance, power=Fraction(2))
-    return MomentsReport(
-        n=n, mean=mean, variance=variance, skewness=skewness, kurtosis=kurtosis
-    )
+    return MomentsReport(n, mean, variance, skewness, kurtosis)
 
 
 def _decimal_ratio(num: Fraction, var: Fraction, power: Fraction) -> Decimal:
@@ -327,10 +329,7 @@ def _decimal_ratio(num: Fraction, var: Fraction, power: Fraction) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 45
         v = Decimal(var.numerator) / Decimal(var.denominator)
-        if power == Fraction(3, 2):
-            scale = v.sqrt() ** 3
-        else:
-            scale = v ** int(power)
+        scale = v.sqrt() ** 3 if power == Fraction(3, 2) else v ** int(power)
         out = (Decimal(num.numerator) / Decimal(num.denominator)) / scale
         ctx.prec = 30
         return +out

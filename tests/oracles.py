@@ -14,8 +14,10 @@ the offset-tuple closure of toeplitz.children_scheme,
 laplacian_minor_dense for the streamed Laplacian minors,
 ver_polynomial_per_point and ver_sweep_per_point, one integer elimination
 per point of v, for the elimination over graphs.Evals behind
-graphs.ver_polynomial and graphs._ver_terms, moments_by_interpolation
-for the jet route (graphs.Jet) of spanning.moments,
+graphs.ver_polynomial and graphs._ver_terms, moments_by_jet_minor (one
+jet minor of the whole product graph) and moments_by_interpolation (the
+whole v-polynomial) for the Kronecker-sum route (graphs._kronecker_minor)
+of spanning.moments,
 dom_exact_div_ladder, one isinstance branch per ring, for the division
 protocol of core._dom_exact_div (an int branch, then each ring's own
 checked /), and
@@ -31,6 +33,7 @@ import random
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations, count, permutations
+from math import factorial
 
 from exactgf import (
     CFiniteSpec,
@@ -530,24 +533,36 @@ def _same_component(n, edges, a, b):
 
 
 # ---------------------------------------------------------------------------
-# moments through the whole v-polynomial
+# moments through the product graph
 # ---------------------------------------------------------------------------
 
 def moments_by_interpolation(g_base: LabeledGraph, n: int) -> MomentsReport:
-    """spanning.moments by the route it used to take: build the whole
-    vertical-edge polynomial with ver_polynomial (D + 1 integer minors,
-    interpolated) and differentiate it at v = 1."""
-    g = product_with_path(g_base, n)
-    p = ver_polynomial(g)
-    total = Fraction(p.eval(1))
-    if total == 0:
-        raise NotConnected("product graph has no spanning trees")
-    derivs = []
-    q = p
+    """spanning.moments by the route it took before the jet minor: build
+    the whole vertical-edge polynomial with ver_polynomial (D + 1 integer
+    minors, interpolated) and differentiate it at v = 1."""
+    p = ver_polynomial(product_with_path(g_base, n))
+    derivs = [Fraction(p.eval(1))]
     for _ in range(4):
-        q = q.derivative()
-        derivs.append(Fraction(q.eval(1)))
-    fact = [f / total for f in derivs]  # factorial moments
+        p = p.derivative()
+        derivs.append(Fraction(p.eval(1)))
+    return _moments_report(n, derivs)
+
+
+def moments_by_jet_minor(g_base: LabeledGraph, n: int) -> MomentsReport:
+    """spanning.moments by the route it took before graphs._kronecker_minor:
+    one streamed Laplacian minor of the whole product graph g_base x P_n at
+    vertical weight 1 + e over jets mod e^5, whose coefficients c_j are
+    P^(j)(1) / j! for the vertical-edge polynomial P."""
+    g = product_with_path(g_base, n)
+    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1, 0, 0, 0))).coeffs
+    return _moments_report(n, [Fraction(factorial(j) * c[j]) for j in range(5)])
+
+
+def _moments_report(n: int, derivs) -> MomentsReport:
+    """The report from P^(j)(1), j = 0..4, the factorial moments times P(1)."""
+    if derivs[0] == 0:
+        raise NotConnected("product graph has no spanning trees")
+    fact = [f / derivs[0] for f in derivs[1:]]  # factorial moments
     mean = fact[0]
     skewness = kurtosis = None
     ex2 = fact[1] + fact[0]

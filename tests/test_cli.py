@@ -493,6 +493,18 @@ def test_moments_checks_k_before_building_the_path(monkeypatch, capsys):
     assert built == []
 
 
+def test_moments_at_one_layer_is_closed_form(monkeypatch, capsys):
+    # g x P_1 is g: every spanning tree has all k - 1 of its edges vertical,
+    # so no elimination runs, even at the largest k the work cap leaves
+    def never(*args):
+        raise AssertionError("moments at n = 1 ran an elimination")
+
+    monkeypatch.setattr(graphs, "_eliminated", never)
+    code, out, _ = invoke(capsys, "moments", "--k", "141", "--n", "1")
+    got = json.loads(out)
+    assert code == 0 and (got["mean"], got["variance"], got["skewness"]) == ("140", "0", None)
+
+
 def test_k_and_graph_are_one_required_choice(monkeypatch, tmp_path, capsys):
     def never(*args, **kwargs):
         raise AssertionError("a pipeline ran on an ambiguous base graph")

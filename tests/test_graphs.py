@@ -446,6 +446,9 @@ def test_laplacian_minor_rejects_negative_weight():
         _laplacian_minor(grid_graph(2, 2), {3}, -1)
     with pytest.raises(ValueError):
         _laplacian_minor(grid_graph(2, 2), {3}, Jet((0, 1)))
+    for w in (-1, Jet((0, 1))):  # the Kronecker-sum route too: its zero pivots need w >= 0
+        with pytest.raises(ValueError):
+            graphs._kronecker_minor(path_graph(3), 2, w)
 
 
 def test_laplacian_minor_is_the_last_pivot_without_det_bareiss(monkeypatch):

@@ -22,6 +22,7 @@ from exactgf import (
     laplacian,
     moments,
     path_graph,
+    product_with_path,
     resistance,
     substitute_v,
     taylor_coeffs,
@@ -31,7 +32,7 @@ from exactgf import (
 from exactgf import core, graphs, spanning
 from exactgf.errors import InternalInconsistency, NoFitWithinBudget, NotConnected
 
-from oracles import laplacian_minor_dense, moments_by_interpolation
+from oracles import laplacian_minor_dense, moments_by_interpolation, moments_by_jet_minor
 
 
 def rf(num, den):
@@ -187,6 +188,15 @@ def test_order_bound_of_paths_and_complete_graphs(k):
     assert graphs._order_bound(_complete_graph(k)) == k
 
 
+def test_order_bound_is_computed_once_per_graph(monkeypatch):
+    cones = []
+    real = graphs.ver_polynomial
+    monkeypatch.setattr(graphs, "ver_polynomial", lambda h: cones.append(h) or real(h))
+    graphs._order_bound.cache_clear()
+    assert gf_grid(4) == gf_grid(4)
+    assert [h.n_vertices for h in cones] == [5]  # one cone minor, over path_graph(4) + apex
+
+
 @settings(max_examples=30, deadline=None)
 @given(_connected_multigraphs(max_vertices=5))
 @example(LabeledGraph(1, ()))
@@ -195,6 +205,7 @@ def test_tree_order_is_at_most_the_kronecker_bound(g):
     real = graphs.ver_polynomial
     with pytest.MonkeyPatch.context() as m:
         m.setattr(graphs, "ver_polynomial", lambda h: cones.append(real(h)) or cones[-1])
+        graphs._order_bound.cache_clear()  # a cached bound would not see the spy
         bound = graphs._order_bound(g)
     # the cone's ver_polynomial is x p = det(xI + L(g))
     k, x = g.n_vertices, Poly((0, 1))
@@ -426,9 +437,45 @@ def test_moments_single_vertex():
 
 
 @settings(max_examples=40, deadline=None)
-@given(_connected_multigraphs(), st.integers(1, 6))
+@given(_connected_multigraphs(), st.integers(1, 8))
 def test_moments_match_interpolation_oracle(g, n):
-    assert moments(g, n) == moments_by_interpolation(g, n)
+    assert moments(g, n) == moments_by_jet_minor(g, n) == moments_by_interpolation(g, n)
+
+
+def test_moments_need_a_layer():
+    with pytest.raises(ValueError):
+        moments(path_graph(2), 0)
+
+
+def test_moments_build_no_product_graph(monkeypatch):
+    want = [moments_by_jet_minor(path_graph(k), n) for k, n in ((3, 1), (3, 7), (1, 4))]
+
+    def never(*args):
+        raise AssertionError("moments built or eliminated the product graph")
+
+    for name in ("product_with_path", "_laplacian_minor", "_last_pivots"):
+        monkeypatch.setattr(graphs, name, never)
+    monkeypatch.setattr(spanning, "product_with_path", never)
+    assert [moments(path_graph(k), n) for k, n in ((3, 1), (3, 7), (1, 4))] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_connected_multigraphs(max_vertices=5), st.integers(2, 12))
+@example(LabeledGraph(2, ((0, 1, "other", 2),)), 2)
+@example(LabeledGraph(4, ((0, 1, "other", 1), (2, 3, "other", 2))), 3)  # disconnected: all 0
+def test_kronecker_minor_is_the_product_graph_minor(g, n):
+    h = product_with_path(g, n)
+    for w in (0, 1, 3, graphs.Jet((1, 1, 0, 0, 0)), graphs.Evals(range(1, 6))):
+        got = graphs._kronecker_minor(g, n, w)
+        want = graphs._laplacian_minor(h, {h.n_vertices - 1}, w)
+        assert type(got) is type(want) and got == want
+
+
+def test_kronecker_minor_inexact_quotient_is_internal(monkeypatch):
+    # det B_n is k^2 P_n; a pivot 5 at k = 2 is not divisible by 4
+    monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[5]], 1)]))
+    with pytest.raises(InternalInconsistency, match="k\\^2"):
+        graphs._kronecker_minor(path_graph(2), 3, 1)
 
 
 def test_moments_disconnected_raises():
