@@ -74,11 +74,12 @@ MIN_GUESS_TERMS = 6
 MAX_FIT_TERMS = 160
 MAX_RESISTANCE_N = 2500
 MAX_MOMENTS_N = 1300
-#: resistance streams k * n rows through a window of k, moments takes n
-#: steps on (k-1)-square matrices (k the rows or a --graph's vertices), and
-#: k^2 * n <= MAX_STREAM_WORK caps both and is the only bound on k.  Along
-#: it resistance takes 3.4 s at k = 4 (n = 1250), about 1 s from k = 40,
-#: and moments at most 3.3 s (k = 100, n = 2; 0.9 s for a doubled K_30, n = 22).
+#: resistance takes n steps on k + 1 vectors and one k x k determinant,
+#: moments n steps on (k-1)-square matrices (k the rows or a --graph's
+#: vertices); k^2 * n <= MAX_STREAM_WORK caps both, the only bound on k.
+#: Along it resistance takes at most 0.15 s with start-up (k = 5, n = 800),
+#: far inside a minute, and moments at most 3.3 s (k = 100, n = 2; 0.9 s for
+#: a doubled K_30, n = 22).
 #: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
 MAX_STREAM_WORK = 20000
 MAX_GRAPH_VERTICES = 30

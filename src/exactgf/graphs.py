@@ -5,13 +5,13 @@ Vertices of a k x n grid are numbered column-major: (i, j) with 1 <= i <= k,
 1 <= j <= n maps to (j-1)*k + (i-1), so each layer of the product occupies a
 contiguous index block and every edge joins vertices at most k apart.
 
-Every count is a Laplacian minor (matrix-tree theorem), and every minor is
-computed by _laplacian_minor straight from the edge list: rows are built
-one at a time holding only their band, streamed through fraction-free
-(Bareiss) elimination in a window of half-bandwidth w (_eliminated), and
-the last pivot is the minor.  No dense Laplacian is built, so
-a minor of a graph with N vertices and E edges costs O(N + E + N*w^2) time
-and O(N + E + w^2) memory; for G x P_n, w is the number of vertices of G.
+Every count is a Laplacian minor (matrix-tree theorem).  _laplacian_minor
+computes one straight from the edge list: rows are built one at a time
+holding only their band, streamed through fraction-free (Bareiss)
+elimination in a window of half-bandwidth w (_eliminated), and the last
+pivot is the minor.  No dense Laplacian is built, so a minor of a graph
+with N vertices and E edges costs O(N + E + N*w^2) time and O(N + E +
+w^2) memory; for G x P_n, w is the number of vertices of G.
 Vertical weights may be Jet series or Evals, the points v = 1, 2, ... of
 a polynomial in evaluation form: one elimination over Evals gives a
 v-polynomial's values at every point.  Both rings are defined here, and
@@ -24,9 +24,12 @@ layers instead of O(N^2); _ver_terms runs one such sweep over Evals for
 the first N v-polynomials, at the points the last of them needs.  The
 Laplacian Kronecker sum gives _order_bound, a bound on their recurrence
 order from G's Laplacian spectrum, and _kronecker_minor, one n's minor
-(spanning.moments') from n steps on (|V(G)| - 1)-square matrices.
+(spanning.moments') from n steps on (|V(G)| - 1)-square matrices; the
+layer transfer recurrence gives _corner_counts, one n's trees and corner
+two-forests (spanning.resistance) from n steps on |V(G)| + 1 vectors and
+one |V(G)|-square determinant.  Neither builds the product graph.
 laplacian() builds the dense (optionally v-weighted) matrix, G's for
-_kronecker_minor and the tests' reference for these minors.
+those three and the tests' reference for these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -41,7 +44,8 @@ from functools import lru_cache
 from itertools import count, repeat
 from operator import add, eq, floordiv, mul, neg, sub
 
-from .core import Matrix, Poly, _dom_exact_div, _newton_interpolate, det_bareiss, poly_gcd
+from .core import (Matrix, Poly, _bareiss_pivots, _dom_exact_div, _newton_interpolate, det_bareiss,
+                   poly_gcd)
 from .errors import BadVertexPair, InexactDivision, InternalInconsistency
 
 VERTICAL = "vertical"
@@ -625,6 +629,45 @@ def _kronecker_minor(g: LabeledGraph, n: int, vertical_weight):
         return _dom_exact_div(det, (m + 1) ** 2)
     except InexactDivision as exc:
         raise InternalInconsistency("det B_n is not divisible by k^2") from exc
+
+
+def _corner_counts(g: LabeledGraph, n: int, a: int, b: int):
+    """(F, tau) for a connected g with k >= 1 vertices: the spanning trees
+    tau of g x P_n and its two-forests F separating vertex a of layer 1
+    from vertex b of layer n (0 if they coincide), so F / tau is their
+    resistance; n steps on k + 1 integer vectors and one k x k determinant.
+
+    With A = L(g) and x_j layer j's potentials under a unit current from a
+    to b, Kirchhoff's law gives x_2 = (A + I) x_1 - e_a and, inside,
+    x_(j+1) = (A + 2I) x_j - x_(j-1): x_j = C_j x_1 - V_j, C and V
+    following Y_(j+1) = (A + 2I) Y_j - Y_(j-1) from C_0 = C_1 = I, V_0 =
+    -e_a, V_1 = 0.  Layer n's law is a_n(A) x_1 = r, a_n(A) = (A + I) C_n
+    - C_(n-1) = C_(n+1) - C_n the continuant of _order_bound, r = V_(n+1)
+    - V_n - e_b.  1^T A = 0 gives 1^T V_j = j - 1, so 1^T r = 0; a_n(A) is
+    symmetric with a_n(A) 1 = a_n(0) 1 = 0, so the rows of [a_n(A) | r]
+    add up to 0 and the last one can go.  C_j 1 = 1 fixes x_1 up to a
+    constant: ground x_1[k-1] = 0 and solve M y = r', M and r' being
+    a_n(A) and r less their last row (and column).  a_n(lambda) =
+    det(lambda I + L(P_n)) is 0 at 0 and > 0 for lambda > 0, so a_n(A) is
+    PSD with kernel <1>, and z^T M z = 0 would put (z, 0) in it: M is
+    positive definite.  The pivots of [[M, r'], [u'^T, 0]], u' = e_a - C_n
+    e_b less its last entry, are then M's positive leading minors, with no
+    row swap, and D; det M, a cofactor of a_n(A), is (1/k) prod
+    a_n(lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b], u'^T M^-1
+    r' = -D / tau (Schur complement), and F = tau R = tau V_n[b] - D."""
+    k = g.n_vertices
+    shifted = [[(v, x + 2 * (u == v)) for v, x in enumerate(row) if x or u == v]
+               for u, row in enumerate(laplacian(g).rows)]  # A + 2I
+    cur = [[int(u == v) for v in range(k)] + [0] for u in range(k)]  # the rows of [C | V]
+    prev = [row[:k] + [-(u == a)] for u, row in enumerate(cur)]
+    for _ in range(n):  # up to Y_(n+1)
+        prev, cur = cur, [[*map(sub, map(sum, zip(*[map(mul, cur[v], repeat(x)) for v, x in terms])),
+                                back)] for terms, back in zip(shifted, prev)]
+    rows = [[*map(sub, new[:k - 1], old)] + [new[k] - old[k] - (u == b)]
+            for u, (new, old) in enumerate(zip(cur[:k - 1], prev))]  # [M | r']
+    rows.append([(i == a) - c for i, c in enumerate(prev[b][:k - 1])] + [0])
+    *_, tau, d = 1, *_bareiss_pivots(Matrix(rows))
+    return tau * prev[b][k] - d, tau
 
 
 def _ver_terms(g: LabeledGraph, count: int) -> list:

@@ -6,7 +6,7 @@ Covered families, all over layers n of a product graph G x P_n:
   * spanning-tree counts (univariate in t),
   * two-component spanning forests separating two corners, and the
     companion polynomial that divides their denominator structure,
-  * joint resistance between corners (two pivots of one elimination),
+  * joint resistance between corners (graphs._corner_counts: no product graph),
   * the bivariate vertical-edge weight polynomial and its moments (at one
     n, from graphs._kronecker_minor: no product graph).
 
@@ -54,8 +54,8 @@ from .errors import (
 from .graphs import (
     Jet,
     LabeledGraph,
+    _corner_counts,
     _kronecker_minor,
-    _last_pivots,
     _layer_sweep,
     _order_bound,
     _ver_terms,
@@ -233,13 +233,15 @@ def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:
 
 def resistance(k: int, n: int) -> Fraction:
     """Joint resistance between corners (1,1) and (k,n) of the k x n grid
-    with 1-Ohm edges: two-forest count over spanning-tree count, the last
-    two pivots of one elimination of the Laplacian without corner (1,1).
-    The last is that minor; the one before it also deletes corner (k,n),
-    the last vertex (all-minors matrix-tree theorem)."""
+    with 1-Ohm edges: two-forests over spanning trees, both counted by
+    graphs._corner_counts on P_k, or k n - 1 where the grid is a path."""
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be positive")
     if k * n < 2:
         raise BadVertexPair("need at least two vertices")
-    return Fraction(*_last_pivots(grid_graph(k, n), {0}))
+    if k == 1 or n == 1:
+        return Fraction(k * n - 1)
+    return Fraction(*_corner_counts(path_graph(k), n, 0, k - 1))
 
 
 def resistance_bound_constant(k: int) -> Fraction:

@@ -17,7 +17,9 @@ per point of v, for the elimination over graphs.Evals behind
 graphs.ver_polynomial and graphs._ver_terms, moments_by_jet_minor (one
 jet minor of the whole product graph) and moments_by_interpolation (the
 whole v-polynomial) for the Kronecker-sum route (graphs._kronecker_minor)
-of spanning.moments,
+of spanning.moments, resistance_by_product_minor (the last two pivots of
+one elimination of the whole grid) for the layer transfer recurrence
+(graphs._corner_counts) behind spanning.resistance,
 dom_exact_div_ladder, one isinstance branch per ring, for the division
 protocol of core._dom_exact_div (an int branch, then each ring's own
 checked /), and
@@ -47,6 +49,7 @@ from exactgf import (
     TransferScheme,
     children_scheme,
     det_bareiss,
+    grid_graph,
     laplacian,
     product_with_path,
     ver_polynomial,
@@ -61,7 +64,7 @@ from exactgf.errors import (
     NotConnected,
     ShapeError,
 )
-from exactgf.graphs import VERTICAL, Evals, Jet, _laplacian_minor, _layer_sweep
+from exactgf.graphs import VERTICAL, Evals, Jet, _laplacian_minor, _last_pivots, _layer_sweep
 from exactgf.spanning import _decimal_ratio
 from exactgf.toeplitz import _diag_value
 
@@ -556,6 +559,18 @@ def moments_by_jet_minor(g_base: LabeledGraph, n: int) -> MomentsReport:
     g = product_with_path(g_base, n)
     c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1, 0, 0, 0))).coeffs
     return _moments_report(n, [Fraction(factorial(j) * c[j]) for j in range(5)])
+
+
+def resistance_by_product_minor(k: int, n: int) -> Fraction:
+    """spanning.resistance by the route it took before graphs._corner_counts:
+    the last two pivots of one streamed elimination of the k x n grid's
+    Laplacian without corner (1,1).  The last is that minor, the spanning
+    trees; the one before it also deletes corner (k,n), the last vertex,
+    and counts the two-forests separating the corners (all-minors
+    matrix-tree theorem)."""
+    if k * n < 2:
+        raise BadVertexPair("need at least two vertices")
+    return Fraction(*_last_pivots(grid_graph(k, n), {0}))
 
 
 def _moments_report(n: int, derivs) -> MomentsReport:

@@ -30,9 +30,14 @@ from exactgf import (
     grid_graph,
 )
 from exactgf import core, graphs, spanning
-from exactgf.errors import InternalInconsistency, NoFitWithinBudget, NotConnected
+from exactgf.errors import BadVertexPair, InternalInconsistency, NoFitWithinBudget, NotConnected
 
-from oracles import laplacian_minor_dense, moments_by_interpolation, moments_by_jet_minor
+from oracles import (
+    laplacian_minor_dense,
+    moments_by_interpolation,
+    moments_by_jet_minor,
+    resistance_by_product_minor,
+)
 
 
 def rf(num, den):
@@ -302,12 +307,63 @@ def test_resistance_is_the_ratio_of_dense_minors(k, n):
                                         laplacian_minor_dense(g, {last}))
 
 
-def test_resistance_is_one_stream(monkeypatch):
-    streams = []
-    real = graphs._eliminated
-    monkeypatch.setattr(graphs, "_eliminated", lambda *a: streams.append(a) or real(*a))
-    resistance(3, 7)
-    assert len(streams) == 1
+def test_resistance_builds_no_product_graph(monkeypatch):
+    cases = ((3, 7), (2, 40), (5, 3), (7, 2))
+    want = [resistance_by_product_minor(k, n) for k, n in cases]
+
+    def never(*args):
+        raise AssertionError("resistance built or eliminated the product graph")
+
+    for name in ("product_with_path", "_laplacian_minor", "_last_pivots"):
+        monkeypatch.setattr(graphs, name, never)
+    for name in ("product_with_path", "grid_graph"):
+        monkeypatch.setattr(spanning, name, never)
+    assert [resistance(k, n) for k, n in cases] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 60))
+@example(8, 60)
+def test_resistance_is_the_product_minor_route(k, n):
+    assume(k * n >= 2)
+    assert resistance(k, n) == resistance_by_product_minor(k, n)
+
+
+def test_resistance_of_a_path_needs_no_solve(monkeypatch):
+    def never(*args):
+        raise AssertionError("a path's resistance ran the transfer solve")
+
+    monkeypatch.setattr(spanning, "_corner_counts", never)
+    assert resistance(141, 1) == 140
+    assert [resistance(1, n) for n in range(2, 30)] == list(range(1, 29))
+
+
+def test_resistance_rejects_non_positive_sizes():
+    for k, n in ((-2, -3), (3, -1), (-1, 3), (0, 5), (4, 0)):
+        with pytest.raises(ValueError, match="positive"):
+            resistance(k, n)
+    with pytest.raises(BadVertexPair):
+        resistance(1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_connected_multigraphs(max_vertices=5), st.integers(1, 15), st.integers(0, 4),
+       st.integers(0, 4))
+@example(LabeledGraph(1, ()), 5, 0, 0)
+@example(LabeledGraph(2, ((0, 1, "other", 2),)), 1, 1, 0)
+@example(path_graph(3), 1, 2, 2)  # one layer, one vertex: nothing to separate
+def test_corner_counts_are_the_product_minors(g, n, a, b):
+    k = g.n_vertices
+    a, b = a % k, b % k
+    forests, tau = graphs._corner_counts(g, n, a, b)
+    assert tau == graphs._kronecker_minor(g, n, 1)
+    h, far = product_with_path(g, n), (n - 1) * k + b
+    if far == a:
+        assert forests == 0
+        return
+    assert forests == two_forest_count(h, a, far)
+    assert Fraction(forests, tau) == Fraction(laplacian_minor_dense(h, {a, far}),
+                                              laplacian_minor_dense(h, {far}))
 
 
 def test_resistance_bound_constant_values():
