@@ -52,10 +52,12 @@ LONG_RUN_K = 8
 #: 1.9 s, 2.8 s and 3.1 s for k = 5, 6 and 7.
 LONG_RUN_C_POLY_K = 7
 #: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
-#: 5.2 s for 5 rows (2.0 of it the per-term spot check) and 2.2 minutes for
-#: 6, nearly all of it big-integer products and quotients at up to 371
-#: points of v; K_5 takes 0.5 s, two random 5-vertex graphs 2.5 and 5.6 s
-#: and a random 6-vertex one 2.9 minutes.
+#: 2.0 s for 5 rows (0.08 s of it the last-term spot check, which runs the
+#: base graph's Kronecker-sum recurrence) and 83 s for 6 (0.5 s), nearly
+#: all of it the layer sweep's big-integer products and quotients at up to
+#: 371 points of v; K_5 took 0.5 s, two random 5-vertex graphs 2.5 and
+#: 5.6 s and a random 6-vertex one 2.9 minutes while the spot check still
+#: eliminated the product graph.
 LONG_RUN_VER_K = 6
 #: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
 #: the complete graph, six random ones) fit in under 0.06 s; of three random

@@ -24,12 +24,17 @@ layers instead of O(N^2); _ver_terms runs one such sweep over Evals for
 the first N v-polynomials, at the points the last of them needs.  The
 Laplacian Kronecker sum gives _order_bound, a bound on their recurrence
 order from G's Laplacian spectrum, and _kronecker_minor, one n's minor
-(spanning.moments') from n steps on (|V(G)| - 1)-square matrices; the
-layer transfer recurrence gives _corner_counts, one n's trees and corner
-two-forests (spanning.resistance) from n steps on |V(G)| + 1 vectors and
-one |V(G)|-square determinant.  Neither builds the product graph.
-laplacian() builds the dense (optionally v-weighted) matrix, G's for
-those three and the tests' reference for these minors.
+from n steps on (|V(G)| - 1)-square matrices; the layer transfer
+recurrence gives _corner_counts, one n's trees and corner two-forests
+from n steps on |V(G)| + 1 vectors and one |V(G)|-square determinant.
+Neither eliminates the product graph.  A graph from
+product_with_path(G, n) remembers G and n, so spanning_tree_count and
+ver_polynomial of it are _kronecker_minor, as spanning.moments is, and
+two_forest_count between layers 1 and n is _corner_counts, as
+spanning.resistance is; every other graph keeps _laplacian_minor, which
+stays their test oracle.  laplacian() builds the dense (optionally
+v-weighted) matrix, G's for those routes and the tests' reference for
+these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -39,7 +44,7 @@ spanning trees by their number of vertical edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, repeat
 from operator import add, eq, floordiv, mul, neg, sub
@@ -235,6 +240,10 @@ class LabeledGraph:
 
     n_vertices: int
     edges: tuple
+    # (g, n) when product_with_path(g, n) built this graph with n >= 2 and
+    # |V(g)| >= 1: the counters then run g's recurrences, not this graph's
+    # minors; it takes no part in ==, hash or repr
+    _factor: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         norm = []
@@ -292,7 +301,9 @@ def product_with_path(g: LabeledGraph, n: int) -> LabeledGraph:
     """n stacked copies of g, consecutive copies joined vertex-to-vertex.
 
     All intra-copy edges are labeled vertical, the copy-to-copy edges
-    horizontal.
+    horizontal.  For n >= 2 and a nonempty g the result remembers (g, n),
+    so spanning_tree_count, ver_polynomial and two_forest_count between
+    layers 1 and n count from g's recurrences without eliminating it.
     """
     if n < 1:
         raise ValueError("need at least one layer")
@@ -305,7 +316,10 @@ def product_with_path(g: LabeledGraph, n: int) -> LabeledGraph:
         if j + 1 < n:
             for u in range(k):
                 edges.append((base + u, base + k + u, HORIZONTAL, 1))
-    return LabeledGraph(k * n, tuple(edges))
+    product = LabeledGraph(k * n, tuple(edges))
+    if n >= 2 and k:
+        object.__setattr__(product, "_factor", (g, n))
+    return product
 
 
 def laplacian(g: LabeledGraph, vertical_weight=1) -> Matrix:
@@ -332,23 +346,17 @@ def laplacian(g: LabeledGraph, vertical_weight=1) -> Matrix:
 
 
 def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
-    """The Laplacian minor of g without drop: the last of _last_pivots."""
-    return _last_pivots(g, drop, vertical_weight)[1]
-
-
-def _last_pivots(g: LabeledGraph, drop, vertical_weight=1):
-    """The last two pivots of one streamed elimination of the Laplacian of
-    g, with vertical edges weighted by vertical_weight, after deleting the
-    rows and columns in drop (vertices outside the graph are ignored:
-    spanning_tree_count of the 0-vertex graph drops vertex -1 and gets 1;
-    two_forest_count checks its vertices before calling).
+    """The minor of the Laplacian of g, with vertical edges weighted by
+    vertical_weight, that deletes the rows and columns in drop (vertices
+    outside the graph are ignored: spanning_tree_count of the 0-vertex
+    graph drops vertex -1 and gets 1; two_forest_count checks its vertices
+    before calling), as the last pivot of one streamed elimination.
 
     The kept vertices keep their order, and w is the largest index gap
     along an edge of nonzero weight, so the minor is banded with
     half-bandwidth w and its rows stream through _eliminated.  Pivot r is
     the leading (r+1) x (r+1) principal minor (Sylvester's identity), so
-    the last pivot is the minor itself and the one before it the minor
-    that also deletes the last kept vertex (1 if only one is kept).
+    the last pivot is the minor itself.
 
     The weight is a non-negative int, a Jet with constant term >= 1 or
     Evals at points v >= 1 (_check_weight).  Each pivot is a leading
@@ -364,7 +372,7 @@ def _last_pivots(g: LabeledGraph, drop, vertical_weight=1):
     holds pointwise, so an Evals pivot that is 0 at some points only is a
     bug and raises InternalInconsistency.  The points start at v = 1, not
     0: at v = 0 G x P_n falls apart, and its pivots could vanish at v = 0
-    alone.  Both pivots are in the weight's ring, even when no kept edge
+    alone.  The minor is in the weight's ring, even when no kept edge
     carries the weight.
     """
     _check_weight(vertical_weight)
@@ -396,12 +404,11 @@ def _last_pivots(g: LabeledGraph, drop, vertical_weight=1):
         if e < n:
             return [-off.get((t, e), 0) for t in range(max(0, e - w), e)] + [diag[e]]
 
-    prev = last = zero + 1
-    for r, (upper, _p) in zip(range(n), _eliminated(column, w)):
-        prev, last = last, upper[0][0]
-        if _zero_pivot(last):
-            return (prev if r == n - 1 else zero), zero
-    return prev, last
+    last = zero + 1
+    for _r, (upper, _p) in zip(range(n), _eliminated(column, w)):
+        if _zero_pivot(last := upper[0][0]):
+            return zero
+    return last
 
 
 def _check_weight(vertical_weight):
@@ -417,8 +424,8 @@ def _check_weight(vertical_weight):
 
 def _zero_pivot(p) -> bool:
     """Whether the pivot p is 0.  An Evals pivot must be 0 at all of its
-    points or at none (see _last_pivots); one that is 0 at some points only
-    raises InternalInconsistency."""
+    points or at none (see _laplacian_minor); one that is 0 at some points
+    only raises InternalInconsistency."""
     if isinstance(p, Evals) and p and not all(p.values):
         raise InternalInconsistency("a pivot is 0 at some points of v but not at all")
     return not p
@@ -521,18 +528,29 @@ def _layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
 
 def spanning_tree_count(g: LabeledGraph) -> int:
     """Number of spanning trees: the Laplacian minor without the last
-    vertex (0 when g is disconnected)."""
+    vertex (0 when g is disconnected), for a product_with_path(h, n) the
+    Kronecker-sum recurrence _kronecker_minor(h, n, 1)."""
+    if g._factor:
+        return _kronecker_minor(*g._factor, 1)
     return _laplacian_minor(g, {g.n_vertices - 1})
 
 
 def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
     """Spanning forests with exactly two components, one containing a and
     the other containing b: the Laplacian minor with rows and columns
-    {a, b} deleted (all-minors matrix-tree)."""
+    {a, b} deleted (all-minors matrix-tree).  For a product_with_path(h, n)
+    of a connected h, with one of a, b in layer 1 and the other in layer
+    n, it is the layer transfer recurrence _corner_counts of h."""
     if a == b:
         raise BadVertexPair("the two marked vertices must differ")
     if not (0 <= a < g.n_vertices and 0 <= b < g.n_vertices):
         raise BadVertexPair(f"marked vertices {a}, {b} are not both in 0..{g.n_vertices - 1}")
+    if g._factor:
+        h, n = g._factor
+        low, high = sorted((a, b))
+        last = (n - 1) * h.n_vertices  # layer n's first vertex
+        if low < h.n_vertices and high >= last and h.is_connected():
+            return _corner_counts(h, n, low, high - last)[0]
     return _laplacian_minor(g, {a, b})
 
 
@@ -543,14 +561,17 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     The v-weighted Laplacian minor without the last vertex has degree at
     most D, the total vertical multiplicity or the |V| - 1 edges of a
     spanning tree, whichever is smaller.  One streamed minor over Evals
-    gives its values at v = 1..D + 1, and forward-difference interpolation
-    recovers it; a non-integer coefficient would be a bug and raises
+    (for a product_with_path(h, n), _kronecker_minor of h) gives its values
+    at v = 1..D + 1, and forward-difference interpolation recovers it; a
+    non-integer coefficient would be a bug and raises
     InternalInconsistency.  Evaluating the result at 1 gives the plain
     spanning-tree count.
     """
     d_bound = min(sum(m for _u, _v, label, m in g.edges if label == VERTICAL),
                   max(g.n_vertices - 1, 0))
-    minor = _laplacian_minor(g, {g.n_vertices - 1}, Evals(range(1, d_bound + 2)))
+    points = Evals(range(1, d_bound + 2))
+    minor = (_kronecker_minor(*g._factor, points) if g._factor
+             else _laplacian_minor(g, {g.n_vertices - 1}, points))
     return _interpolated(minor.values)
 
 
@@ -606,9 +627,9 @@ def _kronecker_minor(g: LabeledGraph, n: int, vertical_weight):
     - B_(j-2), and B_n = C^(1/2) a_n(w S) C^(1/2), S = C^(1/2) L_red C^(1/2),
     is symmetric: P_n = det B_n / k^2.  S is PSD and a_n(y) = det(yI +
     L(P_n)) is 0 at 0 and > 0 for y > 0, so B_n is PSD at w >= 0 with the
-    kernel C^(-1/2) ker S at every w > 0.  As in _last_pivots, a zero pivot
-    makes B_n singular, its leading block holding a kernel vector, so a
-    pivot 0 at w = 1 is 0 at all w > 0: jet pivots are 0 or units, Evals
+    kernel C^(-1/2) ker S at every w > 0.  As in _laplacian_minor, a zero
+    pivot makes B_n singular, its leading block holding a kernel vector, so
+    a pivot 0 at w = 1 is 0 at all w > 0: jet pivots are 0 or units, Evals
     pivots 0 at all points or none."""
     _check_weight(vertical_weight)
     zero, lap, m = 0 * vertical_weight, laplacian(g).rows, g.n_vertices - 1

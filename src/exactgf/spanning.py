@@ -18,7 +18,8 @@ spectrum), so trees and v-polynomials fit in one round unless the term
 cap is below it; only the two-forests' unproved hint can need more.  A
 fit is only accepted when at least HELD_OUT extra terms, never shown to
 the guesser, are reproduced by the recurrence and the last term agrees
-with its per-term minor; the emitted function is additionally
+with its per-term count, which graphs computes from the base graph's
+recurrences, not from the sweep; the emitted function is additionally
 re-expanded and compared against every generated term.
 """
 from __future__ import annotations
@@ -108,17 +109,20 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS):
 
     terms(c) returns data terms 1..c; each round asks it once, so a source
     sizes its work to the round (_ver_terms sweeps just the points the
-    round needs).  term_fn(n) recomputes term n by the per-term path.
-    The guesser sees a window of the first terms; HELD_OUT extra terms are
-    always generated and must be replayed exactly before a fit is
-    accepted, and so must the last term recomputed by term_fn
-    (InternalInconsistency otherwise), which ties the sweep to the
-    per-term minors on every run.  The window is 2B + 4 terms for the
-    order bound B >= 1, the fewest from which guess_rec (orders up to
-    len // 2 - 2) fits any order <= B, or max_terms if that is fewer.  A
-    bound below the order (only the two-forest hint is unproved) doubles
-    the window, each round generating its terms afresh, until the cap,
-    which raises NoFitWithinBudget carrying the data.
+    round needs).  term_fn(n) recomputes term n by the per-term path: a
+    graphs counter on product_with_path(g, n), which runs g's Kronecker-sum
+    recurrence (graphs._kronecker_minor) for trees and v-polynomials and
+    its layer transfer recurrence (graphs._corner_counts) for corner
+    two-forests.  The guesser sees a window of the first terms; HELD_OUT
+    extra terms are always generated and must be replayed exactly before
+    a fit is accepted, and so must the last term recomputed by term_fn
+    (InternalInconsistency otherwise), which ties the sweep's elimination
+    to an independent recurrence on every run.  The window is 2B + 4
+    terms for the order bound B >= 1, the fewest from which guess_rec
+    (orders up to len // 2 - 2) fits any order <= B, or max_terms if that
+    is fewer.  A bound below the order (only the two-forest hint is
+    unproved) doubles the window, each round generating its terms afresh,
+    until the cap, which raises NoFitWithinBudget carrying the data.
     """
     budget = min(2 * bound + 4, max_terms)
     while True:

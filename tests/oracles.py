@@ -11,15 +11,17 @@ fraction-free solve_linear, gf_transfer_field for the transfer route,
 children_scheme_minor_states and scheme_to_json_minor_states, the
 closure over MinorState records that carry their derived prefixes, for
 the offset-tuple closure of toeplitz.children_scheme,
-laplacian_minor_dense for the streamed Laplacian minors,
+laplacian_minor_dense for the streamed Laplacian minors, factor_free for
+the recurrences that count on a product_with_path instead of its minors,
 ver_polynomial_per_point and ver_sweep_per_point, one integer elimination
 per point of v, for the elimination over graphs.Evals behind
 graphs.ver_polynomial and graphs._ver_terms, moments_by_jet_minor (one
 jet minor of the whole product graph) and moments_by_interpolation (the
-whole v-polynomial) for the Kronecker-sum route (graphs._kronecker_minor)
-of spanning.moments, resistance_by_product_minor (the last two pivots of
-one elimination of the whole grid) for the layer transfer recurrence
-(graphs._corner_counts) behind spanning.resistance,
+whole v-polynomial, by the streamed minor) for the Kronecker-sum route
+(graphs._kronecker_minor) of spanning.moments, resistance_by_product_minor
+(last_pivots, the last two pivots of one elimination of the whole grid)
+for the layer transfer recurrence (graphs._corner_counts) behind
+spanning.resistance,
 dom_exact_div_ladder, one isinstance branch per ring, for the division
 protocol of core._dom_exact_div (an int branch, then each ring's own
 checked /), and
@@ -64,7 +66,16 @@ from exactgf.errors import (
     NotConnected,
     ShapeError,
 )
-from exactgf.graphs import VERTICAL, Evals, Jet, _laplacian_minor, _last_pivots, _layer_sweep
+from exactgf.graphs import (
+    VERTICAL,
+    Evals,
+    Jet,
+    _check_weight,
+    _eliminated,
+    _laplacian_minor,
+    _layer_sweep,
+    _zero_pivot,
+)
 from exactgf.spanning import _decimal_ratio
 from exactgf.toeplitz import _diag_value
 
@@ -409,6 +420,50 @@ def laplacian_minor_dense(g: LabeledGraph, drop, x=1):
     return det_bareiss(laplacian(g, x).delete_rows_cols(drop))
 
 
+def factor_free(g: LabeledGraph) -> LabeledGraph:
+    """g without the factor product_with_path records: the same graph, ==
+    and hash included, whose counts take the streamed Laplacian minor."""
+    return LabeledGraph(g.n_vertices, g.edges)
+
+
+def last_pivots(g: LabeledGraph, drop, vertical_weight=1):
+    """The last two pivots of graphs._laplacian_minor's streamed
+    elimination: the minor, and before it the minor that also deletes the
+    last kept vertex (1 if only one is kept).  After a zero pivot every
+    later leading minor is 0 (see _laplacian_minor), so a zero pivot
+    before the last makes both 0.  In the weight's ring."""
+    _check_weight(vertical_weight)
+    zero = 0 * vertical_weight
+    kept = [v for v in range(g.n_vertices) if v not in drop]
+    n, pos = len(kept), [-1] * g.n_vertices
+    for i, v in enumerate(kept):
+        pos[v] = i
+    diag = [zero] + [0] * n  # diag[-1] takes the deleted ends' weights
+    off = {}
+    w = 0
+    for u, v, label, mult in g.edges:
+        weight = vertical_weight * mult if label == VERTICAL else mult
+        if not weight:
+            continue
+        i, j = sorted((pos[u], pos[v]))
+        diag[i] += weight
+        diag[j] += weight
+        if i >= 0:
+            off[i, j] = off.get((i, j), 0) + weight
+            w = max(w, j - i)
+
+    def column(e):
+        if e < n:
+            return [-off.get((t, e), 0) for t in range(max(0, e - w), e)] + [diag[e]]
+
+    prev = last = zero + 1
+    for r, (upper, _p) in zip(range(n), _eliminated(column, w)):
+        prev, last = last, upper[0][0]
+        if _zero_pivot(last):
+            return (prev if r == n - 1 else zero), zero
+    return prev, last
+
+
 def ver_polynomial_per_point(g: LabeledGraph) -> Poly:
     """graphs.ver_polynomial by the route it used to take: D + 1 integer
     streamed minors, one per point v = 0..D, interpolated."""
@@ -541,9 +596,10 @@ def _same_component(n, edges, a, b):
 
 def moments_by_interpolation(g_base: LabeledGraph, n: int) -> MomentsReport:
     """spanning.moments by the route it took before the jet minor: build
-    the whole vertical-edge polynomial with ver_polynomial (D + 1 integer
-    minors, interpolated) and differentiate it at v = 1."""
-    p = ver_polynomial(product_with_path(g_base, n))
+    the whole vertical-edge polynomial with ver_polynomial of the
+    factor-free product (its streamed minor at D + 1 points, interpolated)
+    and differentiate it at v = 1."""
+    p = ver_polynomial(factor_free(product_with_path(g_base, n)))
     derivs = [Fraction(p.eval(1))]
     for _ in range(4):
         p = p.derivative()
@@ -570,7 +626,7 @@ def resistance_by_product_minor(k: int, n: int) -> Fraction:
     matrix-tree theorem)."""
     if k * n < 2:
         raise BadVertexPair("need at least two vertices")
-    return Fraction(*_last_pivots(grid_graph(k, n), {0}))
+    return Fraction(*last_pivots(grid_graph(k, n), {0}))
 
 
 def _moments_report(n: int, derivs) -> MomentsReport:

@@ -29,14 +29,15 @@ from exactgf.graphs import (
     Evals,
     Jet,
     _laplacian_minor,
-    _last_pivots,
     _layer_sweep,
     _ver_terms,
     graph_from_json_dict,
 )
 
 from oracles import (
+    factor_free,
     laplacian_minor_dense,
+    last_pivots,
     random_labeled_graph,
     spanning_tree_count_bruteforce,
     two_forest_count_bruteforce,
@@ -294,7 +295,40 @@ def test_laplacian_minor_matches_dense(case, x):
     # the pivot before the last is the minor without the last kept vertex
     kept = [v for v in range(g.n_vertices) if v not in drop]
     before = laplacian_minor_dense(g, drop | set(kept[-1:]), x) if kept else 1
-    assert _last_pivots(g, drop, x) == (before, minor)
+    assert last_pivots(g, drop, x) == (before, minor)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_multigraphs(max_vertices=5), st.integers(1, 12))
+@example(LabeledGraph(1, ()), 4)  # a path: one tree, n - 1 corner forests
+@example(LabeledGraph(4, ((0, 1, "other", 1), (2, 3, "vertical", 2))), 3)  # disconnected
+def test_product_counts_match_the_factor_free_minors(g, n):
+    # product_with_path(g, n) counts from g's recurrences; its factor-free
+    # copy, the same graph to ==, hash and repr, by the streamed minor
+    p = product_with_path(g, n)
+    q = factor_free(p)
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert spanning_tree_count(p) == spanning_tree_count(q)
+    assert ver_polynomial(p) == ver_polynomial(q)
+    last = p.n_vertices - 1
+    for a in range(last):
+        for b in range(a + 1, last + 1):
+            assert two_forest_count(p, a, b) == two_forest_count(q, a, b)
+    if last:  # the corners in either order
+        assert two_forest_count(p, last, 0) == two_forest_count(q, 0, last)
+
+
+def test_product_counts_eliminate_no_product_graph(monkeypatch):
+    def never(*args):
+        raise AssertionError("a product count eliminated the product graph")
+
+    g, h = grid_graph(3, 5), grid_graph(2, 4)
+    want = [laplacian_minor_dense(g, {14}), laplacian_minor_dense(g, {1, 14}),
+            laplacian_minor_dense(h, {7}, VAR_V)]
+    _forests, tau = graphs._corner_counts(path_graph(10), 200, 0, 9)
+    monkeypatch.setattr(graphs, "_laplacian_minor", never)
+    assert spanning_tree_count(grid_graph(10, 200)) == tau
+    assert [spanning_tree_count(g), two_forest_count(g, 14, 1), ver_polynomial(h)] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -380,7 +414,7 @@ def test_pivot_zero_at_some_points_only_is_internal(monkeypatch):
     mixed = Evals((0, 5))
     monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[mixed]], 1)] * 3))
     with pytest.raises(InternalInconsistency, match="some points"):
-        _last_pivots(grid_graph(2, 2), {3}, Evals((1, 2)))
+        _laplacian_minor(grid_graph(2, 2), {3}, Evals((1, 2)))
     with pytest.raises(InternalInconsistency, match="some points"):
         list(islice(_layer_sweep(path_graph(2), Evals((1, 2))), 3))
 
@@ -425,7 +459,7 @@ def test_minors_stay_in_the_weight_ring_without_a_vertical_edge():
         assert type(minor) is Jet and minor == 1  # a path is its one spanning tree
     h = product_with_path(g, 2)
     for drop, pivots in (({1}, (1, 1)), ({5}, (1, 0)), ({0, 1}, (1, 1))):
-        got = _last_pivots(h, drop, Jet((2, 0, 0)))
+        got = last_pivots(h, drop, Jet((2, 0, 0)))
         assert all(type(p) is Jet for p in got) and got == pivots
     for forests, want in ((False, [1, 1, 1, 1]), (True, [0, 1, 2, 3])):
         got = list(islice(_layer_sweep(g, Evals((1, 2)), forests=forests), 4))
@@ -456,7 +490,7 @@ def test_laplacian_minor_is_the_last_pivot_without_det_bareiss(monkeypatch):
         raise AssertionError("_laplacian_minor called det_bareiss")
 
     monkeypatch.setattr(graphs, "det_bareiss", never)
-    g = grid_graph(4, 30)
+    g = factor_free(grid_graph(4, 30))
     assert spanning_tree_count(g) == laplacian_minor_dense(g, {119})
     assert two_forest_count(g, 0, 119) == laplacian_minor_dense(g, {0, 119})
     h = grid_graph(3, 4)
@@ -479,4 +513,4 @@ def test_ver_polynomial_non_integer_coefficient_is_internal(monkeypatch):
     # values x(x-1)/2 interpolate to x^2/2 - x/2: not an integer polynomial
     monkeypatch.setattr(graphs, "_laplacian_minor", lambda g, drop, x=1: x * (x - 1) // 2)
     with pytest.raises(InternalInconsistency):
-        ver_polynomial(grid_graph(2, 2))
+        ver_polynomial(factor_free(grid_graph(2, 2)))
