@@ -47,9 +47,9 @@ from .errors import (
 #: under a second, and k = 8 reaches the default 120-term cap without a fit
 #: after about 5 s.
 LONG_RUN_K = 8
-#: c-poly --k: k = 4 takes 0.13 s; from k = 5 the two-forest order hint
-#: exceeds the 120-term cap, so the fit reaches it in one round, after
-#: 1.9 s, 2.8 s and 3.1 s for k = 5, 6 and 7.
+#: c-poly --k: k = 4 takes 0.13 s; from k = 5 the window of the proved
+#: two-forest order bound exceeds the 120-term cap, so the fit gives up
+#: at it in one round, after 1.3 s, 1.7 s and 2.1 s for k = 5, 6 and 7.
 LONG_RUN_C_POLY_K = 7
 #: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
 #: 2.0 s for 5 rows (0.08 s of it the last-term spot check, which runs the

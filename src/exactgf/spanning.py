@@ -10,17 +10,16 @@ Covered families, all over layers n of a product graph G x P_n:
   * the bivariate vertical-edge weight polynomial and its moments (at one
     n, from graphs._kronecker_minor: no product graph).
 
-The data of each fit round come from one layer sweep (graphs._layer_sweep),
-for the v-polynomials one over the points of v the round needs
-(graphs._ver_terms).  The first round is sized from a proved bound on the
-recurrence order (graphs._order_bound, from the base graph's Laplacian
-spectrum), so trees and v-polynomials fit in one round unless the term
-cap is below it; only the two-forests' unproved hint can need more.  A
-fit is only accepted when at least HELD_OUT extra terms, never shown to
-the guesser, are reproduced by the recurrence and the last term agrees
-with its per-term count, which graphs computes from the base graph's
-recurrences, not from the sweep; the emitted function is additionally
-re-expanded and compared against every generated term.
+The data of each fit come from one layer sweep (graphs._layer_sweep), for
+the v-polynomials one over the points of v the fit needs
+(graphs._ver_terms).  Each fit is one round, sized from a proved bound on
+the recurrence order: graphs._order_bound, from the base graph's
+Laplacian spectrum, for trees and v-polynomials, and B_F (gf_two_forest)
+for the two-forests.  A fit is only accepted when its emitted function,
+re-expanded, reproduces every generated term, the HELD_OUT extra terms
+never shown to the guesser included, and the last term agrees with its
+per-term count, which graphs computes from the base graph's recurrences,
+not from the sweep.
 """
 from __future__ import annotations
 
@@ -30,14 +29,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
-from .cfinite import (
-    MAX_TERMS,
-    CFiniteSpec,
-    _recurrence_holds,
-    c_to_r,
-    guess_rec,
-    guess_sym_rec,
-)
+from .cfinite import MAX_TERMS, CFiniteSpec, c_to_r, guess_rec, guess_sym_rec
 from .core import (
     Poly,
     RationalFunction,
@@ -104,61 +96,60 @@ class MomentsReport:
     kurtosis: Decimal | None
 
 
-def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS):
-    """Adaptive guess-and-certify loop shared by all pipelines.
+def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS) -> GFResult:
+    """Guess, emit and certify in one round; shared by all pipelines.
 
-    terms(c) returns data terms 1..c; each round asks it once, so a source
-    sizes its work to the round (_ver_terms sweeps just the points the
-    round needs).  term_fn(n) recomputes term n by the per-term path: a
-    graphs counter on product_with_path(g, n), which runs g's Kronecker-sum
-    recurrence (graphs._kronecker_minor) for trees and v-polynomials and
-    its layer transfer recurrence (graphs._corner_counts) for corner
-    two-forests.  The guesser sees a window of the first terms; HELD_OUT
-    extra terms are always generated and must be replayed exactly before
-    a fit is accepted, and so must the last term recomputed by term_fn
-    (InternalInconsistency otherwise), which ties the sweep's elimination
-    to an independent recurrence on every run.  The window is 2B + 4
-    terms for the order bound B >= 1, the fewest from which guess_rec
-    (orders up to len // 2 - 2) fits any order <= B, or max_terms if that
-    is fewer.  A bound below the order (only the two-forest hint is
-    unproved) doubles the window, each round generating its terms afresh,
-    until the cap, which raises NoFitWithinBudget carrying the data.
+    terms(c) returns data terms 1..c and is asked once, so a source sizes
+    its work to the fit (_ver_terms sweeps just the points it needs).  The
+    guesser sees a window of the first 2B + 4 terms, B >= 1 the proved
+    order bound, the fewest from which guess_rec (orders up to len // 2 -
+    2) fits any order <= B, or max_terms terms if that is fewer; HELD_OUT
+    more terms are generated but never shown to it.  The fit is emitted
+    through c_to_r with the t^1 prefactor and accepted when its series
+    reproduces every generated term: the initial values are data terms and
+    the series satisfies the recurrence, so this is the held-out replay.
+    Then the denominator degree must equal the order, and the last term
+    must equal term_fn(n), its per-term count: a graphs counter on
+    product_with_path(g, n), which runs g's Kronecker-sum recurrence
+    (graphs._kronecker_minor) for trees and v-polynomials and its layer
+    transfer recurrence (graphs._corner_counts) for corner two-forests, so
+    every run ties the sweep's elimination to an independent recurrence.
+
+    No fit from the guesser, or a fit that misses a held-out term in a
+    window capped below 2B + 4, raises NoFitWithinBudget carrying the data
+    (an honest no-fit, CLI exit 1).  A missed held-out term in a full
+    window contradicts the proved bound (two recurrences of orders <= B
+    agreeing on 2B + 4 terms agree everywhere, Massey), and a failed
+    degree or per-term check contradicts the sweep: these raise
+    InternalInconsistency (CLI exit 3).
     """
-    budget = min(2 * bound + 4, max_terms)
-    while True:
-        data = terms(budget + HELD_OUT)
-        spec = guesser(data[:budget])
-        if spec is not None and _recurrence_holds(data, spec.den):
+    window = min(2 * bound + 4, max_terms)
+    data = terms(window + HELD_OUT)
+    spec = guesser(data[:window])
+    if spec is not None:
+        # the guessers return the minimal recurrence (cfinite._minimal_den,
+        # guess_rec1), so num and den are coprime, and D_0 != 0 keeps t * num
+        # and den coprime too: no gcd is taken
+        raw = c_to_r(spec, coprime=True)
+        gf = RationalFunction._from_coprime(raw.num.shift(1), raw.den)
+        if taylor_coeffs(gf, len(data) + 1)[1:] == data:
+            if gf.den.degree != spec.order:
+                raise InternalInconsistency(
+                    "denominator degree does not match the recurrence order"
+                )
             if term_fn(len(data)) != data[-1]:
                 raise InternalInconsistency(
                     f"term {len(data)} of the sweep differs from its per-term minor"
                 )
-            return spec, data
-        if budget >= max_terms:
-            raise NoFitWithinBudget(
-                f"no validated recurrence within {max_terms} terms", data
+            return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
+        if window == 2 * bound + 4:
+            raise InternalInconsistency(
+                f"the fit to {window} terms misses a held-out term, but the order "
+                f"bound {bound} is proved"
             )
-        budget = min(2 * budget, max_terms)
-
-
-def _certified(terms, term_fn, guesser, bound, max_terms) -> GFResult:
-    """Fit, emit and certify: run _fit_pipeline on terms, turn the
-    recurrence into its generating function with the t^1 prefactor, and
-    check that the denominator degree equals the order and that the
-    series reproduces every generated term."""
-    spec, data = _fit_pipeline(terms, term_fn, guesser, bound, max_terms)
-    # the guessers return the minimal recurrence (cfinite._minimal_den,
-    # guess_rec1), so num and den are coprime, and D_0 != 0 keeps t * num
-    # and den coprime too: no gcd is taken
-    raw = c_to_r(spec, coprime=True)
-    gf = RationalFunction._from_coprime(raw.num.shift(1), raw.den)
-    if gf.den.degree != spec.order:
-        raise InternalInconsistency(
-            "denominator degree does not match the recurrence order"
-        )
-    if taylor_coeffs(gf, len(data) + 1)[1:] != data:
-        raise InternalInconsistency("series does not reproduce the data")
-    return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
+    raise NoFitWithinBudget(
+        f"no validated recurrence from the first {window} of {len(data)} terms", data
+    )
 
 
 def gf_spanning(
@@ -184,7 +175,7 @@ def gf_spanning(
     def terms(c):
         return list(islice(_layer_sweep(g_base), c))
 
-    return _certified(terms, term, guess, _order_bound(g_base), max_terms)
+    return _fit_pipeline(terms, term, guess, _order_bound(g_base), max_terms)
 
 
 def gf_grid(k: int, guesser: str = "plain", max_terms: int = MAX_TERMS) -> GFResult:
@@ -195,7 +186,40 @@ def gf_grid(k: int, guesser: str = "plain", max_terms: int = MAX_TERMS) -> GFRes
 def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
     """Generating function (offset t^1) of the number of two-component
     spanning forests of the k x n grid separating corner (1,1) from
-    corner (k,n)."""
+    corner (k,n), fitted in one round from the proved order bound B_F =
+    (k + 3) 2^(k-2), 2 at k = 1 (the order found for k = 1..6).
+
+    The bound holds for any connected G with k vertices, a in layer 1 and
+    b in layer n of G x P_n.  By the all-minors matrix-tree theorem
+    (Chaiken 1982) the forests are F = tau R, tau the spanning trees and R
+    the resistance between a and b, the quadratic form of the
+    pseudo-inverse of L(G x P_n) = L(G) (+) L(P_n) at e_a - e_b.  Over the
+    orthonormal eigenpairs (lambda_i, phi_i) of L(G), lambda_0 = 0 and
+    phi_0 = 1/sqrt(k), this Kronecker sum splits into the blocks lambda_i I
+    + L(P_n).  Block 0 is the path's end-to-end resistance n - 1 at weight
+    1/k.  For i >= 1, the path's Green's function (lambda I + L(P_n))^-1
+    has (1,1) and (n,n) entries c_n(lambda) / a_n(lambda) and (1,n) entry
+    1 / a_n(lambda), with a_n(lambda) = det(lambda I + L(P_n)) and c_n its
+    minor less the first row and column.  With tau = (1/k) prod_{i>=1}
+    a_n(lambda_i) (graphs._order_bound) this gives, for n >= 1,
+
+        F(n) = tau(n) (n - 1) / k + (1/k) sum_{i>=1} [(phi_i(a)^2 +
+               phi_i(b)^2) c_n(lambda_i) - 2 phi_i(a) phi_i(b)]
+               prod_{j>=1, j!=i} a_n(lambda_j).
+
+    a_n and c_n both follow Y_n = (lambda + 2) Y_(n-1) - Y_(n-2) (c_1 = 1,
+    c_2 = lambda + 1), so each is alpha r^n + beta r^-n with r + 1/r =
+    lambda + 2 > 2.  tau is then a sum of geometric terms over the 2^(k-1)
+    ratios prod_{j>=1} r_j^(+-1); tau (n - 1) gives each of them
+    multiplicity at most 2, and the c_n terms reuse them with constant
+    coefficients; the products over j != i add the ratios prod_{j!=i}
+    r_j^(+-1), 2^(k-2) for each of the k - 1 values of i.  So F is an
+    exponential polynomial with at most 2 2^(k-1) + (k - 1) 2^(k-2) = B_F
+    characteristic roots, counted with multiplicity (coinciding ratios only
+    merge), and satisfies a recurrence of order <= B_F from n = 1 on; at
+    k = 1, F = n - 1.  _fit_pipeline's 2 B_F + 4 terms therefore fit it,
+    and its denominator divides Q^2 C, Q = prod (1 - rho t) over tau's
+    ratios rho and C the same product over the ratios prod_{j!=i}."""
     if k < 1:
         raise ValueError("k must be positive")
 
@@ -203,13 +227,12 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
         return two_forest_count(grid_graph(k, n), 0, k * n - 1)
 
     # for k = 1, n = 1 the sweep gives 0: a single vertex cannot be separated from itself
-    # B_F = (k + 3) 2^(k-2) (2 at k = 1) sizes the budget only; replay certifies the fit
-    hint = (k + 3) << (k - 2) if k > 1 else 2
+    bound = (k + 3) << (k - 2) if k > 1 else 2
 
     def terms(c):
         return list(islice(_layer_sweep(path_graph(k), forests=True), c))
 
-    return _certified(terms, term, guess_rec, hint, max_terms)
+    return _fit_pipeline(terms, term, guess_rec, bound, max_terms)
 
 
 def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:
@@ -278,7 +301,7 @@ def gf_ver(g_base: LabeledGraph, max_terms: int = MAX_TERMS) -> GFResult:
     def terms(c):
         return _ver_terms(g_base, c)
 
-    return _certified(terms, term, guess_rec, _order_bound(g_base), max_terms)
+    return _fit_pipeline(terms, term, guess_rec, _order_bound(g_base), max_terms)
 
 
 def gf_ver_grid(k: int, max_terms: int = MAX_TERMS) -> GFResult:

@@ -616,5 +616,5 @@ def test_no_exact_solve_is_left_in_cfinite(monkeypatch):
     while len(data) < 12:
         data.append((v + 1) * data[-1] - data[-2])
     assert guess_rec(data).den == (Poly([1]), -(v + 1), Poly([1]))
-    # the budget doublings before the fit end in no fit
+    # one guess on the proved two-forest window of 2 * 12 + 4 terms
     assert gf_two_forest(3).spec.order == 12

@@ -30,6 +30,7 @@ from exactgf import (
     grid_graph,
 )
 from exactgf import core, graphs, spanning
+from exactgf.cfinite import guess_rec, seq_from_rec
 from exactgf.errors import BadVertexPair, InternalInconsistency, NoFitWithinBudget, NotConnected
 
 from oracles import (
@@ -177,14 +178,33 @@ def test_the_order_bound_sizes_one_guess(monkeypatch, fit, bound):
     assert rounds == [2 * bound + 4] and out.data_used == 2 * bound + 4 + spanning.HELD_OUT
 
 
-def test_a_bound_below_the_order_doubles_to_the_same_fit(monkeypatch):
-    # orders 8 and 2: each failed round restarts its sweep on twice the window
-    want = gf_grid(4).gf, gf_ver_grid(2).gf
-    monkeypatch.setattr(spanning, "_order_bound", lambda g: 1)
-    rounds = _guess_rounds(monkeypatch)
-    assert gf_grid(4).gf == want[0] and rounds == [6, 12, 24]
-    rounds.clear()
-    assert gf_ver_grid(2).gf == want[1] and rounds == [6, 12]
+def _corrupted_sweep(n):
+    """A stand-in for graphs._layer_sweep whose term n is off by one."""
+    def sweep(*a, real=graphs._layer_sweep, **kw):
+        return (t + (i == n) for i, t in enumerate(real(*a, **kw), 1))
+    return sweep
+
+
+def test_one_round_tells_no_fit_from_a_broken_bound(monkeypatch):
+    # a bound below the order 8: one guess on 2 * 1 + 4 terms, then no fit
+    with monkeypatch.context() as m:
+        m.setattr(spanning, "_order_bound", lambda g: 1)
+        rounds = _guess_rounds(m)
+        with pytest.raises(NoFitWithinBudget, match="first 6 of 12 terms") as info:
+            gf_grid(4)
+    assert rounds == [6] and len(info.value.data) == 6 + spanning.HELD_OUT
+    # term 13 is held out of gf_grid(3)'s 12-term window: a fit that misses
+    # it within the proved bound 4 is a bug, below the full window a no-fit
+    monkeypatch.setattr(spanning, "_layer_sweep", _corrupted_sweep(13))
+    with pytest.raises(InternalInconsistency, match="held-out"):
+        gf_grid(3)
+    with pytest.raises(NoFitWithinBudget, match="first 11 of 17 terms"):
+        gf_grid(3, max_terms=11)  # no order <= 3 fits 11 terms
+    # a bound 5 above the order: the capped 12-term window fits order 4,
+    # which misses term 13
+    monkeypatch.setattr(spanning, "_order_bound", lambda g: 5)
+    with pytest.raises(NoFitWithinBudget, match="first 12 of 18 terms"):
+        gf_grid(3, max_terms=12)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -222,9 +242,20 @@ def test_tree_order_is_at_most_the_kronecker_bound(g):
         rounds = _guess_rounds(m)
         out = gf_spanning(g)
     assert out.spec.order <= bound and rounds == [2 * bound + 4]
-    with pytest.MonkeyPatch.context() as m:  # the doubling fit from 12 terms
-        m.setattr(spanning, "_order_bound", lambda g: 4)
-        assert gf_spanning(g).gf == out.gf
+
+
+@settings(max_examples=30, deadline=None)
+@given(_connected_multigraphs(), st.integers(0, 3), st.integers(0, 3))
+@example(LabeledGraph(1, ()), 0, 0)
+@example(LabeledGraph(2, ((0, 1, "other", 2),)), 1, 0)
+def test_corner_forest_order_is_at_most_the_forest_bound(g, a, b):
+    # gf_two_forest's proof holds for any connected base graph and corners
+    k = g.n_vertices
+    bound = _forest_bound(k)
+    data = [graphs._corner_counts(g, n, a % k, b % k)[0] for n in range(1, 2 * bound + 11)]
+    spec = guess_rec(data[:2 * bound + 4])
+    assert spec is not None and spec.order <= bound
+    assert seq_from_rec(spec, len(data)) == data
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -391,14 +422,6 @@ def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
     # one round of 12 + 6 terms: term 18 has degree <= 36, so v = 1..37
     assert rounds == [12] and [w.values for w in sweeps] == [tuple(range(1, 38))]
     assert out.data_used == 18
-    sweeps.clear()
-    rounds.clear()
-    # a bound of 4 below the order 8: the window doubles from 12, and the
-    # second round sweeps all of its points afresh
-    monkeypatch.setattr(spanning, "_order_bound", lambda g: 4)
-    gf_ver(path_graph(4))
-    assert rounds == [12, 24]
-    assert [w.values for w in sweeps] == [tuple(range(1, 56)), tuple(range(1, 92))]
 
 
 def test_gf_ver_specializes_to_spanning():
