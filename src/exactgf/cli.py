@@ -43,21 +43,23 @@ from .errors import (
 )
 
 #: Sizes from which a run is a stretch target, refused unless asked nicely
-#: with --allow-long.  gf-grid --k: with the layer sweep, k = 6 and 7 take
-#: under a second, and k = 8 reaches the default 120-term cap without a fit
-#: after about 5 s.
+#: with --allow-long.  gf-grid --k: with the data from the Kronecker
+#: stream, k = 6 and 7 take 0.15 s with process start, and k = 8 reaches
+#: the default 120-term cap without a fit after 3.6 s, nearly all of it
+#: the no-fit proof in cfinite._minimal_den (its 126 terms take 0.02 s).
 LONG_RUN_K = 8
-#: c-poly --k: k = 4 takes 0.13 s; from k = 5 the window of the proved
+#: c-poly --k: k = 4 takes 0.12 s; from k = 5 the window of the proved
 #: two-forest order bound exceeds the 120-term cap, so the fit gives up
-#: at it in one round, after 1.3 s, 1.7 s and 2.1 s for k = 5, 6 and 7.
+#: at it in one round, after 1.6 s, 2.2 s and 2.7 s for k = 5, 6 and 7,
+#: nearly all of it the no-fit proof, not the forest stream.
 LONG_RUN_C_POLY_K = 7
-#: gf-ver --k and a gf-ver --graph's vertex count: the cost is the data,
-#: 2.0 s for 5 rows (0.08 s of it the last-term spot check, which runs the
-#: base graph's Kronecker-sum recurrence) and 83 s for 6 (0.5 s), nearly
-#: all of it the layer sweep's big-integer products and quotients at up to
-#: 371 points of v; K_5 took 0.5 s, two random 5-vertex graphs 2.5 and
-#: 5.6 s and a random 6-vertex one 2.9 minutes while the spot check still
-#: eliminated the product graph.
+#: gf-ver --k and a gf-ver --graph's vertex count: 0.6 s for 5 rows and
+#: 7.2 s for 6 with process start.  At 6 rows the Kronecker stream takes
+#: 2.9 s over Evals at 371 points of v and the last-term spot check
+#: (det_bareiss of the layer transfer's grounded matrix, over the same
+#: points) 1.2 s; the rest is interpolation and the Z[v] guess.  K_5 and
+#: K_6 took 0.1 and 0.3 s, two random 5-vertex graphs 0.9 and 0.7 s and a
+#: random 6-vertex one (order 32) 7.9 s, without process start.
 LONG_RUN_VER_K = 6
 #: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
 #: the complete graph, six random ones) fit in under 0.06 s; of three random

@@ -496,10 +496,12 @@ def det_bareiss(m: Matrix):
 
     Works over any integral domain whose elements support *, - and
     checked exact division a / b: the quotient, or InexactDivision when
-    there is none.  Ints get it from _dom_exact_div (their / is a
-    float's); Fractions, Polys and the weight rings of graphs' Laplacian
-    minors by their own /, and those weight rings also define // as the
-    unchecked quotient, for a kernel that knows its division is exact.
+    there is none, except that two ints, whose quotient here is always
+    exact, divide with the unchecked int // (_bareiss_pivots).  Other ints
+    get it from _dom_exact_div (their / is a float's), Fractions, Polys and
+    the weight rings of graphs' Laplacian minors by their own /, and those
+    weight rings also define // as the unchecked quotient, for a kernel
+    that knows its division is exact.
     The empty 0x0 matrix has determinant 1.  Stage r eliminates only
     inside a window of half-width w = max(bandwidth, 1) below and right of
     the pivot, n*w^2 work instead of n^3, so banded matrices (Toeplitz
@@ -524,7 +526,9 @@ def _bareiss_pivots(m: Matrix):
     """det_bareiss's elimination of the square matrix m, yielding each
     stage's pivot (sign-corrected): up to and including the first zero
     one, the r-th is the determinant of m's leading (r+1) x (r+1) block
-    (Sylvester's identity), and the last one yielded is det m."""
+    (Sylvester's identity), and the last one yielded is det m.  Sylvester's
+    identity also makes every quotient exact, so two ints divide with the
+    unchecked int //; every other ring keeps its checked /."""
     n = m.nrows
     w = max(bandwidth(m), 1)
     b = [list(r) for r in m.rows]
@@ -557,12 +561,15 @@ def _bareiss_pivots(m: Matrix):
             p = b[r][r]
         hi = min(n - 1, r + w)
         row_r = b[r]
+        int_prev = type(prev) is int
         for i in range(r + 1, hi + 1):
             row_i = b[i]
             bir = row_i[r]
             for j in range(r + 1, hi + 1):
                 num = p * row_i[j] - bir * row_r[j]
-                row_i[j] = _dom_exact_div(num, prev) if prev != 1 else num
+                if prev != 1:
+                    num = num // prev if int_prev and type(num) is int else _dom_exact_div(num, prev)
+                row_i[j] = num
         prev = p
 
 

@@ -17,24 +17,23 @@ a polynomial in evaluation form: one elimination over Evals gives a
 v-polynomial's values at every point.  Both rings are defined here, and
 every minor and pivot comes back in the weight's ring, even when no edge
 carries the weight.
-The pipelines need the minors of G x P_n for every n = 1..N: _layer_sweep
-streams one elimination over G x P_inf, built layer by layer from G's edge
-list, and reads each minor off the window at its layer boundary, O(N)
-layers instead of O(N^2); _ver_terms runs one such sweep over Evals for
-the first N v-polynomials, at the points the last of them needs.  The
-Laplacian Kronecker sum gives _order_bound, a bound on their recurrence
-order from G's Laplacian spectrum, and _kronecker_minor, one n's minor
-from n steps on (|V(G)| - 1)-square matrices; the layer transfer
-recurrence gives _corner_counts, one n's trees and corner two-forests
-from n steps on |V(G)| + 1 vectors and one |V(G)|-square determinant.
-Neither eliminates the product graph.  A graph from
-product_with_path(G, n) remembers G and n, so spanning_tree_count and
-ver_polynomial of it are _kronecker_minor, as spanning.moments is, and
-two_forest_count between layers 1 and n is _corner_counts, as
-spanning.resistance is; every other graph keeps _laplacian_minor, which
-stays their test oracle.  laplacian() builds the dense (optionally
-v-weighted) matrix, G's for those routes and the tests' reference for
-these minors.
+The products G x P_n are never eliminated: they are counted from G's own
+recurrences (the all-minors route of Chaiken 1982).  The Laplacian
+Kronecker sum gives _order_bound, a bound on the recurrence order of the
+counts from G's Laplacian spectrum, and _kronecker_minors, the minors of
+G x P_n for n = 1, 2, ... in the weight's ring, each one streamed
+elimination of a (|V(G)| - 1)-square matrix; _ver_terms runs it over
+Evals for the first N v-polynomials, at the points the last of them
+needs.  The layer transfer recurrence on |V(G)| + 1 vectors (_transfer)
+gives _corner_counts, the trees and corner two-forests of G x P_n for
+n = 1, 2, ..., each from one bordered |V(G)|-square determinant, and a
+grounded matrix whose det_bareiss is the minor (_grounded).  A graph from
+product_with_path(G, n) of a connected G remembers G and n, so
+spanning_tree_count and ver_polynomial of it are _grounded, and
+two_forest_count between layers 1 and n is _corner_counts; every other
+graph keeps _laplacian_minor, which stays their test oracle.  laplacian()
+builds the dense (optionally v-weighted) matrix, G's for those routes and
+the tests' reference for these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -241,8 +240,9 @@ class LabeledGraph:
     n_vertices: int
     edges: tuple
     # (g, n) when product_with_path(g, n) built this graph with n >= 2 and
-    # |V(g)| >= 1: the counters then run g's recurrences, not this graph's
-    # minors; it takes no part in ==, hash or repr
+    # a connected g with |V(g)| >= 1: the counters then run g's
+    # recurrences, not this graph's minors; it takes no part in ==, hash or
+    # repr
     _factor: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -301,9 +301,10 @@ def product_with_path(g: LabeledGraph, n: int) -> LabeledGraph:
     """n stacked copies of g, consecutive copies joined vertex-to-vertex.
 
     All intra-copy edges are labeled vertical, the copy-to-copy edges
-    horizontal.  For n >= 2 and a nonempty g the result remembers (g, n),
-    so spanning_tree_count, ver_polynomial and two_forest_count between
-    layers 1 and n count from g's recurrences without eliminating it.
+    horizontal.  For n >= 2 and a nonempty connected g the result
+    remembers (g, n), so spanning_tree_count, ver_polynomial and
+    two_forest_count between layers 1 and n count from g's recurrences
+    without eliminating it.
     """
     if n < 1:
         raise ValueError("need at least one layer")
@@ -317,7 +318,7 @@ def product_with_path(g: LabeledGraph, n: int) -> LabeledGraph:
             for u in range(k):
                 edges.append((base + u, base + k + u, HORIZONTAL, 1))
     product = LabeledGraph(k * n, tuple(edges))
-    if n >= 2 and k:
+    if n >= 2 and k and g.is_connected():
         object.__setattr__(product, "_factor", (g, n))
     return product
 
@@ -459,79 +460,13 @@ def _eliminated(column, w):
                      for a, (row, f) in enumerate(zip(upper[1:], top[1:]), 1)]
 
 
-def _block(upper, m, shift):
-    """The leading m x m block of the symmetric window upper, less shift
-    on its diagonal."""
-    block = [[0] * m for _ in range(m)]
-    for a in range(m):
-        for c in range(a, m):
-            block[a][c] = block[c][a] = upper[a][c - a]
-        block[a][a] -= shift
-    return Matrix(block)
-
-
-def _layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
-    """Yield the Laplacian minors of g x P_n for n = 1, 2, ... from one
-    streamed elimination, with g's edges weighted by vertical_weight (an
-    int >= 0, or Evals at points >= 1), in the weight's ring:
-    spanning_tree_count(product_with_path(g, n)), or with forests
-    two_forest_count of it between vertex 0 and the last vertex (0 when
-    they coincide).
-
-    The rows are those of g x P_inf, built layer by layer from g's edge
-    list (vertex 0 left out for forests), so layer n's rows follow the r
-    rows of layers 1..n-1 and its leading block is the Laplacian of
-    g x P_n plus I on layer n (its edges to layer n + 1).  Before pivot r
-    the window holds that layer as prev * S, S the Schur complement, so
-    the minor is prev * det(S - I) without the last vertex, that is
-    det(block - prev * I) * prev / prev^m over the m remaining rows.
-    Every leading block of this matrix is positive definite (each
-    component of a prefix of layers has an edge to the next layer), so a
-    zero pivot, at any point of an Evals, is a bug and raises
-    InternalInconsistency.  Layers cost O(k^3) each, k = |V(g)|, in
-    O(|g| + k^2) memory."""
-    _check_weight(vertical_weight)
-    zero = 0 * vertical_weight
-    k = g.n_vertices
-    if not k:  # every g x P_n is empty, and so is its minor
-        yield from repeat(zero + 1)
-    adj = [[0] * k for _ in range(k)]
-    for u, v, _label, mult in g.edges:
-        adj[u][v] += mult
-        adj[v][u] += mult
-
-    # vertex u's row in the k columns before it, then its diagonal, in
-    # layer 1 and in later layers
-    first, rest = ([[-later] + [0] * (k - 1 - u) + [-vertical_weight * adj[a][u] for a in range(u)]
-                    + [vertical_weight * sum(adj[u]) + 1 + later] for u in range(k)]
-                   for later in (0, 1))
-    skip = 1 if forests else 0
-
-    def column(e):
-        layer, u = divmod(e + skip, k)
-        col = (rest if layer else first)[u]
-        return col if e >= k else col[k - e:]
-
-    windows = _eliminated(column, k)
-    upper, prev = next(windows)[0], zero + 1  # pivot -1, in the weight's ring
-    r = 0
-    for n in count(1):
-        end = n * k - skip  # rows of layers 1..n
-        while r < end - k:
-            if _zero_pivot(upper[0][0]):
-                raise InternalInconsistency("zero pivot in a layer sweep")
-            upper, prev = next(windows)
-            r += 1
-        m = min(end, k) - 1
-        yield zero if m < 0 else det_bareiss(_block(upper, m, prev)) * prev // prev ** m
-
-
 def spanning_tree_count(g: LabeledGraph) -> int:
     """Number of spanning trees: the Laplacian minor without the last
-    vertex (0 when g is disconnected), for a product_with_path(h, n) the
-    Kronecker-sum recurrence _kronecker_minor(h, n, 1)."""
+    vertex (0 when g is disconnected); for a product_with_path(h, n) of a
+    connected h, _grounded(h, n, 1), det_bareiss of the grounded matrix of
+    h's layer transfer recurrence."""
     if g._factor:
-        return _kronecker_minor(*g._factor, 1)
+        return _grounded(*g._factor, 1)
     return _laplacian_minor(g, {g.n_vertices - 1})
 
 
@@ -540,7 +475,7 @@ def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
     the other containing b: the Laplacian minor with rows and columns
     {a, b} deleted (all-minors matrix-tree).  For a product_with_path(h, n)
     of a connected h, with one of a, b in layer 1 and the other in layer
-    n, it is the layer transfer recurrence _corner_counts of h."""
+    n, it is item n of h's layer transfer stream _corner_counts."""
     if a == b:
         raise BadVertexPair("the two marked vertices must differ")
     if not (0 <= a < g.n_vertices and 0 <= b < g.n_vertices):
@@ -549,8 +484,8 @@ def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
         h, n = g._factor
         low, high = sorted((a, b))
         last = (n - 1) * h.n_vertices  # layer n's first vertex
-        if low < h.n_vertices and high >= last and h.is_connected():
-            return _corner_counts(h, n, low, high - last)[0]
+        if low < h.n_vertices and high >= last:
+            return next(_corner_counts(h, low, high - last, start=n))[0]
     return _laplacian_minor(g, {a, b})
 
 
@@ -561,7 +496,7 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     The v-weighted Laplacian minor without the last vertex has degree at
     most D, the total vertical multiplicity or the |V| - 1 edges of a
     spanning tree, whichever is smaller.  One streamed minor over Evals
-    (for a product_with_path(h, n), _kronecker_minor of h) gives its values
+    (for a product_with_path(h, n), _grounded of h) gives its values
     at v = 1..D + 1, and forward-difference interpolation recovers it; a
     non-integer coefficient would be a bug and raises
     InternalInconsistency.  Evaluating the result at 1 gives the plain
@@ -570,7 +505,7 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     d_bound = min(sum(m for _u, _v, label, m in g.edges if label == VERTICAL),
                   max(g.n_vertices - 1, 0))
     points = Evals(range(1, d_bound + 2))
-    minor = (_kronecker_minor(*g._factor, points) if g._factor
+    minor = (_grounded(*g._factor, points) if g._factor
              else _laplacian_minor(g, {g.n_vertices - 1}, points))
     return _interpolated(minor.values)
 
@@ -615,9 +550,11 @@ def _order_bound(g: LabeledGraph) -> int:
     return math.prod((m + 1) ** (above[m - 1] - above[m]) for m in range(1, len(above)))
 
 
-def _kronecker_minor(g: LabeledGraph, n: int, vertical_weight):
-    """_laplacian_minor(product_with_path(g, n), {k n - 1}, w), in w's ring,
-    for g with k >= 1 vertices, from n steps on (k-1)-square matrices.
+def _kronecker_minors(g: LabeledGraph, vertical_weight, start: int = 1):
+    """Yield _laplacian_minor(product_with_path(g, n), {k n - 1}, w) for
+    n = start, start + 1, ..., in w's ring, g with k vertices, from a
+    recurrence on (k-1)-square matrices: one step and, from n = start on,
+    one streamed elimination per n.
 
     It is P_n = (1/k) prod a_n(w lambda_i) (_order_bound).  On R^k/<1>, in
     the images of e_1..e_(k-1), L(g) is L^ = C L_red (L_red: L(g) less its
@@ -632,34 +569,61 @@ def _kronecker_minor(g: LabeledGraph, n: int, vertical_weight):
     a pivot 0 at w = 1 is 0 at all w > 0: jet pivots are 0 or units, Evals
     pivots 0 at all points or none."""
     _check_weight(vertical_weight)
-    zero, lap, m = 0 * vertical_weight, laplacian(g).rows, g.n_vertices - 1
+    zero, k = 0 * vertical_weight, g.n_vertices
+    if not k:  # every g x P_n is empty, and so is its minor
+        yield from repeat(zero + 1)
+    lap, m = laplacian(g).rows, k - 1
     hat = [[*map(sub, row[:m], lap[m])] for row in lap[:m]]  # C L_red
     prev, cur = [[0] * m] * m, [[vertical_weight * (h + sum(row)) for h in row] for row in hat]
-    for _ in range(n - 1):
+    for n in count(1):
+        if n >= start:
+            det = zero + 1
+            for _r, (upper, _p) in zip(range(m), _eliminated(
+                    lambda e: cur[e][:e + 1] if e < m else None, m - 1)):
+                if _zero_pivot(det := upper[0][0]):
+                    break
+            try:
+                minor = _dom_exact_div(det, k * k)
+            except InexactDivision as exc:
+                raise InternalInconsistency("det B_n is not divisible by k^2") from exc
+            yield minor
         new = [*map(list, cur)]
         for i, row in enumerate(hat):  # B_j is symmetric: fill j >= i and mirror
             for j in range(i, m):
                 hb = sum(h * b[j] for h, b in zip(row, cur) if h)  # (L^ B_(j-1))_ij
                 new[i][j] = new[j][i] = vertical_weight * hb + 2 * cur[i][j] - prev[i][j]
         prev, cur = cur, new
-    det, pivots = zero + 1, _eliminated(lambda e: cur[e][:e + 1] if e < m else None, m - 1)
-    for _r, (upper, _p) in zip(range(m), pivots):
-        if _zero_pivot(det := upper[0][0]):
-            return zero
-    try:
-        return _dom_exact_div(det, (m + 1) ** 2)
-    except InexactDivision as exc:
-        raise InternalInconsistency("det B_n is not divisible by k^2") from exc
 
 
-def _corner_counts(g: LabeledGraph, n: int, a: int, b: int):
-    """(F, tau) for a connected g with k >= 1 vertices: the spanning trees
-    tau of g x P_n and its two-forests F separating vertex a of layer 1
-    from vertex b of layer n (0 if they coincide), so F / tau is their
-    resistance; n steps on k + 1 integer vectors and one k x k determinant.
+def _transfer(g: LabeledGraph, a: int, b: int, vertical_weight, start: int):
+    """Yield, for n = start, start + 1, ..., the bordered matrix [[M, r'],
+    [u'^T, 0]] of _corner_counts and V_n[b], with A = w L(g) in w's ring."""
+    k = g.n_vertices
+    shifted = [[(v, vertical_weight * x + 2 * (u == v)) for v, x in enumerate(row) if x or u == v]
+               for u, row in enumerate(laplacian(g).rows)]  # A + 2I
+    cur = [[int(u == v) for v in range(k)] + [0] for u in range(k)]  # the rows of [C | V]
+    prev = [row[:k] + [-(u == a)] for u, row in enumerate(cur)]
+    for n in count(1):  # Y_n and Y_(n+1)
+        prev, cur = cur, [[*map(sub, map(sum, zip(*[map(mul, cur[v], repeat(x)) for v, x in terms])),
+                                back)] for terms, back in zip(shifted, prev)]
+        if n >= start:
+            rows = [[*map(sub, new[:k - 1], old)] + [new[k] - old[k] - (u == b)]
+                    for u, (new, old) in enumerate(zip(cur[:k - 1], prev))]  # [M | r']
+            rows.append([(i == a) - c for i, c in enumerate(prev[b][:k - 1])] + [0])
+            yield rows, prev[b][k]
 
-    With A = L(g) and x_j layer j's potentials under a unit current from a
-    to b, Kirchhoff's law gives x_2 = (A + I) x_1 - e_a and, inside,
+
+def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1, start: int = 1):
+    """Yield (F, tau) for n = start, start + 1, ..., for a connected g with
+    k >= 1 vertices and g's edges weighted by w (an int >= 1 or Evals at
+    points >= 1): the spanning trees tau of g x P_n and its two-forests F
+    separating vertex a of layer 1 from vertex b of layer n (0 if they
+    coincide), so F / tau is their resistance; one step of the layer
+    transfer recurrence on k + 1 vectors per n (_transfer) and, from n =
+    start on, one bordered k x k determinant.
+
+    With A = w L(g) and x_j layer j's potentials under a unit current from
+    a to b, Kirchhoff's law gives x_2 = (A + I) x_1 - e_a and, inside,
     x_(j+1) = (A + 2I) x_j - x_(j-1): x_j = C_j x_1 - V_j, C and V
     following Y_(j+1) = (A + 2I) Y_j - Y_(j-1) from C_0 = C_1 = I, V_0 =
     -e_a, V_1 = 0.  Layer n's law is a_n(A) x_1 = r, a_n(A) = (A + I) C_n
@@ -674,21 +638,20 @@ def _corner_counts(g: LabeledGraph, n: int, a: int, b: int):
     positive definite.  The pivots of [[M, r'], [u'^T, 0]], u' = e_a - C_n
     e_b less its last entry, are then M's positive leading minors, with no
     row swap, and D; det M, a cofactor of a_n(A), is (1/k) prod
-    a_n(lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b], u'^T M^-1
-    r' = -D / tau (Schur complement), and F = tau R = tau V_n[b] - D."""
-    k = g.n_vertices
-    shifted = [[(v, x + 2 * (u == v)) for v, x in enumerate(row) if x or u == v]
-               for u, row in enumerate(laplacian(g).rows)]  # A + 2I
-    cur = [[int(u == v) for v in range(k)] + [0] for u in range(k)]  # the rows of [C | V]
-    prev = [row[:k] + [-(u == a)] for u, row in enumerate(cur)]
-    for _ in range(n):  # up to Y_(n+1)
-        prev, cur = cur, [[*map(sub, map(sum, zip(*[map(mul, cur[v], repeat(x)) for v, x in terms])),
-                                back)] for terms, back in zip(shifted, prev)]
-    rows = [[*map(sub, new[:k - 1], old)] + [new[k] - old[k] - (u == b)]
-            for u, (new, old) in enumerate(zip(cur[:k - 1], prev))]  # [M | r']
-    rows.append([(i == a) - c for i, c in enumerate(prev[b][:k - 1])] + [0])
-    *_, tau, d = 1, *_bareiss_pivots(Matrix(rows))
-    return tau * prev[b][k] - d, tau
+    a_n(w lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b], u'^T
+    M^-1 r' = -D / tau (Schur complement), and F = tau R = tau V_n[b] - D."""
+    for rows, far in _transfer(g, a, b, vertical_weight, start):
+        *_, tau, d = 1, *_bareiss_pivots(Matrix(rows))
+        yield tau * far - d, tau
+
+
+def _grounded(g: LabeledGraph, n: int, vertical_weight):
+    """_laplacian_minor(product_with_path(g, n), {k n - 1}, w) for a
+    connected g with k >= 1 vertices, in w's ring: det_bareiss of the
+    grounded matrix M of _corner_counts, whose determinant is tau.  It
+    shares no step with _kronecker_minors, so each checks the other."""
+    rows, _far = next(_transfer(g, 0, 0, vertical_weight, n))
+    return 0 * vertical_weight + det_bareiss(Matrix([row[:-1] for row in rows[:-1]]))
 
 
 def _ver_terms(g: LabeledGraph, count: int) -> list:
@@ -699,11 +662,11 @@ def _ver_terms(g: LabeledGraph, count: int) -> list:
     most |V(g)| - 1 of them in each layer, so term n has degree at most
     D_n = n * min(total multiplicity of g's edges, |V(g)| - 1) and is
     interpolated from its values at v = 1..D_n + 1, all read off one
-    _layer_sweep over Evals at the points v = 1..D_count + 1."""
+    _kronecker_minors stream over Evals at the points v = 1..D_count + 1."""
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    sweep = _layer_sweep(g, Evals(range(1, count * per_layer + 2)))
+    minors = _kronecker_minors(g, Evals(range(1, count * per_layer + 2)))
     return [_interpolated(minor.values[:n * per_layer + 1])
-            for n, minor in zip(range(1, count + 1), sweep)]
+            for n, minor in zip(range(1, count + 1), minors)]
 
 
 def _interpolated(values) -> Poly:

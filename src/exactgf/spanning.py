@@ -6,20 +6,21 @@ Covered families, all over layers n of a product graph G x P_n:
   * spanning-tree counts (univariate in t),
   * two-component spanning forests separating two corners, and the
     companion polynomial that divides their denominator structure,
-  * joint resistance between corners (graphs._corner_counts: no product graph),
+  * joint resistance between corners (graphs._corner_counts),
   * the bivariate vertical-edge weight polynomial and its moments (at one
-    n, from graphs._kronecker_minor: no product graph).
+    n, from graphs._kronecker_minors).
 
-The data of each fit come from one layer sweep (graphs._layer_sweep), for
-the v-polynomials one over the points of v the fit needs
-(graphs._ver_terms).  Each fit is one round, sized from a proved bound on
-the recurrence order: graphs._order_bound, from the base graph's
-Laplacian spectrum, for trees and v-polynomials, and B_F (gf_two_forest)
-for the two-forests.  A fit is only accepted when its emitted function,
-re-expanded, reproduces every generated term, the HELD_OUT extra terms
-never shown to the guesser included, and the last term agrees with its
-per-term count, which graphs computes from the base graph's recurrences,
-not from the sweep.
+No product graph is eliminated for any fit: the data of each come from a
+stream of the base graph's recurrences, graphs._kronecker_minors for trees
+and (over the points of v the fit needs, graphs._ver_terms) v-polynomials,
+graphs._corner_counts for two-forests.  Each fit is one round, sized from
+a proved bound on the recurrence order: graphs._order_bound, from the base
+graph's Laplacian spectrum, for trees and v-polynomials, and B_F
+(gf_two_forest) for the two-forests.  A fit is only accepted when its
+emitted function, re-expanded, reproduces every generated term, the
+HELD_OUT extra terms never shown to the guesser included, and the last
+term agrees with its per-term count, which takes a route other than the
+data's (_fit_pipeline).
 """
 from __future__ import annotations
 
@@ -48,8 +49,7 @@ from .graphs import (
     Jet,
     LabeledGraph,
     _corner_counts,
-    _kronecker_minor,
-    _layer_sweep,
+    _kronecker_minors,
     _order_bound,
     _ver_terms,
     grid_graph,
@@ -100,7 +100,7 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS) -> GFResu
     """Guess, emit and certify in one round; shared by all pipelines.
 
     terms(c) returns data terms 1..c and is asked once, so a source sizes
-    its work to the fit (_ver_terms sweeps just the points it needs).  The
+    its work to the fit (_ver_terms streams just the points it needs).  The
     guesser sees a window of the first 2B + 4 terms, B >= 1 the proved
     order bound, the fewest from which guess_rec (orders up to len // 2 -
     2) fits any order <= B, or max_terms terms if that is fewer; HELD_OUT
@@ -109,18 +109,29 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS) -> GFResu
     reproduces every generated term: the initial values are data terms and
     the series satisfies the recurrence, so this is the held-out replay.
     Then the denominator degree must equal the order, and the last term
-    must equal term_fn(n), its per-term count: a graphs counter on
-    product_with_path(g, n), which runs g's Kronecker-sum recurrence
-    (graphs._kronecker_minor) for trees and v-polynomials and its layer
-    transfer recurrence (graphs._corner_counts) for corner two-forests, so
-    every run ties the sweep's elimination to an independent recurrence.
+    must equal term_fn(n), its per-term count by a route that shares no
+    step with the data's, so every run ties two computations together:
+
+      family         data                         spot check
+      trees          _kronecker_minors(g, 1):     spanning_tree_count of
+                     det B_n / k^2, B_n from      product_with_path(g, n):
+                     (k-1)-square matrices, one   det_bareiss of the layer
+                     _eliminated per n            transfer's grounded M_n
+      v-polynomials  the same over Evals          ver_polynomial: the same
+                     (_ver_terms)                 over Evals
+      two-forests    _corner_counts: layer        two_forest_count of the
+                     transfer, one bordered       grid built without its
+                     _bareiss_pivots run per n    factor: _laplacian_minor
+
+    Doubled data, doubled in graphs too, therefore fail each family's
+    spot check.
 
     No fit from the guesser, or a fit that misses a held-out term in a
     window capped below 2B + 4, raises NoFitWithinBudget carrying the data
     (an honest no-fit, CLI exit 1).  A missed held-out term in a full
     window contradicts the proved bound (two recurrences of orders <= B
     agreeing on 2B + 4 terms agree everywhere, Massey), and a failed
-    degree or per-term check contradicts the sweep: these raise
+    degree or per-term check contradicts the data: these raise
     InternalInconsistency (CLI exit 3).
     """
     window = min(2 * bound + 4, max_terms)
@@ -139,7 +150,7 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS) -> GFResu
                 )
             if term_fn(len(data)) != data[-1]:
                 raise InternalInconsistency(
-                    f"term {len(data)} of the sweep differs from its per-term minor"
+                    f"term {len(data)} of the data differs from its per-term count"
                 )
             return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
         if window == 2 * bound + 4:
@@ -173,7 +184,7 @@ def gf_spanning(
         return spanning_tree_count(product_with_path(g_base, n))
 
     def terms(c):
-        return list(islice(_layer_sweep(g_base), c))
+        return list(islice(_kronecker_minors(g_base, 1), c))
 
     return _fit_pipeline(terms, term, guess, _order_bound(g_base), max_terms)
 
@@ -224,13 +235,14 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
         raise ValueError("k must be positive")
 
     def term(n):
-        return two_forest_count(grid_graph(k, n), 0, k * n - 1)
+        grid = grid_graph(k, n)  # rebuilt without its factor: counted by its minor
+        return two_forest_count(LabeledGraph(grid.n_vertices, grid.edges), 0, k * n - 1)
 
-    # for k = 1, n = 1 the sweep gives 0: a single vertex cannot be separated from itself
+    # for k = 1, n = 1 the stream gives 0: a single vertex cannot be separated from itself
     bound = (k + 3) << (k - 2) if k > 1 else 2
 
     def terms(c):
-        return list(islice(_layer_sweep(path_graph(k), forests=True), c))
+        return [f for f, _tau in islice(_corner_counts(path_graph(k), 0, k - 1), c)]
 
     return _fit_pipeline(terms, term, guess_rec, bound, max_terms)
 
@@ -268,7 +280,7 @@ def resistance(k: int, n: int) -> Fraction:
         raise BadVertexPair("need at least two vertices")
     if k == 1 or n == 1:
         return Fraction(k * n - 1)
-    return Fraction(*_corner_counts(path_graph(k), n, 0, k - 1))
+    return Fraction(*next(_corner_counts(path_graph(k), 0, k - 1, start=n)))
 
 
 def resistance_bound_constant(k: int) -> Fraction:
@@ -286,8 +298,8 @@ def gf_ver(g_base: LabeledGraph, max_terms: int = MAX_TERMS) -> GFResult:
     weight polynomials of g_base x P_n.
 
     Data terms are polynomials in v, generated from their values at the
-    points v = 1, 2, ... by one layer sweep, sized like gf_spanning's from
-    the order bound of g_base, and so are the recurrence's denominator
+    points v = 1, 2, ... by one Kronecker stream, sized like gf_spanning's
+    from the order bound of g_base, and so are the recurrence's denominator
     coefficients, fitted at integer points of v.
     Numerator and denominator are polynomials in t whose coefficients are
     integer polynomials in v with no common content (lowest denominator
@@ -327,8 +339,9 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
     spanning trees of g_base x P_n, n >= 1.
 
     The weight polynomial P at v = 1 + e over jets mod e^5 gives c_j =
-    P^(j)(1) / j! and the factorial moments j! c_j / c_0: P is one
-    graphs._kronecker_minor, tau(g_base) v^(k-1) at n = 1 and 1 at k <= 1.
+    P^(j)(1) / j! and the factorial moments j! c_j / c_0: P is item n of
+    graphs._kronecker_minors, which eliminates B_n alone, tau(g_base)
+    v^(k-1) at n = 1 and 1 at k <= 1.
     Mean and variance are exact; skewness and kurtosis (plain, not excess)
     are 30-significant-digit decimals, None when the variance is 0."""
     if not g_base.is_connected():
@@ -337,7 +350,7 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
         raise ValueError("need at least one layer")
     k = g_base.n_vertices
     c = ([math.comb(max(k - 1, 0), j) for j in range(5)] if n == 1 or k <= 1
-         else _kronecker_minor(g_base, n, Jet((1, 1, 0, 0, 0))).coeffs)
+         else next(_kronecker_minors(g_base, Jet((1, 1, 0, 0, 0)), n)).coeffs)
     fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, 5)]
     mean = fact[0]
     skewness = kurtosis = None

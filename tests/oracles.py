@@ -13,12 +13,15 @@ closure over MinorState records that carry their derived prefixes, for
 the offset-tuple closure of toeplitz.children_scheme,
 laplacian_minor_dense for the streamed Laplacian minors, factor_free for
 the recurrences that count on a product_with_path instead of its minors,
-ver_polynomial_per_point and ver_sweep_per_point, one integer elimination
-per point of v, for the elimination over graphs.Evals behind
+layer_sweep, one streamed elimination of the whole product G x P_inf read
+off at each layer boundary, for the recurrence streams
+graphs._kronecker_minors and graphs._corner_counts that give the fits
+their data, ver_polynomial_per_point and ver_sweep_per_point, one integer
+elimination per point of v, for the elimination over graphs.Evals behind
 graphs.ver_polynomial and graphs._ver_terms, moments_by_jet_minor (one
 jet minor of the whole product graph) and moments_by_interpolation (the
 whole v-polynomial, by the streamed minor) for the Kronecker-sum route
-(graphs._kronecker_minor) of spanning.moments, resistance_by_product_minor
+(graphs._kronecker_minors) of spanning.moments, resistance_by_product_minor
 (last_pivots, the last two pivots of one elimination of the whole grid)
 for the layer transfer recurrence (graphs._corner_counts) behind
 spanning.resistance,
@@ -36,7 +39,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from dataclasses import dataclass
-from itertools import combinations, count, permutations
+from itertools import combinations, count, permutations, repeat
 from math import factorial
 
 from exactgf import (
@@ -63,6 +66,7 @@ from exactgf.errors import (
     BadVertexPair,
     InconsistentSpec,
     InexactDivision,
+    InternalInconsistency,
     NotConnected,
     ShapeError,
 )
@@ -73,7 +77,6 @@ from exactgf.graphs import (
     _check_weight,
     _eliminated,
     _laplacian_minor,
-    _layer_sweep,
     _zero_pivot,
 )
 from exactgf.spanning import _decimal_ratio
@@ -464,6 +467,75 @@ def last_pivots(g: LabeledGraph, drop, vertical_weight=1):
     return prev, last
 
 
+def _block(upper, m, shift):
+    """The leading m x m block of the symmetric window upper, less shift
+    on its diagonal."""
+    block = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for c in range(a, m):
+            block[a][c] = block[c][a] = upper[a][c - a]
+        block[a][a] -= shift
+    return Matrix(block)
+
+
+def layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
+    """Yield the Laplacian minors of g x P_n for n = 1, 2, ... from one
+    streamed elimination of the product, the route the fit data took before
+    graphs._kronecker_minors and graphs._corner_counts, with g's edges
+    weighted by vertical_weight (an int >= 0, a Jet with constant term >= 1
+    or Evals at points >= 1), in the weight's ring:
+    spanning_tree_count(product_with_path(g, n)), or with forests
+    two_forest_count of it between vertex 0 and the last vertex (0 when
+    they coincide).
+
+    The rows are those of g x P_inf, built layer by layer from g's edge
+    list (vertex 0 left out for forests), so layer n's rows follow the r
+    rows of layers 1..n-1 and its leading block is the Laplacian of
+    g x P_n plus I on layer n (its edges to layer n + 1).  Before pivot r
+    the window holds that layer as prev * S, S the Schur complement, so
+    the minor is prev * det(S - I) without the last vertex, that is
+    det(block - prev * I) * prev / prev^m over the m remaining rows.
+    Every leading block of this matrix is positive definite (each
+    component of a prefix of layers has an edge to the next layer), so a
+    zero pivot, at any point of an Evals, is a bug and raises
+    InternalInconsistency.  Layers cost O(k^3) each, k = |V(g)|, in
+    O(|g| + k^2) memory."""
+    _check_weight(vertical_weight)
+    zero = 0 * vertical_weight
+    k = g.n_vertices
+    if not k:  # every g x P_n is empty, and so is its minor
+        yield from repeat(zero + 1)
+    adj = [[0] * k for _ in range(k)]
+    for u, v, _label, mult in g.edges:
+        adj[u][v] += mult
+        adj[v][u] += mult
+
+    # vertex u's row in the k columns before it, then its diagonal, in
+    # layer 1 and in later layers
+    first, rest = ([[-later] + [0] * (k - 1 - u) + [-vertical_weight * adj[a][u] for a in range(u)]
+                    + [vertical_weight * sum(adj[u]) + 1 + later] for u in range(k)]
+                   for later in (0, 1))
+    skip = 1 if forests else 0
+
+    def column(e):
+        layer, u = divmod(e + skip, k)
+        col = (rest if layer else first)[u]
+        return col if e >= k else col[k - e:]
+
+    windows = _eliminated(column, k)
+    upper, prev = next(windows)[0], zero + 1  # pivot -1, in the weight's ring
+    r = 0
+    for n in count(1):
+        end = n * k - skip  # rows of layers 1..n
+        while r < end - k:
+            if _zero_pivot(upper[0][0]):
+                raise InternalInconsistency("zero pivot in a layer sweep")
+            upper, prev = next(windows)
+            r += 1
+        m = min(end, k) - 1
+        yield zero if m < 0 else det_bareiss(_block(upper, m, prev)) * prev // prev ** m
+
+
 def ver_polynomial_per_point(g: LabeledGraph) -> Poly:
     """graphs.ver_polynomial by the route it used to take: D + 1 integer
     streamed minors, one per point v = 0..D, interpolated."""
@@ -482,7 +554,7 @@ def ver_sweep_per_point(g: LabeledGraph):
     sweeps = []
     for n in count(1):
         while len(sweeps) <= n * per_layer:
-            sweep = _layer_sweep(g, len(sweeps))
+            sweep = layer_sweep(g, len(sweeps))
             for _ in range(n - 1):
                 next(sweep)
             sweeps.append(sweep)
@@ -608,7 +680,7 @@ def moments_by_interpolation(g_base: LabeledGraph, n: int) -> MomentsReport:
 
 
 def moments_by_jet_minor(g_base: LabeledGraph, n: int) -> MomentsReport:
-    """spanning.moments by the route it took before graphs._kronecker_minor:
+    """spanning.moments by the route it took before graphs._kronecker_minors:
     one streamed Laplacian minor of the whole product graph g_base x P_n at
     vertical weight 1 + e over jets mod e^5, whose coefficients c_j are
     P^(j)(1) / j! for the vertical-edge polynomial P."""

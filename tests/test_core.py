@@ -556,6 +556,32 @@ def test_det_bareiss_matches_cofactor_on_random_bands(m):
     assert det_bareiss(m) == naive_det(m)
 
 
+@st.composite
+def _singular_leading_blocks(draw):
+    """n x n int matrices, n in 2..8, whose leading (j+1) x (j+1) block is
+    singular: row j repeats row i < j up to column j.  A random half of
+    the entries are then made Fractions, equal as values."""
+    n = draw(st.integers(2, 8))
+    rows = [[draw(_ZERO_HEAVY) for _ in range(n)] for _ in range(n)]
+    j = draw(st.integers(1, n - 1))
+    i = draw(st.integers(0, j - 1))
+    rows[j][:j + 1] = rows[i][:j + 1]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_singular_leading_blocks(), st.booleans())
+def test_int_elimination_divides_exactly_past_singular_leading_blocks(rows, mixed):
+    # an all-int matrix divides with the unchecked //: Sylvester's identity,
+    # row swaps included, must keep every quotient exact; a matrix with a
+    # Fraction entry keeps the checked division and gives the same value
+    if mixed:
+        rows = [[Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    m = Matrix(rows)
+    assert det_bareiss(m) == naive_det(m)
+
+
 def test_det_zero_pivot_mid_elimination_widens_window():
     # half-width 1; the stage-1 pivot 2*1 - 2*1 vanishes after the previous
     # pivot 2 has scaled the entering column 2, so the window widens at r = 1

@@ -29,15 +29,16 @@ from exactgf.graphs import (
     Evals,
     Jet,
     _laplacian_minor,
-    _layer_sweep,
     _ver_terms,
     graph_from_json_dict,
 )
 
+import oracles
 from oracles import (
     factor_free,
     laplacian_minor_dense,
     last_pivots,
+    layer_sweep,
     random_labeled_graph,
     spanning_tree_count_bruteforce,
     two_forest_count_bruteforce,
@@ -325,7 +326,7 @@ def test_product_counts_eliminate_no_product_graph(monkeypatch):
     g, h = grid_graph(3, 5), grid_graph(2, 4)
     want = [laplacian_minor_dense(g, {14}), laplacian_minor_dense(g, {1, 14}),
             laplacian_minor_dense(h, {7}, VAR_V)]
-    _forests, tau = graphs._corner_counts(path_graph(10), 200, 0, 9)
+    tau = next(graphs._kronecker_minors(path_graph(10), 1, 200))
     monkeypatch.setattr(graphs, "_laplacian_minor", never)
     assert spanning_tree_count(grid_graph(10, 200)) == tau
     assert [spanning_tree_count(g), two_forest_count(g, 14, 1), ver_polynomial(h)] == want
@@ -353,8 +354,8 @@ def test_layer_sweep_matches_per_term_minors(data):
     x = data.draw(st.sampled_from((0, 1, 2, 3)))
     layers = data.draw(st.integers(1, 5))
     k = g.n_vertices
-    trees = list(islice(_layer_sweep(g, x), layers))
-    forests = list(islice(_layer_sweep(g, x, forests=True), layers))
+    trees = list(islice(layer_sweep(g, x), layers))
+    forests = list(islice(layer_sweep(g, x, forests=True), layers))
     for n in range(1, layers + 1):
         h = product_with_path(g, n)
         last = k * n - 1
@@ -363,6 +364,27 @@ def test_layer_sweep_matches_per_term_minors(data):
         if x == 1:
             assert trees[n - 1] == spanning_tree_count(h)
             assert forests[n - 1] == (two_forest_count(h, 0, last) if last else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_multigraphs(max_vertices=5), st.integers(1, 6))
+@example(LabeledGraph(1, ()), 4)
+@example(LabeledGraph(2, ((0, 1, "other", 2),)), 5)
+@example(LabeledGraph(4, ((0, 1, "other", 1), (2, 3, "other", 2))), 3)  # disconnected: all 0
+def test_streams_match_the_layer_sweep(g, layers):
+    # the fit data's recurrence streams against the product elimination they replaced
+    for w in (0, 1, 2, Evals((1, 2, 3)), Jet((1, 1, 0))):
+        got = list(islice(graphs._kronecker_minors(g, w), layers))
+        want = list(islice(layer_sweep(g, w), layers))
+        assert [type(x) for x in got] == [type(x) for x in want] and got == want
+        assert next(graphs._kronecker_minors(g, w, layers)) == want[-1]  # a late start
+    if g.is_connected():
+        k = g.n_vertices
+        for w in (1, 2, Evals((1, 2, 3))):
+            got = list(islice(graphs._corner_counts(g, 0, k - 1, w), layers))
+            assert [f for f, _tau in got] == list(islice(layer_sweep(g, w, forests=True), layers))
+            assert [tau for _f, tau in got] == list(islice(layer_sweep(g, w), layers))
+            assert next(graphs._corner_counts(g, 0, k - 1, w, start=layers)) == got[-1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -391,22 +413,29 @@ def test_ver_polynomial_degree_bound_counts_tree_edges(monkeypatch):
 
 
 def test_ver_polynomial_is_one_stream(monkeypatch):
-    streams = []
-    real = graphs._eliminated
-    monkeypatch.setattr(graphs, "_eliminated", lambda *a: streams.append(a) or real(*a))
-    assert ver_polynomial(grid_graph(3, 4)) == laplacian_minor_dense(grid_graph(3, 4), {11}, VAR_V)
-    assert len(streams) == 1
+    # one elimination over Evals carries every point of v: one det_bareiss
+    # for a product (_grounded), one streamed minor for any other graph
+    g = grid_graph(3, 4)
+    want = laplacian_minor_dense(g, {11}, VAR_V)
+    streams, dets = [], []
+    real_stream, real_det = graphs._eliminated, graphs.det_bareiss
+    monkeypatch.setattr(graphs, "_eliminated", lambda *a: streams.append(a) or real_stream(*a))
+    monkeypatch.setattr(graphs, "det_bareiss", lambda m: dets.append(m) or real_det(m))
+    assert ver_polynomial(g) == ver_polynomial(factor_free(g)) == want
+    assert len(streams) == 1 and len(dets) == 1
 
 
 def test_layer_sweep_two_forests_of_a_path():
     # k = 1: at n = 1 both marked vertices are the single vertex, so 0
-    assert list(islice(_layer_sweep(path_graph(1), forests=True), 5)) == [0, 1, 2, 3, 4]
+    assert list(islice(layer_sweep(path_graph(1), forests=True), 5)) == [0, 1, 2, 3, 4]
+    assert [f for f, _tau in islice(graphs._corner_counts(path_graph(1), 0, 0), 5)] == [
+        0, 1, 2, 3, 4]
 
 
 def test_layer_sweep_zero_pivot_is_internal(monkeypatch):
-    monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[0]], 1)] * 3))
+    monkeypatch.setattr(oracles, "_eliminated", lambda column, w: iter([([[0]], 1)] * 3))
     with pytest.raises(InternalInconsistency):
-        list(islice(_layer_sweep(path_graph(2)), 3))
+        list(islice(layer_sweep(path_graph(2)), 3))
 
 
 def test_pivot_zero_at_some_points_only_is_internal(monkeypatch):
@@ -416,7 +445,7 @@ def test_pivot_zero_at_some_points_only_is_internal(monkeypatch):
     with pytest.raises(InternalInconsistency, match="some points"):
         _laplacian_minor(grid_graph(2, 2), {3}, Evals((1, 2)))
     with pytest.raises(InternalInconsistency, match="some points"):
-        list(islice(_layer_sweep(path_graph(2), Evals((1, 2))), 3))
+        next(graphs._kronecker_minors(path_graph(2), Evals((1, 2))))
 
 
 def test_points_below_one_are_rejected():
@@ -424,7 +453,7 @@ def test_points_below_one_are_rejected():
     with pytest.raises(ValueError):
         _laplacian_minor(grid_graph(2, 2), {3}, Evals((0, 1)))
     with pytest.raises(ValueError):
-        next(_layer_sweep(path_graph(2), Evals((0, 1))))
+        next(graphs._kronecker_minors(path_graph(2), Evals((0, 1))))
 
 
 def _taylor_at_one(g, drop, k):
@@ -461,11 +490,11 @@ def test_minors_stay_in_the_weight_ring_without_a_vertical_edge():
     for drop, pivots in (({1}, (1, 1)), ({5}, (1, 0)), ({0, 1}, (1, 1))):
         got = last_pivots(h, drop, Jet((2, 0, 0)))
         assert all(type(p) is Jet for p in got) and got == pivots
-    for forests, want in ((False, [1, 1, 1, 1]), (True, [0, 1, 2, 3])):
-        got = list(islice(_layer_sweep(g, Evals((1, 2)), forests=forests), 4))
-        assert [(type(x), x.values) for x in got] == [(Evals, (x, x)) for x in want]
-    got = next(_layer_sweep(LabeledGraph(0, ()), Evals((1, 2))))
-    assert type(got) is Evals and got.values == (1, 1)
+    for h in (g, LabeledGraph(0, ())):  # the empty product too
+        got = list(islice(graphs._kronecker_minors(h, Evals((1, 2))), 4))
+        assert [(type(x), x.values) for x in got] == [(Evals, (1, 1))] * 4
+    got = ver_polynomial(product_with_path(g, 3))  # _grounded of a 0 x 0 matrix
+    assert got == Poly([1])
     assert repr(gf_ver_grid(1)) == (
         "GFResult(gf=RationalFunction([Poly([]), Poly([1])], [Poly([1]), Poly([-1])]), "
         "spec=CFiniteSpec(initial=(Poly([1]),), den=(Poly([1]), Poly([-1]))), "
@@ -482,7 +511,7 @@ def test_laplacian_minor_rejects_negative_weight():
         _laplacian_minor(grid_graph(2, 2), {3}, Jet((0, 1)))
     for w in (-1, Jet((0, 1))):  # the Kronecker-sum route too: its zero pivots need w >= 0
         with pytest.raises(ValueError):
-            graphs._kronecker_minor(path_graph(3), 2, w)
+            next(graphs._kronecker_minors(path_graph(3), w))
 
 
 def test_laplacian_minor_is_the_last_pivot_without_det_bareiss(monkeypatch):

@@ -1,6 +1,7 @@
 """Generating-function pipelines: spanning trees, two-component forests,
 resistance, the bivariate vertical-edge statistic, and its moments."""
 from decimal import Decimal
+from itertools import islice
 from fractions import Fraction
 
 import pytest
@@ -178,11 +179,11 @@ def test_the_order_bound_sizes_one_guess(monkeypatch, fit, bound):
     assert rounds == [2 * bound + 4] and out.data_used == 2 * bound + 4 + spanning.HELD_OUT
 
 
-def _corrupted_sweep(n):
-    """A stand-in for graphs._layer_sweep whose term n is off by one."""
-    def sweep(*a, real=graphs._layer_sweep, **kw):
+def _corrupted_stream(n):
+    """A stand-in for graphs._kronecker_minors whose term n is off by one."""
+    def stream(*a, real=graphs._kronecker_minors, **kw):
         return (t + (i == n) for i, t in enumerate(real(*a, **kw), 1))
-    return sweep
+    return stream
 
 
 def test_one_round_tells_no_fit_from_a_broken_bound(monkeypatch):
@@ -195,7 +196,7 @@ def test_one_round_tells_no_fit_from_a_broken_bound(monkeypatch):
     assert rounds == [6] and len(info.value.data) == 6 + spanning.HELD_OUT
     # term 13 is held out of gf_grid(3)'s 12-term window: a fit that misses
     # it within the proved bound 4 is a bug, below the full window a no-fit
-    monkeypatch.setattr(spanning, "_layer_sweep", _corrupted_sweep(13))
+    monkeypatch.setattr(spanning, "_kronecker_minors", _corrupted_stream(13))
     with pytest.raises(InternalInconsistency, match="held-out"):
         gf_grid(3)
     with pytest.raises(NoFitWithinBudget, match="first 11 of 17 terms"):
@@ -252,7 +253,7 @@ def test_corner_forest_order_is_at_most_the_forest_bound(g, a, b):
     # gf_two_forest's proof holds for any connected base graph and corners
     k = g.n_vertices
     bound = _forest_bound(k)
-    data = [graphs._corner_counts(g, n, a % k, b % k)[0] for n in range(1, 2 * bound + 11)]
+    data = [f for f, _tau in islice(graphs._corner_counts(g, a % k, b % k), 2 * bound + 10)]
     spec = guess_rec(data[:2 * bound + 4])
     assert spec is not None and spec.order <= bound
     assert seq_from_rec(spec, len(data)) == data
@@ -274,19 +275,23 @@ def test_gf_two_forest_path_row():
 
 def test_corrupted_sweep_fails_the_spot_check(monkeypatch):
     # doubled data satisfy the same recurrence, so only the comparison of
-    # the last term with its per-term minor can catch them
-    def doubled_sweep(*a, real=graphs._layer_sweep, **kw):
+    # the last term with its per-term count can catch them; the stream is
+    # doubled in graphs too, so a per-term count that ran it would double
+    # with it and miss them: this is the check's independence of its data
+    def doubled_trees(*a, real=graphs._kronecker_minors, **kw):
         return (2 * t for t in real(*a, **kw))
 
-    def doubled_terms(g, c, real=graphs._ver_terms):
-        return [2 * t for t in real(g, c)]
+    def doubled_forests(*a, real=graphs._corner_counts, **kw):
+        return ((2 * f, tau) for f, tau in real(*a, **kw))
 
-    for name, fake, run in (("_layer_sweep", doubled_sweep, lambda: gf_grid(3)),
-                            ("_layer_sweep", doubled_sweep, lambda: gf_two_forest(2)),
-                            ("_ver_terms", doubled_terms, lambda: gf_ver_grid(2))):
+    for name, fake, run in (
+            ("_kronecker_minors", doubled_trees, lambda: gf_grid(3)),
+            ("_corner_counts", doubled_forests, lambda: gf_two_forest(2)),
+            ("_kronecker_minors", doubled_trees, lambda: gf_ver_grid(2))):
         with monkeypatch.context() as m:
-            m.setattr(spanning, name, fake)
-            with pytest.raises(InternalInconsistency, match="per-term minor"):
+            for module in (spanning, graphs):
+                m.setattr(module, name, fake)
+            with pytest.raises(InternalInconsistency, match="per-term"):
                 run()
 
 
@@ -387,8 +392,8 @@ def test_resistance_rejects_non_positive_sizes():
 def test_corner_counts_are_the_product_minors(g, n, a, b):
     k = g.n_vertices
     a, b = a % k, b % k
-    forests, tau = graphs._corner_counts(g, n, a, b)
-    assert tau == graphs._kronecker_minor(g, n, 1)
+    forests, tau = next(graphs._corner_counts(g, a, b, start=n))
+    assert tau == next(graphs._kronecker_minors(g, 1, n))
     h, far = product_with_path(g, n), (n - 1) * k + b
     if far == a:
         assert forests == 0
@@ -415,8 +420,9 @@ def test_gf_ver_two_rows_closed_form():
 
 def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
     sweeps, rounds = [], []
-    real_sweep, real_guess = graphs._layer_sweep, spanning.guess_rec
-    monkeypatch.setattr(graphs, "_layer_sweep", lambda *a: sweeps.append(a[1]) or real_sweep(*a))
+    real_stream, real_guess = graphs._kronecker_minors, spanning.guess_rec
+    monkeypatch.setattr(graphs, "_kronecker_minors",
+                        lambda *a: sweeps.append(a[1]) or real_stream(*a))
     monkeypatch.setattr(spanning, "guess_rec", lambda d: rounds.append(len(d)) or real_guess(d))
     out = gf_ver_grid(3)
     # one round of 12 + 6 terms: term 18 has degree <= 36, so v = 1..37
@@ -546,7 +552,7 @@ def test_moments_build_no_product_graph(monkeypatch):
 def test_kronecker_minor_is_the_product_graph_minor(g, n):
     h = product_with_path(g, n)
     for w in (0, 1, 3, graphs.Jet((1, 1, 0, 0, 0)), graphs.Evals(range(1, 6))):
-        got = graphs._kronecker_minor(g, n, w)
+        got = next(graphs._kronecker_minors(g, w, n))
         want = graphs._laplacian_minor(h, {h.n_vertices - 1}, w)
         assert type(got) is type(want) and got == want
 
@@ -555,7 +561,9 @@ def test_kronecker_minor_inexact_quotient_is_internal(monkeypatch):
     # det B_n is k^2 P_n; a pivot 5 at k = 2 is not divisible by 4
     monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[5]], 1)]))
     with pytest.raises(InternalInconsistency, match="k\\^2"):
-        graphs._kronecker_minor(path_graph(2), 3, 1)
+        next(graphs._kronecker_minors(path_graph(2), 1, 3))
+    with pytest.raises(InternalInconsistency, match="k\\^2"):
+        gf_grid(2)  # the stream of a fit's data
 
 
 def test_moments_disconnected_raises():
