@@ -46,10 +46,6 @@ from .core import (
 )
 from .errors import DataTooShort, InternalInconsistency
 
-#: Default hard cap on a pipeline's fit window (spanning._fit_pipeline),
-#: and the default of the CLI's --max-terms.
-MAX_TERMS = 120
-
 
 @dataclass(frozen=True)
 class CFiniteSpec:
@@ -164,6 +160,13 @@ def guess_rec(data) -> CFiniteSpec | None:
     data = list(data)
     max_d = len(data) // 2 - 2
     return guess_rec1(data, max_d) if max_d >= 1 else None
+
+
+def guess_window(bound: int) -> int:
+    """The fewest terms, 2 bound + 4, from which guess_rec (orders up to
+    len // 2 - 2) fits any recurrence of order <= bound; the fit is proved,
+    as two such sequences agreeing on 2 bound terms agree (Massey 1969)."""
+    return 2 * bound + 4
 
 
 def _guess_rec_poly(data, d: int) -> CFiniteSpec | None:

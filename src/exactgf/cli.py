@@ -2,9 +2,10 @@
 stdout by default, pretty algebraic text behind --pretty.
 
 Exit codes: 0 success, 1 when a fit/budget/structure check fails (with a
-JSON diagnostic), 2 for usage errors such as malformed input or an
-out-of-range size, 3 when an internal self-check fails or a pipeline
-raises ValueError on validated arguments (a bug, not bad input).
+JSON diagnostic), 2 for usage errors such as malformed input, an
+out-of-range size or a fit whose proved window is over the limit, 3 when
+an internal self-check fails or a pipeline raises ValueError on
+validated arguments (a bug, not bad input).
 
 JSON wire format: a generating function prints as {"num": [...], "den":
 [...], "var": "t", "offset": p, "order": d, "terms_used": N}
@@ -27,13 +28,13 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
-from .cfinite import MAX_TERMS, guess_rec
+from .cfinite import guess_rec, guess_window
 from .core import Poly, RationalFunction, _primitive_ints
 from .errors import (
     BadVertexPair,
-    BudgetExceeded,
     DataTooShort,
     ExactGFError,
     InconsistentSpec,
@@ -43,47 +44,31 @@ from .errors import (
 )
 
 #: Sizes from which a run is a stretch target, refused unless asked nicely
-#: with --allow-long.  gf-grid --k: with the data from the Kronecker
-#: stream, k = 6 and 7 take 0.15 s with process start, and k = 8 reaches
-#: the default 120-term cap without a fit after 3.6 s, nearly all of it
-#: the no-fit proof in cfinite._minimal_den (its 126 terms take 0.02 s).
-LONG_RUN_K = 8
-#: c-poly --k: k = 4 takes 0.12 s; from k = 5 the window of the proved
-#: two-forest order bound exceeds the 120-term cap, so the fit gives up
-#: at it in one round, after 1.6 s, 2.2 s and 2.7 s for k = 5, 6 and 7,
-#: nearly all of it the no-fit proof, not the forest stream.
-LONG_RUN_C_POLY_K = 7
-#: gf-ver --k and a gf-ver --graph's vertex count: 0.6 s for 5 rows and
-#: 7.2 s for 6 with process start.  At 6 rows the Kronecker stream takes
-#: 2.9 s over Evals at 371 points of v and the last-term spot check
-#: (det_bareiss of the layer transfer's grounded matrix, over the same
-#: points) 1.2 s; the rest is interpolation and the Z[v] guess.  K_5 and
-#: K_6 took 0.1 and 0.3 s, two random 5-vertex graphs 0.9 and 0.7 s and a
-#: random 6-vertex one (order 32) 7.9 s, without process start.
+#: with --allow-long: there the graph's size, not the fit window, sets the
+#: time.  gf-ver --k and a gf-ver --graph's vertex count: with process
+#: start 5 rows take 0.8 s and 6 rows 7.8 s, nearly all of it the Kronecker
+#: stream over Evals at 371 points of v and its spot check.
 LONG_RUN_VER_K = 6
-#: A gf-product --graph's vertex count: the 6-vertex graphs tried (a path,
-#: the complete graph, six random ones) fit in under 0.06 s; of three random
-#: 7-vertex ones, one reaches the 120-term cap without a fit after 2.7 s.
+#: A gf-product --graph's vertex count: random 7-vertex graphs (window 132)
+#: fit in 0.04 s in process, but K_30 (window 64) takes 7.4 s and the
+#: 30-vertex star (window 120) 4.7 s with process start.
 LONG_RUN_GRAPH_VERTICES = 7
 
-#: guess_rec tries orders up to len(data) // 2 - 2, so fewer terms can
-#: never fit.
-MIN_GUESS_TERMS = 6
+#: guess_rec tries orders up to len(data) // 2 - 2, so fewer terms than
+#: an order-1 fit needs can never fit.
+MIN_GUESS_TERMS = guess_window(1)
 
 #: Upper limits on the sizes that set a run's length, so a huge value is a
-#: usage error, not hours of work: each accepts about a minute of work
-#: (CPython 3.11, one core of a shared 2-core x86-64 host), at k = 4 for
-#: MAX_FIT_TERMS and at the k that MAX_STREAM_WORK leaves for the n limits.
-#: MAX_FIT_TERMS also caps guess --data's terms and toeplitz-gf --n.
+#: usage error, not hours of work (CPython 3.11, one core of a shared
+#: 2-core x86-64 host).  MAX_FIT_TERMS caps guess --data's terms and every
+#: fit command's window, guess_window of its proved order bound, before any
+#: data exist: gf-grid, gf-ver and c-poly --k 5..7 reach 132 terms.
 MAX_FIT_TERMS = 160
-MAX_RESISTANCE_N = 2500
-MAX_MOMENTS_N = 1300
-#: resistance takes n steps on k + 1 vectors and one k x k determinant,
-#: moments n steps on (k-1)-square matrices (k the rows or a --graph's
-#: vertices); k^2 * n <= MAX_STREAM_WORK caps both, the only bound on k.
-#: Along it resistance takes at most 0.15 s with start-up (k = 5, n = 800),
-#: far inside a minute, and moments at most 3.3 s (k = 100, n = 2; 0.9 s for
-#: a doubled K_30, n = 22).
+#: resistance takes n steps on k + 1 vectors, moments on (k-1)-square
+#: matrices (k the rows or a --graph's vertices), and k^2 * n <=
+#: MAX_STREAM_WORK is their one bound on k and n.  Along it, with process
+#: start, resistance takes at most 0.19 s (k = 2, n = 5000; k = 100, n = 2)
+#: and moments 3.2 s (k = 100, n = 2; 0.45 s at k = 2, n = 5000).
 #: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
 MAX_STREAM_WORK = 20000
 MAX_GRAPH_VERTICES = 30
@@ -93,19 +78,16 @@ MAX_GRAPH_BYTES = 1 << 20
 #: primes until their product passes a Hadamard bound that grows with the
 #: terms' size: 160 terms of noise took 0.04 s at 2 digits, 4.2 s at 200
 #: (32 KB), 16 s at 600, 27 s at 800 (128 KB) and 41 s at 1000 (160 KB);
-#: 40 terms of 3200 digits (128 KB) took 13 s.  The order finder works on
-#: the terms with their denominators cleared by the lcm of all of them
-#: (core._primitive_ints), so fraction data are also refused, after
-#: parsing, when those integers have more bits in all than integers
-#: written in MAX_GUESS_BYTES decimal digits can, MAX_GUESS_BYTES * log2(10):
-#: 160 terms 1/d with random 6-digit d (1.4 KB) clear to about 330000 bits,
-#: under that bound, and took 20 s; with 8-digit d (1.8 KB), refused, to
-#: about 500000 bits, and took 45 s.
+#: 40 terms of 3200 digits (128 KB) took 13 s.  It works on the terms
+#: cleared of denominators (core._primitive_ints), so fraction data are
+#: refused, after parsing, when these have more bits in all than
+#: MAX_GUESS_BYTES decimal digits can write: 160 terms 1/d with random
+#: 6-digit d (1.4 KB) clear to about 330000 bits, under that bound, and
+#: took 20 s; with 8-digit d (1.8 KB), refused, to about 500000 bits, 45 s.
 MAX_GUESS_BYTES = 1 << 17
-#: toeplitz-gf --method transfer and toeplitz-scheme: the transfer scheme
-#: of a row prefix of k1 entries and a column prefix of k2 has at most
-#: C(k1 + k2 - 2, k1 - 1) states (toeplitz.children_scheme), which all-ones
-#: bands reach, so k1 + k2 is capped; at 14 entries 7/7 is the largest split.
+#: toeplitz-gf --method transfer and toeplitz-scheme: a k1/k2 band has at
+#: most toeplitz.scheme_size_bound = C(k1 + k2 - 2, k1 - 1) transfer states,
+#: which all-ones bands reach, so k1 + k2 is capped; 7/7 is the largest split.
 #: The slowest transfer (permanent) took 0.23 s at 6/6 (252 states), 8.9 s
 #: at 7/7 (924), 5.6 s at 8/6 and 6.0 s at 6/8 (792), then 43 s at 8/7
 #: (1716); the scheme alone takes 1.2 s at 9/9 (12870 states).
@@ -139,11 +121,9 @@ def _int_in_range(low: int, high: int | None = None):
     return parse
 
 
-#: --max-terms must leave the guesser MIN_GUESS_TERMS terms.
-_max_terms = _int_in_range(MIN_GUESS_TERMS, MAX_FIT_TERMS)
 _positive = _int_in_range(1)
 #: gf-grid, gf-ver and c-poly --k: at most as many rows as a --graph file
-#: has vertices, with or without --allow-long.
+#: has vertices, so the path whose bound sizes the window stays small.
 _grid_rows = _int_in_range(1, MAX_GRAPH_VERTICES)
 
 
@@ -166,10 +146,9 @@ def _build_parser() -> _Parser:
             q.add_argument("--k", type=_grid_rows, required=True)
         else:
             q.add_argument("--graph", required=True, help="graph JSON file")
+            q.add_argument("--allow-long", action="store_true")
         q.add_argument("--pretty", action="store_true")
         q.add_argument("--emit-data", action="store_true")
-        q.add_argument("--allow-long", action="store_true")
-        q.add_argument("--max-terms", type=_max_terms, default=MAX_TERMS)
 
     q = sub.add_parser("gf-ver", help="bivariate vertical-edge generating function")
     which = q.add_mutually_exclusive_group(required=True)
@@ -177,24 +156,21 @@ def _build_parser() -> _Parser:
     which.add_argument("--graph")
     q.add_argument("--pretty", action="store_true")
     q.add_argument("--allow-long", action="store_true")
-    q.add_argument("--max-terms", type=_max_terms, default=MAX_TERMS)
 
     q = sub.add_parser("c-poly", help="two-forest cofactor polynomial C_k")
     q.add_argument("--k", type=_int_in_range(2, MAX_GRAPH_VERTICES), required=True)
     q.add_argument("--pretty", action="store_true")
-    q.add_argument("--allow-long", action="store_true")
-    q.add_argument("--max-terms", type=_max_terms, default=MAX_TERMS)
 
     q = sub.add_parser("resistance", help="corner-to-corner grid resistance")
     q.add_argument("--k", type=_positive, required=True)
-    q.add_argument("--n", type=_int_in_range(1, MAX_RESISTANCE_N), required=True)
+    q.add_argument("--n", type=_positive, required=True)
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("moments", help="vertical-edge statistic moments")
     which = q.add_mutually_exclusive_group(required=True)
     which.add_argument("--k", type=_positive)
     which.add_argument("--graph")
-    q.add_argument("--n", type=_int_in_range(1, MAX_MOMENTS_N), required=True)
+    q.add_argument("--n", type=_positive, required=True)
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("toeplitz-gf", help="banded Toeplitz det/perm GF")
@@ -202,8 +178,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--col", required=True, help="comma-separated first-column prefix")
     q.add_argument("--mode", choices=("det", "perm"), default="det")
     q.add_argument("--method", choices=("guess", "transfer"), default="transfer")
-    q.add_argument("--n", type=_int_in_range(1, MAX_FIT_TERMS), default=50,
-                   help="data end for --method guess")
     q.add_argument("--pretty", action="store_true")
 
     q = sub.add_parser("toeplitz-scheme", help="dump the minor-state scheme")
@@ -226,6 +200,13 @@ def _parse_csv(text: str):
         return [_parse_scalar(x) for x in text.split(",") if x.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad numeric list {text!r}: {exc}") from exc
+
+
+def _exact_text(x: Fraction) -> str:
+    """str(x) past CPython's 4300-digit int-to-str limit, which moments passes
+    (5720 digits at k = 2, n = 5000): Decimal(int) prints every digit."""
+    text = str(Decimal(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
 
 def _scalar_json(x):
@@ -392,11 +373,23 @@ def _cmd_guess(args) -> int:
     return 0
 
 
-def _check_long(args, size: int, limit: int, what: str):
-    if size >= limit and not args.allow_long:
-        raise UsageError(
-            f"{what} is a long-running stretch target; pass --allow-long to proceed"
-        )
+def _check_window(window: int, what: str, cap: int = MAX_FIT_TERMS, hint: str = ""):
+    """Refuse a fit whose proved window is over cap terms."""
+    if window > cap:
+        raise UsageError(f"{what} needs a fit window of {window} terms, more than {cap}{hint}")
+
+
+def _admit(args, g, what: str, long_run: int | None = None):
+    """Refuse a fit of g x P_n whose window, from graphs._order_bound (cached
+    for the pipeline), is over MAX_FIT_TERMS, or, without --allow-long, a g
+    of long_run or more vertices; a disconnected g first, as NotConnected."""
+    from .graphs import _order_bound
+
+    if not g.is_connected():
+        raise NotConnected("base graph must be connected")
+    _check_window(guess_window(_order_bound(g)), what)
+    if long_run is not None and g.n_vertices >= long_run and not args.allow_long:
+        raise UsageError(f"{what} is a long-running stretch target; pass --allow-long to proceed")
 
 
 def _check_stream_work(k: int, n: int):
@@ -406,10 +399,10 @@ def _check_stream_work(k: int, n: int):
 
 
 def _cmd_gf_grid(args) -> int:
-    from . import spanning
+    from . import graphs, spanning
 
-    _check_long(args, args.k, LONG_RUN_K, f"k={args.k}")
-    result = spanning.gf_grid(args.k, max_terms=args.max_terms)
+    _admit(args, graphs.path_graph(args.k), f"k={args.k}")
+    result = spanning.gf_grid(args.k)
     _emit(args, _gf_payload(result, args.emit_data), lambda: _fmt_ratfunc(result.gf))
     return 0
 
@@ -418,22 +411,22 @@ def _cmd_gf_product(args) -> int:
     from . import spanning
 
     g = _load_graph(args.graph)
-    _check_long(args, g.n_vertices, LONG_RUN_GRAPH_VERTICES, f"a {g.n_vertices}-vertex graph")
-    result = spanning.gf_spanning(g, max_terms=args.max_terms)
+    _admit(args, g, f"a {g.n_vertices}-vertex graph", LONG_RUN_GRAPH_VERTICES)
+    result = spanning.gf_spanning(g)
     _emit(args, _gf_payload(result, args.emit_data), lambda: _fmt_ratfunc(result.gf))
     return 0
 
 
 def _cmd_gf_ver(args) -> int:
-    from . import spanning
+    from . import graphs, spanning
 
     if args.k is not None:
-        _check_long(args, args.k, LONG_RUN_VER_K, f"k={args.k}")
-        result = spanning.gf_ver_grid(args.k, max_terms=args.max_terms)
+        g, what = graphs.path_graph(args.k), f"k={args.k}"
     else:
         g = _load_graph(args.graph)
-        _check_long(args, g.n_vertices, LONG_RUN_VER_K, f"a {g.n_vertices}-vertex graph")
-        result = spanning.gf_ver(g, max_terms=args.max_terms)
+        what = f"a {g.n_vertices}-vertex graph"
+    _admit(args, g, what, LONG_RUN_VER_K)
+    result = spanning.gf_ver(g)
     _emit(args, _gf_payload(result), lambda: _fmt_ratfunc(result.gf))
     return 0
 
@@ -441,8 +434,8 @@ def _cmd_gf_ver(args) -> int:
 def _cmd_c_poly(args) -> int:
     from . import spanning
 
-    _check_long(args, args.k, LONG_RUN_C_POLY_K, f"k={args.k}")
-    poly = spanning.c_poly(args.k, max_terms=args.max_terms)
+    _check_window(guess_window(spanning._forest_bound(args.k)), f"k={args.k}")
+    poly = spanning.c_poly(args.k)
     payload = {"k": args.k, "c_poly": [str(c) for c in poly.coeffs]}
     _emit(args, payload, lambda: _fmt_poly(poly))
     return 0
@@ -453,8 +446,8 @@ def _cmd_resistance(args) -> int:
 
     _check_stream_work(args.k, args.n)
     value = spanning.resistance(args.k, args.n)
-    payload = {"k": args.k, "n": args.n, "resistance": str(value)}
-    _emit(args, payload, lambda: str(value))
+    payload = {"k": args.k, "n": args.n, "resistance": _exact_text(value)}
+    _emit(args, payload, lambda: payload["resistance"])
     return 0
 
 
@@ -470,13 +463,12 @@ def _cmd_moments(args) -> int:
     report = spanning.moments(g, args.n)
     payload = {
         "n": report.n,
-        "mean": str(report.mean),
-        "variance": str(report.variance),
+        "mean": _exact_text(report.mean),
+        "variance": _exact_text(report.variance),
         "skewness": str(report.skewness) if report.skewness is not None else None,
         "kurtosis": str(report.kurtosis) if report.kurtosis is not None else None,
     }
-    _emit(args, payload, lambda: f"n={report.n} mean={report.mean} variance={report.variance} "
-                                 f"skewness={report.skewness} kurtosis={report.kurtosis}")
+    _emit(args, payload, lambda: " ".join(f"{key}={value}" for key, value in payload.items()))
     return 0
 
 
@@ -502,14 +494,11 @@ def _cmd_toeplitz_gf(args) -> int:
         rf = toeplitz.gf_transfer(row, col, args.mode)
         terms_used = None
     else:
-        fit_start = min(10, max(1, args.n // 2))
-        window = args.n - fit_start + 1
-        if window < MIN_GUESS_TERMS:
-            raise UsageError(f"--n {args.n} leaves a guess window of {window} terms, "
-                             f"fewer than {MIN_GUESS_TERMS}")
-        rf = toeplitz.gf_family_guess(row, col, args.mode,
-                                      fit_start=fit_start, fit_end=args.n)
-        terms_used = args.n
+        window = guess_window(toeplitz.scheme_size_bound(row, col))
+        cap = toeplitz.PERMANENT_ORACLE_CAP if args.mode == "perm" else MAX_FIT_TERMS
+        _check_window(window, f"a {len(row)}/{len(col)} band", cap, "; use --method transfer")
+        rf = toeplitz.gf_family_guess(row, col, args.mode, 1, window)
+        terms_used = window
     payload = gf_to_json(rf, 0, int(rf.den.degree), terms_used)
     payload["mode"] = args.mode
     payload["method"] = args.method
@@ -560,9 +549,6 @@ def run(argv) -> int:
     except NoFitWithinBudget as exc:
         diagnostic = {"error": str(exc), "data": [str(x) for x in exc.data]}
         print(json.dumps(diagnostic))
-        return 1
-    except BudgetExceeded as exc:
-        print(json.dumps({"error": str(exc)}))
         return 1
     except (InternalInconsistency, ValueError) as exc:
         # arguments were validated above, so a ValueError is a bug too

@@ -30,7 +30,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
-from .cfinite import MAX_TERMS, CFiniteSpec, c_to_r, guess_rec, guess_sym_rec
+from .cfinite import CFiniteSpec, c_to_r, guess_rec, guess_sym_rec, guess_window
 from .core import (
     Poly,
     RationalFunction,
@@ -96,15 +96,15 @@ class MomentsReport:
     kurtosis: Decimal | None
 
 
-def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS) -> GFResult:
+def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     """Guess, emit and certify in one round; shared by all pipelines.
 
     terms(c) returns data terms 1..c and is asked once, so a source sizes
     its work to the fit (_ver_terms streams just the points it needs).  The
-    guesser sees a window of the first 2B + 4 terms, B >= 1 the proved
-    order bound, the fewest from which guess_rec (orders up to len // 2 -
-    2) fits any order <= B, or max_terms terms if that is fewer; HELD_OUT
-    more terms are generated but never shown to it.  The fit is emitted
+    guesser sees a window of the first guess_window(B) terms, B >= 1 the
+    proved order bound, from which it fits any order <= B; a max_terms
+    that is not None caps the window, and HELD_OUT more terms are
+    generated but never shown to the guesser.  The fit is emitted
     through c_to_r with the t^1 prefactor and accepted when its series
     reproduces every generated term: the initial values are data terms and
     the series satisfies the recurrence, so this is the held-out replay.
@@ -127,14 +127,13 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS) -> GFResu
     spot check.
 
     No fit from the guesser, or a fit that misses a held-out term in a
-    window capped below 2B + 4, raises NoFitWithinBudget carrying the data
-    (an honest no-fit, CLI exit 1).  A missed held-out term in a full
-    window contradicts the proved bound (two recurrences of orders <= B
-    agreeing on 2B + 4 terms agree everywhere, Massey), and a failed
-    degree or per-term check contradicts the data: these raise
-    InternalInconsistency (CLI exit 3).
+    capped window, raises NoFitWithinBudget carrying the data (an honest
+    no-fit).  A missed held-out term in a full window contradicts the
+    proved bound (guess_window), and a failed degree or per-term check
+    contradicts the data: these raise InternalInconsistency (CLI exit 3).
     """
-    window = min(2 * bound + 4, max_terms)
+    full = guess_window(bound)
+    window = full if max_terms is None else min(full, max_terms)
     data = terms(window + HELD_OUT)
     spec = guesser(data[:window])
     if spec is not None:
@@ -153,7 +152,7 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS) -> GFResu
                     f"term {len(data)} of the data differs from its per-term count"
                 )
             return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
-        if window == 2 * bound + 4:
+        if window == full:
             raise InternalInconsistency(
                 f"the fit to {window} terms misses a held-out term, but the order "
                 f"bound {bound} is proved"
@@ -166,7 +165,7 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=MAX_TERMS) -> GFResu
 def gf_spanning(
     g_base: LabeledGraph,
     guesser: str = "plain",
-    max_terms: int = MAX_TERMS,
+    max_terms: int | None = None,
 ) -> GFResult:
     """Generating function (offset t^1) of spanning-tree counts of
     g_base x P_n, fitted in one round from the order bound of g_base.
@@ -189,16 +188,21 @@ def gf_spanning(
     return _fit_pipeline(terms, term, guess, _order_bound(g_base), max_terms)
 
 
-def gf_grid(k: int, guesser: str = "plain", max_terms: int = MAX_TERMS) -> GFResult:
+def gf_grid(k: int, guesser: str = "plain", max_terms: int | None = None) -> GFResult:
     """gf_spanning for the k-row grid family."""
     return gf_spanning(path_graph(k), guesser=guesser, max_terms=max_terms)
 
 
-def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
+def _forest_bound(k: int) -> int:
+    """B_F = (k + 3) 2^(k-2), 2 at k = 1, proved in gf_two_forest."""
+    return (k + 3) << (k - 2) if k > 1 else 2
+
+
+def gf_two_forest(k: int, max_terms: int | None = None) -> GFResult:
     """Generating function (offset t^1) of the number of two-component
     spanning forests of the k x n grid separating corner (1,1) from
-    corner (k,n), fitted in one round from the proved order bound B_F =
-    (k + 3) 2^(k-2), 2 at k = 1 (the order found for k = 1..6).
+    corner (k,n), fitted in one round from the proved order bound B_F
+    (_forest_bound), the order found for k = 1..6.
 
     The bound holds for any connected G with k vertices, a in layer 1 and
     b in layer n of G x P_n.  By the all-minors matrix-tree theorem
@@ -228,7 +232,7 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
     exponential polynomial with at most 2 2^(k-1) + (k - 1) 2^(k-2) = B_F
     characteristic roots, counted with multiplicity (coinciding ratios only
     merge), and satisfies a recurrence of order <= B_F from n = 1 on; at
-    k = 1, F = n - 1.  _fit_pipeline's 2 B_F + 4 terms therefore fit it,
+    k = 1, F = n - 1.  _fit_pipeline's guess_window(B_F) terms fit it,
     and its denominator divides Q^2 C, Q = prod (1 - rho t) over tau's
     ratios rho and C the same product over the ratios prod_{j!=i}."""
     if k < 1:
@@ -239,15 +243,13 @@ def gf_two_forest(k: int, max_terms: int = MAX_TERMS) -> GFResult:
         return two_forest_count(LabeledGraph(grid.n_vertices, grid.edges), 0, k * n - 1)
 
     # for k = 1, n = 1 the stream gives 0: a single vertex cannot be separated from itself
-    bound = (k + 3) << (k - 2) if k > 1 else 2
-
     def terms(c):
         return [f for f, _tau in islice(_corner_counts(path_graph(k), 0, k - 1), c)]
 
-    return _fit_pipeline(terms, term, guess_rec, bound, max_terms)
+    return _fit_pipeline(terms, term, guess_rec, _forest_bound(k), max_terms)
 
 
-def c_poly(k: int, max_terms: int = MAX_TERMS) -> Poly:
+def c_poly(k: int, max_terms: int | None = None) -> Poly:
     """The cofactor polynomial C_k: the two-forest denominator divided by
     the squared spanning-tree denominator, which the observed structure
     says divides exactly.  Normalized primitive with positive leading
@@ -293,7 +295,7 @@ def resistance_bound_constant(k: int) -> Fraction:
 # bivariate vertical-edge pipeline
 # ---------------------------------------------------------------------------
 
-def gf_ver(g_base: LabeledGraph, max_terms: int = MAX_TERMS) -> GFResult:
+def gf_ver(g_base: LabeledGraph, max_terms: int | None = None) -> GFResult:
     """Bivariate generating function (offset t^1) of the vertical-edge
     weight polynomials of g_base x P_n.
 
@@ -316,7 +318,7 @@ def gf_ver(g_base: LabeledGraph, max_terms: int = MAX_TERMS) -> GFResult:
     return _fit_pipeline(terms, term, guess_rec, _order_bound(g_base), max_terms)
 
 
-def gf_ver_grid(k: int, max_terms: int = MAX_TERMS) -> GFResult:
+def gf_ver_grid(k: int, max_terms: int | None = None) -> GFResult:
     return gf_ver(path_graph(k), max_terms=max_terms)
 
 

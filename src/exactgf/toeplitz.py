@@ -25,6 +25,7 @@ repeated values are handled correctly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -158,7 +159,9 @@ def gf_family_guess(row, col, mode: str, fit_start: int = 10,
 
     The numerator is the denominator times the data series truncated at
     the denominator degree; the result is checked against every computed
-    term (constant term 1 for the empty matrix)."""
+    term (constant term 1 for the empty matrix).  f(A_n) has a recurrence
+    of order <= scheme_size_bound(row, col) (gf_transfer), so the window
+    1..guess_window of that bound always fits, and the fit is proved."""
     if not 1 <= fit_start < fit_end:
         raise ValueError("need 1 <= fit_start < fit_end")
     data = value_sequence(row, col, mode, fit_end)
@@ -268,8 +271,8 @@ def children_scheme(row, col, mode: str = "det") -> TransferScheme:
     Every kept state contains offset k1 - 1 (the column refilled by each
     expansion, and the root's last), and a nonempty column prefix puts
     its other k1 - 1 offsets in -k2 + 1 .. k1 - 2, so the closure has at
-    most C(k1 + k2 - 2, k1 - 1) states and needs no cap; the bound is
-    tight (252 states for the all-ones 6/6 band)."""
+    most C(k1 + k2 - 2, k1 - 1) states (scheme_size_bound) and needs no
+    cap; the bound is tight (252 states for the all-ones 6/6 band)."""
     row, col = tuple(row), tuple(col)
     if row[0] != col[0]:
         raise InconsistentSpec("row and column prefixes must share entry (1,1)")
@@ -287,6 +290,11 @@ def children_scheme(row, col, mode: str = "det") -> TransferScheme:
             transitions.append((coeff, index[child]))
         raw_transitions.append(transitions)
     return TransferScheme(row, col, mode, states, raw_transitions)
+
+
+def scheme_size_bound(row, col) -> int:
+    """C(k1 + k2 - 2, k1 - 1), children_scheme's proved bound on its states."""
+    return math.comb(len(row) + len(col) - 2, len(row) - 1)
 
 
 def transfer_sequence(scheme: TransferScheme, count: int) -> list:

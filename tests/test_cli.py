@@ -1,13 +1,18 @@
 """CLI surface: JSON/pretty output, exit codes, and round trips."""
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exactgf import cli, graphs, spanning, toeplitz
 from exactgf.cfinite import seq_from_rec
@@ -16,13 +21,10 @@ from exactgf.cli import (
     MAX_GRAPH_BYTES,
     MAX_GRAPH_VERTICES,
     MAX_GUESS_BYTES,
-    MAX_MOMENTS_N,
-    MAX_RESISTANCE_N,
     MAX_STREAM_WORK,
     MAX_TOEPLITZ_PREFIXES,
     run,
 )
-from exactgf.core import Poly
 from exactgf.errors import InternalInconsistency
 from exactgf.graphs import path_graph
 
@@ -56,33 +58,38 @@ def test_guess_too_few_terms_is_usage_error(capsys):
 
 
 def test_max_terms_below_guess_minimum_is_usage_error(capsys):
-    # the graph file is never read: --max-terms fails while parsing
+    # --max-terms is gone: each fit runs its proved window, never fewer
+    # than the guesser's 6 terms, and the graph file is never read
     for argv in (("gf-grid", "--k", "2"), ("gf-product", "--graph", "missing.json"),
                  ("gf-ver", "--k", "2"), ("c-poly", "--k", "2")):
         for bad in ("-3", "0", "5"):
             code, out, err = invoke(capsys, *argv, "--max-terms", bad)
             assert code == 2
             assert out == ""
-            assert "at least 6" in err
-    code, out, _ = invoke(capsys, "gf-grid", "--k", "1", "--max-terms", "6")
-    assert code == 0
-    assert json.loads(out)["den"] == ["1", "-1"]
+            assert "unrecognized arguments: --max-terms" in err
+    # the smallest window: order bound 1, 6 terms and six held out
+    code, out, _ = invoke(capsys, "gf-grid", "--k", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["den"] == ["1", "-1"]
+    assert payload["terms_used"] == cli.MIN_GUESS_TERMS + spanning.HELD_OUT
 
 
 def test_toeplitz_guess_window_below_minimum_is_usage_error(capsys):
-    # --n n fits on terms fit_start..n with fit_start = min(10, max(1, n // 2))
+    # --n is gone: the guess window is 2B + 4 for B the band's transfer
+    # states, never below the guesser's 6 terms
     family = ("toeplitz-gf", "--row", "2,3", "--col", "2,4,5", "--mode", "det")
-    for n in ("3", "8"):
-        code, out, err = invoke(capsys, *family, "--method", "guess", "--n", n)
-        assert code == 2
-        assert out == ""
-        assert "fewer than 6" in err
-    code, _out, _ = invoke(capsys, *family, "--method", "transfer", "--n", "3")
-    assert code == 0
-    code, out, _ = invoke(capsys, "toeplitz-gf", "--row", "1", "--col", "1",
-                          "--method", "guess", "--n", "9")
-    assert code == 0
-    assert json.loads(out)["den"] == ["1", "-1"]
+    for method in ("guess", "transfer"):
+        for n in ("3", "8"):
+            code, out, err = invoke(capsys, *family, "--method", method, "--n", n)
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments: --n" in err
+    code, out, _ = invoke(capsys, *family, "--method", "guess")
+    assert code == 0 and json.loads(out)["terms_used"] == 2 * 3 + 4
+    code, out, _ = invoke(capsys, "toeplitz-gf", "--row", "1", "--col", "1", "--method", "guess")
+    payload = json.loads(out)
+    assert code == 0 and payload["den"] == ["1", "-1"]
+    assert payload["terms_used"] == cli.MIN_GUESS_TERMS
 
 
 def test_gf_grid_pretty_two_rows(capsys):
@@ -122,13 +129,57 @@ def test_toeplitz_guess_and_transfer_agree(capsys):
     assert a["num"] == b["num"] and a["den"] == b["den"]
 
 
+_ENTRIES = st.integers(-3, 3)
+
+
+@st.composite
+def _int_bands(draw):
+    """Row and column prefixes of an int band up to 4/4 sharing their corner."""
+    corner = draw(_ENTRIES)
+    return ([corner] + draw(st.lists(_ENTRIES, max_size=3)),
+            [corner] + draw(st.lists(_ENTRIES, max_size=3)))
+
+
+def _quiet_run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_bands(), st.sampled_from(("det", "perm")))
+@example(([2, 1, 1, 1], [2, 3, 3, 3]), "det")
+@example(([1, 1, 1], [1, 1, 1]), "perm")
+@example(([0, 0, 0, 0], [0, 0, 0, 0]), "det")
+def test_toeplitz_guess_equals_transfer_on_every_admitted_band(band, mode):
+    # the guess fits 2B + 4 values, B = C(k1 + k2 - 2, k1 - 1) the proved
+    # bound on the transfer states, so no admitted guess ends in
+    # NoFitWithinBudget (exit 1), and it is the transfer route's function
+    row, col = band
+    family = ("toeplitz-gf", "--row=" + ",".join(map(str, row)),
+              "--col=" + ",".join(map(str, col)), "--mode", mode)
+    window = 2 * math.comb(len(row) + len(col) - 2, len(row) - 1) + 4
+    code, out, err = _quiet_run(*family, "--method", "guess")
+    if mode == "perm" and window > toeplitz.PERMANENT_ORACLE_CAP:
+        assert code == 2 and out == "" and "use --method transfer" in err
+        return
+    assert code == 0, out
+    guess = json.loads(out)
+    code, out, _ = _quiet_run(*family, "--method", "transfer")
+    transfer = json.loads(out)
+    assert code == 0 and guess["terms_used"] == window
+    assert [guess[key] for key in ("num", "den", "order")] == \
+        [transfer[key] for key in ("num", "den", "order")]
+
+
 def test_toeplitz_fraction_entries(capsys):
     # a/b entries; det A_1 = 1/2 and det A_2 = 1/4 - 15/7 = -53/28
     family = ("--row", "1/2,3,-2/3", "--col", "1/2,5/7", "--mode", "det")
     code, out, _ = invoke(capsys, "toeplitz-gf", *family, "--method", "transfer", "--pretty")
     assert code == 0
     assert out.strip() == "294/(100*t^3+630*t^2-147*t+294)"
-    _, out_guess, _ = invoke(capsys, "toeplitz-gf", *family, "--method", "guess", "--n", "30")
+    _, out_guess, _ = invoke(capsys, "toeplitz-gf", *family, "--method", "guess")
     _, out_transfer, _ = invoke(capsys, "toeplitz-gf", *family, "--method", "transfer")
     a, b = json.loads(out_guess), json.loads(out_transfer)
     assert a["num"] == b["num"] and a["den"] == b["den"]
@@ -157,7 +208,7 @@ def test_emit_data_prints_the_generated_terms(monkeypatch, capsys):
     assert out == json.dumps({**payload, "data": replayed}) + "\n"
     # and the terms printed are the ones the result carries
     marked = dataclasses.replace(result, data=tuple(f"term{i}" for i in range(result.data_used)))
-    monkeypatch.setattr(spanning, "gf_grid", lambda k, max_terms: marked)
+    monkeypatch.setattr(spanning, "gf_grid", lambda k: marked)
     code, out, _ = invoke(capsys, "gf-grid", "--k", "3", "--emit-data")
     assert code == 0 and json.loads(out)["data"] == list(marked.data)
 
@@ -212,15 +263,6 @@ def test_toeplitz_scheme_dump(capsys):
     assert payload["transitions"][0] == [["2", 0], ["-3", 1]]
 
 
-def test_long_run_gate(capsys):
-    assert cli.LONG_RUN_K == 8
-    code, _out, err = invoke(capsys, "gf-grid", "--k", "8")
-    assert code == 2
-    assert "--allow-long" in err
-    code, out, _ = invoke(capsys, "gf-grid", "--k", "6")
-    assert code == 0 and json.loads(out)["order"] == 32
-
-
 def _path_file(tmp_path, k):
     path = tmp_path / f"path{k}.json"
     edges = [[i, i + 1, "other", 1] for i in range(k - 1)]
@@ -228,8 +270,62 @@ def _path_file(tmp_path, k):
     return str(path)
 
 
+def _refuse_every_fit(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a fit ran on a refused window")
+
+    for name in ("gf_grid", "gf_spanning", "gf_ver", "gf_ver_grid", "c_poly", "gf_two_forest"):
+        monkeypatch.setattr(spanning, name, never)
+    for name in ("gf_family_guess", "value_sequence", "ryser_permanent"):
+        monkeypatch.setattr(toeplitz, name, never)
+
+
+def test_fit_windows_over_the_cap_are_usage_errors(monkeypatch, tmp_path, capsys):
+    # each window is 2B + 4 for the command's proved order bound B, worked
+    # out before any data exist: 2^(k-1) for k rows or a k-vertex path,
+    # (k + 3) 2^(k-2) for c-poly, C(k1 + k2 - 2, k1 - 1) for a k1/k2 band,
+    # whose permanents the oracle computes up to n = 20 only
+    _refuse_every_fit(monkeypatch)
+    ones = ("--row", "1,1,1,1,1", "--col", "1,1,1,1,1,1")
+    for argv, window, cap in (
+            (("gf-grid", "--k", "8"), 260, MAX_FIT_TERMS),
+            (("c-poly", "--k", "6"), 292, MAX_FIT_TERMS),
+            (("gf-ver", "--k", "8"), 260, MAX_FIT_TERMS),
+            (("gf-ver", "--k", "8", "--allow-long"), 260, MAX_FIT_TERMS),
+            (("gf-product", "--graph", _path_file(tmp_path, 8)), 260, MAX_FIT_TERMS),
+            (("gf-product", "--graph", _path_file(tmp_path, 8), "--allow-long"), 260,
+             MAX_FIT_TERMS),
+            (("toeplitz-gf", *ones, "--method", "guess"), 256, MAX_FIT_TERMS),
+            (("toeplitz-gf", "--row", "1,1,1", "--col", "1,1,1,1", "--mode", "perm",
+              "--method", "guess"), 24, toeplitz.PERMANENT_ORACLE_CAP)):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"needs a fit window of {window} terms, more than {cap}" in err
+        assert ("use --method transfer" in err) == (argv[0] == "toeplitz-gf")
+    # the old stretch-target switch is gone from the commands the window bounds
+    for argv in (("gf-grid", "--k", "2"), ("c-poly", "--k", "2")):
+        code, out, err = invoke(capsys, *argv, "--allow-long")
+        assert code == 2 and out == "" and "unrecognized arguments: --allow-long" in err
+
+
+def test_fit_commands_certify_at_the_edge_of_their_window(capsys):
+    # the largest windows admitted fit, and terms_used follows the window
+    # (plus six held-out terms for the graph families)
+    band = ("toeplitz-gf", "--row", "2,1,1,1", "--col", "2,3,3,3")
+    for argv, order, terms_used in ((("gf-grid", "--k", "7"), 48, 138),
+                                    (("gf-grid", "--k", "6"), 32, 74),
+                                    ((*band, "--method", "guess"), 20, 44),
+                                    (("toeplitz-gf", "--row", "1,1,1", "--col", "1,1,1",
+                                      "--mode", "perm", "--method", "guess"), 5, 16)):
+        code, out, _ = invoke(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and (payload["order"], payload["terms_used"]) == (order, terms_used)
+    code, out, _ = invoke(capsys, "c-poly", "--k", "5")
+    assert code == 0 and len(json.loads(out)["c_poly"]) == 33
+
+
 def test_long_run_gates_of_the_other_pipelines(monkeypatch, tmp_path, capsys):
-    assert (cli.LONG_RUN_C_POLY_K, cli.LONG_RUN_VER_K, cli.LONG_RUN_GRAPH_VERTICES) == (7, 6, 7)
+    assert (cli.LONG_RUN_VER_K, cli.LONG_RUN_GRAPH_VERTICES) == (6, 7)
     ran = []
 
     def stub(result):
@@ -239,14 +335,11 @@ def test_long_run_gates_of_the_other_pipelines(monkeypatch, tmp_path, capsys):
         return call
 
     ver, grid = spanning.gf_ver_grid(2), spanning.gf_grid(2)
-    monkeypatch.setattr(spanning, "gf_ver_grid", stub(ver))
     monkeypatch.setattr(spanning, "gf_ver", stub(ver))
     monkeypatch.setattr(spanning, "gf_spanning", stub(grid))
-    monkeypatch.setattr(spanning, "c_poly", stub(Poly((1,))))
     for command, size_flag, limit in (("gf-ver", "--k", cli.LONG_RUN_VER_K),
                                       ("gf-ver", "--graph", cli.LONG_RUN_VER_K),
-                                      ("gf-product", "--graph", cli.LONG_RUN_GRAPH_VERTICES),
-                                      ("c-poly", "--k", cli.LONG_RUN_C_POLY_K)):
+                                      ("gf-product", "--graph", cli.LONG_RUN_GRAPH_VERTICES)):
         for size, extra, gated in ((limit - 1, (), False), (limit, (), True),
                                    (limit, ("--allow-long",), False)):
             value = _path_file(tmp_path, size) if size_flag == "--graph" else str(size)
@@ -335,9 +428,7 @@ def test_out_of_range_sizes_are_parser_usage_errors(capsys):
                        (("c-poly", "--k", "1"), "--k"),
                        (("moments", "--k", "2", "--n", "0"), "--n"),
                        (("resistance", "--k", "-2", "--n", "-3"), "--k"),
-                       (("resistance", "--k", "2", "--n", "0"), "--n"),
-                       (("toeplitz-gf", "--row", "1", "--col", "1", "--method", "guess",
-                         "--n", "-1"), "--n")):
+                       (("resistance", "--k", "2", "--n", "0"), "--n")):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -365,24 +456,10 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
     for name in ("gf_transfer", "gf_family_guess"):
         monkeypatch.setattr(toeplitz, name, never)
     monkeypatch.setattr(cli, "guess_rec", never)
-    too_many = str(MAX_FIT_TERMS + 1)
-    family = ("toeplitz-gf", "--row", "1,1", "--col", "1,1")
     for argv, message in (
-            (("gf-grid", "--k", "2", "--max-terms", too_many),
-             f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
-            (("gf-product", "--graph", "missing.json", "--max-terms", too_many),
-             f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
-            (("gf-ver", "--k", "2", "--max-terms", too_many),
-             f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
-            (("c-poly", "--k", "2", "--max-terms", "10" * 40),
-             f"argument --max-terms: must be at most {MAX_FIT_TERMS}"),
-            (("resistance", "--k", "2", "--n", str(MAX_RESISTANCE_N + 1)),
-             f"argument --n: must be at most {MAX_RESISTANCE_N}"),
-            (("moments", "--k", "2", "--n", str(10**12)),
-             f"argument --n: must be at most {MAX_MOMENTS_N}"),
-            ((*family, "--method", "guess", "--n", too_many),
-             f"argument --n: must be at most {MAX_FIT_TERMS}"),
-            ((*family, "--n", "10" * 40), f"argument --n: must be at most {MAX_FIT_TERMS}"),
+            # n alone has no limit: k^2 * n does it, k = 1 included
+            (("resistance", "--k", "1", "--n", str(10**12)), f"more than {MAX_STREAM_WORK}"),
+            (("moments", "--k", "1", "--n", str(10**12)), f"more than {MAX_STREAM_WORK}"),
             (("guess", "--data", ",".join(["1"] * (MAX_FIT_TERMS + 1))),
              f"--data takes at most {MAX_FIT_TERMS} terms")):
         code, out, err = invoke(capsys, *argv)
@@ -392,22 +469,20 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
 
 
 def test_grid_rows_above_the_graph_vertex_limit_are_usage_errors(monkeypatch, capsys):
-    # refused while parsing, before any path or grid graph is built
-    ran = []
-    for name, result in (("gf_grid", spanning.gf_grid(2)), ("gf_ver_grid", spanning.gf_ver_grid(2)),
-                         ("c_poly", Poly((1,)))):
-        monkeypatch.setattr(spanning, name,
-                            lambda k, result=result, **kw: ran.append(k) or result)
-    monkeypatch.setattr(graphs, "path_graph", lambda k: ran.append(k))
+    # refused while parsing, before any path or grid graph is built; the
+    # parser takes k at the limit, and the fit window refuses it
+    _refuse_every_fit(monkeypatch)
+    built, path_graph = [], graphs.path_graph
+    monkeypatch.setattr(graphs, "path_graph", lambda k: built.append(k) or path_graph(k))
     for command in ("gf-grid", "gf-ver", "c-poly"):
         for k in (MAX_GRAPH_VERTICES + 1, 10**12):
-            code, out, err = invoke(capsys, command, "--k", str(k), "--allow-long")
+            code, out, err = invoke(capsys, command, "--k", str(k))
             assert code == 2 and out == ""
             assert f"argument --k: must be at most {MAX_GRAPH_VERTICES}" in err
-        assert ran == []
-        code, _out, _err = invoke(capsys, command, "--k", str(MAX_GRAPH_VERTICES), "--allow-long")
-        assert code == 0 and ran == [MAX_GRAPH_VERTICES]
-        del ran[:]
+        assert built == []
+        code, out, err = invoke(capsys, command, "--k", str(MAX_GRAPH_VERTICES))
+        assert code == 2 and out == "" and "needs a fit window of" in err
+        del built[:]
 
 
 def test_graph_files_above_their_limits_are_usage_errors(monkeypatch, tmp_path, capsys):
@@ -432,11 +507,9 @@ def test_graph_files_above_their_limits_are_usage_errors(monkeypatch, tmp_path, 
 
 
 def test_sizes_at_their_limit_are_accepted(tmp_path, capsys):
-    code, out, _ = invoke(capsys, "gf-grid", "--k", "2", "--max-terms", str(MAX_FIT_TERMS))
-    assert code == 0 and json.loads(out)["den"] == ["1", "-4", "1"]
-    code, out, _ = invoke(capsys, "resistance", "--k", "1", "--n", str(MAX_RESISTANCE_N))
-    assert code == 0 and json.loads(out)["resistance"] == str(MAX_RESISTANCE_N - 1)
-    code, out, _ = invoke(capsys, "moments", "--k", "1", "--n", str(MAX_MOMENTS_N))
+    code, out, _ = invoke(capsys, "resistance", "--k", "1", "--n", str(MAX_STREAM_WORK))
+    assert code == 0 and json.loads(out)["resistance"] == str(MAX_STREAM_WORK - 1)
+    code, out, _ = invoke(capsys, "moments", "--k", "1", "--n", str(MAX_STREAM_WORK))
     assert code == 0 and json.loads(out)["mean"] == "0"
     # k^2 * n = 141^2 <= MAX_STREAM_WORK, the only bound on k; a --graph has
     # at most 30 vertices
@@ -481,6 +554,17 @@ def test_k_squared_n_is_capped_for_resistance_and_moments(monkeypatch, tmp_path,
         code, _out, _err = invoke(capsys, *argv)
         assert code == 0
     assert ran == [(10, 200), (141, 1), (20, 50), (141, 1), (20, 50)]
+
+
+def test_moments_at_the_work_cap_print_every_digit(capsys):
+    # (2, 5000) is on the k^2 * n cap, and its variance has 5720 digits,
+    # past the 4300 that CPython converts from int to str by default
+    code, out, _ = invoke(capsys, "moments", "--k", "2", "--n", "5000")
+    assert code == 0
+    num, den = json.loads(out)["variance"].split("/")
+    variance = spanning.moments(path_graph(2), 5000).variance
+    assert len(den) > 4300
+    assert (Decimal(num), Decimal(den)) == (variance.numerator, variance.denominator)
 
 
 def test_moments_checks_k_before_building_the_path(monkeypatch, capsys):
@@ -573,7 +657,7 @@ def test_toeplitz_prefixes_above_the_scheme_limit_are_usage_errors(monkeypatch, 
     monkeypatch.setattr(toeplitz, "children_scheme",
                         lambda row, col, mode: ran.append(row) or scheme)
     monkeypatch.setattr(toeplitz, "gf_family_guess",
-                        lambda row, col, mode, **window: ran.append(row) or rf)
+                        lambda row, col, mode, *window: ran.append(row) or rf)
     for k1 in (1, 7, 13):
         for k2, gated in ((MAX_TOEPLITZ_PREFIXES - k1, False),
                           (MAX_TOEPLITZ_PREFIXES + 1 - k1, True)):
@@ -587,10 +671,11 @@ def test_toeplitz_prefixes_above_the_scheme_limit_are_usage_errors(monkeypatch, 
                     assert ran == []
                 else:
                     assert code == 0 and len(ran) == 1
-    # --method guess is bounded by --n, not by the prefixes
+    # --method guess is bounded by its window, not by the prefixes: a k1/1
+    # band has one transfer state
     del ran[:]
     code, _out, _err = invoke(capsys, "toeplitz-gf", "--row", ",".join(["1"] * 15), "--col", "1",
-                              "--method", "guess", "--n", "12")
+                              "--method", "guess")
     assert code == 0 and len(ran) == 1
 
 

@@ -261,7 +261,7 @@ def test_corner_forest_order_is_at_most_the_forest_bound(g, a, b):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_two_forest_order_is_the_forest_bound(k):
-    out = gf_two_forest(k, max_terms=140 if k == 5 else spanning.MAX_TERMS)
+    out = gf_two_forest(k)
     assert out.spec.order == out.gf.den.degree == _forest_bound(k)
 
 

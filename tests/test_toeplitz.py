@@ -27,7 +27,7 @@ from exactgf import (
     value_sequence,
 )
 from exactgf.errors import BadState, BudgetExceeded, InconsistentSpec, NoFitWithinBudget
-from exactgf.toeplitz import _prefixes, scheme_to_json
+from exactgf.toeplitz import _prefixes, scheme_size_bound, scheme_to_json
 
 from oracles import (
     children_scheme_minor_states,
@@ -299,7 +299,8 @@ def test_children_scheme_matches_the_minor_state_closure(band, mode):
     oracle = children_scheme_minor_states(row, col, mode)
     assert json.dumps(scheme_to_json(scheme)) == json.dumps(scheme_to_json_minor_states(oracle))
     assert transfer_sequence(scheme, 12) == transfer_sequence(oracle, 12)
-    assert len(scheme) <= comb(len(row) + len(col) - 2, len(row) - 1)
+    assert len(scheme) <= scheme_size_bound(row, col) == comb(len(row) + len(col) - 2,
+                                                               len(row) - 1)
 
 
 def _zero_one_bands(width):
