@@ -1,5 +1,8 @@
 """Guessing linear recurrences with constant coefficients from data,
 replaying them, and converting them to rational generating functions.
+fit is the one guess-emit-accept step of both case studies (spanning
+and toeplitz): it guesses on a window, emits the generating function
+without a gcd and accepts it by re-expansion against every term.
 
 A recurrence of order d is stored as d initial values and its denominator
 D = (D_0, ..., D_d), D_0 != 0, with the meaning
@@ -393,20 +396,18 @@ def guess_sym_rec(data) -> CFiniteSpec | None:
     return None
 
 
-def c_to_r(spec: CFiniteSpec, *, coprime: bool = False) -> RationalFunction:
-    """Rational generating function of the recurrence.
+def c_to_r(spec: CFiniteSpec) -> RationalFunction:
+    """Rational generating function of any spec; fitted data go through fit.
 
     Denominator D_0 + D_1 t + ... + D_d t^d; numerator is the product of
     the denominator with the initial-value polynomial, truncated below
-    degree d.  coprime=True skips the gcd, for a spec known to be the
-    minimal recurrence of its terms: num and den are then coprime, or a
-    lower order would fit.  The result is re-expanded as a power series
-    and compared with the replayed sequence; a mismatch raises
-    InternalInconsistency.
+    degree d, less their gcd (a spec above minimal order has one).  The
+    result is re-expanded as a power series and compared with the
+    replayed sequence; a mismatch raises InternalInconsistency.
     """
     den = Poly(spec.den)
     num = (den * Poly(spec.initial)).truncate(spec.order)
-    rf = RationalFunction._from_coprime(num, den) if coprime else RationalFunction(num, den)
+    rf = RationalFunction(num, den)
     check_len = int(den.degree) + 11
     series = taylor_coeffs(rf, check_len)
     replay = seq_from_rec(spec, check_len)
@@ -416,3 +417,34 @@ def c_to_r(spec: CFiniteSpec, *, coprime: bool = False) -> RationalFunction:
                 "generating function does not reproduce its recurrence"
             )
     return rf
+
+
+def fit(series, start: int, window: int, guess):
+    """(spec, rf): guess on series[start:start + window], series a list,
+    then emit and accept the generating function sum(series[n] t^n), the
+    one guess-emit-accept step of every pipeline.
+
+    guess returns the minimal recurrence through its argument or None
+    (guess_rec, guess_sym_rec); None gives (None, None).  A fit of order d
+    is emitted as N/D, D = Poly(spec.den) and N = D * series[:d + 1] mod
+    t^(d + 1), with no gcd, and rf is None unless its first len(series)
+    terms are the list.
+
+    N and D are coprime when rf is returned.  A common factor g of degree
+    e >= 1 has g(0) != 0 (D_0 != 0), and D' = D / g, N' = N / g, of
+    degrees <= d - e, have D' S = N' mod t^len(series), S the list: D' is
+    a recurrence of order d - e through series[n] for n > d - e, so
+    through the window if start >= 1.  If start = 0, the guess kills the
+    t^d coefficient of D S, so deg N < d, deg N' < d - e, and D' holds
+    from n = d - e on.  e = d makes the window all zero, where the
+    guessers report the constant D = (1, 0); otherwise D' (cleared of
+    denominators in v for polynomial data) is a fit of order below d,
+    against the guess's minimality.
+    """
+    spec = guess(series[start:start + window])
+    if spec is None:
+        return None, None
+    den = Poly(spec.den)
+    num = (den * Poly(series[:spec.order + 1])).truncate(spec.order + 1)
+    rf = RationalFunction._from_coprime(num, den)
+    return spec, (rf if taylor_coeffs(rf, len(series)) == series else None)

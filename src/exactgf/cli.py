@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from .cfinite import guess_rec, guess_window
@@ -202,13 +201,6 @@ def _parse_csv(text: str):
         raise UsageError(f"bad numeric list {text!r}: {exc}") from exc
 
 
-def _exact_text(x: Fraction) -> str:
-    """str(x) past CPython's 4300-digit int-to-str limit, which moments passes
-    (5720 digits at k = 2, n = 5000): Decimal(int) prints every digit."""
-    text = str(Decimal(x.numerator))
-    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
-
-
 def _scalar_json(x):
     f = Fraction(x)
     return int(f) if f.denominator == 1 else str(f)
@@ -332,12 +324,24 @@ def _fmt_ratfunc(rf: RationalFunction) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _emit(args, payload: dict, pretty_text):
-    """Print pretty_text() under --pretty, else the payload as JSON."""
-    if args.pretty:
-        print(pretty_text())
-    else:
-        print(json.dumps(payload))
+def _print(render):
+    """Print render(), where all output is rendered, with CPython's int-to-str
+    limit lifted: exact results pass it (moments --k 2 --n 5000 has 5720
+    digits).  Input is parsed under it, so a huge integer there is a usage
+    error."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(render())
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _emit(args, payload, pretty):
+    """Print pretty(payload()) under --pretty, else payload() as JSON."""
+    _print(lambda: pretty(payload()) if args.pretty else json.dumps(payload()))
 
 
 def _gf_payload(result, emit_data=False) -> dict:
@@ -363,13 +367,11 @@ def _cmd_guess(args) -> int:
                          f"{MAX_GUESS_BYTES} decimal digits can write")
     spec = guess_rec(data)
     if spec is None:
-        print(json.dumps({"error": "no recurrence found"}))
+        _print(lambda: json.dumps({"error": "no recurrence found"}))
         return 1
-    payload = {
-        "initial": [_scalar_json(x) for x in spec.initial],
-        "rec": [_scalar_json(x) for x in spec.rec],
-    }
-    _emit(args, payload, lambda: f"[{payload['initial']}, {payload['rec']}]")
+    _emit(args, lambda: {"initial": [_scalar_json(x) for x in spec.initial],
+                         "rec": [_scalar_json(x) for x in spec.rec]},
+          lambda payload: f"[{payload['initial']}, {payload['rec']}]")
     return 0
 
 
@@ -403,7 +405,7 @@ def _cmd_gf_grid(args) -> int:
 
     _admit(args, graphs.path_graph(args.k), f"k={args.k}")
     result = spanning.gf_grid(args.k)
-    _emit(args, _gf_payload(result, args.emit_data), lambda: _fmt_ratfunc(result.gf))
+    _emit(args, lambda: _gf_payload(result, args.emit_data), lambda _: _fmt_ratfunc(result.gf))
     return 0
 
 
@@ -413,7 +415,7 @@ def _cmd_gf_product(args) -> int:
     g = _load_graph(args.graph)
     _admit(args, g, f"a {g.n_vertices}-vertex graph", LONG_RUN_GRAPH_VERTICES)
     result = spanning.gf_spanning(g)
-    _emit(args, _gf_payload(result, args.emit_data), lambda: _fmt_ratfunc(result.gf))
+    _emit(args, lambda: _gf_payload(result, args.emit_data), lambda _: _fmt_ratfunc(result.gf))
     return 0
 
 
@@ -427,7 +429,7 @@ def _cmd_gf_ver(args) -> int:
         what = f"a {g.n_vertices}-vertex graph"
     _admit(args, g, what, LONG_RUN_VER_K)
     result = spanning.gf_ver(g)
-    _emit(args, _gf_payload(result), lambda: _fmt_ratfunc(result.gf))
+    _emit(args, lambda: _gf_payload(result), lambda _: _fmt_ratfunc(result.gf))
     return 0
 
 
@@ -436,8 +438,8 @@ def _cmd_c_poly(args) -> int:
 
     _check_window(guess_window(spanning._forest_bound(args.k)), f"k={args.k}")
     poly = spanning.c_poly(args.k)
-    payload = {"k": args.k, "c_poly": [str(c) for c in poly.coeffs]}
-    _emit(args, payload, lambda: _fmt_poly(poly))
+    _emit(args, lambda: {"k": args.k, "c_poly": [str(c) for c in poly.coeffs]},
+          lambda _: _fmt_poly(poly))
     return 0
 
 
@@ -446,8 +448,8 @@ def _cmd_resistance(args) -> int:
 
     _check_stream_work(args.k, args.n)
     value = spanning.resistance(args.k, args.n)
-    payload = {"k": args.k, "n": args.n, "resistance": _exact_text(value)}
-    _emit(args, payload, lambda: payload["resistance"])
+    _emit(args, lambda: {"k": args.k, "n": args.n, "resistance": str(value)},
+          lambda payload: payload["resistance"])
     return 0
 
 
@@ -461,14 +463,13 @@ def _cmd_moments(args) -> int:
         g = _load_graph(args.graph)
         _check_stream_work(g.n_vertices, args.n)
     report = spanning.moments(g, args.n)
-    payload = {
+    _emit(args, lambda: {
         "n": report.n,
-        "mean": _exact_text(report.mean),
-        "variance": _exact_text(report.variance),
+        "mean": str(report.mean),
+        "variance": str(report.variance),
         "skewness": str(report.skewness) if report.skewness is not None else None,
         "kurtosis": str(report.kurtosis) if report.kurtosis is not None else None,
-    }
-    _emit(args, payload, lambda: " ".join(f"{key}={value}" for key, value in payload.items()))
+    }, lambda payload: " ".join(f"{key}={value}" for key, value in payload.items()))
     return 0
 
 
@@ -499,10 +500,9 @@ def _cmd_toeplitz_gf(args) -> int:
         _check_window(window, f"a {len(row)}/{len(col)} band", cap, "; use --method transfer")
         rf = toeplitz.gf_family_guess(row, col, args.mode, 1, window)
         terms_used = window
-    payload = gf_to_json(rf, 0, int(rf.den.degree), terms_used)
-    payload["mode"] = args.mode
-    payload["method"] = args.method
-    _emit(args, payload, lambda: _fmt_ratfunc(rf))
+    _emit(args, lambda: {**gf_to_json(rf, 0, int(rf.den.degree), terms_used),
+                         "mode": args.mode, "method": args.method},
+          lambda _: _fmt_ratfunc(rf))
     return 0
 
 
@@ -512,7 +512,7 @@ def _cmd_toeplitz_scheme(args) -> int:
     row, col = _prefixes(args)
     _check_scheme_size(row, col)
     scheme = toeplitz.children_scheme(row, col, args.mode)
-    print(json.dumps(toeplitz.scheme_to_json(scheme)))
+    _print(lambda: json.dumps(toeplitz.scheme_to_json(scheme)))
     return 0
 
 
@@ -547,15 +547,14 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoFitWithinBudget as exc:
-        diagnostic = {"error": str(exc), "data": [str(x) for x in exc.data]}
-        print(json.dumps(diagnostic))
+        _print(lambda: json.dumps({"error": str(exc), "data": [str(x) for x in exc.data]}))
         return 1
     except (InternalInconsistency, ValueError) as exc:
         # arguments were validated above, so a ValueError is a bug too
-        print(json.dumps({"error": f"internal inconsistency: {exc}"}))
+        _print(lambda: json.dumps({"error": f"internal inconsistency: {exc}"}))
         return 3
     except ExactGFError as exc:
-        print(json.dumps({"error": str(exc)}))
+        _print(lambda: json.dumps({"error": str(exc)}))
         return 1
 
 

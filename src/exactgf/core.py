@@ -191,12 +191,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by the k-th power of the variable."""
-        if not self:
-            return self
-        return Poly((0,) * k + self.coeffs)
-
     def truncate(self, n: int) -> "Poly":
         """Keep only coefficients of degree < n."""
         return Poly(self.coeffs[:n])

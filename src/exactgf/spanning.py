@@ -30,13 +30,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
-from .cfinite import CFiniteSpec, c_to_r, guess_rec, guess_sym_rec, guess_window
-from .core import (
-    Poly,
-    RationalFunction,
-    poly_gcd,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
-    taylor_coeffs,
-)
+from .cfinite import CFiniteSpec, fit, guess_rec, guess_sym_rec, guess_window
+from .core import Poly, RationalFunction
+# not called here; perfbench/tracing.py wraps these bindings
+from .cfinite import c_to_r  # noqa: F401
+from .core import poly_gcd, taylor_coeffs  # noqa: F401
 from .errors import (
     BadVertexPair,
     InexactDivision,
@@ -104,13 +102,13 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     guesser sees a window of the first guess_window(B) terms, B >= 1 the
     proved order bound, from which it fits any order <= B; a max_terms
     that is not None caps the window, and HELD_OUT more terms are
-    generated but never shown to the guesser.  The fit is emitted
-    through c_to_r with the t^1 prefactor and accepted when its series
-    reproduces every generated term: the initial values are data terms and
-    the series satisfies the recurrence, so this is the held-out replay.
-    Then the denominator degree must equal the order, and the last term
-    must equal term_fn(n), its per-term count by a route that shares no
-    step with the data's, so every run ties two computations together:
+    generated but never shown to the guesser.  cfinite.fit guesses on
+    that window of 0, data (the t^1 prefactor), emits the function and
+    accepts it if it re-expands to every generated term: the held-out
+    replay.  Then the denominator degree must equal the order, and the
+    last term must equal term_fn(n), its per-term count by a route that
+    shares no step with the data's, so every run ties two computations
+    together:
 
       family         data                         spot check
       trees          _kronecker_minors(g, 1):     spanning_tree_count of
@@ -135,28 +133,20 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     full = guess_window(bound)
     window = full if max_terms is None else min(full, max_terms)
     data = terms(window + HELD_OUT)
-    spec = guesser(data[:window])
-    if spec is not None:
-        # the guessers return the minimal recurrence (cfinite._minimal_den,
-        # guess_rec1), so num and den are coprime, and D_0 != 0 keeps t * num
-        # and den coprime too: no gcd is taken
-        raw = c_to_r(spec, coprime=True)
-        gf = RationalFunction._from_coprime(raw.num.shift(1), raw.den)
-        if taylor_coeffs(gf, len(data) + 1)[1:] == data:
-            if gf.den.degree != spec.order:
-                raise InternalInconsistency(
-                    "denominator degree does not match the recurrence order"
-                )
-            if term_fn(len(data)) != data[-1]:
-                raise InternalInconsistency(
-                    f"term {len(data)} of the data differs from its per-term count"
-                )
-            return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
-        if window == full:
+    spec, gf = fit([0, *data], 1, window, guesser)
+    if gf is not None:
+        if gf.den.degree != spec.order:
+            raise InternalInconsistency("denominator degree does not match the recurrence order")
+        if term_fn(len(data)) != data[-1]:
             raise InternalInconsistency(
-                f"the fit to {window} terms misses a held-out term, but the order "
-                f"bound {bound} is proved"
+                f"term {len(data)} of the data differs from its per-term count"
             )
+        return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
+    if spec is not None and window == full:
+        raise InternalInconsistency(
+            f"the fit to {window} terms misses a held-out term, but the order "
+            f"bound {bound} is proved"
+        )
     raise NoFitWithinBudget(
         f"no validated recurrence from the first {window} of {len(data)} terms", data
     )
@@ -198,7 +188,7 @@ def _forest_bound(k: int) -> int:
     return (k + 3) << (k - 2) if k > 1 else 2
 
 
-def gf_two_forest(k: int, max_terms: int | None = None) -> GFResult:
+def gf_two_forest(k: int) -> GFResult:
     """Generating function (offset t^1) of the number of two-component
     spanning forests of the k x n grid separating corner (1,1) from
     corner (k,n), fitted in one round from the proved order bound B_F
@@ -246,10 +236,10 @@ def gf_two_forest(k: int, max_terms: int | None = None) -> GFResult:
     def terms(c):
         return [f for f, _tau in islice(_corner_counts(path_graph(k), 0, k - 1), c)]
 
-    return _fit_pipeline(terms, term, guess_rec, _forest_bound(k), max_terms)
+    return _fit_pipeline(terms, term, guess_rec, _forest_bound(k))
 
 
-def c_poly(k: int, max_terms: int | None = None) -> Poly:
+def c_poly(k: int) -> Poly:
     """The cofactor polynomial C_k: the two-forest denominator divided by
     the squared spanning-tree denominator, which the observed structure
     says divides exactly.  Normalized primitive with positive leading
@@ -257,8 +247,8 @@ def c_poly(k: int, max_terms: int | None = None) -> Poly:
     rather than silently continuing."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    den_forest = gf_two_forest(k, max_terms=max_terms).gf.den
-    den_tree = gf_grid(k, max_terms=max_terms).gf.den
+    den_forest = gf_two_forest(k).gf.den
+    den_tree = gf_grid(k).gf.den
     try:
         quotient = den_forest.exact_div(den_tree * den_tree)
     except InexactDivision as exc:
@@ -295,7 +285,7 @@ def resistance_bound_constant(k: int) -> Fraction:
 # bivariate vertical-edge pipeline
 # ---------------------------------------------------------------------------
 
-def gf_ver(g_base: LabeledGraph, max_terms: int | None = None) -> GFResult:
+def gf_ver(g_base: LabeledGraph) -> GFResult:
     """Bivariate generating function (offset t^1) of the vertical-edge
     weight polynomials of g_base x P_n.
 
@@ -315,11 +305,11 @@ def gf_ver(g_base: LabeledGraph, max_terms: int | None = None) -> GFResult:
     def terms(c):
         return _ver_terms(g_base, c)
 
-    return _fit_pipeline(terms, term, guess_rec, _order_bound(g_base), max_terms)
+    return _fit_pipeline(terms, term, guess_rec, _order_bound(g_base))
 
 
-def gf_ver_grid(k: int, max_terms: int | None = None) -> GFResult:
-    return gf_ver(path_graph(k), max_terms=max_terms)
+def gf_ver_grid(k: int) -> GFResult:
+    return gf_ver(path_graph(k))
 
 
 def substitute_v(rf: RationalFunction, value) -> RationalFunction:

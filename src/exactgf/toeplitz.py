@@ -18,8 +18,8 @@ set of diagonal offsets of its surviving columns inside the window
 columns are intact.  Cofactor expansion acts on those offset patterns by
 delete-shift-refill, and the pattern space is finite.  With T the
 transition matrix of the m patterns, f(A_n) = (T^n)_(root,root): sparse
-integer products give the values, and by Cayley-Hamilton one order-m fit
-through 2m + 3 of them is a proof, not a guess (Wiedemann's scheme).
+integer products give the values, and by Cayley-Hamilton one fit of order
+<= m through 2m + 4 of them is a proof, not a guess (Wiedemann's scheme).
 States are keyed by offset pattern (not by entry values), so families with
 repeated values are handled correctly.
 """
@@ -28,15 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    Matrix,
-    Poly,
-    RationalFunction,
-    _bareiss_pivots,
-    det_bareiss,
-    solve_linear,  # noqa: F401  not called here; perfbench/tracing.py wraps this binding
-    taylor_coeffs,
-)
+from .core import Matrix, RationalFunction, _bareiss_pivots, det_bareiss
+# not called here; perfbench/tracing.py wraps these bindings
+from .core import solve_linear, taylor_coeffs  # noqa: F401
 from .errors import (
     BadState,
     BudgetExceeded,
@@ -44,7 +38,7 @@ from .errors import (
     InternalInconsistency,
     NoFitWithinBudget,
 )
-from .cfinite import c_to_r, guess_rec, guess_rec1
+from .cfinite import fit, guess_rec, guess_window
 
 #: Largest dimension the exponential permanent oracle will accept.
 PERMANENT_ORACLE_CAP = 20
@@ -157,28 +151,19 @@ def gf_family_guess(row, col, mode: str, fit_start: int = 10,
     """Generating function 1 + sum(f(A_n) t^n) fitted on the window
     [fit_start, fit_end] of exactly computed values.
 
-    The numerator is the denominator times the data series truncated at
-    the denominator degree; the result is checked against every computed
-    term (constant term 1 for the empty matrix).  f(A_n) has a recurrence
-    of order <= scheme_size_bound(row, col) (gf_transfer), so the window
-    1..guess_window of that bound always fits, and the fit is proved."""
+    cfinite.fit guesses on that window of 1, f(A_1), ..., f(A_fit_end) (1
+    for the empty matrix), emits the function and checks it against every
+    term.  f(A_n) has a recurrence of order <= scheme_size_bound(row, col)
+    (gf_transfer), so the window 1..guess_window of that bound always
+    fits, and the fit is proved."""
     if not 1 <= fit_start < fit_end:
         raise ValueError("need 1 <= fit_start < fit_end")
     data = value_sequence(row, col, mode, fit_end)
-    window = data[fit_start - 1:]
-    spec = guess_rec(window)
+    spec, rf = fit([1, *data], fit_start, fit_end + 1 - fit_start, guess_rec)
     if spec is None:
-        raise NoFitWithinBudget(
-            f"no recurrence found on window {fit_start}..{fit_end}", data
-        )
-    expected = [1] + list(data)
-    den = Poly(spec.den)
-    num = (den * Poly(expected)).truncate(int(den.degree) + 1)
-    rf = RationalFunction(num, den)
-    if taylor_coeffs(rf, fit_end + 1) != expected:
-        raise NoFitWithinBudget(
-            "window recurrence does not extend to the whole sequence", data
-        )
+        raise NoFitWithinBudget(f"no recurrence found on window {fit_start}..{fit_end}", data)
+    if rf is None:
+        raise NoFitWithinBudget("window recurrence does not extend to the whole sequence", data)
     return rf
 
 
@@ -315,17 +300,17 @@ def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
 
     With m states, Cayley-Hamilton gives transfer_sequence a recurrence of
     order at most m, and any order-m recurrence through 2m of its terms
-    matches it forever, so one order-m fit through 2m + 3 terms is proved,
-    not guessed.  guess_rec1 returns the minimal recurrence of order <= m,
-    whose generating function is already in lowest terms, so it is
-    emitted without a gcd and re-expanded (c_to_r with coprime=True); a
-    failed fit is a bug and raises InternalInconsistency."""
+    matches it forever, so the fit of cfinite.fit to its first
+    guess_window(m) = 2m + 4 terms (orders <= m) is proved, not guessed,
+    and re-expands to all of them; a failed fit is a bug and raises
+    InternalInconsistency."""
     scheme = children_scheme(row, col, mode)
     m = len(scheme)
-    spec = guess_rec1(transfer_sequence(scheme, 2 * m + 2), m)
-    if spec is None:
+    _spec, rf = fit(transfer_sequence(scheme, guess_window(m) - 1), 0, guess_window(m),
+                    guess_rec)
+    if rf is None:
         raise InternalInconsistency(f"{m} transfer states but no order-{m} recurrence")
-    return c_to_r(spec, coprime=True)
+    return rf
 
 
 def _state_to_json(scheme: TransferScheme, offsets) -> dict:

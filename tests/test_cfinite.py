@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactgf import (
     CFiniteSpec,
@@ -259,10 +259,9 @@ def test_c_to_r_series_matches_replay():
         assert taylor_coeffs(f, n) == seq_from_rec(spec, n)
 
 
-def test_c_to_r_skips_the_gcd_only_for_minimal_specs(monkeypatch):
-    # a guessed spec is the minimal recurrence of its terms, so its num and
-    # den are coprime and coprime=True gives the canonical value without a
-    # gcd; a spec of higher order (den a multiple) needs the gcd
+def test_c_to_r_gives_one_canonical_value_for_every_spec_of_a_sequence(monkeypatch):
+    # the minimal spec and one of higher order (den a multiple) emit the
+    # same canonical value; the higher one needs the gcd to get there
     calls = []
     real = core.poly_gcd
     monkeypatch.setattr(core, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
@@ -274,15 +273,58 @@ def test_c_to_r_skips_the_gcd_only_for_minimal_specs(monkeypatch):
             [rng.choice((1, 2, -3))] + [rng.randint(-3, 3) for _ in range(d)],
         )
         minimal = guess_rec(seq_from_rec(spec, 2 * d + 6))
-        del calls[:]
-        emitted = c_to_r(minimal, coprime=True)
-        assert calls == []
-        assert repr(emitted) == repr(c_to_r(spec))
+        assert repr(c_to_r(minimal)) == repr(c_to_r(spec))
     # 1, 2, 4, ...: (1 - t) / ((1 - t)(1 - 2t)) in lowest terms
     want = RationalFunction(Poly([1]), Poly([1, -2]))
     del calls[:]
     assert c_to_r(CFiniteSpec([1, 2], [1, -3, 2])) == want
     assert len(calls) == 1
+
+
+@st.composite
+def _fit_cases(draw):
+    """A series P/Q with small integer coefficients (Q_0 = +-1, P_0 = 0
+    and deg P >= deg Q allowed), a start 0..3 and a window of at least
+    2 * order + 4 terms, order = max(deg Q, deg P + 1) bounding the
+    minimal recurrence from any start."""
+    q = [draw(st.sampled_from((1, -1)))] + draw(st.lists(st.integers(-3, 3), min_size=1,
+                                                        max_size=4))
+    p = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    order = max(len(q) - 1, len(p))
+    start = draw(st.integers(0, 3))
+    window = 2 * order + 4 + draw(st.integers(0, 3))
+    n = start + window + draw(st.integers(0, 3))
+    return RationalFunction(Poly(p), Poly(q)), start, window, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fit_cases())
+@example((RationalFunction(Poly([0, 1, 2, 3]), Poly([1, -1])), 0, 12, 12))  # deg P > deg Q
+@example((RationalFunction(Poly([0, 1]), Poly([1, -3, 2])), 1, 8, 9))  # leading 0
+@example((RationalFunction(Poly([2, 5, 1]), Poly([1, 1])), 2, 8, 12))  # fit starts late
+def test_fit_emits_the_canonical_function_of_its_series(case):
+    # a start-0 fit of a long enough window always succeeds; a later one
+    # returns (spec, None) exactly when D times the series has degree above
+    # the order d, so no numerator of degree <= d reaches back to series[0],
+    # and never a wrong function
+    truth, start, window, n = case
+    series = taylor_coeffs(truth, n)
+    spec, rf = cfinite.fit(series, start, window, guess_rec)
+    assert spec is not None
+    assert (rf is None) == ((Poly(spec.den) * Poly(series)).truncate(n).degree > spec.order)
+    if start == 0:
+        assert rf is not None
+    if rf is not None:
+        assert repr(rf) == repr(RationalFunction(rf.num, rf.den))
+        assert taylor_coeffs(rf, n) == series
+        assert rf == truth
+
+
+def test_fit_reports_no_guess_and_a_fit_that_misses_a_term():
+    assert cfinite.fit([1, 2, 4, 8, 16, 32, 64, 129], 0, 8, guess_rec) == (None, None)
+    # 5, 7, 1, 1, ...: the order-1 fit from n = 2 on does not reach back to 5, 7
+    spec, rf = cfinite.fit([5, 7] + [1] * 8, 2, 8, guess_rec)
+    assert spec == CFiniteSpec([1], [1, -1]) and rf is None
 
 
 def test_guess_rec_polynomial_data():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exactgf import cli, graphs, spanning, toeplitz
-from exactgf.cfinite import seq_from_rec
+from exactgf.cfinite import CFiniteSpec, seq_from_rec
 from exactgf.cli import (
     MAX_FIT_TERMS,
     MAX_GRAPH_BYTES,
@@ -25,6 +25,7 @@ from exactgf.cli import (
     MAX_TOEPLITZ_PREFIXES,
     run,
 )
+from exactgf.core import Poly, RationalFunction
 from exactgf.errors import InternalInconsistency
 from exactgf.graphs import path_graph
 
@@ -385,7 +386,11 @@ def test_bad_vertex_pair_is_usage_error(capsys):
 def test_failed_transfer_fit_is_an_internal_inconsistency(monkeypatch, capsys):
     # an order-m fit through 2m + 3 powers of an m-state matrix cannot fail
     # (Cayley-Hamilton), so a failure is a bug, not an honest "no fit"
-    monkeypatch.setattr(toeplitz, "guess_rec1", lambda data, d: None)
+    monkeypatch.setattr(toeplitz, "guess_rec", lambda data: None)
+    with pytest.raises(InternalInconsistency):
+        toeplitz.gf_transfer([2, 3], [2, 4, 5], "det")
+    # and so is a fit that does not re-expand to the transfer terms
+    monkeypatch.setattr(toeplitz, "guess_rec", lambda data: CFiniteSpec([1], [1, -1]))
     with pytest.raises(InternalInconsistency):
         toeplitz.gf_transfer([2, 3], [2, 4, 5], "det")
     code, out, _err = invoke(capsys, "toeplitz-gf", "--row", "2,3", "--col", "2,4,5")
@@ -565,6 +570,38 @@ def test_moments_at_the_work_cap_print_every_digit(capsys):
     variance = spanning.moments(path_graph(2), 5000).variance
     assert len(den) > 4300
     assert (Decimal(num), Decimal(den)) == (variance.numerator, variance.denominator)
+
+
+def test_outputs_past_the_int_to_str_limit_print_every_digit(monkeypatch, tmp_path, capsys):
+    # input is parsed under CPython's 4300-digit int-to-str limit, output is
+    # rendered without it, and the limit is back in place after each run
+    limit = sys.get_int_max_str_digits()
+    heavy = tmp_path / "heavy.json"
+    heavy.write_text(json.dumps({"n": 2, "edges": [[0, 1, "other", 10**400]]}))
+    code, out, _ = invoke(capsys, "gf-product", "--graph", str(heavy), "--emit-data")
+    assert code == 0
+    data = json.loads(out)["data"]
+    want = spanning.gf_spanning(graphs.graph_from_json_dict(json.loads(heavy.read_text()))).data
+    assert len(data[-1]) > 4300
+    assert [Decimal(x) for x in data] == list(want)
+    # a function whose coefficients pass the limit, JSON and pretty
+    huge = 3 ** 10000
+    result = spanning.GFResult(RationalFunction(Poly([0, huge]), Poly([1, -1])),
+                               CFiniteSpec([huge], [1, -1]), (huge,) * 12, 1)
+    monkeypatch.setattr(spanning, "gf_grid", lambda k: result)
+    code, out, _ = invoke(capsys, "gf-grid", "--k", "1")
+    assert code == 0 and Decimal(json.loads(out)["num"][1]) == huge
+    code, out, _ = invoke(capsys, "gf-grid", "--k", "1", "--pretty")
+    assert code == 0 and Decimal(out.split("*t")[0]) == -huge  # -huge*t/(t-1)
+    assert sys.get_int_max_str_digits() == limit
+    # while a huge integer in the input stays a usage error
+    digits = "1" + "0" * 4400
+    heavy.write_text(f'{{"n": 2, "edges": [[0, 1, "other", {digits}]]}}')
+    code, out, err = invoke(capsys, "gf-product", "--graph", str(heavy))
+    assert code == 2 and out == "" and "4300 digits" in err
+    code, out, err = invoke(capsys, "toeplitz-gf", "--row", f"{digits},1", "--col", digits)
+    assert code == 2 and out == "" and "4300 digits" in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_moments_checks_k_before_building_the_path(monkeypatch, capsys):

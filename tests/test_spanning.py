@@ -30,7 +30,7 @@ from exactgf import (
     two_forest_count,
     grid_graph,
 )
-from exactgf import core, graphs, spanning
+from exactgf import core, graphs, spanning, toeplitz
 from exactgf.cfinite import guess_rec, seq_from_rec
 from exactgf.errors import BadVertexPair, InternalInconsistency, NoFitWithinBudget, NotConnected
 
@@ -86,19 +86,20 @@ def test_gf_grid_guessers_agree():
         assert plain.gf == sym.gf
 
 
-@pytest.mark.parametrize("fit", (lambda: gf_grid(1), lambda: gf_grid(3), lambda: gf_grid(4),
-                                 lambda: gf_grid(4, "symmetric"), lambda: gf_two_forest(1),
-                                 lambda: gf_two_forest(3)),
+@pytest.mark.parametrize("fit", (lambda: gf_grid(1).gf, lambda: gf_grid(3).gf,
+                                 lambda: gf_grid(4).gf, lambda: gf_grid(4, "symmetric").gf,
+                                 lambda: gf_two_forest(1).gf, lambda: gf_two_forest(3).gf,
+                                 lambda: toeplitz.gf_transfer([2, 3], [2, 4, 5]),
+                                 lambda: toeplitz.gf_family_guess([2, 3], [2, 4, 5], "det", 1, 10)),
                          ids=("grid-1", "grid-3", "grid-4", "grid-4-symmetric", "two-forest-1",
-                              "two-forest-3"))
+                              "two-forest-3", "transfer", "family-guess"))
 def test_one_gcd_per_univariate_fit(monkeypatch, fit):
-    # no gcd at all: a fit is the minimal recurrence, so c_to_r emits it
-    # with coprime=True, the t-shifted function reuses that coprime pair,
-    # and the result is still the canonical form of its value
+    # no gcd at all: a fit is the minimal recurrence, so cfinite.fit emits
+    # it without one, and the result is still the canonical form of its value
     calls = []
     real = core.poly_gcd
     monkeypatch.setattr(core, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
-    gf = fit().gf
+    gf = fit()
     assert len(calls) == 0
     assert repr(gf) == repr(RationalFunction(gf.num, gf.den))
 
