@@ -323,13 +323,16 @@ def _minimal_den(ints, d: int):
 
     Berlekamp-Massey runs modulo word-size primes (_primes), the images
     of the largest length L <= d seen so far are combined by CRT, and
-    after each prime the lifts (_lifts) are replayed exactly on all the
-    data.  A lift D that replays, with D_0 not divisible by all the
-    primes used, is the minimal recurrence: a smaller one D' (order
-    L' < L) would agree with D on the N >= L + L' terms, so P/D = P'/D'
-    with P'/D' in lowest terms, D = D' * g with g integral by Gauss's
-    lemma, and a prime p used with p not dividing D_0 = D'_0 * g_0 would
-    have seen D' mod p, of length L' < L, in its BM run.  A prime that
+    each time 1, 2, 4, 8, ... of them are combined the lifts (_lifts) are
+    replayed exactly on all the data: at most twice the primes a lift
+    needs are combined, and the lifts are tried about log2 of that many
+    times, not once per prime.  A lift D that replays, with D_0 not
+    divisible by all the primes used, is the minimal recurrence: a
+    smaller one D' (order L' < L) would agree with D on the N >= L + L'
+    terms, so P/D = P'/D' with P'/D' in lowest terms, D = D' * g with g
+    integral by Gauss's lemma, and a prime p used with p not dividing D_0
+    = D'_0 * g_0 would have seen D' mod p, of length L' < L, in its BM
+    run.  A prime that
     reports less than the largest L is unlucky (it divides a minor the
     recurrence needs): its image is discarded, and a larger L restarts
     the CRT.
@@ -357,7 +360,7 @@ def _minimal_den(ints, d: int):
     """
     if not any(ints):
         return [1, 0]
-    length, modulus, residues = 0, 1, []
+    length, modulus, residues, combined = 0, 1, [], 0
     witnesses, bound_sq = 1, None
     for p in _primes():
         found, image = _bm_mod(ints, p)
@@ -371,10 +374,13 @@ def _minimal_den(ints, d: int):
         if found < length:
             continue
         if found > length:
-            length, modulus, residues = found, p, image
+            length, modulus, residues, combined = found, p, image, 1
         else:
             residues = _crt(residues, modulus, image, p)
             modulus *= p
+            combined += 1
+        if combined & (combined - 1):  # lift at 1, 2, 4, ... primes only
+            continue
         for den in _lifts(residues, modulus):
             den = _primitive_ints(den)[0]
             if den[0] % modulus and _recurrence_holds(ints, den):

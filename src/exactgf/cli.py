@@ -63,13 +63,23 @@ MIN_GUESS_TERMS = guess_window(1)
 #: fit command's window, guess_window of its proved order bound, before any
 #: data exist: gf-grid, gf-ver and c-poly --k 5..7 reach 132 terms.
 MAX_FIT_TERMS = 160
-#: resistance takes n steps on k + 1 vectors, moments on (k-1)-square
-#: matrices (k the rows or a --graph's vertices), and k^2 * n <=
-#: MAX_STREAM_WORK is their one bound on k and n.  Along it, with process
-#: start, resistance takes at most 0.19 s (k = 2, n = 5000; k = 100, n = 2)
-#: and moments 3.2 s (k = 100, n = 2; 0.45 s at k = 2, n = 5000).
+#: resistance and moments jump to layer n by doubling k-square integer
+#: (resistance) or (k-1)-square jet (moments) matrices, k the rows or a
+#: --graph's vertices (graphs._continuants): about k^3 log n operations on
+#: numbers of O(n) digits, then an elimination of about k^3 operations on
+#: numbers of O(k n) digits, which the answer has too.  k^3 * n <=
+#: MAX_STREAM_WORK and k * n <= MAX_PRODUCT_VERTICES bound them.  Along
+#: these caps, with process start (best of two; the same runs minutes
+#: apart differed by up to 50 %):
+#:
+#:     k, n        2, 20000  4, 10000  8, 5000  10, 3000  20, 375  30, 111  50, 24  100, 3
+#:     moments     0.62 s    1.2 s     3.7 s    3.4 s     2.7 s    3.0 s    2.3 s   3.7 s
+#:     resistance  0.19 s    0.24 s    0.66 s   0.77 s    0.58 s   0.48 s   0.37 s  0.26 s
+#:
+#: and 0.11 s and 0.17 s at k = 144, n = 1, the largest k.
 #: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
-MAX_STREAM_WORK = 20000
+MAX_STREAM_WORK = 3_000_000
+MAX_PRODUCT_VERTICES = 40_000
 MAX_GRAPH_VERTICES = 30
 MAX_GRAPH_BYTES = 1 << 20
 #: guess --data's length in bytes, checked before parsing.  The costliest
@@ -395,9 +405,11 @@ def _admit(args, g, what: str, long_run: int | None = None):
 
 
 def _check_stream_work(k: int, n: int):
-    if k * k * n > MAX_STREAM_WORK:
-        raise UsageError(f"k^2 * n is {k * k * n} for k={k} (rows or --graph vertices) "
-                         f"and n={n}, more than {MAX_STREAM_WORK}")
+    for what, size, cap in (("k^3 * n", k ** 3 * n, MAX_STREAM_WORK),
+                            ("k * n", k * n, MAX_PRODUCT_VERTICES)):
+        if size > cap:
+            raise UsageError(f"{what} is {size} for k={k} (rows or --graph vertices) "
+                             f"and n={n}, more than {cap}")
 
 
 def _cmd_gf_grid(args) -> int:

@@ -20,17 +20,23 @@ carries the weight.
 The products G x P_n are never eliminated: they are counted from G's own
 recurrences (the all-minors route of Chaiken 1982).  The Laplacian
 Kronecker sum gives _order_bound, a bound on the recurrence order of the
-counts from G's Laplacian spectrum, and _kronecker_minors, the minors of
-G x P_n for n = 1, 2, ... in the weight's ring, each one streamed
-elimination of a (|V(G)| - 1)-square matrix; _ver_terms runs it over
-Evals for the first N v-polynomials, at the points the last of them
-needs.  The layer transfer recurrence on |V(G)| + 1 vectors (_transfer)
-gives _corner_counts, the trees and corner two-forests of G x P_n for
-n = 1, 2, ..., each from one bordered |V(G)|-square determinant, and a
-grounded matrix whose det_bareiss is the minor (_grounded).  A graph from
-product_with_path(G, n) of a connected G remembers G and n, so
+counts from G's Laplacian spectrum.  Two streams yield the counts of
+G x P_n for n = 1, 2, ..., in the weight's ring, each stepping a
+three-term recurrence Y_(j+1) = t Y_j - Y_(j-1) once per n:
+_kronecker_minors, the minors, one streamed elimination of a
+(|V(G)| - 1)-square matrix per n (_ver_terms runs it over Evals for the
+first N v-polynomials, at the points the last of them needs), and
+_corner_counts, the trees and corner two-forests, one bordered
+|V(G)|-square determinant per n of the layer transfer recurrence.  A
+count at one n jumps there: its matrix is a fixed combination of the
+continuants U_(n-1), U_n, U_(n+1) of t (U_0 = 0, U_1 = I), which
+_continuants reaches by doubling, O(log n) dense products for large n.
+_kronecker_minor (for moments), _corner_count (for resistance) and
+_grounded, a grounded transfer matrix whose det_bareiss is the minor,
+are these jumps, and item n of a stream is their test oracle.  A graph
+from product_with_path(G, n) of a connected G remembers G and n, so
 spanning_tree_count and ver_polynomial of it are _grounded, and
-two_forest_count between layers 1 and n is _corner_counts; every other
+two_forest_count between layers 1 and n is _corner_count; every other
 graph keeps _laplacian_minor, which stays their test oracle.  laplacian()
 builds the dense (optionally v-weighted) matrix, G's for those routes and
 the tests' reference for these minors.
@@ -45,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import chain, count, islice, repeat
 from operator import add, eq, floordiv, mul, neg, sub
 
 from .core import (Matrix, Poly, _bareiss_pivots, _dom_exact_div, _newton_interpolate, det_bareiss,
@@ -475,7 +481,7 @@ def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
     the other containing b: the Laplacian minor with rows and columns
     {a, b} deleted (all-minors matrix-tree).  For a product_with_path(h, n)
     of a connected h, with one of a, b in layer 1 and the other in layer
-    n, it is item n of h's layer transfer stream _corner_counts."""
+    n, it is _corner_count, item n of h's layer transfer stream."""
     if a == b:
         raise BadVertexPair("the two marked vertices must differ")
     if not (0 <= a < g.n_vertices and 0 <= b < g.n_vertices):
@@ -485,7 +491,7 @@ def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
         low, high = sorted((a, b))
         last = (n - 1) * h.n_vertices  # layer n's first vertex
         if low < h.n_vertices and high >= last:
-            return next(_corner_counts(h, low, high - last, start=n))[0]
+            return _corner_count(h, low, high - last, n)[0]
     return _laplacian_minor(g, {a, b})
 
 
@@ -550,11 +556,143 @@ def _order_bound(g: LabeledGraph) -> int:
     return math.prod((m + 1) ** (above[m - 1] - above[m]) for m in range(1, len(above)))
 
 
-def _kronecker_minors(g: LabeledGraph, vertical_weight, start: int = 1):
+# the three-term recurrence Y_(j+1) = t Y_j - Y_(j-1) of the products
+# G x P_n, walked one step per n by the streams and jumped to one n by
+# _continuants.  Its matrices are symmetric, and computing them from the
+# diagonal on saves half the multiplications: every product does, and a
+# step does (half) over jets and Evals, not over ints, where the slicing
+# costs more than the small multiplications it saves
+
+def _sparse(t):
+    """The nonzero (column, entry) pairs of each row of t."""
+    return [[(v, x) for v, x in enumerate(row) if x] for row in t]
+
+
+def _half(rows) -> bool:
+    """Whether a _step of the t with these _sparse rows computes half the
+    matrix: whether t has an entry other than an int."""
+    return not all(isinstance(x, int) for terms in rows for _v, x in terms)
+
+
+def _step(rows, cur, prev, half: bool):
+    """t cur - prev, t given by its _sparse rows: one multiplication per
+    nonzero entry of t and entry of cur (on or above the diagonal with
+    half)."""
+    if not half:
+        return [[*map(sub, map(sum, zip(*[map(mul, cur[v], repeat(x)) for v, x in terms])), back)]
+                for terms, back in zip(rows, prev)]
+    return _mirror([[*map(sub, map(sum, zip(*[map(mul, cur[v][i:], repeat(x)) for v, x in terms])),
+                          back[i:])]
+                    for i, (terms, back) in enumerate(zip(rows, prev))])
+
+
+def _product(x, y, k=None):
+    """x y, or with k, x C^-1 y for C = I + J of det k (_continuants)."""
+    cols = [*zip(*y)]
+    out = [[sum(map(mul, row, col)) for col in cols[i:]] for i, row in enumerate(x)]
+    if k is not None:  # C^-1 = I - J / k, and x 1 = k X 1 for x = X C
+        right = [*map(sum, cols)]
+        out = [[z - left * r for z, r in zip(row, right[i:])]
+               for i, (row, left) in enumerate(zip(out, (_dom_exact_div(sum(r), k) for r in x)))]
+    return _mirror(out)
+
+
+def _mirror(rows):
+    """Fill in, in place, the symmetric matrix whose row i holds its
+    entries from column i on."""
+    for i, row in enumerate(rows):
+        row[:0] = [above[i] for above in rows[:i]]
+    return rows
+
+
+def _entrywise(op, x, y):
+    """The matrix of op(x_ij, y_ij)."""
+    return [[*map(op, r, s)] for r, s in zip(x, y)]
+
+
+def _shifted(a):
+    """a + 2I."""
+    return [[x + 2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def _walk(rows, y0, y1):
+    """Yield (Y_(n-1), Y_n, Y_(n+1)) for n = 1, 2, ... from Y_0 = y0 and
+    Y_1 = y1, t given by its _sparse rows, one _step per n."""
+    half = _half(rows)
+    while True:
+        y2 = _step(rows, y1, y0, half)
+        yield y0, y1, y2
+        y0, y1 = y1, y2
+
+
+def _continuants(t, n: int, k=None):
+    """(U_(n-1) C, U_n C, U_(n+1) C) for the continuants U_0 = 0, U_1 = I,
+    U_(j+1) = t U_j - U_(j-1) of the square matrix t, n >= 1, with C = I,
+    or C = I + J of det k, such that every U_j C is symmetric: item n of
+    the _walk from 0 and C, by doubling (Fiduccia 1985).  The U_j are
+    polynomials in t, so they commute, and U_(i+j) = U_(j+1) U_i - U_j
+    U_(i-1) gives U_2j = U_j (U_(j+1) - U_(j-1)) and U_(2j+1) = (U_(j+1) -
+    U_j)(U_(j+1) + U_j): two products x C^-1 y per bit of n, U_(j-1) C =
+    t U_j C - U_(j+1) C being a _step.
+
+    The walk reaches the top bits h of n in h steps, and each doubling
+    level below them halves h for two products.  With s the size of t and
+    z its nonzero entries, a step costs s z multiplications and the two
+    products 2 s^3, so a level pays when h z > 4 s^2: the low bits double
+    while the part of n above them passes that.  n <= 2 never does (z <=
+    s^2); a large sparse t walks, as the streams do, and a large n takes
+    O(log n) products.  The walk starts at n = 2 with U_2 C = t C, t plus
+    its row sums for C = I + J."""
+    rows, size = _sparse(t), len(t)
+    nonzero, low = sum(map(len, rows)), 0
+    while (n >> low) * nonzero > 4 * size * size:
+        low += 1
+    c = [[(u == v) + (k is not None) for v in range(size)] for u in range(size)]
+    tc = t if k is None else [[x + s for x in row] for row, s in zip(t, map(sum, t))]  # t C
+    half = _half(rows)
+    walk = chain([([[0] * size for _ in c], c, tc)], _walk(rows, c, tc))
+    u0, u1, u2 = next(islice(walk, (n >> low) - 1, None))
+    for bit in reversed(range(low)):
+        even = _product(u1, _entrywise(sub, u2, u0), k)
+        odd = _product(_entrywise(sub, u2, u1), _entrywise(add, u2, u1), k)
+        u1, u2 = (odd, _step(rows, odd, even, half)) if n >> bit & 1 else (even, odd)
+        u0 = _step(rows, u1, u2, half)
+    return u0, u1, u2
+
+
+def _second_difference(continuants):
+    """Y_(n+1) - 2 Y_n + Y_(n-1) = (t - 2I) Y_n from (Y_(n-1), Y_n,
+    Y_(n+1)): a_n(t - 2I) C for Y_j = U_j C, a_n(y) = y U_n(y + 2) the
+    continuant of _order_bound."""
+    return [[x - y - (y - z) for x, y, z in zip(*rows)] for rows in zip(*continuants[::-1])]
+
+
+def _kronecker(g: LabeledGraph, vertical_weight):
+    """w L^ = w C L_red of _kronecker_minors, in w's ring: L(g) less its
+    last column, each row less the last row."""
+    lap, m = laplacian(g).rows, g.n_vertices - 1
+    return [[vertical_weight * (x - y) for x, y in zip(row[:m], lap[m])] for row in lap[:m]]
+
+
+def _kronecker_minor_of(b, k: int, zero):
+    """P_n = det B_n / k^2 (_kronecker_minors), one streamed elimination of
+    the symmetric B_n."""
+    det = zero + 1
+    for _r, (upper, _p) in zip(range(k - 1), _eliminated(
+            lambda e: b[e][:e + 1] if e < k - 1 else None, k - 2)):
+        if _zero_pivot(det := upper[0][0]):
+            break
+    try:
+        return _dom_exact_div(det, k * k)
+    except InexactDivision as exc:
+        raise InternalInconsistency("det B_n is not divisible by k^2") from exc
+
+
+def _kronecker_minors(g: LabeledGraph, vertical_weight):
     """Yield _laplacian_minor(product_with_path(g, n), {k n - 1}, w) for
-    n = start, start + 1, ..., in w's ring, g with k vertices, from a
-    recurrence on (k-1)-square matrices: one step and, from n = start on,
-    one streamed elimination per n.
+    n = 1, 2, ..., in w's ring, g with k vertices, from a recurrence on
+    (k-1)-square matrices: one _step and one streamed elimination per n.
+    _kronecker_minor jumps to one n.
 
     It is P_n = (1/k) prod a_n(w lambda_i) (_order_bound).  On R^k/<1>, in
     the images of e_1..e_(k-1), L(g) is L^ = C L_red (L_red: L(g) less its
@@ -570,88 +708,92 @@ def _kronecker_minors(g: LabeledGraph, vertical_weight, start: int = 1):
     pivots 0 at all points or none."""
     _check_weight(vertical_weight)
     zero, k = 0 * vertical_weight, g.n_vertices
-    if not k:  # every g x P_n is empty, and so is its minor
+    if k <= 1:  # g x P_n is empty or a path: one spanning tree
         yield from repeat(zero + 1)
-    lap, m = laplacian(g).rows, k - 1
-    hat = [[*map(sub, row[:m], lap[m])] for row in lap[:m]]  # C L_red
-    prev, cur = [[0] * m] * m, [[vertical_weight * (h + sum(row)) for h in row] for row in hat]
-    for n in count(1):
-        if n >= start:
-            det = zero + 1
-            for _r, (upper, _p) in zip(range(m), _eliminated(
-                    lambda e: cur[e][:e + 1] if e < m else None, m - 1)):
-                if _zero_pivot(det := upper[0][0]):
-                    break
-            try:
-                minor = _dom_exact_div(det, k * k)
-            except InexactDivision as exc:
-                raise InternalInconsistency("det B_n is not divisible by k^2") from exc
-            yield minor
-        new = [*map(list, cur)]
-        for i, row in enumerate(hat):  # B_j is symmetric: fill j >= i and mirror
-            for j in range(i, m):
-                hb = sum(h * b[j] for h, b in zip(row, cur) if h)  # (L^ B_(j-1))_ij
-                new[i][j] = new[j][i] = vertical_weight * hb + 2 * cur[i][j] - prev[i][j]
-        prev, cur = cur, new
+    first = _kronecker(g, vertical_weight)
+    b1 = [[x + s for x in row] for row, s in zip(first, map(sum, first))]  # w L^ C
+    for _b0, b, _b2 in _walk(_sparse(_shifted(first)), [[0] * (k - 1) for _ in b1], b1):
+        yield _kronecker_minor_of(b, k, zero)
 
 
-def _transfer(g: LabeledGraph, a: int, b: int, vertical_weight, start: int):
-    """Yield, for n = start, start + 1, ..., the bordered matrix [[M, r'],
-    [u'^T, 0]] of _corner_counts and V_n[b], with A = w L(g) in w's ring."""
-    k = g.n_vertices
-    shifted = [[(v, vertical_weight * x + 2 * (u == v)) for v, x in enumerate(row) if x or u == v]
-               for u, row in enumerate(laplacian(g).rows)]  # A + 2I
-    cur = [[int(u == v) for v in range(k)] + [0] for u in range(k)]  # the rows of [C | V]
-    prev = [row[:k] + [-(u == a)] for u, row in enumerate(cur)]
-    for n in count(1):  # Y_n and Y_(n+1)
-        prev, cur = cur, [[*map(sub, map(sum, zip(*[map(mul, cur[v], repeat(x)) for v, x in terms])),
-                                back)] for terms, back in zip(shifted, prev)]
-        if n >= start:
-            rows = [[*map(sub, new[:k - 1], old)] + [new[k] - old[k] - (u == b)]
-                    for u, (new, old) in enumerate(zip(cur[:k - 1], prev))]  # [M | r']
-            rows.append([(i == a) - c for i, c in enumerate(prev[b][:k - 1])] + [0])
-            yield rows, prev[b][k]
+def _kronecker_minor(g: LabeledGraph, vertical_weight, n: int):
+    """Item n of _kronecker_minors(g, w): B_n = a_n(w L^) C from the
+    _continuants of t = w L^ + 2I times C."""
+    _check_weight(vertical_weight)
+    zero, k = 0 * vertical_weight, g.n_vertices
+    if k <= 1:
+        return zero + 1
+    t = _shifted(_kronecker(g, vertical_weight))
+    return _kronecker_minor_of(_second_difference(_continuants(t, n, k)), k, zero)
 
 
-def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1, start: int = 1):
-    """Yield (F, tau) for n = start, start + 1, ..., for a connected g with
-    k >= 1 vertices and g's edges weighted by w (an int >= 1 or Evals at
-    points >= 1): the spanning trees tau of g x P_n and its two-forests F
+def _transfer_t(g: LabeledGraph, vertical_weight):
+    """t = A + 2I of the layer transfer recurrence, A = w L(g) in w's ring."""
+    return _shifted([[vertical_weight * x for x in row] for row in laplacian(g).rows])
+
+
+def _corner_counts_of(continuants, a: int, b: int):
+    """(F, tau) of _corner_counts from the continuants (U_(n-1), U_n,
+    U_(n+1)) of t = A + 2I: one _bareiss_pivots run of [[M, r'], [u'^T,
+    0]], C_n e_b being row b of the symmetric C_n."""
+    u0, u1, u2 = continuants
+    k = len(u1)
+    rows = [[x - y - (y - z) for x, y, z in zip(r2[:k - 1], r1, r0)] + [r1[a] - r0[a] - (u == b)]
+            for u, (r0, r1, r2) in enumerate(zip(u0, u1[:k - 1], u2))]  # [M | r']
+    rows.append([(i == a) - y + z for i, (y, z) in enumerate(zip(u1[b][:k - 1], u0[b]))] + [0])
+    *_, tau, d = 1, *_bareiss_pivots(Matrix(rows))
+    return tau * u0[b][a] - d, tau
+
+
+def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1):
+    """Yield (F, tau) for n = 1, 2, ..., for a connected g with k >= 1
+    vertices and g's edges weighted by w (an int >= 1 or Evals at points
+    >= 1): the spanning trees tau of g x P_n and its two-forests F
     separating vertex a of layer 1 from vertex b of layer n (0 if they
-    coincide), so F / tau is their resistance; one step of the layer
-    transfer recurrence on k + 1 vectors per n (_transfer) and, from n =
-    start on, one bordered k x k determinant.
+    coincide), so F / tau is their resistance; one _step of the k-square
+    continuants of t = A + 2I and one bordered k x k determinant per n.
+    _corner_count jumps to one n.
 
     With A = w L(g) and x_j layer j's potentials under a unit current from
     a to b, Kirchhoff's law gives x_2 = (A + I) x_1 - e_a and, inside,
     x_(j+1) = (A + 2I) x_j - x_(j-1): x_j = C_j x_1 - V_j, C and V
     following Y_(j+1) = (A + 2I) Y_j - Y_(j-1) from C_0 = C_1 = I, V_0 =
-    -e_a, V_1 = 0.  Layer n's law is a_n(A) x_1 = r, a_n(A) = (A + I) C_n
-    - C_(n-1) = C_(n+1) - C_n the continuant of _order_bound, r = V_(n+1)
-    - V_n - e_b.  1^T A = 0 gives 1^T V_j = j - 1, so 1^T r = 0; a_n(A) is
-    symmetric with a_n(A) 1 = a_n(0) 1 = 0, so the rows of [a_n(A) | r]
-    add up to 0 and the last one can go.  C_j 1 = 1 fixes x_1 up to a
-    constant: ground x_1[k-1] = 0 and solve M y = r', M and r' being
-    a_n(A) and r less their last row (and column).  a_n(lambda) =
-    det(lambda I + L(P_n)) is 0 at 0 and > 0 for lambda > 0, so a_n(A) is
-    PSD with kernel <1>, and z^T M z = 0 would put (z, 0) in it: M is
-    positive definite.  The pivots of [[M, r'], [u'^T, 0]], u' = e_a - C_n
-    e_b less its last entry, are then M's positive leading minors, with no
-    row swap, and D; det M, a cofactor of a_n(A), is (1/k) prod
-    a_n(w lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b], u'^T
-    M^-1 r' = -D / tau (Schur complement), and F = tau R = tau V_n[b] - D."""
-    for rows, far in _transfer(g, a, b, vertical_weight, start):
-        *_, tau, d = 1, *_bareiss_pivots(Matrix(rows))
-        yield tau * far - d, tau
+    -e_a, V_1 = 0, so Y_j = [C_j | V_j] = [U_j - U_(j-1) | U_(j-1) e_a]
+    for the continuants U_j of t.  Layer n's law is a_n(A) x_1 = r, a_n(A)
+    = (A + I) C_n - C_(n-1) = C_(n+1) - C_n the continuant of
+    _order_bound, r = V_(n+1) - V_n - e_b.  1^T A = 0 gives 1^T V_j = j -
+    1, so 1^T r = 0; a_n(A) is symmetric with a_n(A) 1 = a_n(0) 1 = 0, so
+    the rows of [a_n(A) | r] add up to 0 and the last one can go.  C_j 1 =
+    1 fixes x_1 up to a constant: ground x_1[k-1] = 0 and solve M y = r',
+    M and r' being a_n(A) and r less their last row (and column).
+    a_n(lambda) = det(lambda I + L(P_n)) is 0 at 0 and > 0 for lambda > 0,
+    so a_n(A) is PSD with kernel <1>, and z^T M z = 0 would put (z, 0) in
+    it: M is positive definite.  The pivots of [[M, r'], [u'^T, 0]], u' =
+    e_a - C_n e_b less its last entry, are then M's positive leading
+    minors, with no row swap, and D; det M, a cofactor of a_n(A), is (1/k)
+    prod a_n(w lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b],
+    u'^T M^-1 r' = -D / tau (Schur complement), and F = tau R = tau V_n[b]
+    - D."""
+    t = _transfer_t(g, vertical_weight)
+    eye = [[int(u == v) for v in range(len(t))] for u in range(len(t))]
+    for continuants in _walk(_sparse(t), [[0] * len(t) for _ in t], eye):
+        yield _corner_counts_of(continuants, a, b)
+
+
+def _corner_count(g: LabeledGraph, a: int, b: int, n: int):
+    """Item n of _corner_counts(g, a, b), from _continuants."""
+    return _corner_counts_of(_continuants(_transfer_t(g, 1), n), a, b)
 
 
 def _grounded(g: LabeledGraph, n: int, vertical_weight):
     """_laplacian_minor(product_with_path(g, n), {k n - 1}, w) for a
     connected g with k >= 1 vertices, in w's ring: det_bareiss of the
-    grounded matrix M of _corner_counts, whose determinant is tau.  It
-    shares no step with _kronecker_minors, so each checks the other."""
-    rows, _far = next(_transfer(g, 0, 0, vertical_weight, n))
-    return 0 * vertical_weight + det_bareiss(Matrix([row[:-1] for row in rows[:-1]]))
+    grounded matrix M of _corner_counts, whose determinant is tau, from the
+    _continuants of t = A + 2I.  It shares no step with _kronecker_minors,
+    so each checks the other."""
+    k = g.n_vertices
+    a_n = _second_difference(_continuants(_transfer_t(g, vertical_weight), n))
+    return 0 * vertical_weight + det_bareiss(Matrix([row[:k - 1] for row in a_n[:k - 1]]))
 
 
 def _ver_terms(g: LabeledGraph, count: int) -> list:

@@ -6,9 +6,9 @@ Covered families, all over layers n of a product graph G x P_n:
   * spanning-tree counts (univariate in t),
   * two-component spanning forests separating two corners, and the
     companion polynomial that divides their denominator structure,
-  * joint resistance between corners (graphs._corner_counts),
+  * joint resistance between corners (at one n, graphs._corner_count),
   * the bivariate vertical-edge weight polynomial and its moments (at one
-    n, from graphs._kronecker_minors).
+    n, graphs._kronecker_minor).
 
 No product graph is eliminated for any fit: the data of each come from a
 stream of the base graph's recurrences, graphs._kronecker_minors for trees
@@ -46,7 +46,9 @@ from .errors import (
 from .graphs import (
     Jet,
     LabeledGraph,
+    _corner_count,
     _corner_counts,
+    _kronecker_minor,
     _kronecker_minors,
     _order_bound,
     _ver_terms,
@@ -112,9 +114,11 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
 
       family         data                         spot check
       trees          _kronecker_minors(g, 1):     spanning_tree_count of
-                     det B_n / k^2, B_n from      product_with_path(g, n):
-                     (k-1)-square matrices, one   det_bareiss of the layer
-                     _eliminated per n            transfer's grounded M_n
+                     det B_n / k^2, B_n stepped   product_with_path(g, n):
+                     on (k-1)-square matrices,    det_bareiss of the layer
+                     one _eliminated per n        transfer's grounded M_n,
+                                                  jumped to by doubling
+                                                  k-square continuants
       v-polynomials  the same over Evals          ver_polynomial: the same
                      (_ver_terms)                 over Evals
       two-forests    _corner_counts: layer        two_forest_count of the
@@ -265,14 +269,16 @@ def c_poly(k: int) -> Poly:
 def resistance(k: int, n: int) -> Fraction:
     """Joint resistance between corners (1,1) and (k,n) of the k x n grid
     with 1-Ohm edges: two-forests over spanning trees, both counted by
-    graphs._corner_counts on P_k, or k n - 1 where the grid is a path."""
+    graphs._corner_count on P_k, or k n - 1 where the grid is a path.
+    That jumps to layer n by doubling k-square integer matrices, O(k^3 log
+    n) operations on numbers of O(k n) digits."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     if k * n < 2:
         raise BadVertexPair("need at least two vertices")
     if k == 1 or n == 1:
         return Fraction(k * n - 1)
-    return Fraction(*next(_corner_counts(path_graph(k), 0, k - 1, start=n)))
+    return Fraction(*_corner_count(path_graph(k), 0, k - 1, n))
 
 
 def resistance_bound_constant(k: int) -> Fraction:
@@ -331,9 +337,11 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
     spanning trees of g_base x P_n, n >= 1.
 
     The weight polynomial P at v = 1 + e over jets mod e^5 gives c_j =
-    P^(j)(1) / j! and the factorial moments j! c_j / c_0: P is item n of
-    graphs._kronecker_minors, which eliminates B_n alone, tau(g_base)
-    v^(k-1) at n = 1 and 1 at k <= 1.
+    P^(j)(1) / j! and the factorial moments j! c_j / c_0: P is
+    graphs._kronecker_minor, item n of graphs._kronecker_minors, which
+    jumps to B_n by doubling (k-1)-square jet matrices, O(k^3 log n)
+    operations, and eliminates B_n alone; tau(g_base) v^(k-1) at n = 1 and
+    1 at k <= 1.
     Mean and variance are exact; skewness and kurtosis (plain, not excess)
     are 30-significant-digit decimals, None when the variance is 0."""
     if not g_base.is_connected():
@@ -342,7 +350,7 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
         raise ValueError("need at least one layer")
     k = g_base.n_vertices
     c = ([math.comb(max(k - 1, 0), j) for j in range(5)] if n == 1 or k <= 1
-         else next(_kronecker_minors(g_base, Jet((1, 1, 0, 0, 0)), n)).coeffs)
+         else _kronecker_minor(g_base, Jet((1, 1, 0, 0, 0)), n).coeffs)
     fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, 5)]
     mean = fact[0]
     skewness = kurtosis = None

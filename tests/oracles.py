@@ -20,10 +20,10 @@ their data, ver_polynomial_per_point and ver_sweep_per_point, one integer
 elimination per point of v, for the elimination over graphs.Evals behind
 graphs.ver_polynomial and graphs._ver_terms, moments_by_jet_minor (one
 jet minor of the whole product graph) and moments_by_interpolation (the
-whole v-polynomial, by the streamed minor) for the Kronecker-sum route
-(graphs._kronecker_minors) of spanning.moments, resistance_by_product_minor
+whole v-polynomial, by the streamed minor) for the Kronecker-sum jump
+(graphs._kronecker_minor) of spanning.moments, resistance_by_product_minor
 (last_pivots, the last two pivots of one elimination of the whole grid)
-for the layer transfer recurrence (graphs._corner_counts) behind
+for the layer transfer jump (graphs._corner_count) behind
 spanning.resistance,
 dom_exact_div_ladder, one isinstance branch per ring, for the division
 protocol of core._dom_exact_div (an int branch, then each ring's own

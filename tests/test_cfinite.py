@@ -646,6 +646,20 @@ def test_hadamard_bound_dominates_d0(spec, d0, zeros, extra):
         assert den[0] ** 2 <= cfinite._hadamard_bound_sq(ints, d)
 
 
+def test_lifts_are_tried_at_powers_of_two_primes(monkeypatch):
+    # 1 + c t + t^2 with c of 400 digits needs about 23 primes of 61 bits
+    # for its lift: replayed at 1, 2, 4, ... primes, not after each one
+    primes, lifts = [], []
+    real_bm, real_lifts = cfinite._bm_mod, cfinite._lifts
+    monkeypatch.setattr(cfinite, "_bm_mod", lambda ints, p: primes.append(p) or real_bm(ints, p))
+    monkeypatch.setattr(cfinite, "_lifts",
+                        lambda r, m: lifts.append(m) or real_lifts(r, m))
+    den = (1, 10 ** 400 + 7, 1)
+    ints = _primitive_ints(seq_from_rec(CFiniteSpec((1, 2), den), 12))[0]
+    assert cfinite._minimal_den(ints, 4) == list(den)
+    assert len(primes) > 16 and len(lifts) <= len(primes).bit_length()
+
+
 def test_no_exact_solve_is_left_in_cfinite(monkeypatch):
     def refuse(*args):
         raise AssertionError("cfinite solved a linear system")

@@ -21,6 +21,7 @@ from exactgf.cli import (
     MAX_GRAPH_BYTES,
     MAX_GRAPH_VERTICES,
     MAX_GUESS_BYTES,
+    MAX_PRODUCT_VERTICES,
     MAX_STREAM_WORK,
     MAX_TOEPLITZ_PREFIXES,
     run,
@@ -462,7 +463,7 @@ def test_sizes_above_their_limit_are_parser_usage_errors(monkeypatch, capsys):
         monkeypatch.setattr(toeplitz, name, never)
     monkeypatch.setattr(cli, "guess_rec", never)
     for argv, message in (
-            # n alone has no limit: k^2 * n does it, k = 1 included
+            # n alone has no limit: k^3 * n and k * n do it, k = 1 included
             (("resistance", "--k", "1", "--n", str(10**12)), f"more than {MAX_STREAM_WORK}"),
             (("moments", "--k", "1", "--n", str(10**12)), f"more than {MAX_STREAM_WORK}"),
             (("guess", "--data", ",".join(["1"] * (MAX_FIT_TERMS + 1))),
@@ -512,17 +513,17 @@ def test_graph_files_above_their_limits_are_usage_errors(monkeypatch, tmp_path, 
 
 
 def test_sizes_at_their_limit_are_accepted(tmp_path, capsys):
-    code, out, _ = invoke(capsys, "resistance", "--k", "1", "--n", str(MAX_STREAM_WORK))
-    assert code == 0 and json.loads(out)["resistance"] == str(MAX_STREAM_WORK - 1)
-    code, out, _ = invoke(capsys, "moments", "--k", "1", "--n", str(MAX_STREAM_WORK))
+    code, out, _ = invoke(capsys, "resistance", "--k", "1", "--n", str(MAX_PRODUCT_VERTICES))
+    assert code == 0 and json.loads(out)["resistance"] == str(MAX_PRODUCT_VERTICES - 1)
+    code, out, _ = invoke(capsys, "moments", "--k", "1", "--n", str(MAX_PRODUCT_VERTICES))
     assert code == 0 and json.loads(out)["mean"] == "0"
-    # k^2 * n = 141^2 <= MAX_STREAM_WORK, the only bound on k; a --graph has
-    # at most 30 vertices
+    # k^3 * n = 144^3 <= MAX_STREAM_WORK < 145^3 bounds k; a --graph has at
+    # most 30 vertices
     assert MAX_GRAPH_VERTICES == 30
-    code, out, _ = invoke(capsys, "resistance", "--k", "141", "--n", "1")
-    assert code == 0 and json.loads(out)["resistance"] == "140"
-    code, out, _ = invoke(capsys, "moments", "--k", "141", "--n", "1")
-    assert code == 0 and json.loads(out)["mean"] == "140"
+    code, out, _ = invoke(capsys, "resistance", "--k", "144", "--n", "1")
+    assert code == 0 and json.loads(out)["resistance"] == "143"
+    code, out, _ = invoke(capsys, "moments", "--k", "144", "--n", "1")
+    assert code == 0 and json.loads(out)["mean"] == "143"
     # a path on MAX_GRAPH_VERTICES vertices, padded to exactly MAX_GRAPH_BYTES bytes
     path = tmp_path / "path.json"
     edges = [[i, i + 1, "other", 1] for i in range(MAX_GRAPH_VERTICES - 1)]
@@ -531,43 +532,46 @@ def test_sizes_at_their_limit_are_accepted(tmp_path, capsys):
     assert code == 0 and json.loads(out)["mean"] == str(MAX_GRAPH_VERTICES - 1)
 
 
-def test_k_squared_n_is_capped_for_resistance_and_moments(monkeypatch, tmp_path, capsys):
+def test_stream_work_and_product_size_are_capped_for_resistance_and_moments(
+        monkeypatch, tmp_path, capsys):
     ran = []
     report = spanning.moments(path_graph(2), 2)
     monkeypatch.setattr(spanning, "resistance", lambda k, n: ran.append((k, n)) or 1)
     monkeypatch.setattr(spanning, "moments", lambda g, n: ran.append((g.n_vertices, n)) or report)
-    # n within its limit, but k^2 * n over the cap, which alone bounds k
-    k = MAX_GRAPH_VERTICES
-    n = MAX_STREAM_WORK // (k * k) + 1
-    wide = _path_file(tmp_path, k)
-    for argv in (("resistance", "--k", str(k), "--n", str(n)),
-                 ("resistance", "--k", "142", "--n", "1"),
-                 ("moments", "--k", str(k), "--n", str(n)),
-                 ("moments", "--k", "142", "--n", "1"),
-                 ("moments", "--graph", wide, "--n", str(n))):
+    # just over k^3 * n <= 3 * 10^6 (k = 30 at n = 112, k = 145 at n = 1)
+    # and k * n <= 40000 (n = 20001 at k = 2)
+    assert (MAX_STREAM_WORK, MAX_PRODUCT_VERTICES) == (3_000_000, 40_000)
+    wide = _path_file(tmp_path, MAX_GRAPH_VERTICES)
+    for argv, cap in ((("resistance", "--k", "30", "--n", "112"), MAX_STREAM_WORK),
+                      (("resistance", "--k", "145", "--n", "1"), MAX_STREAM_WORK),
+                      (("resistance", "--k", "2", "--n", "20001"), MAX_PRODUCT_VERTICES),
+                      (("moments", "--k", "30", "--n", "112"), MAX_STREAM_WORK),
+                      (("moments", "--k", "145", "--n", "1"), MAX_STREAM_WORK),
+                      (("moments", "--k", "2", "--n", "20001"), MAX_PRODUCT_VERTICES),
+                      (("moments", "--graph", wide, "--n", "112"), MAX_STREAM_WORK)):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
-        assert f"more than {MAX_STREAM_WORK}" in err
+        assert f"more than {cap}" in err
     assert ran == []
-    # at the cap (20000 = 10^2 * 200 = 20^2 * 50) and just under it (141^2)
-    assert MAX_STREAM_WORK == 20000
-    for argv in (("resistance", "--k", "10", "--n", "200"),
-                 ("resistance", "--k", "141", "--n", "1"),
-                 ("moments", "--k", "20", "--n", "50"),
-                 ("moments", "--k", "141", "--n", "1"),
-                 ("moments", "--graph", _path_file(tmp_path, 20), "--n", "50")):
+    for argv in (("resistance", "--k", "30", "--n", "111"),
+                 ("resistance", "--k", "144", "--n", "1"),
+                 ("resistance", "--k", "2", "--n", "20000"),
+                 ("moments", "--k", "30", "--n", "111"),
+                 ("moments", "--k", "144", "--n", "1"),
+                 ("moments", "--k", "2", "--n", "20000"),
+                 ("moments", "--graph", wide, "--n", "111")):
         code, _out, _err = invoke(capsys, *argv)
         assert code == 0
-    assert ran == [(10, 200), (141, 1), (20, 50), (141, 1), (20, 50)]
+    assert ran == [(30, 111), (144, 1), (2, 20000)] * 2 + [(30, 111)]
 
 
 def test_moments_at_the_work_cap_print_every_digit(capsys):
-    # (2, 5000) is on the k^2 * n cap, and its variance has 5720 digits,
+    # (2, 20000) is on the k * n cap, and its variance has 22874 digits,
     # past the 4300 that CPython converts from int to str by default
-    code, out, _ = invoke(capsys, "moments", "--k", "2", "--n", "5000")
+    code, out, _ = invoke(capsys, "moments", "--k", "2", "--n", "20000")
     assert code == 0
     num, den = json.loads(out)["variance"].split("/")
-    variance = spanning.moments(path_graph(2), 5000).variance
+    variance = spanning.moments(path_graph(2), 20000).variance
     assert len(den) > 4300
     assert (Decimal(num), Decimal(den)) == (variance.numerator, variance.denominator)
 
@@ -621,9 +625,9 @@ def test_moments_at_one_layer_is_closed_form(monkeypatch, capsys):
         raise AssertionError("moments at n = 1 ran an elimination")
 
     monkeypatch.setattr(graphs, "_eliminated", never)
-    code, out, _ = invoke(capsys, "moments", "--k", "141", "--n", "1")
+    code, out, _ = invoke(capsys, "moments", "--k", "144", "--n", "1")
     got = json.loads(out)
-    assert code == 0 and (got["mean"], got["variance"], got["skewness"]) == ("140", "0", None)
+    assert code == 0 and (got["mean"], got["variance"], got["skewness"]) == ("143", "0", None)
 
 
 def test_k_and_graph_are_one_required_choice(monkeypatch, tmp_path, capsys):

@@ -34,6 +34,7 @@ from exactgf.graphs import (
 )
 
 import oracles
+from test_spanning import _connected_multigraphs
 from oracles import (
     factor_free,
     laplacian_minor_dense,
@@ -326,7 +327,7 @@ def test_product_counts_eliminate_no_product_graph(monkeypatch):
     g, h = grid_graph(3, 5), grid_graph(2, 4)
     want = [laplacian_minor_dense(g, {14}), laplacian_minor_dense(g, {1, 14}),
             laplacian_minor_dense(h, {7}, VAR_V)]
-    tau = next(graphs._kronecker_minors(path_graph(10), 1, 200))
+    tau = next(islice(graphs._kronecker_minors(path_graph(10), 1), 199, None))
     monkeypatch.setattr(graphs, "_laplacian_minor", never)
     assert spanning_tree_count(grid_graph(10, 200)) == tau
     assert [spanning_tree_count(g), two_forest_count(g, 14, 1), ver_polynomial(h)] == want
@@ -377,14 +378,53 @@ def test_streams_match_the_layer_sweep(g, layers):
         got = list(islice(graphs._kronecker_minors(g, w), layers))
         want = list(islice(layer_sweep(g, w), layers))
         assert [type(x) for x in got] == [type(x) for x in want] and got == want
-        assert next(graphs._kronecker_minors(g, w, layers)) == want[-1]  # a late start
     if g.is_connected():
         k = g.n_vertices
         for w in (1, 2, Evals((1, 2, 3))):
             got = list(islice(graphs._corner_counts(g, 0, k - 1, w), layers))
             assert [f for f, _tau in got] == list(islice(layer_sweep(g, w, forests=True), layers))
             assert [tau for _f, tau in got] == list(islice(layer_sweep(g, w), layers))
-            assert next(graphs._corner_counts(g, 0, k - 1, w, start=layers)) == got[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_connected_multigraphs(max_vertices=5),
+       st.one_of(st.integers(1, 40), st.sampled_from((100, 257))),
+       st.sampled_from((1, 2, Evals((1, 2, 3)), Jet((1, 1, 0)))))
+@example(LabeledGraph(1, ()), 257, 1)
+@example(LabeledGraph(1, ()), 3, Jet((1, 1, 0)))
+@example(path_graph(2), 2, Evals((1, 2, 3)))
+def test_every_jump_is_its_stream_item(g, n, w):
+    # each doubling jump against item n of the sequential stream it skips
+    def item(stream):
+        return next(islice(stream, n - 1, None))
+
+    k = g.n_vertices
+    for t, det_c in ((graphs._transfer_t(g, w), None),
+                     (graphs._shifted(graphs._kronecker(g, w)), k)):  # C = I, C = I + J
+        c = [[(u == v) + (det_c is not None) for v in range(len(t))] for u in range(len(t))]
+        walk = graphs._walk(graphs._sparse(t), [[0] * len(t) for _ in t], c)
+        assert graphs._continuants(t, n, det_c) == item(walk)
+    got, want = graphs._kronecker_minor(g, w, n), item(graphs._kronecker_minors(g, w))
+    assert type(got) is type(want) and got == want
+    got = graphs._grounded(g, n, w)
+    assert type(got) is type(want) and got == want
+    for a, b in ((0, k - 1), (k - 1, 0), (k // 2, k // 2)):
+        assert graphs._corner_count(g, a, b, n) == item(graphs._corner_counts(g, a, b))
+
+
+def test_layers_up_to_two_run_no_doubling_level(monkeypatch):
+    # n <= 2 walks even where t is dense; past that, a dense t doubles first
+    products, real = [], graphs._product
+    monkeypatch.setattr(graphs, "_product", lambda *a: products.append(a) or real(*a))
+    complete = LabeledGraph(5, tuple((u, v, "other", 1) for u in range(5) for v in range(u)))
+    for g in (path_graph(30), complete):
+        for n in (1, 2):
+            graphs._kronecker_minor(g, Jet((1, 1, 0)), n)
+            graphs._grounded(g, n, Evals((1, 2)))
+            graphs._corner_count(g, 0, g.n_vertices - 1, n)
+    assert products == []
+    graphs._corner_count(complete, 0, 4, 5)  # 5 layers: one level, two products
+    assert len(products) == 2
 
 
 @settings(max_examples=40, deadline=None)
