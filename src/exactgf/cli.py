@@ -63,20 +63,22 @@ MIN_GUESS_TERMS = guess_window(1)
 #: fit command's window, guess_window of its proved order bound, before any
 #: data exist: gf-grid, gf-ver and c-poly --k 5..7 reach 132 terms.
 MAX_FIT_TERMS = 160
-#: resistance and moments jump to layer n by doubling k-square integer
-#: (resistance) or (k-1)-square jet (moments) matrices, k the rows or a
-#: --graph's vertices (graphs._continuants): about k^3 log n operations on
-#: numbers of O(n) digits, then an elimination of about k^3 operations on
-#: numbers of O(k n) digits, which the answer has too.  k^3 * n <=
-#: MAX_STREAM_WORK and k * n <= MAX_PRODUCT_VERTICES bound them.  Along
-#: these caps, with process start (best of two; the same runs minutes
-#: apart differed by up to 50 %):
+#: resistance and moments jump to layer n (graphs._jump), k the rows or a
+#: --graph's vertices: up to n = k by n steps of a k-square integer
+#: (resistance) or (k-1)-square jet (moments) recurrence, past it by
+#: doubling scalar continuants modulo a degree-k polynomial, about k^2 log n
+#: operations on numbers of O(n) digits, and evaluating them against k
+#: cached integer matrices, about k^3; then an elimination of about k^3
+#: operations on numbers of O(k n) digits, which the answer has too.  k^3 *
+#: n <= MAX_STREAM_WORK and k * n <= MAX_PRODUCT_VERTICES bound them.  Along
+#: these caps, single cold runs with process start (the host's speed varied
+#: by up to 2x between runs):
 #:
 #:     k, n        2, 20000  4, 10000  8, 5000  10, 3000  20, 375  30, 111  50, 24  100, 3
-#:     moments     0.62 s    1.2 s     3.7 s    3.4 s     2.7 s    3.0 s    2.3 s   3.7 s
-#:     resistance  0.19 s    0.24 s    0.66 s   0.77 s    0.58 s   0.48 s   0.37 s  0.26 s
+#:     moments     0.90 s    0.98 s    3.0 s    3.4 s     2.8 s    2.3 s    2.8 s   4.3 s
+#:     resistance  0.12 s    0.19 s    0.64 s   0.76 s    0.59 s   0.52 s   0.38 s  0.27 s
 #:
-#: and 0.11 s and 0.17 s at k = 144, n = 1, the largest k.
+#: and 0.09 s and 0.14 s at k = 144, n = 1, the largest k.
 #: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
 MAX_STREAM_WORK = 3_000_000
 MAX_PRODUCT_VERTICES = 40_000

@@ -28,10 +28,12 @@ _kronecker_minors, the minors, one streamed elimination of a
 first N v-polynomials, at the points the last of them needs), and
 _corner_counts, the trees and corner two-forests, one bordered
 |V(G)|-square determinant per n of the layer transfer recurrence.  A
-count at one n jumps there: its matrix is a fixed combination of the
-continuants U_(n-1), U_n, U_(n+1) of t (U_0 = 0, U_1 = I), which
-_continuants reaches by doubling, O(log n) dense products for large n.
-_kronecker_minor (for moments), _corner_count (for resistance) and
+count at one n jumps there (_jump): its matrix combines the continuants
+U_(n-1), U_n, U_(n+1) of t = w A + 2I (U_0 = 0, U_1 = I), polynomials in
+an integer s-square A, so past n = s they are scalar continuants modulo
+A's characteristic polynomial (from _cone, like _order_bound), doubled in
+O(log n) products of O(s^2) operations, then evaluated against A's
+powers.  _kronecker_minor (for moments), _corner_count (for resistance) and
 _grounded, a grounded transfer matrix whose det_bareiss is the minor,
 are these jumps, and item n of a stream is their test oracle.  A graph
 from product_with_path(G, n) of a connected G remembers G and n, so
@@ -50,8 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, count, islice, repeat
+from functools import lru_cache, partial
+from itertools import count, islice, repeat
 from operator import add, eq, floordiv, mul, neg, sub
 
 from .core import (Matrix, Poly, _bareiss_pivots, _dom_exact_div, _newton_interpolate, det_bareiss,
@@ -517,6 +519,19 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
 
 
 @lru_cache(maxsize=64)
+def _cone(g: LabeledGraph) -> Poly:
+    """p = det(xI + L(g)) / x = prod(x + lambda_i), i = 1..k-1, for g with k
+    vertices (lambda_0 = 0), cached for _order_bound and _powers.  xI +
+    L(g) is the Laplacian of the cone over g (an apex joined to every vertex
+    by an edge of weight x) less the apex, so x p is ver_polynomial of the
+    cone with g's edges labeled other."""
+    k = g.n_vertices
+    cone = LabeledGraph(k + 1, tuple((u, v, OTHER, mult) for u, v, _label, mult in g.edges)
+                        + tuple((u, k, VERTICAL, 1) for u in range(k)))
+    return Poly(ver_polynomial(cone).coeffs[1:])  # the zero polynomial for k = 0
+
+
+@lru_cache(maxsize=64)
 def _order_bound(g: LabeledGraph) -> int:
     """A proved bound B on the order of the recurrence of the spanning-tree
     counts of g x P_n, n = 1, 2, ..., for a connected g with k vertices,
@@ -537,17 +552,11 @@ def _order_bound(g: LabeledGraph) -> int:
     weight v on g's edges L(g) becomes v L(g), whose eigenvalues v lambda_i
     keep their multiplicities: the same holds over Q(v) and at each v >= 1.
 
-    The multiplicities are those of the roots of p = det(xI + L(g)) / x =
-    prod(x + lambda_i), i = 1..k-1.  xI + L(g) is the Laplacian of the cone
-    over g (an apex joined to every vertex by an edge of weight x) without
-    the apex, so x p is ver_polynomial of the cone with g's edges labeled
-    other.  In the chain p_0 = p, p_(j+1) = gcd(p_j, p_j'), p_j has degree
+    The multiplicities are those of the roots of the _cone polynomial p.
+    In the chain p_0 = p, p_(j+1) = gcd(p_j, p_j'), p_j has degree
     sum(max(m - j, 0)), so deg p_j - deg p_(j+1) eigenvalues have
     multiplicity above j."""
-    k = g.n_vertices
-    cone = LabeledGraph(k + 1, tuple((u, v, OTHER, mult) for u, v, _label, mult in g.edges)
-                        + tuple((u, k, VERTICAL, 1) for u in range(k)))
-    p = Poly(ver_polynomial(cone).coeffs[1:])  # the zero polynomial for k = 0
+    p = _cone(g)
     degrees = [max(p.degree, 0)]
     while degrees[-1]:
         p = poly_gcd(p, p.derivative())
@@ -557,121 +566,114 @@ def _order_bound(g: LabeledGraph) -> int:
 
 
 # the three-term recurrence Y_(j+1) = t Y_j - Y_(j-1) of the products
-# G x P_n, walked one step per n by the streams and jumped to one n by
-# _continuants.  Its matrices are symmetric, and computing them from the
-# diagonal on saves half the multiplications: every product does, and a
-# step does (half) over jets and Evals, not over ints, where the slicing
-# costs more than the small multiplications it saves
-
-def _sparse(t):
-    """The nonzero (column, entry) pairs of each row of t."""
-    return [[(v, x) for v, x in enumerate(row) if x] for row in t]
-
-
-def _half(rows) -> bool:
-    """Whether a _step of the t with these _sparse rows computes half the
-    matrix: whether t has an entry other than an int."""
-    return not all(isinstance(x, int) for terms in rows for _v, x in terms)
-
+# G x P_n, walked one step per n by the streams and a short _jump.  Its
+# matrices are symmetric, and a step over jets and Evals computes them
+# from the diagonal on, half the multiplications; not over ints, where
+# the slicing costs more than the small multiplications it saves
 
 def _step(rows, cur, prev, half: bool):
-    """t cur - prev, t given by its _sparse rows: one multiplication per
-    nonzero entry of t and entry of cur (on or above the diagonal with
-    half)."""
+    """t cur - prev, t given by (column, entry) pairs, its nonzero entries
+    and at least one per row: one multiplication per pair and entry of cur
+    (on or above the diagonal with half)."""
     if not half:
         return [[*map(sub, map(sum, zip(*[map(mul, cur[v], repeat(x)) for v, x in terms])), back)]
                 for terms, back in zip(rows, prev)]
-    return _mirror([[*map(sub, map(sum, zip(*[map(mul, cur[v][i:], repeat(x)) for v, x in terms])),
-                          back[i:])]
-                    for i, (terms, back) in enumerate(zip(rows, prev))])
+    out = [[*map(sub, map(sum, zip(*[map(mul, cur[v][i:], repeat(x)) for v, x in terms])), back[i:])]
+           for i, (terms, back) in enumerate(zip(rows, prev))]
+    for i, row in enumerate(out):  # the symmetric matrix from its upper triangle
+        row[:0] = [above[i] for above in out[:i]]
+    return out
 
 
-def _product(x, y, k=None):
-    """x y, or with k, x C^-1 y for C = I + J of det k (_continuants)."""
-    cols = [*zip(*y)]
-    out = [[sum(map(mul, row, col)) for col in cols[i:]] for i, row in enumerate(x)]
-    if k is not None:  # C^-1 = I - J / k, and x 1 = k X 1 for x = X C
-        right = [*map(sum, cols)]
-        out = [[z - left * r for z, r in zip(row, right[i:])]
-               for i, (row, left) in enumerate(zip(out, (_dom_exact_div(sum(r), k) for r in x)))]
-    return _mirror(out)
-
-
-def _mirror(rows):
-    """Fill in, in place, the symmetric matrix whose row i holds its
-    entries from column i on."""
-    for i, row in enumerate(rows):
-        row[:0] = [above[i] for above in rows[:i]]
-    return rows
-
-
-def _entrywise(op, x, y):
-    """The matrix of op(x_ij, y_ij)."""
-    return [[*map(op, r, s)] for r, s in zip(x, y)]
-
-
-def _shifted(a):
-    """a + 2I."""
-    return [[x + 2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-
-
-def _walk(rows, y0, y1):
-    """Yield (Y_(n-1), Y_n, Y_(n+1)) for n = 1, 2, ... from Y_0 = y0 and
-    Y_1 = y1, t given by its _sparse rows, one _step per n."""
-    half = _half(rows)
+def _walk(a, y1):
+    """Yield (Y_(n-1), Y_n, Y_(n+1)) for n = 1, 2, ... from Y_0 = 0 and
+    Y_1 = y1, t = a + 2I: one _step per n, half of it over jets or Evals."""
+    rows = [[(j, x + 2 * (i == j)) for j, x in enumerate(row) if x or i == j]
+            for i, row in enumerate(a)]
+    y0 = [[0] * len(a) for _ in a]
     while True:
-        y2 = _step(rows, y1, y0, half)
+        y2 = _step(rows, y1, y0, not isinstance(a[0][0], int))
         yield y0, y1, y2
         y0, y1 = y1, y2
 
 
-def _continuants(t, n: int, k=None):
-    """(U_(n-1) C, U_n C, U_(n+1) C) for the continuants U_0 = 0, U_1 = I,
-    U_(j+1) = t U_j - U_(j-1) of the square matrix t, n >= 1, with C = I,
-    or C = I + J of det k, such that every U_j C is symmetric: item n of
-    the _walk from 0 and C, by doubling (Fiduccia 1985).  The U_j are
-    polynomials in t, so they commute, and U_(i+j) = U_(j+1) U_i - U_j
-    U_(i-1) gives U_2j = U_j (U_(j+1) - U_(j-1)) and U_(2j+1) = (U_(j+1) -
-    U_j)(U_(j+1) + U_j): two products x C^-1 y per bit of n, U_(j-1) C =
-    t U_j C - U_(j+1) C being a _step.
-
-    The walk reaches the top bits h of n in h steps, and each doubling
-    level below them halves h for two products.  With s the size of t and
-    z its nonzero entries, a step costs s z multiplications and the two
-    products 2 s^3, so a level pays when h z > 4 s^2: the low bits double
-    while the part of n above them passes that.  n <= 2 never does (z <=
-    s^2); a large sparse t walks, as the streams do, and a large n takes
-    O(log n) products.  The walk starts at n = 2 with U_2 C = t C, t plus
-    its row sums for C = I + J."""
-    rows, size = _sparse(t), len(t)
-    nonzero, low = sum(map(len, rows)), 0
-    while (n >> low) * nonzero > 4 * size * size:
-        low += 1
-    c = [[(u == v) + (k is not None) for v in range(size)] for u in range(size)]
-    tc = t if k is None else [[x + s for x in row] for row, s in zip(t, map(sum, t))]  # t C
-    half = _half(rows)
-    walk = chain([([[0] * size for _ in c], c, tc)], _walk(rows, c, tc))
-    u0, u1, u2 = next(islice(walk, (n >> low) - 1, None))
-    for bit in reversed(range(low)):
-        even = _product(u1, _entrywise(sub, u2, u0), k)
-        odd = _product(_entrywise(sub, u2, u1), _entrywise(add, u2, u1), k)
-        u1, u2 = (odd, _step(rows, odd, even, half)) if n >> bit & 1 else (even, odd)
-        u0 = _step(rows, u1, u2, half)
-    return u0, u1, u2
+def _scaled(g: LabeledGraph, vertical_weight, kron):
+    """(w A, C), w A in w's ring: with kron A = L^ = C L_red of
+    _kronecker_minors, L(g) less its last column, each row less the last
+    row, and C = I + J; else A = L(g) and C = I."""
+    lap, m = laplacian(g).rows, g.n_vertices - kron
+    return ([[vertical_weight * (x - y) for x, y in zip(row[:m], lap[-1] if kron else repeat(0))]
+             for row in lap[:m]],
+            [[(u == v) + kron for v in range(m)] for u in range(m)])
 
 
-def _second_difference(continuants):
-    """Y_(n+1) - 2 Y_n + Y_(n-1) = (t - 2I) Y_n from (Y_(n-1), Y_n,
-    Y_(n+1)): a_n(t - 2I) C for Y_j = U_j C, a_n(y) = y U_n(y + 2) the
-    continuant of _order_bound."""
-    return [[x - y - (y - z) for x, y, z in zip(*rows)] for rows in zip(*continuants[::-1])]
+@lru_cache(maxsize=64)
+def _powers(g: LabeledGraph, kron):
+    """(chi, bases) of a _jump on g, shared read-only by every caller, A and
+    C of _scaled and s their size: z^s + chi(z) = det(zI + A), the
+    characteristic polynomial of -A, and the symmetric integer bases
+    (-A)^i C, i < s (A^i C = C^(1/2) S^i C^(1/2) with kron,
+    _kronecker_minors).  L^ has the eigenvalues lambda_i, i >= 1, of the
+    _cone polynomial p: det(zI + A) = p(z) with kron, else z p(z)."""
+    a, c = _scaled(g, -1, kron)
+    rows = [[(v, x) for v, x in enumerate(row) if x or u == v] for u, row in enumerate(a)]
+    bases = [c]
+    for _ in a[1:]:
+        bases.append(_step(rows, bases[-1], [repeat(0)] * len(a), False))
+    return (0,) * (not kron) + _cone(g).coeffs[:-1], bases
 
 
-def _kronecker(g: LabeledGraph, vertical_weight):
-    """w L^ = w C L_red of _kronecker_minors, in w's ring: L(g) less its
-    last column, each row less the last row."""
-    lap, m = laplacian(g).rows, g.n_vertices - 1
-    return [[vertical_weight * (x - y) for x, y in zip(row[:m], lap[m])] for row in lap[:m]]
+def _mod(poly, chi):
+    """poly mod z^s + chi(z), in place: monic, so nothing is divided."""
+    for _ in poly[len(chi):]:
+        c = poly.pop()
+        for i, x in enumerate(chi, len(poly) - len(chi)):
+            poly[i] -= c * x
+    return poly
+
+
+def _mulmod(x, y, chi):
+    """x y mod z^s + chi(z), x and y of length s, x possibly an iterator."""
+    out = [0] * (2 * len(chi) - 1)
+    for i, c in enumerate(x):
+        for j, d in enumerate(y, i):
+            out[j] += c * d
+    return _mod(out, chi)
+
+
+def _jump(g: LabeledGraph, w, n: int, kron):
+    """at(c_0, c_1, c_2) = sum_i c_i U_(n-1+i) C, n >= 1, integers c_i, for
+    the continuants U_0 = 0, U_1 = I, U_(j+1) = t U_j - U_(j-1) of t = w A
+    + 2I, A and C of _scaled, s their size.  U_j = u_j(-A) for u_0 = 0, u_1
+    = 1, u_(j+1) = (2 - w z) u_j - u_(j-1) in R[z], R w's ring: degree j - 1.
+    For n <= s, at reads item n of the _walk from 0 and C.  Past s the u_j
+    are reduced modulo the monic characteristic polynomial of -A (_powers;
+    Cayley-Hamilton), so no ring divides, and doubled (Fiduccia 1985):
+    u_(i+j) = u_(j+1) u_i - u_j u_(i-1) gives u_2j = u_j (u_(j+1) -
+    u_(j-1)) and u_(2j+1) = (u_(j+1) - u_j)(u_(j+1) + u_j), two _mulmod of
+    O(s^2) operations per bit of n below the top one and a step.  at
+    evaluates its combination once against the cached bases (-A)^i C."""
+    s = g.n_vertices - kron
+    if n <= s:
+        return partial(_at, next(islice(_walk(*_scaled(g, w, kron)), n - 1, None)))
+    chi, bases = _powers(g, kron)
+
+    def step(u, v):  # (2 - w z) u - v
+        return [x + x - y - p for p, x, y in zip(_mod([0, *(w * x for x in u)], chi), u, v)]
+
+    u0 = [0] * s
+    u1 = [1, *u0[1:]]
+    u2 = step(u1, u0)
+    for bit in bin(n)[3:]:  # the bits of n below the top one
+        even = _mulmod(map(sub, u2, u0), u1, chi)
+        odd = _mulmod(map(sub, u2, u1), [*map(add, u2, u1)], chi)
+        u0, u1, u2 = (even, odd, step(odd, even)) if bit == "1" else (step(even, odd), even, odd)
+    return lambda *c: _at(bases, *[sum(map(mul, c, us)) for us in zip(u0, u1, u2)])
+
+
+def _at(bases, *coeffs):
+    """sum_j coeffs[j] bases[j], for matrices (lists of rows) of one shape."""
+    return [[sum(map(mul, coeffs, xs)) for xs in zip(*rows)] for rows in zip(*bases)]
 
 
 def _kronecker_minor_of(b, k: int, zero):
@@ -710,26 +712,20 @@ def _kronecker_minors(g: LabeledGraph, vertical_weight):
     zero, k = 0 * vertical_weight, g.n_vertices
     if k <= 1:  # g x P_n is empty or a path: one spanning tree
         yield from repeat(zero + 1)
-    first = _kronecker(g, vertical_weight)
+    first, _ = _scaled(g, vertical_weight, True)
     b1 = [[x + s for x in row] for row, s in zip(first, map(sum, first))]  # w L^ C
-    for _b0, b, _b2 in _walk(_sparse(_shifted(first)), [[0] * (k - 1) for _ in b1], b1):
+    for _b0, b, _b2 in _walk(first, b1):
         yield _kronecker_minor_of(b, k, zero)
 
 
 def _kronecker_minor(g: LabeledGraph, vertical_weight, n: int):
-    """Item n of _kronecker_minors(g, w): B_n = a_n(w L^) C from the
-    _continuants of t = w L^ + 2I times C."""
+    """Item n of _kronecker_minors(g, w): B_n = a_n(w L^) C = (t - 2I) U_n
+    C, the second difference of the _jump's U_j C, t = w L^ + 2I."""
     _check_weight(vertical_weight)
     zero, k = 0 * vertical_weight, g.n_vertices
     if k <= 1:
         return zero + 1
-    t = _shifted(_kronecker(g, vertical_weight))
-    return _kronecker_minor_of(_second_difference(_continuants(t, n, k)), k, zero)
-
-
-def _transfer_t(g: LabeledGraph, vertical_weight):
-    """t = A + 2I of the layer transfer recurrence, A = w L(g) in w's ring."""
-    return _shifted([[vertical_weight * x for x in row] for row in laplacian(g).rows])
+    return _kronecker_minor_of(_jump(g, vertical_weight, n, True)(1, -2, 1), k, zero)
 
 
 def _corner_counts_of(continuants, a: int, b: int):
@@ -737,10 +733,9 @@ def _corner_counts_of(continuants, a: int, b: int):
     U_(n+1)) of t = A + 2I: one _bareiss_pivots run of [[M, r'], [u'^T,
     0]], C_n e_b being row b of the symmetric C_n."""
     u0, u1, u2 = continuants
-    k = len(u1)
-    rows = [[x - y - (y - z) for x, y, z in zip(r2[:k - 1], r1, r0)] + [r1[a] - r0[a] - (u == b)]
-            for u, (r0, r1, r2) in enumerate(zip(u0, u1[:k - 1], u2))]  # [M | r']
-    rows.append([(i == a) - y + z for i, (y, z) in enumerate(zip(u1[b][:k - 1], u0[b]))] + [0])
+    rows = [[x - y - (y - z) for x, y, z in zip(r2[:-1], r1, r0)] + [r1[a] - r0[a] - (u == b)]
+            for u, (r0, r1, r2) in enumerate(zip(u0, u1[:-1], u2))]  # [M | r']
+    rows.append([(i == a) - y + z for i, (y, z) in enumerate(zip(u1[b][:-1], u0[b]))] + [0])
     *_, tau, d = 1, *_bareiss_pivots(Matrix(rows))
     return tau * u0[b][a] - d, tau
 
@@ -774,26 +769,23 @@ def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1):
     prod a_n(w lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b],
     u'^T M^-1 r' = -D / tau (Schur complement), and F = tau R = tau V_n[b]
     - D."""
-    t = _transfer_t(g, vertical_weight)
-    eye = [[int(u == v) for v in range(len(t))] for u in range(len(t))]
-    for continuants in _walk(_sparse(t), [[0] * len(t) for _ in t], eye):
+    for continuants in _walk(*_scaled(g, vertical_weight, False)):
         yield _corner_counts_of(continuants, a, b)
 
 
 def _corner_count(g: LabeledGraph, a: int, b: int, n: int):
-    """Item n of _corner_counts(g, a, b), from _continuants."""
-    return _corner_counts_of(_continuants(_transfer_t(g, 1), n), a, b)
+    """Item n of _corner_counts(g, a, b), from three _jump evaluations."""
+    return _corner_counts_of(map(_jump(g, 1, n, False), (1, 0, 0), (0, 1, 0), (0, 0, 1)), a, b)
 
 
 def _grounded(g: LabeledGraph, n: int, vertical_weight):
     """_laplacian_minor(product_with_path(g, n), {k n - 1}, w) for a
     connected g with k >= 1 vertices, in w's ring: det_bareiss of the
-    grounded matrix M of _corner_counts, whose determinant is tau, from the
-    _continuants of t = A + 2I.  It shares no step with _kronecker_minors,
-    so each checks the other."""
-    k = g.n_vertices
-    a_n = _second_difference(_continuants(_transfer_t(g, vertical_weight), n))
-    return 0 * vertical_weight + det_bareiss(Matrix([row[:k - 1] for row in a_n[:k - 1]]))
+    grounded matrix M of _corner_counts, whose determinant is tau, from
+    a_n(w L(g)) = (t - 2I) U_n, the second difference of the _jump's U_j.
+    It shares no step with _kronecker_minors, so each checks the other."""
+    a_n = _jump(g, vertical_weight, n, False)(1, -2, 1)[:-1]
+    return 0 * vertical_weight + det_bareiss(Matrix([row[:-1] for row in a_n]))
 
 
 def _ver_terms(g: LabeledGraph, count: int) -> list:

@@ -36,11 +36,13 @@ from exactgf.graphs import (
 import oracles
 from test_spanning import _connected_multigraphs
 from oracles import (
+    continuants_by_doubling,
     factor_free,
     laplacian_minor_dense,
     last_pivots,
     layer_sweep,
     random_labeled_graph,
+    second_difference,
     spanning_tree_count_bruteforce,
     two_forest_count_bruteforce,
     ver_polynomial_bruteforce,
@@ -312,12 +314,12 @@ def test_product_counts_match_the_factor_free_minors(g, n):
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
     assert spanning_tree_count(p) == spanning_tree_count(q)
     assert ver_polynomial(p) == ver_polynomial(q)
-    last = p.n_vertices - 1
-    for a in range(last):
-        for b in range(a + 1, last + 1):
-            assert two_forest_count(p, a, b) == two_forest_count(q, a, b)
-    if last:  # the corners in either order
-        assert two_forest_count(p, last, 0) == two_forest_count(q, 0, last)
+    # every pair of a layer-1 and a layer-n vertex, in both orders, takes
+    # _corner_count; one other pair takes the fallback minor
+    k, far = g.n_vertices, p.n_vertices - g.n_vertices
+    pairs = [(a, b) for a in range(k) for b in range(far, p.n_vertices) if a != b]
+    for a, b in pairs + [(b, a) for a, b in pairs] + [(0, 1)] * (p.n_vertices > 1):
+        assert two_forest_count(p, a, b) == two_forest_count(q, a, b)
 
 
 def test_product_counts_eliminate_no_product_graph(monkeypatch):
@@ -328,6 +330,8 @@ def test_product_counts_eliminate_no_product_graph(monkeypatch):
     want = [laplacian_minor_dense(g, {14}), laplacian_minor_dense(g, {1, 14}),
             laplacian_minor_dense(h, {7}, VAR_V)]
     tau = next(islice(graphs._kronecker_minors(path_graph(10), 1), 199, None))
+    for k in (2, 3, 10):  # the base graphs' cone minors, cached per graph
+        graphs._cone(path_graph(k))
     monkeypatch.setattr(graphs, "_laplacian_minor", never)
     assert spanning_tree_count(grid_graph(10, 200)) == tau
     assert [spanning_tree_count(g), two_forest_count(g, 14, 1), ver_polynomial(h)] == want
@@ -393,17 +397,22 @@ def test_streams_match_the_layer_sweep(g, layers):
 @example(LabeledGraph(1, ()), 257, 1)
 @example(LabeledGraph(1, ()), 3, Jet((1, 1, 0)))
 @example(path_graph(2), 2, Evals((1, 2, 3)))
+@example(path_graph(2), 3, Jet((1, 1, 0)))  # the Kronecker side's s = 1: every step reduces
 def test_every_jump_is_its_stream_item(g, n, w):
-    # each doubling jump against item n of the sequential stream it skips
+    # the jump, walked (n <= s) or scalar (n > s), evaluated against the
+    # k-square matrix doubling it replaced, and each count against item n
+    # of the sequential stream it skips
     def item(stream):
         return next(islice(stream, n - 1, None))
 
     k = g.n_vertices
-    for t, det_c in ((graphs._transfer_t(g, w), None),
-                     (graphs._shifted(graphs._kronecker(g, w)), k)):  # C = I, C = I + J
-        c = [[(u == v) + (det_c is not None) for v in range(len(t))] for u in range(len(t))]
-        walk = graphs._walk(graphs._sparse(t), [[0] * len(t) for _ in t], c)
-        assert graphs._continuants(t, n, det_c) == item(walk)
+    for kron in (False, True) if k > 1 else (False,):  # C = I, C = I + J
+        a, _c = graphs._scaled(g, w, kron)
+        t = [[x + 2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        want = continuants_by_doubling(t, n, k if kron else None)
+        at = graphs._jump(g, w, n, kron)
+        assert [at(1, 0, 0), at(0, 1, 0), at(0, 0, 1)] == list(want)
+        assert at(1, -2, 1) == second_difference(want)
     got, want = graphs._kronecker_minor(g, w, n), item(graphs._kronecker_minors(g, w))
     assert type(got) is type(want) and got == want
     got = graphs._grounded(g, n, w)
@@ -412,19 +421,34 @@ def test_every_jump_is_its_stream_item(g, n, w):
         assert graphs._corner_count(g, a, b, n) == item(graphs._corner_counts(g, a, b))
 
 
-def test_layers_up_to_two_run_no_doubling_level(monkeypatch):
-    # n <= 2 walks even where t is dense; past that, a dense t doubles first
-    products, real = [], graphs._product
-    monkeypatch.setattr(graphs, "_product", lambda *a: products.append(a) or real(*a))
+def test_jumps_reduce_only_past_the_matrix_size(monkeypatch):
+    # n <= s walks: no characteristic polynomial and no reduction; past s,
+    # two modular products per bit of n below the top one, and no division
     complete = LabeledGraph(5, tuple((u, v, "other", 1) for u in range(5) for v in range(u)))
-    for g in (path_graph(30), complete):
-        for n in (1, 2):
-            graphs._kronecker_minor(g, Jet((1, 1, 0)), n)
-            graphs._grounded(g, n, Evals((1, 2)))
-            graphs._corner_count(g, 0, g.n_vertices - 1, n)
-    assert products == []
-    graphs._corner_count(complete, 0, 4, 5)  # 5 layers: one level, two products
-    assert len(products) == 2
+    cases = [(g, kron, w) for g in (path_graph(12), complete) for kron in (False, True)
+             for w in (1, Jet((1, 1, 0)), Evals((1, 2)))]
+    for g, kron, _w in cases:
+        graphs._powers(g, kron)  # per graph, cached: its cone minor divides
+
+    def never(*args):
+        raise AssertionError("the jump divided")
+
+    for ring in (Jet, Evals):
+        for name in ("__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__"):
+            monkeypatch.setattr(ring, name, never, raising=False)
+    calls = []
+    for name in ("_powers", "_mod", "_mulmod"):
+        monkeypatch.setattr(graphs, name, lambda *a, name=name, real=getattr(graphs, name):
+                            calls.append(name) or real(*a))
+    for g, kron, w in cases:
+        s = g.n_vertices - kron
+        for n in (1, 2, s):
+            graphs._jump(g, w, n, kron)(1, -2, 1)
+            assert calls == []
+        for n in (s + 1, 2 * s, 257):
+            graphs._jump(g, w, n, kron)(1, -2, 1)
+            assert 0 < calls.count("_mulmod") <= 2 * n.bit_length()
+            calls.clear()
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,6 +481,7 @@ def test_ver_polynomial_is_one_stream(monkeypatch):
     # for a product (_grounded), one streamed minor for any other graph
     g = grid_graph(3, 4)
     want = laplacian_minor_dense(g, {11}, VAR_V)
+    graphs._cone(path_graph(3))  # the base graph's cone minor, cached per graph
     streams, dets = [], []
     real_stream, real_det = graphs._eliminated, graphs.det_bareiss
     monkeypatch.setattr(graphs, "_eliminated", lambda *a: streams.append(a) or real_stream(*a))

@@ -35,6 +35,7 @@ from exactgf.cfinite import guess_rec, seq_from_rec
 from exactgf.errors import BadVertexPair, InternalInconsistency, NoFitWithinBudget, NotConnected
 
 from oracles import (
+    decimal_ratio_whole,
     factor_free,
     laplacian_minor_dense,
     moments_by_interpolation,
@@ -221,6 +222,7 @@ def test_order_bound_is_computed_once_per_graph(monkeypatch):
     real = graphs.ver_polynomial
     monkeypatch.setattr(graphs, "ver_polynomial", lambda h: cones.append(h) or real(h))
     graphs._order_bound.cache_clear()
+    graphs._cone.cache_clear()
     assert gf_grid(4) == gf_grid(4)
     assert [h.n_vertices for h in cones] == [5]  # one cone minor, over path_graph(4) + apex
 
@@ -234,6 +236,7 @@ def test_tree_order_is_at_most_the_kronecker_bound(g):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(graphs, "ver_polynomial", lambda h: cones.append(real(h)) or cones[-1])
         graphs._order_bound.cache_clear()  # a cached bound would not see the spy
+        graphs._cone.cache_clear()
         bound = graphs._order_bound(g)
     # the cone's ver_polynomial is x p = det(xI + L(g))
     k, x = g.n_vertices, Poly((0, 1))
@@ -352,6 +355,8 @@ def test_resistance_builds_no_product_graph(monkeypatch):
     def never(*args):
         raise AssertionError("resistance built or eliminated the product graph")
 
+    for k in (2, 3):  # the base graphs' cone minors, cached per graph
+        graphs._cone(path_graph(k))
     for name in ("product_with_path", "_laplacian_minor"):
         monkeypatch.setattr(graphs, name, never)
     for name in ("product_with_path", "grid_graph"):
@@ -529,6 +534,18 @@ def test_moments_match_interpolation_oracle(g, n):
     assert moments(g, n) == moments_by_jet_minor(g, n) == moments_by_interpolation(g, n)
 
 
+_HUGE = st.builds(lambda m, e: m * 3 ** e, st.integers(1, 10 ** 40), st.integers(0, 30000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_HUGE, _HUGE, _HUGE, _HUGE, st.booleans(), st.sampled_from((Fraction(3, 2), Fraction(2))))
+@example(0, 1, 1, 1, False, Fraction(3, 2))
+def test_decimal_ratio_is_the_whole_conversion(p, q, r, s, negative, power):
+    # the 200-bit shift changes no digit of the 30 against whole conversion
+    num, var = Fraction(-p if negative else p, q), Fraction(r, s)
+    assert spanning._decimal_ratio(num, var, power) == decimal_ratio_whole(num, var, power)
+
+
 def test_moments_need_a_layer():
     with pytest.raises(ValueError):
         moments(path_graph(2), 0)
@@ -540,6 +557,7 @@ def test_moments_build_no_product_graph(monkeypatch):
     def never(*args):
         raise AssertionError("moments built or eliminated the product graph")
 
+    graphs._cone(path_graph(3))  # the base graph's cone minor, cached per graph
     for name in ("product_with_path", "_laplacian_minor"):
         monkeypatch.setattr(graphs, name, never)
     monkeypatch.setattr(spanning, "product_with_path", never)
@@ -560,6 +578,7 @@ def test_kronecker_minor_is_the_product_graph_minor(g, n):
 
 def test_kronecker_minor_inexact_quotient_is_internal(monkeypatch):
     # det B_n is k^2 P_n; a pivot 5 at k = 2 is not divisible by 4
+    graphs._cone(path_graph(2))  # the base graph's cone minor, cached per graph
     monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[5]], 1)]))
     with pytest.raises(InternalInconsistency, match="k\\^2"):
         graphs._kronecker_minor(path_graph(2), 1, 3)
