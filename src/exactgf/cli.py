@@ -143,59 +143,45 @@ def _build_parser() -> _Parser:
     # --help shows the summary and the exit codes, not the wire format
     p = _Parser(prog="exactgf", description=__doc__.split("\n\nJSON wire format")[0])
     sub = p.add_subparsers(dest="command", required=True)
+    pretty, band = _Parser(add_help=False), _Parser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true")
+    band.add_argument("--row", required=True, help="comma-separated first-row prefix")
+    band.add_argument("--col", required=True, help="comma-separated first-column prefix")
+    band.add_argument("--mode", choices=("det", "perm"), default="det")
 
-    g = sub.add_parser("guess", help="fit a constant-coefficient recurrence")
-    g.add_argument("--data", required=True, help="comma-separated exact terms")
-    g.add_argument("--pretty", action="store_true")
+    def command(name, handler, help_text, parents=(pretty,), k_or_graph=None):
+        """A subcommand that handler(args) executes; with k_or_graph, the
+        required choice of --k of that type or --graph."""
+        q = sub.add_parser(name, help=help_text, parents=parents)
+        q.set_defaults(handler=handler)
+        if k_or_graph:
+            which = q.add_mutually_exclusive_group(required=True)
+            which.add_argument("--k", type=k_or_graph)
+            which.add_argument("--graph")
+        return q
 
-    for name, help_text in (
-        ("gf-grid", "spanning-tree generating function of the k-row grid"),
-        ("gf-product", "spanning-tree generating function of graph x path"),
-    ):
-        q = sub.add_parser(name, help=help_text)
-        if name == "gf-grid":
-            q.add_argument("--k", type=_grid_rows, required=True)
-        else:
-            q.add_argument("--graph", required=True, help="graph JSON file")
-            q.add_argument("--allow-long", action="store_true")
-        q.add_argument("--pretty", action="store_true")
-        q.add_argument("--emit-data", action="store_true")
-
-    q = sub.add_parser("gf-ver", help="bivariate vertical-edge generating function")
-    which = q.add_mutually_exclusive_group(required=True)
-    which.add_argument("--k", type=_grid_rows)
-    which.add_argument("--graph")
-    q.add_argument("--pretty", action="store_true")
+    q = command("guess", _cmd_guess, "fit a constant-coefficient recurrence")
+    q.add_argument("--data", required=True, help="comma-separated exact terms")
+    q = command("gf-grid", _cmd_gf_grid, "spanning-tree generating function of the k-row grid")
+    q.add_argument("--k", type=_grid_rows, required=True)
+    q.add_argument("--emit-data", action="store_true")
+    q = command("gf-product", _cmd_gf_product, "spanning-tree generating function of graph x path")
+    q.add_argument("--graph", required=True, help="graph JSON file")
     q.add_argument("--allow-long", action="store_true")
-
-    q = sub.add_parser("c-poly", help="two-forest cofactor polynomial C_k")
+    q.add_argument("--emit-data", action="store_true")
+    q = command("gf-ver", _cmd_gf_ver, "bivariate vertical-edge generating function",
+                k_or_graph=_grid_rows)
+    q.add_argument("--allow-long", action="store_true")
+    q = command("c-poly", _cmd_c_poly, "two-forest cofactor polynomial C_k")
     q.add_argument("--k", type=_int_in_range(2, MAX_GRAPH_VERTICES), required=True)
-    q.add_argument("--pretty", action="store_true")
-
-    q = sub.add_parser("resistance", help="corner-to-corner grid resistance")
+    q = command("resistance", _cmd_resistance, "corner-to-corner grid resistance")
     q.add_argument("--k", type=_positive, required=True)
     q.add_argument("--n", type=_positive, required=True)
-    q.add_argument("--pretty", action="store_true")
-
-    q = sub.add_parser("moments", help="vertical-edge statistic moments")
-    which = q.add_mutually_exclusive_group(required=True)
-    which.add_argument("--k", type=_positive)
-    which.add_argument("--graph")
+    q = command("moments", _cmd_moments, "vertical-edge statistic moments", k_or_graph=_positive)
     q.add_argument("--n", type=_positive, required=True)
-    q.add_argument("--pretty", action="store_true")
-
-    q = sub.add_parser("toeplitz-gf", help="banded Toeplitz det/perm GF")
-    q.add_argument("--row", required=True, help="comma-separated first-row prefix")
-    q.add_argument("--col", required=True, help="comma-separated first-column prefix")
-    q.add_argument("--mode", choices=("det", "perm"), default="det")
+    q = command("toeplitz-gf", _cmd_toeplitz_gf, "banded Toeplitz det/perm GF", (pretty, band))
     q.add_argument("--method", choices=("guess", "transfer"), default="transfer")
-    q.add_argument("--pretty", action="store_true")
-
-    q = sub.add_parser("toeplitz-scheme", help="dump the minor-state scheme")
-    q.add_argument("--row", required=True)
-    q.add_argument("--col", required=True)
-    q.add_argument("--mode", choices=("det", "perm"), default="det")
-
+    command("toeplitz-scheme", _cmd_toeplitz_scheme, "dump the minor-state scheme", (band,))
     return p
 
 
@@ -393,17 +379,34 @@ def _check_window(window: int, what: str, cap: int = MAX_FIT_TERMS, hint: str = 
         raise UsageError(f"{what} needs a fit window of {window} terms, more than {cap}{hint}")
 
 
-def _admit(args, g, what: str, long_run: int | None = None):
-    """Refuse a fit of g x P_n whose window, from graphs._order_bound (cached
-    for the pipeline), is over MAX_FIT_TERMS, or, without --allow-long, a g
-    of long_run or more vertices; a disconnected g first, as NotConnected."""
+def _base_graph(args, check=lambda k: None):
+    """(g, what) for the base graph of a --k or --graph run and its name in
+    messages: the path on --k vertices, check(k) passed before it is built,
+    or the --graph file's graph, check passed on its vertex count."""
+    from . import graphs
+
+    if vars(args).get("k") is not None:
+        check(args.k)
+        return graphs.path_graph(args.k), f"k={args.k}"
+    g = _load_graph(args.graph)
+    check(g.n_vertices)
+    return g, f"a {g.n_vertices}-vertex graph"
+
+
+def _admit(args, long_run: int | None = None):
+    """The _base_graph g of a fit of g x P_n, refused when its window, from
+    graphs._order_bound (cached for the pipeline), is over MAX_FIT_TERMS,
+    or, without --allow-long, when it has long_run or more vertices; a
+    disconnected g first, as NotConnected."""
     from .graphs import _order_bound
 
+    g, what = _base_graph(args)
     if not g.is_connected():
         raise NotConnected("base graph must be connected")
     _check_window(guess_window(_order_bound(g)), what)
     if long_run is not None and g.n_vertices >= long_run and not args.allow_long:
         raise UsageError(f"{what} is a long-running stretch target; pass --allow-long to proceed")
+    return g
 
 
 def _check_stream_work(k: int, n: int):
@@ -415,9 +418,9 @@ def _check_stream_work(k: int, n: int):
 
 
 def _cmd_gf_grid(args) -> int:
-    from . import graphs, spanning
+    from . import spanning
 
-    _admit(args, graphs.path_graph(args.k), f"k={args.k}")
+    _admit(args)
     result = spanning.gf_grid(args.k)
     _emit(args, lambda: _gf_payload(result, args.emit_data), lambda _: _fmt_ratfunc(result.gf))
     return 0
@@ -426,23 +429,15 @@ def _cmd_gf_grid(args) -> int:
 def _cmd_gf_product(args) -> int:
     from . import spanning
 
-    g = _load_graph(args.graph)
-    _admit(args, g, f"a {g.n_vertices}-vertex graph", LONG_RUN_GRAPH_VERTICES)
-    result = spanning.gf_spanning(g)
+    result = spanning.gf_spanning(_admit(args, LONG_RUN_GRAPH_VERTICES))
     _emit(args, lambda: _gf_payload(result, args.emit_data), lambda _: _fmt_ratfunc(result.gf))
     return 0
 
 
 def _cmd_gf_ver(args) -> int:
-    from . import graphs, spanning
+    from . import spanning
 
-    if args.k is not None:
-        g, what = graphs.path_graph(args.k), f"k={args.k}"
-    else:
-        g = _load_graph(args.graph)
-        what = f"a {g.n_vertices}-vertex graph"
-    _admit(args, g, what, LONG_RUN_VER_K)
-    result = spanning.gf_ver(g)
+    result = spanning.gf_ver(_admit(args, LONG_RUN_VER_K))
     _emit(args, lambda: _gf_payload(result), lambda _: _fmt_ratfunc(result.gf))
     return 0
 
@@ -468,14 +463,9 @@ def _cmd_resistance(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from . import graphs, spanning
+    from . import spanning
 
-    if args.k is not None:
-        _check_stream_work(args.k, args.n)  # before path_graph builds k - 1 edges
-        g = graphs.path_graph(args.k)
-    else:
-        g = _load_graph(args.graph)
-        _check_stream_work(g.n_vertices, args.n)
+    g, _what = _base_graph(args, lambda k: _check_stream_work(k, args.n))
     report = spanning.moments(g, args.n)
     _emit(args, lambda: {
         "n": report.n,
@@ -530,18 +520,6 @@ def _cmd_toeplitz_scheme(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "guess": _cmd_guess,
-    "gf-grid": _cmd_gf_grid,
-    "gf-product": _cmd_gf_product,
-    "gf-ver": _cmd_gf_ver,
-    "c-poly": _cmd_c_poly,
-    "resistance": _cmd_resistance,
-    "moments": _cmd_moments,
-    "toeplitz-gf": _cmd_toeplitz_gf,
-    "toeplitz-scheme": _cmd_toeplitz_scheme,
-}
-
 _USAGE_ERRORS = (
     UsageError,
     BadVertexPair,
@@ -556,7 +534,7 @@ def run(argv) -> int:
     call in a process parses with the one parser the first call built."""
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

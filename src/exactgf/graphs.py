@@ -33,9 +33,11 @@ U_(n-1), U_n, U_(n+1) of t = w A + 2I (U_0 = 0, U_1 = I), polynomials in
 an integer s-square A, so past n = s they are scalar continuants modulo
 A's characteristic polynomial (from _cone, like _order_bound), doubled in
 O(log n) products of O(s^2) operations, then evaluated against A's
-powers.  _kronecker_minor (for moments), _corner_count (for resistance) and
-_grounded, a grounded transfer matrix whose det_bareiss is the minor,
-are these jumps, and item n of a stream is their test oracle.  A graph
+powers, for only the rows its reader needs.  _kronecker_minor (for
+moments), _corner_count (for resistance: k - 1 rows of the second
+difference, two of C_n = U_n - U_(n-1), one of U_(n-1)) and _grounded, a
+grounded transfer matrix whose det_bareiss is the minor, are these jumps,
+and item n of a stream is their test oracle.  A graph
 from product_with_path(G, n) of a connected G remembers G and n, so
 spanning_tree_count and ver_polynomial of it are _grounded, and
 two_forest_count between layers 1 and n is _corner_count; every other
@@ -642,11 +644,11 @@ def _mulmod(x, y, chi):
 
 
 def _jump(g: LabeledGraph, w, n: int, kron):
-    """at(c_0, c_1, c_2) = sum_i c_i U_(n-1+i) C, n >= 1, integers c_i, for
-    the continuants U_0 = 0, U_1 = I, U_(j+1) = t U_j - U_(j-1) of t = w A
-    + 2I, A and C of _scaled, s their size.  U_j = u_j(-A) for u_0 = 0, u_1
-    = 1, u_(j+1) = (2 - w z) u_j - u_(j-1) in R[z], R w's ring: degree j - 1.
-    For n <= s, at reads item n of the _walk from 0 and C.  Past s the u_j
+    """at(c_0, c_1, c_2, rows=None) = sum_i c_i U_(n-1+i) C (only the listed
+    rows of it), n >= 1, integers c_i, for the continuants U_0 = 0, U_1 =
+    I, U_(j+1) = t U_j - U_(j-1) of t = w A + 2I, A and C of _scaled, s
+    their size.  U_j = u_j(-A) for u_0 = 0, u_1 = 1, u_(j+1) = (2 - w z)
+    u_j - u_(j-1) in R[z], R w's ring: degree j - 1.  For n <= s, at reads item n of the _walk from 0 and C.  Past s the u_j
     are reduced modulo the monic characteristic polynomial of -A (_powers;
     Cayley-Hamilton), so no ring divides, and doubled (Fiduccia 1985):
     u_(i+j) = u_(j+1) u_i - u_j u_(i-1) gives u_2j = u_j (u_(j+1) -
@@ -668,12 +670,15 @@ def _jump(g: LabeledGraph, w, n: int, kron):
         even = _mulmod(map(sub, u2, u0), u1, chi)
         odd = _mulmod(map(sub, u2, u1), [*map(add, u2, u1)], chi)
         u0, u1, u2 = (even, odd, step(odd, even)) if bit == "1" else (step(even, odd), even, odd)
-    return lambda *c: _at(bases, *[sum(map(mul, c, us)) for us in zip(u0, u1, u2)])
+    return lambda *c, rows=None: _at(bases, *[sum(map(mul, c, us)) for us in zip(u0, u1, u2)],
+                                     rows=rows)
 
 
-def _at(bases, *coeffs):
-    """sum_j coeffs[j] bases[j], for matrices (lists of rows) of one shape."""
-    return [[sum(map(mul, coeffs, xs)) for xs in zip(*rows)] for rows in zip(*bases)]
+def _at(bases, *coeffs, rows=None):
+    """sum_j coeffs[j] bases[j], for matrices (lists of rows) of one shape,
+    or only the rows of it that rows lists."""
+    return [[sum(map(mul, coeffs, xs)) for xs in zip(*[m[r] for m in bases])]
+            for r in (range(len(bases[0])) if rows is None else rows)]
 
 
 def _kronecker_minor_of(b, k: int, zero):
@@ -728,16 +733,17 @@ def _kronecker_minor(g: LabeledGraph, vertical_weight, n: int):
     return _kronecker_minor_of(_jump(g, vertical_weight, n, True)(1, -2, 1), k, zero)
 
 
-def _corner_counts_of(continuants, a: int, b: int):
-    """(F, tau) of _corner_counts from the continuants (U_(n-1), U_n,
-    U_(n+1)) of t = A + 2I: one _bareiss_pivots run of [[M, r'], [u'^T,
-    0]], C_n e_b being row b of the symmetric C_n."""
-    u0, u1, u2 = continuants
-    rows = [[x - y - (y - z) for x, y, z in zip(r2[:-1], r1, r0)] + [r1[a] - r0[a] - (u == b)]
-            for u, (r0, r1, r2) in enumerate(zip(u0, u1[:-1], u2))]  # [M | r']
-    rows.append([(i == a) - y + z for i, (y, z) in enumerate(zip(u1[b][:-1], u0[b]))] + [0])
+def _corner_counts_of(rows, c_a, c_b, v, a: int, b: int):
+    """(F, tau) of _corner_counts from what it reads of the continuants U_j
+    of t = A + 2I: rows 0..k-2 of a_n = U_(n+1) - 2 U_n + U_(n-1), whose
+    last column it overwrites with r', rows a and b of the symmetric C_n =
+    U_n - U_(n-1), and v = U_(n-1)[b][a] = V_n[b]; one _bareiss_pivots run
+    of [[M, r'], [u'^T, 0]]."""
+    for u, (row, x) in enumerate(zip(rows, c_a)):
+        row[-1] = x - (u == b)
+    rows.append([(i == a) - x for i, x in enumerate(c_b[:-1])] + [0])
     *_, tau, d = 1, *_bareiss_pivots(Matrix(rows))
-    return tau * u0[b][a] - d, tau
+    return tau * v - d, tau
 
 
 def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1):
@@ -769,13 +775,19 @@ def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1):
     prod a_n(w lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b],
     u'^T M^-1 r' = -D / tau (Schur complement), and F = tau R = tau V_n[b]
     - D."""
-    for continuants in _walk(*_scaled(g, vertical_weight, False)):
-        yield _corner_counts_of(continuants, a, b)
+    for u0, u1, u2 in _walk(*_scaled(g, vertical_weight, False)):
+        a_n = [[x - y - (y - z) for x, y, z in zip(r2, r1, r0)]
+               for r0, r1, r2 in zip(u0, u1, u2[:-1])]
+        yield _corner_counts_of(a_n, [*map(sub, u1[a], u0[a])], [*map(sub, u1[b], u0[b])],
+                                u0[b][a], a, b)
 
 
 def _corner_count(g: LabeledGraph, a: int, b: int, n: int):
-    """Item n of _corner_counts(g, a, b), from three _jump evaluations."""
-    return _corner_counts_of(map(_jump(g, 1, n, False), (1, 0, 0), (0, 1, 0), (0, 0, 1)), a, b)
+    """Item n of _corner_counts(g, a, b), from one _jump evaluated for what
+    _corner_counts_of reads: k - 1 rows of a_n, two of C_n, one of U_(n-1)."""
+    at = _jump(g, 1, n, False)
+    return _corner_counts_of(at(1, -2, 1, rows=range(g.n_vertices - 1)),
+                             *at(-1, 1, 0, rows=(a, b)), at(1, 0, 0, rows=(b,))[0][a], a, b)
 
 
 def _grounded(g: LabeledGraph, n: int, vertical_weight):
@@ -814,10 +826,16 @@ def _interpolated(values) -> Poly:
 
 def graph_from_json_dict(obj) -> LabeledGraph:
     """Build a graph from the JSON wire format
-    {"n": int, "edges": [[u, v, label, mult], ...]} (mult optional)."""
+    {"n": int, "edges": [[u, v, label, mult], ...]} (mult optional): n,
+    u, v and mult JSON integers, not booleans, with n >= 0 (mult >= 1 and
+    the vertex range are LabeledGraph's checks)."""
     try:
-        n = int(obj["n"])
-        edges = tuple(tuple(e) for e in obj["edges"])
+        n, edges = obj["n"], tuple(tuple(e) for e in obj["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
+    for x in (n, *(x for e in edges for x in e[:2] + e[3:])):
+        if type(x) is not int:
+            raise ValueError(f"n, vertices and mult must be JSON integers, got {x!r}")
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     return LabeledGraph(n, edges)

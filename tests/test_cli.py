@@ -362,6 +362,32 @@ def test_malformed_graph_json(tmp_path, capsys):
     assert "graph JSON" in err
 
 
+@pytest.mark.parametrize("graph", [
+    {"n": 2, "edges": [[0, 1, "other", "2"]]},  # a string multiplicity
+    {"n": 2, "edges": [[0, 1, "other", [2]]]},  # a list multiplicity
+    {"n": 2, "edges": [[0, 1.0, "other"]]},  # a float vertex
+    {"n": 2, "edges": [[0, 1, "other", 1.5]]},  # a float multiplicity
+    {"n": 2.9, "edges": [[0, 1, "other"]]},  # a float vertex count
+    {"n": -1, "edges": []},  # a negative vertex count
+    {"n": 2, "edges": [[0, 1, "other", True]]},  # a boolean multiplicity
+    {"n": True, "edges": []},  # a boolean vertex count
+], ids=["mult-string", "mult-list", "vertex-float", "mult-float", "n-float", "n-negative",
+        "mult-true", "n-true"])
+def test_graph_files_take_integers_only(graph, monkeypatch, tmp_path, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a pipeline ran on a malformed graph")
+
+    for name in ("gf_spanning", "moments"):
+        monkeypatch.setattr(spanning, name, never)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    for argv in (("gf-product", "--graph", str(path)),
+                 ("moments", "--graph", str(path), "--n", "3")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"cannot read graph JSON {str(path)!r}" in err
+
+
 def test_graph_file_pipeline(tmp_path, capsys):
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps({
@@ -743,6 +769,51 @@ def test_the_parser_is_built_once_and_not_at_import():
     out = subprocess.run([sys.executable, "-c", probe], env=_SRC_ENV, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 1"
+
+
+#: Every subcommand's options beside -h: flags -> (dest, default, required,
+#: choices, nargs (0 for a switch), and the flags of the mutually exclusive
+#: group holding the option with whether the group is required, or None).
+_SWITCH = (False, False, None, 0, None)
+_K_OR_GRAPH = (None, False, None, None, (("--k", "--graph"), True))
+_OPTION_TABLE = {
+    "guess": {"--data": ("data", None, True, None, None, None), "--pretty": ("pretty", *_SWITCH)},
+    "gf-grid": {"--k": ("k", None, True, None, None, None), "--pretty": ("pretty", *_SWITCH),
+                "--emit-data": ("emit_data", *_SWITCH)},
+    "gf-product": {"--graph": ("graph", None, True, None, None, None),
+                   "--allow-long": ("allow_long", *_SWITCH), "--pretty": ("pretty", *_SWITCH),
+                   "--emit-data": ("emit_data", *_SWITCH)},
+    "gf-ver": {"--k": ("k", *_K_OR_GRAPH), "--graph": ("graph", *_K_OR_GRAPH),
+               "--pretty": ("pretty", *_SWITCH), "--allow-long": ("allow_long", *_SWITCH)},
+    "c-poly": {"--k": ("k", None, True, None, None, None), "--pretty": ("pretty", *_SWITCH)},
+    "resistance": {"--k": ("k", None, True, None, None, None),
+                   "--n": ("n", None, True, None, None, None), "--pretty": ("pretty", *_SWITCH)},
+    "moments": {"--k": ("k", *_K_OR_GRAPH), "--graph": ("graph", *_K_OR_GRAPH),
+                "--n": ("n", None, True, None, None, None), "--pretty": ("pretty", *_SWITCH)},
+    "toeplitz-gf": {"--row": ("row", None, True, None, None, None),
+                    "--col": ("col", None, True, None, None, None),
+                    "--mode": ("mode", "det", False, ("det", "perm"), None, None),
+                    "--method": ("method", "transfer", False, ("guess", "transfer"), None, None),
+                    "--pretty": ("pretty", *_SWITCH)},
+    "toeplitz-scheme": {"--row": ("row", None, True, None, None, None),
+                        "--col": ("col", None, True, None, None, None),
+                        "--mode": ("mode", "det", False, ("det", "perm"), None, None)},
+}
+
+
+def test_every_subcommand_declares_exactly_its_options():
+    commands, = (a.choices for a in cli._build_parser()._actions if a.choices)
+    table = {}
+    for name, parser in commands.items():
+        groups = {action: (tuple(a.option_strings[0] for a in group._group_actions),
+                           group.required)
+                  for group in parser._mutually_exclusive_groups
+                  for action in group._group_actions}
+        help_action, *options = parser._actions
+        assert help_action.option_strings == ["-h", "--help"]
+        table[name] = {"/".join(a.option_strings): (a.dest, a.default, a.required, a.choices,
+                                                    a.nargs, groups.get(a)) for a in options}
+    assert table == _OPTION_TABLE
 
 
 def test_repeated_runs_in_one_process_match_fresh_processes(capsys):

@@ -251,6 +251,12 @@ def test_graph_json_round_trip():
         graph_from_json_dict({"edges": []})
 
 
+def test_graph_json_takes_integers_of_any_size_from_zero_vertices():
+    assert graph_from_json_dict({"n": 0, "edges": []}).n_vertices == 0
+    heavy = graph_from_json_dict({"n": 2, "edges": [[0, 1, "other", 7 ** 3000]]})
+    assert heavy.edges == ((0, 1, "other", 7 ** 3000),)
+
+
 # --- streamed Laplacian minors against the dense path ------------------------------
 
 @st.composite
@@ -419,6 +425,28 @@ def test_every_jump_is_its_stream_item(g, n, w):
     assert type(got) is type(want) and got == want
     for a, b in ((0, k - 1), (k - 1, 0), (k // 2, k // 2)):
         assert graphs._corner_count(g, a, b, n) == item(graphs._corner_counts(g, a, b))
+
+
+def test_corner_count_evaluates_only_what_it_reads(monkeypatch):
+    # one jump, evaluated for the first k - 1 rows of a_n, rows a and b of
+    # C_n and row b of U_(n-1), never in full, on each side of n = s = 4
+    calls, jump = [], graphs._jump
+
+    def recording(*args):
+        at = jump(*args)
+        full = at(1, 0, 0)
+        assert at(1, 0, 0, rows=(3, 1)) == [full[3], full[1]]
+        return lambda *c, rows: calls.append((c, tuple(rows))) or at(*c, rows=rows)
+
+    monkeypatch.setattr(graphs, "_jump", recording)
+    g = path_graph(4)
+    for n in (2, 4, 5, 40):
+        for a, b in ((0, 3), (3, 0), (1, 2), (2, 2)):
+            del calls[:]
+            want = next(islice(graphs._corner_counts(g, a, b), n - 1, None))
+            assert graphs._corner_count(g, a, b, n) == want
+            assert sorted(calls) == [((-1, 1, 0), (a, b)), ((1, -2, 1), (0, 1, 2)),
+                                     ((1, 0, 0), (b,))]
 
 
 def test_jumps_reduce_only_past_the_matrix_size(monkeypatch):
