@@ -29,21 +29,21 @@ first N v-polynomials, at the points the last of them needs), and
 _corner_counts, the trees and corner two-forests, one bordered
 |V(G)|-square determinant per n of the layer transfer recurrence.  A
 count at one n jumps there (_jump): its matrix combines the continuants
-U_(n-1), U_n, U_(n+1) of t = w A + 2I (U_0 = 0, U_1 = I), polynomials in
-an integer s-square A, so past n = s they are scalar continuants modulo
-A's characteristic polynomial (from _cone, like _order_bound), doubled in
-O(log n) products of O(s^2) operations, then evaluated against A's
-powers, for only the rows its reader needs.  _kronecker_minor (for
-moments), _corner_count (for resistance: k - 1 rows of the second
-difference, two of C_n = U_n - U_(n-1), one of U_(n-1)) and _grounded, a
-grounded transfer matrix whose det_bareiss is the minor, are these jumps,
-and item n of a stream is their test oracle.  A graph
-from product_with_path(G, n) of a connected G remembers G and n, so
-spanning_tree_count and ver_polynomial of it are _grounded, and
-two_forest_count between layers 1 and n is _corner_count; every other
-graph keeps _laplacian_minor, which stays their test oracle.  laplacian()
-builds the dense (optionally v-weighted) matrix, G's for those routes and
-the tests' reference for these minors.
+U_(n-1), U_n, U_(n+1) of t = w L(G) + 2I (U_0 = 0, U_1 = I), so past n =
+|V(G)| they are scalar continuants modulo L(G)'s characteristic
+polynomial (from _cone, like _order_bound), doubled in O(log n) products,
+then evaluated against L(G)'s powers, for only the rows its reader needs.
+The jumps are _corner_count (for resistance: k - 1 rows of the second
+difference, two of C_n = U_n - U_(n-1), one of U_(n-1)) and
+_grounded_block, the grounded transfer matrix, whose determinant, the
+tree minor, _grounded takes by det_bareiss and _tree_minor (for moments)
+by one elimination in its band.  Item n of a stream is their test
+oracle.  A graph from product_with_path(G, n) of a connected G remembers
+G and n, so spanning_tree_count and ver_polynomial of it are _grounded,
+and two_forest_count between layers 1 and n is _corner_count; every
+other graph keeps _laplacian_minor, which stays their test oracle.
+laplacian() builds the dense (optionally v-weighted) matrix, G's for
+those routes and the tests' reference for these minors.
 
 Edges carry an orientation label: edges inside a layer are "vertical",
 edges between consecutive layers are "horizontal".  The vertical label is
@@ -58,8 +58,8 @@ from functools import lru_cache, partial
 from itertools import count, islice, repeat
 from operator import add, eq, floordiv, mul, neg, sub
 
-from .core import (Matrix, Poly, _bareiss_pivots, _dom_exact_div, _newton_interpolate, det_bareiss,
-                   poly_gcd)
+from .core import (Matrix, Poly, _bareiss_pivots, _dom_exact_div, _newton_interpolate, bandwidth,
+                   det_bareiss, poly_gcd)
 from .errors import BadVertexPair, InexactDivision, InternalInconsistency
 
 VERTICAL = "vertical"
@@ -114,19 +114,19 @@ class Jet:
         return Jet(-c for c in self.coeffs)
 
     def __add__(self, other):
-        return Jet(x + y for x, y in zip(self.coeffs, self._lift(other)))
+        return Jet([*map(add, self.coeffs, self._lift(other))])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Jet(x - y for x, y in zip(self.coeffs, self._lift(other)))
+        return Jet([*map(sub, self.coeffs, self._lift(other))])
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Jet(c * other for c in self.coeffs)
+            return Jet([*map(mul, self.coeffs, repeat(other))])
         b = self._lift(other)
         out = [0] * len(b)
         for i, x in enumerate(self.coeffs):
@@ -415,11 +415,7 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
         if e < n:
             return [-off.get((t, e), 0) for t in range(max(0, e - w), e)] + [diag[e]]
 
-    last = zero + 1
-    for _r, (upper, _p) in zip(range(n), _eliminated(column, w)):
-        if _zero_pivot(last := upper[0][0]):
-            return zero
-    return last
+    return _last_pivot(column, n, w, zero)
 
 
 def _check_weight(vertical_weight):
@@ -468,6 +464,16 @@ def _eliminated(column, w):
             prev, p = p, top[0]
             upper = [[(p * x - f * y) // prev for x, y in zip(row, top[a:])]
                      for a, (row, f) in enumerate(zip(upper[1:], top[1:]), 1)]
+
+
+def _last_pivot(column, size: int, w: int, zero):
+    """det of the size-square matrix _eliminated(column, w): its last pivot,
+    zero + 1 at size 0, zero at a zero pivot, proved singular by the caller."""
+    last = zero + 1
+    for _r, (upper, _p) in zip(range(size), _eliminated(column, w)):
+        if _zero_pivot(last := upper[0][0]):
+            return zero
+    return last
 
 
 def spanning_tree_count(g: LabeledGraph) -> int:
@@ -599,30 +605,23 @@ def _walk(a, y1):
         y0, y1 = y1, y2
 
 
-def _scaled(g: LabeledGraph, vertical_weight, kron):
-    """(w A, C), w A in w's ring: with kron A = L^ = C L_red of
-    _kronecker_minors, L(g) less its last column, each row less the last
-    row, and C = I + J; else A = L(g) and C = I."""
-    lap, m = laplacian(g).rows, g.n_vertices - kron
-    return ([[vertical_weight * (x - y) for x, y in zip(row[:m], lap[-1] if kron else repeat(0))]
-             for row in lap[:m]],
-            [[(u == v) + kron for v in range(m)] for u in range(m)])
+def _scaled(g: LabeledGraph, vertical_weight):
+    """(w L(g), I), w L(g) in w's ring: A and U_1 of a _jump's _walk."""
+    return ([[vertical_weight * x for x in row] for row in laplacian(g).rows],
+            [[int(u == v) for v in range(g.n_vertices)] for u in range(g.n_vertices)])
 
 
 @lru_cache(maxsize=64)
-def _powers(g: LabeledGraph, kron):
-    """(chi, bases) of a _jump on g, shared read-only by every caller, A and
-    C of _scaled and s their size: z^s + chi(z) = det(zI + A), the
-    characteristic polynomial of -A, and the symmetric integer bases
-    (-A)^i C, i < s (A^i C = C^(1/2) S^i C^(1/2) with kron,
-    _kronecker_minors).  L^ has the eigenvalues lambda_i, i >= 1, of the
-    _cone polynomial p: det(zI + A) = p(z) with kron, else z p(z)."""
-    a, c = _scaled(g, -1, kron)
+def _powers(g: LabeledGraph):
+    """(chi, bases) of a _jump on g, shared read-only: z^k + chi(z) = det(zI
+    + L(g)) = z p(z) (p: _cone), the characteristic polynomial of -L(g), and
+    the symmetric integer bases (-L(g))^i, i < k = |V(g)|."""
+    a, identity = _scaled(g, -1)
     rows = [[(v, x) for v, x in enumerate(row) if x or u == v] for u, row in enumerate(a)]
-    bases = [c]
+    bases = [identity]
     for _ in a[1:]:
         bases.append(_step(rows, bases[-1], [repeat(0)] * len(a), False))
-    return (0,) * (not kron) + _cone(g).coeffs[:-1], bases
+    return (0, *_cone(g).coeffs[:-1]), bases
 
 
 def _mod(poly, chi):
@@ -630,7 +629,8 @@ def _mod(poly, chi):
     for _ in poly[len(chi):]:
         c = poly.pop()
         for i, x in enumerate(chi, len(poly) - len(chi)):
-            poly[i] -= c * x
+            if x:
+                poly[i] -= c * x
     return poly
 
 
@@ -643,22 +643,22 @@ def _mulmod(x, y, chi):
     return _mod(out, chi)
 
 
-def _jump(g: LabeledGraph, w, n: int, kron):
-    """at(c_0, c_1, c_2, rows=None) = sum_i c_i U_(n-1+i) C (only the listed
+def _jump(g: LabeledGraph, w, n: int):
+    """at(c_0, c_1, c_2, rows=None) = sum_i c_i U_(n-1+i) (only the listed
     rows of it), n >= 1, integers c_i, for the continuants U_0 = 0, U_1 =
-    I, U_(j+1) = t U_j - U_(j-1) of t = w A + 2I, A and C of _scaled, s
-    their size.  U_j = u_j(-A) for u_0 = 0, u_1 = 1, u_(j+1) = (2 - w z)
-    u_j - u_(j-1) in R[z], R w's ring: degree j - 1.  For n <= s, at reads item n of the _walk from 0 and C.  Past s the u_j
-    are reduced modulo the monic characteristic polynomial of -A (_powers;
-    Cayley-Hamilton), so no ring divides, and doubled (Fiduccia 1985):
-    u_(i+j) = u_(j+1) u_i - u_j u_(i-1) gives u_2j = u_j (u_(j+1) -
-    u_(j-1)) and u_(2j+1) = (u_(j+1) - u_j)(u_(j+1) + u_j), two _mulmod of
-    O(s^2) operations per bit of n below the top one and a step.  at
-    evaluates its combination once against the cached bases (-A)^i C."""
-    s = g.n_vertices - kron
+    I, U_(j+1) = t U_j - U_(j-1) of t = w A + 2I, A = L(g), s = |V(g)|.
+    U_j = u_j(-A) for u_0 = 0, u_1 = 1, u_(j+1) = (2 - w z) u_j - u_(j-1)
+    in R[z], R w's ring: degree j - 1.  For n <= s, at reads item n of the
+    _walk.  Past s the u_j are reduced modulo the monic characteristic
+    polynomial of -A (_powers; Cayley-Hamilton), so no ring divides, and
+    doubled (Fiduccia 1985): u_(i+j) = u_(j+1) u_i - u_j u_(i-1) gives u_2j
+    = u_j (u_(j+1) - u_(j-1)) and u_(2j+1) = (u_(j+1) - u_j)(u_(j+1) +
+    u_j), two _mulmod of O(s^2) operations per bit of n below the top one
+    and a step.  at evaluates its combination against the bases (-A)^i."""
+    s = g.n_vertices
     if n <= s:
-        return partial(_at, next(islice(_walk(*_scaled(g, w, kron)), n - 1, None)))
-    chi, bases = _powers(g, kron)
+        return partial(_at, next(islice(_walk(*_scaled(g, w)), n - 1, None)))
+    chi, bases = _powers(g)
 
     def step(u, v):  # (2 - w z) u - v
         return [x + x - y - p for p, x, y in zip(_mod([0, *(w * x for x in u)], chi), u, v)]
@@ -681,25 +681,11 @@ def _at(bases, *coeffs, rows=None):
             for r in (range(len(bases[0])) if rows is None else rows)]
 
 
-def _kronecker_minor_of(b, k: int, zero):
-    """P_n = det B_n / k^2 (_kronecker_minors), one streamed elimination of
-    the symmetric B_n."""
-    det = zero + 1
-    for _r, (upper, _p) in zip(range(k - 1), _eliminated(
-            lambda e: b[e][:e + 1] if e < k - 1 else None, k - 2)):
-        if _zero_pivot(det := upper[0][0]):
-            break
-    try:
-        return _dom_exact_div(det, k * k)
-    except InexactDivision as exc:
-        raise InternalInconsistency("det B_n is not divisible by k^2") from exc
-
-
 def _kronecker_minors(g: LabeledGraph, vertical_weight):
     """Yield _laplacian_minor(product_with_path(g, n), {k n - 1}, w) for
     n = 1, 2, ..., in w's ring, g with k vertices, from a recurrence on
-    (k-1)-square matrices: one _step and one streamed elimination per n.
-    _kronecker_minor jumps to one n.
+    (k-1)-square matrices: one _step and one streamed elimination per n
+    (_tree_minor jumps to one n).
 
     It is P_n = (1/k) prod a_n(w lambda_i) (_order_bound).  On R^k/<1>, in
     the images of e_1..e_(k-1), L(g) is L^ = C L_red (L_red: L(g) less its
@@ -717,20 +703,16 @@ def _kronecker_minors(g: LabeledGraph, vertical_weight):
     zero, k = 0 * vertical_weight, g.n_vertices
     if k <= 1:  # g x P_n is empty or a path: one spanning tree
         yield from repeat(zero + 1)
-    first, _ = _scaled(g, vertical_weight, True)
+    lap = laplacian(g).rows  # L^: L_red's rows less L(g)'s last row
+    first = [[vertical_weight * (x - y) for x, y in zip(row[:-1], lap[-1])] for row in lap[:-1]]
     b1 = [[x + s for x in row] for row, s in zip(first, map(sum, first))]  # w L^ C
     for _b0, b, _b2 in _walk(first, b1):
-        yield _kronecker_minor_of(b, k, zero)
-
-
-def _kronecker_minor(g: LabeledGraph, vertical_weight, n: int):
-    """Item n of _kronecker_minors(g, w): B_n = a_n(w L^) C = (t - 2I) U_n
-    C, the second difference of the _jump's U_j C, t = w L^ + 2I."""
-    _check_weight(vertical_weight)
-    zero, k = 0 * vertical_weight, g.n_vertices
-    if k <= 1:
-        return zero + 1
-    return _kronecker_minor_of(_jump(g, vertical_weight, n, True)(1, -2, 1), k, zero)
+        det = _last_pivot(lambda e: b[e][:e + 1] if e < k - 1 else None, k - 1, k - 2, zero)
+        try:
+            minor = _dom_exact_div(det, k * k)
+        except InexactDivision as exc:
+            raise InternalInconsistency("det B_n is not divisible by k^2") from exc
+        yield minor
 
 
 def _corner_counts_of(rows, c_a, c_b, v, a: int, b: int):
@@ -775,7 +757,7 @@ def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1):
     prod a_n(w lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b],
     u'^T M^-1 r' = -D / tau (Schur complement), and F = tau R = tau V_n[b]
     - D."""
-    for u0, u1, u2 in _walk(*_scaled(g, vertical_weight, False)):
+    for u0, u1, u2 in _walk(*_scaled(g, vertical_weight)):
         a_n = [[x - y - (y - z) for x, y, z in zip(r2, r1, r0)]
                for r0, r1, r2 in zip(u0, u1, u2[:-1])]
         yield _corner_counts_of(a_n, [*map(sub, u1[a], u0[a])], [*map(sub, u1[b], u0[b])],
@@ -785,19 +767,36 @@ def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1):
 def _corner_count(g: LabeledGraph, a: int, b: int, n: int):
     """Item n of _corner_counts(g, a, b), from one _jump evaluated for what
     _corner_counts_of reads: k - 1 rows of a_n, two of C_n, one of U_(n-1)."""
-    at = _jump(g, 1, n, False)
+    at = _jump(g, 1, n)
     return _corner_counts_of(at(1, -2, 1, rows=range(g.n_vertices - 1)),
                              *at(-1, 1, 0, rows=(a, b)), at(1, 0, 0, rows=(b,))[0][a], a, b)
 
 
+def _grounded_block(g: LabeledGraph, vertical_weight, n: int):
+    """M_n of _corner_counts, det M_n = tau: a_n(w L(g)), the _jump's second
+    difference, at its first k - 1 rows less their last entry."""
+    rows = _jump(g, vertical_weight, n)(1, -2, 1, rows=range(g.n_vertices - 1))
+    return [row[:-1] for row in rows]
+
+
 def _grounded(g: LabeledGraph, n: int, vertical_weight):
-    """_laplacian_minor(product_with_path(g, n), {k n - 1}, w) for a
-    connected g with k >= 1 vertices, in w's ring: det_bareiss of the
-    grounded matrix M of _corner_counts, whose determinant is tau, from
-    a_n(w L(g)) = (t - 2I) U_n, the second difference of the _jump's U_j.
-    It shares no step with _kronecker_minors, so each checks the other."""
-    a_n = _jump(g, vertical_weight, n, False)(1, -2, 1)[:-1]
-    return 0 * vertical_weight + det_bareiss(Matrix([row[:-1] for row in a_n]))
+    """_laplacian_minor(product_with_path(g, n), {k n - 1}, w) for a connected
+    g with k >= 1 vertices, in w's ring: det_bareiss of _grounded_block.  It
+    shares no elimination with _kronecker_minors, so each checks the other."""
+    return 0 * vertical_weight + det_bareiss(Matrix(_grounded_block(g, vertical_weight, n)))
+
+
+def _tree_minor(g: LabeledGraph, vertical_weight, n: int):
+    """Item n of _kronecker_minors(g, w), g with k >= 1 vertices: det M_n
+    (_grounded_block) by _last_pivot in M_n's measured half-bandwidth, n
+    for a path and n < k, where the Kronecker B_n is dense.  At w > 0,
+    a_n(w L(g)) is PSD with kernel ker L(g), as a_n(y) > 0 for y > 0: a
+    leading minor of M_n is 0 at all w > 0 or none (_laplacian_minor)."""
+    _check_weight(vertical_weight)
+    m = _grounded_block(g, vertical_weight, n)
+    w = bandwidth(Matrix(m))
+    return _last_pivot(lambda e: m[e][max(0, e - w):e + 1] if e < len(m) else None,
+                       len(m), w, 0 * vertical_weight)
 
 
 def _ver_terms(g: LabeledGraph, count: int) -> list:

@@ -8,7 +8,7 @@ Covered families, all over layers n of a product graph G x P_n:
     companion polynomial that divides their denominator structure,
   * joint resistance between corners (at one n, graphs._corner_count),
   * the bivariate vertical-edge weight polynomial and its moments (at one
-    n, graphs._kronecker_minor).
+    n, graphs._tree_minor).
 
 No product graph is eliminated for any fit: the data of each come from a
 stream of the base graph's recurrences, graphs._kronecker_minors for trees
@@ -48,9 +48,9 @@ from .graphs import (
     LabeledGraph,
     _corner_count,
     _corner_counts,
-    _kronecker_minor,
     _kronecker_minors,
     _order_bound,
+    _tree_minor,
     _ver_terms,
     grid_graph,
     path_graph,
@@ -338,10 +338,10 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
 
     The weight polynomial P at v = 1 + e over jets mod e^5 gives c_j =
     P^(j)(1) / j! and the factorial moments j! c_j / c_0: P is
-    graphs._kronecker_minor, item n of graphs._kronecker_minors, which
-    jumps to B_n by scalar doubling over jets, O(k^2 log n) operations, and
-    evaluates and eliminates B_n alone, O(k^3); tau(g_base) v^(k-1) at n =
-    1 and 1 at k <= 1.
+    graphs._tree_minor, item n of graphs._kronecker_minors: a jump by
+    scalar doubling over jets, O(k^2 log n) operations, then a grounded
+    block of k - 1 rows, O(k^3), eliminated in its band, O(k^3) at most;
+    tau(g_base) v^(k-1) at n = 1 and 1 at k <= 1.
     Mean and variance are exact; skewness and kurtosis (plain, not excess)
     are 30-significant-digit decimals, None when the variance is 0."""
     if not g_base.is_connected():
@@ -350,7 +350,7 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
         raise ValueError("need at least one layer")
     k = g_base.n_vertices
     c = ([math.comb(max(k - 1, 0), j) for j in range(5)] if n == 1 or k <= 1
-         else _kronecker_minor(g_base, Jet((1, 1, 0, 0, 0)), n).coeffs)
+         else _tree_minor(g_base, Jet((1, 1, 0, 0, 0)), n).coeffs)
     fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, 5)]
     mean = fact[0]
     skewness = kurtosis = None

@@ -22,8 +22,8 @@ graphs.ver_polynomial and graphs._ver_terms, continuants_by_doubling
 (k-square matrix doubling, with second_difference) for the scalar
 doubling of graphs._jump, moments_by_jet_minor (one
 jet minor of the whole product graph) and moments_by_interpolation (the
-whole v-polynomial, by the streamed minor) for the Kronecker-sum jump
-(graphs._kronecker_minor) of spanning.moments, resistance_by_product_minor
+whole v-polynomial, by the streamed minor) for the jump of
+spanning.moments (graphs._tree_minor), resistance_by_product_minor
 (last_pivots, the last two pivots of one elimination of the whole grid)
 for the layer transfer jump (graphs._corner_count) behind
 spanning.resistance, decimal_ratio_whole for the shifted Decimal
@@ -65,7 +65,7 @@ from exactgf import (
     ver_polynomial,
 )
 from exactgf.cfinite import _recurrence_holds
-from exactgf.core import _dom_exact_div, _newton_interpolate, _primitive_ints, solve_fraction_free
+from exactgf.core import _newton_interpolate, _primitive_ints, solve_fraction_free
 from exactgf.errors import (
     BadState,
     BadVertexPair,
@@ -707,28 +707,25 @@ def resistance_by_product_minor(k: int, n: int) -> Fraction:
     return Fraction(*last_pivots(grid_graph(k, n), {0}))
 
 
-def continuants_by_doubling(t, n: int, k=None):
-    """(U_(n-1) C, U_n C, U_(n+1) C) for the continuants U_0 = 0, U_1 = I,
-    U_(j+1) = t U_j - U_(j-1) of the square matrix t, n >= 1, with C = I,
-    or C = I + J of det k, such that every U_j C is symmetric: the
+def continuants_by_doubling(t, n: int):
+    """(U_(n-1), U_n, U_(n+1)) for the continuants U_0 = 0, U_1 = I,
+    U_(j+1) = t U_j - U_(j-1) of the symmetric matrix t, n >= 1: the
     matrix doubling that graphs._jump's scalar doubling replaced (Fiduccia
     1985).  The U_j are polynomials in t, so they commute, and U_(i+j) =
     U_(j+1) U_i - U_j U_(i-1) gives U_2j = U_j (U_(j+1) - U_(j-1)) and
-    U_(2j+1) = (U_(j+1) - U_j)(U_(j+1) + U_j): two products x C^-1 y per
-    bit of n, U_(j-1) C = t U_j C - U_(j+1) C being a step.
+    U_(2j+1) = (U_(j+1) - U_j)(U_(j+1) + U_j): two products per bit of n,
+    U_(j-1) = t U_j - U_(j+1) being a step.
 
     It walks the top bits h of n in h steps, and each doubling level below
     them halves h for two products.  With s the size of t and z its
     nonzero entries, a step costs s z multiplications and the two products
     2 s^3, so the low bits double while the part of n above them has h z >
-    4 s^2.  The walk starts at n = 2 with U_2 C = t C, t plus its row sums
-    for C = I + J."""
+    4 s^2.  The walk starts at n = 2 with U_2 = t."""
     rows, size = [[(v, x) for v, x in enumerate(row) if x] for row in t], len(t)
     nonzero, low = sum(map(len, rows)), 0
     while (n >> low) * nonzero > 4 * size * size:
         low += 1
-    c = [[(u == v) + (k is not None) for v in range(size)] for u in range(size)]
-    tc = t if k is None else [[x + s for x in row] for row, s in zip(t, map(sum, t))]  # t C
+    c = [[int(u == v) for v in range(size)] for u in range(size)]
     half = not all(isinstance(x, int) for terms in rows for _v, x in terms)
 
     def walk(y0, y1):
@@ -737,25 +734,20 @@ def continuants_by_doubling(t, n: int, k=None):
             yield y0, y1, y2
             y0, y1 = y1, y2
 
-    u0, u1, u2 = next(islice(chain([([[0] * size for _ in c], c, tc)], walk(c, tc)),
+    u0, u1, u2 = next(islice(chain([([[0] * size for _ in c], c, t)], walk(c, t)),
                              (n >> low) - 1, None))
     for bit in reversed(range(low)):
-        even = _product(u1, _entrywise(sub, u2, u0), k)
-        odd = _product(_entrywise(sub, u2, u1), _entrywise(add, u2, u1), k)
+        even = _product(u1, _entrywise(sub, u2, u0))
+        odd = _product(_entrywise(sub, u2, u1), _entrywise(add, u2, u1))
         u1, u2 = (odd, _step(rows, odd, even, half)) if n >> bit & 1 else (even, odd)
         u0 = _step(rows, u1, u2, half)
     return u0, u1, u2
 
 
-def _product(x, y, k=None):
-    """x y, or with k, x C^-1 y for C = I + J of det k, of symmetric
-    products (continuants_by_doubling)."""
+def _product(x, y):
+    """x y, a symmetric product (continuants_by_doubling)."""
     cols = [*zip(*y)]
     out = [[sum(map(mul, row, col)) for col in cols[i:]] for i, row in enumerate(x)]
-    if k is not None:  # C^-1 = I - J / k, and x 1 = k X 1 for x = X C
-        right = [*map(sum, cols)]
-        out = [[z - left * r for z, r in zip(row, right[i:])]
-               for i, (row, left) in enumerate(zip(out, (_dom_exact_div(sum(r), k) for r in x)))]
     for i, row in enumerate(out):  # the symmetric matrix from its upper triangle
         row[:0] = [above[i] for above in out[:i]]
     return out

@@ -403,7 +403,7 @@ def test_streams_match_the_layer_sweep(g, layers):
 @example(LabeledGraph(1, ()), 257, 1)
 @example(LabeledGraph(1, ()), 3, Jet((1, 1, 0)))
 @example(path_graph(2), 2, Evals((1, 2, 3)))
-@example(path_graph(2), 3, Jet((1, 1, 0)))  # the Kronecker side's s = 1: every step reduces
+@example(path_graph(2), 3, Jet((1, 1, 0)))  # s = 2: the first n that reduces
 def test_every_jump_is_its_stream_item(g, n, w):
     # the jump, walked (n <= s) or scalar (n > s), evaluated against the
     # k-square matrix doubling it replaced, and each count against item n
@@ -412,14 +412,13 @@ def test_every_jump_is_its_stream_item(g, n, w):
         return next(islice(stream, n - 1, None))
 
     k = g.n_vertices
-    for kron in (False, True) if k > 1 else (False,):  # C = I, C = I + J
-        a, _c = graphs._scaled(g, w, kron)
-        t = [[x + 2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
-        want = continuants_by_doubling(t, n, k if kron else None)
-        at = graphs._jump(g, w, n, kron)
-        assert [at(1, 0, 0), at(0, 1, 0), at(0, 0, 1)] == list(want)
-        assert at(1, -2, 1) == second_difference(want)
-    got, want = graphs._kronecker_minor(g, w, n), item(graphs._kronecker_minors(g, w))
+    a, _identity = graphs._scaled(g, w)
+    t = [[x + 2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    want = continuants_by_doubling(t, n)
+    at = graphs._jump(g, w, n)
+    assert [at(1, 0, 0), at(0, 1, 0), at(0, 0, 1)] == list(want)
+    assert at(1, -2, 1) == second_difference(want)
+    got, want = graphs._tree_minor(g, w, n), item(graphs._kronecker_minors(g, w))
     assert type(got) is type(want) and got == want
     got = graphs._grounded(g, n, w)
     assert type(got) is type(want) and got == want
@@ -447,16 +446,20 @@ def test_corner_count_evaluates_only_what_it_reads(monkeypatch):
             assert graphs._corner_count(g, a, b, n) == want
             assert sorted(calls) == [((-1, 1, 0), (a, b)), ((1, -2, 1), (0, 1, 2)),
                                      ((1, 0, 0), (b,))]
+        # the tree minor's two routes read the first k - 1 rows of a_n alone
+        del calls[:]
+        want = next(islice(graphs._kronecker_minors(g, 1), n - 1, None))
+        assert graphs._grounded(g, n, 1) == graphs._tree_minor(g, 1, n) == want
+        assert calls == [((1, -2, 1), (0, 1, 2))] * 2
 
 
 def test_jumps_reduce_only_past_the_matrix_size(monkeypatch):
     # n <= s walks: no characteristic polynomial and no reduction; past s,
     # two modular products per bit of n below the top one, and no division
     complete = LabeledGraph(5, tuple((u, v, "other", 1) for u in range(5) for v in range(u)))
-    cases = [(g, kron, w) for g in (path_graph(12), complete) for kron in (False, True)
-             for w in (1, Jet((1, 1, 0)), Evals((1, 2)))]
-    for g, kron, _w in cases:
-        graphs._powers(g, kron)  # per graph, cached: its cone minor divides
+    cases = [(g, w) for g in (path_graph(12), complete) for w in (1, Jet((1, 1, 0)), Evals((1, 2)))]
+    for g, _w in cases:
+        graphs._powers(g)  # per graph, cached: its cone minor divides
 
     def never(*args):
         raise AssertionError("the jump divided")
@@ -468,13 +471,13 @@ def test_jumps_reduce_only_past_the_matrix_size(monkeypatch):
     for name in ("_powers", "_mod", "_mulmod"):
         monkeypatch.setattr(graphs, name, lambda *a, name=name, real=getattr(graphs, name):
                             calls.append(name) or real(*a))
-    for g, kron, w in cases:
-        s = g.n_vertices - kron
+    for g, w in cases:
+        s = g.n_vertices
         for n in (1, 2, s):
-            graphs._jump(g, w, n, kron)(1, -2, 1)
+            graphs._jump(g, w, n)(1, -2, 1)
             assert calls == []
         for n in (s + 1, 2 * s, 257):
-            graphs._jump(g, w, n, kron)(1, -2, 1)
+            graphs._jump(g, w, n)(1, -2, 1)
             assert 0 < calls.count("_mulmod") <= 2 * n.bit_length()
             calls.clear()
 

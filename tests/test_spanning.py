@@ -399,7 +399,7 @@ def test_corner_counts_are_the_product_minors(g, n, a, b):
     k = g.n_vertices
     a, b = a % k, b % k
     forests, tau = graphs._corner_count(g, a, b, n)
-    assert tau == graphs._kronecker_minor(g, 1, n)
+    assert tau == graphs._tree_minor(g, 1, n)
     h, far = product_with_path(g, n), (n - 1) * k + b
     if far == a:
         assert forests == 0
@@ -568,20 +568,33 @@ def test_moments_build_no_product_graph(monkeypatch):
 @given(_connected_multigraphs(max_vertices=5), st.integers(2, 12))
 @example(LabeledGraph(2, ((0, 1, "other", 2),)), 2)
 @example(LabeledGraph(4, ((0, 1, "other", 1), (2, 3, "other", 2))), 3)  # disconnected: all 0
-def test_kronecker_minor_is_the_product_graph_minor(g, n):
+@example(LabeledGraph(5, tuple((0, v, "other", 1) for v in range(1, 5))), 2)  # a star: dense
+def test_tree_minor_is_the_product_graph_minor(g, n):
     h = product_with_path(g, n)
     for w in (0, 1, 3, graphs.Jet((1, 1, 0, 0, 0)), graphs.Evals(range(1, 6))):
-        got = graphs._kronecker_minor(g, w, n)
+        got = graphs._tree_minor(g, w, n)
         want = graphs._laplacian_minor(h, {h.n_vertices - 1}, w)
         assert type(got) is type(want) and got == want
+
+
+def test_moments_eliminate_in_the_grounded_band(monkeypatch):
+    # one elimination, in the band of the grounded block of a_n(w L): for a
+    # path min(n, k - 2), not the dense k - 2
+    want = moments_by_jet_minor(path_graph(6), 3)
+    graphs._cone(path_graph(6))  # the base graph's cone minor, cached per graph
+    bands, real = [], graphs._eliminated
+    monkeypatch.setattr(graphs, "_eliminated", lambda column, w: bands.append(w) or real(column, w))
+    assert moments(path_graph(6), 3) == want and bands == [3]
+    for k, n, band in ((100, 2, 2), (100, 3, 3), (6, 9, 4)):
+        del bands[:]
+        moments(path_graph(k), n)
+        assert bands == [band]
 
 
 def test_kronecker_minor_inexact_quotient_is_internal(monkeypatch):
     # det B_n is k^2 P_n; a pivot 5 at k = 2 is not divisible by 4
     graphs._cone(path_graph(2))  # the base graph's cone minor, cached per graph
     monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[5]], 1)]))
-    with pytest.raises(InternalInconsistency, match="k\\^2"):
-        graphs._kronecker_minor(path_graph(2), 1, 3)
     with pytest.raises(InternalInconsistency, match="k\\^2"):
         gf_grid(2)  # the stream of a fit's data
 
