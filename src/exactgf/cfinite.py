@@ -24,7 +24,11 @@ bound on it.  No linear system is solved.  guess_sym_rec is guess_rec
 followed by a palindrome check.  Sequences of polynomials in v run the
 order finder at the integer points x = 1, 2, ... in place of primes and
 interpolate each D_i / D_0 in v through a run of points of the same
-order (_guess_rec_poly; contract and proof at guess_rec1).
+order (_guess_rec_poly; contract and proof at guess_rec1).  Data in
+evaluation form (core.Evals, the values at v = 1..P) are guessed, replayed
+and accepted at those points, and fit interpolates only the emitted N and
+D and the spec's initial values; degree bounds the data's source proves
+make P points enough (fit).
 Every accepted denominator has been replayed exactly, by ring
 arithmetic, and no floating point is involved anywhere.
 """
@@ -36,9 +40,11 @@ from fractions import Fraction
 from operator import mul
 
 from .core import (
+    Evals,
     Poly,
     RationalFunction,
     _coeff_div,
+    _interpolated,
     _newton_interpolate,
     _primitive_ints,
     _primitive_nested,
@@ -139,13 +145,20 @@ def guess_rec1(data, d: int) -> CFiniteSpec | None:
     (Gauss's lemma), have a constant D_0 and make every point report less.
     None follows a point without a fit of order <= d, or a run of d*m + 1
     points (so all reporting D / D_0) whose interpolant does not replay.
+
+    Data in evaluation form (Evals: values at v = 1..P) take the same loop
+    at those P points, each point's integers read off the values, and the
+    interpolant replays at every point.  That is the replay over Z[v] once
+    each sum(D_i a_(n-i)) has v-degree < P, which fit proves for its
+    series, and the proof above then holds; a None after the P points run
+    out proves nothing.
     """
     data = list(data)
     if d < 1:
         raise ValueError("need d >= 1")
     if len(data) <= 2 * d + 2:
         raise DataTooShort(f"need at least {2 * d + 3} terms for order {d}")
-    if any(isinstance(x, Poly) for x in data):
+    if any(isinstance(x, (Poly, Evals)) for x in data):
         return _guess_rec_poly(data, d)
     den = _minimal_den(_primitive_ints(data)[0], d)
     if den is None:
@@ -173,13 +186,16 @@ def guess_window(bound: int) -> int:
 
 
 def _guess_rec_poly(data, d: int) -> CFiniteSpec | None:
-    # guess_rec1 at x = 1, 2, ..., which proves both None exits: run holds
-    # D(x) / D_0(x) at the points start, start + 1, ... of the largest order.
-    cap = d * max(0, *(p.degree for p in data if isinstance(p, Poly))) + 1
+    # guess_rec1 at x = 1, 2, ..., which proves both None exits over Poly
+    # data: run holds D(x) / D_0(x) at the points start, start + 1, ... of
+    # the largest order.  Evals data end at their last point, x = size.
+    size = next((len(p.values) for p in data if isinstance(p, Evals)), None)
+    cap = size or d * max(0, *(p.degree for p in data if isinstance(p, Poly))) + 1
     x, order, start, run = 0, 0, 0, []
-    while len(run) < cap:
+    while len(run) < cap and x != size:
         x += 1
-        values = [p.eval(x) if isinstance(p, Poly) else p for p in data]
+        values = [p.values[x - 1] if isinstance(p, Evals) else p.eval(x) if isinstance(p, Poly)
+                  else p for p in data]
         spec = guess_rec1(values, d)
         if spec is None:
             return None
@@ -195,7 +211,8 @@ def _guess_rec_poly(data, d: int) -> CFiniteSpec | None:
         if n == cap or not any(sum((-1) ** j * math.comb(n - 1, j) * y
                                    for j, y in enumerate(ys)) for ys in zip(*run)):
             den = [Poly(_newton_interpolate(ys, start)) for ys in zip(*run)]
-            if _recurrence_holds(data, den):
+            at = [c.eval(Evals(range(1, size + 1))) for c in den] if size else den
+            if _recurrence_holds(data, at):
                 return CFiniteSpec(tuple(data[:len(den) - 1]), den)
     return None
 
@@ -446,11 +463,44 @@ def fit(series, start: int, window: int, guess):
     guessers report the constant D = (1, 0); otherwise D' (cleared of
     denominators in v for polynomial data) is a fit of order below d,
     against the guess's minimality.
+
+    A series in evaluation form holds Evals at v = 1..P for integer
+    polynomials in v, series[n] of v-degree <= n p (p = _rate(series), so
+    P - 1 >= (len(series) - 1) p), whose minimal D has deg D_i <= i p:
+    graphs._ver_terms proves both for its data.  It is fitted at the
+    points.  The guess reads each point's integers, and a D above its
+    bound contradicts the proof: InternalInconsistency.  Coefficient n
+    of D S has v-degree <= n p < P, so its values at the points determine
+    it: those of n <= d are N's, interpolated (_polys) with the spec's
+    initial values, and acceptance is that those of every n > d vanish,
+    which is the re-expansion check, as N/D re-expands to S mod
+    t^len(series) exactly when D S = N mod t^len(series).
     """
     spec = guess(series[start:start + window])
     if spec is None:
         return None, None
-    den = Poly(spec.den)
-    num = (den * Poly(series[:spec.order + 1])).truncate(spec.order + 1)
-    rf = RationalFunction._from_coprime(num, den)
-    return spec, (rf if taylor_coeffs(rf, len(series)) == series else None)
+    d, den = spec.order, Poly(spec.den)
+    if not isinstance(series[-1], Evals):
+        num = (den * Poly(series[:d + 1])).truncate(d + 1)
+        rf = RationalFunction._from_coprime(num, den)
+        return spec, (rf if taylor_coeffs(rf, len(series)) == series else None)
+    p = _rate(series)
+    if any(c.degree > i * p for i, c in enumerate(spec.den)):
+        raise InternalInconsistency("a denominator coefficient D_i has v-degree above i p")
+    at = [c.eval(Evals(range(1, len(series[-1].values) + 1))) for c in spec.den]
+    prod = [sum(map(mul, at, series[n::-1]), 0) for n in range(len(series))]  # D S
+    if any(prod[d + 1:]):
+        return spec, None
+    spec = CFiniteSpec(tuple(_polys(series[start:start + d], p, start)), spec.den)
+    return spec, RationalFunction._from_coprime(Poly(_polys(prod[:d + 1], p)), den)
+
+
+def _rate(series) -> int:
+    """p of a series in evaluation form (fit): (P - 1) // (len(series) - 1)."""
+    return (len(series[-1].values) - 1) // (len(series) - 1)
+
+
+def _polys(xs, p: int, start: int = 0) -> list:
+    """Integer polynomials in v from Evals in evaluation form (fit): xs[i],
+    of v-degree <= n p for n = start + i, from its values at v = 1..n p + 1."""
+    return [_interpolated(x.values[:n * p + 1]) for n, x in enumerate(xs, start)]

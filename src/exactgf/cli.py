@@ -45,9 +45,10 @@ from .errors import (
 #: Sizes from which a run is a stretch target, refused unless asked nicely
 #: with --allow-long: there the graph's size, not the fit window, sets the
 #: time.  gf-ver --k and a gf-ver --graph's vertex count: with process
-#: start 5 rows take 0.8 s and 6 rows 7.8 s, nearly all of it the Kronecker
-#: stream over Evals at 371 points of v and its spot check.
-LONG_RUN_VER_K = 6
+#: start 5 rows take 0.3-0.5 s and 6 rows 2.8-3.5 s, two thirds of it the
+#: Kronecker stream over Evals at 371 points of v, the fit running at those
+#: points; 7 rows, at 829 points, take about 87 s.
+LONG_RUN_VER_K = 7
 #: A gf-product --graph's vertex count: random 7-vertex graphs (window 132)
 #: fit in 0.04 s in process, but K_30 (window 64) takes 7.4 s and the
 #: 30-vertex star (window 120) 4.7 s with process start.

@@ -11,13 +11,17 @@ multiple threads.
 Coefficient domains.  A polynomial coefficient may be an int, a Fraction,
 or (for bivariate work) another Poly.  Arithmetic stays in the smallest
 domain it can: integer data stays integer, which matters for speed.
+Evals holds an integer polynomial in evaluation form, its values at v =
+1, 2, ...: graphs eliminates over it and cfinite fits at its points.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, eq, floordiv, mul, neg, sub
 
-from .errors import InexactDivision, ShapeError, ZeroDenominator
+from .errors import InexactDivision, InternalInconsistency, ShapeError, ZeroDenominator
 
 # The exact scalar domain.  Fraction already guarantees denominator > 0,
 # gcd(|num|, den) = 1 and 0/1 for zero, which is the invariant we need.
@@ -384,8 +388,10 @@ def _newton_interpolate(ys, start=0):
     expanded with every term scaled by (n-1)! so the work stays in the
     values' own ring: integer values give int coefficients where the
     polynomial has them and Fractions only where it does not, Fraction
-    values give Fractions.  graphs.ver_polynomial recovers its minors
-    here from values at 1..n, cfinite._guess_rec_poly its D_i/D_0."""
+    values give Fractions.  Through _interpolated, graphs.ver_polynomial
+    recovers its minors here from values at 1..n, and cfinite.fit the N,
+    initial values and (on demand, spanning.GFResult.data) data of a
+    series in evaluation form; cfinite._guess_rec_poly its D_i/D_0."""
     n = len(ys)
     if not n:
         return []
@@ -407,6 +413,16 @@ def _newton_interpolate(ys, start=0):
     return [_coeff_div(c, scale) for c in coeffs]
 
 
+def _interpolated(values) -> Poly:
+    """The polynomial taking values[i] at v = 1 + i, for integer
+    polynomials in evaluation form (Evals); a non-integer coefficient
+    would be a bug and raises InternalInconsistency."""
+    coeffs = _newton_interpolate(values, 1)
+    if not all(isinstance(c, int) for c in coeffs):
+        raise InternalInconsistency("interpolation produced a non-integer")
+    return Poly(coeffs)
+
+
 def taylor_coeffs(rf: RationalFunction, n: int):
     """First n power-series coefficients of a rational function.
 
@@ -426,6 +442,84 @@ def taylor_coeffs(rf: RationalFunction, n: int):
             acc = acc - den[i] * out[k - i]
         out.append(_coeff_div(acc, d0) if d0 != 1 else acc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# polynomials in evaluation form
+# ---------------------------------------------------------------------------
+
+class Evals:
+    """An integer polynomial in v in evaluation form: its values at fixed
+    points v = s, s + 1, ... (s = 1 for the graphs' streams and the fits
+    that read them).  Ints act as constants, and + - * / // **
+    act pointwise through map with operator functions, so the per-point
+    arithmetic runs in C and one elimination over Evals is one elimination
+    per point.  / is exact at every point or raises InexactDivision; //
+    floors unchecked, like int //, for the divisions Bareiss knows to be
+    exact.  A value is true when it is nonzero at some point, so `if x:`
+    skips only entries that are 0 at every point.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        # the operations pass lists: a tuple built from a map is resized to
+        # its length, so one of fewer than 20 points is never taken from
+        # CPython's free list of short tuples, yet freed into it, which
+        # then fills up
+        self.values = tuple(values)
+
+    def _lift(self, other):
+        if isinstance(other, Evals):
+            if len(other.values) != len(self.values):
+                raise TypeError(f"{other!r} is not at the {len(self.values)} points of {self!r}")
+            return other.values
+        return repeat(other)
+
+    def __bool__(self):
+        return any(self.values)
+
+    def __eq__(self, other):
+        if isinstance(other, Evals):
+            return self.values == other.values
+        return all(map(eq, self.values, repeat(other)))
+
+    def __repr__(self):
+        return f"Evals({self.values!r})"
+
+    def __neg__(self):
+        return Evals([*map(neg, self.values)])
+
+    def __add__(self, other):
+        return Evals([*map(add, self.values, self._lift(other))])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Evals([*map(sub, self.values, self._lift(other))])
+
+    def __rsub__(self, other):
+        return Evals([*map(sub, self._lift(other), self.values)])
+
+    def __mul__(self, other):
+        return Evals([*map(mul, self.values, self._lift(other))])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        qr = [*map(divmod, self.values, self._lift(other))]
+        if any(r for _q, r in qr):
+            raise InexactDivision(f"{self!r} is not divisible by {other!r}")
+        return Evals([q for q, _r in qr])
+
+    def __rtruediv__(self, other):
+        return Evals([other] * len(self.values)) / self
+
+    def __floordiv__(self, other):
+        return Evals([*map(floordiv, self.values, self._lift(other))])
+
+    def __pow__(self, n: int):
+        return Evals([*map(pow, self.values, repeat(n))])
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ elimination in a window of half-bandwidth w (_eliminated), and the last
 pivot is the minor.  No dense Laplacian is built, so a minor of a graph
 with N vertices and E edges costs O(N + E + N*w^2) time and O(N + E +
 w^2) memory; for G x P_n, w is the number of vertices of G.
-Vertical weights may be Jet series or Evals, the points v = 1, 2, ... of
-a polynomial in evaluation form: one elimination over Evals gives a
-v-polynomial's values at every point.  Both rings are defined here, and
-every minor and pivot comes back in the weight's ring, even when no edge
-carries the weight.
+Vertical weights may be Jet series, defined here, or core.Evals, the
+points v = 1, 2, ... of a polynomial in evaluation form: one elimination
+over Evals gives a v-polynomial's values at every point.  Every minor and
+pivot comes back in the weight's ring, even when no edge carries the
+weight.
 The products G x P_n are never eliminated: they are counted from G's own
 recurrences (the all-minors route of Chaiken 1982).  The Laplacian
 Kronecker sum gives _order_bound, a bound on the recurrence order of the
@@ -56,9 +56,9 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import count, islice, repeat
-from operator import add, eq, floordiv, mul, neg, sub
+from operator import add, mul, sub
 
-from .core import (Matrix, Poly, _bareiss_pivots, _dom_exact_div, _newton_interpolate, bandwidth,
+from .core import (Evals, Matrix, Poly, _bareiss_pivots, _dom_exact_div, _interpolated, bandwidth,
                    det_bareiss, poly_gcd)
 from .errors import BadVertexPair, InexactDivision, InternalInconsistency
 
@@ -72,8 +72,8 @@ _LABELS = (VERTICAL, HORIZONTAL, OTHER)
 VAR_V = Poly((0, 1))
 
 
-# weight rings: / is the checked exact division of det_bareiss's protocol,
-# // the unchecked quotient that _eliminated divides by
+# weight rings (Jet, core.Evals): / is the checked exact division of
+# det_bareiss's protocol, // the unchecked quotient that _eliminated divides by
 
 class Jet:
     """An immutable element c_0 + c_1 e + ... + c_(K-1) e^(K-1) of
@@ -164,79 +164,6 @@ class Jet:
 
     __truediv__ = __floordiv__
     __rtruediv__ = __rfloordiv__
-
-
-class Evals:
-    """An integer polynomial in v in evaluation form: its values at fixed
-    points v = s, s + 1, ....  Ints act as constants, and + - * / // **
-    act pointwise through map with operator functions, so the per-point
-    arithmetic runs in C and one elimination over Evals is one elimination
-    per point.  / is exact at every point or raises InexactDivision; //
-    floors unchecked, like int //, for the divisions Bareiss knows to be
-    exact.  A value is true when it is nonzero at some point, so `if x:`
-    skips only entries that are 0 at every point.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        # the operations pass lists: a tuple built from a map is resized to
-        # its length, so one of fewer than 20 points is never taken from
-        # CPython's free list of short tuples, yet freed into it, which
-        # then fills up
-        self.values = tuple(values)
-
-    def _lift(self, other):
-        if isinstance(other, Evals):
-            if len(other.values) != len(self.values):
-                raise TypeError(f"{other!r} is not at the {len(self.values)} points of {self!r}")
-            return other.values
-        return repeat(other)
-
-    def __bool__(self):
-        return any(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, Evals):
-            return self.values == other.values
-        return all(map(eq, self.values, repeat(other)))
-
-    def __repr__(self):
-        return f"Evals({self.values!r})"
-
-    def __neg__(self):
-        return Evals([*map(neg, self.values)])
-
-    def __add__(self, other):
-        return Evals([*map(add, self.values, self._lift(other))])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Evals([*map(sub, self.values, self._lift(other))])
-
-    def __rsub__(self, other):
-        return Evals([*map(sub, self._lift(other), self.values)])
-
-    def __mul__(self, other):
-        return Evals([*map(mul, self.values, self._lift(other))])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        qr = [*map(divmod, self.values, self._lift(other))]
-        if any(r for _q, r in qr):
-            raise InexactDivision(f"{self!r} is not divisible by {other!r}")
-        return Evals([q for q, _r in qr])
-
-    def __rtruediv__(self, other):
-        return Evals([other] * len(self.values)) / self
-
-    def __floordiv__(self, other):
-        return Evals([*map(floordiv, self.values, self._lift(other))])
-
-    def __pow__(self, n: int):
-        return Evals([*map(pow, self.values, repeat(n))])
 
 
 @dataclass(frozen=True)
@@ -800,27 +727,31 @@ def _tree_minor(g: LabeledGraph, vertical_weight, n: int):
 
 
 def _ver_terms(g: LabeledGraph, count: int) -> list:
-    """The data of gf_ver: the polynomials ver_polynomial(product_with_path(g, n))
-    for n = 1..count.
+    """The data of gf_ver in evaluation form: A_n =
+    ver_polynomial(product_with_path(g, n)) for n = 1..count as Evals at v
+    = 1..count p + 1, read off one _kronecker_minors stream, for a
+    connected g with k vertices and p = min(total multiplicity of g's
+    edges, k - 1), which is k - 1 (0 for k <= 1).  cfinite.fit takes a
+    series in this form and rests on two bounds it proves here.
 
-    Every edge of g is vertical in the product, and a spanning tree has at
-    most |V(g)| - 1 of them in each layer, so term n has degree at most
-    D_n = n * min(total multiplicity of g's edges, |V(g)| - 1) and is
-    interpolated from its values at v = 1..D_n + 1, all read off one
-    _kronecker_minors stream over Evals at the points v = 1..D_count + 1."""
+    (1) deg A_n <= n p: every edge of g is vertical in the product, and a
+    spanning tree has at most k - 1 of them in each layer.
+    (2) The minimal denominator D of sum A_n t^n, content-free in Z[v][t],
+    has deg D_i <= i p.  By _order_bound, A_n = (1/k) prod a_n(v lambda_i),
+    i = 1..k-1, with a_n(y) = alpha r^n + beta r^-n and r + 1/r = y + 2:
+    a sum of terms c_s rho_s^n, c_s free of n, over the 2^(k-1) products
+    rho_s = prod r_i^(+-1).  So D divides Q = prod_s (1 - rho_s t) in
+    Q(v)[t].  The power sums sum_s rho_s^m = prod V_m(v lambda_i + 2), V_m(r
+    + 1/r) = r^m + r^-m of degree m, are polynomials in v of degree <= m
+    p, and Newton's identities j e_j = sum((-1)^(m-1) e_(j-m) P_m, m =
+    1..j) give the t^j coefficient (-1)^j e_j of Q degree <= j p.  Let
+    w(F) = max(deg F_j - j p) for F = sum F_j t^j: the terms of top weight
+    of a product are the products of theirs (Q[v, t] is a domain), so w is
+    additive.  D is primitive over Q[v], so Q = D H with H in Q[v][t]
+    (Gauss's lemma), and D_0 H_0 = Q_0 = 1 makes D_0 and H_0 constants:
+    w(D), w(H) >= 0 with sum w(Q) = 0, so w(D) = 0."""
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    minors = _kronecker_minors(g, Evals(range(1, count * per_layer + 2)))
-    return [_interpolated(minor.values[:n * per_layer + 1])
-            for n, minor in zip(range(1, count + 1), minors)]
-
-
-def _interpolated(values) -> Poly:
-    """The polynomial taking values[i] at v = 1 + i; a non-integer
-    coefficient would be a bug and raises InternalInconsistency."""
-    coeffs = _newton_interpolate(values, 1)
-    if not all(isinstance(c, int) for c in coeffs):
-        raise InternalInconsistency("interpolation produced a non-integer")
-    return Poly(coeffs)
+    return list(islice(_kronecker_minors(g, Evals(range(1, count * per_layer + 2))), count))
 
 
 def graph_from_json_dict(obj) -> LabeledGraph:

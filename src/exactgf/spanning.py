@@ -12,11 +12,11 @@ Covered families, all over layers n of a product graph G x P_n:
 
 No product graph is eliminated for any fit: the data of each come from a
 stream of the base graph's recurrences, graphs._kronecker_minors for trees
-and (over the points of v the fit needs, graphs._ver_terms) v-polynomials,
-graphs._corner_counts for two-forests.  Each fit is one round, sized from
-a proved bound on the recurrence order: graphs._order_bound, from the base
-graph's Laplacian spectrum, for trees and v-polynomials, and B_F
-(gf_two_forest) for the two-forests.  A fit is only accepted when its
+and (at the points of v the fit needs, in evaluation form:
+graphs._ver_terms) v-polynomials, graphs._corner_counts for two-forests.
+Each fit is one round, sized from a proved bound on the recurrence order:
+graphs._order_bound, from the base graph's Laplacian spectrum, for trees
+and v-polynomials, and B_F (gf_two_forest) for the two-forests.  A fit is only accepted when its
 emitted function, re-expanded, reproduces every generated term, the
 HELD_OUT extra terms never shown to the guesser included, and the last
 term agrees with its per-term count, which takes a route other than the
@@ -28,10 +28,11 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
-from .cfinite import CFiniteSpec, fit, guess_rec, guess_sym_rec, guess_window
-from .core import Poly, RationalFunction
+from .cfinite import CFiniteSpec, _polys, _rate, fit, guess_rec, guess_sym_rec, guess_window
+from .core import Evals, Poly, RationalFunction
 # not called here; perfbench/tracing.py wraps these bindings
 from .cfinite import c_to_r  # noqa: F401
 from .core import poly_gcd, taylor_coeffs  # noqa: F401
@@ -64,24 +65,43 @@ from .graphs import (
 HELD_OUT = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GFResult:
     """A certified generating function.
 
     gf includes the t^offset prefactor, so its power series matches the
     generated data with no index shifting; spec is the recurrence that
-    produced it and data the generated terms it was certified against.
+    produced it and terms the generated terms it was certified against, as
+    generated: integers, or gf_ver's polynomials in evaluation form
+    (graphs._ver_terms).  data is them as integers or integer polynomials
+    in v, interpolated on first read.
     """
 
     gf: RationalFunction
     spec: CFiniteSpec
-    data: tuple
+    terms: tuple
     offset: int
 
     @property
     def data_used(self) -> int:
         """How many terms were generated in total."""
-        return len(self.data)
+        return len(self.terms)
+
+    @cached_property
+    def data(self) -> tuple:
+        return _as_data(self.terms)
+
+    def __repr__(self):
+        return (f"GFResult(gf={self.gf!r}, spec={self.spec!r}, data={self.data!r}, "
+                f"offset={self.offset!r})")
+
+
+def _as_data(terms) -> tuple:
+    """terms as integers or integer polynomials in v: terms in evaluation
+    form are items 1, 2, ... of a series for cfinite.fit."""
+    if not isinstance(terms[-1], Evals):
+        return tuple(terms)
+    return tuple(_polys(terms, _rate([0, *terms]), 1))
 
 
 @dataclass(frozen=True)
@@ -119,8 +139,10 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
                      one _eliminated per n        transfer's grounded M_n,
                                                   jumped to by scalar
                                                   continuants mod chi_L(g)
-      v-polynomials  the same over Evals          ver_polynomial: the same
-                     (_ver_terms)                 over Evals
+      v-polynomials  the same over Evals at v =   ver_polynomial: the same
+                     1..P, kept in evaluation     over Evals, interpolated,
+                     form (_ver_terms): fitted    against the last term
+                     at those points              interpolated from them
       two-forests    _corner_counts: layer        two_forest_count of the
                      transfer, one bordered       grid built without its
                      _bareiss_pivots run per n    factor: _laplacian_minor
@@ -141,18 +163,18 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     if gf is not None:
         if gf.den.degree != spec.order:
             raise InternalInconsistency("denominator degree does not match the recurrence order")
-        if term_fn(len(data)) != data[-1]:
+        if term_fn(len(data)) != _as_data(data[-1:])[0]:
             raise InternalInconsistency(
                 f"term {len(data)} of the data differs from its per-term count"
             )
-        return GFResult(gf=gf, spec=spec, data=tuple(data), offset=1)
+        return GFResult(gf=gf, spec=spec, terms=tuple(data), offset=1)
     if spec is not None and window == full:
         raise InternalInconsistency(
             f"the fit to {window} terms misses a held-out term, but the order "
             f"bound {bound} is proved"
         )
     raise NoFitWithinBudget(
-        f"no validated recurrence from the first {window} of {len(data)} terms", data
+        f"no validated recurrence from the first {window} of {len(data)} terms", _as_data(data)
     )
 
 
@@ -295,10 +317,12 @@ def gf_ver(g_base: LabeledGraph) -> GFResult:
     """Bivariate generating function (offset t^1) of the vertical-edge
     weight polynomials of g_base x P_n.
 
-    Data terms are polynomials in v, generated from their values at the
-    points v = 1, 2, ... by one Kronecker stream, sized like gf_spanning's
-    from the order bound of g_base, and so are the recurrence's denominator
-    coefficients, fitted at integer points of v.
+    Data terms are polynomials in v in evaluation form, their values at
+    the points v = 1..P from one Kronecker stream sized like gf_spanning's
+    from the order bound of g_base (graphs._ver_terms).  cfinite.fit
+    guesses, replays and accepts at those points and interpolates only the
+    emitted numerator and denominator; the result's data are interpolated
+    when first read.
     Numerator and denominator are polynomials in t whose coefficients are
     integer polynomials in v with no common content (lowest denominator
     coefficient positive)."""

@@ -18,7 +18,9 @@ off at each layer boundary, for the recurrence streams
 graphs._kronecker_minors and graphs._corner_counts that give the fits
 their data, ver_polynomial_per_point and ver_sweep_per_point, one integer
 elimination per point of v, for the elimination over graphs.Evals behind
-graphs.ver_polynomial and graphs._ver_terms, continuants_by_doubling
+graphs.ver_polynomial and graphs._ver_terms, gf_ver_by_interpolation
+(every term interpolated, then the fit over Z[v]) for the fit in
+evaluation form behind spanning.gf_ver, continuants_by_doubling
 (k-square matrix doubling, with second_difference) for the scalar
 doubling of graphs._jump, moments_by_jet_minor (one
 jet minor of the whole product graph) and moments_by_interpolation (the
@@ -64,8 +66,8 @@ from exactgf import (
     product_with_path,
     ver_polynomial,
 )
-from exactgf.cfinite import _recurrence_holds
-from exactgf.core import _newton_interpolate, _primitive_ints, solve_fraction_free
+from exactgf.cfinite import _recurrence_holds, fit, guess_rec, guess_window
+from exactgf.core import _interpolated, _newton_interpolate, _primitive_ints, solve_fraction_free
 from exactgf.errors import (
     BadState,
     BadVertexPair,
@@ -81,11 +83,13 @@ from exactgf.graphs import (
     Jet,
     _check_weight,
     _eliminated,
+    _kronecker_minors,
     _laplacian_minor,
+    _order_bound,
     _step,
     _zero_pivot,
 )
-from exactgf.spanning import _decimal_ratio
+from exactgf.spanning import HELD_OUT, GFResult, _decimal_ratio
 from exactgf.toeplitz import _diag_value
 
 
@@ -565,6 +569,22 @@ def ver_sweep_per_point(g: LabeledGraph):
                 next(sweep)
             sweeps.append(sweep)
         yield Poly(_newton_interpolate([next(sweep) for sweep in sweeps]))
+
+
+def gf_ver_by_interpolation(g: LabeledGraph) -> GFResult:
+    """spanning.gf_ver's fit by the route it used to take, on the same
+    window and held-out terms: every term interpolated from the stream's
+    values at v = 1..n p + 1, the guess on their Poly list with its replay
+    over Z[v], and emission and re-expansion over Z[v] (cfinite.fit on
+    polynomials)."""
+    window = guess_window(_order_bound(g))
+    count = window + HELD_OUT
+    per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
+    minors = _kronecker_minors(g, Evals(range(1, count * per_layer + 2)))
+    data = [_interpolated(minor.values[:n * per_layer + 1])
+            for n, minor in zip(range(1, count + 1), minors)]
+    spec, gf = fit([0, *data], 1, window, guess_rec)
+    return GFResult(gf, spec, tuple(data), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from exactgf import cfinite, core, gf_grid, gf_two_forest
 from exactgf.core import _primitive_ints
 from exactgf.errors import DataTooShort
 from exactgf.graphs import _ver_terms
+from exactgf.spanning import _as_data
 from oracles import _solve_rec, guess_rec_scan, guess_sym_rec_scan
 from test_spanning import _connected_multigraphs
 
@@ -384,7 +385,7 @@ def _z_v_data(draw):
         spec = draw(_v_polynomial_specs())
         return seq_from_rec(spec, 2 * spec.order + 6)
     g = draw(_connected_multigraphs())
-    return _ver_terms(g, 2 ** g.n_vertices + 4)
+    return list(_as_data(_ver_terms(g, 2 ** g.n_vertices + 4)))
 
 
 @settings(max_examples=20, deadline=None)

@@ -209,7 +209,7 @@ def test_emit_data_prints_the_generated_terms(monkeypatch, capsys):
     payload = cli.gf_to_json(result.gf, 1, result.spec.order, result.data_used)
     assert out == json.dumps({**payload, "data": replayed}) + "\n"
     # and the terms printed are the ones the result carries
-    marked = dataclasses.replace(result, data=tuple(f"term{i}" for i in range(result.data_used)))
+    marked = dataclasses.replace(result, terms=tuple(f"term{i}" for i in range(result.data_used)))
     monkeypatch.setattr(spanning, "gf_grid", lambda k: marked)
     code, out, _ = invoke(capsys, "gf-grid", "--k", "3", "--emit-data")
     assert code == 0 and json.loads(out)["data"] == list(marked.data)
@@ -327,7 +327,7 @@ def test_fit_commands_certify_at_the_edge_of_their_window(capsys):
 
 
 def test_long_run_gates_of_the_other_pipelines(monkeypatch, tmp_path, capsys):
-    assert (cli.LONG_RUN_VER_K, cli.LONG_RUN_GRAPH_VERTICES) == (6, 7)
+    assert (cli.LONG_RUN_VER_K, cli.LONG_RUN_GRAPH_VERTICES) == (7, 7)
     ran = []
 
     def stub(result):

@@ -32,6 +32,7 @@ from exactgf.graphs import (
     _ver_terms,
     graph_from_json_dict,
 )
+from exactgf.spanning import _as_data
 
 import oracles
 from test_spanning import _connected_multigraphs
@@ -486,9 +487,14 @@ def test_jumps_reduce_only_past_the_matrix_size(monkeypatch):
 @given(_multigraphs(max_vertices=4), st.integers(1, 9))
 @example(path_graph(1), 3)  # no vertical edge: one point, and int minors at n = 1
 def test_ver_sweep_matches_ver_polynomial(g, count):
-    got = _ver_terms(g, count)
+    # the terms in evaluation form, at v = 1..count p + 1, and interpolated
+    evals = _ver_terms(g, count)
+    got = list(_as_data(evals))
     assert got == list(islice(ver_sweep_per_point(g), count))
     assert got == [ver_polynomial(product_with_path(g, n)) for n in range(1, len(got) + 1)]
+    per_layer = min(sum(mult for *_edge, mult in g.edges), g.n_vertices - 1)
+    points = Evals(range(1, count * per_layer + 2))
+    assert evals == [p.eval(points) for p in got]
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,6 @@
 """Generating-function pipelines: spanning trees, two-component forests,
 resistance, the bivariate vertical-edge statistic, and its moments."""
+import math
 from decimal import Decimal
 from itertools import islice
 from fractions import Fraction
@@ -30,13 +31,14 @@ from exactgf import (
     two_forest_count,
     grid_graph,
 )
-from exactgf import core, graphs, spanning, toeplitz
-from exactgf.cfinite import guess_rec, seq_from_rec
+from exactgf import cfinite, core, graphs, spanning, toeplitz
+from exactgf.cfinite import CFiniteSpec, guess_rec, seq_from_rec
 from exactgf.errors import BadVertexPair, InternalInconsistency, NoFitWithinBudget, NotConnected
 
 from oracles import (
     decimal_ratio_whole,
     factor_free,
+    gf_ver_by_interpolation,
     laplacian_minor_dense,
     moments_by_interpolation,
     moments_by_jet_minor,
@@ -434,6 +436,36 @@ def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
     # one round of 12 + 6 terms: term 18 has degree <= 36, so v = 1..37
     assert rounds == [12] and [w.values for w in sweeps] == [tuple(range(1, 38))]
     assert out.data_used == 18
+
+
+@settings(max_examples=25, deadline=None)
+@given(_connected_multigraphs())
+@example(path_graph(1))  # p = 0: one point of v
+@example(LabeledGraph(0, ()))
+def test_gf_ver_matches_the_interpolation_route(g):
+    got, want = gf_ver(g), gf_ver_by_interpolation(g)
+    assert repr(got.gf) == repr(want.gf) and repr(got.spec) == repr(want.spec)
+    assert got.data_used == want.data_used and got.data == want.data
+
+
+def test_a_denominator_above_its_degree_bound_is_never_emitted(monkeypatch):
+    # D_1 + (v - 1)(v - 2)...(v - P) agrees with D_1 at every streamed point
+    # v = 1..P, so only the bound deg D_i <= i p tells it from the true D_1
+    real = spanning.guess_rec
+
+    def forged(window):
+        spec = real(window)
+        size = len(window[-1].values)
+        vanishing = math.prod((Poly([-x, 1]) for x in range(1, size + 1)), start=Poly([1]))
+        return CFiniteSpec(spec.initial, (spec.den[0], spec.den[1] + vanishing, *spec.den[2:]))
+
+    interpolated = []
+    monkeypatch.setattr(spanning, "guess_rec", forged)
+    monkeypatch.setattr(cfinite, "_polys", lambda *a, real=cfinite._polys:
+                        interpolated.append(a) or real(*a))
+    with pytest.raises(InternalInconsistency, match="D_i has v-degree above i p"):
+        gf_ver_grid(2)  # 14 terms of v-degree <= n: v = 1..15, and D_1 has degree 15
+    assert interpolated == []  # no numerator was interpolated
 
 
 def test_gf_ver_specializes_to_spanning():
