@@ -2,7 +2,7 @@
 replaying them, and converting them to rational generating functions.
 fit is the one guess-emit-accept step of both case studies (spanning
 and toeplitz): it guesses on a window, emits the generating function
-without a gcd and accepts it by re-expansion against every term.
+without a gcd and accepts it by one replay (_recurrence_holds) on every term.
 
 A recurrence of order d is stored as d initial values and its denominator
 D = (D_0, ..., D_d), D_0 != 0, with the meaning
@@ -25,10 +25,9 @@ followed by a palindrome check.  Sequences of polynomials in v run the
 order finder at the integer points x = 1, 2, ... in place of primes and
 interpolate each D_i / D_0 in v through a run of points of the same
 order (_guess_rec_poly; contract and proof at guess_rec1).  Data in
-evaluation form (core.Evals, the values at v = 1..P) are guessed, replayed
-and accepted at those points, and fit interpolates only the emitted N and
-D and the spec's initial values; degree bounds the data's source proves
-make P points enough (fit).
+evaluation form (core.Evals, the values at v = 1..P) are guessed and
+replayed at those points, where fit interpolates only the emitted N and
+the spec's initial values; proved degree bounds make P points enough.
 Every accepted denominator has been replayed exactly, by ring
 arithmetic, and no floating point is involved anywhere.
 """
@@ -54,6 +53,9 @@ from .core import (
     taylor_coeffs,
 )
 from .errors import DataTooShort, InternalInconsistency
+
+#: Terms generated beyond a fit window; fit replays them with the rest.
+HELD_OUT = 6
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def _guess_rec_poly(data, d: int) -> CFiniteSpec | None:
         if n == cap or not any(sum((-1) ** j * math.comb(n - 1, j) * y
                                    for j, y in enumerate(ys)) for ys in zip(*run)):
             den = [Poly(_newton_interpolate(ys, start)) for ys in zip(*run)]
-            at = [c.eval(Evals(range(1, size + 1))) for c in den] if size else den
+            at = _at_points(den, size) if size else den
             if _recurrence_holds(data, at):
                 return CFiniteSpec(tuple(data[:len(den) - 1]), den)
     return None
@@ -450,54 +452,57 @@ def fit(series, start: int, window: int, guess):
     guess returns the minimal recurrence through its argument or None
     (guess_rec, guess_sym_rec); None gives (None, None).  A fit of order d
     is emitted as N/D, D = Poly(spec.den) and N = D * series[:d + 1] mod
-    t^(d + 1), with no gcd, and rf is None unless its first len(series)
-    terms are the list.
+    t^(d + 1), with no gcd, and accepted in every ring by the one replay
+    _recurrence_holds(series[1:], D): coefficients d + 1 .. len(series) - 1
+    of D S vanish, S the list, so D S = N and N/D = S mod t^len(series)
+    (D_0 != 0).  Otherwise rf is None.
 
     N and D are coprime when rf is returned.  A common factor g of degree
     e >= 1 has g(0) != 0 (D_0 != 0), and D' = D / g, N' = N / g, of
-    degrees <= d - e, have D' S = N' mod t^len(series), S the list: D' is
-    a recurrence of order d - e through series[n] for n > d - e, so
-    through the window if start >= 1.  If start = 0, the guess kills the
-    t^d coefficient of D S, so deg N < d, deg N' < d - e, and D' holds
-    from n = d - e on.  e = d makes the window all zero, where the
-    guessers report the constant D = (1, 0); otherwise D' (cleared of
-    denominators in v for polynomial data) is a fit of order below d,
-    against the guess's minimality.
+    degrees <= d - e, have D' S = N' mod t^len(series): D' is a recurrence
+    of order d - e through series[n] for n > d - e, so through the window
+    if start >= 1.  If start = 0, the guess kills the t^d coefficient of
+    D S, so deg N < d, deg N' < d - e, and D' holds from n = d - e on.  e =
+    d makes the window all zero, where the guessers report the constant D
+    = (1, 0); otherwise D' (cleared of denominators in v for polynomial
+    data) is a fit of order below d, against the guess's minimality.
 
     A series in evaluation form holds Evals at v = 1..P for integer
     polynomials in v, series[n] of v-degree <= n p (p = _rate(series), so
     P - 1 >= (len(series) - 1) p), whose minimal D has deg D_i <= i p:
-    graphs._ver_terms proves both for its data.  It is fitted at the
-    points.  The guess reads each point's integers, and a D above its
-    bound contradicts the proof: InternalInconsistency.  Coefficient n
-    of D S has v-degree <= n p < P, so its values at the points determine
-    it: those of n <= d are N's, interpolated (_polys) with the spec's
-    initial values, and acceptance is that those of every n > d vanish,
-    which is the re-expansion check, as N/D re-expands to S mod
-    t^len(series) exactly when D S = N mod t^len(series).
+    graphs._ver_terms proves both for its data.  The guess reads each
+    point's integers, and a D above its bound contradicts the proof:
+    InternalInconsistency.  Otherwise the replay runs on D's values at the
+    points (_at_points): coefficient n of D S has v-degree <= n p < P, so
+    it vanishes exactly when its values do, and N and the spec's initial
+    values are interpolated (_polys) from theirs.
     """
     spec = guess(series[start:start + window])
     if spec is None:
         return None, None
-    d, den = spec.order, Poly(spec.den)
-    if not isinstance(series[-1], Evals):
-        num = (den * Poly(series[:d + 1])).truncate(d + 1)
-        rf = RationalFunction._from_coprime(num, den)
-        return spec, (rf if taylor_coeffs(rf, len(series)) == series else None)
-    p = _rate(series)
-    if any(c.degree > i * p for i, c in enumerate(spec.den)):
-        raise InternalInconsistency("a denominator coefficient D_i has v-degree above i p")
-    at = [c.eval(Evals(range(1, len(series[-1].values) + 1))) for c in spec.den]
-    prod = [sum(map(mul, at, series[n::-1]), 0) for n in range(len(series))]  # D S
-    if any(prod[d + 1:]):
+    d, at, evals = spec.order, spec.den, isinstance(series[-1], Evals)
+    if evals:
+        p = _rate(series)
+        if any(c.degree > i * p for i, c in enumerate(at)):
+            raise InternalInconsistency("a denominator coefficient D_i has v-degree above i p")
+        at = _at_points(at, len(series[-1].values))
+    if not _recurrence_holds(series[1:], at):
         return spec, None
-    spec = CFiniteSpec(tuple(_polys(series[start:start + d], p, start)), spec.den)
-    return spec, RationalFunction._from_coprime(Poly(_polys(prod[:d + 1], p)), den)
+    num = [sum(map(mul, at, series[n::-1]), 0) for n in range(d + 1)]
+    if evals:
+        spec = CFiniteSpec(tuple(_polys(series[start:start + d], p, start)), spec.den)
+        num = _polys(num, p)
+    return spec, RationalFunction._from_coprime(Poly(num), Poly(spec.den))
 
 
 def _rate(series) -> int:
     """p of a series in evaluation form (fit): (P - 1) // (len(series) - 1)."""
     return (len(series[-1].values) - 1) // (len(series) - 1)
+
+
+def _at_points(den, size: int) -> list:
+    """D's coefficients, integer polynomials in v, as Evals at v = 1..size."""
+    return [c.eval(Evals(range(1, size + 1))) for c in den]
 
 
 def _polys(xs, p: int, start: int = 0) -> list:

@@ -655,16 +655,15 @@ def _corner_counts_of(rows, c_a, c_b, v, a: int, b: int):
     return tau * v - d, tau
 
 
-def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1):
+def _corner_counts(g: LabeledGraph, a: int, b: int):
     """Yield (F, tau) for n = 1, 2, ..., for a connected g with k >= 1
-    vertices and g's edges weighted by w (an int >= 1 or Evals at points
-    >= 1): the spanning trees tau of g x P_n and its two-forests F
+    vertices: the spanning trees tau of g x P_n and its two-forests F
     separating vertex a of layer 1 from vertex b of layer n (0 if they
     coincide), so F / tau is their resistance; one _step of the k-square
     continuants of t = A + 2I and one bordered k x k determinant per n.
     _corner_count jumps to one n.
 
-    With A = w L(g) and x_j layer j's potentials under a unit current from
+    With A = L(g) and x_j layer j's potentials under a unit current from
     a to b, Kirchhoff's law gives x_2 = (A + I) x_1 - e_a and, inside,
     x_(j+1) = (A + 2I) x_j - x_(j-1): x_j = C_j x_1 - V_j, C and V
     following Y_(j+1) = (A + 2I) Y_j - Y_(j-1) from C_0 = C_1 = I, V_0 =
@@ -681,10 +680,10 @@ def _corner_counts(g: LabeledGraph, a: int, b: int, vertical_weight=1):
     it: M is positive definite.  The pivots of [[M, r'], [u'^T, 0]], u' =
     e_a - C_n e_b less its last entry, are then M's positive leading
     minors, with no row swap, and D; det M, a cofactor of a_n(A), is (1/k)
-    prod a_n(w lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b],
+    prod a_n(lambda_i) = tau.  R = x_1[a] - x_n[b] = u'^T y + V_n[b],
     u'^T M^-1 r' = -D / tau (Schur complement), and F = tau R = tau V_n[b]
     - D."""
-    for u0, u1, u2 in _walk(*_scaled(g, vertical_weight)):
+    for u0, u1, u2 in _walk(*_scaled(g, 1)):
         a_n = [[x - y - (y - z) for x, y, z in zip(r2, r1, r0)]
                for r0, r1, r2 in zip(u0, u1, u2[:-1])]
         yield _corner_counts_of(a_n, [*map(sub, u1[a], u0[a])], [*map(sub, u1[b], u0[b])],

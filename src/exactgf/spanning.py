@@ -17,7 +17,7 @@ graphs._ver_terms) v-polynomials, graphs._corner_counts for two-forests.
 Each fit is one round, sized from a proved bound on the recurrence order:
 graphs._order_bound, from the base graph's Laplacian spectrum, for trees
 and v-polynomials, and B_F (gf_two_forest) for the two-forests.  A fit is only accepted when its
-emitted function, re-expanded, reproduces every generated term, the
+denominator replays on every generated term (cfinite.fit), the
 HELD_OUT extra terms never shown to the guesser included, and the last
 term agrees with its per-term count, which takes a route other than the
 data's (_fit_pipeline).
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
-from .cfinite import CFiniteSpec, _polys, _rate, fit, guess_rec, guess_sym_rec, guess_window
+from .cfinite import HELD_OUT, CFiniteSpec, _polys, _rate, fit, guess_rec, guess_sym_rec, guess_window
 from .core import Evals, Poly, RationalFunction
 # not called here; perfbench/tracing.py wraps these bindings
 from .cfinite import c_to_r  # noqa: F401
@@ -60,10 +60,6 @@ from .graphs import (
     two_forest_count,
     ver_polynomial,
 )
-
-#: Terms generated beyond the fit window; all must replay correctly.
-HELD_OUT = 6
-
 
 @dataclass(frozen=True, repr=False)
 class GFResult:
@@ -126,8 +122,8 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     that is not None caps the window, and HELD_OUT more terms are
     generated but never shown to the guesser.  cfinite.fit guesses on
     that window of 0, data (the t^1 prefactor), emits the function and
-    accepts it if it re-expands to every generated term: the held-out
-    replay.  Then the denominator degree must equal the order, and the
+    accepts it if its denominator replays on every generated term: the
+    held-out replay.  Then the denominator degree must equal the order, and the
     last term must equal term_fn(n), its per-term count by a route that
     shares no step with the data's, so every run ties two computations
     together:

@@ -38,7 +38,7 @@ from .errors import (
     InternalInconsistency,
     NoFitWithinBudget,
 )
-from .cfinite import fit, guess_rec, guess_window
+from .cfinite import HELD_OUT, fit, guess_rec, guess_window
 
 #: Largest dimension the exponential permanent oracle will accept.
 PERMANENT_ORACLE_CAP = 20
@@ -301,13 +301,13 @@ def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
     With m states, Cayley-Hamilton gives transfer_sequence a recurrence of
     order at most m, and any order-m recurrence through 2m of its terms
     matches it forever, so the fit of cfinite.fit to its first
-    guess_window(m) = 2m + 4 terms (orders <= m) is proved, not guessed,
-    and re-expands to all of them; a failed fit is a bug and raises
-    InternalInconsistency."""
+    guess_window(m) = 2m + 4 terms (orders <= m) is proved, not guessed;
+    HELD_OUT more terms are generated and replayed with them.  A failed
+    fit is a bug and raises InternalInconsistency."""
     scheme = children_scheme(row, col, mode)
     m = len(scheme)
-    _spec, rf = fit(transfer_sequence(scheme, guess_window(m) - 1), 0, guess_window(m),
-                    guess_rec)
+    _spec, rf = fit(transfer_sequence(scheme, guess_window(m) - 1 + HELD_OUT), 0,
+                    guess_window(m), guess_rec)
     if rf is None:
         raise InternalInconsistency(f"{m} transfer states but no order-{m} recurrence")
     return rf

@@ -18,8 +18,10 @@ off at each layer boundary, for the recurrence streams
 graphs._kronecker_minors and graphs._corner_counts that give the fits
 their data, ver_polynomial_per_point and ver_sweep_per_point, one integer
 elimination per point of v, for the elimination over graphs.Evals behind
-graphs.ver_polynomial and graphs._ver_terms, gf_ver_by_interpolation
-(every term interpolated, then the fit over Z[v]) for the fit in
+graphs.ver_polynomial and graphs._ver_terms, fit_by_reexpansion
+(N = D * S by polynomial product, accepted by re-expanding N/D against
+every term) for the one replay of cfinite.fit, gf_ver_by_interpolation
+(every term interpolated, then that fit over Z[v]) for the fit in
 evaluation form behind spanning.gf_ver, continuants_by_doubling
 (k-square matrix doubling, with second_difference) for the scalar
 doubling of graphs._jump, moments_by_jet_minor (one
@@ -66,8 +68,14 @@ from exactgf import (
     product_with_path,
     ver_polynomial,
 )
-from exactgf.cfinite import _recurrence_holds, fit, guess_rec, guess_window
-from exactgf.core import _interpolated, _newton_interpolate, _primitive_ints, solve_fraction_free
+from exactgf.cfinite import _recurrence_holds, guess_rec, guess_window
+from exactgf.core import (
+    _interpolated,
+    _newton_interpolate,
+    _primitive_ints,
+    solve_fraction_free,
+    taylor_coeffs,
+)
 from exactgf.errors import (
     BadState,
     BadVertexPair,
@@ -571,19 +579,33 @@ def ver_sweep_per_point(g: LabeledGraph):
         yield Poly(_newton_interpolate([next(sweep) for sweep in sweeps]))
 
 
+def fit_by_reexpansion(series, start: int, window: int, guess):
+    """cfinite.fit by the route it took for int, Fraction and nested-Poly
+    series before its one replay: N = D * series[:d + 1] mod t^(d + 1) by
+    polynomial product, and the fit accepted when N/D, re-expanded by
+    series division (taylor_coeffs), gives back every term."""
+    spec = guess(series[start:start + window])
+    if spec is None:
+        return None, None
+    d, den = spec.order, Poly(spec.den)
+    num = (den * Poly(series[:d + 1])).truncate(d + 1)
+    rf = RationalFunction._from_coprime(num, den)
+    return spec, (rf if taylor_coeffs(rf, len(series)) == series else None)
+
+
 def gf_ver_by_interpolation(g: LabeledGraph) -> GFResult:
     """spanning.gf_ver's fit by the route it used to take, on the same
     window and held-out terms: every term interpolated from the stream's
     values at v = 1..n p + 1, the guess on their Poly list with its replay
-    over Z[v], and emission and re-expansion over Z[v] (cfinite.fit on
-    polynomials)."""
+    over Z[v], and emission and re-expansion over Z[v]
+    (fit_by_reexpansion)."""
     window = guess_window(_order_bound(g))
     count = window + HELD_OUT
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
     minors = _kronecker_minors(g, Evals(range(1, count * per_layer + 2)))
     data = [_interpolated(minor.values[:n * per_layer + 1])
             for n, minor in zip(range(1, count + 1), minors)]
-    spec, gf = fit([0, *data], 1, window, guess_rec)
+    spec, gf = fit_by_reexpansion([0, *data], 1, window, guess_rec)
     return GFResult(gf, spec, tuple(data), 1)
 
 

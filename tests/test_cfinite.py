@@ -24,7 +24,7 @@ from exactgf.core import _primitive_ints
 from exactgf.errors import DataTooShort
 from exactgf.graphs import _ver_terms
 from exactgf.spanning import _as_data
-from oracles import _solve_rec, guess_rec_scan, guess_sym_rec_scan
+from oracles import _solve_rec, fit_by_reexpansion, guess_rec_scan, guess_sym_rec_scan
 from test_spanning import _connected_multigraphs
 
 A001353 = [1, 4, 15, 56, 209, 780, 2911, 10864, 40545, 151316]
@@ -350,6 +350,49 @@ def _v_polynomial_specs(draw):
     d = draw(st.integers(1, 3))
     tail = draw(st.lists(_V_POLYS, min_size=d, max_size=d))
     return CFiniteSpec(draw(st.lists(_V_POLYS, min_size=d, max_size=d)), [Poly([1])] + tail)
+
+
+@st.composite
+def _fit_oracle_cases(draw):
+    """(series, start, window, perturbed): 0..2 arbitrary terms, then a
+    random spec's (D_0 = 1) over the ints, Fractions or Z[v]; a start
+    0..3; a window of 2 * order + 4 terms or more, order bounding the
+    minimal recurrence from any start; 1..3 terms past the window, the
+    first of them off by one when perturbed."""
+    ring = draw(st.sampled_from(("int", "Fraction", "v")))
+    if ring == "v":
+        terms, spec = _V_POLYS, draw(_v_polynomial_specs().filter(lambda s: s.order <= 2))
+    else:
+        terms = st.integers(-4, 4) if ring == "int" else st.fractions(-4, 4, max_denominator=5)
+        d = draw(st.integers(1, 3))
+        spec = CFiniteSpec(draw(st.lists(terms, min_size=d, max_size=d)),
+                           [1] + draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+    prefix = draw(st.lists(terms, max_size=2))
+    start = draw(st.integers(0, 3))
+    window = 2 * (spec.order + len(prefix)) + 4 + draw(st.integers(0, 2))
+    n = start + window + draw(st.integers(1, 3))
+    return prefix + seq_from_rec(spec, n - len(prefix)), start, window, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fit_oracle_cases())
+@example((seq_from_rec(CFiniteSpec([1, 1], [1, -1, -1]), 10), 0, 8, False))
+@example((seq_from_rec(CFiniteSpec([Fraction(1, 2), 3], [1, 0, -2]), 11), 1, 8, True))
+# coefficient d + 1 of D S is the only one that sees the term before the window
+@example(([3, 5] + seq_from_rec(CFiniteSpec([1], [1, -2]), 8), 2, 6, False))
+@example(([Poly([0, 1])] + seq_from_rec(CFiniteSpec([Poly([1, 1])], [Poly([1]), Poly([0, -1])]),
+                                        11), 2, 8, True))
+def test_fit_matches_the_reexpansion_route(case):
+    # the one replay accepts exactly the fits that re-expand to every term,
+    # and emits the same function; a held-out term off by one fails both
+    series, start, window, perturbed = case
+    if perturbed:
+        series = [*series[:start + window], series[start + window] + 1,
+                  *series[start + window + 1:]]
+    got = cfinite.fit(series, start, window, guess_rec)
+    assert repr(got) == repr(fit_by_reexpansion(series, start, window, guess_rec))
+    if perturbed:
+        assert got[1] is None
 
 
 def _content(polys):

@@ -390,11 +390,9 @@ def test_streams_match_the_layer_sweep(g, layers):
         want = list(islice(layer_sweep(g, w), layers))
         assert [type(x) for x in got] == [type(x) for x in want] and got == want
     if g.is_connected():
-        k = g.n_vertices
-        for w in (1, 2, Evals((1, 2, 3))):
-            got = list(islice(graphs._corner_counts(g, 0, k - 1, w), layers))
-            assert [f for f, _tau in got] == list(islice(layer_sweep(g, w, forests=True), layers))
-            assert [tau for _f, tau in got] == list(islice(layer_sweep(g, w), layers))
+        got = list(islice(graphs._corner_counts(g, 0, g.n_vertices - 1), layers))
+        assert [f for f, _tau in got] == list(islice(layer_sweep(g, 1, forests=True), layers))
+        assert [tau for _f, tau in got] == list(islice(layer_sweep(g, 1), layers))
 
 
 @settings(max_examples=30, deadline=None)

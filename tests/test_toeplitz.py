@@ -26,7 +26,15 @@ from exactgf import (
     transfer_sequence,
     value_sequence,
 )
-from exactgf.errors import BadState, BudgetExceeded, InconsistentSpec, NoFitWithinBudget
+from exactgf import toeplitz
+from exactgf.cfinite import guess_window
+from exactgf.errors import (
+    BadState,
+    BudgetExceeded,
+    InconsistentSpec,
+    InternalInconsistency,
+    NoFitWithinBudget,
+)
 from exactgf.toeplitz import _prefixes, scheme_size_bound, scheme_to_json
 
 from oracles import (
@@ -376,6 +384,20 @@ def test_transfer_gcd_free_emission_matches_canonical(band, mode):
     got = gf_transfer(row, col, mode)
     assert got == c_to_r(spec)
     assert repr(got) == repr(c_to_r(spec))
+
+
+def test_gf_transfer_replays_its_held_out_terms(monkeypatch):
+    # the first term past the proved window, off by one, fails the replay
+    def off_by_one(scheme, count, real=toeplitz.transfer_sequence):
+        out = real(scheme, count)
+        window = guess_window(len(scheme))
+        if count >= window:
+            out[window] += 1
+        return out
+
+    monkeypatch.setattr(toeplitz, "transfer_sequence", off_by_one)
+    with pytest.raises(InternalInconsistency):
+        gf_transfer([2, 1, 1], [2, 3, 3], "det")
 
 
 @pytest.mark.parametrize("mode, n", (("det", 30), ("perm", 12)))
