@@ -46,7 +46,7 @@ from .errors import (
 #: with --allow-long: there the graph's size, not the fit window, sets the
 #: time.  gf-ver --k and a gf-ver --graph's vertex count: with process
 #: start 5 rows take 0.3-0.5 s and 6 rows 2.8-3.5 s, two thirds of it the
-#: Kronecker stream over Evals at 371 points of v, the fit running at those
+#: tree-minor stream over Evals at 371 points of v, the fit running at those
 #: points; 7 rows, at 829 points, take about 87 s.
 LONG_RUN_VER_K = 7
 #: A gf-product --graph's vertex count: random 7-vertex graphs (window 132)
@@ -79,7 +79,7 @@ MAX_FIT_TERMS = 160
 #:     moments     0.25 s    0.56 s    1.7 s    1.7 s     1.4 s    1.3 s    0.96 s  0.27 s
 #:     resistance  0.08 s    0.11 s    0.40 s   0.47 s    0.33 s   0.27 s   0.19 s  0.13 s
 #:
-#: and 0.08 s each at k = 144, n = 1, the largest k.
+#: and, at k = 144, n = 1, the largest k, 0.25 s and 0.17 s.
 #: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
 MAX_STREAM_WORK = 3_000_000
 MAX_PRODUCT_VERTICES = 40_000

@@ -23,9 +23,10 @@ Kronecker sum gives _order_bound, a bound on the recurrence order of the
 counts from G's Laplacian spectrum.  Two streams yield the counts of
 G x P_n for n = 1, 2, ..., in the weight's ring, each stepping a
 three-term recurrence Y_(j+1) = t Y_j - Y_(j-1) once per n:
-_kronecker_minors, the minors, one streamed elimination of a
-(|V(G)| - 1)-square matrix per n (_ver_terms runs it over Evals for the
-first N v-polynomials, at the points the last of them needs), and
+_tree_minors, the minors, one streamed elimination per n of the grounded
+block M_n, the first |V(G)| - 1 rows and columns of a_n(w L(G)), on
+which the recurrence closes (_ver_terms runs it over Evals for the first
+N v-polynomials, at the points the last of them needs), and
 _corner_counts, the trees and corner two-forests, one bordered
 |V(G)|-square determinant per n of the layer transfer recurrence.  A
 count at one n jumps there (_jump): its matrix combines the continuants
@@ -35,9 +36,9 @@ polynomial (from _cone, like _order_bound), doubled in O(log n) products,
 then evaluated against L(G)'s powers, for only the rows its reader needs.
 The jumps are _corner_count (for resistance: k - 1 rows of the second
 difference, two of C_n = U_n - U_(n-1), one of U_(n-1)) and
-_grounded_block, the grounded transfer matrix, whose determinant, the
-tree minor, _grounded takes by det_bareiss and _tree_minor (for moments)
-by one elimination in its band.  Item n of a stream is their test
+_grounded_block, the same M_n, whose determinant, the tree minor,
+_grounded takes by det_bareiss and _tree_minor (for moments) by one
+elimination in its band.  Item n of a stream is their test
 oracle.  A graph from product_with_path(G, n) of a connected G remembers
 G and n, so spanning_tree_count and ver_polynomial of it are _grounded,
 and two_forest_count between layers 1 and n is _corner_count; every
@@ -58,8 +59,7 @@ from functools import lru_cache, partial
 from itertools import count, islice, repeat
 from operator import add, mul, sub
 
-from .core import (Evals, Matrix, Poly, _bareiss_pivots, _dom_exact_div, _interpolated, bandwidth,
-                   det_bareiss, poly_gcd)
+from .core import Evals, Matrix, Poly, _bareiss_pivots, _interpolated, bandwidth, det_bareiss, poly_gcd
 from .errors import BadVertexPair, InexactDivision, InternalInconsistency
 
 VERTICAL = "vertical"
@@ -608,38 +608,32 @@ def _at(bases, *coeffs, rows=None):
             for r in (range(len(bases[0])) if rows is None else rows)]
 
 
-def _kronecker_minors(g: LabeledGraph, vertical_weight):
+def _tree_minors(g: LabeledGraph, vertical_weight):
     """Yield _laplacian_minor(product_with_path(g, n), {k n - 1}, w) for
-    n = 1, 2, ..., in w's ring, g with k vertices, from a recurrence on
-    (k-1)-square matrices: one _step and one streamed elimination per n
+    n = 1, 2, ..., in w's ring, g with k vertices: det M_n, M_n the
+    grounded block of Y_n = a_n(w L(g)) (_grounded_block), from one _step
+    of (k-1)-square matrices and one streamed elimination per n
     (_tree_minor jumps to one n).
 
-    It is P_n = (1/k) prod a_n(w lambda_i) (_order_bound).  On R^k/<1>, in
-    the images of e_1..e_(k-1), L(g) is L^ = C L_red (L_red: L(g) less its
-    last row and column; C = I + J, det C = k), so its eigenvalues are the
-    lambda_i, prod f(lambda_i) = det f(L^) and P_n = det a_n(w L^) / k.
-    B_j = a_j(w L^) C has B_0 = 0, B_1 = w L^ C, B_j = (w L^ + 2I) B_(j-1)
-    - B_(j-2), and B_n = C^(1/2) a_n(w S) C^(1/2), S = C^(1/2) L_red C^(1/2),
-    is symmetric: P_n = det B_n / k^2.  S is PSD and a_n(y) = det(yI +
-    L(P_n)) is 0 at 0 and > 0 for y > 0, so B_n is PSD at w >= 0 with the
-    kernel C^(-1/2) ker S at every w > 0.  As in _laplacian_minor, a zero
-    pivot makes B_n singular, its leading block holding a kernel vector, so
-    a pivot 0 at w = 1 is 0 at all w > 0: jet pivots are 0 or units, Evals
-    pivots 0 at all points or none."""
+    Y_n is symmetric with Y_n 1 = 0, so its last row is minus the sum of
+    the others, and Y_(n+1) = (w L(g) + 2I) Y_n - Y_(n-1) closes on its
+    first k - 1 rows and columns: M_(n+1) = (w L^ + 2I) M_n - M_(n-1),
+    M_0 = 0, M_1 = w L_red (L(g) less its last row and column), L^[i][j]
+    = L[i][j] - L[i][k-1].  det M_n, a cofactor of Y_n, is (1/k) prod
+    a_n(w lambda_i) = P_n (_order_bound).  a_n(y) = det(yI + L(P_n)) is 0
+    at 0 and > 0 for y > 0, so at w > 0 Y_n is PSD with kernel ker L(g)
+    and M_n is PSD, positive definite for a connected g: as in
+    _laplacian_minor, a leading minor of M_n is 0 at all w > 0 or at
+    none, so jet pivots are 0 or units and Evals pivots 0 at all points
+    or none."""
     _check_weight(vertical_weight)
     zero, k = 0 * vertical_weight, g.n_vertices
     if k <= 1:  # g x P_n is empty or a path: one spanning tree
         yield from repeat(zero + 1)
-    lap = laplacian(g).rows  # L^: L_red's rows less L(g)'s last row
-    first = [[vertical_weight * (x - y) for x, y in zip(row[:-1], lap[-1])] for row in lap[:-1]]
-    b1 = [[x + s for x in row] for row, s in zip(first, map(sum, first))]  # w L^ C
-    for _b0, b, _b2 in _walk(first, b1):
-        det = _last_pivot(lambda e: b[e][:e + 1] if e < k - 1 else None, k - 1, k - 2, zero)
-        try:
-            minor = _dom_exact_div(det, k * k)
-        except InexactDivision as exc:
-            raise InternalInconsistency("det B_n is not divisible by k^2") from exc
-        yield minor
+    lap = [[vertical_weight * x for x in row] for row in laplacian(g).rows[:-1]]
+    first = [[x - row[-1] for x in row[:-1]] for row in lap]  # w L^
+    for _m0, m, _m2 in _walk(first, [row[:-1] for row in lap]):
+        yield _last_pivot(lambda e: m[e][:e + 1] if e < k - 1 else None, k - 1, k - 2, zero)
 
 
 def _corner_counts_of(rows, c_a, c_b, v, a: int, b: int):
@@ -699,25 +693,25 @@ def _corner_count(g: LabeledGraph, a: int, b: int, n: int):
 
 
 def _grounded_block(g: LabeledGraph, vertical_weight, n: int):
-    """M_n of _corner_counts, det M_n = tau: a_n(w L(g)), the _jump's second
-    difference, at its first k - 1 rows less their last entry."""
+    """M_n of _tree_minors and _corner_counts, det M_n = tau: a_n(w L(g)),
+    the _jump's second difference, at its first k - 1 rows less their last
+    entry."""
     rows = _jump(g, vertical_weight, n)(1, -2, 1, rows=range(g.n_vertices - 1))
     return [row[:-1] for row in rows]
 
 
 def _grounded(g: LabeledGraph, n: int, vertical_weight):
     """_laplacian_minor(product_with_path(g, n), {k n - 1}, w) for a connected
-    g with k >= 1 vertices, in w's ring: det_bareiss of _grounded_block.  It
-    shares no elimination with _kronecker_minors, so each checks the other."""
+    g with k >= 1 vertices, in w's ring: det_bareiss of _grounded_block.
+    _tree_minors walks the same M_n over n and this jumps to it, so they
+    share no elimination and each checks the other."""
     return 0 * vertical_weight + det_bareiss(Matrix(_grounded_block(g, vertical_weight, n)))
 
 
 def _tree_minor(g: LabeledGraph, vertical_weight, n: int):
-    """Item n of _kronecker_minors(g, w), g with k >= 1 vertices: det M_n
+    """Item n of _tree_minors(g, w), g with k >= 1 vertices: det M_n
     (_grounded_block) by _last_pivot in M_n's measured half-bandwidth, n
-    for a path and n < k, where the Kronecker B_n is dense.  At w > 0,
-    a_n(w L(g)) is PSD with kernel ker L(g), as a_n(y) > 0 for y > 0: a
-    leading minor of M_n is 0 at all w > 0 or none (_laplacian_minor)."""
+    for a path and n < k; a zero pivot proves M_n singular (_tree_minors)."""
     _check_weight(vertical_weight)
     m = _grounded_block(g, vertical_weight, n)
     w = bandwidth(Matrix(m))
@@ -728,7 +722,7 @@ def _tree_minor(g: LabeledGraph, vertical_weight, n: int):
 def _ver_terms(g: LabeledGraph, count: int) -> list:
     """The data of gf_ver in evaluation form: A_n =
     ver_polynomial(product_with_path(g, n)) for n = 1..count as Evals at v
-    = 1..count p + 1, read off one _kronecker_minors stream, for a
+    = 1..count p + 1, read off one _tree_minors stream, for a
     connected g with k vertices and p = min(total multiplicity of g's
     edges, k - 1), which is k - 1 (0 for k <= 1).  cfinite.fit takes a
     series in this form and rests on two bounds it proves here.
@@ -750,7 +744,7 @@ def _ver_terms(g: LabeledGraph, count: int) -> list:
     (Gauss's lemma), and D_0 H_0 = Q_0 = 1 makes D_0 and H_0 constants:
     w(D), w(H) >= 0 with sum w(Q) = 0, so w(D) = 0."""
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    return list(islice(_kronecker_minors(g, Evals(range(1, count * per_layer + 2))), count))
+    return list(islice(_tree_minors(g, Evals(range(1, count * per_layer + 2))), count))
 
 
 def graph_from_json_dict(obj) -> LabeledGraph:

@@ -11,7 +11,8 @@ Covered families, all over layers n of a product graph G x P_n:
     n, graphs._tree_minor).
 
 No product graph is eliminated for any fit: the data of each come from a
-stream of the base graph's recurrences, graphs._kronecker_minors for trees
+stream of the base graph's recurrences, graphs._tree_minors (det M_n,
+M_n the grounded block that every single-layer count jumps to) for trees
 and (at the points of v the fit needs, in evaluation form:
 graphs._ver_terms) v-polynomials, graphs._corner_counts for two-forests.
 Each fit is one round, sized from a proved bound on the recurrence order:
@@ -49,9 +50,9 @@ from .graphs import (
     LabeledGraph,
     _corner_count,
     _corner_counts,
-    _kronecker_minors,
     _order_bound,
     _tree_minor,
+    _tree_minors,
     _ver_terms,
     grid_graph,
     path_graph,
@@ -129,12 +130,12 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     together:
 
       family         data                         spot check
-      trees          _kronecker_minors(g, 1):     spanning_tree_count of
-                     det B_n / k^2, B_n stepped   product_with_path(g, n):
-                     on (k-1)-square matrices,    det_bareiss of the layer
-                     one _eliminated per n        transfer's grounded M_n,
-                                                  jumped to by scalar
-                                                  continuants mod chi_L(g)
+      trees          _tree_minors(g, 1):          spanning_tree_count of
+                     det M_n, the layer           product_with_path(g, n):
+                     transfer's grounded M_n      det_bareiss of the same
+                     stepped on (k-1)-square      M_n, jumped to by scalar
+                     matrices, one _eliminated    continuants mod chi_L(g)
+                     per n
       v-polynomials  the same over Evals at v =   ver_polynomial: the same
                      1..P, kept in evaluation     over Evals, interpolated,
                      form (_ver_terms): fitted    against the last term
@@ -195,7 +196,7 @@ def gf_spanning(
         return spanning_tree_count(product_with_path(g_base, n))
 
     def terms(c):
-        return list(islice(_kronecker_minors(g_base, 1), c))
+        return list(islice(_tree_minors(g_base, 1), c))
 
     return _fit_pipeline(terms, term, guess, _order_bound(g_base), max_terms)
 
@@ -287,15 +288,13 @@ def c_poly(k: int) -> Poly:
 def resistance(k: int, n: int) -> Fraction:
     """Joint resistance between corners (1,1) and (k,n) of the k x n grid
     with 1-Ohm edges: two-forests over spanning trees, both counted by
-    graphs._corner_count on P_k, or k n - 1 where the grid is a path.
+    graphs._corner_count on P_k (k n - 1 where the grid is a path).
     That jumps to layer n by scalar doubling, O(k^2 log n) operations on
     numbers of O(n) digits, and O(k^3) to evaluate and eliminate."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     if k * n < 2:
         raise BadVertexPair("need at least two vertices")
-    if k == 1 or n == 1:
-        return Fraction(k * n - 1)
     return Fraction(*_corner_count(path_graph(k), 0, k - 1, n))
 
 
@@ -314,7 +313,7 @@ def gf_ver(g_base: LabeledGraph) -> GFResult:
     weight polynomials of g_base x P_n.
 
     Data terms are polynomials in v in evaluation form, their values at
-    the points v = 1..P from one Kronecker stream sized like gf_spanning's
+    the points v = 1..P from one tree-minor stream sized like gf_spanning's
     from the order bound of g_base (graphs._ver_terms).  cfinite.fit
     guesses, replays and accepts at those points and interpolates only the
     emitted numerator and denominator; the result's data are interpolated
@@ -358,19 +357,18 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
 
     The weight polynomial P at v = 1 + e over jets mod e^5 gives c_j =
     P^(j)(1) / j! and the factorial moments j! c_j / c_0: P is
-    graphs._tree_minor, item n of graphs._kronecker_minors: a jump by
+    graphs._tree_minor, item n of graphs._tree_minors: a jump by
     scalar doubling over jets, O(k^2 log n) operations, then a grounded
     block of k - 1 rows, O(k^3), eliminated in its band, O(k^3) at most;
-    tau(g_base) v^(k-1) at n = 1 and 1 at k <= 1.
+    1 for the empty graph.
     Mean and variance are exact; skewness and kurtosis (plain, not excess)
     are 30-significant-digit decimals, None when the variance is 0."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
     if n < 1:
         raise ValueError("need at least one layer")
-    k = g_base.n_vertices
-    c = ([math.comb(max(k - 1, 0), j) for j in range(5)] if n == 1 or k <= 1
-         else _tree_minor(g_base, Jet((1, 1, 0, 0, 0)), n).coeffs)
+    c = (_tree_minor(g_base, Jet((1, 1, 0, 0, 0)), n).coeffs if g_base.n_vertices
+         else (1, 0, 0, 0, 0))
     fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, 5)]
     mean = fact[0]
     skewness = kurtosis = None

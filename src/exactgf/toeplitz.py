@@ -53,14 +53,22 @@ class ToeplitzSpec:
     col: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "row", tuple(self.row))
-        object.__setattr__(self, "col", tuple(self.col))
-        if not self.row or not self.col:
-            raise InconsistentSpec("prefixes must be nonempty")
-        if self.row[0] != self.col[0]:
-            raise InconsistentSpec("row and column prefixes must share entry (1,1)")
+        row, col = _checked_prefixes(self.row, self.col)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
         if self.n < 1:
             raise ValueError("dimension must be positive")
+
+
+def _checked_prefixes(row, col):
+    """(row, col) as tuples; InconsistentSpec unless both are nonempty and
+    share entry (1,1)."""
+    row, col = tuple(row), tuple(col)
+    if not row or not col:
+        raise InconsistentSpec("prefixes must be nonempty")
+    if row[0] != col[0]:
+        raise InconsistentSpec("row and column prefixes must share entry (1,1)")
+    return row, col
 
 
 def matrix_from_spec(spec: ToeplitzSpec) -> Matrix:
@@ -258,9 +266,7 @@ def children_scheme(row, col, mode: str = "det") -> TransferScheme:
     its other k1 - 1 offsets in -k2 + 1 .. k1 - 2, so the closure has at
     most C(k1 + k2 - 2, k1 - 1) states (scheme_size_bound) and needs no
     cap; the bound is tight (252 states for the all-ones 6/6 band)."""
-    row, col = tuple(row), tuple(col)
-    if row[0] != col[0]:
-        raise InconsistentSpec("row and column prefixes must share entry (1,1)")
+    row, col = _checked_prefixes(row, col)
     states = [tuple(range(len(row)))]
     index = {states[0]: 0}
     raw_transitions = []

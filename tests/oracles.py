@@ -15,7 +15,7 @@ laplacian_minor_dense for the streamed Laplacian minors, factor_free for
 the recurrences that count on a product_with_path instead of its minors,
 layer_sweep, one streamed elimination of the whole product G x P_inf read
 off at each layer boundary, for the recurrence streams
-graphs._kronecker_minors and graphs._corner_counts that give the fits
+graphs._tree_minors and graphs._corner_counts that give the fits
 their data, ver_polynomial_per_point and ver_sweep_per_point, one integer
 elimination per point of v, for the elimination over graphs.Evals behind
 graphs.ver_polynomial and graphs._ver_terms, fit_by_reexpansion
@@ -91,10 +91,10 @@ from exactgf.graphs import (
     Jet,
     _check_weight,
     _eliminated,
-    _kronecker_minors,
     _laplacian_minor,
     _order_bound,
     _step,
+    _tree_minors,
     _zero_pivot,
 )
 from exactgf.spanning import HELD_OUT, GFResult, _decimal_ratio
@@ -499,7 +499,7 @@ def _block(upper, m, shift):
 def layer_sweep(g: LabeledGraph, vertical_weight=1, forests: bool = False):
     """Yield the Laplacian minors of g x P_n for n = 1, 2, ... from one
     streamed elimination of the product, the route the fit data took before
-    graphs._kronecker_minors and graphs._corner_counts, with g's edges
+    graphs._tree_minors and graphs._corner_counts, with g's edges
     weighted by vertical_weight (an int >= 0, a Jet with constant term >= 1
     or Evals at points >= 1), in the weight's ring:
     spanning_tree_count(product_with_path(g, n)), or with forests
@@ -602,7 +602,7 @@ def gf_ver_by_interpolation(g: LabeledGraph) -> GFResult:
     window = guess_window(_order_bound(g))
     count = window + HELD_OUT
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    minors = _kronecker_minors(g, Evals(range(1, count * per_layer + 2)))
+    minors = _tree_minors(g, Evals(range(1, count * per_layer + 2)))
     data = [_interpolated(minor.values[:n * per_layer + 1])
             for n, minor in zip(range(1, count + 1), minors)]
     spec, gf = fit_by_reexpansion([0, *data], 1, window, guess_rec)
@@ -728,7 +728,7 @@ def moments_by_interpolation(g_base: LabeledGraph, n: int) -> MomentsReport:
 
 
 def moments_by_jet_minor(g_base: LabeledGraph, n: int) -> MomentsReport:
-    """spanning.moments by the route it took before graphs._kronecker_minors:
+    """spanning.moments by the route it took before graphs._tree_minors:
     one streamed Laplacian minor of the whole product graph g_base x P_n at
     vertical weight 1 + e over jets mod e^5, whose coefficients c_j are
     P^(j)(1) / j! for the vertical-edge polynomial P."""

@@ -644,16 +644,16 @@ def test_moments_checks_k_before_building_the_path(monkeypatch, capsys):
     assert built == []
 
 
-def test_moments_at_one_layer_is_closed_form(monkeypatch, capsys):
-    # g x P_1 is g: every spanning tree has all k - 1 of its edges vertical,
-    # so no elimination runs, even at the largest k the work cap leaves
-    def never(*args):
-        raise AssertionError("moments at n = 1 ran an elimination")
-
-    monkeypatch.setattr(graphs, "_eliminated", never)
+def test_moments_at_one_layer_is_one_tridiagonal_elimination(monkeypatch, capsys):
+    # g x P_1 is g: every spanning tree has all k - 1 of its edges vertical;
+    # the jump's grounded block a_1 = w L(P_k) is tridiagonal, so even at the
+    # largest k the work cap leaves, one elimination of half-bandwidth 1 runs
+    bands, real = [], graphs._eliminated
+    monkeypatch.setattr(graphs, "_eliminated", lambda column, w: bands.append(w) or real(column, w))
     code, out, _ = invoke(capsys, "moments", "--k", "144", "--n", "1")
     got = json.loads(out)
     assert code == 0 and (got["mean"], got["variance"], got["skewness"]) == ("143", "0", None)
+    assert bands == [1]
 
 
 def test_k_and_graph_are_one_required_choice(monkeypatch, tmp_path, capsys):

@@ -336,7 +336,7 @@ def test_product_counts_eliminate_no_product_graph(monkeypatch):
     g, h = grid_graph(3, 5), grid_graph(2, 4)
     want = [laplacian_minor_dense(g, {14}), laplacian_minor_dense(g, {1, 14}),
             laplacian_minor_dense(h, {7}, VAR_V)]
-    tau = next(islice(graphs._kronecker_minors(path_graph(10), 1), 199, None))
+    tau = next(islice(graphs._tree_minors(path_graph(10), 1), 199, None))
     for k in (2, 3, 10):  # the base graphs' cone minors, cached per graph
         graphs._cone(path_graph(k))
     monkeypatch.setattr(graphs, "_laplacian_minor", never)
@@ -386,7 +386,7 @@ def test_layer_sweep_matches_per_term_minors(data):
 def test_streams_match_the_layer_sweep(g, layers):
     # the fit data's recurrence streams against the product elimination they replaced
     for w in (0, 1, 2, Evals((1, 2, 3)), Jet((1, 1, 0))):
-        got = list(islice(graphs._kronecker_minors(g, w), layers))
+        got = list(islice(graphs._tree_minors(g, w), layers))
         want = list(islice(layer_sweep(g, w), layers))
         assert [type(x) for x in got] == [type(x) for x in want] and got == want
     if g.is_connected():
@@ -417,12 +417,37 @@ def test_every_jump_is_its_stream_item(g, n, w):
     at = graphs._jump(g, w, n)
     assert [at(1, 0, 0), at(0, 1, 0), at(0, 0, 1)] == list(want)
     assert at(1, -2, 1) == second_difference(want)
-    got, want = graphs._tree_minor(g, w, n), item(graphs._kronecker_minors(g, w))
+    got, want = graphs._tree_minor(g, w, n), item(graphs._tree_minors(g, w))
     assert type(got) is type(want) and got == want
     got = graphs._grounded(g, n, w)
     assert type(got) is type(want) and got == want
     for a, b in ((0, k - 1), (k - 1, 0), (k // 2, k // 2)):
         assert graphs._corner_count(g, a, b, n) == item(graphs._corner_counts(g, a, b))
+
+
+def test_tree_minors_eliminates_the_grounded_block(monkeypatch):
+    # the data stream's matrix is the grounded block M_n that every jump
+    # eliminates: the rows it hands _last_pivot at n are the lower triangle
+    # of _grounded_block(g, w, n)
+    rng = random.Random(2018)
+    multigraph = next(h for h in iter(lambda: random_labeled_graph(rng, 5, 9), None)
+                      if h.is_connected() and h.n_vertices >= 3)
+    complete = LabeledGraph(4, tuple((u, v, "other", 1) for u in range(4) for v in range(u)))
+    rows, real = [], graphs._last_pivot
+
+    def recording(column, size, w, zero):
+        rows.append([column(e) for e in range(size)])
+        return real(column, size, w, zero)
+
+    monkeypatch.setattr(graphs, "_last_pivot", recording)
+    for g in (path_graph(4), complete, multigraph):
+        layers = 2 * g.n_vertices + 1
+        for w in (1, Evals((1, 2, 3)), Jet((1, 1, 0))):
+            want = [[row[:e + 1] for e, row in enumerate(graphs._grounded_block(g, w, n))]
+                    for n in range(1, layers + 1)]
+            del rows[:]  # the jumps' cone minors past n = k ran _last_pivot too
+            list(islice(graphs._tree_minors(g, w), layers))
+            assert rows == want
 
 
 def test_corner_count_evaluates_only_what_it_reads(monkeypatch):
@@ -447,7 +472,7 @@ def test_corner_count_evaluates_only_what_it_reads(monkeypatch):
                                      ((1, 0, 0), (b,))]
         # the tree minor's two routes read the first k - 1 rows of a_n alone
         del calls[:]
-        want = next(islice(graphs._kronecker_minors(g, 1), n - 1, None))
+        want = next(islice(graphs._tree_minors(g, 1), n - 1, None))
         assert graphs._grounded(g, n, 1) == graphs._tree_minor(g, 1, n) == want
         assert calls == [((1, -2, 1), (0, 1, 2))] * 2
 
@@ -545,7 +570,7 @@ def test_pivot_zero_at_some_points_only_is_internal(monkeypatch):
     with pytest.raises(InternalInconsistency, match="some points"):
         _laplacian_minor(grid_graph(2, 2), {3}, Evals((1, 2)))
     with pytest.raises(InternalInconsistency, match="some points"):
-        next(graphs._kronecker_minors(path_graph(2), Evals((1, 2))))
+        next(graphs._tree_minors(path_graph(2), Evals((1, 2))))
 
 
 def test_points_below_one_are_rejected():
@@ -553,7 +578,7 @@ def test_points_below_one_are_rejected():
     with pytest.raises(ValueError):
         _laplacian_minor(grid_graph(2, 2), {3}, Evals((0, 1)))
     with pytest.raises(ValueError):
-        next(graphs._kronecker_minors(path_graph(2), Evals((0, 1))))
+        next(graphs._tree_minors(path_graph(2), Evals((0, 1))))
 
 
 def _taylor_at_one(g, drop, k):
@@ -591,7 +616,7 @@ def test_minors_stay_in_the_weight_ring_without_a_vertical_edge():
         got = last_pivots(h, drop, Jet((2, 0, 0)))
         assert all(type(p) is Jet for p in got) and got == pivots
     for h in (g, LabeledGraph(0, ())):  # the empty product too
-        got = list(islice(graphs._kronecker_minors(h, Evals((1, 2))), 4))
+        got = list(islice(graphs._tree_minors(h, Evals((1, 2))), 4))
         assert [(type(x), x.values) for x in got] == [(Evals, (1, 1))] * 4
     got = ver_polynomial(product_with_path(g, 3))  # _grounded of a 0 x 0 matrix
     assert got == Poly([1])
@@ -609,9 +634,9 @@ def test_laplacian_minor_rejects_negative_weight():
         _laplacian_minor(grid_graph(2, 2), {3}, -1)
     with pytest.raises(ValueError):
         _laplacian_minor(grid_graph(2, 2), {3}, Jet((0, 1)))
-    for w in (-1, Jet((0, 1))):  # the Kronecker-sum route too: its zero pivots need w >= 0
+    for w in (-1, Jet((0, 1))):  # the tree stream too: its zero pivots need w >= 0
         with pytest.raises(ValueError):
-            next(graphs._kronecker_minors(path_graph(3), w))
+            next(graphs._tree_minors(path_graph(3), w))
 
 
 def test_laplacian_minor_is_the_last_pivot_without_det_bareiss(monkeypatch):

@@ -184,8 +184,8 @@ def test_the_order_bound_sizes_one_guess(monkeypatch, fit, bound):
 
 
 def _corrupted_stream(n):
-    """A stand-in for graphs._kronecker_minors whose term n is off by one."""
-    def stream(*a, real=graphs._kronecker_minors, **kw):
+    """A stand-in for graphs._tree_minors whose term n is off by one."""
+    def stream(*a, real=graphs._tree_minors, **kw):
         return (t + (i == n) for i, t in enumerate(real(*a, **kw), 1))
     return stream
 
@@ -200,7 +200,7 @@ def test_one_round_tells_no_fit_from_a_broken_bound(monkeypatch):
     assert rounds == [6] and len(info.value.data) == 6 + spanning.HELD_OUT
     # term 13 is held out of gf_grid(3)'s 12-term window: a fit that misses
     # it within the proved bound 4 is a bug, below the full window a no-fit
-    monkeypatch.setattr(spanning, "_kronecker_minors", _corrupted_stream(13))
+    monkeypatch.setattr(spanning, "_tree_minors", _corrupted_stream(13))
     with pytest.raises(InternalInconsistency, match="held-out"):
         gf_grid(3)
     with pytest.raises(NoFitWithinBudget, match="first 11 of 17 terms"):
@@ -284,16 +284,16 @@ def test_corrupted_sweep_fails_the_spot_check(monkeypatch):
     # the last term with its per-term count can catch them; the stream is
     # doubled in graphs too, so a per-term count that ran it would double
     # with it and miss them: this is the check's independence of its data
-    def doubled_trees(*a, real=graphs._kronecker_minors, **kw):
+    def doubled_trees(*a, real=graphs._tree_minors, **kw):
         return (2 * t for t in real(*a, **kw))
 
     def doubled_forests(*a, real=graphs._corner_counts, **kw):
         return ((2 * f, tau) for f, tau in real(*a, **kw))
 
     for name, fake, run in (
-            ("_kronecker_minors", doubled_trees, lambda: gf_grid(3)),
+            ("_tree_minors", doubled_trees, lambda: gf_grid(3)),
             ("_corner_counts", doubled_forests, lambda: gf_two_forest(2)),
-            ("_kronecker_minors", doubled_trees, lambda: gf_ver_grid(2))):
+            ("_tree_minors", doubled_trees, lambda: gf_ver_grid(2))):
         with monkeypatch.context() as m:
             for module in (spanning, graphs):
                 m.setattr(module, name, fake)
@@ -428,8 +428,8 @@ def test_gf_ver_two_rows_closed_form():
 
 def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
     sweeps, rounds = [], []
-    real_stream, real_guess = graphs._kronecker_minors, spanning.guess_rec
-    monkeypatch.setattr(graphs, "_kronecker_minors",
+    real_stream, real_guess = graphs._tree_minors, spanning.guess_rec
+    monkeypatch.setattr(graphs, "_tree_minors",
                         lambda *a: sweeps.append(a[1]) or real_stream(*a))
     monkeypatch.setattr(spanning, "guess_rec", lambda d: rounds.append(len(d)) or real_guess(d))
     out = gf_ver_grid(3)
@@ -623,11 +623,12 @@ def test_moments_eliminate_in_the_grounded_band(monkeypatch):
         assert bands == [band]
 
 
-def test_kronecker_minor_inexact_quotient_is_internal(monkeypatch):
-    # det B_n is k^2 P_n; a pivot 5 at k = 2 is not divisible by 4
+def test_tree_minors_bad_pivot_fails_the_spot_check(monkeypatch):
+    # det M_n is P_n itself: a wrong pivot 5 at k = 2 is no longer caught by
+    # a division, so it reaches the fit, whose spot check refuses it
     graphs._cone(path_graph(2))  # the base graph's cone minor, cached per graph
     monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[5]], 1)]))
-    with pytest.raises(InternalInconsistency, match="k\\^2"):
+    with pytest.raises(InternalInconsistency, match="term 14 of the data differs"):
         gf_grid(2)  # the stream of a fit's data
 
 

@@ -261,6 +261,20 @@ def test_dead_root_is_one_state_without_transitions(row, col):
         assert gf_transfer(row, col, mode) == rf([1], [1])
 
 
+def test_every_route_rejects_an_empty_prefix():
+    # the scheme route checks the prefixes as ToeplitzSpec does, before
+    # reading entry (1,1)
+    for row, col in (([], [1]), ([1], []), ([], [])):
+        with pytest.raises(InconsistentSpec, match="nonempty"):
+            ToeplitzSpec(2, row, col)
+        with pytest.raises(InconsistentSpec, match="nonempty"):
+            children_scheme(row, col)
+        with pytest.raises(InconsistentSpec, match="nonempty"):
+            gf_transfer(row, col)
+        with pytest.raises(InconsistentSpec, match="nonempty"):
+            value_sequence(row, col, "det", 3)
+
+
 def test_children_scheme_bound_is_tight():
     assert len(children_scheme([1] * 6, [1] * 6)) == comb(10, 5) == 252
 
