@@ -65,21 +65,21 @@ MIN_GUESS_TERMS = guess_window(1)
 #: data exist: gf-grid, gf-ver and c-poly --k 5..7 reach 132 terms.
 MAX_FIT_TERMS = 160
 #: resistance and moments jump to layer n (graphs._jump), k the rows or a
-#: --graph's vertices: up to n = k by n steps of a k-square integer
-#: (resistance) or jet (moments) recurrence, past it by doubling scalar
-#: continuants modulo a degree-k polynomial, about k^2 log n
-#: operations on numbers of O(n) digits, and evaluating them against k
-#: cached integer matrices, about k^3; then an elimination of at most k^3
-#: operations on numbers of O(k n) digits, which the answer has too.  k^3 *
-#: n <= MAX_STREAM_WORK and k * n <= MAX_PRODUCT_VERTICES bound them.  Along
-#: these caps, the fastest of three cold runs with process start (the
-#: host's speed varied by up to 2x between runs):
+#: --graph's vertices: by doubling scalar continuants of m = min(n + 1, k)
+#: terms, truncated below n = k and reduced modulo a degree-k polynomial
+#: from n = k on, about m^2 log n operations on numbers of O(n) digits,
+#: and evaluating them against m integer powers of a k-square matrix, each
+#: built once, about k^2 m; then an elimination of at most k^3 operations
+#: on numbers of O(k n) digits, which the answer has too.  k^3 * n <=
+#: MAX_STREAM_WORK and k * n <= MAX_PRODUCT_VERTICES bound them.  Along
+#: these caps, the fastest of six cold runs (two passes of three) with
+#: process start (the host's speed varied by up to 2x between runs):
 #:
 #:     k, n        2, 20000  4, 10000  8, 5000  10, 3000  20, 375  30, 111  50, 24  100, 3
-#:     moments     0.25 s    0.56 s    1.7 s    1.7 s     1.4 s    1.3 s    0.96 s  0.27 s
-#:     resistance  0.08 s    0.11 s    0.40 s   0.47 s    0.33 s   0.27 s   0.19 s  0.13 s
+#:     moments     0.28 s    0.59 s    1.8 s    2.0 s     1.5 s    1.3 s    0.81 s  0.12 s
+#:     resistance  0.11 s    0.16 s    0.47 s   0.49 s    0.33 s   0.28 s   0.21 s  0.22 s
 #:
-#: and, at k = 144, n = 1, the largest k, 0.25 s and 0.17 s.
+#: and, at k = 144, n = 1, the largest k, 0.11 s and 0.20 s.
 #: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
 MAX_STREAM_WORK = 3_000_000
 MAX_PRODUCT_VERTICES = 40_000

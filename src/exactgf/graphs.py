@@ -30,10 +30,12 @@ N v-polynomials, at the points the last of them needs), and
 _corner_counts, the trees and corner two-forests, one bordered
 |V(G)|-square determinant per n of the layer transfer recurrence.  A
 count at one n jumps there (_jump): its matrix combines the continuants
-U_(n-1), U_n, U_(n+1) of t = w L(G) + 2I (U_0 = 0, U_1 = I), so past n =
-|V(G)| they are scalar continuants modulo L(G)'s characteristic
-polynomial (from _cone, like _order_bound), doubled in O(log n) products,
-then evaluated against L(G)'s powers, for only the rows its reader needs.
+U_(n-1), U_n, U_(n+1) of t = w L(G) + 2I (U_0 = 0, U_1 = I), scalar
+continuants in L(G) of min(n + 1, |V(G)|) terms, truncated below n =
+|V(G)| and reduced from there on modulo L(G)'s characteristic polynomial
+(from _cone, like _order_bound), doubled in O(log n) products, then
+evaluated against L(G)'s powers, built once per graph, for only the rows
+its reader needs.
 The jumps are _corner_count (for resistance: k - 1 rows of the second
 difference, two of C_n = U_n - U_(n-1), one of U_(n-1)) and
 _grounded_block, the same M_n, whose determinant, the tree minor,
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import count, islice, repeat
 from operator import add, mul, sub
 
@@ -501,10 +503,12 @@ def _order_bound(g: LabeledGraph) -> int:
 
 
 # the three-term recurrence Y_(j+1) = t Y_j - Y_(j-1) of the products
-# G x P_n, walked one step per n by the streams and a short _jump.  Its
-# matrices are symmetric, and a step over jets and Evals computes them
-# from the diagonal on, half the multiplications; not over ints, where
-# the slicing costs more than the small multiplications it saves
+# G x P_n, walked one step per n by the streams; _powers steps from
+# Y_(j-1) = 0 to multiply by -L(G).  Its matrices are symmetric, and a
+# half step computes them from the diagonal on, half the multiplications:
+# worth it over jets and Evals (the streams of _ver_terms) and over the
+# growing integers of _powers (44 -> 30 ms for a 50-vertex path), not
+# over the streams' small ints, where the slicing costs more than it saves
 
 def _step(rows, cur, prev, half: bool):
     """t cur - prev, t given by (column, entry) pairs, its nonzero entries
@@ -533,26 +537,38 @@ def _walk(a, y1):
 
 
 def _scaled(g: LabeledGraph, vertical_weight):
-    """(w L(g), I), w L(g) in w's ring: A and U_1 of a _jump's _walk."""
+    """(w L(g), I), w L(g) in w's ring: A and U_1 of _corner_counts' _walk
+    (w = 1), -L(g) and (-L(g))^0 of _powers (w = -1)."""
     return ([[vertical_weight * x for x in row] for row in laplacian(g).rows],
             [[int(u == v) for v in range(g.n_vertices)] for u in range(g.n_vertices)])
 
 
 @lru_cache(maxsize=64)
-def _powers(g: LabeledGraph):
-    """(chi, bases) of a _jump on g, shared read-only: z^k + chi(z) = det(zI
-    + L(g)) = z p(z) (p: _cone), the characteristic polynomial of -L(g), and
-    the symmetric integer bases (-L(g))^i, i < k = |V(g)|."""
-    a, identity = _scaled(g, -1)
-    rows = [[(v, x) for v, x in enumerate(row) if x or u == v] for u, row in enumerate(a)]
-    bases = [identity]
-    for _ in a[1:]:
-        bases.append(_step(rows, bases[-1], [repeat(0)] * len(a), False))
-    return (0, *_cone(g).coeffs[:-1]), bases
+def _prefix(g: LabeledGraph) -> list:
+    """[bases]: the one slot of g's _powers, a tuple that a longer prefix
+    replaces whole, never a half-built list."""
+    return [()]
+
+
+def _powers(g: LabeledGraph, size: int) -> tuple:
+    """The symmetric integer matrices (-L(g))^i, i < size <= |V(g)|, the
+    bases of a _jump on g, shared read-only: each built once per graph by
+    one _step from the one before, a longer size extending g's cached
+    prefix into a new tuple."""
+    slot = _prefix(g)
+    if len(slot[0]) < size:
+        a, identity = _scaled(g, -1)
+        rows = [[(v, x) for v, x in enumerate(row) if x or u == v] for u, row in enumerate(a)]
+        bases = [*slot[0]] or [identity]
+        while len(bases) < size:
+            bases.append(_step(rows, bases[-1], [[0] * len(a)] * len(a), True))
+        slot[0] = tuple(bases)
+    return slot[0][:size]
 
 
 def _mod(poly, chi):
-    """poly mod z^s + chi(z), in place: monic, so nothing is divided."""
+    """poly mod z^s + chi(z), s = len(chi), in place: monic, so nothing is
+    divided."""
     for _ in poly[len(chi):]:
         c = poly.pop()
         for i, x in enumerate(chi, len(poly) - len(chi)):
@@ -562,7 +578,8 @@ def _mod(poly, chi):
 
 
 def _mulmod(x, y, chi):
-    """x y mod z^s + chi(z), x and y of length s, x possibly an iterator."""
+    """x y mod z^s + chi(z), x and y of length s = len(chi), x possibly an
+    iterator."""
     out = [0] * (2 * len(chi) - 1)
     for i, c in enumerate(x):
         for j, d in enumerate(y, i):
@@ -575,37 +592,40 @@ def _jump(g: LabeledGraph, w, n: int):
     rows of it), n >= 1, integers c_i, for the continuants U_0 = 0, U_1 =
     I, U_(j+1) = t U_j - U_(j-1) of t = w A + 2I, A = L(g), s = |V(g)|.
     U_j = u_j(-A) for u_0 = 0, u_1 = 1, u_(j+1) = (2 - w z) u_j - u_(j-1)
-    in R[z], R w's ring: degree j - 1.  For n <= s, at reads item n of the
-    _walk.  Past s the u_j are reduced modulo the monic characteristic
-    polynomial of -A (_powers; Cayley-Hamilton), so no ring divides, and
-    doubled (Fiduccia 1985): u_(i+j) = u_(j+1) u_i - u_j u_(i-1) gives u_2j
-    = u_j (u_(j+1) - u_(j-1)) and u_(2j+1) = (u_(j+1) - u_j)(u_(j+1) +
-    u_j), two _mulmod of O(s^2) operations per bit of n below the top one
-    and a step.  at evaluates its combination against the bases (-A)^i."""
+    in R[z], R w's ring: degree j - 1.  The u_j are doubled (Fiduccia
+    1985): u_(i+j) = u_(j+1) u_i - u_j u_(i-1) gives u_2j = u_j (u_(j+1) -
+    u_(j-1)) and u_(2j+1) = (u_(j+1) - u_j)(u_(j+1) + u_j), two _mulmod of
+    O(size^2) operations per bit of n below the top one and a step, on
+    lists of size = min(n + 1, s) coefficients.  Every u_j the doubling
+    forms has j <= n + 1, degree <= n, so for n < s they are reduced
+    modulo z^size, a truncation; from n = s on, modulo the monic
+    characteristic polynomial z p(z) of -A (p: _cone; Cayley-Hamilton).
+    No ring divides.  at evaluates its combination against the bases
+    (-A)^i, i < size (_powers).  Over jets and Evals an entry that is 0 in
+    every base is the int 0, with no product formed; over ints the test
+    costs more than the products it saves."""
     s = g.n_vertices
-    if n <= s:
-        return partial(_at, next(islice(_walk(*_scaled(g, w)), n - 1, None)))
-    chi, bases = _powers(g)
+    size = min(n + 1, s)
+    chi = (0,) * size if n < s else (0, *_cone(g).coeffs[:-1])
 
     def step(u, v):  # (2 - w z) u - v
         return [x + x - y - p for p, x, y in zip(_mod([0, *(w * x for x in u)], chi), u, v)]
 
-    u0 = [0] * s
+    u0 = [0] * size
     u1 = [1, *u0[1:]]
     u2 = step(u1, u0)
     for bit in bin(n)[3:]:  # the bits of n below the top one
         even = _mulmod(map(sub, u2, u0), u1, chi)
         odd = _mulmod(map(sub, u2, u1), [*map(add, u2, u1)], chi)
         u0, u1, u2 = (even, odd, step(odd, even)) if bit == "1" else (step(even, odd), even, odd)
-    return lambda *c, rows=None: _at(bases, *[sum(map(mul, c, us)) for us in zip(u0, u1, u2)],
-                                     rows=rows)
+    bases, skip = _powers(g, size), not isinstance(w, int)
 
-
-def _at(bases, *coeffs, rows=None):
-    """sum_j coeffs[j] bases[j], for matrices (lists of rows) of one shape,
-    or only the rows of it that rows lists."""
-    return [[sum(map(mul, coeffs, xs)) for xs in zip(*[m[r] for m in bases])]
-            for r in (range(len(bases[0])) if rows is None else rows)]
+    def at(*c, rows=None):
+        coeffs = [sum(map(mul, c, us)) for us in zip(u0, u1, u2)]
+        return [[0 if skip and not any(xs) else sum(map(mul, coeffs, xs))
+                 for xs in zip(*[m[r] for m in bases])]
+                for r in (range(s) if rows is None else rows)]
+    return at
 
 
 def _tree_minors(g: LabeledGraph, vertical_weight):

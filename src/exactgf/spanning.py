@@ -358,9 +358,10 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
     The weight polynomial P at v = 1 + e over jets mod e^5 gives c_j =
     P^(j)(1) / j! and the factorial moments j! c_j / c_0: P is
     graphs._tree_minor, item n of graphs._tree_minors: a jump by
-    scalar doubling over jets, O(k^2 log n) operations, then a grounded
-    block of k - 1 rows, O(k^3), eliminated in its band, O(k^3) at most;
-    1 for the empty graph.
+    scalar doubling over jets of m = min(n + 1, k) terms, O(m^2 log n)
+    operations, evaluated against m integer powers of L(g), built once per
+    graph, into a grounded block of k - 1 rows, O(k^2 m), eliminated in
+    its band, O(k^3) at most; 1 for the empty graph.
     Mean and variance are exact; skewness and kurtosis (plain, not excess)
     are 30-significant-digit decimals, None when the variance is 0."""
     if not g_base.is_connected():

@@ -35,7 +35,7 @@ from exactgf.graphs import (
 from exactgf.spanning import _as_data
 
 import oracles
-from test_spanning import _connected_multigraphs
+from test_spanning import _complete_graph, _connected_multigraphs
 from oracles import (
     continuants_by_doubling,
     factor_free,
@@ -402,11 +402,21 @@ def test_streams_match_the_layer_sweep(g, layers):
 @example(LabeledGraph(1, ()), 257, 1)
 @example(LabeledGraph(1, ()), 3, Jet((1, 1, 0)))
 @example(path_graph(2), 2, Evals((1, 2, 3)))
-@example(path_graph(2), 3, Jet((1, 1, 0)))  # s = 2: the first n that reduces
+@example(path_graph(2), 3, Jet((1, 1, 0)))
+@example(path_graph(5), 3, Jet((1, 1, 0)))  # s = 5: truncated modulo z^(n + 1) below n = s,
+@example(path_graph(5), 4, Jet((1, 1, 0)))  # reduced modulo z p(z) from n = s on
+@example(path_graph(5), 5, Jet((1, 1, 0)))
+@example(path_graph(5), 6, Jet((1, 1, 0)))
+@example(_complete_graph(5), 3, Evals((1, 2, 3)))
+@example(_complete_graph(5), 4, Evals((1, 2, 3)))
+@example(_complete_graph(5), 5, Evals((1, 2, 3)))
+@example(_complete_graph(5), 6, Evals((1, 2, 3)))
+@example(path_graph(30), 2, Jet((1, 1, 0)))  # large s, small n: three powers of L(g)
 def test_every_jump_is_its_stream_item(g, n, w):
-    # the jump, walked (n <= s) or scalar (n > s), evaluated against the
-    # k-square matrix doubling it replaced, and each count against item n
-    # of the sequential stream it skips
+    # the jump's scalar continuants, truncated (n < s) or reduced modulo
+    # the characteristic polynomial (n >= s), evaluated against the
+    # k-square matrix doubling they replaced, and each count against item
+    # n of the sequential stream it skips
     def item(stream):
         return next(islice(stream, n - 1, None))
 
@@ -445,7 +455,7 @@ def test_tree_minors_eliminates_the_grounded_block(monkeypatch):
         for w in (1, Evals((1, 2, 3)), Jet((1, 1, 0))):
             want = [[row[:e + 1] for e, row in enumerate(graphs._grounded_block(g, w, n))]
                     for n in range(1, layers + 1)]
-            del rows[:]  # the jumps' cone minors past n = k ran _last_pivot too
+            del rows[:]  # the jumps' cone minors from n = k on ran _last_pivot too
             list(islice(graphs._tree_minors(g, w), layers))
             assert rows == want
 
@@ -478,12 +488,13 @@ def test_corner_count_evaluates_only_what_it_reads(monkeypatch):
 
 
 def test_jumps_reduce_only_past_the_matrix_size(monkeypatch):
-    # n <= s walks: no characteristic polynomial and no reduction; past s,
-    # two modular products per bit of n below the top one, and no division
-    complete = LabeledGraph(5, tuple((u, v, "other", 1) for u in range(5) for v in range(u)))
-    cases = [(g, w) for g in (path_graph(12), complete) for w in (1, Jet((1, 1, 0)), Evals((1, 2)))]
-    for g, _w in cases:
-        graphs._powers(g)  # per graph, cached: its cone minor divides
+    # below n = s the scalar continuants are truncated modulo z^(n + 1), so
+    # no characteristic polynomial is built; from n = s on they are reduced
+    # modulo it.  Two modular products per bit of n below the top one, no
+    # ring divides, and one graph's jumps build each power of L(g) once
+    bases = (path_graph(12), _complete_graph(5))
+    for g in bases:
+        graphs._cone(g)  # per graph, cached: its cone minor divides
 
     def never(*args):
         raise AssertionError("the jump divided")
@@ -492,18 +503,20 @@ def test_jumps_reduce_only_past_the_matrix_size(monkeypatch):
         for name in ("__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__"):
             monkeypatch.setattr(ring, name, never, raising=False)
     calls = []
-    for name in ("_powers", "_mod", "_mulmod"):
+    for name in ("_cone", "_mulmod", "_step"):
         monkeypatch.setattr(graphs, name, lambda *a, name=name, real=getattr(graphs, name):
                             calls.append(name) or real(*a))
-    for g, w in cases:
+    graphs._prefix.cache_clear()
+    for g in bases:
         s = g.n_vertices
-        for n in (1, 2, s):
-            graphs._jump(g, w, n)(1, -2, 1)
-            assert calls == []
-        for n in (s + 1, 2 * s, 257):
-            graphs._jump(g, w, n)(1, -2, 1)
-            assert 0 < calls.count("_mulmod") <= 2 * n.bit_length()
-            calls.clear()
+        del calls[:]
+        for w in (1, Jet((1, 1, 0)), Evals((1, 2))):
+            for n in (*range(1, s + 2), 2 * s, 257):
+                before = len(calls)
+                graphs._jump(g, w, n)(1, -2, 1)
+                assert ("_cone" in calls[before:]) == (n >= s)
+                assert calls[before:].count("_mulmod") == 2 * (n.bit_length() - 1)
+        assert calls.count("_step") == s - 1  # (-L(g))^i for 0 < i < s, once
 
 
 @settings(max_examples=40, deadline=None)
