@@ -45,13 +45,13 @@ from .errors import (
 #: Sizes from which a run is a stretch target, refused unless asked nicely
 #: with --allow-long: there the graph's size, not the fit window, sets the
 #: time.  gf-ver --k and a gf-ver --graph's vertex count: with process
-#: start 5 rows take 0.3-0.5 s and 6 rows 2.8-3.5 s, two thirds of it the
+#: start 5 rows take about 0.3 s and 6 rows 2.5 s, two thirds of it the
 #: tree-minor stream over Evals at 371 points of v, the fit running at those
-#: points; 7 rows, at 829 points, take about 87 s.
+#: points; 7 rows, at 829 points, take about 66 s.
 LONG_RUN_VER_K = 7
 #: A gf-product --graph's vertex count: random 7-vertex graphs (window 132)
-#: fit in 0.04 s in process, but K_30 (window 64) takes 7.4 s and the
-#: 30-vertex star (window 120) 4.7 s with process start.
+#: fit in 0.03 s in process, but K_30 (window 64) takes 4.3 s and the
+#: 30-vertex star (window 120) 3.5 s with process start.
 LONG_RUN_GRAPH_VERTICES = 7
 
 #: guess_rec tries orders up to len(data) // 2 - 2, so fewer terms than
@@ -255,9 +255,7 @@ def gf_to_json(rf: RationalFunction, offset: int, order: int | None,
 # ---------------------------------------------------------------------------
 
 def _fmt_nested(c: Poly) -> str:
-    """Render a v-polynomial coefficient, pulling a common minus sign out."""
-    if c.degree == 0:
-        return str(c.coeffs[0])
+    """Render a v-polynomial coefficient of degree >= 1, pulling a common minus sign out."""
     if sum(1 for x in c.coeffs if x) == 1:
         return _fmt_poly(c, "v", descending=False)  # bare monomial
     if all(x <= 0 for x in c.coeffs) and any(x < 0 for x in c.coeffs):
@@ -289,15 +287,7 @@ def _fmt_poly(p: Poly, var="t", descending=True) -> str:
             else:
                 body = f"{c}*{pow_txt}"
         terms.append(body)
-    out = ""
-    for body in terms:
-        if not out:
-            out = body
-        elif body.startswith("-"):
-            out += "-" + body[1:]
-        else:
-            out += "+" + body
-    return out
+    return terms[0] + "".join(b if b.startswith("-") else "+" + b for b in terms[1:])
 
 
 def _leading_scalar(p: Poly):

@@ -138,6 +138,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("a Poly power needs a non-negative exponent")
         result = Poly((1,))
         base = self
         while n:
@@ -445,19 +447,15 @@ def taylor_coeffs(rf: RationalFunction, n: int):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in evaluation form
+# elementwise rings: polynomials in evaluation form (and graphs.Jet)
 # ---------------------------------------------------------------------------
 
-class Evals:
-    """An integer polynomial in v in evaluation form: its values at fixed
-    points v = s, s + 1, ... (s = 1 for the graphs' streams and the fits
-    that read them).  Ints act as constants, and + - * / // **
-    act pointwise through map with operator functions, so the per-point
-    arithmetic runs in C and one elimination over Evals is one elimination
-    per point.  / is exact at every point or raises InexactDivision; //
-    floors unchecked, like int //, for the divisions Bareiss knows to be
-    exact.  A value is true when it is nonzero at some point, so `if x:`
-    skips only entries that are 0 at every point.
+class _Elementwise:
+    """The entry-by-entry operations of Evals and graphs.Jet, on their
+    tuple of values: + and - (a constant on either side adds at the
+    entries _lift gives), unary -, truth (nonzero at some entry), repr,
+    and ** by repeated *, for exponents >= 0 only, so no power leaves the
+    ring.  Each result is of the caller's class.
     """
 
     __slots__ = ("values",)
@@ -465,9 +463,51 @@ class Evals:
     def __init__(self, values):
         # the operations pass lists: a tuple built from a map is resized to
         # its length, so one of fewer than 20 points is never taken from
-        # CPython's free list of short tuples, yet freed into it, which
-        # then fills up
+        # CPython's free list of short tuples, yet freed into it, which fills up
         self.values = tuple(values)
+
+    def __bool__(self):
+        return any(self.values)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.values!r})"
+
+    def __neg__(self):
+        return type(self)([*map(neg, self.values)])
+
+    def __add__(self, other):
+        return type(self)([*map(add, self.values, self._lift(other))])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return type(self)([*map(sub, self.values, self._lift(other))])
+
+    def __rsub__(self, other):
+        return type(self)([*map(sub, self._lift(other), self.values)])
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"a {type(self).__name__} power needs a non-negative exponent")
+        out = self * 0 + 1  # the ring's one
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+class Evals(_Elementwise):
+    """An integer polynomial in v in evaluation form: its values at fixed
+    points v = s, s + 1, ... (s = 1 for the graphs' streams and the fits
+    that read them).  Ints act as constants, and every operation acts
+    pointwise through map with operator functions, so the per-point
+    arithmetic runs in C and one elimination over Evals is one elimination
+    per point.  / is exact at every point or raises InexactDivision; //
+    floors unchecked, like int //, for the divisions Bareiss knows to be
+    exact.  A value is true when it is nonzero at some point, so `if x:`
+    skips only entries that are 0 at every point.
+    """
+
+    __slots__ = ()
 
     def _lift(self, other):
         if isinstance(other, Evals):
@@ -476,30 +516,10 @@ class Evals:
             return other.values
         return repeat(other)
 
-    def __bool__(self):
-        return any(self.values)
-
     def __eq__(self, other):
         if isinstance(other, Evals):
             return self.values == other.values
         return all(map(eq, self.values, repeat(other)))
-
-    def __repr__(self):
-        return f"Evals({self.values!r})"
-
-    def __neg__(self):
-        return Evals([*map(neg, self.values)])
-
-    def __add__(self, other):
-        return Evals([*map(add, self.values, self._lift(other))])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Evals([*map(sub, self.values, self._lift(other))])
-
-    def __rsub__(self, other):
-        return Evals([*map(sub, self._lift(other), self.values)])
 
     def __mul__(self, other):
         return Evals([*map(mul, self.values, self._lift(other))])
@@ -517,9 +537,6 @@ class Evals:
 
     def __floordiv__(self, other):
         return Evals([*map(floordiv, self.values, self._lift(other))])
-
-    def __pow__(self, n: int):
-        return Evals([*map(pow, self.values, repeat(n))])
 
 
 # ---------------------------------------------------------------------------

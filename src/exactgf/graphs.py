@@ -61,7 +61,8 @@ from functools import lru_cache
 from itertools import count, islice, repeat
 from operator import add, mul, sub
 
-from .core import Evals, Matrix, Poly, _bareiss_pivots, _interpolated, bandwidth, det_bareiss, poly_gcd
+from .core import (Evals, Matrix, Poly, _Elementwise, _bareiss_pivots, _interpolated, bandwidth,
+                   det_bareiss, poly_gcd)
 from .errors import BadVertexPair, InexactDivision, InternalInconsistency
 
 VERTICAL = "vertical"
@@ -77,7 +78,7 @@ VAR_V = Poly((0, 1))
 # weight rings (Jet, core.Evals): / is the checked exact division of
 # det_bareiss's protocol, // the unchecked quotient that _eliminated divides by
 
-class Jet:
+class Jet(_Elementwise):
     """An immutable element c_0 + c_1 e + ... + c_(K-1) e^(K-1) of
     Z[e]/(e^K).  A polynomial evaluated at a + e gives its Taylor
     coefficients at a, so a determinant over jets reads K - 1 derivatives
@@ -87,51 +88,31 @@ class Jet:
     integer jet.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
+    def __init__(self, values):
+        self.values = tuple(values)
+        if not self.values:
             raise ValueError("a jet needs at least one coefficient")
 
     def _lift(self, other):
         if isinstance(other, int):
-            return (other,) + (0,) * (len(self.coeffs) - 1)
-        if not isinstance(other, Jet) or len(other.coeffs) != len(self.coeffs):
-            raise TypeError(f"{other!r} is not a jet of length {len(self.coeffs)}")
-        return other.coeffs
-
-    def __bool__(self):
-        return any(self.coeffs)
+            return (other,) + (0,) * (len(self.values) - 1)
+        if not isinstance(other, Jet) or len(other.values) != len(self.values):
+            raise TypeError(f"{other!r} is not a jet of length {len(self.values)}")
+        return other.values
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Jet(self._lift(other))
-        return isinstance(other, Jet) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"Jet({self.coeffs!r})"
-
-    def __neg__(self):
-        return Jet(-c for c in self.coeffs)
-
-    def __add__(self, other):
-        return Jet([*map(add, self.coeffs, self._lift(other))])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Jet([*map(sub, self.coeffs, self._lift(other))])
-
-    def __rsub__(self, other):
-        return -self + other
+            return self.values == self._lift(other)
+        return isinstance(other, Jet) and self.values == other.values
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Jet([*map(mul, self.coeffs, repeat(other))])
+            return Jet([*map(mul, self.values, repeat(other))])
         b = self._lift(other)
         out = [0] * len(b)
-        for i, x in enumerate(self.coeffs):
+        for i, x in enumerate(self.values):
             if x:
                 for j in range(len(b) - i):
                     out[i + j] += x * b[j]
@@ -139,20 +120,12 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("a jet power needs a non-negative exponent")
-        out = Jet(self._lift(1))
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __floordiv__(self, other):
         b = self._lift(other)
         if not b[0]:
             raise InexactDivision(f"{other!r} has a zero constant term")
         q = []
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.values):
             for i in range(1, j + 1):
                 c -= b[i] * q[j - i]
             c, r = divmod(c, b[0])
@@ -350,7 +323,7 @@ def _laplacian_minor(g: LabeledGraph, drop, vertical_weight=1):
 def _check_weight(vertical_weight):
     """Raise ValueError unless vertical_weight is an int >= 0, a Jet with
     constant term >= 1 or Evals at points >= 1."""
-    low = (vertical_weight.coeffs[0] - 1 if isinstance(vertical_weight, Jet)
+    low = (vertical_weight.values[0] - 1 if isinstance(vertical_weight, Jet)
            else min(vertical_weight.values) - 1 if isinstance(vertical_weight, Evals)
            else vertical_weight)
     if not isinstance(low, int) or low < 0:

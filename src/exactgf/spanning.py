@@ -368,7 +368,7 @@ def moments(g_base: LabeledGraph, n: int) -> MomentsReport:
         raise NotConnected("base graph must be connected")
     if n < 1:
         raise ValueError("need at least one layer")
-    c = (_tree_minor(g_base, Jet((1, 1, 0, 0, 0)), n).coeffs if g_base.n_vertices
+    c = (_tree_minor(g_base, Jet((1, 1, 0, 0, 0)), n).values if g_base.n_vertices
          else (1, 0, 0, 0, 0))
     fact = [Fraction(math.factorial(j) * c[j], c[0]) for j in range(1, 5)]
     mean = fact[0]

@@ -733,7 +733,7 @@ def moments_by_jet_minor(g_base: LabeledGraph, n: int) -> MomentsReport:
     vertical weight 1 + e over jets mod e^5, whose coefficients c_j are
     P^(j)(1) / j! for the vertical-edge polynomial P."""
     g = product_with_path(g_base, n)
-    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1, 0, 0, 0))).coeffs
+    c = _laplacian_minor(g, {g.n_vertices - 1}, Jet((1, 1, 0, 0, 0))).values
     return _moments_report(n, [Fraction(factorial(j) * c[j]) for j in range(5)])
 
 

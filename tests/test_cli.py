@@ -100,6 +100,16 @@ def test_gf_grid_pretty_two_rows(capsys):
     assert out.strip() == "t/(t^2-4*t+1)"
 
 
+def test_gf_ver_pretty_prints_bivariate_coefficients(capsys):
+    # v-polynomial coefficients: bare monomials, parenthesised sums, and a
+    # minus sign pulled out of an all-negative sum
+    for k, want in ((2, "v*t/(t^2-(2+2*v)*t+1)"),
+                    (3, "(-v^2*t^3+v^2*t)/(t^4-(4+8*v+3*v^2)*t^3+(6+16*v+10*v^2)*t^2"
+                        "-(4+8*v+3*v^2)*t+1)")):
+        code, out, _ = invoke(capsys, "gf-ver", "--k", str(k), "--pretty")
+        assert code == 0 and out == want + "\n"
+
+
 def test_gf_grid_json(capsys):
     code, out, _ = invoke(capsys, "gf-grid", "--k", "2")
     assert code == 0

@@ -3,6 +3,8 @@ linear solving."""
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -55,6 +57,14 @@ def test_poly_exact_div_inverts_mul():
 def test_poly_exact_div_rejects_remainder():
     with pytest.raises(InexactDivision):
         Poly([1, 0, 1]).exact_div(Poly([1, 1]))
+
+
+def test_poly_power_is_repeated_product_and_a_negative_exponent_raises():
+    p = Poly([1, -2, 3])
+    assert p ** 0 == Poly([1]) and p ** 5 == p * p * p * p * p
+    # -1 >> 1 == -1: a squaring loop on n >>= 1 would never end
+    with pytest.raises(ValueError):
+        Poly((1, 1)) ** -1
 
 
 def test_poly_ring_axioms_random():
@@ -246,27 +256,27 @@ def _jet_pairs(draw):
 @given(_jet_pairs())
 def test_jet_ring_operations_are_truncated_poly_operations(pair):
     a, b = pair
-    k = len(a.coeffs)
+    k = len(a.values)
 
     def trunc(p):
         return list(p.coeffs[:k]) + [0] * (k - len(p.coeffs[:k]))
 
-    pa, pb = Poly(a.coeffs), Poly(b.coeffs)
-    assert list((a * b).coeffs) == trunc(pa * pb)
-    assert list((a + b).coeffs) == trunc(pa + pb)
-    assert list((a - b).coeffs) == trunc(pa - pb)
-    assert list((a ** 3).coeffs) == trunc(pa ** 3)
-    assert list((3 - a).coeffs) == trunc(3 - pa)
-    assert list((a * -2).coeffs) == list((-2 * a).coeffs) == trunc(pa * -2)
+    pa, pb = Poly(a.values), Poly(b.values)
+    assert list((a * b).values) == trunc(pa * pb)
+    assert list((a + b).values) == trunc(pa + pb)
+    assert list((a - b).values) == trunc(pa - pb)
+    assert list((a ** 3).values) == trunc(pa ** 3)
+    assert list((3 - a).values) == trunc(3 - pa)
+    assert list((a * -2).values) == list((-2 * a).values) == trunc(pa * -2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_jet_pairs())
 def test_jet_exact_division_round_trip(pair):
     a, b = pair
-    if b.coeffs[0]:
+    if b.values[0]:
         assert (a * b) // b == a
-    if any(b.coeffs):
+    if any(b.values):
         assert (a * 7) // 7 == a
 
 
@@ -351,6 +361,24 @@ def test_evals_ring_operations_are_pointwise_int_operations(pair, c):
     assert bool(a) == any(xs)
     assert (a == b) == (xs == ys) and (a != b) == (xs != ys)
     assert (a == c) == all(x == c for x in xs) == (c == a)
+
+
+#: the elementwise rings (core._Elementwise): jets and Evals of one to four entries
+_ELEMENTWISE = st.lists(st.integers(-6, 6), min_size=1, max_size=4).flatmap(
+    lambda xs: st.sampled_from((Jet(xs), Evals(xs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ELEMENTWISE, st.integers(-6, 6), st.integers(0, 5))
+@example(Evals((2, 3)), 1, 2)
+def test_elementwise_rings_keep_their_class_and_power_by_repeated_product(a, c, n):
+    ring = type(a)
+    for x in (a + c, c + a, a + a, a - c, c - a, a - a, -a, a * c, a ** n):
+        assert type(x) is ring, x
+    assert repr(a) == f"{ring.__name__}({a.values!r})" and bool(a) == any(a.values)
+    assert a ** n == reduce(mul, [a] * n, 1)
+    with pytest.raises(ValueError):  # never a float, nor a quotient off the ring
+        a ** -1
 
 
 def test_evals_floor_division_is_unchecked_and_exact_division_checks_every_point():

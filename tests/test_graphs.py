@@ -606,7 +606,7 @@ def _taylor_at_one(g, drop, k):
 def _jet_minor(g, drop, k):
     """_laplacian_minor at v = 1 + e over Z[e]/(e^k), as k coefficients."""
     got = _laplacian_minor(g, drop, Jet(((1, 1) + (0,) * (k - 2))[:k]))
-    return list(got.coeffs if isinstance(got, Jet) else (got,) + (0,) * (k - 1))
+    return list(got.values if isinstance(got, Jet) else (got,) + (0,) * (k - 1))
 
 
 @settings(max_examples=80, deadline=None)
