@@ -81,8 +81,14 @@ MAX_FIT_TERMS = 160
 #:
 #: and, at k = 144, n = 1, the largest k, 0.11 s and 0.20 s.
 #: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
+#: Its multiplicities are uncapped, so moments also caps the tree count's
+#: bits (_check_answer_bits), 105000 at (8, 5000) above: two vertices joined
+#: by a 3000-digit multiplicity took 1.7 s in process at n = 12 (119604
+#: bits).  gf-product --graph has no such cap: K_4 with that multiplicity
+#: on every edge took 6.9 s with process start.
 MAX_STREAM_WORK = 3_000_000
 MAX_PRODUCT_VERTICES = 40_000
+MAX_ANSWER_BITS = 120_000
 MAX_GRAPH_VERTICES = 30
 MAX_GRAPH_BYTES = 1 << 20
 #: guess --data's length in bytes, checked before parsing.  The costliest
@@ -408,6 +414,19 @@ def _check_stream_work(k: int, n: int):
                              f"and n={n}, more than {cap}")
 
 
+def _check_answer_bits(g, n: int):
+    """Refuse moments on g x P_n when its tree count (graphs._order_bound)
+    can pass MAX_ANSWER_BITS bits: each of the k - 1 factors a_n(lambda_i) <=
+    lambda_i (lambda_i + 2)^(n-1), lambda_i <= 2 D, D the largest weighted degree."""
+    from .graphs import laplacian
+
+    k, top = g.n_vertices, max((row[i] for i, row in enumerate(laplacian(g).rows)), default=0)
+    bits = n * (k - 1) * (2 * top + 2).bit_length()
+    if bits > MAX_ANSWER_BITS:
+        raise UsageError(f"n * (k - 1) * bit_length(2 * max degree + 2) is {bits} for k={k} "
+                         f"and n={n}, more than {MAX_ANSWER_BITS}")
+
+
 def _cmd_gf_grid(args) -> int:
     from . import spanning
 
@@ -457,6 +476,7 @@ def _cmd_moments(args) -> int:
     from . import spanning
 
     g, _what = _base_graph(args, lambda k: _check_stream_work(k, args.n))
+    _check_answer_bits(g, args.n)
     report = spanning.moments(g, args.n)
     _emit(args, lambda: {
         "n": report.n,

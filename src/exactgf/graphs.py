@@ -17,7 +17,7 @@ points v = 1, 2, ... of a polynomial in evaluation form: one elimination
 over Evals gives a v-polynomial's values at every point.  Every minor and
 pivot comes back in the weight's ring, even when no edge carries the
 weight.
-The products G x P_n are never eliminated: they are counted from G's own
+The pipelines never eliminate a product G x P_n: they count it from G's own
 recurrences (the all-minors route of Chaiken 1982).  The Laplacian
 Kronecker sum gives _order_bound, a bound on the recurrence order of the
 counts from G's Laplacian spectrum.  Two streams yield the counts of
@@ -39,12 +39,10 @@ its reader needs.
 The jumps are _corner_count (for resistance: k - 1 rows of the second
 difference, two of C_n = U_n - U_(n-1), one of U_(n-1)) and
 _grounded_block, the same M_n, whose determinant, the tree minor,
-_grounded takes by det_bareiss and _tree_minor (for moments) by one
-elimination in its band.  Item n of a stream is their test
-oracle.  A graph from product_with_path(G, n) of a connected G remembers
-G and n, so spanning_tree_count and ver_polynomial of it are _grounded,
-and two_forest_count between layers 1 and n is _corner_count; every
-other graph keeps _laplacian_minor, which stays their test oracle.
+_grounded (the tree and v-polynomial spot checks) takes by det_bareiss
+and _tree_minor (for moments) by one elimination in its band.  Item n of
+a stream is their test oracle.  The public counters take _laplacian_minor
+of every graph, a product_with_path included.
 laplacian() builds the dense (optionally v-weighted) matrix, G's for
 those routes and the tests' reference for these minors.
 
@@ -56,7 +54,7 @@ spanning trees by their number of vertical edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice, repeat
 from operator import add, mul, sub
@@ -151,11 +149,6 @@ class LabeledGraph:
 
     n_vertices: int
     edges: tuple
-    # (g, n) when product_with_path(g, n) built this graph with n >= 2 and
-    # a connected g with |V(g)| >= 1: the counters then run g's
-    # recurrences, not this graph's minors; it takes no part in ==, hash or
-    # repr
-    _factor: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         norm = []
@@ -213,10 +206,7 @@ def product_with_path(g: LabeledGraph, n: int) -> LabeledGraph:
     """n stacked copies of g, consecutive copies joined vertex-to-vertex.
 
     All intra-copy edges are labeled vertical, the copy-to-copy edges
-    horizontal.  For n >= 2 and a nonempty connected g the result
-    remembers (g, n), so spanning_tree_count, ver_polynomial and
-    two_forest_count between layers 1 and n count from g's recurrences
-    without eliminating it.
+    horizontal.
     """
     if n < 1:
         raise ValueError("need at least one layer")
@@ -229,10 +219,7 @@ def product_with_path(g: LabeledGraph, n: int) -> LabeledGraph:
         if j + 1 < n:
             for u in range(k):
                 edges.append((base + u, base + k + u, HORIZONTAL, 1))
-    product = LabeledGraph(k * n, tuple(edges))
-    if n >= 2 and k and g.is_connected():
-        object.__setattr__(product, "_factor", (g, n))
-    return product
+    return LabeledGraph(k * n, tuple(edges))
 
 
 def laplacian(g: LabeledGraph, vertical_weight=1) -> Matrix:
@@ -380,30 +367,18 @@ def _last_pivot(column, size: int, w: int, zero):
 
 def spanning_tree_count(g: LabeledGraph) -> int:
     """Number of spanning trees: the Laplacian minor without the last
-    vertex (0 when g is disconnected); for a product_with_path(h, n) of a
-    connected h, _grounded(h, n, 1), det_bareiss of the grounded matrix of
-    h's layer transfer recurrence."""
-    if g._factor:
-        return _grounded(*g._factor, 1)
+    vertex (0 when g is disconnected)."""
     return _laplacian_minor(g, {g.n_vertices - 1})
 
 
 def two_forest_count(g: LabeledGraph, a: int, b: int) -> int:
     """Spanning forests with exactly two components, one containing a and
     the other containing b: the Laplacian minor with rows and columns
-    {a, b} deleted (all-minors matrix-tree).  For a product_with_path(h, n)
-    of a connected h, with one of a, b in layer 1 and the other in layer
-    n, it is _corner_count, item n of h's layer transfer stream."""
+    {a, b} deleted (all-minors matrix-tree)."""
     if a == b:
         raise BadVertexPair("the two marked vertices must differ")
     if not (0 <= a < g.n_vertices and 0 <= b < g.n_vertices):
         raise BadVertexPair(f"marked vertices {a}, {b} are not both in 0..{g.n_vertices - 1}")
-    if g._factor:
-        h, n = g._factor
-        low, high = sorted((a, b))
-        last = (n - 1) * h.n_vertices  # layer n's first vertex
-        if low < h.n_vertices and high >= last:
-            return _corner_count(h, low, high - last, n)[0]
     return _laplacian_minor(g, {a, b})
 
 
@@ -414,18 +389,15 @@ def ver_polynomial(g: LabeledGraph) -> Poly:
     The v-weighted Laplacian minor without the last vertex has degree at
     most D, the total vertical multiplicity or the |V| - 1 edges of a
     spanning tree, whichever is smaller.  One streamed minor over Evals
-    (for a product_with_path(h, n), _grounded of h) gives its values
-    at v = 1..D + 1, and forward-difference interpolation recovers it; a
-    non-integer coefficient would be a bug and raises
+    gives its values at v = 1..D + 1, and forward-difference interpolation
+    recovers it; a non-integer coefficient would be a bug and raises
     InternalInconsistency.  Evaluating the result at 1 gives the plain
     spanning-tree count.
     """
     d_bound = min(sum(m for _u, _v, label, m in g.edges if label == VERTICAL),
                   max(g.n_vertices - 1, 0))
     points = Evals(range(1, d_bound + 2))
-    minor = (_grounded(*g._factor, points) if g._factor
-             else _laplacian_minor(g, {g.n_vertices - 1}, points))
-    return _interpolated(minor.values)
+    return _interpolated(_laplacian_minor(g, {g.n_vertices - 1}, points).values)
 
 
 @lru_cache(maxsize=64)
@@ -712,13 +684,19 @@ def _tree_minor(g: LabeledGraph, vertical_weight, n: int):
                        len(m), w, 0 * vertical_weight)
 
 
+def _ver_points(g: LabeledGraph, count: int) -> Evals:
+    """Evals at v = 1..count p + 1, p = min(total multiplicity of g's edges,
+    |V(g)| - 1): the points that A_1..A_count of _ver_terms need."""
+    per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
+    return Evals(range(1, count * per_layer + 2))
+
+
 def _ver_terms(g: LabeledGraph, count: int) -> list:
     """The data of gf_ver in evaluation form: A_n =
-    ver_polynomial(product_with_path(g, n)) for n = 1..count as Evals at v
-    = 1..count p + 1, read off one _tree_minors stream, for a
-    connected g with k vertices and p = min(total multiplicity of g's
-    edges, k - 1), which is k - 1 (0 for k <= 1).  cfinite.fit takes a
-    series in this form and rests on two bounds it proves here.
+    ver_polynomial(product_with_path(g, n)) for n = 1..count at the
+    _ver_points(g, count), read off one _tree_minors stream, for a
+    connected g.  cfinite.fit takes a series in this form and rests on two
+    bounds it proves here.
 
     (1) deg A_n <= n p: every edge of g is vertical in the product, and a
     spanning tree has at most k - 1 of them in each layer.
@@ -736,8 +714,7 @@ def _ver_terms(g: LabeledGraph, count: int) -> list:
     additive.  D is primitive over Q[v], so Q = D H with H in Q[v][t]
     (Gauss's lemma), and D_0 H_0 = Q_0 = 1 makes D_0 and H_0 constants:
     w(D), w(H) >= 0 with sum w(Q) = 0, so w(D) = 0."""
-    per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    return list(islice(_tree_minors(g, Evals(range(1, count * per_layer + 2))), count))
+    return list(islice(_tree_minors(g, _ver_points(g, count)), count))
 
 
 def graph_from_json_dict(obj) -> LabeledGraph:

@@ -10,7 +10,7 @@ Covered families, all over layers n of a product graph G x P_n:
   * the bivariate vertical-edge weight polynomial and its moments (at one
     n, graphs._tree_minor).
 
-No product graph is eliminated for any fit: the data of each come from a
+No fit builds a product graph for its data: they come from a
 stream of the base graph's recurrences, graphs._tree_minors (det M_n,
 M_n the grounded block that every single-layer count jumps to) for trees
 and (at the points of v the fit needs, in evaluation form:
@@ -20,8 +20,8 @@ graphs._order_bound, from the base graph's Laplacian spectrum, for trees
 and v-polynomials, and B_F (gf_two_forest) for the two-forests.  A fit is only accepted when its
 denominator replays on every generated term (cfinite.fit), the
 HELD_OUT extra terms never shown to the guesser included, and the last
-term agrees with its per-term count, which takes a route other than the
-data's (_fit_pipeline).
+term agrees with its per-term count by another route (_fit_pipeline):
+graphs._grounded on the base graph, or the grid's minor for two-forests.
 """
 from __future__ import annotations
 
@@ -37,6 +37,9 @@ from .core import Evals, Poly, RationalFunction
 # not called here; perfbench/tracing.py wraps these bindings
 from .cfinite import c_to_r  # noqa: F401
 from .core import poly_gcd, taylor_coeffs  # noqa: F401
+from .graphs import ver_polynomial  # noqa: F401
+# the tree and v-polynomial spot checks' route, bound where perfbench/tracing.py times it
+from .graphs import _grounded as spanning_tree_count
 from .errors import (
     BadVertexPair,
     InexactDivision,
@@ -53,13 +56,11 @@ from .graphs import (
     _order_bound,
     _tree_minor,
     _tree_minors,
+    _ver_points,
     _ver_terms,
     grid_graph,
     path_graph,
-    product_with_path,
-    spanning_tree_count,
     two_forest_count,
-    ver_polynomial,
 )
 
 @dataclass(frozen=True, repr=False)
@@ -125,24 +126,24 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     that window of 0, data (the t^1 prefactor), emits the function and
     accepts it if its denominator replays on every generated term: the
     held-out replay.  Then the denominator degree must equal the order, and the
-    last term must equal term_fn(n), its per-term count by a route that
-    shares no step with the data's, so every run ties two computations
-    together:
+    last term must equal term_fn(n), in the data's own ring, its per-term
+    count by a route that shares no step with the data's, so every run
+    ties two computations together:
 
       family         data                         spot check
-      trees          _tree_minors(g, 1):          spanning_tree_count of
-                     det M_n, the layer           product_with_path(g, n):
-                     transfer's grounded M_n      det_bareiss of the same
-                     stepped on (k-1)-square      M_n, jumped to by scalar
-                     matrices, one _eliminated    continuants mod chi_L(g)
-                     per n
-      v-polynomials  the same over Evals at v =   ver_polynomial: the same
-                     1..P, kept in evaluation     over Evals, interpolated,
-                     form (_ver_terms): fitted    against the last term
-                     at those points              interpolated from them
+      trees          _tree_minors(g, 1): det      _grounded(g, n, 1):
+                     M_n, the layer transfer's    det_bareiss of the same
+                     grounded M_n stepped on      M_n, jumped to by scalar
+                     (k-1)-square matrices, one   continuants mod chi_L(g)
+                     _eliminated per n
+      v-polynomials  the same over Evals at v =   _grounded(g, n,
+                     1..n p + 1, kept in          _ver_points(g, n)): the
+                     evaluation form              same at the same points,
+                     (_ver_terms): fitted at      n p + 1 > either side's
+                     those points                 v-degree: no interpolation
       two-forests    _corner_counts: layer        two_forest_count of the
-                     transfer, one bordered       grid built without its
-                     _bareiss_pivots run per n    factor: _laplacian_minor
+                     transfer, one bordered       grid: _laplacian_minor
+                     _bareiss_pivots run per n
 
     Doubled data, doubled in graphs too, therefore fail each family's
     spot check.
@@ -160,7 +161,7 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     if gf is not None:
         if gf.den.degree != spec.order:
             raise InternalInconsistency("denominator degree does not match the recurrence order")
-        if term_fn(len(data)) != _as_data(data[-1:])[0]:
+        if term_fn(len(data)) != data[-1]:
             raise InternalInconsistency(
                 f"term {len(data)} of the data differs from its per-term count"
             )
@@ -193,7 +194,7 @@ def gf_spanning(
         raise ValueError(f"guesser must be 'plain' or 'symmetric', not {guesser!r}")
 
     def term(n):
-        return spanning_tree_count(product_with_path(g_base, n))
+        return spanning_tree_count(g_base, n, 1)
 
     def terms(c):
         return list(islice(_tree_minors(g_base, 1), c))
@@ -252,8 +253,7 @@ def gf_two_forest(k: int) -> GFResult:
         raise ValueError("k must be positive")
 
     def term(n):
-        grid = grid_graph(k, n)  # rebuilt without its factor: counted by its minor
-        return two_forest_count(LabeledGraph(grid.n_vertices, grid.edges), 0, k * n - 1)
+        return two_forest_count(grid_graph(k, n), 0, k * n - 1)
 
     # for k = 1, n = 1 the stream gives 0: a single vertex cannot be separated from itself
     def terms(c):
@@ -301,6 +301,8 @@ def resistance(k: int, n: int) -> Fraction:
 def resistance_bound_constant(k: int) -> Fraction:
     """The additive constant in the resistance sandwich
     (n-1)/k <= R(k,n) <= (n-1)/k + C(k):  C(k) = 2*sum((1 - i/k)^2)."""
+    if k < 1:
+        raise ValueError("k must be positive")
     return 2 * sum((1 - Fraction(i, k)) ** 2 for i in range(1, k))
 
 
@@ -325,7 +327,7 @@ def gf_ver(g_base: LabeledGraph) -> GFResult:
         raise NotConnected("base graph must be connected")
 
     def term(n):
-        return ver_polynomial(product_with_path(g_base, n))
+        return spanning_tree_count(g_base, n, _ver_points(g_base, n))
 
     def terms(c):
         return _ver_terms(g_base, c)

@@ -11,12 +11,11 @@ fraction-free solve_linear, gf_transfer_field for the transfer route,
 children_scheme_minor_states and scheme_to_json_minor_states, the
 closure over MinorState records that carry their derived prefixes, for
 the offset-tuple closure of toeplitz.children_scheme,
-laplacian_minor_dense for the streamed Laplacian minors, factor_free for
-the recurrences that count on a product_with_path instead of its minors,
-layer_sweep, one streamed elimination of the whole product G x P_inf read
-off at each layer boundary, for the recurrence streams
-graphs._tree_minors and graphs._corner_counts that give the fits
-their data, ver_polynomial_per_point and ver_sweep_per_point, one integer
+laplacian_minor_dense for the streamed Laplacian minors, layer_sweep,
+one streamed elimination of the whole product G x P_inf read off at
+each layer boundary, for the recurrence streams graphs._tree_minors and
+graphs._corner_counts that give the fits their data,
+ver_polynomial_per_point and ver_sweep_per_point, one integer
 elimination per point of v, for the elimination over graphs.Evals behind
 graphs.ver_polynomial and graphs._ver_terms, fit_by_reexpansion
 (N = D * S by polynomial product, accepted by re-expanding N/D against
@@ -441,12 +440,6 @@ def laplacian_minor_dense(g: LabeledGraph, drop, x=1):
     return det_bareiss(laplacian(g, x).delete_rows_cols(drop))
 
 
-def factor_free(g: LabeledGraph) -> LabeledGraph:
-    """g without the factor product_with_path records: the same graph, ==
-    and hash included, whose counts take the streamed Laplacian minor."""
-    return LabeledGraph(g.n_vertices, g.edges)
-
-
 def last_pivots(g: LabeledGraph, drop, vertical_weight=1):
     """The last two pivots of graphs._laplacian_minor's streamed
     elimination: the minor, and before it the minor that also deletes the
@@ -716,10 +709,10 @@ def _same_component(n, edges, a, b):
 
 def moments_by_interpolation(g_base: LabeledGraph, n: int) -> MomentsReport:
     """spanning.moments by the route it took before the jet minor: build
-    the whole vertical-edge polynomial with ver_polynomial of the
-    factor-free product (its streamed minor at D + 1 points, interpolated)
-    and differentiate it at v = 1."""
-    p = ver_polynomial(factor_free(product_with_path(g_base, n)))
+    the whole vertical-edge polynomial with ver_polynomial of the product
+    (its streamed minor at D + 1 points, interpolated) and differentiate
+    it at v = 1."""
+    p = ver_polynomial(product_with_path(g_base, n))
     derivs = [Fraction(p.eval(1))]
     for _ in range(4):
         p = p.derivative()

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from exactgf import cli, graphs, spanning, toeplitz
 from exactgf.cfinite import CFiniteSpec, seq_from_rec
 from exactgf.cli import (
+    MAX_ANSWER_BITS,
     MAX_FIT_TERMS,
     MAX_GRAPH_BYTES,
     MAX_GRAPH_VERTICES,
@@ -599,6 +600,34 @@ def test_stream_work_and_product_size_are_capped_for_resistance_and_moments(
         code, _out, _err = invoke(capsys, *argv)
         assert code == 0
     assert ran == [(30, 111), (144, 1), (2, 20000)] * 2 + [(30, 111)]
+
+
+def test_moments_refuse_weights_past_the_answer_bits_cap(monkeypatch, tmp_path, capsys):
+    # one 3000-digit multiplicity passes the k and n caps, but the tree
+    # count's bits, n (k - 1) bit_length(2 D + 2), pass MAX_ANSWER_BITS from
+    # n = 13 on; every row of the work cap table and K_30 stay under it
+    ran = []
+    report = spanning.moments(path_graph(2), 2)
+    monkeypatch.setattr(spanning, "moments", lambda g, n: ran.append((g.n_vertices, n)) or report)
+    heavy = tmp_path / "heavy.json"
+    heavy.write_text(json.dumps({"n": 2, "edges": [[0, 1, "other", int("7" * 3000)]]}))
+    for n in (13, 100):
+        code, out, err = invoke(capsys, "moments", "--graph", str(heavy), "--n", str(n))
+        assert code == 2 and out == ""
+        assert f"more than {MAX_ANSWER_BITS}" in err
+    assert ran == []
+    k30 = tmp_path / "k30.json"
+    k30.write_text(json.dumps({"n": 30, "edges": [[u, v, "other"] for u in range(30)
+                                                 for v in range(u)]}))
+    rows = ((2, 20000), (4, 10000), (8, 5000), (10, 3000), (20, 375), (30, 111), (50, 24),
+            (100, 3), (144, 1))
+    for k, n in rows:
+        code, _out, _err = invoke(capsys, "moments", "--k", str(k), "--n", str(n))
+        assert code == 0
+    for path, n in ((heavy, 12), (k30, 111)):
+        code, _out, _err = invoke(capsys, "moments", "--graph", str(path), "--n", str(n))
+        assert code == 0
+    assert ran == [*rows, (2, 12), (30, 111)]
 
 
 def test_moments_at_the_work_cap_print_every_digit(capsys):

@@ -38,7 +38,6 @@ import oracles
 from test_spanning import _complete_graph, _connected_multigraphs
 from oracles import (
     continuants_by_doubling,
-    factor_free,
     laplacian_minor_dense,
     last_pivots,
     layer_sweep,
@@ -313,35 +312,37 @@ def test_laplacian_minor_matches_dense(case, x):
 @given(_multigraphs(max_vertices=5), st.integers(1, 12))
 @example(LabeledGraph(1, ()), 4)  # a path: one tree, n - 1 corner forests
 @example(LabeledGraph(4, ((0, 1, "other", 1), (2, 3, "vertical", 2))), 3)  # disconnected
-def test_product_counts_match_the_factor_free_minors(g, n):
-    # product_with_path(g, n) counts from g's recurrences; its factor-free
-    # copy, the same graph to ==, hash and repr, by the streamed minor
+def test_jumps_match_the_public_counters_on_products(g, n):
+    # the spot checks' routes on g, against the streamed minors of g x P_n
     p = product_with_path(g, n)
-    q = factor_free(p)
-    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
-    assert spanning_tree_count(p) == spanning_tree_count(q)
-    assert ver_polynomial(p) == ver_polynomial(q)
-    # every pair of a layer-1 and a layer-n vertex, in both orders, takes
-    # _corner_count; one other pair takes the fallback minor
+    assert graphs._grounded(g, n, 1) == spanning_tree_count(p)
+    points = graphs._ver_points(g, n)
+    assert graphs._grounded(g, n, points) == ver_polynomial(p).eval(points)
+    # every pair of a layer-1 and a layer-n vertex of a connected g
     k, far = g.n_vertices, p.n_vertices - g.n_vertices
-    pairs = [(a, b) for a in range(k) for b in range(far, p.n_vertices) if a != b]
-    for a, b in pairs + [(b, a) for a, b in pairs] + [(0, 1)] * (p.n_vertices > 1):
-        assert two_forest_count(p, a, b) == two_forest_count(q, a, b)
+    if g.is_connected():
+        for a in range(k):
+            for b in range(k):
+                if a != far + b:
+                    assert graphs._corner_count(g, a, b, n)[0] == two_forest_count(p, a, far + b)
 
 
-def test_product_counts_eliminate_no_product_graph(monkeypatch):
+def test_jumps_eliminate_no_product_graph(monkeypatch):
     def never(*args):
-        raise AssertionError("a product count eliminated the product graph")
+        raise AssertionError("a jump eliminated the product graph")
 
     g, h = grid_graph(3, 5), grid_graph(2, 4)
+    points = graphs._ver_points(path_graph(2), 4)
     want = [laplacian_minor_dense(g, {14}), laplacian_minor_dense(g, {1, 14}),
-            laplacian_minor_dense(h, {7}, VAR_V)]
+            laplacian_minor_dense(h, {7}, VAR_V).eval(points)]
     tau = next(islice(graphs._tree_minors(path_graph(10), 1), 199, None))
     for k in (2, 3, 10):  # the base graphs' cone minors, cached per graph
         graphs._cone(path_graph(k))
-    monkeypatch.setattr(graphs, "_laplacian_minor", never)
-    assert spanning_tree_count(grid_graph(10, 200)) == tau
-    assert [spanning_tree_count(g), two_forest_count(g, 14, 1), ver_polynomial(h)] == want
+    for name in ("product_with_path", "_laplacian_minor"):
+        monkeypatch.setattr(graphs, name, never)
+    assert graphs._grounded(path_graph(10), 200, 1) == tau
+    assert [graphs._grounded(path_graph(3), 5, 1), graphs._corner_count(path_graph(3), 1, 2, 5)[0],
+            graphs._grounded(path_graph(2), 4, points)] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -550,17 +551,20 @@ def test_ver_polynomial_degree_bound_counts_tree_edges(monkeypatch):
 
 
 def test_ver_polynomial_is_one_stream(monkeypatch):
-    # one elimination over Evals carries every point of v: one det_bareiss
-    # for a product (_grounded), one streamed minor for any other graph
-    g = grid_graph(3, 4)
-    want = laplacian_minor_dense(g, {11}, VAR_V)
-    graphs._cone(path_graph(3))  # the base graph's cone minor, cached per graph
-    streams, dets = [], []
-    real_stream, real_det = graphs._eliminated, graphs.det_bareiss
+    # one streamed minor over Evals carries every point of v, on any graph,
+    # a product included, and no det_bareiss runs
+    def never(m):
+        raise AssertionError("ver_polynomial called det_bareiss")
+
+    cases = [(g, laplacian_minor_dense(g, {g.n_vertices - 1}, VAR_V))
+             for g in (grid_graph(3, 4), _complete_graph(4), LabeledGraph(3, ((0, 2, "other", 2),)))]
+    streams, real_stream = [], graphs._eliminated
     monkeypatch.setattr(graphs, "_eliminated", lambda *a: streams.append(a) or real_stream(*a))
-    monkeypatch.setattr(graphs, "det_bareiss", lambda m: dets.append(m) or real_det(m))
-    assert ver_polynomial(g) == ver_polynomial(factor_free(g)) == want
-    assert len(streams) == 1 and len(dets) == 1
+    monkeypatch.setattr(graphs, "det_bareiss", never)
+    for g, want in cases:
+        del streams[:]
+        assert ver_polynomial(g) == want
+        assert len(streams) == 1
 
 
 def test_layer_sweep_two_forests_of_a_path():
@@ -631,7 +635,7 @@ def test_minors_stay_in_the_weight_ring_without_a_vertical_edge():
     for h in (g, LabeledGraph(0, ())):  # the empty product too
         got = list(islice(graphs._tree_minors(h, Evals((1, 2))), 4))
         assert [(type(x), x.values) for x in got] == [(Evals, (1, 1))] * 4
-    got = ver_polynomial(product_with_path(g, 3))  # _grounded of a 0 x 0 matrix
+    got = ver_polynomial(product_with_path(g, 3))  # a path: no vertical edge
     assert got == Poly([1])
     assert repr(gf_ver_grid(1)) == (
         "GFResult(gf=RationalFunction([Poly([]), Poly([1])], [Poly([1]), Poly([-1])]), "
@@ -657,7 +661,7 @@ def test_laplacian_minor_is_the_last_pivot_without_det_bareiss(monkeypatch):
         raise AssertionError("_laplacian_minor called det_bareiss")
 
     monkeypatch.setattr(graphs, "det_bareiss", never)
-    g = factor_free(grid_graph(4, 30))
+    g = grid_graph(4, 30)
     assert spanning_tree_count(g) == laplacian_minor_dense(g, {119})
     assert two_forest_count(g, 0, 119) == laplacian_minor_dense(g, {0, 119})
     h = grid_graph(3, 4)
@@ -680,4 +684,4 @@ def test_ver_polynomial_non_integer_coefficient_is_internal(monkeypatch):
     # values x(x-1)/2 interpolate to x^2/2 - x/2: not an integer polynomial
     monkeypatch.setattr(graphs, "_laplacian_minor", lambda g, drop, x=1: x * (x - 1) // 2)
     with pytest.raises(InternalInconsistency):
-        ver_polynomial(factor_free(grid_graph(2, 2)))
+        ver_polynomial(grid_graph(2, 2))

@@ -37,7 +37,6 @@ from exactgf.errors import BadVertexPair, InternalInconsistency, NoFitWithinBudg
 
 from oracles import (
     decimal_ratio_whole,
-    factor_free,
     gf_ver_by_interpolation,
     laplacian_minor_dense,
     moments_by_interpolation,
@@ -301,6 +300,43 @@ def test_corrupted_sweep_fails_the_spot_check(monkeypatch):
                 run()
 
 
+def test_one_wrong_point_of_the_last_v_polynomial_fails(monkeypatch):
+    # the last term of gf_ver is replayed, and compared with its per-term
+    # count, at every one of its n p + 1 points: one wrong point in the
+    # data fails the held-out replay, one in the count the spot check
+    def off(x):
+        return graphs.Evals((*x.values[:-1], x.values[-1] + 1))
+
+    real_terms, real_grounded = spanning._ver_terms, spanning.spanning_tree_count
+    with monkeypatch.context() as m:
+        m.setattr(spanning, "_ver_terms", lambda g, c: [*real_terms(g, c)[:-1],
+                                                        off(real_terms(g, c)[-1])])
+        with pytest.raises(InternalInconsistency, match="held-out"):
+            gf_ver_grid(2)
+    # spanning_tree_count in spanning is graphs._grounded, the spot check's route
+    monkeypatch.setattr(spanning, "spanning_tree_count",
+                        lambda g, n, w: off(real_grounded(g, n, w)))
+    with pytest.raises(InternalInconsistency, match="per-term"):
+        gf_ver_grid(2)
+
+
+def test_fits_build_no_product_graph(monkeypatch):
+    # the data of gf_spanning and gf_ver and their spot checks all run on
+    # the base graph
+    fits = (lambda: gf_grid(3), lambda: gf_spanning(_complete_graph(4)), lambda: gf_ver_grid(2))
+    want = [fit() for fit in fits]  # the base graphs' cone minors, cached per graph
+
+    def never(*args):
+        raise AssertionError("a fit built or eliminated the product graph")
+
+    # spanning binds neither name: raising=False puts them there all the same
+    for module in (graphs, spanning):
+        for name in ("product_with_path", "_laplacian_minor"):
+            monkeypatch.setattr(module, name, never, raising=False)
+    monkeypatch.setattr(spanning, "grid_graph", never)
+    assert [fit() for fit in fits] == want
+
+
 def test_gf_two_forest_two_rows_structure():
     out = gf_two_forest(2)
     assert taylor_coeffs(out.gf, 3)[2] == 4  # frozen brute force at n=2
@@ -361,8 +397,7 @@ def test_resistance_builds_no_product_graph(monkeypatch):
         graphs._cone(path_graph(k))
     for name in ("product_with_path", "_laplacian_minor"):
         monkeypatch.setattr(graphs, name, never)
-    for name in ("product_with_path", "grid_graph"):
-        monkeypatch.setattr(spanning, name, never)
+    monkeypatch.setattr(spanning, "grid_graph", never)
     assert [resistance(k, n) for k, n in cases] == want
 
 
@@ -389,6 +424,9 @@ def test_resistance_rejects_non_positive_sizes():
             resistance(k, n)
     with pytest.raises(BadVertexPair):
         resistance(1, 1)
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k must be positive"):
+            resistance_bound_constant(k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,7 +444,7 @@ def test_corner_counts_are_the_product_minors(g, n, a, b):
     if far == a:
         assert forests == 0
         return
-    assert forests == two_forest_count(factor_free(h), a, far)
+    assert forests == two_forest_count(h, a, far)
     assert Fraction(forests, tau) == Fraction(laplacian_minor_dense(h, {a, far}),
                                               laplacian_minor_dense(h, {far}))
 
@@ -592,7 +630,7 @@ def test_moments_build_no_product_graph(monkeypatch):
     graphs._cone(path_graph(3))  # the base graph's cone minor, cached per graph
     for name in ("product_with_path", "_laplacian_minor"):
         monkeypatch.setattr(graphs, name, never)
-    monkeypatch.setattr(spanning, "product_with_path", never)
+    monkeypatch.setattr(spanning, "grid_graph", never)
     assert [moments(path_graph(k), n) for k, n in ((3, 1), (3, 7), (1, 4))] == want
 
 
