@@ -152,8 +152,13 @@ def guess_rec1(data, d: int) -> CFiniteSpec | None:
     at those P points, each point's integers read off the values, and the
     interpolant replays at every point.  That is the replay over Z[v] once
     each sum(D_i a_(n-i)) has v-degree < P, which fit proves for its
-    series, and the proof above then holds; a None after the P points run
-    out proves nothing.
+    forward series, and the proof above then holds; a None after the P
+    points run out proves nothing.  On a window mirrored backward
+    (spanning._fit_pipeline) the sums over the mirrored terms can pass
+    v-degree P - 1, so there the replay holds at the points only: fit's
+    replay of the forward series accepts the fit over Z[v], and each run
+    point's D(x) is that point's minimal recurrence, which is all fit's
+    coprimality proof reads.
     """
     data = list(data)
     if d < 1:
@@ -450,8 +455,11 @@ def fit(series, start: int, window: int, guess):
     one guess-emit-accept step of every pipeline.
 
     guess returns the minimal recurrence through its argument or None
-    (guess_rec, guess_sym_rec); None gives (None, None).  A fit of order d
-    is emitted as N/D, D = Poly(spec.den) and N = D * series[:d + 1] mod
+    (guess_rec, guess_sym_rec), or, for a mirrored family
+    (spanning._fit_pipeline, start = 1), through its argument extended
+    backward by known terms x_0, x_(-1), ...; None gives (None, None).  A
+    fit of order d has the initial values series[start:start + d] and is
+    emitted as N/D, D = Poly(spec.den) and N = D * series[:d + 1] mod
     t^(d + 1), with no gcd, and accepted in every ring by the one replay
     _recurrence_holds(series[1:], D): coefficients d + 1 .. len(series) - 1
     of D S vanish, S the list, so D S = N and N/D = S mod t^len(series)
@@ -462,10 +470,18 @@ def fit(series, start: int, window: int, guess):
     degrees <= d - e, have D' S = N' mod t^len(series): D' is a recurrence
     of order d - e through series[n] for n > d - e, so through the window
     if start >= 1.  If start = 0, the guess kills the t^d coefficient of
-    D S, so deg N < d, deg N' < d - e, and D' holds from n = d - e on.  e =
+    D S, so deg N < d, deg N' < d - e, and D' holds from n = d - e on.  On
+    a window extended backward, y_n = sum(D'_i x_(n-i)) vanishes for n > d
+    - e, and sum(g_j y_(n-j), j = 0..e) = sum(D_i x_(n-i)) = 0 wherever D
+    fits; g_e != 0, so g's recurrence runs backward from the e zeros
+    y_(d-e+1..d), and D' fits the whole extended window too.  e =
     d makes the window all zero, where the guessers report the constant D
     = (1, 0); otherwise D' (cleared of denominators in v for polynomial
-    data) is a fit of order below d, against the guess's minimality.
+    data) is a fit of order below d, against the guess's minimality.  For
+    polynomial data read this at a point x of the guess's run, where D(x)
+    fits the window's integers at minimal order d (guess_rec1) and g_e(x)
+    != 0: g_e divides D's leading coefficient, whose v-degree is below the
+    number of run points, and D_0, so D'_0, is a constant.
 
     A series in evaluation form holds Evals at v = 1..P for integer
     polynomials in v, series[n] of v-degree <= n p (p = _rate(series), so
@@ -481,16 +497,18 @@ def fit(series, start: int, window: int, guess):
     if spec is None:
         return None, None
     d, at, evals = spec.order, spec.den, isinstance(series[-1], Evals)
+    initial = series[start:start + d]
     if evals:
         p = _rate(series)
         if any(c.degree > i * p for i, c in enumerate(at)):
             raise InternalInconsistency("a denominator coefficient D_i has v-degree above i p")
         at = _at_points(at, len(series[-1].values))
+        initial = _polys(initial, p, start)
+    spec = CFiniteSpec(tuple(initial), spec.den)
     if not _recurrence_holds(series[1:], at):
         return spec, None
     num = [sum(map(mul, at, series[n::-1]), 0) for n in range(d + 1)]
     if evals:
-        spec = CFiniteSpec(tuple(_polys(series[start:start + d], p, start)), spec.den)
         num = _polys(num, p)
     return spec, RationalFunction._from_coprime(Poly(num), Poly(spec.den))
 

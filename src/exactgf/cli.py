@@ -45,9 +45,9 @@ from .errors import (
 #: Sizes from which a run is a stretch target, refused unless asked nicely
 #: with --allow-long: there the graph's size, not the fit window, sets the
 #: time.  gf-ver --k and a gf-ver --graph's vertex count: with process
-#: start 5 rows take about 0.3 s and 6 rows 2.5 s, two thirds of it the
-#: tree-minor stream over Evals at 371 points of v, the fit running at those
-#: points; 7 rows, at 829 points, take about 66 s.
+#: start 5 rows take about 0.2 s and 6 rows 0.7 s, a third of it the
+#: tree-minor stream over Evals at 201 points of v, the rest the fit at
+#: those points; 7 rows, at 433 points, take about 10 s.
 LONG_RUN_VER_K = 7
 #: A gf-product --graph's vertex count: random 7-vertex graphs (window 132)
 #: fit in 0.03 s in process, but K_30 (window 64) takes 4.3 s and the

@@ -590,7 +590,20 @@ def _tree_minors(g: LabeledGraph, vertical_weight):
     and M_n is PSD, positive definite for a connected g: as in
     _laplacian_minor, a leading minor of M_n is 0 at all w > 0 or at
     none, so jet pivots are 0 or units and Evals pivots 0 at all points
-    or none."""
+    or none.
+
+    The mirror (_tree_mirror): run backward from M_0 = 0 the recurrence
+    gives M_(-1) = -M_1 and M_(-n) = -M_n, so tau_n = det M_n has tau_(-n)
+    = sigma tau_n, sigma = (-1)^(k-1), and tau_0 = det M_0 = 0 for k >= 2
+    (the stream is all ones for k <= 1: sigma = tau_0 = 1).  Each a_n(y)
+    = alpha r^n + beta r^-n runs backward the same way (a_(-n) = -a_n), so
+    tau_n = (1/k) prod a_n(w lambda_i) = sum c_s rho_s^n, rho_s != 0
+    (_ver_terms), at every integer n, and the minimal recurrence of the
+    counts, of order <= B (_order_bound), holds on all of Z: at every w >=
+    1, pointwise over Evals and over Q(v).  Any 2B + 4 consecutive terms
+    of the two-sided sequence then fit it (Massey 1969), tau_(-B-1..B+2)
+    as well as tau_(1..2B+4), and the first needs only B + 2 of the
+    stream's terms (spanning._fit_pipeline)."""
     _check_weight(vertical_weight)
     zero, k = 0 * vertical_weight, g.n_vertices
     if k <= 1:  # g x P_n is empty or a path: one spanning tree
@@ -599,6 +612,11 @@ def _tree_minors(g: LabeledGraph, vertical_weight):
     first = [[x - row[-1] for x in row[:-1]] for row in lap]  # w L^
     for _m0, m, _m2 in _walk(first, [row[:-1] for row in lap]):
         yield _last_pivot(lambda e: m[e][:e + 1] if e < k - 1 else None, k - 1, k - 2, zero)
+
+
+def _tree_mirror(g: LabeledGraph):
+    """(sigma, tau_0): tau_(-n) = sigma tau_n for _tree_minors(g, w), proved there."""
+    return ((-1) ** (g.n_vertices - 1), 0) if g.n_vertices > 1 else (1, 1)
 
 
 def _corner_counts_of(rows, c_a, c_b, v, a: int, b: int):
@@ -665,7 +683,7 @@ def _grounded_block(g: LabeledGraph, vertical_weight, n: int):
     return [row[:-1] for row in rows]
 
 
-def _grounded(g: LabeledGraph, n: int, vertical_weight):
+def _grounded(g: LabeledGraph, vertical_weight, n: int):
     """_laplacian_minor(product_with_path(g, n), {k n - 1}, w) for a connected
     g with k >= 1 vertices, in w's ring: det_bareiss of _grounded_block.
     _tree_minors walks the same M_n over n and this jumps to it, so they

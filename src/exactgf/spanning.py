@@ -17,7 +17,10 @@ and (at the points of v the fit needs, in evaluation form:
 graphs._ver_terms) v-polynomials, graphs._corner_counts for two-forests.
 Each fit is one round, sized from a proved bound on the recurrence order:
 graphs._order_bound, from the base graph's Laplacian spectrum, for trees
-and v-polynomials, and B_F (gf_two_forest) for the two-forests.  A fit is only accepted when its
+and v-polynomials, and B_F (gf_two_forest) for the two-forests.  Trees
+and v-polynomials mirror their data, tau_(-n) = +-tau_n with their
+recurrence holding on all of Z (graphs._tree_minors), so they generate
+half of the guess window, B + 2 terms for 2B + 4.  A fit is only accepted when its
 denominator replays on every generated term (cfinite.fit), the
 HELD_OUT extra terms never shown to the guesser included, and the last
 term agrees with its per-term count by another route (_fit_pipeline):
@@ -56,6 +59,7 @@ from .graphs import (
     _order_bound,
     _tree_minor,
     _tree_minors,
+    _tree_mirror,
     _ver_points,
     _ver_terms,
     grid_graph,
@@ -114,30 +118,34 @@ class MomentsReport:
     kurtosis: Decimal | None
 
 
-def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
+def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None, mirror=None) -> GFResult:
     """Guess, emit and certify in one round; shared by all pipelines.
 
     terms(c) returns data terms 1..c and is asked once, so a source sizes
     its work to the fit (_ver_terms streams just the points it needs).  The
-    guesser sees a window of the first guess_window(B) terms, B >= 1 the
-    proved order bound, from which it fits any order <= B; a max_terms
-    that is not None caps the window, and HELD_OUT more terms are
-    generated but never shown to the guesser.  cfinite.fit guesses on
-    that window of 0, data (the t^1 prefactor), emits the function and
-    accepts it if its denominator replays on every generated term: the
-    held-out replay.  Then the denominator degree must equal the order, and the
-    last term must equal term_fn(n), in the data's own ring, its per-term
+    guesser sees a window of W = guess_window(B) terms, B >= 1 the proved
+    order bound, from which it fits any order <= B; a max_terms that is
+    not None caps W.  Without a mirror the window is terms 1..W; with the
+    family's mirror (sigma, tau_0), tau_(-n) = sigma tau_n for the trees
+    and v-polynomials (graphs._tree_minors), it is terms -(W // 2 - 1)..h,
+    h = W - W // 2: the same W terms of a sequence whose recurrence holds
+    on all of Z, from h generated ones.  HELD_OUT more terms are generated
+    but never shown to the guesser.  cfinite.fit guesses on that window,
+    emits the function of 0, data (the t^1 prefactor), and accepts it if
+    its denominator replays on every generated term: the held-out replay.
+    Then the denominator degree must equal the order, and the last term
+    must equal term_fn(n), in the data's own ring, its per-term
     count by a route that shares no step with the data's, so every run
     ties two computations together:
 
       family         data                         spot check
-      trees          _tree_minors(g, 1): det      _grounded(g, n, 1):
+      trees          _tree_minors(g, 1): det      _grounded(g, 1, n):
                      M_n, the layer transfer's    det_bareiss of the same
                      grounded M_n stepped on      M_n, jumped to by scalar
                      (k-1)-square matrices, one   continuants mod chi_L(g)
                      _eliminated per n
-      v-polynomials  the same over Evals at v =   _grounded(g, n,
-                     1..n p + 1, kept in          _ver_points(g, n)): the
+      v-polynomials  the same over Evals at v =   _grounded(g,
+                     1..n p + 1, kept in          _ver_points(g, n), n): the
                      evaluation form              same at the same points,
                      (_ver_terms): fitted at      n p + 1 > either side's
                      those points                 v-degree: no interpolation
@@ -148,16 +156,25 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
     Doubled data, doubled in graphs too, therefore fail each family's
     spot check.
 
-    No fit from the guesser, or a fit that misses a held-out term in a
-    capped window, raises NoFitWithinBudget carrying the data (an honest
-    no-fit).  A missed held-out term in a full window contradicts the
-    proved bound (guess_window), and a failed degree or per-term check
-    contradicts the data: these raise InternalInconsistency (CLI exit 3).
+    In a window capped by max_terms, no fit from the guesser, or a fit
+    that misses a held-out term, raises NoFitWithinBudget carrying the
+    data (an honest no-fit).  In the full window either contradicts the
+    proved bound (guess_window) or mirror, and a failed degree or per-term
+    check contradicts the data: these raise InternalInconsistency (CLI
+    exit 3).
     """
     full = guess_window(bound)
     window = full if max_terms is None else min(full, max_terms)
-    data = terms(window + HELD_OUT)
-    spec, gf = fit([0, *data], 1, window, guesser)
+    guess, shown = guesser, window
+    if mirror is not None:
+        sign, tau0 = mirror
+        back = max(window // 2 - 1, 0)
+        shown = window - back - 1
+
+        def guess(xs):  # xs = data[:shown], guessed on with the mirrored back terms
+            return guesser([*(sign * x for x in reversed(xs[:back])), 0 * data[0] + tau0, *xs])
+    data = terms(shown + HELD_OUT)
+    spec, gf = fit([0, *data], 1, shown, guess)
     if gf is not None:
         if gf.den.degree != spec.order:
             raise InternalInconsistency("denominator degree does not match the recurrence order")
@@ -166,13 +183,15 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None) -> GFResult:
                 f"term {len(data)} of the data differs from its per-term count"
             )
         return GFResult(gf=gf, spec=spec, terms=tuple(data), offset=1)
-    if spec is not None and window == full:
+    if window == full:
         raise InternalInconsistency(
-            f"the fit to {window} terms misses a held-out term, but the order "
-            f"bound {bound} is proved"
+            f"the fit to {window} terms {'is none' if spec is None else 'misses a held-out term'}, "
+            f"but the order bound {bound} is proved"
         )
     raise NoFitWithinBudget(
-        f"no validated recurrence from the first {window} of {len(data)} terms", _as_data(data)
+        f"no validated recurrence from terms {shown - window + 1}..{shown} of the "
+        f"{len(data)} generated",
+        _as_data(data),
     )
 
 
@@ -185,7 +204,13 @@ def gf_spanning(
     g_base x P_n, fitted in one round from the order bound of g_base.
     guesser is "plain" or "symmetric"; the symmetric variant accepts the
     plain fit only if its denominator is palindromic up to sign, on the
-    same window."""
+    same window, and never refuses one here: D(t) = +-t^d D(1/t).  The
+    counts are tau_n = sum c_rho rho^n over the ratios rho with c_rho != 0
+    at every integer n (graphs._tree_minors), and tau_(-n) = sigma tau_n
+    makes c_(1/rho) = sigma c_rho (such a sum is unique), so the ratios of
+    D = prod (1 - rho t) come in pairs rho, 1/rho, or are +-1, and
+    t^d D(1/t) = prod (t - rho) = (-1)^d prod(rho) D(t), prod(rho) = +-1.
+    The same holds over Q(v), so for gf_ver's D too."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
     try:
@@ -194,12 +219,12 @@ def gf_spanning(
         raise ValueError(f"guesser must be 'plain' or 'symmetric', not {guesser!r}")
 
     def term(n):
-        return spanning_tree_count(g_base, n, 1)
+        return spanning_tree_count(g_base, 1, n)
 
     def terms(c):
         return list(islice(_tree_minors(g_base, 1), c))
 
-    return _fit_pipeline(terms, term, guess, _order_bound(g_base), max_terms)
+    return _fit_pipeline(terms, term, guess, _order_bound(g_base), max_terms, _tree_mirror(g_base))
 
 
 def gf_grid(k: int, guesser: str = "plain", max_terms: int | None = None) -> GFResult:
@@ -327,12 +352,12 @@ def gf_ver(g_base: LabeledGraph) -> GFResult:
         raise NotConnected("base graph must be connected")
 
     def term(n):
-        return spanning_tree_count(g_base, n, _ver_points(g_base, n))
+        return spanning_tree_count(g_base, _ver_points(g_base, n), n)
 
     def terms(c):
         return _ver_terms(g_base, c)
 
-    return _fit_pipeline(terms, term, guess_rec, _order_bound(g_base))
+    return _fit_pipeline(terms, term, guess_rec, _order_bound(g_base), mirror=_tree_mirror(g_base))
 
 
 def gf_ver_grid(k: int) -> GFResult:

@@ -21,7 +21,9 @@ graphs.ver_polynomial and graphs._ver_terms, fit_by_reexpansion
 (N = D * S by polynomial product, accepted by re-expanding N/D against
 every term) for the one replay of cfinite.fit, gf_ver_by_interpolation
 (every term interpolated, then that fit over Z[v]) for the fit in
-evaluation form behind spanning.gf_ver, continuants_by_doubling
+evaluation form behind spanning.gf_ver, gf_by_forward_window (the guess on
+terms 1..2B + 4, not on the window mirrored about n = 0) for the tree and
+v-polynomial fits of spanning.gf_spanning and gf_ver, continuants_by_doubling
 (k-square matrix doubling, with second_difference) for the scalar
 doubling of graphs._jump, moments_by_jet_minor (one
 jet minor of the whole product graph) and moments_by_interpolation (the
@@ -67,7 +69,7 @@ from exactgf import (
     product_with_path,
     ver_polynomial,
 )
-from exactgf.cfinite import _recurrence_holds, guess_rec, guess_window
+from exactgf.cfinite import _recurrence_holds, fit, guess_rec, guess_window
 from exactgf.core import (
     _interpolated,
     _newton_interpolate,
@@ -94,6 +96,7 @@ from exactgf.graphs import (
     _order_bound,
     _step,
     _tree_minors,
+    _ver_terms,
     _zero_pivot,
 )
 from exactgf.spanning import HELD_OUT, GFResult, _decimal_ratio
@@ -586,10 +589,23 @@ def fit_by_reexpansion(series, start: int, window: int, guess):
     return spec, (rf if taylor_coeffs(rf, len(series)) == series else None)
 
 
+def gf_by_forward_window(g: LabeledGraph, guess=guess_rec, ver: bool = False) -> GFResult:
+    """spanning.gf_spanning (guess guess_rec or guess_sym_rec), or gf_ver
+    with ver, by the route they took before their data were mirrored: the
+    guess on terms 1..guess_window(B), B the order bound, and HELD_OUT
+    more generated, 2B + 4 + HELD_OUT terms in all; no spot check."""
+    window = guess_window(_order_bound(g))
+    count = window + HELD_OUT
+    data = _ver_terms(g, count) if ver else list(islice(_tree_minors(g, 1), count))
+    spec, gf = fit([0, *data], 1, window, guess)
+    return GFResult(gf, spec, tuple(data), 1)
+
+
 def gf_ver_by_interpolation(g: LabeledGraph) -> GFResult:
-    """spanning.gf_ver's fit by the route it used to take, on the same
-    window and held-out terms: every term interpolated from the stream's
-    values at v = 1..n p + 1, the guess on their Poly list with its replay
+    """spanning.gf_ver's fit by the route it used to take, on the forward
+    window and held-out terms of gf_by_forward_window: every term
+    interpolated from the stream's values at v = 1..n p + 1, the guess on
+    their Poly list with its replay
     over Z[v], and emission and re-expansion over Z[v]
     (fit_by_reexpansion)."""
     window = guess_window(_order_bound(g))

@@ -70,11 +70,11 @@ def test_max_terms_below_guess_minimum_is_usage_error(capsys):
             assert code == 2
             assert out == ""
             assert "unrecognized arguments: --max-terms" in err
-    # the smallest window: order bound 1, 6 terms and six held out
+    # the smallest window: order bound 1, 6 terms mirrored from 3, and six held out
     code, out, _ = invoke(capsys, "gf-grid", "--k", "1")
     payload = json.loads(out)
     assert code == 0 and payload["den"] == ["1", "-1"]
-    assert payload["terms_used"] == cli.MIN_GUESS_TERMS + spanning.HELD_OUT
+    assert payload["terms_used"] == cli.MIN_GUESS_TERMS // 2 + spanning.HELD_OUT
 
 
 def test_toeplitz_guess_window_below_minimum_is_usage_error(capsys):
@@ -323,10 +323,10 @@ def test_fit_windows_over_the_cap_are_usage_errors(monkeypatch, tmp_path, capsys
 
 def test_fit_commands_certify_at_the_edge_of_their_window(capsys):
     # the largest windows admitted fit, and terms_used follows the window
-    # (plus six held-out terms for the graph families)
+    # (half of it, mirrored, plus six held-out terms for the graph families)
     band = ("toeplitz-gf", "--row", "2,1,1,1", "--col", "2,3,3,3")
-    for argv, order, terms_used in ((("gf-grid", "--k", "7"), 48, 138),
-                                    (("gf-grid", "--k", "6"), 32, 74),
+    for argv, order, terms_used in ((("gf-grid", "--k", "7"), 48, 72),
+                                    (("gf-grid", "--k", "6"), 32, 40),
                                     ((*band, "--method", "guess"), 20, 44),
                                     (("toeplitz-gf", "--row", "1,1,1", "--col", "1,1,1",
                                       "--mode", "perm", "--method", "guess"), 5, 16)):
@@ -646,7 +646,7 @@ def test_outputs_past_the_int_to_str_limit_print_every_digit(monkeypatch, tmp_pa
     # rendered without it, and the limit is back in place after each run
     limit = sys.get_int_max_str_digits()
     heavy = tmp_path / "heavy.json"
-    heavy.write_text(json.dumps({"n": 2, "edges": [[0, 1, "other", 10**400]]}))
+    heavy.write_text(json.dumps({"n": 2, "edges": [[0, 1, "other", 10**500]]}))
     code, out, _ = invoke(capsys, "gf-product", "--graph", str(heavy), "--emit-data")
     assert code == 0
     data = json.loads(out)["data"]

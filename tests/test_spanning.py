@@ -32,11 +32,13 @@ from exactgf import (
     grid_graph,
 )
 from exactgf import cfinite, core, graphs, spanning, toeplitz
-from exactgf.cfinite import CFiniteSpec, guess_rec, seq_from_rec
+from exactgf.cfinite import (CFiniteSpec, _at_points, _recurrence_holds, guess_rec, guess_sym_rec,
+                             seq_from_rec)
 from exactgf.errors import BadVertexPair, InternalInconsistency, NoFitWithinBudget, NotConnected
 
 from oracles import (
     decimal_ratio_whole,
+    gf_by_forward_window,
     gf_ver_by_interpolation,
     laplacian_minor_dense,
     moments_by_interpolation,
@@ -50,16 +52,16 @@ def rf(num, den):
 
 
 @st.composite
-def _connected_multigraphs(draw, max_vertices=4):
+def _connected_multigraphs(draw, max_vertices=4, max_mult=2):
     """Connected multigraphs on 2..max_vertices vertices with multiplicities
-    1..2: a random spanning tree plus random extra edges."""
+    1..max_mult: a random spanning tree plus random extra edges."""
     n = draw(st.integers(2, max_vertices))
-    edges = [(draw(st.integers(0, v - 1)), v, "other", draw(st.integers(1, 2)))
+    edges = [(draw(st.integers(0, v - 1)), v, "other", draw(st.integers(1, max_mult)))
              for v in range(1, n)]
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda uv: uv[0] != uv[1])
     edges += [(u, v, "other", m) for (u, v), m in
-              draw(st.lists(st.tuples(pairs, st.integers(1, 2)), max_size=3))]
+              draw(st.lists(st.tuples(pairs, st.integers(1, max_mult)), max_size=3))]
     return LabeledGraph(n, tuple(edges))
 
 
@@ -113,7 +115,8 @@ def test_gf_spanning_series_matches_data_with_held_out():
 
     for n in range(1, out.data_used + 1):
         assert series[n] == spanning_tree_count(grid_graph(3, n))
-    assert out.data_used >= out.spec.order * 2 + 6
+    # the window mirrors terms -5..6 from the first 6, and 6 more are held out
+    assert out.data_used == out.spec.order + 2 + spanning.HELD_OUT
 
 
 def test_empty_base_graph_gives_the_empty_products():
@@ -135,7 +138,7 @@ def test_gf_spanning_budget_exhaustion_carries_data():
     data = info.value.data
     from exactgf import spanning_tree_count
 
-    assert len(data) >= 14
+    assert len(data) == 7 + spanning.HELD_OUT  # the window is terms -6..7
     assert data[:3] == [spanning_tree_count(grid_graph(4, n)) for n in (1, 2, 3)]
 
 
@@ -143,6 +146,47 @@ def test_denominator_palindromic_k_le_4():
     for k in (2, 3, 4):
         den = list(gf_grid(k).gf.den.coeffs)
         assert den == den[::-1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(_connected_multigraphs(max_vertices=4, max_mult=3))
+@example(path_graph(4))
+@example(LabeledGraph(4, tuple((i, j, "other") for i in range(4) for j in range(i + 1, 4))))
+def test_denominators_are_palindromic_up_to_sign(g):
+    # D(t) = +-t^d D(1/t) over Z and over Z[v] (gf_spanning's proof)
+    for den in (gf_spanning(g).spec.den, gf_ver(g).spec.den):
+        assert den[::-1] in (den, tuple(-c for c in den))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_connected_multigraphs(max_vertices=5, max_mult=3))
+@example(LabeledGraph(0, ()))
+@example(LabeledGraph(1, ()))
+def test_mirrored_fits_are_the_forward_window_fits(g):
+    # the window mirrored about n = 0 fits what terms 1..2B + 4 fit, from a
+    # prefix of their data; the symmetric guesser never refuses a tree fit
+    for got, want in ((gf_spanning(g), gf_by_forward_window(g)),
+                      (gf_spanning(g, "symmetric"), gf_by_forward_window(g, guess_sym_rec)),
+                      (gf_ver(g), gf_by_forward_window(g, ver=True))):
+        assert repr(got.gf) == repr(want.gf) and repr(got.spec) == repr(want.spec)
+        assert got.data == want.data[:got.data_used]
+
+
+@settings(max_examples=15, deadline=None)
+@given(_connected_multigraphs(max_vertices=5, max_mult=3))
+@example(LabeledGraph(0, ()))
+@example(LabeledGraph(1, ()))
+@example(path_graph(4))
+def test_the_mirrored_counts_satisfy_the_forward_denominator(g):
+    # tau_(-n) = sigma tau_n, and tau_(-B-1..B+2) satisfies the D fitted on
+    # tau_(1..2B+4) alone, at w = 1 and at points of v
+    bound, (sign, tau0) = graphs._order_bound(g), graphs._tree_mirror(g)
+    points = graphs.Evals(range(1, 6))
+    for w, den in ((1, gf_by_forward_window(g).spec.den),
+                   (points, _at_points(gf_by_forward_window(g, ver=True).spec.den, 5))):
+        taus = list(islice(graphs._tree_minors(g, w), bound + 2))
+        mirrored = [*(sign * x for x in reversed(taus[:bound + 1])), 0 * w + tau0, *taus]
+        assert len(mirrored) == 2 * bound + 4 and _recurrence_holds(mirrored, den)
 
 
 # --- first-round sizing from the order bound ---------------------------------------
@@ -167,19 +211,23 @@ def _guess_rounds(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fit, bound",
-    [(lambda k=k: gf_grid(k), 2 ** (k - 1)) for k in range(1, 6)]
-    + [(lambda k=k: gf_two_forest(k), _forest_bound(k)) for k in range(1, 5)]
-    + [(lambda k=k: gf_ver_grid(k), 2 ** (k - 1)) for k in range(1, 4)]
+    "fit, bound, mirrored",
+    [(lambda k=k: gf_grid(k), 2 ** (k - 1), True) for k in range(1, 6)]
+    + [(lambda k=k: gf_two_forest(k), _forest_bound(k), False) for k in range(1, 5)]
+    + [(lambda k=k: gf_ver_grid(k), 2 ** (k - 1), True) for k in range(1, 4)]
     # user graphs: eigenvalues 6 (x5); 4 (x3); 1 (x2), 4; 2 (x2), 4
-    + [(lambda: gf_spanning(_complete_graph(6)), 6), (lambda: gf_ver(_complete_graph(4)), 4),
-       (lambda: gf_ver(_STAR), 6), (lambda: gf_ver(_CYCLE), 6)],
+    + [(lambda: gf_spanning(_complete_graph(6)), 6, True),
+       (lambda: gf_ver(_complete_graph(4)), 4, True),
+       (lambda: gf_ver(_STAR), 6, True), (lambda: gf_ver(_CYCLE), 6, True)],
     ids=[f"grid-{k}" for k in range(1, 6)] + [f"two-forest-{k}" for k in range(1, 5)]
     + [f"ver-{k}" for k in range(1, 4)] + ["tree-K6", "ver-K4", "ver-star", "ver-C4"])
-def test_the_order_bound_sizes_one_guess(monkeypatch, fit, bound):
+def test_the_order_bound_sizes_one_guess(monkeypatch, fit, bound, mirrored):
+    # trees and v-polynomials guess on terms -(B + 1)..B + 2, mirrored from
+    # the first B + 2 of them; two-forests on terms 1..2B + 4
     rounds = _guess_rounds(monkeypatch)
     out = fit()
-    assert rounds == [2 * bound + 4] and out.data_used == 2 * bound + 4 + spanning.HELD_OUT
+    generated = bound + 2 if mirrored else 2 * bound + 4
+    assert rounds == [2 * bound + 4] and out.data_used == generated + spanning.HELD_OUT
 
 
 def _corrupted_stream(n):
@@ -190,24 +238,29 @@ def _corrupted_stream(n):
 
 
 def test_one_round_tells_no_fit_from_a_broken_bound(monkeypatch):
-    # a bound below the order 8: one guess on 2 * 1 + 4 terms, then no fit
+    # a bound below the order 8: one guess on 2 * 1 + 4 terms and no fit,
+    # which the full window's proved bound says cannot happen; capped at
+    # 5 terms, terms -1..3, the same no-fit is honest
     with monkeypatch.context() as m:
         m.setattr(spanning, "_order_bound", lambda g: 1)
         rounds = _guess_rounds(m)
-        with pytest.raises(NoFitWithinBudget, match="first 6 of 12 terms") as info:
+        with pytest.raises(InternalInconsistency, match="fit to 6 terms is none"):
             gf_grid(4)
-    assert rounds == [6] and len(info.value.data) == 6 + spanning.HELD_OUT
-    # term 13 is held out of gf_grid(3)'s 12-term window: a fit that misses
-    # it within the proved bound 4 is a bug, below the full window a no-fit
-    monkeypatch.setattr(spanning, "_tree_minors", _corrupted_stream(13))
+        with pytest.raises(NoFitWithinBudget, match=r"terms -1\.\.3 of the 9 generated") as info:
+            gf_grid(4, max_terms=5)
+    assert rounds == [6, 5] and len(info.value.data) == 3 + spanning.HELD_OUT
+    # term 12 is held out of gf_grid(3)'s 12-term window, terms -5..6: a fit
+    # that misses it within the proved bound 4 is a bug, below the full
+    # window a no-fit
+    monkeypatch.setattr(spanning, "_tree_minors", _corrupted_stream(12))
     with pytest.raises(InternalInconsistency, match="held-out"):
         gf_grid(3)
-    with pytest.raises(NoFitWithinBudget, match="first 11 of 17 terms"):
+    with pytest.raises(NoFitWithinBudget, match=r"terms -4\.\.6 of the 12 generated"):
         gf_grid(3, max_terms=11)  # no order <= 3 fits 11 terms
     # a bound 5 above the order: the capped 12-term window fits order 4,
-    # which misses term 13
+    # which misses term 12
     monkeypatch.setattr(spanning, "_order_bound", lambda g: 5)
-    with pytest.raises(NoFitWithinBudget, match="first 12 of 18 terms"):
+    with pytest.raises(NoFitWithinBudget, match=r"terms -5\.\.6 of the 12 generated"):
         gf_grid(3, max_terms=12)
 
 
@@ -315,7 +368,7 @@ def test_one_wrong_point_of_the_last_v_polynomial_fails(monkeypatch):
             gf_ver_grid(2)
     # spanning_tree_count in spanning is graphs._grounded, the spot check's route
     monkeypatch.setattr(spanning, "spanning_tree_count",
-                        lambda g, n, w: off(real_grounded(g, n, w)))
+                        lambda g, w, n: off(real_grounded(g, w, n)))
     with pytest.raises(InternalInconsistency, match="per-term"):
         gf_ver_grid(2)
 
@@ -471,9 +524,10 @@ def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
                         lambda *a: sweeps.append(a[1]) or real_stream(*a))
     monkeypatch.setattr(spanning, "guess_rec", lambda d: rounds.append(len(d)) or real_guess(d))
     out = gf_ver_grid(3)
-    # one round of 12 + 6 terms: term 18 has degree <= 36, so v = 1..37
-    assert rounds == [12] and [w.values for w in sweeps] == [tuple(range(1, 38))]
-    assert out.data_used == 18
+    # one round on 12 terms mirrored from 6, and 6 more held out: term 12
+    # has degree <= 24, so v = 1..25
+    assert rounds == [12] and [w.values for w in sweeps] == [tuple(range(1, 26))]
+    assert out.data_used == 12
 
 
 @settings(max_examples=25, deadline=None)
@@ -483,7 +537,7 @@ def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
 def test_gf_ver_matches_the_interpolation_route(g):
     got, want = gf_ver(g), gf_ver_by_interpolation(g)
     assert repr(got.gf) == repr(want.gf) and repr(got.spec) == repr(want.spec)
-    assert got.data_used == want.data_used and got.data == want.data
+    assert got.data == want.data[:got.data_used]
 
 
 def test_a_denominator_above_its_degree_bound_is_never_emitted(monkeypatch):
@@ -502,7 +556,7 @@ def test_a_denominator_above_its_degree_bound_is_never_emitted(monkeypatch):
     monkeypatch.setattr(cfinite, "_polys", lambda *a, real=cfinite._polys:
                         interpolated.append(a) or real(*a))
     with pytest.raises(InternalInconsistency, match="D_i has v-degree above i p"):
-        gf_ver_grid(2)  # 14 terms of v-degree <= n: v = 1..15, and D_1 has degree 15
+        gf_ver_grid(2)  # 10 terms of v-degree <= n: v = 1..11, and D_1 has degree 11
     assert interpolated == []  # no numerator was interpolated
 
 
@@ -662,12 +716,18 @@ def test_moments_eliminate_in_the_grounded_band(monkeypatch):
 
 
 def test_tree_minors_bad_pivot_fails_the_spot_check(monkeypatch):
-    # det M_n is P_n itself: a wrong pivot 5 at k = 2 is no longer caught by
-    # a division, so it reaches the fit, whose spot check refuses it
+    # det M_n is P_n itself: a wrong pivot at k = 2 is no longer caught by a
+    # division.  Doubled, its data fit the mirrored window, so it reaches
+    # the fit, whose spot check refuses it; a constant 5 breaks the mirror,
+    # so no recurrence fits the full window
     graphs._cone(path_graph(2))  # the base graph's cone minor, cached per graph
-    monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[5]], 1)]))
-    with pytest.raises(InternalInconsistency, match="term 14 of the data differs"):
+    monkeypatch.setattr(graphs, "_eliminated",
+                        lambda column, w: iter([([[2 * column(0)[-1]]], 1)]))
+    with pytest.raises(InternalInconsistency, match="term 10 of the data differs"):
         gf_grid(2)  # the stream of a fit's data
+    monkeypatch.setattr(graphs, "_eliminated", lambda column, w: iter([([[5]], 1)]))
+    with pytest.raises(InternalInconsistency, match="fit to 8 terms is none"):
+        gf_grid(2)
 
 
 def test_moments_disconnected_raises():
