@@ -450,9 +450,9 @@ def c_to_r(spec: CFiniteSpec) -> RationalFunction:
 
 
 def fit(series, start: int, window: int, guess):
-    """(spec, rf): guess on series[start:start + window], series a list,
-    then emit and accept the generating function sum(series[n] t^n), the
-    one guess-emit-accept step of every pipeline.
+    """(spec, rf): guess on series[start:start + window], series a list
+    and start >= 1, then emit and accept the generating function
+    sum(series[n] t^n), the one guess-emit-accept step of every pipeline.
 
     guess returns the minimal recurrence through its argument or None
     (guess_rec, guess_sym_rec), or, for a mirrored family
@@ -468,25 +468,24 @@ def fit(series, start: int, window: int, guess):
     N and D are coprime when rf is returned.  A common factor g of degree
     e >= 1 has g(0) != 0 (D_0 != 0), and D' = D / g, N' = N / g, of
     degrees <= d - e, have D' S = N' mod t^len(series): D' is a recurrence
-    of order d - e through series[n] for n > d - e, so through the window
-    if start >= 1.  If start = 0, the guess kills the t^d coefficient of
-    D S, so deg N < d, deg N' < d - e, and D' holds from n = d - e on.  On
-    a window extended backward, y_n = sum(D'_i x_(n-i)) vanishes for n > d
-    - e, and sum(g_j y_(n-j), j = 0..e) = sum(D_i x_(n-i)) = 0 wherever D
-    fits; g_e != 0, so g's recurrence runs backward from the e zeros
-    y_(d-e+1..d), and D' fits the whole extended window too.  e =
-    d makes the window all zero, where the guessers report the constant D
-    = (1, 0); otherwise D' (cleared of denominators in v for polynomial
-    data) is a fit of order below d, against the guess's minimality.  For
-    polynomial data read this at a point x of the guess's run, where D(x)
-    fits the window's integers at minimal order d (guess_rec1) and g_e(x)
-    != 0: g_e divides D's leading coefficient, whose v-degree is below the
-    number of run points, and D_0, so D'_0, is a constant.
+    of order d - e through series[n] for n > d - e, so through the window,
+    which starts at n = start >= 1.  On a window extended backward, y_n =
+    sum(D'_i x_(n-i)) vanishes for n > d - e, and sum(g_j y_(n-j), j =
+    0..e) = sum(D_i x_(n-i)) = 0 wherever D fits; g_e != 0, so g's
+    recurrence runs backward from the e zeros y_(d-e+1..d), and D' fits the
+    whole extended window too.  e = d makes the window all zero, where the
+    guessers report the constant D = (1, 0); otherwise D' (cleared of
+    denominators in v for polynomial data) is a fit of order below d,
+    against the guess's minimality.  For polynomial data read this at a
+    point x of the guess's run, where D(x) fits the window's integers at
+    minimal order d (guess_rec1) and g_e(x) != 0: g_e divides D's leading
+    coefficient, whose v-degree is below the number of run points, and
+    D_0, so D'_0, is a constant.
 
     A series in evaluation form holds Evals at v = 1..P for integer
     polynomials in v, series[n] of v-degree <= n p (p = _rate(series), so
     P - 1 >= (len(series) - 1) p), whose minimal D has deg D_i <= i p:
-    graphs._ver_terms proves both for its data.  The guess reads each
+    graphs._ver_points proves both for gf_ver's data.  The guess reads each
     point's integers, and a D above its bound contradicts the proof:
     InternalInconsistency.  Otherwise the replay runs on D's values at the
     points (_at_points): coefficient n of D S has v-degree <= n p < P, so

@@ -30,7 +30,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .cfinite import guess_rec, guess_window
+from .cfinite import HELD_OUT, guess_rec, guess_window
 from .core import Poly, RationalFunction, _primitive_ints
 from .errors import (
     BadVertexPair,
@@ -42,17 +42,16 @@ from .errors import (
     NotConnected,
 )
 
-#: Sizes from which a run is a stretch target, refused unless asked nicely
-#: with --allow-long: there the graph's size, not the fit window, sets the
-#: time.  gf-ver --k and a gf-ver --graph's vertex count: with process
-#: start 5 rows take about 0.2 s and 6 rows 0.7 s, a third of it the
-#: tree-minor stream over Evals at 201 points of v, the rest the fit at
-#: those points; 7 rows, at 433 points, take about 10 s.
-LONG_RUN_VER_K = 7
-#: A gf-product --graph's vertex count: random 7-vertex graphs (window 132)
-#: fit in 0.03 s in process, but K_30 (window 64) takes 4.3 s and the
-#: 30-vertex star (window 120) 3.5 s with process start.
-LONG_RUN_GRAPH_VERTICES = 7
+#: The base graph's vertex count from which a gf-ver or gf-product run is
+#: a stretch target, refused unless asked nicely with --allow-long: both
+#: run one tree fit (spanning._tree_fit), whose time the graph's size, not
+#: the fit window, sets.  With process start gf-ver on 5 rows takes about
+#: 0.2 s and 6 rows 0.7 s, a third of it the tree-minor stream over Evals
+#: at 201 points of v, the rest the fit at those points; 7 rows, at 433
+#: points, take about 10 s.  gf-product fits random 7-vertex graphs
+#: (window 132) in 0.03 s in process, but K_30 (window 64) takes 4.3 s and
+#: the 30-vertex star (window 120) 3.5 s with process start.
+LONG_RUN_VERTICES = 7
 
 #: guess_rec tries orders up to len(data) // 2 - 2, so fewer terms than
 #: an order-1 fit needs can never fit.
@@ -81,11 +80,13 @@ MAX_FIT_TERMS = 160
 #:
 #: and, at k = 144, n = 1, the largest k, 0.11 s and 0.20 s.
 #: A --graph file has at most MAX_GRAPH_VERTICES vertices and MAX_GRAPH_BYTES bytes.
-#: Its multiplicities are uncapped, so moments also caps the tree count's
-#: bits (_check_answer_bits), 105000 at (8, 5000) above: two vertices joined
-#: by a 3000-digit multiplicity took 1.7 s in process at n = 12 (119604
-#: bits).  gf-product --graph has no such cap: K_4 with that multiplicity
-#: on every edge took 6.9 s with process start.
+#: Its multiplicities are uncapped, so moments and the tree fits also cap
+#: the tree count's bits (_check_answer_bits) at the last n they count,
+#: 105000 for moments at (8, 5000) above: two vertices joined by a
+#: 3000-digit multiplicity took 1.7 s in process at n = 12 (119604 bits).
+#: A tree fit of them counts to n = 10 (99670 bits) and prints, but K_4 with
+#: that multiplicity on every edge (358884 bits at n = 12) took 6.9 s with
+#: process start and is refused.
 MAX_STREAM_WORK = 3_000_000
 MAX_PRODUCT_VERTICES = 40_000
 MAX_ANSWER_BITS = 120_000
@@ -390,18 +391,21 @@ def _base_graph(args, check=lambda k: None):
     return g, f"a {g.n_vertices}-vertex graph"
 
 
-def _admit(args, long_run: int | None = None):
-    """The _base_graph g of a fit of g x P_n, refused when its window, from
-    graphs._order_bound (cached for the pipeline), is over MAX_FIT_TERMS,
-    or, without --allow-long, when it has long_run or more vertices; a
-    disconnected g first, as NotConnected."""
+def _admit(args, long_run: bool = True):
+    """The _base_graph g of a tree fit of g x P_n (spanning._tree_fit),
+    refused when its window, from graphs._order_bound B (cached for the
+    pipeline), is over MAX_FIT_TERMS, when its last term, n = B + 2 +
+    HELD_OUT on the mirrored window, can pass MAX_ANSWER_BITS, or, when
+    long_run and without --allow-long, when it has LONG_RUN_VERTICES or
+    more vertices; a disconnected g first, as NotConnected."""
     from .graphs import _order_bound
 
     g, what = _base_graph(args)
     if not g.is_connected():
         raise NotConnected("base graph must be connected")
     _check_window(guess_window(_order_bound(g)), what)
-    if long_run is not None and g.n_vertices >= long_run and not args.allow_long:
+    _check_answer_bits(g, _order_bound(g) + 2 + HELD_OUT)
+    if long_run and g.n_vertices >= LONG_RUN_VERTICES and not args.allow_long:
         raise UsageError(f"{what} is a long-running stretch target; pass --allow-long to proceed")
     return g
 
@@ -415,7 +419,7 @@ def _check_stream_work(k: int, n: int):
 
 
 def _check_answer_bits(g, n: int):
-    """Refuse moments on g x P_n when its tree count (graphs._order_bound)
+    """Refuse a count on g x P_n when its tree count (graphs._order_bound)
     can pass MAX_ANSWER_BITS bits: each of the k - 1 factors a_n(lambda_i) <=
     lambda_i (lambda_i + 2)^(n-1), lambda_i <= 2 D, D the largest weighted degree."""
     from .graphs import laplacian
@@ -430,7 +434,7 @@ def _check_answer_bits(g, n: int):
 def _cmd_gf_grid(args) -> int:
     from . import spanning
 
-    _admit(args)
+    _admit(args, long_run=False)
     result = spanning.gf_grid(args.k)
     _emit(args, lambda: _gf_payload(result, args.emit_data), lambda _: _fmt_ratfunc(result.gf))
     return 0
@@ -439,7 +443,7 @@ def _cmd_gf_grid(args) -> int:
 def _cmd_gf_product(args) -> int:
     from . import spanning
 
-    result = spanning.gf_spanning(_admit(args, LONG_RUN_GRAPH_VERTICES))
+    result = spanning.gf_spanning(_admit(args))
     _emit(args, lambda: _gf_payload(result, args.emit_data), lambda _: _fmt_ratfunc(result.gf))
     return 0
 
@@ -447,7 +451,7 @@ def _cmd_gf_product(args) -> int:
 def _cmd_gf_ver(args) -> int:
     from . import spanning
 
-    result = spanning.gf_ver(_admit(args, LONG_RUN_VER_K))
+    result = spanning.gf_ver(_admit(args))
     _emit(args, lambda: _gf_payload(result), lambda _: _fmt_ratfunc(result.gf))
     return 0
 

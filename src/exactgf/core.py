@@ -732,8 +732,8 @@ def solve_fraction_free(rows, rhs) -> LinearSolution:
     unknown's denominator is the same: the last pivot, since each
     elimination step scales all earlier pivot rows alike.  The pivot in
     each column is the first nonzero entry at or below the current rank.
-    This is the package's one elimination loop, behind solve_linear;
-    recurrence guessing solves no linear system.
+    Only solve_linear calls it, and nothing in the package calls that: the
+    elimination kernels are _bareiss_pivots and graphs._eliminated.
     """
     rows = [list(r) for r in rows]
     rhs = list(rhs)

@@ -24,18 +24,16 @@ counts from G's Laplacian spectrum.  Two streams yield the counts of
 G x P_n for n = 1, 2, ..., in the weight's ring, each stepping a
 three-term recurrence Y_(j+1) = t Y_j - Y_(j-1) once per n:
 _tree_minors, the minors, one streamed elimination per n of the grounded
-block M_n, the first |V(G)| - 1 rows and columns of a_n(w L(G)), on
-which the recurrence closes (_ver_terms runs it over Evals for the first
-N v-polynomials, at the points the last of them needs), and
-_corner_counts, the trees and corner two-forests, one bordered
-|V(G)|-square determinant per n of the layer transfer recurrence.  A
-count at one n jumps there (_jump): its matrix combines the continuants
-U_(n-1), U_n, U_(n+1) of t = w L(G) + 2I (U_0 = 0, U_1 = I), scalar
-continuants in L(G) of min(n + 1, |V(G)|) terms, truncated below n =
-|V(G)| and reduced from there on modulo L(G)'s characteristic polynomial
-(from _cone, like _order_bound), doubled in O(log n) products, then
-evaluated against L(G)'s powers, built once per graph, for only the rows
-its reader needs.
+block M_n, the first |V(G)| - 1 rows and columns of a_n(w L(G)), on which
+the recurrence closes (over Evals at _ver_points for the v-polynomials),
+and _corner_counts, the trees and corner two-forests, one bordered
+|V(G)|-square determinant per n of the layer transfer recurrence.  A count
+at one n jumps there (_jump): its matrix combines the continuants U_(n-1),
+U_n, U_(n+1) of t = w L(G) + 2I (U_0 = 0, U_1 = I), scalar continuants in
+L(G) of min(n + 1, |V(G)|) terms, truncated below n = |V(G)| and reduced
+from there on modulo L(G)'s characteristic polynomial (from _cone, like
+_order_bound), doubled in O(log n) products, then evaluated against L(G)'s
+powers, built once per graph, for only the rows its reader needs.
 The jumps are _corner_count (for resistance: k - 1 rows of the second
 difference, two of C_n = U_n - U_(n-1), one of U_(n-1)) and
 _grounded_block, the same M_n, whose determinant, the tree minor,
@@ -56,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from operator import add, mul, sub
 
 from .core import (Evals, Matrix, Poly, _Elementwise, _bareiss_pivots, _interpolated, bandwidth,
@@ -451,7 +449,7 @@ def _order_bound(g: LabeledGraph) -> int:
 # G x P_n, walked one step per n by the streams; _powers steps from
 # Y_(j-1) = 0 to multiply by -L(G).  Its matrices are symmetric, and a
 # half step computes them from the diagonal on, half the multiplications:
-# worth it over jets and Evals (the streams of _ver_terms) and over the
+# worth it over jets and Evals (the v-polynomial streams) and over the
 # growing integers of _powers (44 -> 30 ms for a 50-vertex path), not
 # over the streams' small ints, where the slicing costs more than it saves
 
@@ -598,7 +596,7 @@ def _tree_minors(g: LabeledGraph, vertical_weight):
     (the stream is all ones for k <= 1: sigma = tau_0 = 1).  Each a_n(y)
     = alpha r^n + beta r^-n runs backward the same way (a_(-n) = -a_n), so
     tau_n = (1/k) prod a_n(w lambda_i) = sum c_s rho_s^n, rho_s != 0
-    (_ver_terms), at every integer n, and the minimal recurrence of the
+    (_ver_points), at every integer n, and the minimal recurrence of the
     counts, of order <= B (_order_bound), holds on all of Z: at every w >=
     1, pointwise over Evals and over Q(v).  Any 2B + 4 consecutive terms
     of the two-sided sequence then fit it (Massey 1969), tau_(-B-1..B+2)
@@ -704,17 +702,10 @@ def _tree_minor(g: LabeledGraph, vertical_weight, n: int):
 
 def _ver_points(g: LabeledGraph, count: int) -> Evals:
     """Evals at v = 1..count p + 1, p = min(total multiplicity of g's edges,
-    |V(g)| - 1): the points that A_1..A_count of _ver_terms need."""
-    per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
-    return Evals(range(1, count * per_layer + 2))
-
-
-def _ver_terms(g: LabeledGraph, count: int) -> list:
-    """The data of gf_ver in evaluation form: A_n =
-    ver_polynomial(product_with_path(g, n)) for n = 1..count at the
-    _ver_points(g, count), read off one _tree_minors stream, for a
-    connected g.  cfinite.fit takes a series in this form and rests on two
-    bounds it proves here.
+    |V(g)| - 1): the points at which _tree_minors(g, w) gives the data of
+    gf_ver in evaluation form, A_n = ver_polynomial(product_with_path(g,
+    n)) for n = 1..count, g connected.  cfinite.fit takes a series in this
+    form and rests on two bounds proved here.
 
     (1) deg A_n <= n p: every edge of g is vertical in the product, and a
     spanning tree has at most k - 1 of them in each layer.
@@ -732,7 +723,8 @@ def _ver_terms(g: LabeledGraph, count: int) -> list:
     additive.  D is primitive over Q[v], so Q = D H with H in Q[v][t]
     (Gauss's lemma), and D_0 H_0 = Q_0 = 1 makes D_0 and H_0 constants:
     w(D), w(H) >= 0 with sum w(Q) = 0, so w(D) = 0."""
-    return list(islice(_tree_minors(g, _ver_points(g, count)), count))
+    per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
+    return Evals(range(1, count * per_layer + 2))
 
 
 def graph_from_json_dict(obj) -> LabeledGraph:

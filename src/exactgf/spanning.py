@@ -13,8 +13,9 @@ Covered families, all over layers n of a product graph G x P_n:
 No fit builds a product graph for its data: they come from a
 stream of the base graph's recurrences, graphs._tree_minors (det M_n,
 M_n the grounded block that every single-layer count jumps to) for trees
-and (at the points of v the fit needs, in evaluation form:
-graphs._ver_terms) v-polynomials, graphs._corner_counts for two-forests.
+at weight 1 and v-polynomials at the points of v the fit needs
+(graphs._ver_points, in evaluation form), one fit for both (_tree_fit),
+and graphs._corner_counts for two-forests.
 Each fit is one round, sized from a proved bound on the recurrence order:
 graphs._order_bound, from the base graph's Laplacian spectrum, for trees
 and v-polynomials, and B_F (gf_two_forest) for the two-forests.  Trees
@@ -61,7 +62,6 @@ from .graphs import (
     _tree_minors,
     _tree_mirror,
     _ver_points,
-    _ver_terms,
     grid_graph,
     path_graph,
     two_forest_count,
@@ -75,7 +75,7 @@ class GFResult:
     generated data with no index shifting; spec is the recurrence that
     produced it and terms the generated terms it was certified against, as
     generated: integers, or gf_ver's polynomials in evaluation form
-    (graphs._ver_terms).  data is them as integers or integer polynomials
+    (graphs._ver_points).  data is them as integers or integer polynomials
     in v, interpolated on first read.
     """
 
@@ -122,7 +122,7 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None, mirror=None) -
     """Guess, emit and certify in one round; shared by all pipelines.
 
     terms(c) returns data terms 1..c and is asked once, so a source sizes
-    its work to the fit (_ver_terms streams just the points it needs).  The
+    its work to the fit (gf_ver streams just the points it needs).  The
     guesser sees a window of W = guess_window(B) terms, B >= 1 the proved
     order bound, from which it fits any order <= B; a max_terms that is
     not None caps W.  Without a mirror the window is terms 1..W; with the
@@ -139,16 +139,14 @@ def _fit_pipeline(terms, term_fn, guesser, bound, max_terms=None, mirror=None) -
     ties two computations together:
 
       family         data                         spot check
-      trees          _tree_minors(g, 1): det      _grounded(g, 1, n):
-                     M_n, the layer transfer's    det_bareiss of the same
-                     grounded M_n stepped on      M_n, jumped to by scalar
-                     (k-1)-square matrices, one   continuants mod chi_L(g)
-                     _eliminated per n
-      v-polynomials  the same over Evals at v =   _grounded(g,
-                     1..n p + 1, kept in          _ver_points(g, n), n): the
-                     evaluation form              same at the same points,
-                     (_ver_terms): fitted at      n p + 1 > either side's
-                     those points                 v-degree: no interpolation
+      trees at       _tree_minors(g, w): det      _grounded(g, w, n):
+      weight w       M_n, the layer transfer's    det_bareiss of the same
+      (_tree_fit)    grounded M_n stepped on      M_n, jumped to by scalar
+                     (k-1)-square matrices, one   continuants mod chi_L(g);
+                     _eliminated per n; w = 1,    for v-polynomials at w =
+                     or Evals at the points of v  _ver_points(g, n), n p + 1
+                     (_ver_points), where it is   > either side's v-degree:
+                     fitted                       no interpolation
       two-forests    _corner_counts: layer        two_forest_count of the
                      transfer, one bordered       grid: _laplacian_minor
                      _bareiss_pivots run per n
@@ -211,6 +209,14 @@ def gf_spanning(
     D = prod (1 - rho t) come in pairs rho, 1/rho, or are +-1, and
     t^d D(1/t) = prod (t - rho) = (-1)^d prod(rho) D(t), prod(rho) = +-1.
     The same holds over Q(v), so for gf_ver's D too."""
+    return _tree_fit(g_base, lambda c: 1, guesser, max_terms)
+
+
+def _tree_fit(g_base: LabeledGraph, weight, guesser: str = "plain",
+              max_terms: int | None = None) -> GFResult:
+    """The one fit of gf_spanning and gf_ver: _fit_pipeline on the tree
+    minors of g_base x P_n with weight(c) on g_base's edges, terms 1..c
+    read at weight(c), from the order bound and mirror of g_base."""
     if not g_base.is_connected():
         raise NotConnected("base graph must be connected")
     try:
@@ -219,10 +225,10 @@ def gf_spanning(
         raise ValueError(f"guesser must be 'plain' or 'symmetric', not {guesser!r}")
 
     def term(n):
-        return spanning_tree_count(g_base, 1, n)
+        return spanning_tree_count(g_base, weight(n), n)
 
     def terms(c):
-        return list(islice(_tree_minors(g_base, 1), c))
+        return list(islice(_tree_minors(g_base, weight(c)), c))
 
     return _fit_pipeline(terms, term, guess, _order_bound(g_base), max_terms, _tree_mirror(g_base))
 
@@ -340,24 +346,15 @@ def gf_ver(g_base: LabeledGraph) -> GFResult:
     weight polynomials of g_base x P_n.
 
     Data terms are polynomials in v in evaluation form, their values at
-    the points v = 1..P from one tree-minor stream sized like gf_spanning's
-    from the order bound of g_base (graphs._ver_terms).  cfinite.fit
-    guesses, replays and accepts at those points and interpolates only the
-    emitted numerator and denominator; the result's data are interpolated
-    when first read.
+    the points v = 1..P (graphs._ver_points) from gf_spanning's fit with
+    those points as the weight (_tree_fit).  cfinite.fit guesses, replays
+    and accepts at those points and interpolates only the emitted
+    numerator and denominator; the result's data are interpolated when
+    first read.
     Numerator and denominator are polynomials in t whose coefficients are
     integer polynomials in v with no common content (lowest denominator
     coefficient positive)."""
-    if not g_base.is_connected():
-        raise NotConnected("base graph must be connected")
-
-    def term(n):
-        return spanning_tree_count(g_base, _ver_points(g_base, n), n)
-
-    def terms(c):
-        return _ver_terms(g_base, c)
-
-    return _fit_pipeline(terms, term, guess_rec, _order_bound(g_base), mirror=_tree_mirror(g_base))
+    return _tree_fit(g_base, lambda c: _ver_points(g_base, c))
 
 
 def gf_ver_grid(k: int) -> GFResult:

@@ -306,14 +306,13 @@ def gf_transfer(row, col, mode: str = "det") -> RationalFunction:
 
     With m states, Cayley-Hamilton gives transfer_sequence a recurrence of
     order at most m, and any order-m recurrence through 2m of its terms
-    matches it forever, so the fit of cfinite.fit to its first
-    guess_window(m) = 2m + 4 terms (orders <= m) is proved, not guessed;
+    matches it forever, so the fit of cfinite.fit to its terms c_1..c_W,
+    W = guess_window(m) = 2m + 4 (orders <= m), is proved, not guessed;
     HELD_OUT more terms are generated and replayed with them.  A failed
     fit is a bug and raises InternalInconsistency."""
     scheme = children_scheme(row, col, mode)
-    m = len(scheme)
-    _spec, rf = fit(transfer_sequence(scheme, guess_window(m) - 1 + HELD_OUT), 0,
-                    guess_window(m), guess_rec)
+    m, window = len(scheme), guess_window(len(scheme))
+    _spec, rf = fit(transfer_sequence(scheme, window + HELD_OUT), 1, window, guess_rec)
     if rf is None:
         raise InternalInconsistency(f"{m} transfer states but no order-{m} recurrence")
     return rf

@@ -17,7 +17,7 @@ each layer boundary, for the recurrence streams graphs._tree_minors and
 graphs._corner_counts that give the fits their data,
 ver_polynomial_per_point and ver_sweep_per_point, one integer
 elimination per point of v, for the elimination over graphs.Evals behind
-graphs.ver_polynomial and graphs._ver_terms, fit_by_reexpansion
+graphs.ver_polynomial and gf_ver's data, fit_by_reexpansion
 (N = D * S by polynomial product, accepted by re-expanding N/D against
 every term) for the one replay of cfinite.fit, gf_ver_by_interpolation
 (every term interpolated, then that fit over Z[v]) for the fit in
@@ -96,7 +96,7 @@ from exactgf.graphs import (
     _order_bound,
     _step,
     _tree_minors,
-    _ver_terms,
+    _ver_points,
     _zero_pivot,
 )
 from exactgf.spanning import HELD_OUT, GFResult, _decimal_ratio
@@ -561,7 +561,7 @@ def ver_polynomial_per_point(g: LabeledGraph) -> Poly:
 
 def ver_sweep_per_point(g: LabeledGraph):
     """Yield ver_polynomial(product_with_path(g, n)) for n = 1, 2, ... by
-    the route graphs._ver_terms replaced: one integer layer sweep per
+    the route the Evals stream replaced: one integer layer sweep per
     point v = 0..D_n, each started (and run up to layer n - 1) when first
     needed, D_n = n * min(total multiplicity of g's edges, |V(g)| - 1)."""
     per_layer = min(sum(mult for *_edge, mult in g.edges), max(g.n_vertices - 1, 0))
@@ -596,7 +596,7 @@ def gf_by_forward_window(g: LabeledGraph, guess=guess_rec, ver: bool = False) ->
     more generated, 2B + 4 + HELD_OUT terms in all; no spot check."""
     window = guess_window(_order_bound(g))
     count = window + HELD_OUT
-    data = _ver_terms(g, count) if ver else list(islice(_tree_minors(g, 1), count))
+    data = list(islice(_tree_minors(g, _ver_points(g, count) if ver else 1), count))
     spec, gf = fit([0, *data], 1, window, guess)
     return GFResult(gf, spec, tuple(data), 1)
 

@@ -3,6 +3,7 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from exactgf import (
 from exactgf import cfinite, core, gf_grid, gf_two_forest
 from exactgf.core import _primitive_ints
 from exactgf.errors import DataTooShort
-from exactgf.graphs import _ver_terms
+from exactgf.graphs import _tree_minors, _ver_points
 from exactgf.spanning import _as_data
 from oracles import _solve_rec, fit_by_reexpansion, guess_rec_scan, guess_sym_rec_scan
 from test_spanning import _connected_multigraphs
@@ -421,14 +422,15 @@ def test_guess_rec_round_trip_over_z_v(spec):
 
 @st.composite
 def _z_v_data(draw):
-    """Terms of a random spec over Z[v], or the _ver_terms polynomials of a
+    """Terms of a random spec over Z[v], or gf_ver's data polynomials of a
     random connected multigraph on k <= 4 vertices, 2^k + 4 of them: enough
     for the fit, of order at most 2^(k-1)."""
     if draw(st.booleans()):
         spec = draw(_v_polynomial_specs())
         return seq_from_rec(spec, 2 * spec.order + 6)
     g = draw(_connected_multigraphs())
-    return list(_as_data(_ver_terms(g, 2 ** g.n_vertices + 4)))
+    count = 2 ** g.n_vertices + 4
+    return list(_as_data(list(islice(_tree_minors(g, _ver_points(g, count)), count))))
 
 
 @settings(max_examples=20, deadline=None)

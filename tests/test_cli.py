@@ -30,6 +30,7 @@ from exactgf.cli import (
 from exactgf.core import Poly, RationalFunction
 from exactgf.errors import InternalInconsistency
 from exactgf.graphs import path_graph
+from test_spanning import _complete_graph
 
 
 def invoke(capsys, *argv):
@@ -338,7 +339,7 @@ def test_fit_commands_certify_at_the_edge_of_their_window(capsys):
 
 
 def test_long_run_gates_of_the_other_pipelines(monkeypatch, tmp_path, capsys):
-    assert (cli.LONG_RUN_VER_K, cli.LONG_RUN_GRAPH_VERTICES) == (7, 7)
+    assert cli.LONG_RUN_VERTICES == 7
     ran = []
 
     def stub(result):
@@ -350,9 +351,8 @@ def test_long_run_gates_of_the_other_pipelines(monkeypatch, tmp_path, capsys):
     ver, grid = spanning.gf_ver_grid(2), spanning.gf_grid(2)
     monkeypatch.setattr(spanning, "gf_ver", stub(ver))
     monkeypatch.setattr(spanning, "gf_spanning", stub(grid))
-    for command, size_flag, limit in (("gf-ver", "--k", cli.LONG_RUN_VER_K),
-                                      ("gf-ver", "--graph", cli.LONG_RUN_VER_K),
-                                      ("gf-product", "--graph", cli.LONG_RUN_GRAPH_VERTICES)):
+    limit = cli.LONG_RUN_VERTICES
+    for command, size_flag in (("gf-ver", "--k"), ("gf-ver", "--graph"), ("gf-product", "--graph")):
         for size, extra, gated in ((limit - 1, (), False), (limit, (), True),
                                    (limit, ("--allow-long",), False)):
             value = _path_file(tmp_path, size) if size_flag == "--graph" else str(size)
@@ -628,6 +628,50 @@ def test_moments_refuse_weights_past_the_answer_bits_cap(monkeypatch, tmp_path, 
         code, _out, _err = invoke(capsys, "moments", "--graph", str(path), "--n", str(n))
         assert code == 0
     assert ran == [*rows, (2, 12), (30, 111)]
+
+
+def _graph_file(tmp_path, name, g):
+    path = tmp_path / name
+    path.write_text(json.dumps({"n": g.n_vertices, "edges": [list(e) for e in g.edges]}))
+    return str(path)
+
+
+def test_tree_fits_cap_the_answer_at_their_last_generated_term(monkeypatch, tmp_path, capsys):
+    # _admit sizes the answer-bits cap at the last term a tree fit
+    # generates, which is data_used of the fit it admits
+    checked, real = [], cli._check_answer_bits
+    monkeypatch.setattr(cli, "_check_answer_bits", lambda g, n: checked.append(n) or real(g, n))
+    heavy = graphs.LabeledGraph(2, ((0, 1, "other", 10**500),))
+    for g in (path_graph(1), path_graph(4), heavy, _complete_graph(4),
+              graphs.LabeledGraph(3, ((0, 1, "other", 2), (1, 2, "other", 1)))):
+        path = _graph_file(tmp_path, "g.json", g)
+        want = spanning.gf_spanning(g).data_used
+        for command in ("gf-product", "gf-ver"):
+            del checked[:]
+            code, _out, _err = invoke(capsys, command, "--graph", path)
+            assert code == 0 and checked == [want]
+        assert spanning.gf_ver(g).data_used == want
+
+
+def test_tree_fits_refuse_weights_past_the_answer_bits_cap(monkeypatch, tmp_path, capsys):
+    # K_4 with a 3000-digit multiplicity on every edge passes the vertex
+    # and window caps, but its tree count at n = B + 2 + HELD_OUT = 12 has
+    # up to 358884 bits; two vertices so joined stay under it at n = 10
+    ran, tree, ver = [], spanning.gf_grid(2), spanning.gf_ver_grid(2)
+    monkeypatch.setattr(spanning, "gf_spanning", lambda g: ran.append(g) or tree)
+    monkeypatch.setattr(spanning, "gf_ver", lambda g: ran.append(g) or ver)
+    m = int("7" * 3000)
+    k4 = graphs.LabeledGraph(4, tuple((u, v, "other", m) for u in range(4) for v in range(u)))
+    for command in ("gf-product", "gf-ver"):
+        code, out, err = invoke(capsys, command, "--graph", _graph_file(tmp_path, "k4.json", k4))
+        assert code == 2 and out == ""
+        assert f"is 358884 for k=4 and n=12, more than {MAX_ANSWER_BITS}" in err
+        assert ran == []
+    two = _graph_file(tmp_path, "two.json", graphs.LabeledGraph(2, ((0, 1, "other", m),)))
+    for command in ("gf-product", "gf-ver"):
+        code, _out, _err = invoke(capsys, command, "--graph", two)
+        assert code == 0
+    assert len(ran) == 2
 
 
 def test_moments_at_the_work_cap_print_every_digit(capsys):

@@ -29,7 +29,8 @@ from exactgf.graphs import (
     Evals,
     Jet,
     _laplacian_minor,
-    _ver_terms,
+    _tree_minors,
+    _ver_points,
     graph_from_json_dict,
 )
 from exactgf.spanning import _as_data
@@ -525,7 +526,7 @@ def test_jumps_reduce_only_past_the_matrix_size(monkeypatch):
 @example(path_graph(1), 3)  # no vertical edge: one point, and int minors at n = 1
 def test_ver_sweep_matches_ver_polynomial(g, count):
     # the terms in evaluation form, at v = 1..count p + 1, and interpolated
-    evals = _ver_terms(g, count)
+    evals = list(islice(_tree_minors(g, _ver_points(g, count)), count))
     got = list(_as_data(evals))
     assert got == list(islice(ver_sweep_per_point(g), count))
     assert got == [ver_polynomial(product_with_path(g, n)) for n in range(1, len(got) + 1)]

@@ -360,10 +360,11 @@ def test_one_wrong_point_of_the_last_v_polynomial_fails(monkeypatch):
     def off(x):
         return graphs.Evals((*x.values[:-1], x.values[-1] + 1))
 
-    real_terms, real_grounded = spanning._ver_terms, spanning.spanning_tree_count
+    last = gf_ver_grid(2).data_used
+    real_stream, real_grounded = spanning._tree_minors, spanning.spanning_tree_count
     with monkeypatch.context() as m:
-        m.setattr(spanning, "_ver_terms", lambda g, c: [*real_terms(g, c)[:-1],
-                                                        off(real_terms(g, c)[-1])])
+        m.setattr(spanning, "_tree_minors", lambda g, w: (
+            off(x) if n == last else x for n, x in enumerate(real_stream(g, w), 1)))
         with pytest.raises(InternalInconsistency, match="held-out"):
             gf_ver_grid(2)
     # spanning_tree_count in spanning is graphs._grounded, the spot check's route
@@ -519,8 +520,8 @@ def test_gf_ver_two_rows_closed_form():
 
 def test_gf_ver_starts_one_batch_per_fit_round(monkeypatch):
     sweeps, rounds = [], []
-    real_stream, real_guess = graphs._tree_minors, spanning.guess_rec
-    monkeypatch.setattr(graphs, "_tree_minors",
+    real_stream, real_guess = spanning._tree_minors, spanning.guess_rec
+    monkeypatch.setattr(spanning, "_tree_minors",
                         lambda *a: sweeps.append(a[1]) or real_stream(*a))
     monkeypatch.setattr(spanning, "guess_rec", lambda d: rounds.append(len(d)) or real_guess(d))
     out = gf_ver_grid(3)

@@ -401,12 +401,13 @@ def test_transfer_gcd_free_emission_matches_canonical(band, mode):
 
 
 def test_gf_transfer_replays_its_held_out_terms(monkeypatch):
-    # the first term past the proved window, off by one, fails the replay
+    # c_(W+1), the first term past the proved window c_1..c_W, off by one,
+    # fails the replay
     def off_by_one(scheme, count, real=toeplitz.transfer_sequence):
         out = real(scheme, count)
         window = guess_window(len(scheme))
-        if count >= window:
-            out[window] += 1
+        if count > window:
+            out[window + 1] += 1
         return out
 
     monkeypatch.setattr(toeplitz, "transfer_sequence", off_by_one)
